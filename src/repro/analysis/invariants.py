@@ -20,8 +20,9 @@ them into assertions that can ride along on any run of the
   that key; anything less would hand the application a state outside
   its causal past.
 
-The monitor wraps per-node ``store.apply`` / ``stability.record`` and
-per-session observation hooks on a live deployment.
+The monitor wraps per-node ``store.apply`` / ``store.install`` /
+``stability.record`` / ``stability.record_all`` and per-session
+observation hooks on a live deployment.
 
 Runs with failure injection are supported (the fault-campaign engine
 attaches this monitor on every campaign). Three adjustments keep the
@@ -158,6 +159,20 @@ class ChainInvariantMonitor:
 
         node.store.apply = recording_apply
 
+        original_install = node.store.install
+
+        def recording_install(records: Any) -> Any:
+            # Keys the store already held go through ``store.apply``,
+            # i.e. ``recording_apply``; the rest come back as ``fresh``.
+            fresh = original_install(records)
+            monitor.applies_checked += len(fresh)
+            if not getattr(node, "syncing", False):
+                for key, record in fresh.items():
+                    applied.setdefault(key, []).append(record.version)
+            return fresh
+
+        node.store.install = recording_install
+
         original_crash = node.crash
 
         def resetting_crash() -> None:
@@ -204,6 +219,12 @@ class ChainInvariantMonitor:
                 )
 
         node.stability.record = checking_record
+
+        def checking_record_all(keys: Any, version: Any) -> None:
+            for key in keys:
+                checking_record(key, version)
+
+        node.stability.record_all = checking_record_all
 
     def _wrap_session_factory(self) -> None:
         original_session = self.store.session

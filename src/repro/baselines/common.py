@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import ClientSession, Datastore
 from repro.cluster.membership import ClusterManager, RingView
-from repro.cluster.server_base import RingServer
+from repro.cluster.server_base import RingServer, install_converged
 from repro.errors import ConfigError
 from repro.net.latency import lan_latency, wan_latency
 from repro.net.network import Network
@@ -109,6 +109,7 @@ class RingDeployment(Datastore):
         )
         self.managers: Dict[str, ClusterManager] = {}
         self.nodes: Dict[str, List[RingServer]] = {}
+        self._nodes_by_name: Dict[str, Dict[str, RingServer]] = {}
         self._session_factory = session_factory
         self._sessions: List[ClientSession] = []
         self._session_seq = 0
@@ -138,6 +139,7 @@ class RingDeployment(Datastore):
                 )
                 for name in server_names
             ]
+            self._nodes_by_name[site] = {node.name: node for node in self.nodes[site]}
 
     # ------------------------------------------------------------------
     # Datastore surface
@@ -187,10 +189,10 @@ class RingDeployment(Datastore):
     # helpers shared with the core facade
     # ------------------------------------------------------------------
     def _node(self, site: str, name: str) -> RingServer:
-        for node in self.nodes[site]:
-            if node.name == name:
-                return node
-        raise ConfigError(f"no node {name!r} in {site!r}")
+        node = self._nodes_by_name[site].get(name)
+        if node is None:
+            raise ConfigError(f"no node {name!r} in {site!r}")
+        return node
 
     def view_of(self, site: str) -> RingView:
         return self.managers[site].view
@@ -200,12 +202,13 @@ class RingDeployment(Datastore):
 
     def preload(self, data: Dict[str, Any]) -> None:
         """Install identical, converged records on every replica directly."""
-        version = VersionVector({"preload": 1})
-        for key, value in data.items():
-            for site, manager in self.managers.items():
-                for server_name in manager.view.chain_for(key):
-                    node = self._node(site, server_name)
-                    node.store.apply(key, value, version, self.sim.now)
+        install_converged(
+            data,
+            VersionVector({"preload": 1}),
+            self.sim.now,
+            self.all_views(),
+            self._nodes_by_name,
+        )
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)

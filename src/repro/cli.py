@@ -34,12 +34,13 @@ Eight subcommands, mirroring how the paper's evaluation is exercised:
 Reporting subcommands share two output flags: ``--format {text,json}``
 selects human tables or a machine-readable JSON document, and
 ``--out FILE`` writes the report to a file instead of stdout (``perf``
-always writes its BENCH report file; ``--out`` overrides the path).
+prints its tables either way and writes its JSON report only to
+``--out FILE``).
 ``run``, ``faults``, and ``sanitize`` also accept ``--kernel
 {auto,pure,compiled}`` selecting the event-kernel backend (``auto``
 prefers the mypyc build when present, else pure; the ``REPRO_KERNEL``
 environment variable steers ``auto``), and ``perf --kernel`` runs the
-pure-vs-compiled A/B tier writing ``BENCH_PR9.json``.
+pure-vs-compiled A/B tier (the committed ``BENCH_PR9.json``).
 
 Examples::
 
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--stability", choices=_PLANE_CHOICES, default=None, metavar="PLANE",
         help="run the stabilization-plane benchmark (notices vs clock A/B) "
-        "and write BENCH_PR8.json; PLANE selects the arm the summary "
+        "(BENCH_PR8.json's tier); PLANE selects the arm the summary "
         "leads with",
     )
     perf.add_argument(
@@ -338,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--partial", action="store_true",
         help="run the partial geo-replication benchmark (replication "
-        "degree A/B on a hot-shard workload) and write BENCH_PR10.json",
+        "degree A/B on a hot-shard workload; BENCH_PR10.json's tier)",
     )
     perf.add_argument(
         "--kernel", nargs="?", const="ab", default=None,
         choices=("ab", "pure", "compiled"), metavar="ARM",
         help="run the kernel-backend A/B tier (pure vs mypyc-compiled "
-        "micro + end-to-end rates) and write BENCH_PR9.json; bare "
+        "micro + end-to-end rates; BENCH_PR9.json's tier); bare "
         "--kernel measures both arms when the compiled build exists, "
         "--kernel compiled additionally fails if it does not",
     )
@@ -656,8 +657,21 @@ def _cmd_consistency(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _persist_perf_report(args: argparse.Namespace, report: Dict[str, Any]) -> str:
+    """Write a perf report where ``--out`` says, and only there; returns
+    the line that says so. Without ``--out`` the printed tables (or
+    ``--format json``) are the report: defaulting to ``BENCH_PR*.json``
+    in cwd silently overwrote the committed reports."""
+    if not args.out:
+        return "report not written (pass --out FILE to keep it)"
+    from repro.perf import write_report
+
+    write_report(report, args.out)
+    return f"report written to {args.out}"
+
+
 def _cmd_perf_parallel(args: argparse.Namespace, out) -> int:
-    from repro.perf import bench_parallel_scale, write_report
+    from repro.perf import bench_parallel_scale
 
     overrides = {}
     if args.scale_records is not None:
@@ -691,12 +705,11 @@ def _cmd_perf_parallel(args: argparse.Namespace, out) -> int:
                 f"{run['speedup_vs_first']:.2f}x, {run['rounds']} rounds)",
             )
         )
-    report_path = args.out or "BENCH_PR6.json"
-    write_report(report, report_path)
+    written = _persist_perf_report(args, report)
     text = "\n\n".join(
         [
             render_table(["metric", "value"], rows, title="perf --scale --workers"),
-            f"report written to {report_path}",
+            written,
         ]
     )
     if args.format == "json":
@@ -709,7 +722,6 @@ def _cmd_perf_parallel(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
-    from repro.perf import write_report
     from repro.perf.scale import bench_scale
 
     if args.workers:
@@ -728,12 +740,11 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
         ("ops/wall-s ratio", f"{report['ops_per_wall_sec_ratio']:.2f}x"),
         ("events match (determinism)", str(report["events_match"])),
     ]
-    report_path = args.out or "BENCH_PR5.json"
-    write_report(report, report_path)
+    written = _persist_perf_report(args, report)
     text = "\n\n".join(
         [
             render_table(["metric", "value"], rows, title="perf --scale"),
-            f"report written to {report_path}",
+            written,
         ]
     )
     if args.format == "json":
@@ -744,7 +755,6 @@ def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_perf_stability(args: argparse.Namespace, out) -> int:
-    from repro.perf import write_report
     from repro.perf.stability import bench_stability_plane
 
     print(
@@ -771,12 +781,11 @@ def _cmd_perf_stability(args: argparse.Namespace, out) -> int:
     rows.append(
         ("stable-map bound (clock)", str(report["clock_stable_map_bounded"])),
     )
-    report_path = args.out or "BENCH_PR8.json"
-    write_report(report, report_path)
+    written = _persist_perf_report(args, report)
     text = "\n\n".join(
         [
             render_table(["metric", "value"], rows, title="perf --stability"),
-            f"report written to {report_path}",
+            written,
         ]
     )
     if args.format == "json":
@@ -787,7 +796,6 @@ def _cmd_perf_stability(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_perf_partial(args: argparse.Namespace, out) -> int:
-    from repro.perf import write_report
     from repro.perf.partial import bench_partial_replication
 
     print(
@@ -818,12 +826,11 @@ def _cmd_perf_partial(args: argparse.Namespace, out) -> int:
     rows.append(
         ("remote-get p50 (r=2)", f"{report['remote_get_p50_ms_r2']:.1f} ms"),
     )
-    report_path = args.out or "BENCH_PR10.json"
-    write_report(report, report_path)
+    written = _persist_perf_report(args, report)
     text = "\n\n".join(
         [
             render_table(["metric", "value"], rows, title="perf --partial"),
-            f"report written to {report_path}",
+            written,
         ]
     )
     if args.format == "json":
@@ -834,7 +841,7 @@ def _cmd_perf_partial(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_perf_kernel(args: argparse.Namespace, out) -> int:
-    from repro.perf import bench_compiled_kernel, write_report
+    from repro.perf import bench_compiled_kernel
 
     print(
         "running compiled-kernel A/B tier (pure vs mypyc, micro + sharded "
@@ -868,12 +875,11 @@ def _cmd_perf_kernel(args: argparse.Namespace, out) -> int:
         if ratio is not None:
             rows.append((f"e2e speedup {label}", f"{ratio:.2f}x"))
     rows.append(("trace digests match", str(report["digests_match"])))
-    report_path = args.out or "BENCH_PR9.json"
-    write_report(report, report_path)
+    written = _persist_perf_report(args, report)
     text = "\n\n".join(
         [
             render_table(["metric", "value"], rows, title="perf --kernel"),
-            f"report written to {report_path}",
+            written,
         ]
     )
     if args.format == "json":
@@ -909,7 +915,6 @@ def _cmd_perf(args: argparse.Namespace, out) -> int:
         format_profile_rows,
         profile_call,
         summary_lines,
-        write_report,
     )
 
     print(
@@ -936,10 +941,7 @@ def _cmd_perf(args: argparse.Namespace, out) -> int:
     if args.profile:
         _, rows = profile_call(lambda: bench_end_to_end(duration=0.3), top=15)
         sections.append("hottest functions (end-to-end run):\n" + format_profile_rows(rows))
-    # perf always persists the BENCH report; --out overrides where.
-    report_path = args.out or "BENCH_PR1.json"
-    write_report(report, report_path)
-    sections.append(f"report written to {report_path}")
+    sections.append(_persist_perf_report(args, report))
     text = "\n\n".join(sections)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)

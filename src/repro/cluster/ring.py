@@ -48,9 +48,14 @@ class HashRing:
         points.sort()
         self._points = points
         self._hashes = [h for h, _ in points]
-        # Rings are immutable, and workloads ask for the same keys'
-        # chains millions of times — memoise placement per (key, length).
-        self._chain_cache: Dict[Tuple[str, int], List[str]] = {}
+        # A key's chain depends only on the ring point its hash lands
+        # on, so each chain length has at most ``len(points)`` distinct
+        # chains: ``_point_chains[length][i]`` is the successor walk from
+        # point ``i``, equal walks sharing one list. Rings are immutable
+        # and workloads ask for the same keys' chains millions of times,
+        # so ``_chain_cache[length]`` maps key → that shared list.
+        self._point_chains: Dict[int, List[List[str]]] = {}
+        self._chain_cache: Dict[int, Dict[str, List[str]]] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -90,24 +95,36 @@ class HashRing:
             raise ClusterError("ring is empty")
         if length < 1:
             raise ClusterError(f"chain length must be >= 1, got {length}")
-        cached = self._chain_cache.get((key, length))
-        if cached is not None:
-            return cached
-        length = min(length, len(self._servers))
-        start = bisect.bisect_right(self._hashes, _hash64(key)) % len(self._points)
-        chain: List[str] = []
-        seen = set()
-        idx = start
-        while len(chain) < length:
-            server = self._points[idx][1]
-            if server not in seen:
-                seen.add(server)
-                chain.append(server)
-            idx = (idx + 1) % len(self._points)
-        # Callers treat chains as read-only; the cache hands out the
-        # same list instance to avoid re-hashing hot keys.
-        self._chain_cache[(key, length)] = chain
+        cache = self._chain_cache.get(length)
+        if cache is None:
+            cache = self._chain_cache[length] = {}
+        chain = cache.get(key)
+        if chain is None:
+            clamped = min(length, len(self._servers))
+            chains = self._point_chains.get(clamped)
+            if chains is None:
+                chains = self._point_chains[clamped] = self._walk_all_points(clamped)
+            start = bisect.bisect_right(self._hashes, _hash64(key)) % len(chains)
+            # Callers treat chains as read-only: the same list instance
+            # serves every key that lands on the same ring point.
+            chain = cache[key] = chains[start]
         return chain
+
+    def _walk_all_points(self, length: int) -> List[List[str]]:
+        """The ``length``-server successor walk from every ring point."""
+        points = self._points
+        shared: Dict[Tuple[str, ...], List[str]] = {}
+        chains: List[List[str]] = []
+        for start in range(len(points)):
+            chain: List[str] = []
+            idx = start
+            while len(chain) < length:
+                server = points[idx][1]
+                if server not in chain:
+                    chain.append(server)
+                idx = (idx + 1) % len(points)
+            chains.append(shared.setdefault(tuple(chain), chain))
+        return chains
 
     def head_for(self, key: str) -> str:
         return self.chain_for(key, 1)[0]

@@ -11,7 +11,7 @@ their own message handlers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.membership import Heartbeat, RingView, ViewChange
 from repro.cluster.ring import chain_positions
@@ -19,10 +19,11 @@ from repro.errors import NotResponsibleError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.storage.merge import ConflictResolver
-from repro.storage.store import VersionedStore
+from repro.storage.merge import ConflictResolver, stamp_of
+from repro.storage.store import Record, VersionedStore
+from repro.storage.version import VersionVector, intern_str
 
-__all__ = ["RingServer"]
+__all__ = ["RingServer", "install_converged"]
 
 
 class RingServer(Actor):
@@ -114,3 +115,44 @@ class RingServer(Actor):
 
     def handle_view_change(self, old: RingView, new: RingView) -> None:
         """Protocol hook: reconcile chain state after membership changed."""
+
+
+def install_converged(
+    data: Mapping[str, Any],
+    version: VersionVector,
+    now: float,
+    views: Mapping[str, RingView],
+    nodes: Mapping[str, Mapping[str, RingServer]],
+    owns: Optional[Callable[[str, str], bool]] = None,
+) -> Dict[str, Dict[str, Dict[str, Record]]]:
+    """Put ``data`` at ``version`` on every replica directly, skipping the
+    protocol: the state a long-converged deployment would hold.
+
+    ``views`` and ``nodes`` are per site (``nodes[site]`` by server
+    name); ``owns(site, key)`` restricts a key to its owner sites. Each
+    key gets **one** :class:`Record`, shared by all its replicas in all
+    sites, and each server takes its keys in a single
+    :meth:`VersionedStore.install`, in ``data`` order. Returns what each
+    store was handed: ``site → server name → key → record``.
+    """
+    stamp = stamp_of(version)
+    make_record = VersionedStore.record_factory
+    groups: Dict[str, Dict[str, Dict[str, Record]]] = {
+        site: {name: {} for name in nodes[site]} for site in views
+    }
+    per_site = [
+        (site, view.ring().chain_for, view.chain_length, groups[site])
+        for site, view in views.items()
+    ]
+    for key, value in data.items():
+        key = intern_str(key)
+        record = make_record(key, value, version, stamp, now)
+        for site, chain_for, chain_length, site_groups in per_site:
+            if owns is not None and not owns(site, key):
+                continue
+            for name in chain_for(key, chain_length):
+                site_groups[name][key] = record
+    for site, site_groups in groups.items():
+        for name, group in site_groups.items():
+            nodes[site][name].store.install(group)
+    return groups

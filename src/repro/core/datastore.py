@@ -25,6 +25,7 @@ from repro.api import (
 if TYPE_CHECKING:
     from repro.trace import Tracer
 from repro.cluster.membership import ClusterManager
+from repro.cluster.server_base import install_converged
 from repro.core.client import ChainClientSession
 from repro.core.clockplane import ClockAgent
 from repro.core.config import ChainReactionConfig
@@ -46,7 +47,7 @@ from repro.sim.backend import activate_kernel, new_simulator
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.merge import ConflictResolver
-from repro.storage.version import VersionVector, intern_str
+from repro.storage.version import VersionVector
 
 __all__ = ["ChainReactionStore"]
 
@@ -100,6 +101,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         )
         self.managers: Dict[str, ClusterManager] = {}
         self.nodes: Dict[str, List[ChainNode]] = {}
+        self._nodes_by_name: Dict[str, Dict[str, ChainNode]] = {}
         self.proxies: Dict[str, GeoProxy] = {}
         #: single-site clock-plane agents (geo sites host the role on
         #: their proxy instead)
@@ -133,6 +135,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                 )
                 for name in server_names
             ]
+            self._nodes_by_name[site] = {node.name: node for node in self.nodes[site]}
             if self.config.is_geo:
                 proxy = GeoProxy(
                     self.sim,
@@ -210,10 +213,10 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
     # harness helpers
     # ------------------------------------------------------------------
     def _node(self, site: str, name: str) -> ChainNode:
-        for node in self.nodes[site]:
-            if node.name == name:
-                return node
-        raise ConfigError(f"no node {name!r} in {site!r}")
+        node = self._nodes_by_name[site].get(name)
+        if node is None:
+            raise ConfigError(f"no node {name!r} in {site!r}")
+        return node
 
     def preload(self, data: Dict[str, Any]) -> None:
         """Install records on every replica directly (skipping the protocol)
@@ -229,18 +232,25 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         # The clock plane needs no tracker writes: a record without an
         # HLC stamp is stable by construction (predates every stamp).
         track = self.config.stability != "clock"
-        for key, value in data.items():
-            key = intern_str(key)
-            for site, manager in self.managers.items():
-                if placement is not None and not placement.owns(site, key):
-                    continue
-                for server_name in manager.view.chain_for(key):
-                    node = self._node(site, server_name)
-                    node.store.apply(key, value, version, self.sim.now)
-                    if track:
-                        node.stability.record(key, version)
-                        node.global_stability.record(key, version)
-                    node._refresh_stable_record(key)
+        groups = install_converged(
+            data,
+            version,
+            self.sim.now,
+            {site: manager.view for site, manager in self.managers.items()},
+            self._nodes_by_name,
+            owns=placement.owns if placement is not None else None,
+        )
+        for site, site_groups in groups.items():
+            for name, group in site_groups.items():
+                node = self._nodes_by_name[site][name]
+                if track:
+                    node.stability.record_all(group, version)
+                    node.global_stability.record_all(group, version)
+                # Only a key shadowed in ``_stable_records`` has anything
+                # to refresh, and a freshly built node shadows none.
+                if node._stable_records:
+                    for key in group:
+                        node._refresh_stable_record(key)
 
     def attach_tracer(self, capacity: int = 100_000) -> Tracer:
         """Attach a structured-trace collector to every actor in the

@@ -24,7 +24,7 @@ semantic one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future
@@ -87,6 +87,27 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
             self._waiters[key] = still_waiting
         else:
             del self._waiters[key]
+
+    def record_all(self, keys: Collection[str], version: VersionVector) -> None:
+        """:meth:`record` ``version`` for every key in ``keys``, in order.
+
+        A key with no entry, no floor to merge with and no waiter to wake
+        needs none of the per-key work — its new entry is ``version``
+        itself — so a tracker that holds nothing yet takes the whole
+        batch in one dictionary update.
+        """
+        stable = self._stable
+        per_key = self._floor is not None or len(self._waiters) > 0
+        if not per_key and not stable:
+            stable.update(dict.fromkeys(keys, version))
+            self.notifications += len(keys)
+            return
+        for key in keys:
+            if per_key or key in stable:
+                self.record(key, version)
+            else:
+                stable[key] = version
+                self.notifications += 1
 
     def wait(self, sim: Simulator, key: str, version: VersionVector) -> Future:
         """A future resolving (to True) once ``version`` is DC-stable."""

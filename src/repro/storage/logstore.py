@@ -16,10 +16,10 @@ missed while it was down.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver
-from repro.storage.store import VersionedStore
+from repro.storage.store import Record, VersionedStore
 from repro.storage.version import VersionVector
 
 __all__ = ["LogEntry", "AppendLog", "DurableStore"]
@@ -99,9 +99,9 @@ class AppendLog:
 class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __dict__ for the invariant monitor
     """A versioned store whose applied writes are logged for recovery.
 
-    - ``apply``/``delete`` append to the log *only when the write took
-      effect* (dominated duplicates cost nothing, as in FAWN-KV where
-      the index filters them before the log).
+    - ``apply``/``delete``/``install`` append to the log *only when the
+      write took effect* (dominated duplicates cost nothing, as in
+      FAWN-KV where the index filters them before the log).
     - ``clear()`` models a crash: memory is lost, the log is not.
     - ``recover_from_log()`` rebuilds memory by replay; convergent apply
       makes replay order-insensitive and idempotent.
@@ -134,6 +134,13 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
             record = result.record
             self.log.append(LogEntry(key, value, version, record.stamp))
         return result
+
+    def install(self, records: Mapping[str, Record]) -> Mapping[str, Record]:
+        fresh = super().install(records)
+        append = self.log.append
+        for rec in fresh.values():
+            append(LogEntry(rec.key, rec.value, rec.version, rec.stamp))
+        return fresh
 
     # ------------------------------------------------------------------
     # crash & recovery

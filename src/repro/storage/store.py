@@ -15,7 +15,7 @@ like any other write instead of resurrecting old data.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver, LWWResolver, Stamp, stamp_of
 from repro.storage.version import VersionVector
@@ -54,7 +54,11 @@ class Record:
     Hand-rolled slotted class (not ``dataclass(slots=True)`` — py3.9):
     stores hold one instance per key per replica, so the per-instance
     ``__dict__`` a dataclass carries dominated large-keyspace memory.
-    Treat instances as immutable; nothing in the tree mutates them.
+
+    **Never mutate a Record.** :meth:`VersionedStore.install` stores the
+    instance it is handed, and preload hands the same instance to every
+    replica of a key in every datacenter: a write replaces the store's
+    slot with a new ``Record``, it does not edit the old one.
     """
 
     __slots__ = ("key", "value", "version", "stamp", "updated_at")
@@ -220,6 +224,29 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         self.writes_applied += 1
         self.conflicts_resolved += 1
         return ApplyResult(True, rec, was_conflict=True)
+
+    def install(self, records: Mapping[str, Record]) -> Mapping[str, Record]:
+        """Offer many already-built records at once (``key → record``).
+
+        Same outcome as :meth:`apply` on each record's fields in mapping
+        order, except that a key this store has never seen takes the
+        given ``Record`` *instance* — callers share one instance across
+        replicas — and all such keys land in one dictionary update. Keys
+        already present go through the convergent :meth:`apply`. Returns
+        the records stored as given.
+        """
+        data = self._data
+        fresh = records
+        if data and not data.keys().isdisjoint(records.keys()):
+            fresh = {}
+            for key, rec in records.items():
+                if key in data:
+                    self.apply(key, rec.value, rec.version, rec.updated_at, rec.stamp)
+                else:
+                    fresh[key] = rec
+        data.update(fresh)
+        self.writes_applied += len(fresh)
+        return fresh
 
     def delete(
         self,

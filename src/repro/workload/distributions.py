@@ -18,6 +18,7 @@ distributions are reproduced here:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Sequence
@@ -45,6 +46,13 @@ def _fnv64(value: int) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=32)
+def _zeta(n: int, theta: float) -> float:
+    """``sum(1 / i**theta for i in 1..n)`` — the O(n) part of a zipfian
+    chooser. Every client of a run asks for the same ``(n, theta)``."""
+    return sum(1.0 / (i**theta) for i in range(1, n + 1))
+
+
 class KeyChooser:
     """Chooses key indices in ``[0, n)``."""
 
@@ -67,7 +75,8 @@ class ZipfianKeys(KeyChooser):
 
     Implements the Gray et al. "Quickly generating billion-record
     synthetic databases" algorithm used verbatim by YCSB: constant-time
-    sampling after an O(n) zeta precomputation.
+    sampling after an O(n) zeta precomputation (done once per
+    ``(n, theta)``, see :func:`_zeta`).
     """
 
     def __init__(self, n: int, theta: float = 0.99):
@@ -75,7 +84,7 @@ class ZipfianKeys(KeyChooser):
         if not 0 < theta < 1:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         self.theta = theta
-        self._zeta_n = sum(1.0 / (i**theta) for i in range(1, n + 1))
+        self._zeta_n = _zeta(n, theta)
         self._zeta_2 = 1.0 + 0.5**theta
         self._alpha = 1.0 / (1.0 - theta)
         if n > 2:

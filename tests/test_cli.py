@@ -141,6 +141,56 @@ class TestOutputFlags:
         assert "chainreaction" in doc["protocols"]
 
 
+class TestPerfOutput:
+    """``perf`` used to default to BENCH_PR*.json in cwd, silently
+    overwriting the committed reports; now only ``--out`` writes."""
+
+    QUICK = ("perf", "--events", "500", "--repeats", "1", "--skip-e2e")
+
+    def test_without_out_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        committed = tmp_path / "BENCH_PR1.json"
+        committed.write_text("committed\n")
+        code, output = run_cli(*self.QUICK)
+        assert code == 0
+        assert "kernel speedup" in output
+        assert "report not written" in output
+        assert committed.read_text() == "committed\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_PR1.json"]
+
+    def test_out_writes_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "mine.json"
+        code, output = run_cli(*self.QUICK, "--out", str(path))
+        assert code == 0
+        assert f"report written to {path}" in output
+        assert "event_kernel" in json.loads(path.read_text())
+        assert [p.name for p in tmp_path.iterdir()] == ["mine.json"]
+
+    def test_partial_tier_without_out_writes_nothing(self, tmp_path, monkeypatch):
+        import repro.perf.partial
+
+        arm = {
+            "arm": "full", "ops_per_wall_sec": 1.0, "shipping_bytes_per_key": 1.0,
+            "records_per_site": {"dc0": 1},
+        }
+        report = {
+            "arms": [arm], "shipping_bytes_per_key_ratio_r2": 0.5,
+            "census_reduction_r2": 0.3, "remote_get_p50_ms_r2": 80.0,
+        }
+        monkeypatch.setattr(
+            repro.perf.partial, "bench_partial_replication", lambda repeats: report
+        )
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli("perf", "--partial")
+        assert code == 0
+        assert "report not written" in output
+        assert list(tmp_path.iterdir()) == []
+        code, output = run_cli("perf", "--partial", "--out", "p.json")
+        assert code == 0
+        assert json.loads((tmp_path / "p.json").read_text()) == report
+
+
 class TestFaults:
     def test_list_campaigns(self):
         code, output = run_cli("faults", "--list")

@@ -1,9 +1,12 @@
 """Unit and property tests for consistent hashing and chain placement."""
 
+import bisect
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import HashRing, chain_positions
+from repro.cluster.ring import _hash64
 from repro.errors import ClusterError
 
 SERVERS = [f"s{i}" for i in range(6)]
@@ -101,6 +104,51 @@ class TestMembershipChanges:
         )
         # Chains not involving the removed server mostly stay put.
         assert moved < 30
+
+
+def successor_walk(servers, virtual_nodes, key, length):
+    """Reference placement: hash the key onto the ring, then walk
+    successors collecting distinct servers. Returns (point index, chain)."""
+    points = sorted(
+        (_hash64(f"{server}#{v}"), server)
+        for server in servers
+        for v in range(virtual_nodes)
+    )
+    start = bisect.bisect_right([h for h, _ in points], _hash64(key)) % len(points)
+    chain, idx = [], start
+    while len(chain) < min(length, len(servers)):
+        server = points[idx][1]
+        if server not in chain:
+            chain.append(server)
+        idx = (idx + 1) % len(points)
+    return start, chain
+
+
+class TestPrecomputedChains:
+    KEYS = [f"key{i}" for i in range(4000)]
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 9])
+    def test_chains_equal_the_successor_walk_from_every_point(self, length):
+        base = HashRing(SERVERS, virtual_nodes=8)
+        rings = [base, base.without("s2"), base.with_server("s6"),
+                 base.without("s0").with_server("s7")]
+        for ring in rings:
+            points_hit = set()
+            for key in self.KEYS:
+                start, expected = successor_walk(ring.servers, 8, key, length)
+                points_hit.add(start)
+                assert ring.chain_for(key, length) == expected
+                assert ring.chain_for(key, length) == expected  # cached answer
+            assert len(points_hit) == len(ring.servers) * 8
+
+    def test_keys_on_one_point_share_one_chain_list(self):
+        ring = HashRing(SERVERS, virtual_nodes=8)
+        by_point = {}
+        for key in self.KEYS:
+            start, _ = successor_walk(ring.servers, 8, key, 3)
+            by_point.setdefault(start, []).append(ring.chain_for(key, 3))
+        for chains in by_point.values():
+            assert all(chain is chains[0] for chain in chains)
 
 
 class TestBalance:

@@ -1,5 +1,7 @@
 """Unit and property tests for key-popularity distributions."""
 
+import hashlib
+import math
 import random
 from collections import Counter
 
@@ -90,3 +92,53 @@ class TestProperties:
         for chooser in (UniformKeys(n), ZipfianKeys(n), ScrambledZipfianKeys(n), LatestKeys(n)):
             for _ in range(20):
                 assert 0 <= chooser.choose(rng) < n
+
+
+def gray_zipfian_draws(n, theta, rng, count):
+    """Reference: Gray's generator with its O(n) zeta sum computed on the
+    spot, exactly as every chooser did before the sum was memoised."""
+    zeta_n = sum(1.0 / (i**theta) for i in range(1, n + 1))
+    zeta_2 = 1.0 + 0.5**theta
+    alpha = 1.0 / (1.0 - theta)
+    eta = (1.0 - (2.0 / n) ** (1.0 - theta)) / (1.0 - zeta_2 / zeta_n)
+    draws = []
+    for _ in range(count):
+        u = rng.random()
+        uz = u * zeta_n
+        if uz < 1.0:
+            draws.append(0)
+        elif uz < zeta_2:
+            draws.append(1)
+        else:
+            draws.append(int(n * math.pow(eta * u - eta + 1.0, alpha)))
+    return draws
+
+
+class TestMemoisedZetaKeepsDraws:
+    """The zeta constants are computed once per (n, theta); the draw
+    sequences must stay bit-identical (digests pinned at the commit
+    before the memo)."""
+
+    PINNED = {
+        (ZipfianKeys, 1000, 0.99): "cd704d20836f81f1",
+        (ZipfianKeys, 50_000, 0.7): "1baf7be643e155ad",
+        (ScrambledZipfianKeys, 1000, 0.99): "a8fb5d7f3a45bc9a",
+        (ScrambledZipfianKeys, 50_000, 0.7): "a2a59e55e5f8b254",
+        (LatestKeys, 1000, 0.99): "f9e5f905f3324993",
+        (LatestKeys, 50_000, 0.7): "ed60a61ecb153f58",
+    }
+
+    @pytest.mark.parametrize("cls,n,theta", sorted(PINNED, key=str))
+    def test_first_10k_draws_unchanged(self, cls, n, theta):
+        for _ in range(2):  # second chooser takes the memoised constants
+            chooser, rng = cls(n, theta), random.Random(99)
+            draws = [chooser.choose(rng) for _ in range(10_000)]
+            digest = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
+            assert digest == self.PINNED[(cls, n, theta)]
+
+    @pytest.mark.parametrize("n,theta", [(1000, 0.99), (50_000, 0.7)])
+    def test_zipfian_matches_unmemoised_reference(self, n, theta):
+        chooser, rng = ZipfianKeys(n, theta), random.Random(5)
+        assert [chooser.choose(rng) for _ in range(10_000)] == gray_zipfian_draws(
+            n, theta, random.Random(5), 10_000
+        )
