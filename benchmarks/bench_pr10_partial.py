@@ -37,13 +37,13 @@ import sys
 from pathlib import Path
 from typing import Any, Dict
 
-from repro.perf.partial import bench_partial_replication
+from repro.perf.partial import (
+    MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2,
+    MIN_CENSUS_REDUCTION_R2,
+    bench_partial_replication,
+)
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
-
-#: acceptance ceilings/floors for the r=2 arm
-MAX_SHIPPING_BYTES_PER_KEY_RATIO = 0.70
-MIN_CENSUS_REDUCTION = 0.30
 
 
 def collect(repeats: int = 3) -> Dict[str, Any]:
@@ -56,15 +56,15 @@ def collect(repeats: int = 3) -> Dict[str, Any]:
 def check(report: Dict[str, Any]) -> list:
     failures = []
     ratio = report["shipping_bytes_per_key_ratio_r2"]
-    if ratio > MAX_SHIPPING_BYTES_PER_KEY_RATIO:
+    if ratio > MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2:
         failures.append(
             f"r=2 shipping bytes/key is {ratio:.2f}x of full replication "
-            f"> {MAX_SHIPPING_BYTES_PER_KEY_RATIO}x ceiling"
+            f"> {MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2}x ceiling"
         )
-    if report["census_reduction_r2"] < MIN_CENSUS_REDUCTION:
+    if report["census_reduction_r2"] < MIN_CENSUS_REDUCTION_R2:
         failures.append(
             f"r=2 record census shrank only {report['census_reduction_r2']:.0%} "
-            f"< {MIN_CENSUS_REDUCTION:.0%}"
+            f"< {MIN_CENSUS_REDUCTION_R2:.0%}"
         )
     by_arm = {arm["arm"]: arm for arm in report["arms"]}
     for arm in report["arms"]:

@@ -28,7 +28,7 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 SEED = 42
 
 
-def collect_report(clients: int = 16, seed: int = SEED) -> dict:
+def collect(clients: int = 16, seed: int = SEED) -> dict:
     spec = campaign("crash-head").with_updates(clients=clients)
     result = run_campaign(spec, seed=seed)
     report = result.to_report()
@@ -53,7 +53,7 @@ def collect_report(clients: int = 16, seed: int = SEED) -> dict:
 def test_pr3_availability(benchmark, scale):
     from bench_utils import run_once
 
-    report = run_once(benchmark, lambda: collect_report(clients=scale.latency_clients))
+    report = run_once(benchmark, lambda: collect(clients=scale.latency_clients))
     print()
     for phase in ("before", "during", "after"):
         rec = report["recovery"]
@@ -68,7 +68,7 @@ def test_pr3_availability(benchmark, scale):
 
 def main() -> int:
     print("running the crash-head availability campaign ...")
-    report = collect_report()
+    report = collect()
     REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     rec = report["recovery"]
     for phase in ("before", "during", "after"):

@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.baselines.registry import build_store
-from repro.perf.protocol import BATCHED_OVERRIDES, bench_protocol_plane
+from repro.core.config import BATCHED_OVERRIDES
+from repro.perf.protocol import bench_protocol_plane
 from repro.workload.driver import WorkloadRunner
 from repro.workload.ycsb import workload
 
@@ -88,7 +89,7 @@ def _plateau_arm(gc: bool, duration: float, n_clients: int, seed: int) -> Dict[s
     }
 
 
-def collect_report(duration: float = 1.0, n_clients: int = 8, seed: int = SEED) -> dict:
+def collect(duration: float = 1.0, n_clients: int = 8, seed: int = SEED) -> dict:
     protocol = bench_protocol_plane(
         duration=duration, n_clients=n_clients, seed=seed
     )
@@ -158,7 +159,7 @@ def _print_summary(report: dict) -> None:
 def test_pr4_batching(benchmark, scale):
     from bench_utils import run_once
 
-    report = run_once(benchmark, collect_report)
+    report = run_once(benchmark, collect)
     print()
     _print_summary(report)
     acc = report["acceptance"]
@@ -174,7 +175,7 @@ def test_pr4_batching(benchmark, scale):
 
 def main() -> int:
     print("running the PR4 protocol-plane benchmark (batched vs unbatched) ...")
-    report = collect_report()
+    report = collect()
     REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _print_summary(report)
     print(f"acceptance passed: {report['acceptance']['passed']}")

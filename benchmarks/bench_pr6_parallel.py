@@ -37,22 +37,13 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from repro.perf.parallel import bench_parallel_scale
+from repro.perf.parallel import (
+    MIN_SPEEDUP_BY_WORKERS,
+    PARALLEL_SMOKE_OVERRIDES,
+    bench_parallel_scale,
+)
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
-
-#: speedup floors, applied only when the host schedules enough CPUs
-MIN_SPEEDUP_2_WORKERS = 1.25
-MIN_SPEEDUP_4_WORKERS = 1.5
-
-#: shrunk tier for the pytest/QUICK path — same shape, CI seconds
-QUICK_OVERRIDES: Dict[str, Any] = {
-    "record_count": 2_000,
-    "n_clients": 32,
-    "duration": 0.2,
-    "warmup": 0.05,
-    "drain": 0.2,
-}
 
 
 def _effective_cpus() -> int:
@@ -61,7 +52,7 @@ def _effective_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def collect_report(
+def collect(
     workers_list: Sequence[int] = (1, 2, 4),
     overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -73,10 +64,7 @@ def collect_report(
         run["workers_requested"]: run["speedup_vs_first"] for run in report["runs"]
     }
     gates = []
-    for workers, floor in (
-        (2, MIN_SPEEDUP_2_WORKERS),
-        (4, MIN_SPEEDUP_4_WORKERS),
-    ):
+    for workers, floor in MIN_SPEEDUP_BY_WORKERS.items():
         if workers not in speedups:
             continue
         gates.append(
@@ -133,7 +121,8 @@ def test_pr6_parallel(benchmark, scale):
     from bench_utils import run_once
 
     report = run_once(
-        benchmark, lambda: collect_report(workers_list=(1, 2), overrides=QUICK_OVERRIDES)
+        benchmark,
+        lambda: collect(workers_list=(1, 2), overrides=PARALLEL_SMOKE_OVERRIDES),
     )
     print()
     _print_summary(report)
@@ -144,7 +133,7 @@ def test_pr6_parallel(benchmark, scale):
 
 def main() -> int:
     print("running the PR6 parallel scale tier (workers 1, 2, 4) ...")
-    report = collect_report()
+    report = collect()
     REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _print_summary(report)
     print(f"acceptance passed: {report['acceptance']['passed']}")

@@ -1,51 +1,33 @@
 #!/usr/bin/env python
-"""Perf smoke gate: tiny-scale microbenchmarks + regression check.
+"""Perf smoke gate for the three interim A/B tiers of ``repro.perf``.
 
-Kept out of tier-1 (it measures wall-clock, which CI machines make
-noisy) — run it explicitly::
+Everything else — kernel rate, memory layout, stabilization plane,
+kernel backend — is measured by the standing benchmark
+(``benchmarks/suite/run.py``), not here. Kept out of tier-1 (two of the
+gates read the wall clock, which CI machines make noisy) — run it
+explicitly::
 
-    PYTHONPATH=src python scripts/perf_smoke.py [--output BENCH_PR1.json]
+    PYTHONPATH=src python scripts/perf_smoke.py [--output /tmp/smoke.json]
 
-What it does:
+What it does (each section has a ``--skip-*`` flag):
 
-1. runs the hot-path microbenchmarks at tiny scale;
-2. compares the optimized event-kernel throughput against the
-   *recorded* baseline in the existing BENCH JSON (if any) and fails
-   (exit 1) on a >30% regression;
-3. also fails if the optimized kernel no longer beats the in-process
-   seed-kernel baseline (the machine-independent floor);
-4. runs a small batched-vs-unbatched protocol-plane comparison and
+1. runs a small batched-vs-unbatched protocol-plane comparison and
    fails if the batched configuration's wall rate drops below 90% of
    the unbatched one (batching must never cost wall-clock);
-5. runs a shrunk two-arm memory-model comparison (`perf --scale`
-   profile at smoke size) and fails if the current layout's bytes/key
-   exceeds 110% of the figure committed in BENCH_PR5.json, scaled to
-   the smoke profile via the in-run legacy arm — or if the layout ever
-   costs more memory than the legacy one;
-6. runs the shrunk sharded scale tier at workers 1 and 2 and fails if
+2. runs the shrunk sharded scale tier at workers 1 and 2 and fails if
    the trace digests differ (the engine's determinism contract,
    enforced on any host) or — on hosts scheduling >= 2 CPUs — if the
-   workers=2 wall rate is below 1.25x the workers=1 rate;
-7. runs a single-repeat stabilization-plane A/B (notices vs clock) and
-   fails if the clock plane's wall rate drops below 90% of the notices
-   plane, if it stops cutting stability-control bytes by at least 5x,
-   or if its per-key stamp map stops being bounded;
-8. runs a shrunk partial geo-replication A/B (replication degree 2 of
+   workers=2 wall rate is below the tier's floor;
+3. runs a shrunk partial geo-replication A/B (replication degree 2 of
    3 sites on the hot-shard workload) and fails if shipping bytes/key
-   at r=2 exceeds 70% of full replication — in the smoke run or in the
+   at r=2 exceeds the tier's ceiling — in the smoke run or in the
    committed BENCH_PR10.json — if the per-DC record census stops
    shrinking, or if explicitly configuring the replication degree to
    the site count (i.e. full replication spelled out) changes a single
-   event, message, or byte of the golden-trace workload;
-9. with ``--kernel compiled``, measures the mypyc-compiled event kernel
-   against the pure interpreter in the same process and fails if the
-   build is absent or the compiled kernel rate falls below 1.2x the
-   pure rate (``--kernel pure`` records the pure rates without a
-   floor — useful for comparing logs across machines);
-10. rewrites the BENCH JSON with the fresh numbers on success.
+   event, message, or byte of the golden-trace workload.
 
-CHANGES.md convention: a PR that moves any number here by >10% should
-say so in its CHANGES.md line and ship the regenerated BENCH file.
+Nothing is written unless ``--output`` is given; with it, the sections
+that ran are saved as one JSON document on success.
 """
 
 from __future__ import annotations
@@ -57,71 +39,21 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.perf import (  # noqa: E402
-    bench_protocol_plane,
-    collect_report,
-    summary_lines,
-    write_report,
+from repro.perf.parallel import (  # noqa: E402
+    MIN_SPEEDUP_BY_WORKERS,
+    PARALLEL_SMOKE_OVERRIDES,
+    bench_parallel_scale,
 )
-
-#: Fail when event throughput drops below this fraction of the recorded run.
-REGRESSION_FLOOR = 0.70
+from repro.perf.partial import (  # noqa: E402
+    MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2,
+    MIN_CENSUS_REDUCTION_R2,
+    bench_partial_replication,
+)
+from repro.perf.protocol import bench_protocol_plane  # noqa: E402
 
 #: Fail when the batched config's wall rate drops below this fraction of
 #: the unbatched run (>10% regression).
 BATCHED_FLOOR = 0.90
-
-#: Fail when the memory model's bytes/key rises above this multiple of
-#: the committed BENCH_PR5 figure (after scaling to the smoke profile).
-BYTES_PER_KEY_CEILING = 1.10
-
-#: Shrunk ``perf --scale`` profile for the memory smoke gate.
-SCALE_SMOKE = {
-    "record_count": 200,
-    "duration": 0.4,
-    "n_clients": 4,
-    "rate_repeats": 1,
-}
-
-#: Fail when the workers=2 wall rate falls below this multiple of the
-#: workers=1 rate — enforced only on hosts that schedule >= 2 CPUs.
-PARALLEL_SPEEDUP_FLOOR = 1.25
-
-#: Fail when the clock plane's wall rate drops below this fraction of
-#: the notices plane's.
-CLOCK_FLOOR = 0.90
-
-#: Fail when the clock plane stops cutting stability-control bytes by
-#: at least this factor vs the notices plane. The A/B runs at the full
-#: BENCH_PR8 scale (duration 1.0): the clock plane's fixed-rate control
-#: traffic dominates short runs, so a shrunk profile would undersell
-#: the reduction and trip the gate spuriously.
-CLOCK_BYTES_REDUCTION_FLOOR = 5.0
-
-#: Fail when the compiled kernel's event rate falls below this multiple
-#: of the pure interpreter's (enforced only under ``--kernel compiled``,
-#: which requires a build). AOT-compiling the event loop should buy well
-#: over this; the floor just keeps a silently broken build (e.g. one
-#: that falls back to interpreting the same file) from passing.
-KERNEL_SPEEDUP_FLOOR = 1.2
-
-#: Shrunk sharded scale tier (``perf --scale --workers``) for the
-#: determinism + speedup smoke gate.
-PARALLEL_SMOKE = {
-    "record_count": 2_000,
-    "n_clients": 32,
-    "duration": 0.2,
-    "warmup": 0.05,
-    "drain": 0.2,
-}
-
-#: Fail when r=2 shipping bytes/key exceeds this fraction of full
-#: replication (smoke run and committed BENCH_PR10.json alike; the
-#: counters are virtual, so the ratio is machine-independent).
-PARTIAL_BYTES_RATIO_CEILING = 0.70
-
-#: Fail when the r=2 record census shrinks less than this fraction.
-PARTIAL_CENSUS_FLOOR = 0.30
 
 #: Shrunk ``perf --partial`` profile for the partial-replication gate.
 PARTIAL_SMOKE = {
@@ -157,24 +89,18 @@ def _golden_counters(overrides):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_PR1.json", metavar="PATH")
-    parser.add_argument("--events", type=int, default=60_000)
+    parser.add_argument(
+        "--output", default=None, metavar="PATH",
+        help="write the sections that ran as JSON (default: write nothing)",
+    )
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument(
         "--skip-protocol", action="store_true",
         help="skip the batched-vs-unbatched protocol-plane gate",
     )
     parser.add_argument(
-        "--skip-scale", action="store_true",
-        help="skip the memory-model bytes/key gate",
-    )
-    parser.add_argument(
         "--skip-parallel", action="store_true",
         help="skip the sharded-engine determinism + speedup gate",
-    )
-    parser.add_argument(
-        "--skip-clock", action="store_true",
-        help="skip the stabilization-plane (notices vs clock) gate",
     )
     parser.add_argument(
         "--skip-partial", action="store_true",
@@ -184,52 +110,15 @@ def main(argv=None) -> int:
         "--bench-pr10", default="BENCH_PR10.json", metavar="PATH",
         help="committed partial-replication benchmark the bytes/key gate audits",
     )
-    parser.add_argument(
-        "--bench-pr5", default="BENCH_PR5.json", metavar="PATH",
-        help="committed memory benchmark the bytes/key gate compares against",
-    )
-    parser.add_argument(
-        "--kernel", choices=("pure", "compiled"), default=None, metavar="BACKEND",
-        help="run the kernel-backend gate: 'compiled' requires the mypyc "
-        f"build and >= {KERNEL_SPEEDUP_FLOOR}x the pure kernel rate; "
-        "'pure' records the pure rates without a floor",
-    )
     args = parser.parse_args(argv)
 
-    recorded = None
-    if os.path.exists(args.output):
-        with open(args.output) as fh:
-            recorded = json.load(fh)
-
-    report = collect_report(
-        n_events=args.events, repeats=args.repeats, include_end_to_end=True
-    )
-    for metric, value in summary_lines(report):
-        print(f"  {metric:<34} {value}")
-
-    kernel = report["event_kernel"]
+    report = {}
     failures = []
-    if kernel["speedup"] < 1.0:
-        failures.append(
-            f"optimized kernel slower than the seed baseline "
-            f"({kernel['speedup']:.2f}x)"
-        )
-    if recorded is not None:
-        recorded_rate = recorded.get("event_kernel", {}).get("optimized_events_per_sec")
-        if recorded_rate:
-            ratio = kernel["optimized_events_per_sec"] / recorded_rate
-            print(
-                f"  vs recorded baseline               {ratio:.2f}x "
-                f"({recorded_rate:,.0f} events/s recorded)"
-            )
-            if ratio < REGRESSION_FLOOR:
-                failures.append(
-                    f"event throughput regressed to {ratio:.0%} of the recorded "
-                    f"baseline (floor {REGRESSION_FLOOR:.0%})"
-                )
 
     if not args.skip_protocol:
-        proto = bench_protocol_plane(duration=0.4, repeats=args.repeats)
+        proto = report["protocol_plane"] = bench_protocol_plane(
+            duration=0.4, repeats=args.repeats
+        )
         speedup = proto["ops_per_wall_sec_speedup"]
         print(
             f"  batched / unbatched ops per wall-s "
@@ -246,58 +135,13 @@ def main(argv=None) -> int:
                 f"rate (floor {BATCHED_FLOOR:.0%})"
             )
 
-    if not args.skip_scale:
-        from repro.perf import bench_scale
-
-        scale = bench_scale(dict(SCALE_SMOKE))
-        opt_bpk = scale["optimized"]["bytes_per_key"]
-        legacy_bpk = scale["legacy"]["bytes_per_key"]
-        ratio = opt_bpk / legacy_bpk if legacy_bpk else 1.0
-        print(
-            f"  bytes/key current / legacy         "
-            f"{opt_bpk:,.0f} / {legacy_bpk:,.0f} ({ratio:.0%})"
-        )
-        if not scale["events_match"]:
-            failures.append("memory-model arms diverged (events_match false)")
-        if ratio >= 1.0:
-            failures.append(
-                "current memory model costs more bytes/key than the legacy "
-                f"layout ({ratio:.0%})"
-            )
-        committed = None
-        if os.path.exists(args.bench_pr5):
-            with open(args.bench_pr5) as fh:
-                committed = json.load(fh)
-        if committed is not None:
-            # Absolute bytes/key is scale-dependent (fewer keys amortise
-            # less fixed cost), so the gate compares the current-vs-legacy
-            # *ratio*, which both this smoke run and the committed file
-            # measure in-process on their own scale.
-            c_opt = committed.get("optimized", {}).get("bytes_per_key")
-            c_legacy = committed.get("legacy", {}).get("bytes_per_key")
-            if c_opt and c_legacy:
-                committed_ratio = c_opt / c_legacy
-                print(
-                    f"  vs committed bytes/key ratio       "
-                    f"{ratio / committed_ratio:.2f}x "
-                    f"(committed {committed_ratio:.0%}, "
-                    f"ceiling {BYTES_PER_KEY_CEILING:.2f}x)"
-                )
-                if ratio > committed_ratio * BYTES_PER_KEY_CEILING:
-                    failures.append(
-                        f"bytes/key regressed to {ratio:.0%} of legacy — above "
-                        f"{BYTES_PER_KEY_CEILING:.0%} of the committed "
-                        f"{committed_ratio:.0%} ({args.bench_pr5})"
-                    )
-
     if not args.skip_parallel:
-        from repro.perf import bench_parallel_scale
-
-        parallel = bench_parallel_scale(
-            workers_list=(1, 2), overrides=dict(PARALLEL_SMOKE)
+        parallel = report["parallel_scale"] = bench_parallel_scale(
+            workers_list=(1, 2), overrides=PARALLEL_SMOKE_OVERRIDES
         )
         runs = {run["workers_requested"]: run for run in parallel["runs"]}
         speedup = runs[2]["speedup_vs_first"]
+        floor = MIN_SPEEDUP_BY_WORKERS[2]
         cpus = parallel["sched_cpus"] or parallel["host_cpus"] or 1
         print(
             f"  sharded ops/wall-s 1w / 2w         "
@@ -312,46 +156,20 @@ def main(argv=None) -> int:
                 "sharded engine trace digests differ between workers=1 and "
                 "workers=2 — determinism contract broken"
             )
-        if cpus >= 2 and speedup < PARALLEL_SPEEDUP_FLOOR:
+        if cpus >= 2 and speedup < floor:
             failures.append(
                 f"workers=2 wall rate is {speedup:.2f}x workers=1 "
-                f"(floor {PARALLEL_SPEEDUP_FLOOR}x on a {cpus}-cpu host)"
+                f"(floor {floor}x on a {cpus}-cpu host)"
             )
         elif cpus < 2:
             print(
                 "  (speedup floor not enforced: host schedules a single cpu)"
             )
 
-    if not args.skip_clock:
-        from repro.perf import bench_stability_plane
-
-        plane = bench_stability_plane(repeats=1)
-        ratio = plane["ops_per_wall_sec_ratio"]
-        reduction = plane["stability_bytes_reduction"]
-        print(
-            f"  clock / notices ops per wall-s     {ratio:.2f}x "
-            f"(stability bytes cut {reduction:.1f}x)"
-        )
-        if ratio < CLOCK_FLOOR:
-            failures.append(
-                f"clock plane runs at {ratio:.0%} of the notices wall rate "
-                f"(floor {CLOCK_FLOOR:.0%})"
-            )
-        if reduction < CLOCK_BYTES_REDUCTION_FLOOR:
-            failures.append(
-                f"clock plane cuts stability bytes only {reduction:.1f}x "
-                f"(floor {CLOCK_BYTES_REDUCTION_FLOOR}x)"
-            )
-        if not plane["clock_stable_map_bounded"]:
-            failures.append(
-                f"clock plane stamp map unbounded "
-                f"({plane['clock_stable_map_entries']} live entries)"
-            )
-
     if not args.skip_partial:
-        from repro.perf import bench_partial_replication
-
-        partial = bench_partial_replication(repeats=1, **PARTIAL_SMOKE)
+        partial = report["partial_replication"] = bench_partial_replication(
+            repeats=1, **PARTIAL_SMOKE
+        )
         ratio = partial["shipping_bytes_per_key_ratio_r2"]
         census = partial["census_reduction_r2"]
         print(
@@ -359,15 +177,15 @@ def main(argv=None) -> int:
             f"(census cut {census:.0%}, remote-get p50 "
             f"{partial['remote_get_p50_ms_r2']:.1f} ms)"
         )
-        if ratio > PARTIAL_BYTES_RATIO_CEILING:
+        if ratio > MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2:
             failures.append(
                 f"r=2 shipping bytes/key is {ratio:.0%} of full replication "
-                f"(ceiling {PARTIAL_BYTES_RATIO_CEILING:.0%})"
+                f"(ceiling {MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2:.0%})"
             )
-        if census < PARTIAL_CENSUS_FLOOR:
+        if census < MIN_CENSUS_REDUCTION_R2:
             failures.append(
                 f"r=2 record census shrank only {census:.0%} "
-                f"(floor {PARTIAL_CENSUS_FLOOR:.0%})"
+                f"(floor {MIN_CENSUS_REDUCTION_R2:.0%})"
             )
         if os.path.exists(args.bench_pr10):
             with open(args.bench_pr10) as fh:
@@ -378,11 +196,11 @@ def main(argv=None) -> int:
                 print(
                     f"  committed BENCH_PR10 bytes/key     {committed_ratio:.0%}"
                 )
-                if committed_ratio > PARTIAL_BYTES_RATIO_CEILING:
+                if committed_ratio > MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2:
                     failures.append(
                         f"committed {args.bench_pr10} records an r=2 bytes/key "
                         f"ratio of {committed_ratio:.0%} "
-                        f"(ceiling {PARTIAL_BYTES_RATIO_CEILING:.0%}) — "
+                        f"(ceiling {MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2:.0%}) — "
                         "regenerate it from a passing build"
                     )
         # Spelling out full replication (degree == site count) must be
@@ -400,54 +218,18 @@ def main(argv=None) -> int:
                 f"explicit {explicit_run[:3]}"
             )
 
-    if args.kernel:
-        from repro.perf import bench_hlc_ops, bench_kernel_ops
-        from repro.sim.backend import compiled_available
-
-        if args.kernel == "compiled" and not compiled_available():
-            print(
-                "FAIL: --kernel compiled requested but no mypyc build is "
-                "present; run `python scripts/build_kernel.py` first "
-                "(requires the [compiled] extra)",
-                file=sys.stderr,
-            )
-            return 1
-        kops = bench_kernel_ops(n_events=args.events, repeats=args.repeats)
-        hops = bench_hlc_ops(n_ops=args.events, repeats=args.repeats)
-        print(
-            f"  kernel pure events/s               "
-            f"{kops['pure_events_per_sec']:,.0f}"
-        )
-        if kops["compiled_vs_pure"] is not None:
-            print(
-                f"  kernel compiled events/s           "
-                f"{kops['compiled_events_per_sec']:,.0f} "
-                f"({kops['compiled_vs_pure']:.2f}x)"
-            )
-            print(
-                f"  hlc compiled / pure                "
-                f"{hops['compiled_vs_pure']:.2f}x"
-            )
-        if args.kernel == "compiled" and (
-            kops["compiled_vs_pure"] is None
-            or kops["compiled_vs_pure"] < KERNEL_SPEEDUP_FLOOR
-        ):
-            measured = kops["compiled_vs_pure"]
-            failures.append(
-                f"compiled kernel runs at {measured:.2f}x the pure rate "
-                f"(floor {KERNEL_SPEEDUP_FLOOR}x) — the build is not "
-                "delivering compiled speed"
-                if measured is not None
-                else "compiled kernel rate could not be measured"
-            )
-
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
 
-    write_report(report, args.output)
-    print(f"ok — report written to {args.output}")
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+        print(f"ok — report written to {args.output}")
+    else:
+        print("ok — report not written (pass --output PATH to keep it)")
     return 0
 
 

@@ -129,17 +129,10 @@ ALL_RULES: Tuple[str, ...] = (
 )
 
 #: Files (paths relative to ``src/repro``) allowed to read the wall
-#: clock: the perf harness measures the host machine by design.
+#: clock: the perf tiers measure the host machine by design.
 DEFAULT_WALL_CLOCK_EXEMPT: Tuple[str, ...] = (
-    "perf/report.py",
-    "perf/micro.py",
-    "perf/profile.py",
-    "perf/legacy.py",
     "perf/protocol.py",
-    "perf/scale.py",
     "perf/parallel.py",
-    "perf/stability.py",
-    "perf/compiled.py",
     "perf/partial.py",
 )
 

@@ -7,9 +7,11 @@ Eight subcommands, mirroring how the paper's evaluation is exercised:
   and staleness analysis of the recorded history);
 - ``repro consistency`` — run the geo causality probe against one or
   more protocols and print the anomaly table (experiment E10);
-- ``repro perf`` — run the hot-path microbenchmarks (event kernel vs
-  the seed baseline, network send, message sizing, end-to-end) and
-  write the ``BENCH_*.json`` report; see ``docs/PERFORMANCE.md``;
+- ``repro perf`` — run one of the three interim A/B tiers the standing
+  benchmark has no arm for yet (``--protocol`` batching, ``--scale
+  --workers`` sharded engine, ``--partial`` replication degree);
+  everything else is measured with ``benchmarks/suite/run.py`` — see
+  ``docs/PERFORMANCE.md``;
 - ``repro faults`` — run a named fault campaign (seeded crashes,
   partitions, slow links over a live deployment) and report the
   per-operation outcomes, availability phases, and invariant audit;
@@ -39,8 +41,7 @@ prints its tables either way and writes its JSON report only to
 ``run``, ``faults``, and ``sanitize`` also accept ``--kernel
 {auto,pure,compiled}`` selecting the event-kernel backend (``auto``
 prefers the mypyc build when present, else pure; the ``REPRO_KERNEL``
-environment variable steers ``auto``), and ``perf --kernel`` runs the
-pure-vs-compiled A/B tier (the committed ``BENCH_PR9.json``).
+environment variable steers ``auto``).
 
 Examples::
 
@@ -48,11 +49,9 @@ Examples::
     python -m repro run --protocol eventual --sites dc0 dc1 --check
     python -m repro consistency --protocols chainreaction eventual
     python -m repro run --sites dc0 dc1 dc2 --replication-degree 2 --clients 9
-    python -m repro perf --out BENCH_PR1.json
-    python -m repro perf --protocol --out BENCH_PR4.json
-    python -m repro perf --stability clock --out BENCH_PR8.json
-    python -m repro perf --kernel --out BENCH_PR9.json
-    python -m repro perf --partial --out BENCH_PR10.json
+    python -m repro perf --protocol --out /tmp/protocol.json
+    python -m repro perf --scale --workers 1 2 --out /tmp/parallel.json
+    python -m repro perf --partial --out /tmp/partial.json
     python -m repro run --protocol chainreaction --kernel compiled --clients 32
     python -m repro faults --campaign crash-head --seed 7
     python -m repro faults --campaign crash-head --check-determinism --stability clock
@@ -78,6 +77,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.api import CAP_TRACING
 from repro.baselines.registry import PROTOCOLS, build_store
 from repro.checker import analyze_staleness, check_causal, check_session_guarantees
+from repro.core.config import BATCHED_OVERRIDES
 from repro.metrics import render_table
 from repro.workload import (
     WORKLOADS,
@@ -89,7 +89,7 @@ from repro.workload import (
 
 __all__ = ["main", "build_parser"]
 
-#: stabilization-plane selector values shared by run/faults/sanitize/perf
+#: stabilization-plane selector values shared by run/faults/sanitize
 _PLANE_CHOICES = ("notices", "notices+batch", "clock")
 
 #: kernel-backend selector values shared by run/faults/sanitize
@@ -170,8 +170,6 @@ def _placement_overrides(args: argparse.Namespace, out) -> Optional[Dict[str, An
 def _plane_overrides(plane: str) -> Dict[str, Any]:
     """Config overrides selecting a stabilization plane."""
     if plane == "notices+batch":
-        from repro.perf.protocol import BATCHED_OVERRIDES
-
         return dict(BATCHED_OVERRIDES)
     if plane == "clock":
         return {"stability": "clock"}
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout",
     )
     # Shared by run/faults/sanitize: which simulation-kernel backend to
-    # run on (perf has its own --kernel, which runs the A/B tier).
+    # run on.
     kernel_sel = argparse.ArgumentParser(add_help=False)
     kernel_sel.add_argument(
         "--kernel", choices=_KERNEL_CHOICES, default=None, metavar="BACKEND",
@@ -279,41 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf", parents=[output],
-        help="hot-path microbenchmarks; writes a BENCH JSON report",
+        help="interim A/B tiers (--protocol, --scale --workers, --partial); "
+        "measure everything else with benchmarks/suite/run.py",
     )
-    perf.add_argument(
-        "--events", type=int, default=200_000,
-        help="events per kernel microbenchmark run",
-    )
-    perf.add_argument("--repeats", type=int, default=3, help="runs per benchmark (best kept)")
-    perf.add_argument(
-        "--skip-e2e", action="store_true", help="skip the end-to-end simulation benchmark"
-    )
-    perf.add_argument(
-        "--sweep", action="store_true",
-        help="also time an E1-style sweep serial vs parallel (slower)",
-    )
-    perf.add_argument(
-        "--sweep-workers", type=int, default=None, metavar="N",
-        help="process-pool size for the --sweep parallel arm (default: one per point, capped at cpu count)",
-    )
-    perf.add_argument(
-        "--profile", action="store_true",
-        help="print the hottest functions of the end-to-end run (cProfile)",
-    )
+    perf.add_argument("--repeats", type=int, default=3, help="runs per arm (best kept)")
     perf.add_argument(
         "--protocol", action="store_true",
-        help="also run the protocol-plane benchmark (batching + metadata GC on vs off)",
-    )
-    perf.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default=None, metavar="PLANE",
-        help="run the stabilization-plane benchmark (notices vs clock A/B) "
-        "(BENCH_PR8.json's tier); PLANE selects the arm the summary "
-        "leads with",
+        help="run the protocol-plane benchmark (batching + metadata GC on vs off)",
     )
     perf.add_argument(
         "--scale", action="store_true",
-        help="run the large-keyspace memory benchmark instead (current vs legacy layout)",
+        help="with --workers: run the sharded parallel scale tier",
     )
     perf.add_argument(
         "--workers", nargs="+", type=int, default=None, metavar="N",
@@ -340,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--partial", action="store_true",
         help="run the partial geo-replication benchmark (replication "
         "degree A/B on a hot-shard workload; BENCH_PR10.json's tier)",
-    )
-    perf.add_argument(
-        "--kernel", nargs="?", const="ab", default=None,
-        choices=("ab", "pure", "compiled"), metavar="ARM",
-        help="run the kernel-backend A/B tier (pure vs mypyc-compiled "
-        "micro + end-to-end rates; BENCH_PR9.json's tier); bare "
-        "--kernel measures both arms when the compiled build exists, "
-        "--kernel compiled additionally fails if it does not",
     )
 
     faults = sub.add_parser(
@@ -657,21 +623,56 @@ def _cmd_consistency(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _persist_perf_report(args: argparse.Namespace, report: Dict[str, Any]) -> str:
-    """Write a perf report where ``--out`` says, and only there; returns
-    the line that says so. Without ``--out`` the printed tables (or
-    ``--format json``) are the report: defaulting to ``BENCH_PR*.json``
-    in cwd silently overwrote the committed reports."""
-    if not args.out:
-        return "report not written (pass --out FILE to keep it)"
-    from repro.perf import write_report
+def _finish_perf(
+    args: argparse.Namespace, out, title: str, rows: List[Any], report: Dict[str, Any]
+) -> None:
+    """Print one tier's table (or ``--format json``) and write its JSON
+    report where ``--out`` says, and only there: defaulting to
+    ``BENCH_PR*.json`` in cwd silently overwrote the committed reports."""
+    document = json.dumps(report, indent=2, sort_keys=True, default=str)
+    if args.out:
+        Path(args.out).write_text(document + "\n")
+        written = f"report written to {args.out}"
+    else:
+        written = "report not written (pass --out FILE to keep it)"
+    if args.format == "json":
+        print(document, file=out)
+    else:
+        table = render_table(["metric", "value"], rows, title=title)
+        print(f"{table}\n\n{written}", file=out)
 
-    write_report(report, args.out)
-    return f"report written to {args.out}"
+
+def _cmd_perf_protocol(args: argparse.Namespace, out) -> int:
+    from repro.perf.protocol import bench_protocol_plane
+
+    print(
+        "running protocol-plane benchmark (batching + metadata GC on vs off, "
+        f"{args.repeats} repeats) ...",
+        file=out,
+    )
+    report = bench_protocol_plane(repeats=args.repeats)
+    unbatched, batched = report["unbatched"], report["batched"]
+    rows = [
+        ("ops/wall-s unbatched / batched",
+         f"{unbatched['sim_ops_per_wall_sec']:,.0f} / "
+         f"{batched['sim_ops_per_wall_sec']:,.0f} "
+         f"({report['ops_per_wall_sec_speedup']:.2f}x)"),
+        ("stability msgs unbatched / batched",
+         f"{unbatched['stability_messages']:,} / "
+         f"{batched['stability_messages']:,} "
+         f"({report['stability_message_reduction']:.1f}x)"),
+        ("global-stability msg reduction",
+         f"{report['global_stability_message_reduction']:.1f}x"),
+        ("stable-map entries unbatched / batched",
+         f"{unbatched['metadata']['stable_map_entries']:,} / "
+         f"{batched['metadata']['stable_map_entries']:,}"),
+    ]
+    _finish_perf(args, out, "perf --protocol", rows, report)
+    return 0
 
 
 def _cmd_perf_parallel(args: argparse.Namespace, out) -> int:
-    from repro.perf import bench_parallel_scale
+    from repro.perf.parallel import bench_parallel_scale
 
     overrides = {}
     if args.scale_records is not None:
@@ -705,94 +706,10 @@ def _cmd_perf_parallel(args: argparse.Namespace, out) -> int:
                 f"{run['speedup_vs_first']:.2f}x, {run['rounds']} rounds)",
             )
         )
-    written = _persist_perf_report(args, report)
-    text = "\n\n".join(
-        [
-            render_table(["metric", "value"], rows, title="perf --scale --workers"),
-            written,
-        ]
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
+    _finish_perf(args, out, "perf --scale --workers", rows, report)
     # Digest equality is the engine's contract; make its violation a
     # non-zero exit so CI trips without parsing the report.
     return 0 if report["digests_match"] else 1
-
-
-def _cmd_perf_scale(args: argparse.Namespace, out) -> int:
-    from repro.perf.scale import bench_scale
-
-    if args.workers:
-        return _cmd_perf_parallel(args, out)
-    print("running large-keyspace memory benchmark (two arms, traced + untraced) ...", file=out)
-    report = bench_scale()
-    opt, leg = report["optimized"], report["legacy"]
-    rows = [
-        ("distinct keys", f"{opt['distinct_keys']:,}"),
-        ("peak traced MiB (optimized)", f"{opt['traced_peak_bytes'] / 2**20:.1f}"),
-        ("peak traced MiB (legacy)", f"{leg['traced_peak_bytes'] / 2**20:.1f}"),
-        ("peak bytes reduction", f"{report['peak_bytes_reduction']:.1%}"),
-        ("bytes/key (optimized)", f"{opt['bytes_per_key']:,.0f}"),
-        ("bytes/key (legacy)", f"{leg['bytes_per_key']:,.0f}"),
-        ("bytes/key reduction", f"{report['bytes_per_key_reduction']:.1%}"),
-        ("ops/wall-s ratio", f"{report['ops_per_wall_sec_ratio']:.2f}x"),
-        ("events match (determinism)", str(report["events_match"])),
-    ]
-    written = _persist_perf_report(args, report)
-    text = "\n\n".join(
-        [
-            render_table(["metric", "value"], rows, title="perf --scale"),
-            written,
-        ]
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
-    return 0
-
-
-def _cmd_perf_stability(args: argparse.Namespace, out) -> int:
-    from repro.perf.stability import bench_stability_plane
-
-    print(
-        "running stabilization-plane benchmark (notices vs clock, "
-        f"{args.repeats} repeats) ...",
-        file=out,
-    )
-    report = bench_stability_plane(repeats=args.repeats)
-    lead = args.stability
-    rows = [("lead plane", lead)]
-    for arm in report["arms"]:
-        rows.append(
-            (
-                arm["plane"],
-                f"{arm['ops_per_wall_sec']:,.0f} ops/wall-s, "
-                f"{arm['stability_bytes']:,} stability B, "
-                f"vis p50 {arm['visibility_p50_ms']:.1f} ms",
-            )
-        )
-    rows.append(
-        ("stability-byte reduction (clock vs notices)",
-         f"{report['stability_bytes_reduction']:.1f}x"),
-    )
-    rows.append(
-        ("stable-map bound (clock)", str(report["clock_stable_map_bounded"])),
-    )
-    written = _persist_perf_report(args, report)
-    text = "\n\n".join(
-        [
-            render_table(["metric", "value"], rows, title="perf --stability"),
-            written,
-        ]
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
-    return 0
 
 
 def _cmd_perf_partial(args: argparse.Namespace, out) -> int:
@@ -826,128 +743,26 @@ def _cmd_perf_partial(args: argparse.Namespace, out) -> int:
     rows.append(
         ("remote-get p50 (r=2)", f"{report['remote_get_p50_ms_r2']:.1f} ms"),
     )
-    written = _persist_perf_report(args, report)
-    text = "\n\n".join(
-        [
-            render_table(["metric", "value"], rows, title="perf --partial"),
-            written,
-        ]
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
+    _finish_perf(args, out, "perf --partial", rows, report)
     return 0
-
-
-def _cmd_perf_kernel(args: argparse.Namespace, out) -> int:
-    from repro.perf import bench_compiled_kernel
-
-    print(
-        "running compiled-kernel A/B tier (pure vs mypyc, micro + sharded "
-        "end-to-end at workers=1,2) ...",
-        file=out,
-    )
-    report = bench_compiled_kernel(n_events=args.events, repeats=args.repeats)
-    rows = [("compiled build present", str(report["compiled_available"]))]
-    if report["build_skipped"]:
-        rows.append(("build skipped", report["build_skipped_reason"]))
-    kops = report["kernel_ops"]
-    rows.append(("kernel pure events/s", f"{kops['pure_events_per_sec']:,.0f}"))
-    if kops["compiled_vs_pure"] is not None:
-        rows.append(
-            ("kernel compiled events/s", f"{kops['compiled_events_per_sec']:,.0f}")
-        )
-        rows.append(("kernel compiled/pure", f"{kops['compiled_vs_pure']:.2f}x"))
-    hops = report["hlc_ops"]
-    rows.append(("hlc pure ops/s", f"{hops['pure_ops_per_sec']:,.0f}"))
-    if hops["compiled_vs_pure"] is not None:
-        rows.append(("hlc compiled/pure", f"{hops['compiled_vs_pure']:.2f}x"))
-    for run in report["end_to_end"]:
-        rows.append(
-            (
-                f"e2e {run['kernel']} workers={run['workers_requested']}",
-                f"{run['ops_per_wall_sec']:,.0f} ops/wall-s "
-                f"({run['wall_seconds']:.1f}s wall)",
-            )
-        )
-    for label, ratio in report["end_to_end_speedup"].items():
-        if ratio is not None:
-            rows.append((f"e2e speedup {label}", f"{ratio:.2f}x"))
-    rows.append(("trace digests match", str(report["digests_match"])))
-    written = _persist_perf_report(args, report)
-    text = "\n\n".join(
-        [
-            render_table(["metric", "value"], rows, title="perf --kernel"),
-            written,
-        ]
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
-    # Cross-backend digest parity is a hard contract; see perf/compiled.py.
-    return 0 if report["digests_match"] else 1
 
 
 def _cmd_perf(args: argparse.Namespace, out) -> int:
-    kernel_arm = getattr(args, "kernel", None)
-    if kernel_arm == "ab":
-        return _cmd_perf_kernel(args, out)
-    if kernel_arm in ("pure", "compiled"):
-        from repro.errors import ConfigError
-        from repro.sim.backend import activate_kernel
-
-        try:
-            activate_kernel(kernel_arm)
-        except ConfigError as exc:
-            print(f"--kernel: {exc}", file=out)
-            return 2
-    if args.stability:
-        return _cmd_perf_stability(args, out)
+    if args.protocol:
+        return _cmd_perf_protocol(args, out)
     if args.partial:
         return _cmd_perf_partial(args, out)
-    if args.scale:
-        return _cmd_perf_scale(args, out)
-    from repro.perf import (
-        bench_end_to_end,
-        collect_report,
-        format_profile_rows,
-        profile_call,
-        summary_lines,
-    )
-
+    if args.scale and args.workers:
+        return _cmd_perf_parallel(args, out)
     print(
-        f"running hot-path microbenchmarks ({args.events} events x {args.repeats} repeats) ...",
+        "perf: pick a tier — --protocol, --scale --workers N..., or --partial. "
+        "Everything else (kernel, memory layout, stabilization plane, "
+        "compiled backend) is measured by the standing benchmark: "
+        "python3 benchmarks/suite/run.py --workload W --seed 1234 "
+        "(see benchmarks/suite/README.md)",
         file=out,
     )
-    report = collect_report(
-        n_events=args.events,
-        repeats=args.repeats,
-        include_end_to_end=not args.skip_e2e,
-        include_sweep=args.sweep,
-        include_protocol=args.protocol,
-        sweep_max_workers=args.sweep_workers,
-    )
-    kernel = report["event_kernel"]
-    sections = [
-        render_table(["metric", "value"], summary_lines(report), title="perf"),
-        (
-            f"event kernel: {kernel['optimized_events_per_sec']:,.0f} events/s "
-            f"vs seed baseline {kernel['baseline_events_per_sec']:,.0f} events/s "
-            f"({kernel['speedup']:.2f}x)"
-        ),
-    ]
-    if args.profile:
-        _, rows = profile_call(lambda: bench_end_to_end(duration=0.3), top=15)
-        sections.append("hottest functions (end-to-end run):\n" + format_profile_rows(rows))
-    sections.append(_persist_perf_report(args, report))
-    text = "\n\n".join(sections)
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str), file=out)
-    else:
-        print(text, file=out)
-    return 0
+    return 2
 
 
 def _cmd_faults(args: argparse.Namespace, out) -> int:

@@ -136,7 +136,6 @@ def install_converged(
     store was handed: ``site → server name → key → record``.
     """
     stamp = stamp_of(version)
-    make_record = VersionedStore.record_factory
     groups: Dict[str, Dict[str, Dict[str, Record]]] = {
         site: {name: {} for name in nodes[site]} for site in views
     }
@@ -146,7 +145,7 @@ def install_converged(
     ]
     for key, value in data.items():
         key = intern_str(key)
-        record = make_record(key, value, version, stamp, now)
+        record = Record(key, value, version, stamp, now)
         for site, chain_for, chain_length, site_groups in per_site:
             if owns is not None and not owns(site, key):
                 continue

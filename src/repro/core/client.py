@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult, SnapshotResult
 from repro.cluster.client_base import RetryingSession
-from repro.core.deptable import make_dep_table
+from repro.core.deptable import DepTable
 from repro.core.messages import DepEntry, PutReply, PutRequest
 from repro.errors import ReproError, RequestTimeout, TransientError
 from repro.net.network import Address
@@ -52,7 +52,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: columnar key → (version, chain index) table; see repro.core.deptable
-        self._deps = make_dep_table()
+        self._deps = DepTable()
         self._pending_puts: Dict[int, Future] = {}
         self._request_seq = 0
         #: shard→owners map under partial replication; None = full

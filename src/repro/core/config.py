@@ -8,14 +8,24 @@ misconfigured experiments fail loudly before any virtual time elapses.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.placement import ShardCatalog
 
-__all__ = ["PROTOCOL_MUTATIONS", "ChainReactionConfig"]
+__all__ = ["BATCHED_OVERRIDES", "PROTOCOL_MUTATIONS", "ChainReactionConfig"]
+
+#: Config overrides behind the ``notices+batch`` plane name (CLI
+#: ``--stability notices+batch``) — the notices plane with its
+#: coalescers and sealing on; also the batched arm of
+#: ``python -m repro perf --protocol``.
+BATCHED_OVERRIDES: Dict[str, object] = {
+    "protocol_batching": True,
+    "metadata_gc": True,
+    "batch_flush_interval": 0.025,
+}
 
 #: Seeded protocol bugs the schedule explorer's proving ground can
 #: re-inject (test-only; see docs/ANALYSIS.md §4 and

@@ -23,17 +23,12 @@ three parallel columns — keys, versions, chain indices — with a
 Mutation semantics mirror a dict exactly (update-in-place keeps a key's
 iteration position, delete + re-add moves it to the end), so trace
 output and ``_record_deps`` merges on the server are order-identical.
-
-``LegacyDepTable`` is the pre-change representation, kept for the
-baseline arm of ``python -m repro perf --scale``; swap it in with
-:func:`set_dep_table_factory`.
 """
 
 from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     ItemsView,
     Iterator,
@@ -44,17 +39,11 @@ from typing import (
     ValuesView,
 )
 
-from repro.core.messages import DepEntry, deps_size_bytes
+from repro.core.messages import DepEntry
 from repro.sim.hlc import HLCStamp
 from repro.storage.version import VersionVector
 
-__all__ = [
-    "DepTable",
-    "DepSnapshot",
-    "LegacyDepTable",
-    "make_dep_table",
-    "set_dep_table_factory",
-]
+__all__ = ["DepTable", "DepSnapshot"]
 
 #: Compact the columns once holes outnumber live entries past this size.
 _COMPACT_MIN = 32
@@ -324,57 +313,3 @@ class DepSnapshot:
 
     def __repr__(self) -> str:
         return f"DepSnapshot({self._materialize()!r})"
-
-
-class LegacyDepTable(dict):
-    """The pre-columnar representation: a dict of boxed ``DepEntry``.
-
-    Kept as the baseline arm of the scale benchmark so the memory
-    comparison runs both layouts through identical protocol code. The
-    accessor surface matches :class:`DepTable`.
-    """
-
-    def version_for(self, key: str) -> Optional[VersionVector]:
-        entry = self.get(key)
-        return entry.version if entry is not None else None
-
-    def index_for(self, key: str) -> Optional[int]:
-        entry = self.get(key)
-        return entry.index if entry is not None else None
-
-    def set(
-        self,
-        key: str,
-        version: VersionVector,
-        index: int,
-        hlc: Optional[HLCStamp] = None,
-    ) -> None:
-        self[key] = DepEntry(version, index, hlc)
-
-    def snapshot(self) -> Dict[str, DepEntry]:
-        return dict(self)
-
-    def as_dict(self) -> Dict[str, DepEntry]:
-        return dict(self)
-
-    def size_bytes(self) -> int:
-        return deps_size_bytes(self)
-
-    def column_slots(self) -> int:
-        return len(self)
-
-
-_dep_table_factory: Callable[[], Any] = DepTable
-
-
-def make_dep_table() -> Any:
-    """Build a session dependency table via the active factory."""
-    return _dep_table_factory()
-
-
-def set_dep_table_factory(factory: Callable[[], Any]) -> Callable[[], Any]:
-    """Swap the table implementation (scale-bench hook); returns the old one."""
-    global _dep_table_factory
-    previous = _dep_table_factory
-    _dep_table_factory = factory
-    return previous

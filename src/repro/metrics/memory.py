@@ -3,10 +3,10 @@
 Two complementary views of a deployment's memory:
 
 - :class:`TracedPeak` / :func:`traced_call` measure what a block of
-  code *allocated* — ``tracemalloc`` traced current/peak bytes, the
-  peak-RSS proxy the scale benchmark gates on. Python-level accounting
-  (it sees every object the interpreter allocates) rather than true
-  RSS, but deterministic and machine-independent.
+  code *allocated* — ``tracemalloc`` traced current/peak bytes, a
+  peak-RSS proxy. Python-level accounting (it sees every object the
+  interpreter allocates) rather than true RSS, but deterministic and
+  machine-independent.
 - :func:`memory_census` walks a live datastore and counts what is
   *retained*, subsystem by subsystem, using the same ``size_bytes``
   wire-size protocol the network accounting uses — so "bytes of

@@ -1,54 +1,14 @@
-"""Performance harness: microbenchmarks, profiling, benchmark reports.
+"""Interim perf tiers, each waiting for a standing-benchmark arm.
 
-``python -m repro perf`` is the front door; :mod:`repro.perf.micro`
-holds the individual hot-path microbenchmarks, :mod:`repro.perf.legacy`
-keeps the seed event kernel as the in-process baseline, and
-:mod:`repro.perf.report` assembles everything into the ``BENCH_*.json``
-trajectory files. See ``docs/PERFORMANCE.md``.
+Performance is measured with ``benchmarks/suite/run.py`` (the workloads
+``BENCHMARK.json`` declares). What is left here are the three A/B tiers
+that compare configurations no standing workload reaches yet:
+
+- :mod:`repro.perf.protocol` — ``notices`` vs ``notices+batch``;
+- :mod:`repro.perf.parallel` — the sharded engine vs worker count;
+- :mod:`repro.perf.partial` — replication degree vs full replication.
+
+Each goes once the suite carries the matching arm (ROADMAP item 1a).
+``python -m repro perf --protocol | --scale --workers N... | --partial``
+is the front door; see ``docs/PERFORMANCE.md``.
 """
-
-from repro.perf.compiled import COMPILED_AB_PROFILE, bench_compiled_kernel
-from repro.perf.legacy import LegacySimulator
-from repro.perf.micro import (
-    bench_end_to_end,
-    bench_event_kernel,
-    bench_hlc_ops,
-    bench_kernel_ops,
-    bench_message_sizing,
-    bench_network_send,
-)
-from repro.perf.profile import format_profile_rows, profile_call
-from repro.perf.protocol import BATCHED_OVERRIDES, bench_protocol_plane
-from repro.perf.parallel import PARALLEL_SCALE_PROFILE, bench_parallel_scale
-from repro.perf.partial import DEGREES, bench_partial_replication
-from repro.perf.report import collect_report, summary_lines, write_report
-from repro.perf.scale import SCALE_PROFILE, bench_scale, resolve_profile
-from repro.perf.stability import PLANES, bench_stability_plane
-
-__all__ = [
-    "LegacySimulator",
-    "bench_end_to_end",
-    "bench_event_kernel",
-    "bench_hlc_ops",
-    "bench_kernel_ops",
-    "bench_compiled_kernel",
-    "COMPILED_AB_PROFILE",
-    "bench_message_sizing",
-    "bench_network_send",
-    "bench_protocol_plane",
-    "BATCHED_OVERRIDES",
-    "profile_call",
-    "format_profile_rows",
-    "collect_report",
-    "write_report",
-    "summary_lines",
-    "bench_scale",
-    "SCALE_PROFILE",
-    "resolve_profile",
-    "bench_parallel_scale",
-    "PARALLEL_SCALE_PROFILE",
-    "bench_stability_plane",
-    "PLANES",
-    "bench_partial_replication",
-    "DEGREES",
-]

@@ -25,12 +25,18 @@ import os
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from repro.perf.scale import resolve_profile
 from repro.sim.backend import active_kernel
 from repro.sim.shard import ExperimentSpec, ShardedSimulator, experiment_lookahead
 from repro.workload.ycsb import WorkloadSpec
 
-__all__ = ["PARALLEL_SCALE_PROFILE", "bench_parallel_scale", "spec_from_profile"]
+__all__ = [
+    "PARALLEL_SCALE_PROFILE",
+    "PARALLEL_SMOKE_OVERRIDES",
+    "MIN_SPEEDUP_BY_WORKERS",
+    "bench_parallel_scale",
+    "resolve_profile",
+    "spec_from_profile",
+]
 
 #: The north-star tier: 4 DCs × 4 servers (R=3, k=2), 10⁶ preloaded
 #: keys, 10³ closed-loop clients. The update-lean mix keeps per-op
@@ -55,6 +61,38 @@ PARALLEL_SCALE_PROFILE: Dict[str, Any] = {
     "warmup": 0.05,
     "drain": 0.25,
 }
+
+#: Shrunk tier — same shape, CI seconds — shared by the smoke gate
+#: (``scripts/perf_smoke.py``) and ``benchmarks/bench_pr6_parallel.py``.
+PARALLEL_SMOKE_OVERRIDES: Dict[str, Any] = {
+    "record_count": 2_000,
+    "n_clients": 32,
+    "duration": 0.2,
+    "warmup": 0.05,
+    "drain": 0.2,
+}
+
+#: Speedup floors vs the ``workers=1`` arm, keyed by worker count;
+#: enforced only on hosts that schedule at least that many CPUs.
+MIN_SPEEDUP_BY_WORKERS: Dict[int, float] = {2: 1.25, 4: 1.5}
+
+
+def resolve_profile(
+    base: Dict[str, Any], overrides: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """A copy of ``base`` with ``overrides`` applied, unknown keys rejected.
+
+    CI smoke gates shrink the default profile this way, and a typo'd key
+    must fail loudly rather than silently benchmark the full-size tier.
+    """
+    profile = dict(base)
+    for key, value in (overrides or {}).items():
+        if key not in profile:
+            raise KeyError(
+                f"unknown profile key {key!r}; valid keys: {sorted(profile)}"
+            )
+        profile[key] = value
+    return profile
 
 
 def spec_from_profile(profile: Dict[str, Any]) -> ExperimentSpec:

@@ -40,7 +40,13 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["DEGREES", "bench_partial_replication", "hot_indexes_by_site"]
+__all__ = [
+    "DEGREES",
+    "MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2",
+    "MIN_CENSUS_REDUCTION_R2",
+    "bench_partial_replication",
+    "hot_indexes_by_site",
+]
 
 #: benchmark arms: label → replication degree (0 = full replication)
 DEGREES: Tuple[Tuple[str, int], ...] = (
@@ -50,6 +56,13 @@ DEGREES: Tuple[Tuple[str, int], ...] = (
 )
 
 _SITES = ("dc0", "dc1", "dc2")
+
+#: Acceptance bounds for the ``r=2`` arm against full replication, shared
+#: by the smoke gate (``scripts/perf_smoke.py``) and
+#: ``benchmarks/bench_pr10_partial.py``. The counters are virtual, so
+#: both ratios are machine-independent.
+MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2 = 0.70
+MIN_CENSUS_REDUCTION_R2 = 0.30
 
 
 def _percentile(samples: List[float], pct: float) -> float:
@@ -285,7 +298,7 @@ def bench_partial_replication(
         "sites": list(_SITES),
         "arms": arms,
         # headline: bytes/key at r=2 as a fraction of full replication —
-        # the perf_smoke gate pins this ≤ 0.70
+        # gated by MAX_SHIPPING_BYTES_PER_KEY_RATIO_R2
         "shipping_bytes_per_key_ratio_r2": ratio(
             r2["shipping_bytes_per_key"], full["shipping_bytes_per_key"]
         ),

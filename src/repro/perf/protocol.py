@@ -1,7 +1,6 @@
 """Protocol-plane benchmark: batching + metadata GC, on vs off.
 
-Unlike the :mod:`repro.perf.micro` suite, which isolates single hot
-paths, this benchmark measures the *protocol* plane: the same
+This benchmark measures the *protocol* plane: the same
 deterministic write-heavy geo workload runs twice — once with the seed
 per-notification protocol and once with ``protocol_batching`` +
 ``metadata_gc`` — and the report compares
@@ -25,20 +24,14 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
+from repro.core.config import BATCHED_OVERRIDES
 from repro.metrics.protocol import (
     GLOBAL_STABILITY_MESSAGE_TYPES,
     SHIPPING_MESSAGE_TYPES,
     STABILITY_MESSAGE_TYPES,
 )
 
-__all__ = ["BATCHED_OVERRIDES", "bench_protocol_plane"]
-
-#: the batched arm's config — also what ``--batch`` CLI flags enable
-BATCHED_OVERRIDES: Dict[str, object] = {
-    "protocol_batching": True,
-    "metadata_gc": True,
-    "batch_flush_interval": 0.025,
-}
+__all__ = ["bench_protocol_plane"]
 
 
 def _run_arm(
@@ -107,7 +100,7 @@ def bench_protocol_plane(
     Each arm runs ``repeats`` times; the arm with the best wall rate is
     kept (message counts and event counts are seed-deterministic, so
     only the wall-clock fields differ between repeats — best-of filters
-    out scheduler noise exactly like the microbenchmarks do).
+    out scheduler noise).
     """
 
     def best(overrides: Optional[Dict[str, object]]) -> Dict[str, Any]:

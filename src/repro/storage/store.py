@@ -126,14 +126,7 @@ class ApplyResult:
 
 
 class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .apply per instance
-    """Convergent versioned KV store used by every replica.
-
-    ``record_factory`` is the class used for stored entries; the scale
-    benchmark's baseline arm swaps in an unslotted legacy record to
-    measure the memory delta under identical protocol behaviour.
-    """
-
-    record_factory: "type" = Record
+    """Convergent versioned KV store used by every replica."""
 
     def __init__(self, resolver: Optional[ConflictResolver] = None):
         self._data: Dict[str, Record] = {}
@@ -198,10 +191,9 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         """
         if stamp is None:
             stamp = stamp_of(version)
-        make_record = self.record_factory
         existing = self._data.get(key)
         if existing is None:
-            rec = make_record(key, value, version, stamp, now)
+            rec = Record(key, value, version, stamp, now)
             self._data[key] = rec
             self.writes_applied += 1
             return ApplyResult(True, rec)
@@ -211,7 +203,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
             return ApplyResult(False, existing)
 
         if version.dominates(existing.version):
-            rec = make_record(key, value, version, stamp, now)
+            rec = Record(key, value, version, stamp, now)
             self._data[key] = rec
             self.writes_applied += 1
             return ApplyResult(True, rec)
@@ -219,7 +211,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         winner_value, winner_stamp = self._resolver.resolve(
             existing.value, existing.stamp, value, stamp
         )
-        rec = make_record(key, winner_value, existing.version.merge(version), winner_stamp, now)
+        rec = Record(key, winner_value, existing.version.merge(version), winner_stamp, now)
         self._data[key] = rec
         self.writes_applied += 1
         self.conflicts_resolved += 1

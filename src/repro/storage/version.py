@@ -59,10 +59,10 @@ def _bind_kernel(core: Any) -> None:
 
 # Intern pool: canonical entries tuple -> the one shared instance.  The
 # pool is bounded (no eviction — overflow vectors are simply not pooled)
-# so a pathological run cannot grow it without limit, and it can be
-# switched off wholesale for A/B memory measurements (the legacy arm of
-# ``perf --scale``).  Safe because vectors are immutable and compare by
-# value: pooling only collapses identity, never equality or hashing.
+# so a pathological run cannot grow it without limit.  Safe because
+# vectors are immutable and compare by value: pooling only collapses
+# identity, never equality or hashing (``set_interning`` lets tests
+# check exactly that).
 _INTERN_MAX = 8192
 _INTERN_ENABLED = True
 _POOL: Dict[_EntriesTuple, "VersionVector"] = {}  # repro: lint-ok(module-mutable-state) — per-process intern pool; collapses identity only, rebuilt from pickled values on each worker
@@ -72,7 +72,12 @@ _MISSES = 0
 
 
 def set_interning(enabled: bool) -> bool:
-    """Toggle vector interning; returns the previous setting."""
+    """Toggle vector and string interning; returns the previous setting.
+
+    Test hook: a run with interning off must execute the same events and
+    operations as one with it on, which is how the tests prove that
+    behaviour never depends on vector identity.
+    """
     global _INTERN_ENABLED
     previous = _INTERN_ENABLED
     _INTERN_ENABLED = bool(enabled)
@@ -84,14 +89,12 @@ def interning_enabled() -> bool:
 
 
 def intern_str(s: str) -> str:
-    """``sys.intern`` under the memory-model switch.
+    """``sys.intern`` under the :func:`set_interning` switch.
 
     Key and site-name strings are interned at their creation boundaries
     (workload generator, client API, preload, addresses) so every
     record, dependency column, and stability entry across all replicas
-    pins one shared object per name. The legacy arm of ``perf --scale``
-    turns this off together with vector interning — per-arm, the switch
-    selects the whole memory model, not just the vector pool.
+    pins one shared object per name.
 
     An own pool rather than ``sys.intern``: interpreter-interned strings
     are immortal and their table resizes get charged to whichever caller

@@ -47,7 +47,7 @@ class TestWallClock:
 
     def test_perf_harness_files_exempt(self):
         src = "import time\n\nstart = time.perf_counter()\n"
-        assert lint_source(src, "src/repro/perf/report.py") == []
+        assert lint_source(src, "src/repro/perf/protocol.py") == []
         # ...but only the whitelisted files are.
         assert rules_of(lint_source(src, "src/repro/perf/other.py")) == [
             "no-wall-clock"

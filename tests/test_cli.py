@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
+import ast
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+SRC_ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"))
 
 
 def run_cli(*argv):
@@ -145,27 +153,63 @@ class TestPerfOutput:
     """``perf`` used to default to BENCH_PR*.json in cwd, silently
     overwriting the committed reports; now only ``--out`` writes."""
 
-    QUICK = ("perf", "--events", "500", "--repeats", "1", "--skip-e2e")
+    TINY_PARALLEL = (
+        "perf", "--scale", "--workers", "1", "2", "--scale-records", "200",
+        "--scale-clients", "4", "--scale-duration", "0.1",
+        "--scale-sites", "dc0", "dc1",
+    )
 
-    def test_without_out_nothing_is_written(self, tmp_path, monkeypatch):
+    def test_parallel_tier_writes_only_where_out_says(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        committed = tmp_path / "BENCH_PR1.json"
-        committed.write_text("committed\n")
-        code, output = run_cli(*self.QUICK)
+        code, output = run_cli(*self.TINY_PARALLEL)
         assert code == 0
-        assert "kernel speedup" in output
+        assert "trace digests match" in output
         assert "report not written" in output
-        assert committed.read_text() == "committed\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_PR1.json"]
-
-    def test_out_writes_the_report(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+        assert list(tmp_path.iterdir()) == []
         path = tmp_path / "mine.json"
-        code, output = run_cli(*self.QUICK, "--out", str(path))
+        code, output = run_cli(*self.TINY_PARALLEL, "--out", str(path))
         assert code == 0
         assert f"report written to {path}" in output
-        assert "event_kernel" in json.loads(path.read_text())
+        assert json.loads(path.read_text())["digests_match"] is True
         assert [p.name for p in tmp_path.iterdir()] == ["mine.json"]
+
+    def test_parallel_tier_digest_mismatch_exits_nonzero(self, monkeypatch):
+        import repro.perf.parallel
+
+        real = repro.perf.parallel.bench_parallel_scale
+
+        def diverged(**kwargs):
+            return dict(real(**kwargs), digests_match=False)
+
+        monkeypatch.setattr(repro.perf.parallel, "bench_parallel_scale", diverged)
+        code, output = run_cli(*self.TINY_PARALLEL)
+        assert code == 1
+        assert "trace digests match" in output and "False" in output
+
+    def test_protocol_tier_without_out_writes_nothing(self, tmp_path, monkeypatch):
+        import repro.perf.protocol
+
+        arm = {
+            "sim_ops_per_wall_sec": 1.0, "stability_messages": 10,
+            "metadata": {"stable_map_entries": 5},
+        }
+        report = {
+            "unbatched": arm, "batched": arm, "ops_per_wall_sec_speedup": 1.0,
+            "stability_message_reduction": 1.0,
+            "global_stability_message_reduction": 1.0,
+        }
+        monkeypatch.setattr(
+            repro.perf.protocol, "bench_protocol_plane", lambda repeats: report
+        )
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli("perf", "--protocol")
+        assert code == 0
+        assert "stability msgs unbatched / batched" in output
+        assert "report not written" in output
+        assert list(tmp_path.iterdir()) == []
+        code, output = run_cli("perf", "--protocol", "--out", "p.json")
+        assert code == 0
+        assert json.loads((tmp_path / "p.json").read_text()) == report
 
     def test_partial_tier_without_out_writes_nothing(self, tmp_path, monkeypatch):
         import repro.perf.partial
@@ -189,6 +233,91 @@ class TestPerfOutput:
         code, output = run_cli("perf", "--partial", "--out", "p.json")
         assert code == 0
         assert json.loads((tmp_path / "p.json").read_text()) == report
+
+
+class TestPerfRetiredTiers:
+    """The micro / memory-layout / stabilization-plane / compiled-kernel
+    tiers are measured by the standing benchmark now."""
+
+    @pytest.mark.parametrize("argv", [("perf",), ("perf", "--scale")])
+    def test_without_a_tier_points_at_the_suite(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli(*argv)
+        assert code == 2
+        assert "benchmarks/suite/run.py" in output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--events", "500"), ("--skip-e2e",), ("--sweep",),
+            ("--sweep-workers", "2"), ("--profile",), ("--stability", "clock"),
+            ("--kernel",),
+        ],
+    )
+    def test_removed_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["perf", *flag])
+        assert exc.value.code == 2
+
+
+class TestPerfSmokeScript:
+    def test_without_output_writes_nothing(self, tmp_path, monkeypatch):
+        script = REPO / "scripts" / "perf_smoke.py"
+        committed = tmp_path / "BENCH_PR1.json"
+        committed.write_text("committed\n")
+        result = subprocess.run(
+            [sys.executable, str(script), "--skip-protocol", "--skip-parallel",
+             "--repeats", "1"],
+            cwd=tmp_path, env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "report not written" in result.stdout
+        assert committed.read_text() == "committed\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_PR1.json"]
+        out = tmp_path / "smoke.json"
+        result = subprocess.run(
+            [sys.executable, str(script), "--skip-protocol", "--skip-parallel",
+             "--repeats", "1", "--output", str(out)],
+            cwd=tmp_path, env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert set(json.loads(out.read_text())) == {"partial_replication"}
+
+
+class TestPerfLayering:
+    """``repro.perf`` is a leaf: only the ``perf`` handler reaches it."""
+
+    def test_product_paths_do_not_import_the_perf_package(self):
+        probe = (
+            "import sys; from repro.cli import main; "
+            "code = main(['run', '--stability', 'notices+batch', '--sites', "
+            "'dc0', 'dc1', '--clients', '2', '--duration', '0.2', "
+            "'--warmup', '0.05', '--records', '10']); "
+            "leaked = sorted(m for m in sys.modules if m.startswith('repro.perf')); "
+            "sys.exit(code or (3 if leaked else 0))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_only_the_cli_imports_repro_perf(self):
+        src = REPO / "src" / "repro"
+        importers = set()
+        for path in src.rglob("*.py"):
+            rel = path.relative_to(src)
+            if rel.parts[0] == "perf":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                if any(n == "repro.perf" or n.startswith("repro.perf.") for n in names):
+                    importers.add(str(rel))
+        assert importers == {"cli.py"}
 
 
 class TestFaults:

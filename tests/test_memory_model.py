@@ -1,30 +1,21 @@
 """Tests for the memory-scale engine: version/string interning
-invariants, the columnar dependency table with copy-on-write snapshots,
-the memory census, the legacy memory model used as the scale-benchmark
-baseline, and a shrunk end-to-end run of ``perf --scale`` itself."""
+invariants (including that a run never depends on vector identity), the
+columnar dependency table with copy-on-write snapshots, and the memory
+census."""
 
 import pickle
 
 import pytest
 
-from repro.core.deptable import (
-    DepSnapshot,
-    DepTable,
-    LegacyDepTable,
-    make_dep_table,
-    set_dep_table_factory,
-)
+from repro.core.deptable import DepSnapshot, DepTable
 from repro.core.messages import DepEntry, deps_size_bytes
 from repro.metrics.memory import TracedPeak, census_totals, memory_census, traced_call
-from repro.perf.legacy_mem import legacy_memory_model
-from repro.perf.scale import bench_scale
 from repro.storage.version import (
     ZERO,
     VersionVector,
     clear_intern_pool,
     intern_stats,
     intern_str,
-    interning_enabled,
     set_interning,
 )
 
@@ -210,25 +201,6 @@ class TestDepTable:
         assert table.column_slots() < 64
         assert list(table) == ["k63"]
 
-    def test_factory_swap(self):
-        previous = set_dep_table_factory(LegacyDepTable)
-        try:
-            assert isinstance(make_dep_table(), LegacyDepTable)
-        finally:
-            set_dep_table_factory(previous)
-        assert isinstance(make_dep_table(), DepTable)
-
-    def test_legacy_table_same_surface(self):
-        table = LegacyDepTable()
-        table.set("a", vv(dc0=1), 2)
-        assert table.version_for("a") == vv(dc0=1)
-        assert table.index_for("a") == 2
-        snap = table.snapshot()
-        assert isinstance(snap, dict)
-        table.set("a", vv(dc0=9), 0)
-        assert snap["a"] == DepEntry(vv(dc0=1), 2)  # plain-dict copy
-        assert table.size_bytes() == deps_size_bytes(table)
-
 
 def small_store(**overrides):
     from repro.baselines.registry import build_store
@@ -288,27 +260,17 @@ class TestMemoryCensus:
         assert result == 499500 and peak >= 0 and current >= 0
 
 
-class TestLegacyMemoryModel:
-    def test_context_restores_current_model(self):
-        assert interning_enabled()
-        with legacy_memory_model():
-            assert not interning_enabled()
-            a, b = vv(dc0=5), vv(dc0=5)
-            assert a == b and a is not b
-            assert isinstance(make_dep_table(), dict)
-        assert interning_enabled()
-        assert isinstance(make_dep_table(), DepTable)
-
-    def test_legacy_run_is_event_identical(self):
+class TestIdentityIndependence:
+    def test_run_without_interning_is_event_identical(self):
         store = small_store()
         result = run_small_workload(store)
         events = store.sim.events_processed
         clear_intern_pool()
-        with legacy_memory_model():
-            legacy_store = small_store()
-            legacy_result = run_small_workload(legacy_store)
-        assert legacy_store.sim.events_processed == events
-        assert legacy_result.ops_completed == result.ops_completed
+        set_interning(False)
+        unpooled_store = small_store()
+        unpooled_result = run_small_workload(unpooled_store)
+        assert unpooled_store.sim.events_processed == events
+        assert unpooled_result.ops_completed == result.ops_completed
 
 
 class TestInterningUnderFaults:
@@ -342,27 +304,3 @@ class TestInterningUnderFaults:
         )
         assert report.divergence is None
         assert report.events_processed[0] == report.events_processed[1]
-
-
-class TestScaleBenchSmoke:
-    def test_shrunk_scale_bench_shape_and_determinism(self):
-        report = bench_scale(
-            {
-                "record_count": 100,
-                "duration": 0.3,
-                "n_clients": 4,
-                "rate_repeats": 1,
-            }
-        )
-        assert report["events_match"] and report["ops_match"]
-        for arm_name in ("optimized", "legacy"):
-            arm = report[arm_name]
-            assert arm["events_processed"] > 0
-            assert arm["traced_peak_bytes"] > 0
-            assert arm["distinct_keys"] > 0
-            assert arm["bytes_per_key"] > 0
-        assert report["optimized"]["legacy_memory_model"] is False
-        assert report["legacy"]["legacy_memory_model"] is True
-        # At any scale the new layout must not cost memory.
-        assert report["peak_bytes_reduction"] > 0.0
-        assert report["bytes_per_key_reduction"] > 0.0

@@ -10,7 +10,6 @@ import pytest
 from repro.bench import QUICK, consistency_table, latency_run, throughput_sweep
 from repro.net import Address, FixedLatency, Message, Network
 from repro.net.network import _HORIZON_SWEEP_INTERVAL
-from repro.sim import Simulator
 
 TINY = dataclasses.replace(
     QUICK,
@@ -201,43 +200,3 @@ class TestParallelRunner:
             ].get_latency.percentile(99)
             # Live deployments cannot cross the process boundary.
             assert parallel[protocol].store is None
-
-
-class TestPerfHarness:
-    def test_event_kernel_bench_reports_speedup(self):
-        from repro.perf import bench_event_kernel
-
-        result = bench_event_kernel(n_events=5_000, repeats=1)
-        assert result["baseline_events_per_sec"] > 0
-        assert result["optimized_events_per_sec"] > 0
-        assert result["speedup"] > 0
-
-    def test_legacy_simulator_matches_kernel_semantics(self):
-        from repro.perf import LegacySimulator
-
-        legacy, current = LegacySimulator(), Simulator()
-        for sim in (legacy, current):
-            order = []
-            sim.schedule(2.0, order.append, 2)
-            sim.schedule(1.0, order.append, 1)
-            handle = sim.schedule(1.5, order.append, 99)
-            handle.cancel()
-            sim.run()
-            assert order == [1, 2]
-            assert sim.events_processed == 2
-            assert sim.now == 2.0
-
-    def test_collect_report_shape(self):
-        from repro.perf import collect_report
-
-        report = collect_report(n_events=2_000, repeats=1, include_end_to_end=False)
-        assert set(report) >= {"meta", "event_kernel", "network_send", "message_sizing"}
-        assert report["message_sizing"]["memoization_speedup"] > 1.0
-
-    def test_profile_call_returns_rows(self):
-        from repro.perf import format_profile_rows, profile_call
-
-        result, rows = profile_call(lambda: sum(range(1000)), top=5)
-        assert result == sum(range(1000))
-        assert rows and all("function" in row for row in rows)
-        assert "function" in format_profile_rows(rows)
