@@ -56,17 +56,32 @@ class RingView:
     chain_length: int
     virtual_nodes: int = 64
 
+    # A view is an immutable value, so its ring and its servers' addresses
+    # are memoised on the instance (in ``__dict__``, as ``Message._size_memo``
+    # is): not fields, hence outside ``==``, ``hash`` and ``size_bytes``.
+
     def ring(self) -> HashRing:
-        return _ring(self.servers, self.virtual_nodes)
+        ring = self.__dict__.get("_ring_memo")
+        if ring is None:
+            ring = _ring(self.servers, self.virtual_nodes)
+            object.__setattr__(self, "_ring_memo", ring)
+        return ring
 
     def chain_for(self, key: str) -> List[str]:
         return self.ring().chain_for(key, self.chain_length)
 
     def addresses(self) -> List[Address]:
-        return [Address(self.site, s) for s in self.servers]
+        return [self.address_of(s) for s in self.servers]
 
     def address_of(self, server: str) -> Address:
-        return Address(self.site, server)
+        memo = self.__dict__.get("_address_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_address_memo", memo)
+        address = memo.get(server)
+        if address is None:
+            address = memo[server] = Address(self.site, server)
+        return address
 
     def size_bytes(self) -> int:
         return 8 + 4 + len(self.site) + sum(4 + len(s) for s in self.servers) + 8

@@ -63,6 +63,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         self._forward_timeout = (
             self.config.op_timeout + 4 * self.config.wan_median
         )
+        #: owner site → its geo proxy's address, built on first forward
+        self._owner_proxies: Dict[str, Address] = {}
         # observability: forwarded-operation counters + latency samples
         self.forwarded_gets = 0
         self.forwarded_puts = 0
@@ -114,6 +116,12 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             return None
         return self._placement.owners_for(key)
 
+    def _owner_proxy(self, site: str) -> Address:
+        proxy = self._owner_proxies.get(site)
+        if proxy is None:
+            proxy = self._owner_proxies[site] = Address(site, "geoproxy")
+        return proxy
+
     def _merge_forward_deps(self, reply: Dict[str, Any]) -> None:
         """Adopt the dependency list riding on a forwarded read.
 
@@ -148,7 +156,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
                 and len(owners) > 1
             )
             site = owners[attempt % len(owners)] if failover else owners[0]
-            proxy = Address(site, "geoproxy")
+            proxy = self._owner_proxy(site)
             sent_at = self.sim.now
             try:
                 reply = yield self.call(
@@ -200,7 +208,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         """
         deps = self._deps.snapshot()
         payload = {"key": key, "value": value, "deps": deps, "is_delete": is_delete}
-        proxy = Address(owners[0], "geoproxy")
+        proxy = self._owner_proxy(owners[0])
         start = self.sim.now
         for attempt in self._op_attempts(start):
             sent_at = self.sim.now
@@ -419,7 +427,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
                 # record with the producing write's full dependency list
                 # (never pruned at the origin), keeping the snapshot's
                 # mutual-consistency floors complete.
-                target = Address(owners[0], "geoproxy")
+                target = self._owner_proxy(owners[0])
                 method = "forward_get_stable"
                 timeout = self._forward_timeout
             else:

@@ -70,7 +70,9 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         self.site = site
         self.config = config
         self.view = initial_view
-        self._peers = [Address(s, "geoproxy") for s in all_sites if s != site]
+        #: site → its proxy's address (one object per site, not per message)
+        self._proxies = {s: Address(s, "geoproxy") for s in all_sites}
+        self._peers = [self._proxies[s] for s in all_sites if s != site]
         #: shard→owners map under partial replication; None (the default,
         #: full replication) gates every placement-aware branch off
         self._catalog = config.placement()
@@ -168,7 +170,7 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         token = (msg.key, msg.version)
         if msg.origin_site != self.site:
             # Remote-origin write finished our chain: tell the origin.
-            origin = Address(msg.origin_site, "geoproxy")
+            origin = self._proxies[msg.origin_site]
             self.send(origin, GlobalAck(key=msg.key, version=msg.version, site=self.site))
             return
         if token in self._shipped:

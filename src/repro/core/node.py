@@ -82,7 +82,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         # Stability queries are version comparisons, not data operations;
         # charging them a full service slot would tax every dependency-
         # carrying put with capacity it doesn't consume in reality.
-        if getattr(msg, "method", None) == "wait_stable":
+        if msg.type_name == "rpc-request" and msg.method == "wait_stable":  # type: ignore[attr-defined]
             return 0.0
         return super().service_cost(msg)
 

@@ -435,7 +435,17 @@ class Simulator:
                 if entry is None or entry[0] >= bound:
                     break
                 pop(heap)
-                self._fire(entry)
+                # _fire, inlined (see run()).
+                self._pending -= 1
+                self._now = entry[0]
+                self._events_processed += 1
+                if len(entry) == 3:
+                    ev = entry[2]
+                    ev._sim = None
+                    ev.callback(*ev.args)
+                    self._recycle(ev)
+                else:
+                    entry[2](*entry[3])
                 executed += 1
             return executed
         finally:
@@ -510,7 +520,19 @@ class Simulator:
                 if until is not None and entry[0] > until:
                     break
                 pop(heap)
-                self._fire(entry)
+                # _fire, inlined: a method call per event is a tenth of
+                # the loop, and the budgeted form is the one sliced runs
+                # (every --seconds budget, the benchmark) go through.
+                self._pending -= 1
+                self._now = entry[0]
+                self._events_processed += 1
+                if len(entry) == 3:
+                    ev = entry[2]
+                    ev._sim = None
+                    ev.callback(*ev.args)
+                    self._recycle(ev)
+                else:
+                    entry[2](*entry[3])
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     raise SimulationError(

@@ -14,7 +14,7 @@ sequential code wants a :class:`~repro.sim.process.Future` back.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, ClassVar, Dict, Optional, Set
+from typing import Any, Callable, ClassVar, Dict, Optional, Set, Tuple, Type
 
 from repro.errors import RemoteError, ReplicaUnavailable, ReproError, RequestTimeout
 from repro.net.message import Message
@@ -56,6 +56,11 @@ class Actor:
     dashes replaced by underscores (e.g. ``type_name = "chain-ack"`` →
     ``def on_chain_ack(self, msg, src)``), and RPC handlers named
     ``rpc_<method>`` that return either a plain value or a Future.
+
+    Names are resolved once per actor, on the first message of each
+    class (or first call of each method), into per-instance tables — so
+    a handler assigned on an instance, or a class attribute replaced
+    before the actor's first message, is what gets bound.
     """
 
     #: message types whose handling consumes ``service_time`` (subclasses
@@ -77,7 +82,12 @@ class Actor:
         self.tracer = None
         self._timers: Set[ScheduledEvent] = set()
         self._rpc_seq = 0
-        self._rpc_pending: Dict[int, Future] = {}
+        #: request id → (caller's future, timeout timer)
+        self._rpc_pending: Dict[int, Tuple[Future, ScheduledEvent]] = {}
+        #: message class → bound handler, filled by _bind_handler
+        self._message_handlers: Dict[Type[Message], Callable[[Any, Address], None]] = {}
+        #: RPC method name → bound ``rpc_<method>``
+        self._rpc_handlers: Dict[str, Callable[[Any, Address], Any]] = {}
         network.register(address, self._receive)
 
     # ------------------------------------------------------------------
@@ -103,32 +113,41 @@ class Actor:
     def _receive(self, msg: Message, src: Address) -> None:
         if self.crashed:
             return
-        cost = self.service_cost(msg)
-        if cost > 0:
-            # Single-server queue: processing starts when the CPU frees
-            # up and the result is visible after the service time.
-            start = max(self.sim.now, self._busy_until)
-            self._busy_until = start + cost
-            # Released at scheduling time: the handle is dropped here,
-            # never cancelled, so the kernel may pool it after firing.
-            self.sim.schedule_at(self._busy_until, self._dispatch, msg, src).release()
-            return
+        # Infinitely fast actors (every client) never consult the cost.
+        if self.service_time > 0:
+            cost = self.service_cost(msg)
+            if cost > 0:
+                # Single-server queue: processing starts when the CPU frees
+                # up and the result is visible after the service time.
+                now = self.sim.now
+                start = now if now > self._busy_until else self._busy_until
+                self._busy_until = start + cost
+                # Released at scheduling time: the handle is dropped here,
+                # never cancelled, so the kernel may pool it after firing.
+                self.sim.schedule_at(self._busy_until, self._dispatch, msg, src).release()
+                return
         self._dispatch(msg, src)
 
     def _dispatch(self, msg: Message, src: Address) -> None:
         if self.crashed:
             return
-        if isinstance(msg, RpcRequest):
-            self._handle_rpc_request(msg, src)
-            return
-        if isinstance(msg, RpcResponse):
-            self._handle_rpc_response(msg)
-            return
-        handler = getattr(self, "on_" + msg.type_name.replace("-", "_"), None)
+        handler = self._message_handlers.get(type(msg))
         if handler is None:
-            self.on_unhandled(msg, src)
+            handler = self._bind_handler(type(msg))
+        handler(msg, src)
+
+    def _bind_handler(self, cls: Type[Message]) -> Callable[[Any, Address], None]:
+        """Resolve and remember this actor's handler for ``cls``."""
+        handler: Callable[[Any, Address], None]
+        if issubclass(cls, RpcRequest):
+            handler = self._handle_rpc_request
+        elif issubclass(cls, RpcResponse):
+            handler = self._handle_rpc_response
         else:
-            handler(msg, src)
+            name = "on_" + cls.type_name.replace("-", "_")
+            handler = getattr(self, name, None) or self.on_unhandled
+        self._message_handlers[cls] = handler
+        return handler
 
     def on_unhandled(self, msg: Message, src: Address) -> None:
         """Hook for messages with no matching handler; default: ignore."""
@@ -170,7 +189,7 @@ class Actor:
             timer.cancel()
         self._timers.clear()
         pending, self._rpc_pending = self._rpc_pending, {}
-        for fut in pending.values():
+        for fut, _timer in pending.values():  # timers died above
             fut.try_set_exception(
                 ReplicaUnavailable(f"{self.address} crashed with RPC in flight")
             )
@@ -209,31 +228,33 @@ class Actor:
             return fut
         self._rpc_seq += 1
         rid = self._rpc_seq
-        self._rpc_pending[rid] = fut
         timer = self.set_timer(timeout, self._rpc_timeout, rid, method, dst)
-        fut.add_callback(lambda _f: self.cancel_timer(timer))
+        self._rpc_pending[rid] = (fut, timer)
         self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
         return fut
 
     def _rpc_timeout(self, rid: int, method: str, dst: Address) -> None:
-        fut = self._rpc_pending.pop(rid, None)
-        if fut is not None:
-            fut.try_set_exception(
+        pending = self._rpc_pending.pop(rid, None)
+        if pending is not None:  # its timer is this very callback
+            pending[0].try_set_exception(
                 RequestTimeout(f"rpc {method!r} to {dst} timed out")
             )
 
     def _handle_rpc_request(self, msg: RpcRequest, src: Address) -> None:
-        handler = getattr(self, "rpc_" + msg.method, None)
+        handler = self._rpc_handlers.get(msg.method)
         if handler is None:
-            self.send(
-                src,
-                RpcResponse(
-                    request_id=msg.request_id,
-                    ok=False,
-                    error=f"no rpc handler {msg.method!r} on {type(self).__name__}",
-                ),
-            )
-            return
+            handler = getattr(self, "rpc_" + msg.method, None)
+            if handler is None:
+                self.send(
+                    src,
+                    RpcResponse(
+                        request_id=msg.request_id,
+                        ok=False,
+                        error=f"no rpc handler {msg.method!r} on {type(self).__name__}",
+                    ),
+                )
+                return
+            self._rpc_handlers[msg.method] = handler
         try:
             result = handler(msg.payload, src)
         except ReproError as exc:
@@ -272,10 +293,13 @@ class Actor:
                 RpcResponse(request_id=request_id, ok=True, payload=fut.result()),
             )
 
-    def _handle_rpc_response(self, msg: RpcResponse) -> None:
-        fut = self._rpc_pending.pop(msg.request_id, None)
-        if fut is None:
+    def _handle_rpc_response(self, msg: RpcResponse, src: Optional[Address] = None) -> None:
+        pending = self._rpc_pending.pop(msg.request_id, None)
+        if pending is None:
             return  # late response after timeout; drop
+        fut, timer = pending
+        # Before the caller resumes, as when this was the future's first callback.
+        self.cancel_timer(timer)
         if msg.ok:
             fut.try_set_result(msg.payload)
         else:

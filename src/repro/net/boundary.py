@@ -25,11 +25,11 @@ process's pool.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.errors import SimulationError
 from repro.net.message import Message
-from repro.net.network import _FIFO_EPSILON, Address, Network
+from repro.net.network import Address, Network
 
 __all__ = ["Envelope", "ShardBoundary"]
 
@@ -87,10 +87,6 @@ class ShardBoundary:
         self.lookahead = lookahead
         self._outbound: List[Envelope] = []
         self._seq = 0
-        #: FIFO horizons for cross-shard links. The receiving network
-        #: never sees these sends, so its own horizon table cannot order
-        #: them; the sender's boundary does, mirroring Network.send.
-        self._fifo_horizon: Dict[Tuple[Address, Address], float] = {}
         self.envelopes_sent = 0
         self.envelopes_injected = 0
 
@@ -110,18 +106,16 @@ class ShardBoundary:
                 net.stats.messages_dropped += 1
                 return
         size = msg.size_bytes()
-        model = net.latency_model(src, dst)
+        # Cross-shard links live in the sending network's link table: the
+        # receiving network never sees these sends, so only the sender
+        # can keep them FIFO — through the same _Link.fifo as local sends.
+        link = net._links.get((src, dst)) or net._open_link(src, dst)
         net.stats.record(msg, size, cross_site=True)
 
-        delay = model.sample(net._rng)
+        delay = link.model.sample(net._rng)
         if delay < self.lookahead:
             delay = self.lookahead
-        deliver_at = net.sim.now + delay
-        link = (src, dst)
-        horizon = self._fifo_horizon.get(link, 0.0) + _FIFO_EPSILON
-        if horizon > deliver_at:
-            deliver_at = horizon
-        self._fifo_horizon[link] = deliver_at
+        deliver_at = link.fifo(net.sim.now + delay)
 
         self._seq += 1
         self._outbound.append(

@@ -142,7 +142,8 @@ class LogNormalLatency(LatencyModel):
         self._floor = median * math.exp(-_LOGNORMAL_FLOOR_SIGMAS * sigma)
 
     def sample(self, rng: random.Random) -> float:
-        draw = rng.lognormvariate(self._mu, self.sigma)
+        # rng.lognormvariate(mu, sigma), minus its frame: one per message.
+        draw = math.exp(rng.normalvariate(self._mu, self.sigma))
         return draw if draw >= self._floor else self._floor
 
     def mean(self) -> float:

@@ -41,9 +41,9 @@ __all__ = [
 #: Minimum spacing enforced between FIFO deliveries on one link (seconds).
 _FIFO_EPSILON = 1e-9
 
-#: Every this many sends, drop FIFO-horizon entries that lie in the past
+#: Every this many sends, drop links whose FIFO horizon lies in the past
 #: (they no longer constrain delivery and are dead weight on long runs
-#: with many transient clients).
+#: with many transient clients; the next send on one re-opens it).
 _HORIZON_SWEEP_INTERVAL = 4096
 
 Handler = Callable[[Message, "Address"], None]
@@ -86,7 +86,13 @@ def commutativity_fingerprint(
 
 @dataclasses.dataclass(frozen=True, order=True)
 class Address:
-    """Network address of an actor: a node name within a site (datacenter)."""
+    """Network address of an actor: a node name within a site (datacenter).
+
+    Every message hop looks addresses up in several tables, so the hash
+    is computed once at construction. String hashes are salted per
+    process: the cached value must never be pickled — ``__reduce__``
+    rebuilds the address (and its hash) on the receiving side.
+    """
 
     site: str
     node: str
@@ -96,6 +102,13 @@ class Address:
         # tracker entry; interning shares one string object apiece.
         object.__setattr__(self, "site", intern_str(self.site))
         object.__setattr__(self, "node", intern_str(self.node))
+        object.__setattr__(self, "_hash", hash((self.site, self.node)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined, no-any-return]
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, str]]:
+        return (Address, (self.site, self.node))
 
     def __str__(self) -> str:
         return f"{self.site}:{self.node}"
@@ -121,8 +134,9 @@ class NetworkStats:
     def record(self, msg: Message, size: int, cross_site: bool) -> None:
         self.messages_sent += 1
         self.bytes_sent += size
-        self.by_type[msg.type_name] += 1
-        self.bytes_by_type[msg.type_name] += size
+        name = msg.type_name
+        self.by_type[name] += 1
+        self.bytes_by_type[name] += size
         if cross_site:
             self.cross_site_messages += 1
             self.cross_site_bytes += size
@@ -154,6 +168,34 @@ class NetworkStats:
         return sum(self.bytes_by_type.get(name, 0) for name in type_names)
 
 
+class _Link:
+    """One ordered (src, dst) pair: what every send on it has in common.
+
+    ``model`` is the latency model currently in force (re-resolved in
+    place when a site link is overridden), ``horizon`` the delivery time
+    of the last message handed to the link — the FIFO floor of the next.
+    """
+
+    __slots__ = ("src", "dst", "model", "cross_site", "horizon")
+
+    def __init__(self, src: Address, dst: Address, model: LatencyModel) -> None:
+        self.src = src
+        self.dst = dst
+        self.model = model
+        self.cross_site = src.site != dst.site
+        self.horizon = 0.0
+
+    def fifo(self, deliver_at: float) -> float:
+        """Clamp ``deliver_at`` behind the link's previous delivery and
+        make it the new horizon. The one home of the FIFO rule: both
+        :meth:`Network.send` and the shard boundary schedule through it."""
+        horizon = self.horizon + _FIFO_EPSILON
+        if horizon > deliver_at:
+            deliver_at = horizon
+        self.horizon = deliver_at
+        return deliver_at
+
+
 class Network:
     """Message fabric connecting actors over simulated links."""
 
@@ -173,10 +215,9 @@ class Network:
         self._down: Set[Address] = set()
         self._blocked: Set[FrozenSet[str]] = set()
         self._filters: List[Callable[[Address, Address, Message], bool]] = []
-        self._fifo_horizon: Dict[Tuple[Address, Address], float] = {}
-        #: per-(src, dst) cache of (latency model, cross-site flag); sends
-        #: on a warm link skip the frozenset build in latency_model().
-        self._link_cache: Dict[Tuple[Address, Address], Tuple[LatencyModel, bool]] = {}
+        #: one entry per ordered address pair with a recent send; swept of
+        #: idle links every _HORIZON_SWEEP_INTERVAL sends
+        self._links: Dict[Tuple[Address, Address], _Link] = {}
         self._sends_since_sweep = 0
         #: cross-shard trap (see repro.net.boundary); None on unsharded
         #: deployments, so the common case costs one attribute load on
@@ -195,12 +236,19 @@ class Network:
     def set_link(self, site_a: str, site_b: str, model: LatencyModel) -> None:
         """Override the latency model between two sites (or within one)."""
         self._site_links[frozenset((site_a, site_b))] = model
-        self._link_cache.clear()
+        self._refresh_link_models()
 
     def clear_link(self, site_a: str, site_b: str) -> None:
         """Drop a link override, restoring the default lan/wan model."""
         self._site_links.pop(frozenset((site_a, site_b)), None)
-        self._link_cache.clear()
+        self._refresh_link_models()
+
+    def _refresh_link_models(self) -> None:
+        # In place: a link keeps its FIFO horizon across a model change,
+        # or a message sent after a slow-link fault clears would overtake
+        # the ones still crawling over the slow link.
+        for link in self._links.values():
+            link.model = self.site_model(link.src.site, link.dst.site)
 
     def site_model(self, site_a: str, site_b: str) -> LatencyModel:
         """The latency model currently in force between two sites."""
@@ -211,6 +259,11 @@ class Network:
 
     def latency_model(self, src: Address, dst: Address) -> LatencyModel:
         return self.site_model(src.site, dst.site)
+
+    def open_links(self) -> int:
+        """Ordered address pairs currently holding link state (a gauge:
+        bounded by the pairs that sent within the last sweep interval)."""
+        return len(self._links)
 
     # ------------------------------------------------------------------
     # registration
@@ -325,48 +378,45 @@ class Network:
                 self.stats.messages_dropped += 1
                 return
         size = msg.size_bytes()
-        link = (src, dst)
-        cached = self._link_cache.get(link)
-        if cached is None:
-            cached = (self.latency_model(src, dst), src.site != dst.site)
-            self._link_cache[link] = cached
-        model, cross_site = cached
-        self.stats.record(msg, size, cross_site)
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._open_link(src, dst)
+        self.stats.record(msg, size, link.cross_site)
 
         if self._divert is not None and self._divert(src, dst, msg):
             # Explore mode owns this message's delivery order; the
             # latency model is deliberately bypassed (schedules quotient
             # out timing — only the order of deliveries matters).
             return
-        delay = model.sample(self._rng)
-        deliver_at = self.sim.now + delay
-        horizon = self._fifo_horizon.get(link, 0.0) + _FIFO_EPSILON
-        if horizon > deliver_at:
-            deliver_at = horizon
-        self._fifo_horizon[link] = deliver_at
+        deliver_at = link.fifo(self.sim.now + link.model.sample(self._rng))
         self._sends_since_sweep += 1
         if self._sends_since_sweep >= _HORIZON_SWEEP_INTERVAL:
-            self._sweep_horizons()
+            self._sweep_links()
         self.sim.post_at(deliver_at, self._deliver, src, dst, msg)
 
-    def _sweep_horizons(self) -> None:
-        """Drop FIFO horizons that can no longer delay a delivery."""
+    def _open_link(self, src: Address, dst: Address) -> _Link:
+        link = self._links[(src, dst)] = _Link(src, dst, self.latency_model(src, dst))
+        return link
+
+    def _sweep_links(self) -> None:
+        """Drop links whose horizon can no longer delay a delivery."""
         self._sends_since_sweep = 0
         now = self.sim.now
         stale = [
-            link
-            for link, horizon in self._fifo_horizon.items()
-            if horizon + _FIFO_EPSILON <= now
+            pair
+            for pair, link in self._links.items()
+            if link.horizon + _FIFO_EPSILON <= now
         ]
-        for link in stale:
-            del self._fifo_horizon[link]
+        for pair in stale:
+            del self._links[pair]
 
     def _deliver(self, src: Address, dst: Address, msg: Message) -> None:
         # Conditions are re-checked at delivery time: a node that crashed
         # or got partitioned while the message was in flight never sees it.
-        if src in self._down or dst in self._down or self._is_blocked(src, dst):
-            self.stats.messages_dropped += 1
-            return
+        if self._down or self._blocked:
+            if src in self._down or dst in self._down or self._is_blocked(src, dst):
+                self.stats.messages_dropped += 1
+                return
         handler = self._handlers.get(dst)
         if handler is None:
             self.stats.messages_dropped += 1

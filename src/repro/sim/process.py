@@ -71,15 +71,18 @@ class Future:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
+    # The resolution paths below spell ``done()`` out inline: they run
+    # several times per simulated operation.
+
     def set_result(self, value: Any) -> None:
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("future already resolved")
         self._value = value
         self._resolved_at = self._sim.now
         self._fire()
 
     def set_exception(self, exc: BaseException) -> None:
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("future already resolved")
         self._exception = exc
         self._resolved_at = self._sim.now
@@ -87,20 +90,20 @@ class Future:
 
     def try_set_result(self, value: Any) -> bool:
         """Resolve if still pending; returns whether this call resolved it."""
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             return False
         self.set_result(value)
         return True
 
     def try_set_exception(self, exc: BaseException) -> bool:
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             return False
         self.set_exception(exc)
         return True
 
     def add_callback(self, fn: Callable[["Future"], None]) -> None:
         """Run ``fn(self)`` when resolved (immediately if already done)."""
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             fn(self)
         else:
             self._callbacks.append(fn)
@@ -247,7 +250,7 @@ class Process(Future):
         return self._name
 
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.done():
+        if self._value is not _PENDING or self._exception is not None:
             return  # interrupted
         try:
             if exc is not None:
@@ -278,10 +281,11 @@ class Process(Future):
             )
 
     def _on_future(self, fut: Future) -> None:
-        if fut.failed():
-            self._advance(None, fut.exception())
+        # Only ever a resolved future's callback, so its value is set.
+        if fut._exception is not None:
+            self._advance(None, fut._exception)
         else:
-            self._advance(fut.result(), None)
+            self._advance(fut._value, None)
 
     def interrupt(self, exc: Optional[BaseException] = None) -> None:
         """Stop the process; its future fails with ``exc`` (or GeneratorExit)."""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.baselines import build_store
 from repro.core import ChainReactionConfig, ChainReactionStore
+from repro.net.message import WIRE_HEADER_BYTES, Message
 
 
 def make_store(**overrides) -> ChainReactionStore:
@@ -45,3 +48,46 @@ def build(protocol: str, **kwargs):
     defaults = dict(servers_per_site=4, chain_length=3, seed=7)
     defaults.update(kwargs)
     return build_store(protocol, **defaults)
+
+
+# ----------------------------------------------------------------------
+# wire-size reference
+# ----------------------------------------------------------------------
+# The reflective walk ``repro.net.message`` used before size plans and
+# type-dispatched sizing, kept as the oracle both must equal: an
+# ``isinstance`` ladder per value, ``getattr`` per field, nothing cached,
+# annotations never consulted. (One addition: a nested message is walked
+# here too instead of through its own — planned — ``size_bytes``.)
+
+_REFERENCE_SCALARS = {bool: 1, int: 8, float: 8, type(None): 1}
+
+
+def reference_estimate_size(value) -> int:
+    scalar = _REFERENCE_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar
+    if isinstance(value, (str, bytes)):
+        return 4 + len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 4 + sum(reference_estimate_size(item) for item in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            reference_estimate_size(k) + reference_estimate_size(v) for k, v in value.items()
+        )
+    if isinstance(value, Message) and type(value).size_bytes is Message.size_bytes:
+        return reference_message_size(value)
+    size_fn = getattr(value, "size_bytes", None)
+    if callable(size_fn):
+        return size_fn()
+    if dataclasses.is_dataclass(value):
+        return sum(
+            reference_estimate_size(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    return 8
+
+
+def reference_message_size(msg: Message) -> int:
+    """``WIRE_HEADER_BYTES`` plus the reference size of every field."""
+    return WIRE_HEADER_BYTES + sum(
+        reference_estimate_size(getattr(msg, f.name)) for f in dataclasses.fields(msg)
+    )

@@ -144,6 +144,21 @@ class TestStability:
         assert tail.stability.pending_waiters() == 1
 
 
+    def test_wait_stable_rpcs_cost_no_service_time(self):
+        # Stability queries are version comparisons, not data operations:
+        # they bypass the server's service queue, a get does not.
+        store = make_store(service_time=0.050)
+        s = store.session()
+        tail = chain_nodes(store, "key")[-1]
+        start = store.sim.now
+        get = s.call(tail.address, "get", "key")
+        wait = s.call(tail.address, "wait_stable", ("key", {}))
+        store.run(until=start + 1.0)
+        assert wait.result() is True
+        assert wait.resolved_at - start < 0.010  # two LAN hops, no queueing
+        assert get.resolved_at - start >= 0.050
+
+
 class TestReadPath:
     def test_get_missing_key(self):
         store = make_store()

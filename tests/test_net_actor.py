@@ -69,6 +69,59 @@ class TestDispatch:
         assert len(b.unknown) == 1
 
 
+class Loud(Echo):
+    def on_tick(self, msg, src):
+        self.ticks.append((msg.n * 100, self.sim.now))
+
+
+class TestHandlerTable:
+    def test_subclass_override_wins(self, sim, pair):
+        a, _ = pair
+        loud = Loud(sim, a.network, Address("dc0", "loud"))
+        a.send(loud.address, Tick(n=3))
+        sim.run()
+        assert [n for n, _ in loud.ticks] == [300]
+
+    def test_handler_assigned_on_instance_before_first_message(self, sim, pair):
+        a, b = pair
+        seen = []
+        b.on_tick = lambda msg, src: seen.append(msg.n)
+        b.rpc_double = lambda payload, src: payload * 3
+        a.send(b.address, Tick(n=4))
+        fut = a.call(b.address, "double", 5)
+        sim.run()
+        assert seen == [4] and b.ticks == []
+        assert fut.result() == 15
+
+    def test_tables_are_per_instance(self, sim, pair):
+        a, b = pair
+        b.on_tick = lambda msg, src: None
+        b.send(a.address, Tick(n=1))
+        a.send(b.address, Tick(n=2))
+        sim.run()
+        assert [n for n, _ in a.ticks] == [1] and b.ticks == []
+
+    def test_message_subclass_resolves_by_its_own_type_name(self, sim, pair):
+        @dataclasses.dataclass(frozen=True)
+        class Tock(Tick):
+            type_name: ClassVar[str] = "tock"
+
+        a, b = pair
+        a.send(b.address, Tick(n=1))
+        a.send(b.address, Tock(n=2))
+        sim.run()
+        assert [n for n, _ in b.ticks] == [1]
+        assert [type(m).__name__ for m in b.unknown] == ["Tock"]
+
+    def test_crash_between_receive_and_service_dispatches_nothing(self, sim, pair):
+        a, b = pair
+        b.service_time = 0.010
+        a.send(b.address, Tick(n=1))  # arrives at 1 ms, due out of service at 11 ms
+        sim.schedule(0.005, b.crash)
+        sim.run()
+        assert b.ticks == []
+
+
 class TestTimers:
     def test_timer_fires_after_delay(self, sim, pair):
         a, _ = pair
@@ -168,6 +221,16 @@ class TestRpc:
         with pytest.raises(RequestTimeout):
             fut.result()
         assert sim.now >= 0.5
+
+    def test_response_cancels_the_timeout_before_the_caller_resumes(self, sim, pair):
+        a, b = pair
+        fut = a.call(b.address, "double", 2, timeout=5.0)
+        pending_at_resume = []
+        fut.add_callback(lambda _f: pending_at_resume.append(sim.pending_events()))
+        sim.run()
+        assert fut.result() == 4
+        assert pending_at_resume == [0]  # the timeout was no longer live
+        assert sim.now < 1.0  # ... and never fired
 
     def test_late_response_after_timeout_is_dropped(self, sim, pair):
         a, b = pair

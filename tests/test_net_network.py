@@ -1,6 +1,10 @@
 """Unit tests for the network fabric: delivery, FIFO, partitions, stats."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from typing import Any, ClassVar
 
 import pytest
@@ -180,3 +184,82 @@ class TestStats:
 
         with pytest.raises(NetworkError):
             net.register(A, lambda m, s: None)
+
+
+class TestAddress:
+    def test_hash_and_lookup_survive_pickle_across_hash_seeds(self):
+        # String hashes are salted per process: an address pickled in one
+        # worker must hash like a locally built one in another (the
+        # sharded engine looks handlers up by unpickled addresses).
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        dump = "import pickle, sys; from repro.net import Address; " \
+               "sys.stdout.write(pickle.dumps((Address('dc0', 'n1'), {Address('dc1', 'n2'): 'v'})).hex())"
+        blob = subprocess.run(
+            [sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
+            stdout=subprocess.PIPE, text=True, check=True,
+        ).stdout
+        load = "import pickle, sys; from repro.net import Address; " \
+               "addr, table = pickle.loads(bytes.fromhex(sys.argv[1])); " \
+               "assert hash(addr) == hash(Address('dc0', 'n1')); " \
+               "assert {Address('dc0', 'n1'): 'ok'}[addr] == 'ok'; " \
+               "assert table[Address('dc1', 'n2')] == 'v'; print('ok')"
+        done = subprocess.run(
+            [sys.executable, "-c", load, blob], env={**env, "PYTHONHASHSEED": "2"},
+            stdout=subprocess.PIPE, text=True, check=True,
+        )
+        assert done.stdout.strip() == "ok"
+
+    def test_value_semantics(self):
+        clone = pickle.loads(pickle.dumps(A))
+        assert clone == A and hash(clone) == hash(A) and clone is not A
+        assert A != B and A < B and str(A) == "dc0:a"
+        assert {A: 1}[Address("dc0", "a")] == 1
+
+
+class CountingLatency(FixedLatency):
+    def __init__(self, delay):
+        super().__init__(delay)
+        self.samples = 0
+
+    def sample(self, rng):
+        self.samples += 1
+        return super().sample(rng)
+
+
+class TestDeliveryTimeResolution:
+    def test_reregistered_address_gets_the_new_handler(self, sim):
+        # crash -> recover -> re-register: a message in flight across the
+        # swap reaches whoever holds the address at delivery time
+        net, inboxes = wire(sim)
+        fresh = []
+        net.send(A, B, Note(body="in-flight"))
+        net.set_down(B)
+        net.unregister(B)
+        net.register(B, lambda msg, src: fresh.append(msg.body))  # also un-crashes
+        net.send(A, B, Note(body="after"))
+        sim.run()
+        assert inboxes[B] == []
+        assert fresh == ["in-flight", "after"]
+
+    def test_divert_runs_after_stats_and_before_latency_sampling(self, sim):
+        lan = CountingLatency(0.001)
+        net, inboxes = wire(sim, lan=lan)
+        seen = []
+
+        def divert(src, dst, msg):
+            seen.append((msg.body, net.stats.messages_sent, lan.samples))
+            return msg.body == "mine"
+
+        net.set_divert(divert)
+        net.set_down(C)
+        net.send(A, B, Note(body="mine"))
+        net.send(A, C, Note(body="dropped"))  # never reaches the hook
+        net.send(A, B, Note(body="yours"))
+        # each survivor was already counted, and no delay had been drawn for it
+        assert seen == [("mine", 1, 0), ("yours", 2, 0)]
+        assert lan.samples == 1  # only the message the hook declined
+        sim.run()
+        assert [m.body for m, _ in inboxes[B]] == ["yours"]
+        net.inject_now(A, B, Note(body="mine"))
+        sim.run()
+        assert [m.body for m, _ in inboxes[B]] == ["yours", "mine"]

@@ -142,15 +142,16 @@ class TestHorizonSweep:
     def test_stale_fifo_horizons_are_swept(self, sim):
         net = Network(sim, lan=FixedLatency(0.001))
         a, b = Address("dc0", "a"), Address("dc0", "b")
+        inbox = []
         net.register(a, lambda m, s: None)
-        net.register(b, lambda m, s: None)
+        net.register(b, lambda m, s: inbox.append((s, m.body)))
         # Many transient links: send one message per fake client address.
-        for i in range(200):
-            src = Address("dc0", f"client-{i}")
+        clients = [Address("dc0", f"client-{i}") for i in range(200)]
+        for src in clients:
             net.register(src, lambda m, s: None)
             net.send(src, b, Plain(body="x"))
         sim.run()
-        assert len(net._fifo_horizon) == 200
+        assert net.open_links() == 200
         # Let virtual time move past every transient horizon, then keep
         # one link warm and push total sends past the sweep interval.
         sim.schedule(1.0, lambda: None)
@@ -158,8 +159,14 @@ class TestHorizonSweep:
         for _ in range(_HORIZON_SWEEP_INTERVAL):
             net.send(a, b, Plain(body="x"))
         sim.run()
-        # All transient-link horizons are in the past and were dropped.
-        assert len(net._fifo_horizon) <= 2
+        # The senders that went quiet no longer cost anything.
+        assert net.open_links() <= 2
+        # A swept link is simply re-opened by its next send, FIFO intact.
+        del inbox[:]
+        net.send(clients[7], b, Plain(body="first"))
+        net.send(clients[7], b, Plain(body="second"))
+        sim.run()
+        assert inbox == [(clients[7], "first"), (clients[7], "second")]
 
     def test_fifo_order_survives_sweep(self, sim):
         from repro.net import UniformLatency
@@ -169,10 +176,18 @@ class TestHorizonSweep:
         inbox = []
         net.register(a, lambda m, s: None)
         net.register(b, lambda m, s: inbox.append(m.body))
-        for i in range(_HORIZON_SWEEP_INTERVAL + 100):
+        total = _HORIZON_SWEEP_INTERVAL + 100
+        for i in range(total):
+            # Mid-flight model changes keep the link's horizon: a faster
+            # model must not let later messages overtake the ones still
+            # in flight under the slower one.
+            if i == total // 3:
+                net.set_link("dc0", "dc0", FixedLatency(0.0001))
+            elif i == 2 * total // 3:
+                net.clear_link("dc0", "dc0")
             net.send(a, b, Plain(body=i))
         sim.run()
-        assert inbox == list(range(_HORIZON_SWEEP_INTERVAL + 100))
+        assert inbox == list(range(total))
 
 
 class TestParallelRunner:
