@@ -5,7 +5,7 @@ The procedure of ``benchmarks/suite/README.md`` ("Comparing two commits"),
 so no PR hand-rolls it again::
 
     python scripts/ab_pairs.py --base HEAD~1 --workload ycsb-b-1dc [--pairs 10]
-        [--first-seed 301] [--seconds 5] [--smoke] [--out pairs.json]
+        [--first-seed 301] [--seconds 5] [--smoke] [--trace] [--out pairs.json]
 
 ``--base`` is a git revision (checked out with ``git worktree add`` into
 a temporary directory, removed afterwards) or an existing checkout's
@@ -14,8 +14,12 @@ path. Each pair runs each tree's *own, unmodified*
 seed per pair, alternating which side goes first. Per end-to-end metric
 it prints each side's median and quartiles, the pairs the change won,
 the base's inter-quartile distance and the README's verdict; per seed,
-whether the digests agree. Host-time verdicts are for a PR description,
-never a CI gate. Nothing is written unless ``--out`` is given.
+whether the digests agree. ``--trace`` adds one traced pass per side
+(``--trace 1`` at the first seed) and prints, per layer, both sides'
+``self_s`` and ``calls`` and their differences — where the time went,
+and whether a layer's call count moved. Host-time verdicts are for a PR
+description, never a CI gate. Nothing is written unless ``--out`` is
+given.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS_FOR_A_GAIN = 10
 
 
-def run_once(tree: Path, workload: str, seed: int, extra: Sequence[str]) -> Tuple[Dict[str, float], str]:
-    """One untraced run of ``tree``'s own harness: (end-to-end metrics, digest)."""
+def run_once(tree: Path, workload: str, seed: int, extra: Sequence[str],
+             trace: bool = False) -> Tuple[Dict[str, float], str]:
+    """One run of ``tree``'s own harness: (metrics, digest) — the
+    end-to-end metrics untraced, the per-layer ones with ``trace``."""
     command = [sys.executable, str(tree / "benchmarks" / "suite" / "run.py"),
-               "--workload", workload, "--seed", str(seed), "--trace", "0", *extra]
+               "--workload", workload, "--seed", str(seed), "--trace", str(int(trace)), *extra]
     done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -69,6 +75,24 @@ def verdict(metric: Dict[str, Any], base: List[float], change: List[float]) -> T
     return wins, ties, "unresolved" if spread > metric["bound"] else "within bound"
 
 
+def trace_table(spec: Dict[str, Any], base: Dict[str, float], change: Dict[str, float]) -> List[str]:
+    """Per layer, one traced pass per side: ``self_s`` and ``calls`` of
+    base and change and their differences, then the unattributed share."""
+    lines = [f"  {'layer':<26} {'base self_s':>12} {'change':>9} {'diff':>9} "
+             f"{'base calls':>12} {'change':>10} {'diff':>10}"]
+    for metric in spec["per_layer"]:
+        layer, _, kind = metric["name"].rpartition(".")
+        if kind != "self_s":
+            continue
+        a_s, b_s = base[f"{layer}.self_s"], change[f"{layer}.self_s"]
+        a_c, b_c = base[f"{layer}.calls"], change[f"{layer}.calls"]
+        lines.append(f"  {layer:<26} {a_s:>12.4f} {b_s:>9.4f} {b_s - a_s:>+9.4f} "
+                     f"{a_c:>12.0f} {b_c:>10.0f} {b_c - a_c:>+10.0f}")
+    name = "trace.unattributed_share"
+    lines.append(f"  {name:<26} {base[name]:>12.4f} {change[name]:>9.4f} {change[name] - base[name]:>+9.4f}")
+    return lines
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision, or path of an existing checkout")
@@ -77,6 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--first-seed", type=int, default=301, help="pair i runs seed first-seed + i")
     parser.add_argument("--seconds", type=float, help="passed through to run.py")
     parser.add_argument("--smoke", action="store_true", help="passed through to run.py")
+    parser.add_argument("--trace", action="store_true",
+                        help="also one traced pass per side at --first-seed: per-layer self_s and calls")
     parser.add_argument("--out", type=Path, help="write every run's metrics as JSON here")
     args = parser.parse_args(argv)
 
@@ -93,6 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
         base_tree = Path(worktree)
     runs: Dict[str, List[Dict[str, Any]]] = {}
+    traces: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
         for workload in workloads:
             rows = runs[workload] = []
@@ -119,11 +146,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 won = f"{wins}/{len(rows)}" + (f" ({ties} ties)" if ties else "")
                 print(f"  {name:<22} {f'{a1:.5g} / {a2:.5g} / {a3:.5g}':>34} {f'{b1:.5g} / {b2:.5g} / {b3:.5g}':>34} "
                       f"{ratio:>6.3f} {won:>15} {a3 - a1:>10.4g}  {label}")
+            if args.trace:
+                traced = {side: run_once(tree, workload, args.first_seed, extra, trace=True)[0]
+                          for side, tree in (("base", base_tree), ("change", ROOT))}
+                traces[workload] = traced
+                print(f"== {workload}: traced pass, seed {args.first_seed} ==")
+                print("\n".join(trace_table(spec, traced["base"], traced["change"])))
     finally:
         if worktree is not None:
             subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=ROOT, check=False)
     if args.out:
-        args.out.write_text(json.dumps({"base": args.base, "runs": runs}, indent=1))
+        args.out.write_text(json.dumps({"base": args.base, "runs": runs, "traces": traces}, indent=1))
     differing = [(w, row["seed"]) for w, rows in runs.items() for row in rows
                  if row["base_digest"] != row["change_digest"]]
     if differing:

@@ -47,6 +47,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Tuple
 
+from repro.core.messages import ReadReply
+
 __all__ = ["ChainInvariantMonitor", "InvariantReport", "InvariantViolation"]
 
 
@@ -246,17 +248,17 @@ class ChainInvariantMonitor:
         monitor = self
         session_name = session.session_id
 
-        def checking_note(key: str, reply: Dict[str, Any]) -> None:
+        def checking_note(key: str, reply: ReadReply) -> None:
             entry = session._deps.get(key)
             monitor.gets_checked += 1
-            if entry is not None and not reply["version"].dominates(entry.version):
+            if entry is not None and not reply.version.dominates(entry.version):
                 monitor.violations.append(
                     InvariantViolation(
                         kind="causal-cut",
                         node=session_name,
                         key=key,
                         detail=(
-                            f"get served {reply['version']} but the session "
+                            f"get served {reply.version} but the session "
                             f"already observed {entry.version}"
                         ),
                     )

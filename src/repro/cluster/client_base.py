@@ -12,12 +12,15 @@ property of the *harness*, not of one protocol:
   refreshes its ring view from the site's cluster manager, so retries
   re-route around crashed heads/tails once the failure detector fires,
 - an explicit lifecycle: ``close()`` detaches the session from the
-  network (late replies are dropped, not mis-delivered) and fails any
-  operations still in flight with
+  network (late replies are dropped, not mis-delivered) and fails the
+  operations its ``_fail_pending`` hook tracks with
   :class:`~repro.errors.SessionClosedError`.
 
-Protocol sessions subclass this and implement only their operation
-generators.
+Protocol sessions implement only their operations: as
+:class:`RetryingOp` subclasses (one ``_try`` per attempt), or as
+generators that walk ``_op_attempts`` and ``yield from
+_backoff_and_refresh`` between attempts. Both run the same
+:class:`_BackoffRefresh` step.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from repro.errors import ReproError, RequestTimeout, SessionClosedError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
+from repro.sim.process import Future
 
-__all__ = ["RetryingSession"]
+__all__ = ["RetryingOp", "RetryingSession"]
 
 
 class RetryingSession(Actor, ClientSession):
@@ -67,7 +71,12 @@ class RetryingSession(Actor, ClientSession):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Detach from the network and fail in-flight operations."""
+        """Detach from the network and fail the operations
+        :meth:`_fail_pending` tracks (ChainReaction: puts awaiting their
+        reply). Any other operation in flight is *not* failed: it retries
+        against the downed address until its budget is spent and ends as
+        ``RequestTimeout``, counted in ``retries`` and ``failed_ops``
+        (ROADMAP item 6)."""
         if self.closed:
             return
         self.closed = True
@@ -80,39 +89,26 @@ class RetryingSession(Actor, ClientSession):
     # ------------------------------------------------------------------
     # retry machinery
     # ------------------------------------------------------------------
+    def _may_attempt(self, attempt: int, start: float) -> bool:
+        """Whether attempt number ``attempt`` of an operation begun at
+        ``start`` fits the budget and deadline; the first always does."""
+        policy = self.retry_policy
+        return attempt < policy.max_attempts and not (
+            attempt and policy.out_of_time(start, self.sim.now)
+        )
+
     def _op_attempts(self, start: float) -> Iterator[int]:
         """Attempt counter bounded by the policy's budget and deadline."""
-        policy = self.retry_policy
-        for attempt in range(policy.max_attempts):
-            if attempt and policy.out_of_time(start, self.sim.now):
-                return
+        attempt = 0
+        while self._may_attempt(attempt, start):
             yield attempt
+            attempt += 1
 
     def _backoff_and_refresh(
         self, attempt: int, exc: Optional[ReproError] = None
     ) -> Iterator[Any]:
-        """Back off (seeded-jitter exponential), then refresh the ring
-        view from the cluster manager so the next attempt re-resolves
-        chain positions against the newest membership.
-
-        When the attempt's failure is passed in, a non-retryable error —
-        e.g. a :class:`~repro.errors.RemoteError` wrapping a permanent
-        server-side failure — is re-raised instead of swallowed.
-        """
-        if exc is not None and not getattr(exc, "retryable", True):
-            raise exc
-        self.retries += 1
-        delay = self.retry_policy.backoff(attempt, self._rng)
-        if delay > 0.0:
-            yield delay
-        try:
-            view = yield self.call(
-                self._manager, "get_view", timeout=self.config.op_timeout
-            )
-        except ReproError:
-            return  # manager briefly unreachable; retry with the stale view
-        if view.epoch > self.view.epoch:
-            self.view = view
+        """Generator form of :class:`_BackoffRefresh`, for ``yield from``."""
+        yield _BackoffRefresh(self, attempt, exc)
 
     def _give_up(self, op: str, key: str) -> "RequestTimeout":
         """Terminal failure for one operation (the caller raises it)."""
@@ -126,3 +122,83 @@ class RetryingSession(Actor, ClientSession):
                 else ")"
             )
         )
+
+
+class _BackoffRefresh(Future):
+    """The step between two attempts: back off (seeded-jitter
+    exponential), then refresh the ring view from the cluster manager so
+    the next attempt re-resolves chain positions against the newest
+    membership. Resolves (to None) when the next attempt may run; a
+    non-retryable ``exc`` — e.g. a :class:`~repro.errors.RemoteError`
+    wrapping a permanent server-side failure — fails the step instead.
+    """
+
+    __slots__ = ("_session",)
+
+    def __init__(self, session: RetryingSession, attempt: int, exc: Optional[BaseException]) -> None:
+        super().__init__(session.sim)
+        self._session = session
+        if exc is not None and not getattr(exc, "retryable", True):
+            self.set_exception(exc)
+            return
+        session.retries += 1
+        delay = session.retry_policy.backoff(attempt, session._rng)
+        refresh = (session._manager, "get_view", None, session.config.op_timeout, self)
+        if delay > 0.0:
+            session.sim.post(delay, session.request, *refresh)
+        else:
+            session.request(*refresh)
+
+    def rpc_reply(self, view: RingView) -> None:
+        if view.epoch > self._session.view.epoch:
+            self._session.view = view
+        self.set_result(None)
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        self.set_result(None)  # manager briefly unreachable; retry with the stale view
+
+
+class RetryingOp(Future):
+    """One client operation in continuation form: the future a session
+    hands out *is* the operation. It carries the attempt counter, runs
+    one ``_try`` per attempt and resolves itself. Subclasses implement
+    ``_try`` and call ``_retry`` when another attempt might help.
+
+    The first attempt runs from a zero-delay event, never inline: the
+    caller holds its future before anything is sent, and the event is
+    part of every recorded trace.
+    """
+
+    __slots__ = ("_session", "_op", "_key", "_start", "_attempt")
+
+    def __init__(self, session: RetryingSession, op: str, key: str) -> None:
+        super().__init__(session.sim)
+        self._session = session
+        self._op = op
+        self._key = key
+        self._start = session.sim.now
+        self._attempt = 0
+        session.sim.post(0.0, self._try)
+
+    def _try(self) -> None:
+        """Issue attempt number ``self._attempt``."""
+        raise NotImplementedError
+
+    def _retry(self, exc: Optional[BaseException] = None) -> None:
+        """The attempt failed (``exc``) or was refused (None): back off,
+        refresh the view, then run the next attempt — or give up."""
+        _BackoffRefresh(self._session, self._attempt, exc).add_callback(self._next_attempt)
+
+    def _next_attempt(self, step: Future) -> None:
+        if step.failed():
+            self.set_exception(step.exception())  # type: ignore[arg-type]
+            return
+        self._attempt += 1
+        session = self._session
+        if session._may_attempt(self._attempt, self._start):
+            self._try()
+        else:
+            self.set_exception(session._give_up(self._op, self._key))
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        self._retry(exc)  # every failure Actor.request reports is transient

@@ -34,13 +34,13 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult, SnapshotResult
-from repro.cluster.client_base import RetryingSession
-from repro.core.deptable import DepTable
-from repro.core.messages import DepEntry, PutReply, PutRequest
+from repro.cluster.client_base import RetryingOp, RetryingSession
+from repro.core.deptable import DepSnapshot, DepTable
+from repro.core.messages import DepEntry, PutReply, PutRequest, ReadReply
 from repro.errors import ReproError, RequestTimeout, TransientError
 from repro.net.network import Address
-from repro.sim.hlc import hlc_or_none
-from repro.sim.process import Future, all_of, spawn, with_timeout
+from repro.sim.hlc import NO_HLC, hlc_or_none
+from repro.sim.process import Future, all_of, spawn
 from repro.storage.version import intern_str
 
 __all__ = ["ChainClientSession"]
@@ -53,7 +53,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         super().__init__(*args, **kwargs)
         #: columnar key → (version, chain index) table; see repro.core.deptable
         self._deps = DepTable()
-        self._pending_puts: Dict[int, Future] = {}
+        #: request id → the put awaiting its ``PutReply``
+        self._pending_puts: Dict[int, _PutOp] = {}
         self._request_seq = 0
         #: shard→owners map under partial replication; None = full
         #: replication, where every key is served by the local site
@@ -78,17 +79,28 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         # Interned at every API boundary: records, dep-table columns,
         # and stability entries all end up holding this exact object.
         key = intern_str(key)
-        return spawn(self.sim, self._get_gen(key), name=f"get:{key}")
+        owners = self._forward_owners(key)
+        if owners is None:
+            return _GetOp(self, key)
+        return spawn(self.sim, self._forward_get_gen(key, owners), name=f"get:{key}")
 
     def put(self, key: str, value: Any) -> Future:
-        self._check_open()
-        key = intern_str(key)
-        return spawn(self.sim, self._put_gen(key, value, False), name=f"put:{key}")
+        return self._write(key, value, False)
 
     def delete(self, key: str) -> Future:
+        return self._write(key, None, True)
+
+    def _write(self, key: str, value: Any, is_delete: bool) -> Future:
         self._check_open()
         key = intern_str(key)
-        return spawn(self.sim, self._put_gen(key, None, True), name=f"del:{key}")
+        owners = self._forward_owners(key)
+        if owners is None:
+            return _PutOp(self, key, value, is_delete)
+        return spawn(
+            self.sim,
+            self._forward_put_gen(key, value, is_delete, owners),
+            name=f"{'del' if is_delete else 'put'}:{key}",
+        )
 
     def metadata_bytes(self) -> int:
         return self._deps.size_bytes()
@@ -102,8 +114,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
 
     def _fail_pending(self, exc: ReproError) -> None:
         pending, self._pending_puts = self._pending_puts, {}
-        for fut in pending.values():
-            fut.try_set_exception(exc)
+        for op in pending.values():
+            op.session_closed(exc)
 
     # ------------------------------------------------------------------
     # partial replication: owner routing
@@ -122,7 +134,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             proxy = self._owner_proxies[site] = Address(site, "geoproxy")
         return proxy
 
-    def _merge_forward_deps(self, reply: Dict[str, Any]) -> None:
+    def _merge_forward_deps(self, reply: ReadReply) -> None:
         """Adopt the dependency list riding on a forwarded read.
 
         The serving DC admitted the write against *its* stability, not
@@ -130,7 +142,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         chain index 0) so follow-up local reads dominance-check against
         versions that may still be in flight towards this site.
         """
-        fwd = reply.get("fwd_deps")
+        fwd = reply.fwd_deps
         if not fwd:
             return
         for dep_key, entry in fwd.items():
@@ -167,33 +179,28 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
                 continue
             self.forwarded_gets += 1
             self.forward_latency_samples.append(self.sim.now - sent_at)
-            version = reply["version"]
+            version = reply.version
             observed = self._deps.version_for(key)
-            if observed is not None and not version.dominates(observed):
-                if failover:
-                    # Behind what this session already saw and the
-                    # primary is unreachable: serve it, flagged. The dep
-                    # table is left untouched (degraded reads must not
-                    # regress known dependencies).
-                    self.degraded_reads += 1
-                    return GetResult(
-                        key=key,
-                        value=reply["value"],
-                        version=version,
-                        stable=reply["stable"],
-                        served_by=f"{site}/geoproxy",
-                        degraded=True,
-                    )
-                yield from self._backoff_and_refresh(attempt)
-                continue
-            self._merge_forward_deps(reply)
-            self._note_observed(key, reply)
+            behind = observed is not None and not version.dominates(observed)
+            if behind:
+                if not failover:
+                    yield from self._backoff_and_refresh(attempt)
+                    continue
+                # Behind what this session already saw and the primary
+                # is unreachable: serve it, flagged. The dep table is
+                # left untouched (degraded reads must not regress known
+                # dependencies).
+                self.degraded_reads += 1
+            else:
+                self._merge_forward_deps(reply)
+                self._note_observed(key, reply)
             return GetResult(
                 key=key,
-                value=reply["value"],
+                value=reply.value,
                 version=version,
-                stable=reply["stable"],
+                stable=reply.stable,
                 served_by=f"{site}/geoproxy",
+                degraded=behind,
             )
         raise self._give_up("get", key)
 
@@ -259,79 +266,14 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             return chain_len - 1
         index = self._deps.index_for(key)
         bound = chain_len - 1 if index is None else min(index, chain_len - 1)
-        return self._rng.randint(0, bound)
+        return self._rng.randrange(bound + 1)  # randint(0, bound) minus its frame: same draw
 
-    def _get_gen(self, key: str) -> Iterator[Any]:
-        owners = self._forward_owners(key)
-        if owners is not None:
-            result = yield from self._forward_get_gen(key, owners)
-            return result
-        start = self.sim.now
-        force_head = False
-        for attempt in self._op_attempts(start):
-            chain = self.view.chain_for(key)
-            # Degraded probe: after the preferred prefix (and the head
-            # fallback) kept failing, any replica is fair game — the
-            # answer may be stale, and is flagged as such below.
-            probe_deep = (
-                self.config.degraded_reads
-                and attempt >= self.config.degraded_read_after
-                and len(chain) > 1
-            )
-            if probe_deep:
-                index = self._rng.randrange(len(chain))
-            else:
-                index = self._read_target_index(len(chain), key, force_head)
-            target = self.view.address_of(chain[index])
-            try:
-                reply = yield self.call(
-                    target, "get", key, timeout=self.config.op_timeout
-                )
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-
-            version = reply["version"]
-            observed = self._deps.version_for(key)
-            if observed is not None and not version.dominates(observed):
-                if probe_deep:
-                    # The replica is behind this session's observed
-                    # version and nothing better is reachable: serve it
-                    # degraded. The dependency table is left untouched —
-                    # a degraded read must not regress what the session
-                    # is known to depend on.
-                    self.degraded_reads += 1
-                    return GetResult(
-                        key=key,
-                        value=reply["value"],
-                        version=version,
-                        stable=reply["stable"],
-                        served_by=chain[index],
-                        degraded=True,
-                    )
-                # The server lost chain positions in a reconfiguration and
-                # does not hold the version this session already observed;
-                # fall back to the head, which is never behind.
-                force_head = True
-                yield from self._backoff_and_refresh(attempt)
-                continue
-
-            self._note_observed(key, reply)
-            return GetResult(
-                key=key,
-                value=reply["value"],
-                version=version,
-                stable=reply["stable"],
-                served_by=chain[index],
-            )
-        raise self._give_up("get", key)
-
-    def _note_observed(self, key: str, reply: Dict[str, Any]) -> None:
-        version = reply["version"]
+    def _note_observed(self, key: str, reply: ReadReply) -> None:
+        version = reply.version
         # Clock plane: carry the write's HLC stamp into the dep table so
         # future puts ship it; None on the notices plane (zero bytes).
-        hlc = reply.get("hlc")
-        if reply.get("global", reply["stable"]):
+        hlc = None if reply.hlc is NO_HLC else reply.hlc
+        if reply.globally:
             # Globally stable (== DC-stable in a single-DC deployment):
             # every replica everywhere serves it, so it constrains nothing.
             if self.config.collapse_deps_on_put or self.config.metadata_gc:
@@ -341,9 +283,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
                 # keeping it only inflates the table the GC is bounding.
                 self._deps.pop(key, None)
             else:
-                self._deps.set(key, version, reply["index"], hlc)
+                self._deps.set(key, version, reply.index, hlc)
             return
-        if reply["stable"]:
+        if reply.stable:
             # DC-stable but not yet globally: any *local* replica may
             # serve reads, but the entry must survive to ride along on
             # puts — remote DCs still need the dependency.
@@ -353,9 +295,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             if have is not None and have == version:
                 # Same version seen again: keep the deepest known position.
                 known = self._deps.index_for(key)
-                index = reply["index"] if known is None else max(known, reply["index"])
+                index = reply.index if known is None else max(known, reply.index)
             else:
-                index = reply["index"]
+                index = reply.index
         self._deps.set(key, version, index, hlc)
 
     # ------------------------------------------------------------------
@@ -448,55 +390,6 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def _put_gen(self, key: str, value: Any, is_delete: bool) -> Iterator[Any]:
-        owners = self._forward_owners(key)
-        if owners is not None:
-            result = yield from self._forward_put_gen(key, value, is_delete, owners)
-            return result
-        # The same-key entry rides along too: locally it is subsumed by
-        # chain order, but remote DCs need it for *transitive* causality
-        # — the new write dominates its predecessor, so without the
-        # entry it could become visible remotely before the
-        # predecessor's own dependencies have arrived.
-        deps = self._deps.snapshot()
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            self._request_seq += 1
-            request_id = self._request_seq
-            fut: Future = Future(self.sim)
-            self._pending_puts[request_id] = fut
-            head = self.view.address_of(self.view.chain_for(key)[0])
-            self.send(
-                head,
-                PutRequest(
-                    request_id=request_id,
-                    key=key,
-                    value=value,
-                    deps=deps,
-                    reply_to=self.address,
-                    is_delete=is_delete,
-                ),
-            )
-            try:
-                reply: PutReply = yield with_timeout(
-                    self.sim, fut, self.config.op_timeout, f"put({key!r})"
-                )
-            except TransientError as exc:
-                self._pending_puts.pop(request_id, None)
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-            if not reply.ok:
-                # syncing / not-head / not-responsible: refresh and retry
-                yield from self._backoff_and_refresh(attempt)
-                continue
-
-            stable = reply.index >= reply.chain_len - 1
-            self._record_put(key, reply, stable)
-            return PutResult(
-                key=key, version=reply.version, stable=stable, acked_by=str(reply.index)
-            )
-        raise self._give_up("delete" if is_delete else "put", key)
-
     def _record_put(self, key: str, reply: PutReply, stable: bool) -> None:
         hlc = hlc_or_none(reply.hlc)
         if self.config.collapse_deps_on_put:
@@ -515,6 +408,132 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             self._deps.set(key, reply.version, reply.index, hlc)
 
     def on_put_reply(self, msg: PutReply, src: Any) -> None:
-        fut = self._pending_puts.pop(msg.request_id, None)
-        if fut is not None:
-            fut.try_set_result(msg)
+        op = self._pending_puts.pop(msg.request_id, None)
+        if op is not None:  # else: a late reply to an attempt that timed out
+            op.put_reply(msg)
+
+
+class _GetOp(RetryingOp):
+    """A get of a locally-owned key: per attempt, one ``get`` RPC to a
+    chain position the session's metadata allows."""
+
+    __slots__ = ("_force_head", "_probe_deep", "_served_by")
+
+    _session: ChainClientSession
+
+    def __init__(self, session: ChainClientSession, key: str) -> None:
+        super().__init__(session, "get", key)
+        self._force_head = False
+
+    def _try(self) -> None:
+        session = self._session
+        config = session.config
+        key = self._key
+        view = session.view
+        chain = view.chain_for(key)
+        # Degraded probe: after the preferred prefix (and the head
+        # fallback) kept failing, any replica is fair game — the answer
+        # may be stale, and is flagged as such in rpc_reply.
+        probe_deep = self._probe_deep = (
+            config.degraded_reads
+            and self._attempt >= config.degraded_read_after
+            and len(chain) > 1
+        )
+        if probe_deep:
+            index = session._rng.randrange(len(chain))
+        else:
+            index = session._read_target_index(len(chain), key, self._force_head)
+        served_by = self._served_by = chain[index]
+        session.request(view.address_of(served_by), "get", key, config.op_timeout, self)
+
+    def rpc_reply(self, reply: ReadReply) -> None:
+        session = self._session
+        key = self._key
+        version = reply.version
+        observed = session._deps.version_for(key)
+        behind = observed is not None and not version.dominates(observed)
+        if behind:
+            if not self._probe_deep:
+                # The server lost chain positions in a reconfiguration and
+                # does not hold the version this session already observed;
+                # fall back to the head, which is never behind.
+                self._force_head = True
+                self._retry()
+                return
+            # The replica is behind this session's observed version and
+            # nothing better is reachable: serve it degraded. The
+            # dependency table is left untouched — a degraded read must
+            # not regress what the session is known to depend on.
+            session.degraded_reads += 1
+        else:
+            # Looked up on the instance every time: the invariant monitor
+            # replaces _note_observed per session after construction.
+            session._note_observed(key, reply)
+        self.set_result(
+            GetResult(key, reply.value, version, reply.stable, self._served_by, degraded=behind)
+        )
+
+
+class _PutOp(RetryingOp):
+    """A put or delete of a locally-owned key: per attempt, a
+    ``PutRequest`` to the chain head under a fresh request id, answered
+    by a ``PutReply`` straight from the k-th server."""
+
+    __slots__ = ("_new_value", "_is_delete", "_deps", "_request_id", "_deadline")
+
+    _session: ChainClientSession
+    _deps: Optional[DepSnapshot]
+
+    def __init__(self, session: ChainClientSession, key: str, value: Any, is_delete: bool) -> None:
+        super().__init__(session, "delete" if is_delete else "put", key)
+        self._new_value = value
+        self._is_delete = is_delete
+        self._deps = None
+
+    def _try(self) -> None:
+        session = self._session
+        deps = self._deps
+        if deps is None:
+            # Taken at the first attempt and shared by every retry. The
+            # same-key entry rides along too: locally it is subsumed by
+            # chain order, but remote DCs need it for *transitive*
+            # causality — the new write dominates its predecessor, so
+            # without the entry it could become visible remotely before
+            # the predecessor's own dependencies have arrived.
+            deps = self._deps = session._deps.snapshot()
+        session._request_seq += 1
+        self._request_id = session._request_seq
+        session._pending_puts[self._request_id] = self
+        view = session.view
+        session.send(
+            view.address_of(view.chain_for(self._key)[0]),
+            PutRequest(
+                request_id=self._request_id,
+                key=self._key,
+                value=self._new_value,
+                deps=deps,
+                reply_to=session.address,
+                is_delete=self._is_delete,
+            ),
+        )
+        self._deadline = session.sim.schedule(session.config.op_timeout, self._timed_out)
+
+    def _timed_out(self) -> None:
+        self._session._pending_puts.pop(self._request_id, None)
+        self._retry(RequestTimeout(f"put({self._key!r})"))
+
+    def put_reply(self, reply: PutReply) -> None:
+        self._deadline.cancel()
+        if not reply.ok:
+            # syncing / not-head / not-responsible: refresh and retry
+            self._retry()
+            return
+        stable = reply.index >= reply.chain_len - 1
+        self._session._record_put(self._key, reply, stable)
+        self.set_result(
+            PutResult(key=self._key, version=reply.version, stable=stable, acked_by=str(reply.index))
+        )
+
+    def session_closed(self, exc: ReproError) -> None:
+        self._deadline.cancel()
+        self.set_exception(exc)

@@ -55,6 +55,7 @@ from repro.core.messages import (
     ClockTick,
     Deps,
     PutRequest,
+    ReadReply,
     RemoteUpdate,
     StabilityVector,
     TailApplied,
@@ -295,10 +296,10 @@ class ClockNodePlane(StabilityPlane):
             return True
         return ts <= self.cut
 
-    def annotate_read(self, reply: dict, key: str) -> None:
+    def annotate_read(self, reply: ReadReply, key: str) -> None:
         # Clients thread the stamp into their dependency metadata so a
         # dependent put can name the exact stamp to wait on.
-        reply["hlc"] = self._hlc_of.get(key)
+        reply.hlc = self._hlc_of.get(key)
 
     # -- tail completion -----------------------------------------------
     def tail_stabilise(

@@ -6,7 +6,8 @@ Three planes:
   chain head; ``PutReply`` returns *directly* from whichever chain
   position acknowledges (the k-th server), saving the back-hop that a
   conventional RPC would pay. Reads use the actor RPC layer (single
-  round-trip to one chosen server) and so have no message types here.
+  round-trip to one chosen server): the request's payload is the key,
+  the response's a :class:`ReadReply`.
 - **chain plane** — ``ChainPut`` carries a write down the chain;
   ``ChainStable`` carries the tail's stability notification back up.
 - **geo plane** — ``RemoteUpdate`` ships a DC-stable write to the other
@@ -40,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.net.message import Message
+from repro.net.message import Message, estimate_size
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage.version import VersionVector
@@ -49,6 +50,7 @@ __all__ = [
     "DepEntry",
     "Deps",
     "deps_size_bytes",
+    "ReadReply",
     "PutRequest",
     "PutReply",
     "ChainPut",
@@ -133,6 +135,51 @@ def deps_size_bytes(deps: "Deps") -> int:
     byte-identically to the dicts they replaced.
     """
     return 4 + sum(4 + len(k) + d.size_bytes() for k, d in deps.items())
+
+
+class ReadReply:
+    """What a ``get`` / ``get_fwd`` RPC answers: the record as this
+    chain position (``index``) holds it.
+
+    ``value`` is None for a missing or deleted key; ``stable`` /
+    ``globally``: the version is DC-stable / stable in every DC. ``hlc``
+    is set by the clock plane only (the record's stamp, or None for an
+    unstamped record), ``fwd_deps`` only on forwarded reads of a write
+    with dependencies. Both are "absent" by values that survive pickle
+    (:data:`~repro.sim.hlc.NO_HLC`, None), never by an identity
+    sentinel: a reply crosses the shard boundary by pickle.
+
+    ``size_bytes`` is what the string-keyed dict this replaced cost on
+    the wire (keys ``value version stable global index``, plus ``hlc``
+    / ``fwd_deps`` when present), without walking one.
+    """
+
+    __slots__ = ("value", "version", "stable", "globally", "index", "hlc", "fwd_deps")
+
+    def __init__(
+        self, value: Any, version: VersionVector, stable: bool, globally: bool, index: int,
+        hlc: Any = NO_HLC, fwd_deps: Optional["Deps"] = None,
+    ) -> None:
+        self.value = value
+        self.version = version
+        self.stable = stable
+        self.globally = globally
+        self.index = index
+        self.hlc = hlc
+        self.fwd_deps = fwd_deps
+
+    def size_bytes(self) -> int:
+        # 63 = the dict's length prefix, its five fixed keys, two bools and
+        # an int: 4 + (4+5) + (4+7) + (4+6+1) + (4+6+1) + (4+5+8)
+        value = self.value
+        size = 63 + self.version.size_bytes()
+        size += 4 + len(value) if type(value) is str else estimate_size(value)
+        hlc = self.hlc
+        if hlc is not NO_HLC:
+            size += 7 + (1 if hlc is None else hlc.size_bytes())  # 4 + len("hlc")
+        if self.fwd_deps is not None:
+            size += 12 + deps_size_bytes(self.fwd_deps)  # 4 + len("fwd_deps")
+        return size
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,6 +42,7 @@ from repro.core.messages import (
     GlobalStableNotice,
     PutReply,
     PutRequest,
+    ReadReply,
     StableEntries,
     StateTransfer,
     TailApplied,
@@ -55,7 +56,7 @@ from repro.net.message import Message
 from repro.net.network import Address, Network
 from repro.sim.hlc import NO_HLC
 from repro.sim.kernel import Simulator
-from repro.sim.process import all_of, spawn, with_timeout
+from repro.sim.process import Future, all_of, with_timeout
 from repro.storage.merge import ConflictResolver
 from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
@@ -167,7 +168,9 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 )
             return
         self.trace("put", "received", msg.key, deps=len(msg.deps))
-        spawn(self.sim, self._serve_put(msg), name=f"put:{msg.key}")
+        # From its own zero-delay event, never inline: the event is part
+        # of every recorded trace.
+        self.sim.post(0.0, self._serve_put, msg)
 
     def _put_admission_error(self, key: str) -> Optional[str]:
         if self.syncing:
@@ -183,7 +186,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             return "not-head"
         return None
 
-    def _serve_put(self, msg: PutRequest) -> Iterator[Any]:
+    def _serve_put(self, msg: PutRequest) -> None:
         """Hold the put until its dependencies are DC-stable, then apply."""
         unresolved = self.plane.unresolved_deps(msg)
         if "skip_dep_wait" in self.config.mutations:
@@ -199,11 +202,22 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 self.plane.spawn_dep_wait(dep_key, entry)
                 for dep_key, entry in unresolved
             ]
-            yield all_of(self.sim, waits)
 
+            def waited(all_waits: Future) -> None:
+                # A wait that *raised* (e.g. this node crashed under it)
+                # drops the put silently. Timing out is not raising:
+                # _wait_dep then lets the put through.
+                if not all_waits.failed():
+                    self._apply_put(msg)
+
+            all_of(self.sim, waits).add_callback(waited)
+        else:
+            self._apply_put(msg)
+
+    def _apply_put(self, msg: PutRequest) -> None:
         # Admission is re-checked at apply time, not only at arrival: a
-        # view change can land between the two (the serve runs as its own
-        # process), and a no-longer-head that assigned a version here
+        # view change can land between the two (the serve runs from its
+        # own event), and a no-longer-head that assigned a version here
         # would mint the same number as the new head — a split-brain
         # write under a stale epoch.
         if "split_brain_mint" in self.config.mutations:
@@ -221,7 +235,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                     msg.reply_to,
                     PutReply(request_id=msg.request_id, key=msg.key, ok=False, error=error),
                 )
-            return None
+            return
 
         value = TOMBSTONE if msg.is_delete else msg.value
         # The version is assigned at apply time (not at arrival) so that
@@ -248,7 +262,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             origin_put_at=self.sim.now,
             hlc=hlc,
         )
-        return version
 
     def _wait_dep(self, key: str, version: VersionVector) -> Iterator[Any]:
         """Block until ``version`` of ``key`` is DC-stable (or time out).
@@ -505,7 +518,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     # ------------------------------------------------------------------
     # reads (any chain position)
     # ------------------------------------------------------------------
-    def rpc_get(self, key: str, src: Address) -> Dict[str, Any]:
+    def rpc_get(self, key: str, src: Address) -> ReadReply:
         if self.syncing:
             self.rejected_ops += 1
             raise ReplicaUnavailable("syncing")
@@ -519,29 +532,21 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.gets_served += 1
         record = self.store.get_record(key)
         if record is None:
-            reply: Dict[str, Any] = {
-                "value": None,
-                "version": VersionVector(),
-                "stable": True,
-                "global": True,
-                "index": pos,
-            }
-            self.plane.annotate_read(reply, key)
-            return reply
-        version = record.version
-        dc_stable = self.plane.record_is_stable(key, version)
-        globally = self.plane.record_is_global(key, version, dc_stable)
-        reply = {
-            "value": None if record.is_deleted else record.value,
-            "version": version,
-            "stable": dc_stable,
-            "global": globally,
-            "index": pos,
-        }
+            reply = ReadReply(None, VersionVector(), True, True, pos)
+        else:
+            version = record.version
+            dc_stable = self.plane.record_is_stable(key, version)
+            reply = ReadReply(
+                None if record.is_deleted else record.value,
+                version,
+                dc_stable,
+                self.plane.record_is_global(key, version, dc_stable),
+                pos,
+            )
         self.plane.annotate_read(reply, key)
         return reply
 
-    def rpc_get_fwd(self, key: str, src: Address) -> Dict[str, Any]:
+    def rpc_get_fwd(self, key: str, src: Address) -> ReadReply:
         """Serve a read forwarded from a non-owner DC (via the proxy).
 
         Same as :meth:`rpc_get`, plus ``fwd_deps``: the dependency list
@@ -558,7 +563,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         if deps:
             fwd = {k: e for k, e in deps.items() if k != key}
             if fwd:
-                reply["fwd_deps"] = fwd
+                reply.fwd_deps = fwd
         return reply
 
     def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Tuple
 
-from repro.core.messages import ChainStable, Deps, PutRequest, TailStable
+from repro.core.messages import ChainStable, Deps, PutRequest, ReadReply, TailStable
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC
 from repro.sim.process import Future, spawn
@@ -139,7 +139,7 @@ class StabilityPlane:
         return None
 
     # -- read replies / lifecycle / gauges -----------------------------
-    def annotate_read(self, reply: dict, key: str) -> None:
+    def annotate_read(self, reply: ReadReply, key: str) -> None:
         return None
 
     def on_recover(self) -> None:

@@ -6,9 +6,11 @@ handler methods (dispatched on the message's ``type_name``), owns timers
 that die with it, and can be crashed and recovered for fault-injection
 experiments.
 
-A built-in request/response layer (:meth:`Actor.call` /
-``rpc_<method>`` handlers) covers the client-facing paths where
-sequential code wants a :class:`~repro.sim.process.Future` back.
+A built-in request/response layer (``rpc_<method>`` handlers) covers
+the client-facing paths: :meth:`Actor.request` hands the outcome to a
+*continuation* (``rpc_reply(value)`` / ``rpc_failed(exc)``), and
+:meth:`Actor.call` is the same with a fresh
+:class:`~repro.sim.process.Future` for code that yields the call.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class Actor:
         self.tracer = None
         self._timers: Set[ScheduledEvent] = set()
         self._rpc_seq = 0
-        #: request id → (caller's future, timeout timer)
-        self._rpc_pending: Dict[int, Tuple[Future, ScheduledEvent]] = {}
+        #: request id → (caller's continuation, its deadline); RPC
+        #: deadlines live only here, not in ``_timers``
+        self._rpc_pending: Dict[int, Tuple[Any, ScheduledEvent]] = {}
         #: message class → bound handler, filled by _bind_handler
         self._message_handlers: Dict[Type[Message], Callable[[Any, Address], None]] = {}
         #: RPC method name → bound ``rpc_<method>``
@@ -122,9 +125,7 @@ class Actor:
                 now = self.sim.now
                 start = now if now > self._busy_until else self._busy_until
                 self._busy_until = start + cost
-                # Released at scheduling time: the handle is dropped here,
-                # never cancelled, so the kernel may pool it after firing.
-                self.sim.schedule_at(self._busy_until, self._dispatch, msg, src).release()
+                self.sim.post_at(self._busy_until, self._dispatch, msg, src)
                 return
         self._dispatch(msg, src)
 
@@ -189,8 +190,9 @@ class Actor:
             timer.cancel()
         self._timers.clear()
         pending, self._rpc_pending = self._rpc_pending, {}
-        for fut, _timer in pending.values():  # timers died above
-            fut.try_set_exception(
+        for cont, deadline in pending.values():
+            deadline.cancel()
+            cont.rpc_failed(
                 ReplicaUnavailable(f"{self.address} crashed with RPC in flight")
             )
 
@@ -210,6 +212,25 @@ class Actor:
     # ------------------------------------------------------------------
     # RPC
     # ------------------------------------------------------------------
+    def request(
+        self, dst: Address, method: str, payload: Any, timeout: float, cont: Any
+    ) -> None:
+        """Invoke ``rpc_<method>`` on the actor at ``dst``; exactly one
+        of ``cont.rpc_reply(value)`` and ``cont.rpc_failed(exc)`` is
+        called, once, after the deadline has been cancelled. ``exc`` is
+        a :class:`RequestTimeout`, a :class:`RemoteError`, or
+        :class:`ReplicaUnavailable` when this actor is or goes down —
+        always a :class:`~repro.errors.TransientError`."""
+        if self.crashed:
+            cont.rpc_failed(ReplicaUnavailable(f"{self.address} is crashed"))
+            return
+        self._rpc_seq += 1
+        rid = self._rpc_seq
+        sim = self.sim
+        deadline = sim.schedule_at(sim.now + timeout, self._rpc_timeout, rid, method, dst)
+        self._rpc_pending[rid] = (cont, deadline)
+        self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+
     def call(
         self,
         dst: Address,
@@ -217,28 +238,19 @@ class Actor:
         payload: Any = None,
         timeout: float = DEFAULT_RPC_TIMEOUT,
     ) -> Future:
-        """Invoke ``rpc_<method>`` on the actor at ``dst``.
+        """:meth:`request` with a fresh future as the continuation.
 
         Resolves with the remote return value, or fails with
         :class:`RequestTimeout` / :class:`RemoteError`.
         """
         fut = Future(self.sim)
-        if self.crashed:
-            fut.set_exception(ReplicaUnavailable(f"{self.address} is crashed"))
-            return fut
-        self._rpc_seq += 1
-        rid = self._rpc_seq
-        timer = self.set_timer(timeout, self._rpc_timeout, rid, method, dst)
-        self._rpc_pending[rid] = (fut, timer)
-        self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+        self.request(dst, method, payload, timeout, fut)
         return fut
 
     def _rpc_timeout(self, rid: int, method: str, dst: Address) -> None:
         pending = self._rpc_pending.pop(rid, None)
-        if pending is not None:  # its timer is this very callback
-            pending[0].try_set_exception(
-                RequestTimeout(f"rpc {method!r} to {dst} timed out")
-            )
+        if pending is not None:  # its deadline is this very callback
+            pending[0].rpc_failed(RequestTimeout(f"rpc {method!r} to {dst} timed out"))
 
     def _handle_rpc_request(self, msg: RpcRequest, src: Address) -> None:
         handler = self._rpc_handlers.get(msg.method)
@@ -297,13 +309,12 @@ class Actor:
         pending = self._rpc_pending.pop(msg.request_id, None)
         if pending is None:
             return  # late response after timeout; drop
-        fut, timer = pending
-        # Before the caller resumes, as when this was the future's first callback.
-        self.cancel_timer(timer)
+        cont, deadline = pending
+        deadline.cancel()  # before the caller resumes
         if msg.ok:
-            fut.try_set_result(msg.payload)
+            cont.rpc_reply(msg.payload)
         else:
-            fut.try_set_exception(RemoteError(msg.error, retryable=msg.retryable))
+            cont.rpc_failed(RemoteError(msg.error, retryable=msg.retryable))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"

@@ -34,6 +34,10 @@ __all__ = [
 #: can never undercut ``min_latency()``.
 _LOGNORMAL_FLOOR_SIGMAS = 8.0
 
+#: Constant of the Kinderman-Monahan normal sampler (the stdlib's
+#: ``random.NV_MAGICCONST``, which is not public API).
+_KM_RATIO = 4.0 * math.exp(-0.5) / math.sqrt(2.0)
+
 
 class LatencyModel:
     """Distribution over one-way message delays (seconds)."""
@@ -142,8 +146,17 @@ class LogNormalLatency(LatencyModel):
         self._floor = median * math.exp(-_LOGNORMAL_FLOOR_SIGMAS * sigma)
 
     def sample(self, rng: random.Random) -> float:
-        # rng.lognormvariate(mu, sigma), minus its frame: one per message.
-        draw = math.exp(rng.normalvariate(self._mu, self.sigma))
+        # rng.lognormvariate(mu, sigma), its two frames inlined (one draw
+        # per message): same uniforms, same order, same arithmetic —
+        # tests/test_net_latency.py holds the stdlib up as the oracle.
+        uniform = rng.random
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = _KM_RATIO * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        draw = math.exp(self._mu + z * self.sigma)
         return draw if draw >= self._floor else self._floor
 
     def mean(self) -> float:

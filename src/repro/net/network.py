@@ -20,8 +20,8 @@ Failure injection:
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import AddressUnknownError, NetworkError
 from repro.net.latency import LatencyModel, lan_latency, wan_latency
@@ -124,22 +124,32 @@ class NetworkStats:
     messages_sent: int = 0
     bytes_sent: int = 0
     messages_dropped: int = 0
-    by_type: Dict[str, int] = dataclasses.field(default_factory=lambda: defaultdict(int))
-    bytes_by_type: Dict[str, int] = dataclasses.field(
-        default_factory=lambda: defaultdict(int)
-    )
+    #: type_name → [messages, bytes]: one lookup per recorded message
+    per_type: Dict[str, List[int]] = dataclasses.field(default_factory=dict)
     cross_site_messages: int = 0
     cross_site_bytes: int = 0
 
     def record(self, msg: Message, size: int, cross_site: bool) -> None:
         self.messages_sent += 1
         self.bytes_sent += size
-        name = msg.type_name
-        self.by_type[name] += 1
-        self.bytes_by_type[name] += size
+        entry = self.per_type.get(msg.type_name)
+        if entry is None:
+            entry = self.per_type[msg.type_name] = [0, 0]
+        entry[0] += 1
+        entry[1] += size
         if cross_site:
             self.cross_site_messages += 1
             self.cross_site_bytes += size
+
+    @property
+    def by_type(self) -> Mapping[str, int]:
+        """Messages sent per type name (read-only)."""
+        return MappingProxyType({name: entry[0] for name, entry in self.per_type.items()})
+
+    @property
+    def bytes_by_type(self) -> Mapping[str, int]:
+        """Bytes sent per type name (read-only)."""
+        return MappingProxyType({name: entry[1] for name, entry in self.per_type.items()})
 
     def merge_from(self, other: "NetworkStats") -> None:
         """Accumulate another fabric's counters (the parallel engine
@@ -147,10 +157,10 @@ class NetworkStats:
         self.messages_sent += other.messages_sent
         self.bytes_sent += other.bytes_sent
         self.messages_dropped += other.messages_dropped
-        for name, n in other.by_type.items():
-            self.by_type[name] += n
-        for name, n in other.bytes_by_type.items():
-            self.bytes_by_type[name] += n
+        for name, (messages, size) in other.per_type.items():
+            entry = self.per_type.setdefault(name, [0, 0])
+            entry[0] += messages
+            entry[1] += size
         self.cross_site_messages += other.cross_site_messages
         self.cross_site_bytes += other.cross_site_bytes
 
@@ -161,11 +171,11 @@ class NetworkStats:
         ``chain-stable`` flow against ``chain-stable`` + ``bulk-stable``
         under batching; this saves every caller the by_type plumbing.
         """
-        return sum(self.by_type.get(name, 0) for name in type_names)
+        return sum(self.per_type[name][0] for name in type_names if name in self.per_type)
 
     def bytes_of(self, *type_names: str) -> int:
         """Bytes sent across messages of any of ``type_names``."""
-        return sum(self.bytes_by_type.get(name, 0) for name in type_names)
+        return sum(self.per_type[name][1] for name in type_names if name in self.per_type)
 
 
 class _Link:

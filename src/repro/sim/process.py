@@ -101,6 +101,17 @@ class Future:
         self.set_exception(exc)
         return True
 
+    # The continuation protocol of ``Actor.request``: ``try_set_*``
+    # without the verdict, for a subclass to override with its reaction.
+
+    def rpc_reply(self, value: Any) -> None:
+        if self._value is _PENDING and self._exception is None:
+            self.set_result(value)
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        if self._value is _PENDING and self._exception is None:
+            self.set_exception(exc)
+
     def add_callback(self, fn: Callable[["Future"], None]) -> None:
         """Run ``fn(self)`` when resolved (immediately if already done)."""
         if self._value is not _PENDING or self._exception is not None:

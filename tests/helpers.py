@@ -91,3 +91,31 @@ def reference_message_size(msg: Message) -> int:
     return WIRE_HEADER_BYTES + sum(
         reference_estimate_size(getattr(msg, f.name)) for f in dataclasses.fields(msg)
     )
+
+
+# ----------------------------------------------------------------------
+# read-reply reference
+# ----------------------------------------------------------------------
+# The string-keyed dict ``ChainNode.rpc_get`` / ``rpc_get_fwd`` answered
+# with before ``repro.core.messages.ReadReply``, built the way they and
+# ``ClockNodePlane.annotate_read`` built it: five fixed keys, ``hlc``
+# only on the clock plane (None for an unstamped record), ``fwd_deps``
+# only on a forwarded read of a write that has dependencies. Sizing this
+# dict is the oracle ``ReadReply.size_bytes`` must equal to the byte.
+
+_ABSENT = object()
+
+
+def legacy_read_reply(value, version, stable, globally, index, hlc=_ABSENT, fwd_deps=None) -> dict:
+    reply = {
+        "value": value,
+        "version": version,
+        "stable": stable,
+        "global": globally,
+        "index": index,
+    }
+    if hlc is not _ABSENT:
+        reply["hlc"] = hlc
+    if fwd_deps is not None:
+        reply["fwd_deps"] = fwd_deps
+    return reply

@@ -46,3 +46,54 @@ def test_ties_count_for_neither_side_and_wide_spread_is_unresolved():
 def test_quartiles_of_a_single_pair():
     assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
     assert ab_pairs.quartiles([1.0, 2.0, 3.0, 4.0])[1] == pytest.approx(2.5)
+
+
+def test_trace_prints_each_layers_self_time_and_calls_for_both_sides(tmp_path, monkeypatch, capsys):
+    # The harness itself is stubbed: base and change answer canned
+    # metrics, a traced pass (--trace 1) the per-layer ones.
+    spec = ab_pairs.json.loads((ab_pairs.ROOT / "BENCHMARK.json").read_text())
+    layers = [m["name"][: -len(".self_s")] for m in spec["per_layer"] if m["name"].endswith(".self_s")]
+    calls = []
+
+    def canned(tree, workload, seed, extra, trace=False):
+        change = tree == ab_pairs.ROOT
+        calls.append(("change" if change else "base", seed, trace))
+        if not trace:
+            return {m["name"]: 2.0 if change else 1.0 for m in spec["end_to_end"]}, "d1ge57"
+        metrics = {"trace.unattributed_share": 0.11 if change else 0.03}
+        for i, layer in enumerate(layers):
+            metrics[f"{layer}.self_s"] = 0.25 * (i + 1) * (0.5 if change else 1.0)
+            metrics[f"{layer}.calls"] = 1000 * (i + 1) - (300 if change and layer == "sim.process" else 0)
+        return metrics, "d1ge57"
+
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    out = tmp_path / "pairs.json"
+    assert ab_pairs.main(["--base", str(tmp_path), "--workload", "ycsb-b-1dc", "--pairs", "2",
+                          "--first-seed", "40", "--trace", "--out", str(out)]) == 0
+    # two interleaved untraced pairs, then one traced pass per side at the first seed
+    assert calls == [("base", 40, False), ("change", 40, False), ("change", 41, False),
+                     ("base", 41, False), ("base", 40, True), ("change", 40, True)]
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and line.split()[0] in layers + ["trace.unattributed_share"]}
+    assert list(rows) == layers + ["trace.unattributed_share"]  # BENCHMARK.json's order
+    i = layers.index("sim.process")
+    assert rows["sim.process"] == [f"{0.25 * (i + 1):.4f}", f"{0.125 * (i + 1):.4f}", f"{-0.125 * (i + 1):+.4f}",
+                                   str(1000 * (i + 1)), str(1000 * (i + 1) - 300), "-300"]
+    assert rows["net.actor"][-1] == "+0"
+    assert rows["trace.unattributed_share"] == ["0.0300", "0.1100", "+0.0800"]
+    saved = ab_pairs.json.loads(out.read_text())
+    assert saved["traces"]["ycsb-b-1dc"]["change"]["trace.unattributed_share"] == 0.11
+
+
+def test_without_trace_no_traced_pass_runs(tmp_path, monkeypatch, capsys):
+    spec = ab_pairs.json.loads((ab_pairs.ROOT / "BENCHMARK.json").read_text())
+    traced = []
+
+    def canned(tree, workload, seed, extra, trace=False):
+        traced.append(trace)
+        return {m["name"]: 1.0 for m in spec["end_to_end"]}, "d1ge57"
+
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    assert ab_pairs.main(["--base", str(tmp_path), "--workload", "ycsb-b-1dc", "--pairs", "1"]) == 0
+    assert traced == [False, False]
+    assert "traced pass" not in capsys.readouterr().out

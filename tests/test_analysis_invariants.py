@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import ChainInvariantMonitor, capture_run
 from repro.baselines.registry import build_store
-from repro.core.messages import DepEntry
+from repro.core.messages import DepEntry, ReadReply
 from repro.storage.version import VersionVector
 from repro.workload import WorkloadRunner, workload
 
@@ -95,9 +95,7 @@ class TestBrokenRuns:
         observed = VersionVector({"w": 2})
         session._deps["k"] = DepEntry(version=observed, index=0)
         stale = VersionVector({"w": 1})
-        session._note_observed(
-            "k", {"version": stale, "value": "old", "stable": False, "index": 0}
-        )
+        session._note_observed("k", ReadReply("old", stale, False, False, 0))
         assert any(v.kind == "causal-cut" and v.key == "k"
                    for v in monitor.violations)
 
@@ -106,9 +104,7 @@ class TestBrokenRuns:
         session = store.session("dc0", "probe")
         session._deps["k"] = DepEntry(version=VersionVector({"w": 1}), index=0)
         session._note_observed(
-            "k",
-            {"version": VersionVector({"w": 2}), "value": "new",
-             "stable": False, "index": 0},
+            "k", ReadReply("new", VersionVector({"w": 2}), False, False, 0)
         )
         assert monitor.violations == []
         assert monitor.gets_checked == 1

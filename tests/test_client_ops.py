@@ -1,0 +1,398 @@
+"""The client retry loop and the RPC primitive, pinned on the parent commit.
+
+PR 18 turned the hot get / put round trip from a coroutine
+(``Process`` + nested ``_op_attempts`` generator + a ``Future`` and a
+``set_timer`` per RPC) into continuation form (``RetryingOp`` +
+``Actor.request``). The rewrite must not change *what* a session does —
+every retry / timeout / crash / degraded-read branch fires the same
+events at the same virtual instants with the same RNG draws.
+
+``SCRIPTS`` drives each branch through the public session API and
+``PINNED`` holds what commit 1359141 (the parent, still coroutine-based)
+produced for it: ``(outcome type, resolved_at, retries, failed_ops,
+degraded_reads, events_processed, messages_sent, bytes_sent)`` — the
+``tests/test_golden_planes.py`` method. A script whose tuple moves
+changed the simulation and must be fixed, not re-recorded.
+"""
+
+import pytest
+
+from helpers import make_store
+
+from repro.analysis.invariants import ChainInvariantMonitor
+from repro.errors import (
+    RemoteError,
+    ReplicaUnavailable,
+    RequestTimeout,
+    SessionClosedError,
+    VersionConflictError,
+)
+from repro.net import Actor, Address, FixedLatency, Network
+from repro.sim import Simulator
+
+#: knobs that make retries fast enough to script: short attempts, short
+#: backoff, and a failure detector slow enough never to interfere unless
+#: a script speeds it up again
+FAST = dict(op_timeout=0.05, client_retry_backoff=0.01)
+NO_DETECTOR = dict(heartbeat_interval=1.0, failure_timeout=30.0)
+
+
+def _chain(store, key):
+    view = store.managers["dc0"].view
+    return [node for name in view.chain_for(key) for node in store.servers() if node.name == name]
+
+
+# ----------------------------------------------------------------------
+# scripts: each returns (store, session, future, run_until)
+# ----------------------------------------------------------------------
+
+
+def head_crash_mid_get():
+    """Head crashes with the get in flight -> timeout -> backoff -> view
+    refresh (the detector removes the head) -> success at the new head."""
+    store = make_store(ack_k=1, degraded_reads=False, **FAST)
+    s = store.session(session_id="alice")
+    fut = s.put("k", "v1")
+    store.run(until=1.0)  # stabilise; the dep entry still says "head only"
+    assert fut.succeeded() and s.dependency_table()["k"].index == 0
+    head = _chain(store, "k")[0]
+    fut = s.get("k")
+    store.sim.schedule(0.0001, head.crash)  # request sent, not yet delivered
+    return store, s, fut, 4.0
+
+
+def stale_replica_falls_back_to_head():
+    """Tail-only reads while v2 is stranded at the head: the tail is
+    behind the session's own write -> force_head -> retry -> success."""
+    store = make_store(ack_k=1, allow_prefix_reads=False, **FAST, **NO_DETECTOR)
+    store.preload({"k": "v1"})
+    chain = store.managers["dc0"].view.chain_for("k")
+    s = store.session(session_id="alice")
+    store.network.block(f"dc0:{chain[0]}", f"dc0:{chain[1]}")
+    fut = s.put("k", "v2")
+    store.run(until=0.5)
+    assert fut.succeeded()
+    return store, s, s.get("k"), 2.0
+
+
+def degraded_after_unreachable_prefix():
+    """The only replica holding the session's version is unreachable:
+    after ``degraded_read_after`` attempts a stale replica's answer is
+    served flagged degraded, the dep table untouched."""
+    store = make_store(ack_k=1, degraded_read_after=2, **FAST, **NO_DETECTOR)
+    store.preload({"k": "v1"})
+    chain = store.managers["dc0"].view.chain_for("k")
+    s = store.session(session_id="alice")
+    store.network.block(f"dc0:{chain[0]}", f"dc0:{chain[1]}")
+    fut = s.put("k", "v2")
+    store.run(until=0.5)
+    assert fut.succeeded()
+    store.network.block("dc0:alice", f"dc0:{chain[0]}")
+    return store, s, s.get("k"), 3.0
+
+
+def non_retryable_remote_error():
+    """A permanent server-side failure travels back as a non-retryable
+    RemoteError and fails the get on the spot."""
+    store = make_store(**FAST)
+    s = store.session(session_id="alice")
+
+    def broken(key, src):
+        raise VersionConflictError("disk says no")
+
+    for node in _chain(store, "k"):
+        node.rpc_get = broken
+    return store, s, s.get("k"), 1.0
+
+
+def put_refused_not_head():
+    """The session's view still names the interim head after the real
+    head rejoined: ``ok=False`` (not-head) -> refresh -> success."""
+    store = make_store(**FAST)
+    head = _chain(store, "k")[0]
+    head.crash()
+    store.run(until=1.0)  # detector removes it; epoch 2
+    s = store.session(session_id="alice")  # opened under the interim view
+    assert s.view.chain_for("k")[0] != head.name
+    head.recover()
+    store.run(until=3.0)  # heartbeat -> re-admitted -> repair sync done
+    assert store.managers["dc0"].view.chain_for("k")[0] == head.name
+    return store, s, s.put("k", "v"), 4.0
+
+
+def put_timeout_then_late_reply():
+    """The first PutReply is held past the attempt's deadline: the retry
+    runs under a fresh request id and the late reply for the old id is
+    ignored."""
+    store = make_store(**FAST, **NO_DETECTOR)
+    s = store.session(session_id="alice")
+    held = []
+
+    def hold_first_reply(src, dst, msg):
+        if msg.type_name == "put-reply" and not held:
+            held.append((src, dst, msg))
+            return True
+        return False
+
+    store.network.set_divert(hold_first_reply)
+    fut = s.put("k", "v")
+    store.sim.schedule(0.12, lambda: store.network.inject_now(*held[0]))
+    return store, s, fut, 1.0
+
+
+def max_retries_exhausted():
+    store = make_store(max_retries=3, **FAST)
+    s = store.session(session_id="alice")
+    for node in store.servers():
+        node.crash()
+    store.managers["dc0"].crash()
+    return store, s, s.get("k"), 5.0
+
+
+def op_deadline_exhausted():
+    store = make_store(op_deadline=0.2, **FAST)
+    s = store.session(session_id="alice")
+    for node in store.servers():
+        node.crash()
+    store.managers["dc0"].crash()
+    return store, s, s.put("k", "v"), 5.0
+
+
+def closed_with_put_in_flight():
+    store = make_store(**FAST)
+    s = store.session(session_id="alice")
+    fut = s.put("k", "v")
+    store.sim.schedule(0.0001, s.close)
+    return store, s, fut, 1.0
+
+
+def client_crashed_with_get_in_flight():
+    """The client actor itself crashes: the pending RPC fails with
+    ReplicaUnavailable, every later attempt fails at once, the budget
+    burns down in backoff sleeps only."""
+    store = make_store(max_retries=4, **FAST)
+    s = store.session(session_id="alice")
+    fut = s.get("k")
+    store.sim.schedule(0.0001, s.crash)
+    return store, s, fut, 2.0
+
+
+def put_waits_on_unstable_dep(**overrides):
+    """A put carrying a dependency that is not DC-stable yet is held at
+    its head until the dependency's tail confirms it."""
+    store = make_store(ack_k=1, **FAST, **overrides)
+    s = store.session(session_id="alice")
+    first = s.put("a", "1")
+    first.add_callback(lambda _f: held.append(s.put("b", "2")))
+    held = []
+    store.run(until=0.001)  # first put acked by its head alone, second issued
+    assert first.succeeded() and held
+    return store, s, held[0], 1.0
+
+
+def put_waits_on_unstable_dep_clock():
+    return put_waits_on_unstable_dep(stability="clock")
+
+
+SCRIPTS = {
+    script.__name__: script
+    for script in (
+        head_crash_mid_get,
+        stale_replica_falls_back_to_head,
+        degraded_after_unreachable_prefix,
+        non_retryable_remote_error,
+        put_refused_not_head,
+        put_timeout_then_late_reply,
+        max_retries_exhausted,
+        op_deadline_exhausted,
+        closed_with_put_in_flight,
+        client_crashed_with_get_in_flight,
+        put_waits_on_unstable_dep,
+        put_waits_on_unstable_dep_clock,
+    )
+}
+
+
+def fingerprint(name):
+    store, s, fut, until = SCRIPTS[name]()
+    store.run(until=until)
+    assert fut.done(), f"{name}: operation still pending at t={store.sim.now}"
+    outcome = fut.exception() if fut.failed() else fut.result()
+    stats = store.network.stats
+    return store, s, outcome, (
+        type(outcome).__name__,
+        fut.resolved_at,
+        s.retries,
+        s.failed_ops,
+        s.degraded_reads,
+        store.sim.events_processed,
+        stats.messages_sent,
+        stats.bytes_sent,
+    )
+
+
+#: recorded on 1359141 with ``python tests/test_client_ops.py``
+PINNED = {
+    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 593, 290, 12006),
+    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 324, 164, 6581),
+    'degraded_after_unreachable_prefix': ('GetResult', 0.6330106051156347, 2, 0, 1, 491, 248, 9714),
+    'non_retryable_remote_error': ('RemoteError', 0.0004226981130156571, 0, 0, 0, 162, 78, 2983),
+    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 672, 335, 13302),
+    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 172, 90, 3970),
+    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 10, 0, 0),
+    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 7, 0, 0),
+    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 162, 77, 2951),
+    'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 334, 157, 5972),
+    'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 178, 90, 4038),
+    'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2763, 1680, 75644),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_reproduces_the_parents_tuple(name):
+    assert fingerprint(name)[-1] == PINNED[name]
+
+
+def test_non_retryable_failure_is_not_retried():
+    _store, s, outcome, _ = fingerprint("non_retryable_remote_error")
+    assert isinstance(outcome, RemoteError) and not outcome.retryable
+    assert "disk says no" in str(outcome)
+    assert (s.retries, s.failed_ops) == (0, 0)
+
+
+def test_degraded_read_is_flagged_and_leaves_the_dep_table_alone():
+    store, s, fut, until = SCRIPTS["degraded_after_unreachable_prefix"]()
+    before = dict(s.dependency_table())
+    store.run(until=until)
+    assert fut.result().degraded and fut.result().value == "v1"
+    assert s.dependency_table() == before
+
+
+def test_dependent_put_was_held_at_its_head():
+    for name in ("put_waits_on_unstable_dep", "put_waits_on_unstable_dep_clock"):
+        store, _s, _outcome, _ = fingerprint(name)
+        assert store.protocol_stats()["dep_waits"] == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="close() fails only puts awaiting their reply; a get in flight burns "
+    "its whole retry budget against the downed address (ROADMAP item 6)",
+)
+def test_close_fails_a_get_in_flight_with_session_closed():
+    store = make_store(**FAST)
+    s = store.session(session_id="alice")
+    fut = s.get("k")
+    store.sim.schedule(0.0001, s.close)
+    store.run(until=30.0)
+    assert isinstance(fut.exception(), SessionClosedError)
+    assert (s.retries, s.failed_ops) == (0, 0)
+
+
+def test_monitor_wrapped_note_observed_sees_every_get():
+    # The invariant monitor replaces _note_observed on each session
+    # *instance* after construction; an op that cached the class
+    # function would silently switch the causal-cut oracle off.
+    store = make_store()
+    monitor = ChainInvariantMonitor(store).attach()
+    s = store.session()
+    store.preload({f"k{i}": "v" for i in range(5)})
+    gets = [s.get(f"k{i % 5}") for i in range(12)]
+    store.run(until=1.0)
+    assert all(fut.succeeded() for fut in gets)
+    assert monitor.gets_checked == len(gets) == store.protocol_stats()["gets_served"]
+
+
+# ----------------------------------------------------------------------
+# Actor.request is the primitive, Actor.call the same thing with a Future
+# ----------------------------------------------------------------------
+
+
+class Peer(Actor):
+    def rpc_double(self, payload, src):
+        return payload * 2
+
+    def rpc_explode(self, payload, src):
+        raise VersionConflictError("server side boom")
+
+
+class Recorder:
+    """A bare continuation: remembers which of its two methods ran."""
+
+    def __init__(self):
+        self.outcomes = []
+
+    def rpc_reply(self, value):
+        self.outcomes.append(("reply", value))
+
+    def rpc_failed(self, exc):
+        self.outcomes.append(("failed", type(exc), str(exc), getattr(exc, "retryable", None)))
+
+
+def _round_trip(sim, scenario, through_call):
+    net = Network(sim, lan=FixedLatency(0.001))
+    a, b = Peer(sim, net, Address("dc0", "a")), Peer(sim, net, Address("dc0", "b"))
+    method = "explode" if scenario == "remote-error" else "double"
+    if scenario == "timeout":
+        b.crash()
+    recorder = Recorder()
+    if through_call:
+        fut = a.call(b.address, method, 21, timeout=0.5)
+        fut.add_callback(
+            lambda f: recorder.rpc_failed(f.exception()) if f.failed() else recorder.rpc_reply(f.result())
+        )
+    else:
+        a.request(b.address, method, 21, 0.5, recorder)
+    if scenario == "crash":
+        sim.schedule(0.0005, a.crash)  # request on the wire, reply not back yet
+    sim.run()
+    return recorder.outcomes, (sim.events_processed, net.stats.messages_sent, net.stats.bytes_sent), sim.now
+
+
+@pytest.mark.parametrize("scenario", ["reply", "remote-error", "timeout", "crash"])
+def test_call_and_request_are_one_implementation(scenario):
+    via_call = _round_trip(Simulator(), scenario, through_call=True)
+    via_request = _round_trip(Simulator(), scenario, through_call=False)
+    assert via_call == via_request
+    outcomes = via_request[0]
+    assert len(outcomes) == 1  # exactly one of the two methods, once
+    expected = {
+        "reply": ("reply", 42),
+        "remote-error": ("failed", RemoteError, "server side boom", False),
+        "timeout": ("failed", RequestTimeout),
+        "crash": ("failed", ReplicaUnavailable),
+    }[scenario]
+    assert outcomes[0][: len(expected)] == expected
+
+
+def test_crash_with_rpcs_pending_leaves_no_live_deadline(sim):
+    net = Network(sim, lan=FixedLatency(0.001))
+    a, b = Peer(sim, net, Address("dc0", "a")), Peer(sim, net, Address("dc0", "b"))
+    b.crash()  # requests are dropped at send: the only events are a's
+    recorder = Recorder()
+    for n in range(3):
+        a.request(b.address, "double", n, 5.0, recorder)
+    fut = a.call(b.address, "double", 3, timeout=5.0)
+    a.set_timer(1.0, lambda: None)
+    assert sim.pending_events() == 5  # four RPC deadlines + one protocol timer
+    a.crash()
+    assert sim.pending_events() == 0
+    assert [outcome[1] for outcome in recorder.outcomes] == [ReplicaUnavailable] * 3
+    assert isinstance(fut.exception(), ReplicaUnavailable)
+    sim.run()
+    assert sim.events_processed == 0 and len(recorder.outcomes) == 3
+
+
+def test_request_from_a_crashed_actor_fails_its_continuation_at_once(sim):
+    net = Network(sim, lan=FixedLatency(0.001))
+    a, b = Peer(sim, net, Address("dc0", "a")), Peer(sim, net, Address("dc0", "b"))
+    a.crash()
+    recorder = Recorder()
+    a.request(b.address, "double", 1, 5.0, recorder)
+    assert [outcome[1] for outcome in recorder.outcomes] == [ReplicaUnavailable]
+    assert sim.pending_events() == 0
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=<parent>/src:tests python tests/test_client_ops.py
+    for script_name in SCRIPTS:
+        print(f"    {script_name!r}: {fingerprint(script_name)[-1]!r},")

@@ -1,5 +1,6 @@
 """Unit tests for link latency models."""
 
+import math
 import random
 
 import pytest
@@ -77,6 +78,19 @@ class TestLogNormalLatency:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             LogNormalLatency(median=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234, 2**31])
+    def test_inlined_sampler_equals_the_stdlib_draw_for_draw(self, seed):
+        # sample() inlines random.Random.lognormvariate; the stdlib
+        # stays the oracle: same draws, same RNG state afterwards (a
+        # rejected Kinderman-Monahan round consumes two more uniforms,
+        # so one skipped or extra round would shift every later draw).
+        median, sigma = 0.0003, 0.3
+        model = LogNormalLatency(median=median, sigma=sigma)
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(10_000):
+            assert model.sample(ours) == stdlib.lognormvariate(math.log(median), sigma)
+        assert ours.getstate() == stdlib.getstate()
 
 
 class TestMinLatency:

@@ -10,7 +10,7 @@ from typing import Any, ClassVar
 import pytest
 
 from repro.errors import AddressUnknownError
-from repro.net import Address, FixedLatency, Message, Network, UniformLatency
+from repro.net import Address, FixedLatency, Message, Network, NetworkStats, UniformLatency
 from repro.sim import Simulator
 
 
@@ -177,6 +177,28 @@ class TestStats:
         net.send(A, C, Note())
         assert net.stats.cross_site_messages == 1
         assert 0 < net.stats.cross_site_bytes < net.stats.bytes_sent
+
+    def test_per_type_views_merge_and_pickle(self, sim):
+        # One type_name -> [count, bytes] table behind by_type /
+        # bytes_by_type / count_of / bytes_of, merged across shard
+        # workers and shipped between them by pickle.
+        net, _ = wire(sim)
+        note, big = Note(body="x"), Note(body="x" * 50)
+        for msg in (note, big):
+            net.send(A, B, msg)
+        stats = net.stats
+        assert dict(stats.by_type) == {"note": 2}
+        assert dict(stats.bytes_by_type) == {"note": note.size_bytes() + big.size_bytes()}
+        assert stats.count_of("note", "never-sent") == 2
+        assert stats.bytes_of("note", "never-sent") == stats.bytes_sent
+        with pytest.raises(TypeError):
+            stats.by_type["note"] = 0  # a view, not the table
+        merged = NetworkStats()
+        merged.merge_from(pickle.loads(pickle.dumps(stats)))
+        merged.merge_from(stats)
+        assert merged.count_of("note") == 4
+        assert merged.bytes_of("note") == 2 * stats.bytes_sent == merged.bytes_sent
+        assert stats.count_of("note") == 2  # merging never aliases the source's rows
 
     def test_duplicate_registration_rejected(self, sim):
         net, _ = wire(sim)

@@ -1,0 +1,60 @@
+"""The names ``benchmarks/suite/shims.py`` binds must exist where it looks.
+
+The standing benchmark attributes host time to layers by replacing
+class attributes named in ``LAYER_POINTS`` (docs/PERFORMANCE.md, "the
+names the benchmark binds"). ``install`` silently skips a name that is
+not a function defined on its class, so renaming or moving a bound
+method drops its layer's time to zero without any test failing. This
+test reads — never edits — the shim table and fails instead.
+"""
+
+import fnmatch
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "suite_shims", Path(__file__).resolve().parents[1] / "benchmarks" / "suite" / "shims.py"
+)
+shims = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(shims)
+
+#: Names the table still lists although the code they bound is gone. The
+#: table lives under ``benchmarks/suite`` and only a benchmark-only PR
+#: may edit it (ROADMAP item 1a); until then each entry needs a reason.
+RETIRED = {
+    # PR 18: the local get / put path is continuation-form (_GetOp /
+    # _PutOp in repro.core.client); the generators are deleted.
+    ("ChainClientSession", "_get_gen"),
+    ("ChainClientSession", "_put_gen"),
+}
+
+POINTS = [
+    (layer, module, cls, pattern)
+    for layer, module, cls, patterns in shims.LAYER_POINTS
+    for pattern in patterns
+]
+
+
+def _functions(module: str, cls: str):
+    defined = vars(getattr(importlib.import_module(module), cls))
+    return [name for name, value in defined.items() if inspect.isfunction(value)]
+
+
+@pytest.mark.parametrize("layer,module,cls,pattern", POINTS)
+def test_every_bound_name_is_a_function_defined_on_its_class(layer, module, cls, pattern):
+    names = _functions(module, cls)
+    if any(ch in pattern for ch in "*?["):
+        assert fnmatch.filter(names, pattern), f"{layer}: nothing on {cls} matches {pattern!r}"
+    elif (cls, pattern) in RETIRED:
+        assert pattern not in names, f"{cls}.{pattern} is back: drop it from RETIRED"
+    else:
+        assert pattern in names, f"{layer}: {cls}.{pattern} is not a function defined on {cls}"
+
+
+def test_retired_names_are_still_listed():
+    listed = {(cls, pattern) for _layer, _module, cls, pattern in POINTS}
+    assert RETIRED <= listed, "the shim table dropped a retired name: drop it here too"
