@@ -20,12 +20,28 @@ whether the digests agree. ``--trace`` adds one traced pass per side
 and whether a layer's call count moved. Host-time verdicts are for a PR
 description, never a CI gate. Nothing is written unless ``--out`` is
 given.
+
+``--campaigns`` compares *behaviour* instead of speed::
+
+    python scripts/ab_pairs.py --campaigns --base HEAD~1 [--campaign crash-head]
+        [--stability notices] [--seed 42] [--expect-different rolling-crashes/notices/2dc]
+
+For every built-in fault campaign x stabilization plane (``notices``,
+``notices+batch``, ``clock``) x sites (as shipped, plus ``dc0`` + ``dc1``
+when the campaign ships single-site) it runs
+``run_campaign(spec, seed, capture_trace=True)`` once in each tree's own
+interpreter and prints messages / bytes / events / ops / sha256 of the
+message trace for both, the causal and invariant violations each side
+found, and ``equal`` or ``DIFFERENT``. Exit 1 on a ``DIFFERENT`` row not
+named by ``--expect-different ROW`` (``campaign/plane/shipped|2dc``), and
+on a named row that came out equal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -52,6 +68,103 @@ def run_once(tree: Path, workload: str, seed: int, extra: Sequence[str],
         raise SystemExit(f"{tree}: {workload} seed {seed} failed its correctness checks")
     digest = next(line.rsplit(" ", 1)[-1] for line in lines if line.startswith("digest "))
     return {name: m["value"] for name, m in result["metrics"].items()}, digest
+
+
+#: the planes ``python -m repro faults --stability`` accepts
+PLANES = ("notices", "notices+batch", "clock")
+
+#: run in each tree's interpreter with that tree's ``src`` on the path:
+#: argv = campaign, plane, "shipped" | "2dc", seed; prints one JSON line
+_CAMPAIGN_RUNNER = """
+import dataclasses, hashlib, json, sys
+from repro.core.config import BATCHED_OVERRIDES
+from repro.errors import ConfigError
+from repro.faults.campaign import CAMPAIGNS
+from repro.faults.engine import run_campaign
+
+name, plane, sites, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+spec = CAMPAIGNS[name]
+overrides = dict(spec.overrides or {})
+if plane == "notices+batch":
+    overrides.update(BATCHED_OVERRIDES)
+elif plane == "clock":
+    overrides["stability"] = "clock"
+spec = dataclasses.replace(spec, overrides=overrides)
+if sites == "2dc":
+    spec = dataclasses.replace(spec, sites=("dc0", "dc1"))
+try:
+    result = run_campaign(spec, seed, capture_trace=True)
+except ConfigError as exc:
+    print(json.dumps({"skipped": str(exc)}))
+    sys.exit(0)
+print(json.dumps({
+    "messages": len(result.trace),
+    "bytes": sum(entry[4] for entry in result.trace),
+    "events": result.events_processed,
+    "ops": result.ops_completed,
+    "sha256": hashlib.sha256(repr(result.trace).encode()).hexdigest(),
+    "causal": result.causal_violations,
+    "invariant": len(result.invariant_report.violations),
+}))
+"""
+
+
+def _in_tree(tree: Path, code: str, *argv: str) -> Any:
+    """Run ``code`` in ``tree``'s own interpreter state: its ``src`` on
+    the path, nothing of this process imported. Returns the JSON it prints."""
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tree, check=True, text=True,
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def shipped_campaigns(tree: Path) -> Dict[str, List[str]]:
+    """``tree``'s built-in campaigns: name -> the sites it ships with."""
+    return _in_tree(tree, "import json; from repro.faults.campaign import CAMPAIGNS; "
+                    "print(json.dumps({n: list(s.sites) for n, s in CAMPAIGNS.items()}))")
+
+
+def run_campaign_once(tree: Path, name: str, plane: str, sites: str, seed: int) -> Dict[str, Any]:
+    """One campaign run in ``tree``: counts, trace digest and violations."""
+    return _in_tree(tree, _CAMPAIGN_RUNNER, name, plane, sites, str(seed))
+
+
+def compare_campaigns(base_tree: Path, campaigns: Optional[Sequence[str]], planes: Sequence[str],
+                      seed: int, expected: Sequence[str]) -> int:
+    """The ``--campaigns`` table; returns the exit code."""
+    shipped = shipped_campaigns(ROOT)
+    unknown = sorted(set(campaigns or ()) - set(shipped))
+    if unknown:
+        raise SystemExit(f"unknown campaign(s) {unknown}; choose from {sorted(shipped)}")
+    counts = ("messages", "bytes", "events", "ops")
+    print(f"  {'row':<44} " + " ".join(f"{c + ' base/change':>21}" for c in counts)
+          + f" {'sha256 base/change':>19} {'causal':>7} {'invariant':>9}  verdict")
+    different: List[str] = []
+    for name in campaigns or list(shipped):
+        for plane in planes:
+            for sites in ("shipped", "2dc") if len(shipped[name]) == 1 else ("shipped",):
+                row = f"{name}/{plane}/{sites}"
+                base = run_campaign_once(base_tree, name, plane, sites, seed)
+                change = run_campaign_once(ROOT, name, plane, sites, seed)
+                if "skipped" in base or "skipped" in change:
+                    same = "skipped" in base and "skipped" in change
+                    print(f"  {row:<44} {'skipped: ' + change.get('skipped', base.get('skipped', '')):<60}"
+                          f"  {'equal' if same else 'DIFFERENT'}", flush=True)
+                else:
+                    same = all(base[c] == change[c] for c in counts + ("sha256",))
+                    print(f"  {row:<44} " + " ".join(f"{f'{base[c]}/{change[c]}':>21}" for c in counts)
+                          + f" {base['sha256'][:8] + '/' + change['sha256'][:8]:>19}"
+                          + f" {str(base['causal']) + '/' + str(change['causal']):>7}"
+                          + f" {str(base['invariant']) + '/' + str(change['invariant']):>9}"
+                          + f"  {'equal' if same else 'DIFFERENT'}", flush=True)
+                if not same:
+                    different.append(row)
+    surprises = sorted(set(different) - set(expected))
+    stale = sorted(set(expected) - set(different))
+    if surprises:
+        print(f"DIFFERENT and not named by --expect-different: {surprises}")
+    if stale:
+        print(f"named by --expect-different but equal (or not run): {stale}")
+    return 1 if surprises or stale else 0
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -104,6 +217,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also one traced pass per side at --first-seed: per-layer self_s and calls")
     parser.add_argument("--out", type=Path, help="write every run's metrics as JSON here")
+    parser.add_argument("--campaigns", action="store_true",
+                        help="compare fault-campaign message traces instead of benchmark pairs")
+    parser.add_argument("--campaign", action="append", help="with --campaigns, repeatable; default: every built-in")
+    parser.add_argument("--stability", action="append", choices=PLANES,
+                        help="with --campaigns, repeatable; default: all three planes")
+    parser.add_argument("--seed", type=int, default=42, help="with --campaigns: the campaign seed")
+    parser.add_argument("--expect-different", action="append", default=[], metavar="ROW",
+                        help="with --campaigns, repeatable: a campaign/plane/shipped|2dc row known to differ")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -121,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runs: Dict[str, List[Dict[str, Any]]] = {}
     traces: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
+        if args.campaigns:
+            return compare_campaigns(base_tree, args.campaign, args.stability or PLANES,
+                                     args.seed, args.expect_different)
         for workload in workloads:
             rows = runs[workload] = []
             for i in range(args.pairs):

@@ -242,7 +242,9 @@ class ExploreScope:
 
     ``pre_crash`` servers are crashed (and removed from membership)
     *before* exploration starts — the repair traffic settles on the
-    canonical path and is not part of the choice space. ``actions`` are
+    canonical path and is not part of the choice space. ``preload`` keys
+    are installed converged (``store.preload``) once the monitor is
+    attached, before the first operation. ``actions`` are
     the explorable placements: each may fire at most once, at any
     decision point where at least one message is also deliverable.
     """
@@ -254,6 +256,7 @@ class ExploreScope:
     ack_k: int
     ops: Tuple[ExploreOp, ...]
     pre_crash: Tuple[Tuple[str, str], ...] = ()
+    preload: Tuple[str, ...] = ()
     actions: Tuple[FaultAction, ...] = ()
     overrides: Tuple[Tuple[str, Any], ...] = ()
     mutations: Tuple[str, ...] = ()
@@ -299,6 +302,7 @@ class ExploreScope:
             "ack_k": self.ack_k,
             "ops": [dataclasses.asdict(op) for op in self.ops],
             "pre_crash": [list(pair) for pair in self.pre_crash],
+            "preload": list(self.preload),
             "actions": [dataclasses.asdict(act) for act in self.actions],
             "overrides": [list(item) for item in self.overrides],
             "mutations": list(self.mutations),
@@ -319,6 +323,7 @@ class ExploreScope:
             ack_k=data["ack_k"],
             ops=tuple(ExploreOp(**op) for op in data["ops"]),
             pre_crash=tuple((s, n) for s, n in data.get("pre_crash", ())),
+            preload=tuple(data.get("preload", ())),
             actions=tuple(FaultAction(**act) for act in data.get("actions", ())),
             overrides=tuple((k, v) for k, v in data.get("overrides", ())),
             mutations=tuple(data.get("mutations", ())),
@@ -734,6 +739,8 @@ class _ScheduleRunner:
         if scope.pre_crash:
             sim.run(until=sim.now + _PRESETTLE)
         monitor = ChainInvariantMonitor(store).attach()
+        if scope.preload:
+            store.preload({key: 0 for key in scope.preload})
         self._history = History()
         sessions: Dict[Tuple[str, str], Any] = {}
         scripted: Dict[Tuple[str, str], List[ExploreOp]] = {}
@@ -1513,6 +1520,36 @@ def _stale_vector_scope() -> ExploreScope:
     )
 
 
+def _converged_floor_scope() -> ExploreScope:
+    """Two preloaded keys on disjoint one-node chains, two DCs: A
+    overwrites X, reads it back, writes Y. The shadow pair masks the
+    mutation on the DC side; the *global* floor has nothing in front of
+    it, so the read-back answers ``globally=True`` while X has not left
+    dc0, A drops the dependency and Y ships without it. In dc1 the two
+    injections go to different heads: apply Y, serve B both reads, then
+    deliver X. The clean overwrite unseals X, the read-back says
+    ``globally=False`` until dc1 acknowledged X, and Y waits for it."""
+    chains = _chain_map(["s0", "s1"], 1)
+    key_x = sorted(chains)[0]
+    key_y = _pick(chains, lambda k, c: c != chains[key_x])
+    return ExploreScope(
+        name="converged_floor_overreach",
+        sites=("dc0", "dc1"),
+        servers_per_site=2,
+        chain_length=1,
+        ack_k=1,
+        ops=(
+            ExploreOp("A", "dc0", "put", key_x, 1),
+            ExploreOp("A", "dc0", "get", key_x),
+            ExploreOp("A", "dc0", "put", key_y, 2),
+            ExploreOp("B", "dc1", "get", key_y),
+            ExploreOp("B", "dc1", "get", key_x),
+        ),
+        preload=(key_x, key_y),
+        mutations=("converged_floor_overreach",),
+    )
+
+
 #: scenario name -> factory. The mutation scenarios carry their mutation
 #: in ``scope.mutations``; ``scope.without_mutations()`` is the clean
 #: twin the unmutated tree must pass.
@@ -1525,6 +1562,7 @@ SCENARIOS: Dict[str, Callable[[], ExploreScope]] = {
     "skip_dep_wait": _skip_dep_wait_scope,
     "batch_reorder": _batch_reorder_scope,
     "stale_stability_vector": _stale_vector_scope,
+    "converged_floor_overreach": _converged_floor_scope,
 }
 
 # every seeded mutation must have a proving-ground scenario

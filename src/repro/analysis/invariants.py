@@ -21,8 +21,13 @@ them into assertions that can ride along on any run of the
   its causal past.
 
 The monitor wraps per-node ``store.apply`` / ``store.install`` /
-``stability.record`` / ``stability.record_all`` and per-session
-observation hooks on a live deployment.
+``stability.record`` / ``mark_converged`` and per-session observation
+hooks on a live deployment. A record installed converged has no tracker
+entry (``ChainNode.mark_converged``), so both stability checks cover
+that floor too: marking is grounded only if every key the node was just
+handed is held at exactly the vouched version, and an answer that has
+*sunk* by the key's first notice — on the way from the floor to a live
+entry — breaks monotonicity though no single ``record`` shrank anything.
 
 Runs with failure injection are supported (the fault-campaign engine
 attaches this monitor on every campaign). Three adjustments keep the
@@ -163,10 +168,14 @@ class ChainInvariantMonitor:
 
         original_install = node.store.install
 
+        #: keys the last ``install`` stored as given (grounds the marking)
+        handed: List[str] = []
+
         def recording_install(records: Any) -> Any:
             # Keys the store already held go through ``store.apply``,
             # i.e. ``recording_apply``; the rest come back as ``fresh``.
             fresh = original_install(records)
+            handed[:] = fresh
             monitor.applies_checked += len(fresh)
             if not getattr(node, "syncing", False):
                 for key, record in fresh.items():
@@ -177,10 +186,14 @@ class ChainInvariantMonitor:
 
         original_crash = node.crash
 
+        #: key -> what the floor answered at marking, until its first notice
+        converged: Dict[str, Any] = {}
+
         def resetting_crash() -> None:
             # Fail-stop: the replica's recorded lifetime ends here. What
             # it re-applies after recovery belongs to a fresh sequence.
             applied.clear()
+            converged.clear()
             original_crash()
 
         node.crash = resetting_crash
@@ -192,41 +205,48 @@ class ChainInvariantMonitor:
         tracker = node.stability
         node_name = f"{site}:{node.name}"
 
+        def violated(kind: str, key: str, detail: str) -> None:
+            monitor.violations.append(
+                InvariantViolation(kind=kind, node=node_name, key=key, detail=detail)
+            )
+
+        def check_monotone(key: str, before: Any, after: Any) -> None:
+            if not after.dominates(before):
+                violated("stability-monotonicity", key,
+                         f"stable version moved from {before} to {after}")
+
         def checking_record(key: str, version: Any) -> None:
             before = tracker.stable_version(key)
+            vouched = converged.pop(key, None)
+            if vouched is not None:
+                # By now the answer may come from an entry created off
+                # the floor; it must not have sunk on the way.
+                check_monotone(key, vouched, before)
             original_record(key, version)
             after = tracker.stable_version(key)
             monitor.stability_checks += 1
-            if not after.dominates(before):
-                monitor.violations.append(
-                    InvariantViolation(
-                        kind="stability-monotonicity",
-                        node=node_name,
-                        key=key,
-                        detail=f"stable version moved from {before} to {after}",
-                    )
-                )
+            check_monotone(key, before, after)
             held = node.store.version_of(key)
             if not held.dominates(after):
-                monitor.violations.append(
-                    InvariantViolation(
-                        kind="stability-grounding",
-                        node=node_name,
-                        key=key,
-                        detail=(
-                            f"declared {after} stable while holding only {held}; "
-                            "a server may not stabilise versions it does not store"
-                        ),
-                    )
-                )
+                violated("stability-grounding", key,
+                         f"declared {after} stable while holding only {held}; "
+                         "a server may not stabilise versions it does not store")
 
         node.stability.record = checking_record
 
-        def checking_record_all(keys: Any, version: Any) -> None:
-            for key in keys:
-                checking_record(key, version)
+        original_mark = node.mark_converged
 
-        node.stability.record_all = checking_record_all
+        def checking_mark_converged(version: Any) -> None:
+            original_mark(version)
+            for key in handed:
+                held = node.store.version_of(key)
+                if held != version:
+                    violated("stability-grounding", key,
+                             f"marked {version} converged while holding {held}; "
+                             "only a record installed as given answers for itself")
+                converged[key] = tracker.stable_version(key)
+
+        node.mark_converged = checking_mark_converged
 
     def _wrap_session_factory(self) -> None:
         original_session = self.store.session

@@ -124,7 +124,7 @@ def install_converged(
     views: Mapping[str, RingView],
     nodes: Mapping[str, Mapping[str, RingServer]],
     owns: Optional[Callable[[str, str], bool]] = None,
-) -> Dict[str, Dict[str, Dict[str, Record]]]:
+) -> Dict[str, Dict[str, List[str]]]:
     """Put ``data`` at ``version`` on every replica directly, skipping the
     protocol: the state a long-converged deployment would hold.
 
@@ -132,8 +132,11 @@ def install_converged(
     name); ``owns(site, key)`` restricts a key to its owner sites. Each
     key gets **one** :class:`Record`, shared by all its replicas in all
     sites, and each server takes its keys in a single
-    :meth:`VersionedStore.install`, in ``data`` order. Returns what each
-    store was handed: ``site → server name → key → record``.
+    :meth:`VersionedStore.install`, in ``data`` order — which hands the
+    store the per-server mapping built here for good, so none of them
+    leaves this function. Returns ``site → server name → keys`` that did
+    *not* land as given (the store already held them and arbitrated);
+    every list is empty on a fresh deployment.
     """
     stamp = stamp_of(version)
     groups: Dict[str, Dict[str, Dict[str, Record]]] = {
@@ -151,7 +154,10 @@ def install_converged(
                 continue
             for name in chain_for(key, chain_length):
                 site_groups[name][key] = record
+    arbitrated: Dict[str, Dict[str, List[str]]] = {}
     for site, site_groups in groups.items():
+        arbitrated[site] = {}
         for name, group in site_groups.items():
-            nodes[site][name].store.install(group)
-    return groups
+            fresh = nodes[site][name].store.install(group)
+            arbitrated[site][name] = [] if fresh is group else [k for k in group if k not in fresh]
+    return arbitrated

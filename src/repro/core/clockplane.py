@@ -68,7 +68,7 @@ from repro.net.network import Address, Network
 from repro.sim.hlc import HLC_ZERO, NO_HLC, HLCStamp, HybridClock, just_below
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future, spawn, with_timeout
-from repro.storage.version import VersionVector
+from repro.storage.version import ZERO, VersionVector
 
 if TYPE_CHECKING:
     from repro.core.geo import GeoProxy
@@ -316,7 +316,8 @@ class ClockNodePlane(StabilityPlane):
     ) -> None:
         node = self.node
         node._refresh_stable_record(key)
-        node.trace("stability", "dc-stable", key, version=str(version))
+        if node.tracer is not None:
+            node.trace("stability", "dc-stable", key, version=str(version))
         ts = hlc if isinstance(hlc, HLCStamp) else None
         if ts is not None:
             self.clock.observe(ts)
@@ -330,7 +331,7 @@ class ClockNodePlane(StabilityPlane):
                     )
         if node.config.is_geo:
             node.send(
-                Address(node.site, _GEOPROXY),
+                node._geoproxy,
                 TailStable(
                     key=key,
                     value=value,
@@ -348,13 +349,13 @@ class ClockNodePlane(StabilityPlane):
         ts = self._hlc_of.get(key)
         return ts is not None and ts > self.cut
 
-    def transfer_record(self, record: Any, stable_version: VersionVector) -> Tuple:
+    def transfer_record(self, record: Any) -> Tuple:
         ts = self._hlc_of.get(record.key)
         return (
             record.key,
             record.value,
             record.version,
-            stable_version,
+            ZERO,  # trackers and their floors are the notices plane's
             record.stamp,
             ts if ts is not None else NO_HLC,
         )
@@ -609,7 +610,8 @@ class GeoClockCore:
             proxy.duplicate_ships += 1
             return
         self._shipped.add(key)
-        proxy.trace("geo", "ship", msg.key, version=str(msg.version))
+        if proxy.tracer is not None:
+            proxy.trace("geo", "ship", msg.key, version=str(msg.version))
         update = RemoteUpdate(
             key=msg.key,
             value=msg.value,

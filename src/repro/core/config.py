@@ -29,8 +29,8 @@ BATCHED_OVERRIDES: Dict[str, object] = {
 
 #: Seeded protocol bugs the schedule explorer's proving ground can
 #: re-inject (test-only; see docs/ANALYSIS.md §4 and
-#: repro.analysis.explore). Each name gates exactly one wrong branch in
-#: core/node.py or core/geo.py; the default configuration enables none,
+#: repro.analysis.explore). Each name gates one seeded bug in core/node.py,
+#: core/geo.py or core/clockplane.py; the default configuration enables none,
 #: so production runs and the golden trace are unaffected.
 PROTOCOL_MUTATIONS: Tuple[str, ...] = (
     # PR 3's split-brain bug: a deposed head skips the apply-time
@@ -57,6 +57,9 @@ PROTOCOL_MUTATIONS: Tuple[str, ...] = (
     # dependent write can be injected before its dependency finishes
     # propagating down the local chain.
     "stale_stability_vector",
+    # the converged floor vouches for whatever record the store holds and
+    # an overwrite no longer unseals: a mid-chain write is "globally stable".
+    "converged_floor_overreach",
 )
 
 

@@ -229,28 +229,35 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         """
         version = VersionVector({"preload": 1})
         placement = self.config.placement()
-        # The clock plane needs no tracker writes: a record without an
-        # HLC stamp is stable by construction (predates every stamp).
-        track = self.config.stability != "clock"
-        groups = install_converged(
-            data,
-            version,
-            self.sim.now,
-            {site: manager.view for site, manager in self.managers.items()},
-            self._nodes_by_name,
-            owns=placement.owns if placement is not None else None,
+        owns = placement.owns if placement is not None else None
+        views = {site: manager.view for site, manager in self.managers.items()}
+        arbitrated = install_converged(
+            data, version, self.sim.now, views, self._nodes_by_name, owns=owns
         )
-        for site, site_groups in groups.items():
-            for name, group in site_groups.items():
-                node = self._nodes_by_name[site][name]
+        # The clock plane needs no tracker state at all: a record
+        # without an HLC stamp is stable by construction there.
+        track = self.config.stability != "clock"
+        for site, site_nodes in self._nodes_by_name.items():
+            for name, node in site_nodes.items():
                 if track:
-                    node.stability.record_all(group, version)
-                    node.global_stability.record_all(group, version)
-                # Only a key shadowed in ``_stable_records`` has anything
-                # to refresh, and a freshly built node shadows none.
-                if node._stable_records:
-                    for key in group:
-                        node._refresh_stable_record(key)
+                    # A key the store arbitrated holds whatever won, which
+                    # the converged rule may not cover: recorded per key.
+                    keys = arbitrated[site][name]
+                    if node.stability.pending_waiters() or node.global_stability.pending_waiters():
+                        # Only ``record`` wakes a parked waiter: the
+                        # per-key walk for all this node was handed.
+                        chain_for = views[site].chain_for
+                        keys = [
+                            key for key in data
+                            if name in chain_for(key) and (owns is None or owns(site, key))
+                        ]
+                    else:
+                        # What landed as given answers for itself now.
+                        node.mark_converged(version)
+                    node.stability.record_all(keys, version)
+                    node.global_stability.record_all(keys, version)
+                for key in [k for k in node._stable_records if k in data]:
+                    node._refresh_stable_record(key)
 
     def attach_tracer(self, capacity: int = 100_000) -> Tracer:
         """Attach a structured-trace collector to every actor in the

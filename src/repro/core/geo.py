@@ -179,7 +179,8 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
             return
         self._shipped.add(token)
         self.updates_shipped += 1
-        self.trace("geo", "ship", msg.key, version=str(msg.version))
+        if self.tracer is not None:
+            self.trace("geo", "ship", msg.key, version=str(msg.version))
         # Partial replication ships only to the shard's other owner sites
         # (full replication: every peer, as before).
         peers = self._peers_for(msg.key)

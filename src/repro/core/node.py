@@ -60,7 +60,7 @@ from repro.sim.process import Future, all_of, with_timeout
 from repro.storage.merge import ConflictResolver
 from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
-from repro.storage.version import VersionVector
+from repro.storage.version import ZERO, VersionVector
 
 __all__ = ["ChainNode"]
 
@@ -68,8 +68,6 @@ __all__ = ["ChainNode"]
 #: deps mapping per stable key, so handing out a fresh ``{}`` default on
 #: every refresh pinned thousands of identical empty dicts.
 _NO_DEPS: Deps = {}
-
-_GEOPROXY = "geoproxy"
 
 
 class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per server, not per key
@@ -115,6 +113,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         #: deployment this coincides with plain DC-stability
         self.global_stability = StabilityTracker()
         self.syncing = False
+        #: where a geo deployment's tails announce DC-stable writes
+        self._geoproxy = Address(site, "geoproxy")
         #: newest record known DC-stable per key, with the dependency list
         #: of the write that produced it — the unit served to causally
         #: consistent snapshot reads (multi_get)
@@ -136,9 +136,12 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         #: per-key globally-stable floor for sealed keys (geo deployments;
         #: the DC floor needs no map — the stable record itself serves it)
         self._global_floor: Dict[str, VersionVector] = {}
+        #: what :meth:`mark_converged` vouched for: a stored record at or
+        #: below it is stable, with no tracker entry until overwritten
+        self._converged = ZERO
+        self.stability.set_floor(self._stable_floor)
+        self.global_stability.set_floor(self._global_stable_floor)
         if config.metadata_gc:
-            self.stability.set_floor(self._stable_floor)
-            self.global_stability.set_floor(self._global_stable_floor)
             self.set_timer(config.gc_interval, self._gc_tick)
         # counters surfaced by the harness
         self.puts_served = 0
@@ -247,7 +250,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         # dependent write always carries a strictly larger stamp.
         hlc = self.plane.stamp_put(msg)
         self.puts_served += 1
-        self.trace("put", "apply-head", msg.key, version=str(version))
+        if self.tracer is not None:
+            self.trace("put", "apply-head", msg.key, version=str(version))
         self._apply_and_propagate(
             key=msg.key,
             value=value,
@@ -388,6 +392,15 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self._stable_records[key] = (existing, self._record_deps.get(key, _NO_DEPS))
         result = self.store.apply(key, value, version, self.sim.now, stamp)
         if result.applied:
+            if existing is not None and self._converged.dominates(existing.version):
+                # Unseal: the floors answered for this key off the record
+                # just replaced, so both trackers adopt its version before
+                # anything asks again. From its first write on, a key's
+                # tracker state is what explicit entries would hold.
+                # MUTATION (proving ground): skipped, see _converged_floor.
+                if "converged_floor_overreach" not in self.config.mutations:
+                    self.stability.adopt(key, existing.version)
+                    self.global_stability.adopt(key, existing.version)
             self.plane.note_applied(key, hlc)
             if result.was_conflict:
                 merged = dict(self._record_deps.get(key, _NO_DEPS))
@@ -567,7 +580,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         return reply
 
     def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:
-        self.trace("stability", "global-stable", msg.key, version=str(msg.version))
+        if self.tracer is not None:
+            self.trace("stability", "global-stable", msg.key, version=str(msg.version))
         self.global_stability.record(msg.key, msg.version)
 
     def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
@@ -671,9 +685,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             chain = new.chain_for(record.key)
             if self.name not in chain:
                 continue
-            entry = self.plane.transfer_record(
-                record, self.stability.stable_version(record.key)
-            )
+            entry = self.plane.transfer_record(record)
             for server in chain:
                 if server != self.name:
                     outgoing.setdefault(server, []).append(entry)
@@ -745,32 +757,54 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.set_timer(self.config.compaction_interval, self._compaction_tick)
 
     # ------------------------------------------------------------------
-    # metadata GC (sealing)
+    # floors (converged records, sealed keys) and metadata GC
     # ------------------------------------------------------------------
+    def mark_converged(self, version: VersionVector) -> None:
+        """Vouch for every stored record at or below ``version``: it was
+        installed converged, on every replica of every datacenter, so it
+        is DC-stable and globally stable and answers for itself through
+        the floors below. A rule on the *version*, not on a flag or on
+        ``Record`` identity: log replay and state transfer re-create
+        records, and a re-created converged record is no less stable."""
+        self._converged = self._converged.merge(version)
+
     def _stable_floor(self, key: str) -> VersionVector:
-        """DC-stable floor for sealed keys: the newest stable record the
-        server already holds answers the query exactly — refreshing it is
-        guarded by DC-stability, so everything it reports *is* stable."""
-        # Reads the explicit map only — NOT the lazy ``_stable_entry``:
-        # this is the tracker's floor callback, and the lazy path calls
-        # ``is_stable``, which falls through to this floor (recursion).
-        # Only sealed keys need the floor, and sealing always leaves an
-        # explicit pair behind.
+        """DC-stable version of a key with no live tracker entry: a
+        sealed or shadowed key is answered by the newest stable record
+        the server already holds — refreshing that slot is guarded by
+        DC-stability, so everything it reports *is* stable — any other
+        key by its live record, iff that was installed converged."""
+        # Reads the explicit map and the store only — NOT the lazy
+        # ``_stable_entry``, which asks ``is_stable`` and so lands back
+        # here. Runs once per read of a never-written key: keep it flat.
         entry = self._stable_records.get(key)
-        if entry is None:
-            return VersionVector()
-        if "gc_floor_off_by_one" in self.config.mutations:
-            # MUTATION (proving ground): off-by-one floor — claim the
-            # *next* (unwritten) version of the key is already stable,
-            # so a sealed key answers stability queries a write early.
-            return entry[0].version.increment(self.site)
-        return entry[0].version
+        if entry is not None:
+            if "gc_floor_off_by_one" in self.config.mutations:
+                # MUTATION (proving ground): off-by-one floor — claim the
+                # *next* (unwritten) version of the key is already stable,
+                # so a sealed key answers stability queries a write early.
+                return entry[0].version.increment(self.site)
+            return entry[0].version
+        return self._converged_floor(key)
 
     def _global_stable_floor(self, key: str) -> VersionVector:
-        """Globally-stable floor. Unlike the DC floor this needs its own
-        map: ``_stable_records`` refreshes on *DC* stability, so reusing
-        it here would claim global stability a WAN round-trip early."""
-        return self._global_floor.get(key, VersionVector())
+        """Globally-stable floor. Unlike the DC floor, sealing needs its
+        own map here: ``_stable_records`` refreshes on *DC* stability, so
+        reusing it would claim global stability a WAN round-trip early."""
+        sealed = self._global_floor.get(key)
+        if sealed is not None:
+            return sealed
+        return self._converged_floor(key)
+
+    def _converged_floor(self, key: str) -> VersionVector:
+        held = self.store.version_of(key)
+        # MUTATION (proving ground), right operand: vouch for whatever
+        # the store holds, and (in _apply_local) never unseal — a write
+        # still on its chain answers "stable in every datacenter".
+        vouched = self._converged.dominates(held) or (
+            "converged_floor_overreach" in self.config.mutations
+        )
+        return held if vouched else ZERO
 
     def _gc_tick(self) -> None:
         """Seal keys whose metadata the stable record already subsumes."""

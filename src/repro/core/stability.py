@@ -10,21 +10,22 @@ updates whose dependencies have not stabilised yet.
 The stable version per key only ever grows (vector merge), so waiters
 resolve exactly once and in stability order.
 
-Metadata GC (``config.metadata_gc``) adds *sealing*: a key whose newest
-record is fully stable needs no tracker entry — the record the server
-already stores (its ``_stable_records`` slot) answers every stability
-query exactly. The owning server installs that lookup as the tracker's
-**floor** (:meth:`set_floor`) and then drops sealed entries
-(:meth:`drop_entry`); ``stable_version`` falls through to the floor for
-keys with no live entry, and a later ``record`` re-creates the entry
-merged with the floor. The floor must only ever report versions that
-are genuinely stable — sealing is a representation change, not a
-semantic one.
+A tracker holds entries only for keys that *need* one. The owning server
+installs a **floor** (:meth:`set_floor`) — what is stable about a key
+with no live entry, read off state it keeps anyway: a record installed
+converged answers for itself, a key sealed by metadata GC
+(``config.metadata_gc``) through its ``_stable_records`` slot.
+``stable_version`` falls through to the floor, and a later ``record``
+re-creates the entry merged with it. Entries appear at a key's first
+overwrite (:meth:`adopt`) or notice and sealing drops them again
+(:meth:`drop_entry`): a tracker is O(keys written), never O(keys). The
+floor must only ever report versions that are genuinely stable — it is
+a representation change, not a semantic one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future
@@ -35,12 +36,16 @@ __all__ = ["StabilityTracker"]
 _ZERO = VersionVector()
 
 
+def _no_floor(key: str) -> VersionVector:
+    return _ZERO
+
+
 class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .record per instance
     """Per-server map of key → highest DC-stable version, with waiters.
 
-    Entry payloads are interned :class:`VersionVector` instances, so a
-    tracker over a million keys stores a million dict slots pointing at
-    a handful of shared vectors — the per-entry cost is the dict slot.
+    A key has an entry iff it was written since it was installed
+    converged, or a transfer recorded it; the floor answers the rest.
+    Entries are interned vectors: the per-entry cost is the dict slot.
     """
 
     def __init__(self) -> None:
@@ -48,22 +53,20 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
         self._waiters: Dict[str, List[Tuple[VersionVector, Future]]] = {}
         #: O(1) mirror of the parked-future count (kept in record/wait)
         self._waiter_count = 0
-        #: stable floor for keys without a live entry (sealing; see above)
-        self._floor: Optional[Callable[[str], VersionVector]] = None
+        #: stable floor for keys without a live entry (see above)
+        self._floor: Callable[[str], VersionVector] = _no_floor
         self.notifications = 0
         self.entries_sealed = 0
 
     def set_floor(self, floor: Callable[[str], VersionVector]) -> None:
-        """Install the sealed-key fallback used by :meth:`stable_version`."""
+        """Install the no-entry fallback used by :meth:`stable_version`."""
         self._floor = floor
 
     def stable_version(self, key: str) -> VersionVector:
         version = self._stable.get(key)
         if version is not None:
             return version
-        if self._floor is not None:
-            return self._floor(key)
-        return _ZERO
+        return self._floor(key)
 
     def is_stable(self, key: str, version: VersionVector) -> bool:
         return self.stable_version(key).dominates(version)
@@ -88,26 +91,16 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
         else:
             del self._waiters[key]
 
-    def record_all(self, keys: Collection[str], version: VersionVector) -> None:
-        """:meth:`record` ``version`` for every key in ``keys``, in order.
-
-        A key with no entry, no floor to merge with and no waiter to wake
-        needs none of the per-key work — its new entry is ``version``
-        itself — so a tracker that holds nothing yet takes the whole
-        batch in one dictionary update.
-        """
-        stable = self._stable
-        per_key = self._floor is not None or len(self._waiters) > 0
-        if not per_key and not stable:
-            stable.update(dict.fromkeys(keys, version))
-            self.notifications += len(keys)
-            return
+    def record_all(self, keys: Iterable[str], version: VersionVector) -> None:
+        """:meth:`record` ``version`` for every key in ``keys``, in order."""
         for key in keys:
-            if per_key or key in stable:
-                self.record(key, version)
-            else:
-                stable[key] = version
-                self.notifications += 1
+            self.record(key, version)
+
+    def adopt(self, key: str, version: VersionVector) -> None:
+        """Unseal ``key``: make ``version`` — what the floor answered for
+        it — its live entry unless it has one. Not a notification: the
+        answer does not change, so no waiter is parked at or below it."""
+        self._stable.setdefault(key, version)
 
     def wait(self, sim: Simulator, key: str, version: VersionVector) -> Future:
         """A future resolving (to True) once ``version`` is DC-stable."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.core.messages import ChainStable, Deps, PutRequest, ReadReply, TailStable
-from repro.net.network import Address
 from repro.sim.hlc import NO_HLC
 from repro.sim.process import Future, spawn
 from repro.storage.version import VersionVector
@@ -35,8 +34,6 @@ if TYPE_CHECKING:
     from repro.core.node import ChainNode
 
 __all__ = ["StabilityPlane", "NoticesPlane", "make_plane"]
-
-_GEOPROXY = "geoproxy"
 
 
 class StabilityPlane:
@@ -119,12 +116,14 @@ class StabilityPlane:
     def needs_restabilise(self, key: str, version: VersionVector) -> bool:
         raise NotImplementedError
 
-    def transfer_record(self, record: Any, stable_version: VersionVector) -> Tuple:
+    def transfer_record(self, record: Any) -> Tuple:
+        """The :class:`StateTransfer` entry for ``record``; its fourth
+        slot is what the sender knows DC-stable about the key."""
         return (
             record.key,
             record.value,
             record.version,
-            stable_version,
+            self.node.stability.stable_version(record.key),
             record.stamp,
         )
 
@@ -218,7 +217,8 @@ class NoticesPlane(StabilityPlane):
         node = self.node
         node.stability.record(key, version)
         node._refresh_stable_record(key)
-        node.trace("stability", "dc-stable", key, version=str(version))
+        if node.tracer is not None:
+            node.trace("stability", "dc-stable", key, version=str(version))
         if len(chain) > 1:
             upstream = node.view.address_of(chain[-2])
             if node._stable_coalescer is not None:
@@ -230,7 +230,7 @@ class NoticesPlane(StabilityPlane):
                 )
         if node.config.is_geo:
             node.send(
-                Address(node.site, _GEOPROXY),
+                node._geoproxy,
                 TailStable(
                     key=key,
                     value=value,

@@ -96,6 +96,8 @@ def merge_entries(a: Entries, b: Entries) -> Entries:
 
 def dominates_entries(a: Entries, b: Entries) -> bool:
     """True iff ``a`` ≥ ``b`` pointwise (reflexive)."""
+    if a is b:  # the common case: an interned version against itself
+        return True
     for dc, n in b:
         if get_entry(a, dc) < n:
             return False

@@ -12,8 +12,10 @@ Two views matter for the perf report:
   (``entries_enqueued`` / ``batches_flushed`` / ``messages_saved``);
 - **footprint** — how much stability/dependency metadata is live right
   now (stable-map entries, sealed keys, client dep-table entries and
-  bytes). With ``metadata_gc`` on, the footprint should plateau as the
-  run grows; without it, it grows with the keyspace.
+  bytes). A key installed converged (preload) has no stable-map entry
+  until its first overwrite, so the footprint grows with the keys
+  *written*, never with the keyspace; with ``metadata_gc`` on it
+  plateaus as the run grows.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ missed while it was down.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver
 from repro.storage.store import Record, VersionedStore
@@ -135,7 +135,7 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
             self.log.append(LogEntry(key, value, version, record.stamp))
         return result
 
-    def install(self, records: Mapping[str, Record]) -> Mapping[str, Record]:
+    def install(self, records: Dict[str, Record]) -> Mapping[str, Record]:
         fresh = super().install(records)
         append = self.log.append
         for rec in fresh.values():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver, LWWResolver, Stamp, stamp_of
-from repro.storage.version import VersionVector
+from repro.storage.version import ZERO, VersionVector
 
 __all__ = ["Record", "ApplyResult", "VersionedStore", "TOMBSTONE", "Tombstone"]
 
@@ -58,7 +58,9 @@ class Record:
     **Never mutate a Record.** :meth:`VersionedStore.install` stores the
     instance it is handed, and preload hands the same instance to every
     replica of a key in every datacenter: a write replaces the store's
-    slot with a new ``Record``, it does not edit the old one.
+    slot with a new ``Record``, it does not edit the old one. Stability
+    leans on it too: a record installed converged has no tracker entry
+    and answers for itself by its version (``ChainNode.mark_converged``).
     """
 
     __slots__ = ("key", "value", "version", "stamp", "updated_at")
@@ -151,7 +153,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
 
     def version_of(self, key: str) -> VersionVector:
         rec = self._data.get(key)
-        return rec.version if rec is not None else VersionVector()
+        return rec.version if rec is not None else ZERO
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -217,26 +219,35 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         self.conflicts_resolved += 1
         return ApplyResult(True, rec, was_conflict=True)
 
-    def install(self, records: Mapping[str, Record]) -> Mapping[str, Record]:
+    def install(self, records: Dict[str, Record]) -> Mapping[str, Record]:
         """Offer many already-built records at once (``key → record``).
 
         Same outcome as :meth:`apply` on each record's fields in mapping
         order, except that a key this store has never seen takes the
         given ``Record`` *instance* — callers share one instance across
-        replicas — and all such keys land in one dictionary update. Keys
-        already present go through the convergent :meth:`apply`. Returns
-        the records stored as given.
+        replicas. Keys already present go through the convergent
+        :meth:`apply`. Returns the records stored as given: ``records``
+        itself when that is all of them.
+
+        **The store owns the mapping it is handed**: an empty store
+        adopts ``records`` as its table (no second dictionary per
+        server), so the caller must neither modify nor keep it, or the
+        returned mapping, beyond reading it on the spot.
         """
         data = self._data
         fresh = records
-        if data and not data.keys().isdisjoint(records.keys()):
+        if not data:
+            self._data = records
+        elif data.keys().isdisjoint(records.keys()):
+            data.update(records)
+        else:
             fresh = {}
             for key, rec in records.items():
                 if key in data:
                     self.apply(key, rec.value, rec.version, rec.updated_at, rec.stamp)
                 else:
                     fresh[key] = rec
-        data.update(fresh)
+            data.update(fresh)
         self.writes_applied += len(fresh)
         return fresh
 

@@ -97,3 +97,91 @@ def test_without_trace_no_traced_pass_runs(tmp_path, monkeypatch, capsys):
     assert ab_pairs.main(["--base", str(tmp_path), "--workload", "ycsb-b-1dc", "--pairs", "1"]) == 0
     assert traced == [False, False]
     assert "traced pass" not in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# --campaigns: behaviour A/B, every runner stubbed
+# ----------------------------------------------------------------------
+SHIPPED = {"crash-head": ["dc0"], "partition-sites": ["dc0", "dc1"]}
+
+
+def _canned_campaigns(monkeypatch, differing=(), skipped=()):
+    """Both trees answer canned counts; rows in ``differing`` get another
+    trace on the change side, rows in ``skipped`` a ConfigError on both."""
+    runs = []
+
+    def canned(tree, name, plane, sites, seed):
+        row = f"{name}/{plane}/{sites}"
+        side = "change" if tree == ab_pairs.ROOT else "base"
+        runs.append((side, row, seed))
+        if row in skipped:
+            return {"skipped": "incompatible knobs"}
+        moved = side == "change" and row in differing
+        return {"messages": 100 - moved, "bytes": 9000 - 43 * moved, "events": 250, "ops": 40,
+                "sha256": ("c" if moved else "a") * 64, "causal": 0, "invariant": 0}
+
+    monkeypatch.setattr(ab_pairs, "run_campaign_once", canned)
+    monkeypatch.setattr(ab_pairs, "shipped_campaigns", lambda tree: dict(SHIPPED))
+    return runs
+
+
+def _verdicts(text):
+    return {line.split()[0]: line.split()[-1] for line in text.splitlines()
+            if line.startswith("  ") and "/" in line.split()[0] and line.split()[0] != "row"}
+
+
+def test_campaigns_cover_every_plane_and_add_two_dcs_to_single_site_campaigns(tmp_path, monkeypatch, capsys):
+    runs = _canned_campaigns(monkeypatch)
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--seed", "7"]) == 0
+    rows = [row for side, row, _ in runs if side == "base"]
+    assert rows == [f"crash-head/{plane}/{sites}" for plane in ab_pairs.PLANES for sites in ("shipped", "2dc")] \
+        + [f"partition-sites/{plane}/shipped" for plane in ab_pairs.PLANES]
+    # each row: base then change, same seed, and no benchmark pair ran
+    assert runs[:2] == [("base", rows[0], 7), ("change", rows[0], 7)] and len(runs) == 2 * len(rows)
+    verdicts = _verdicts(capsys.readouterr().out)
+    assert list(verdicts) == rows and set(verdicts.values()) == {"equal"}
+
+
+def test_a_different_row_fails_unless_it_is_expected(tmp_path, monkeypatch, capsys):
+    corner = "crash-head/notices/2dc"
+    _canned_campaigns(monkeypatch, differing={corner})
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert _verdicts(out)[corner] == "DIFFERENT" and "100/99" in out and "aaaaaaaa/cccccccc" in out
+    assert f"not named by --expect-different: ['{corner}']" in out
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--expect-different", corner]) == 0
+    assert "not named" not in capsys.readouterr().out
+
+
+def test_an_expected_row_that_came_out_equal_fails_too(tmp_path, monkeypatch, capsys):
+    _canned_campaigns(monkeypatch)
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--campaign", "crash-head",
+                          "--stability", "clock", "--expect-different", "crash-head/clock/2dc"]) == 1
+    assert "but equal (or not run): ['crash-head/clock/2dc']" in capsys.readouterr().out
+
+
+def test_filters_pick_campaigns_and_planes_and_reject_unknown_names(tmp_path, monkeypatch, capsys):
+    runs = _canned_campaigns(monkeypatch)
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--campaign", "partition-sites",
+                          "--stability", "notices+batch"]) == 0
+    assert [row for _, row, _ in runs] == ["partition-sites/notices+batch/shipped"] * 2
+    with pytest.raises(SystemExit, match="unknown campaign"):
+        ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--campaign", "meteor"])
+
+
+def test_a_configuration_both_trees_reject_is_an_equal_row(tmp_path, monkeypatch, capsys):
+    _canned_campaigns(monkeypatch, skipped={"crash-head/clock/shipped"})
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--campaign", "crash-head",
+                          "--stability", "clock"]) == 0
+    out = capsys.readouterr().out
+    assert "skipped: incompatible knobs" in out and _verdicts(out)["crash-head/clock/shipped"] == "equal"
+
+
+def test_campaign_runner_runs_in_the_trees_own_interpreter():
+    # The real runner, HEAD against itself, on the cheapest real row:
+    # the subprocess imports this tree's src and answers every column.
+    assert "crash-head" in ab_pairs.shipped_campaigns(ab_pairs.ROOT)
+    first = ab_pairs.run_campaign_once(ab_pairs.ROOT, "slow-link", "notices", "shipped", 42)
+    again = ab_pairs.run_campaign_once(ab_pairs.ROOT, "slow-link", "notices", "shipped", 42)
+    assert first == again and first["messages"] > 0 and len(first["sha256"]) == 64
+    assert (first["causal"], first["invariant"]) == (0, 0)

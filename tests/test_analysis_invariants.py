@@ -87,6 +87,36 @@ class TestBrokenRuns:
         assert any(v.kind == "stability-grounding" and v.key == key
                    for v in report.violations)
 
+    def test_marking_converged_what_is_not_held_breaks_grounding(self):
+        store, monitor = self._monitored_store()
+        store.preload({f"user{i}": "v" for i in range(10)})
+        assert monitor.violations == [] and monitor.stability_checks == 0
+        node = store.nodes["dc0"][0]
+        # Vouch for a version above the one the node was just handed:
+        # the floor would then answer for writes that never landed.
+        node.mark_converged(VersionVector({"preload": 2}))
+        held = list(node.store.keys())
+        assert held and [v.key for v in monitor.violations] == held
+        assert {v.kind for v in monitor.violations} == {"stability-grounding"}
+
+    def test_answer_sinking_from_floor_to_entry_breaks_monotonicity(self):
+        store, monitor = self._monitored_store()
+        store.preload({f"user{i}": "v" for i in range(10)})
+        node = store.nodes["dc0"][0]
+        key = next(iter(node.store.keys()))
+        preload = node.store.version_of(key)
+        assert node.stability.stable_version(key) == preload  # off the floor
+        # An entry created *below* what the floor answered: every single
+        # ``record`` still only grows it, yet the key's answer has sunk.
+        node.stability.adopt(key, VersionVector())
+        node.stability.record(key, preload)
+        assert [(v.kind, v.key) for v in monitor.violations] == [
+            ("stability-monotonicity", key)
+        ]
+        # Checked once, at the key's first notice after the marking.
+        node.stability.record(key, preload)
+        assert len(monitor.violations) == 1
+
     def test_causal_cut_violation_detected(self):
         store, monitor = self._monitored_store()
         session = store.session("dc0", "probe")

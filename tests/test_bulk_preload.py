@@ -1,22 +1,39 @@
-"""Bulk preload is state-equivalent to the per-record protocol walk.
+"""A preloaded record answers for itself; the per-record walk is the oracle.
 
-``ChainReactionStore.preload`` builds one shared ``Record`` per key and
-installs each server's keys with one store call and one call per
-tracker. :func:`reference_preload` below is the per-record loop it
-replaced, kept here as the oracle: for every configuration that changes
-what preload touches, twin deployments loaded one way each must end up
-indistinguishable on every node.
+``ChainReactionStore.preload`` builds one shared ``Record`` per key, hands
+each server its keys in one store call (the store adopts the mapping) and,
+on the notices plane, writes *no* tracker state: a record installed
+converged is DC-stable and globally stable by construction
+(``ChainNode.mark_converged``) and gets tracker entries only at its first
+overwrite. :func:`reference_preload` below is the per-record loop preload
+replaced — it walks ``store.apply`` and both trackers' ``record`` per
+replica, i.e. it builds the explicit per-key entries this tree's parent
+kept — and stays here as the oracle: twin deployments loaded one way each
+must hold the same records and give the same **answers** on every node,
+whatever representation the answers come from.
 """
+
+import dataclasses
+import functools
+import hashlib
 
 import pytest
 
 from helpers import make_store, run_op
 from repro.analysis.invariants import ChainInvariantMonitor
+from repro.analysis.sanitize import MessageTap
 from repro.baselines.registry import build_store
+from repro.faults import engine as fault_engine
+from repro.faults.campaign import CAMPAIGNS
 from repro.metrics.memory import memory_census
-from repro.storage.version import VersionVector, intern_str
+from repro.storage.version import ZERO, VersionVector, intern_str
+from repro.workload import WorkloadRunner, workload
 
 DATA = {f"user{i:04d}": f"value-{i}" for i in range(60)}
+#: overlaps loaded keys, rewritten keys and brand-new keys
+AGAIN = {f"user{i:04d}": f"second-{i}" for i in range(10, 90)}
+#: every key a twin is asked about: loaded, rewritten, new, never seen
+PROBES = sorted({*DATA, *AGAIN, "ghost0000", "ghost0001"})
 
 CONFIGS = {
     "notices": dict(sites=("dc0", "dc1")),
@@ -52,7 +69,25 @@ def reference_preload(store, data):
                 node._refresh_stable_record(key)
 
 
-def node_state(node):
+def answers(node):
+    """What the node says about every probe key — the protocol-visible
+    face of the trackers, floors and shadow map together."""
+    out = {}
+    for key in PROBES:
+        version = node.store.version_of(key)
+        dc_stable = node.plane.record_is_stable(key, version)
+        out[key] = (
+            node.stability.stable_version(key),
+            node.global_stability.stable_version(key),
+            dc_stable,
+            node.plane.record_is_global(key, version, dc_stable),
+            node._stable_entry(key),
+        )
+    return out
+
+
+def held(node):
+    """Everything the node stores, tracker representation excluded."""
     state = {
         "records": [
             (r.key, r.value, r.version, r.stamp, r.updated_at)
@@ -62,11 +97,7 @@ def node_state(node):
         "writes_applied": node.store.writes_applied,
         "writes_ignored": node.store.writes_ignored,
         "conflicts_resolved": node.store.conflicts_resolved,
-        "stable_records": sorted(node._stable_records),
     }
-    for name in ("stability", "global_stability"):
-        tracker = getattr(node, name)
-        state[name] = (list(tracker.snapshot().items()), tracker.notifications)
     log = getattr(node.store, "log", None)
     if log is not None:
         state["log"] = sorted(
@@ -75,27 +106,125 @@ def node_state(node):
     return state
 
 
-def deployment_state(store):
-    census = memory_census(store)
-    for gauge in ("vv_intern_pool", "event_pool"):  # process-wide, not per store
-        census.pop(gauge, None)
-    nodes = {(n.site, n.name): node_state(n) for n in store.servers()}
-    return nodes, census
+def tracker_entries(store):
+    return sum(
+        n.stability.entry_count() + n.global_stability.entry_count()
+        for n in store.servers()
+    )
+
+
+def assert_twins_agree(twin, reference):
+    for mine, theirs in zip(twin.servers(), reference.servers()):
+        where = f"{mine.site}:{mine.name}"
+        assert held(mine) == held(theirs), where
+        assert answers(mine) == answers(theirs), where
+    censuses = []
+    for store in (twin, reference):
+        census = memory_census(store)
+        for gauge in ("vv_intern_pool", "event_pool"):  # process-wide, not per store
+            census.pop(gauge, None)
+        censuses.append(census)
+    # The one section allowed to differ, and only downwards: the twin
+    # never holds an entry the explicit representation does not.
+    assert censuses[0].pop("stability")["objects"] <= censuses[1].pop("stability")["objects"]
+    assert censuses[0] == censuses[1]
+    assert tracker_entries(twin) <= tracker_entries(reference)
 
 
 def twins(**overrides):
     return make_store(**overrides), make_store(**overrides)
 
 
+def _disturb(store):
+    """Leave the deployment mid-flight: committed puts whose stability
+    cascade has not finished shadow stable records and grow trackers."""
+    session = store.session("dc0", "writer")
+    for i in range(0, 20, 2):
+        run_op(store, session.put(f"user{i:04d}", f"rewritten-{i}"))
+    return session
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_bulk_preload_matches_per_record_walk(name):
-    bulk, reference = twins(**CONFIGS[name])
-    bulk.preload(DATA)
+    twin, reference = twins(**CONFIGS[name])
+    twin.preload(DATA)
     reference_preload(reference, DATA)
-    assert deployment_state(bulk) == deployment_state(reference)
-    for node in bulk.servers():
+    assert_twins_agree(twin, reference)
+    assert tracker_entries(twin) == 0  # every plane: nothing per key at rest
+    for node in twin.servers():
         assert node._stable_records == {}
-    assert all(bulk.converged(key) for key in DATA)
+    assert all(twin.converged(key) for key in DATA)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_second_preload_over_live_state_takes_the_per_key_path(name):
+    twin, reference = twins(**CONFIGS[name])
+    twin.preload(DATA)
+    reference_preload(reference, DATA)
+    _disturb(twin)
+    _disturb(reference)
+    # (A forwarded put's cascade is over before its reply crosses the
+    # WAN, so the partial config is mid-flight only between sites.)
+    assert name == "partial-r2-of-3" or any(n._stable_records for n in twin.servers())
+    assert_twins_agree(twin, reference)
+
+    # Loaded, rewritten and brand-new keys: the store arbitrates the
+    # first two kinds, and those take the per-key ``record``.
+    twin.preload(AGAIN)
+    reference_preload(reference, AGAIN)
+    assert_twins_agree(twin, reference)
+
+    twin.run(until=twin.sim.now + 1.0)
+    reference.run(until=reference.sim.now + 1.0)
+    assert_twins_agree(twin, reference)
+    assert twin.sim.events_processed == reference.sim.events_processed
+
+
+#: replicas of a key per config whose trackers keep what they learn
+#: (no sealing sweep, not the clock plane)
+KEEPING = {"notices": 6, "single-dc": 3, "partial-r2-of-3": 6, "durable": 6}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trackers_hold_only_keys_written_since_preload(name):
+    store = make_store(**CONFIGS[name])
+    store.preload(DATA)
+    assert tracker_entries(store) == 0
+    session = store.session("dc0", "writer")
+    written = [f"user{i:04d}" for i in range(0, 24, 3)]
+    for key in written:
+        run_op(store, session.put(key, "once"))
+        run_op(store, session.put(key, "twice"))
+    store.run(until=store.sim.now + 2.0)
+    # Two trackers per replica, one entry per written key; sealing takes
+    # them away again and the clock plane never had any.
+    assert tracker_entries(store) == 2 * len(written) * KEEPING.get(name, 0)
+    for node in store.servers():
+        for key in DATA:
+            if node.store.get_record(key) is not None:
+                assert node.plane.record_is_stable(key, node.store.version_of(key))
+
+
+def test_install_converged_reports_only_the_keys_a_store_arbitrated():
+    from repro.cluster.server_base import install_converged
+
+    store = make_store(sites=("dc0", "dc1"))
+    version = VersionVector({"preload": 1})
+    views = {site: manager.view for site, manager in store.managers.items()}
+
+    def install(data):
+        return install_converged(data, version, store.sim.now, views, store._nodes_by_name)
+
+    fresh = install(DATA)
+    assert set(fresh) == {"dc0", "dc1"}
+    assert all(set(fresh[site]) == set(store._nodes_by_name[site]) for site in fresh)
+    assert all(keys == [] for per_site in fresh.values() for keys in per_site.values())
+    again = install(AGAIN)  # user0010..0059 are held already, the rest are new
+    for site, per_site in again.items():
+        for name, keys in per_site.items():
+            held_before = [k for k in AGAIN if k in DATA and name in views[site].chain_for(k)]
+            assert keys == held_before
+    assert sum(len(keys) for per_site in again.values() for keys in per_site.values()) == 50 * 6
 
 
 def test_one_record_object_serves_every_replica():
@@ -115,8 +244,8 @@ def test_non_owner_sites_hold_nothing_under_partial_replication():
     store.preload(DATA)
     placement = store.config.placement()
     for site in store.sites:
-        held = {key for node in store.servers(site) for key in node.store.keys()}
-        assert held == {key for key in DATA if placement.owns(site, key)}
+        held_here = {key for node in store.servers(site) for key in node.store.keys()}
+        assert held_here == {key for key in DATA if placement.owns(site, key)}
     assert sum(n.store.writes_applied for n in store.servers()) == len(DATA) * 2 * 3
 
 
@@ -133,33 +262,22 @@ def test_durable_preload_survives_a_crash():
     assert victim.store.checksum_state() == before
 
 
-def _disturb(store):
-    """Leave the deployment mid-flight: committed puts whose stability
-    cascade has not finished shadow stable records and grow trackers."""
-    session = store.session("dc0", "writer")
-    for i in range(0, 20, 2):
-        run_op(store, session.put(f"user{i:04d}", f"rewritten-{i}"))
-    return session
-
-
-@pytest.mark.parametrize("name", ["notices", "clock", "metadata-gc", "durable"])
-def test_second_preload_over_live_state_takes_the_per_key_path(name):
-    bulk, reference = twins(**CONFIGS[name])
-    bulk.preload(DATA)
-    reference_preload(reference, DATA)
-    _disturb(bulk)
-    _disturb(reference)
-    assert any(node._stable_records for node in bulk.servers())
-    assert deployment_state(bulk) == deployment_state(reference)
-    # Overlaps loaded keys, rewritten keys and brand-new keys.
-    again = {f"user{i:04d}": f"second-{i}" for i in range(10, 90)}
-    bulk.preload(again)
-    reference_preload(reference, again)
-    assert deployment_state(bulk) == deployment_state(reference)
-    bulk.run(until=bulk.sim.now + 1.0)
-    reference.run(until=reference.sim.now + 1.0)
-    assert deployment_state(bulk) == deployment_state(reference)
-    assert bulk.sim.events_processed == reference.sim.events_processed
+def test_wiped_durable_node_answers_from_the_floor_again_after_replay():
+    # Replay re-creates every Record object: a rule on record identity
+    # (or a flag slot) would under-report here, the version rule cannot.
+    store = make_store(sites=("dc0", "dc1"), durable_storage=True)
+    store.preload(DATA)
+    victim = store.servers()[0]
+    records = {key: victim.store.get_record(key) for key in victim.store.keys()}
+    before = answers(victim)
+    assert any(stable for _, _, stable, _, entry in before.values() if entry is not None)
+    victim.crash()
+    victim.store.clear()
+    assert all(victim.stability.stable_version(key) == ZERO for key in PROBES)
+    victim.recover()  # replays the log before re-joining
+    assert answers(victim) == before
+    assert all(victim.store.get_record(key) is not old for key, old in records.items())
+    assert victim.stability.entry_count() == victim.global_stability.entry_count() == 0
 
 
 def test_preload_with_parked_waiters_wakes_them():
@@ -201,7 +319,10 @@ def test_monitor_attached_before_preload_sees_every_install(stability):
     store.preload(DATA)
     installs = len(DATA) * 2 * store.config.chain_length
     assert monitor.applies_checked == installs
-    assert monitor.stability_checks == (installs if stability == "notices" else 0)
+    # Was ``installs`` on the notices plane while preload wrote one
+    # tracker entry per replica install; marking a node converged is one
+    # grounded claim per node, not a stability notice per key.
+    assert monitor.stability_checks == 0
     assert monitor.keys_tracked() == len(DATA)
     session = store.session("dc0")
     run_op(store, session.put("user0003", "after"))
@@ -210,3 +331,99 @@ def test_monitor_attached_before_preload_sees_every_install(stability):
     report = monitor.report()
     assert report.clean, report.format()
     assert report.applies_checked > installs
+    assert (report.stability_checks > 0) == (stability == "notices")
+
+
+# ----------------------------------------------------------------------
+# whole runs: the twin is message-for-message the reference
+# ----------------------------------------------------------------------
+def _digest(trace):
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+def _as_reference(store):
+    """Make ``store.preload`` the per-record walk (the explicit-entry
+    representation), for harnesses that preload by themselves."""
+    store.preload = functools.partial(reference_preload, store)
+    return store
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_twins_send_the_same_messages_through_a_workload_window(name):
+    runs = []
+    for prepare in (lambda store: store, _as_reference):
+        store = prepare(make_store(**CONFIGS[name]))
+        tap = MessageTap().attach(store.network)
+        result = WorkloadRunner(
+            store, workload("A", record_count=40), n_clients=4,
+            duration=0.4, warmup=0.1, drain=0.5,
+        ).run()
+        runs.append((_digest(tap.entries), len(tap.entries),
+                     store.sim.events_processed, result.ops_completed))
+    assert runs[0] == runs[1]
+
+
+def _campaign_twins(spec, seed, monkeypatch):
+    twin = fault_engine.run_campaign(spec, seed, capture_trace=True)
+    original = fault_engine.build_store
+    monkeypatch.setattr(
+        fault_engine, "build_store", lambda *a, **kw: _as_reference(original(*a, **kw))
+    )
+    reference = fault_engine.run_campaign(spec, seed, capture_trace=True)
+    return twin, reference
+
+
+@pytest.mark.parametrize("overrides", [{}, {"metadata_gc": True}], ids=["notices", "metadata-gc"])
+def test_twins_send_the_same_messages_through_crash_head(overrides, monkeypatch):
+    spec = dataclasses.replace(CAMPAIGNS["crash-head"], clients=4, overrides=overrides)
+    twin, reference = _campaign_twins(spec, 42, monkeypatch)
+    assert _digest(twin.trace) == _digest(reference.trace)
+    assert twin.events_processed == reference.events_processed
+    assert twin.clean and reference.clean
+
+
+def test_a_new_chain_member_vouches_globally_for_a_transferred_preload_record():
+    """The one behavioural difference of the converged rule, pinned.
+
+    ``StateTransfer`` carries DC-stability but not global stability, so
+    with explicit entries a server that *joins* a chain answers
+    ``globally=False`` for a never-rewritten preloaded record until the
+    key's next write — an under-report: the record is on every replica
+    of every DC by construction. The rule is on the version, so the new
+    member answers ``True`` and readers drop the dependency."""
+    twin, reference = twins(sites=("dc0", "dc1"))
+    twin.preload(DATA)
+    reference_preload(reference, DATA)
+    joined = {}
+    for store in (twin, reference):
+        before = {key: store.managers["dc0"].view.chain_for(key) for key in DATA}
+        store._node("dc0", before["user0000"][0]).crash()
+        store.run(until=store.sim.now + 1.5)
+        view = store.managers["dc0"].view
+        joined[store] = [
+            (store._node("dc0", name), key)
+            for key in DATA for name in view.chain_for(key) if name not in before[key]
+        ]
+        assert joined[store]
+    for store, globally in ((twin, True), (reference, False)):
+        for node, key in joined[store]:
+            version = node.store.version_of(key)
+            assert version == VersionVector({"preload": 1})
+            assert node.plane.record_is_stable(key, version)
+            assert node.plane.record_is_global(key, version, True) is globally
+
+
+def test_geo_view_change_corner_only_ever_drops_dependencies(monkeypatch):
+    """Whole-run face of the corner above: ``rolling-crashes`` on two
+    DCs is the one built-in campaign shape whose trace differs from the
+    explicit-entry reference. The first message that differs is a
+    put-request carrying one dependency entry fewer; both runs are
+    causally clean and monitor-clean."""
+    spec = dataclasses.replace(CAMPAIGNS["rolling-crashes"], sites=("dc0", "dc1"))
+    twin, reference = _campaign_twins(spec, 42, monkeypatch)
+    assert twin.clean and reference.clean
+    first = next(i for i, (a, b) in enumerate(zip(twin.trace, reference.trace)) if a != b)
+    mine, theirs = twin.trace[first], reference.trace[first]
+    assert mine[:4] == theirs[:4] and mine[3] == "put-request"
+    assert mine[4] < theirs[4]
+    assert sum(e[4] for e in twin.trace) <= sum(e[4] for e in reference.trace)

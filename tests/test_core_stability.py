@@ -89,3 +89,51 @@ class TestStabilityTracker:
         tracker.record("k", vv(dc0=1))
         tracker.record("k", vv(dc0=2))
         assert tracker.notifications == 2
+
+
+class TestFloorAndUnsealing:
+    """Keys without a live entry are answered by the floor the owning
+    server installs; ``adopt`` turns that answer into an entry."""
+
+    def test_a_tracker_nobody_gave_a_floor_answers_zero(self):
+        tracker = StabilityTracker()
+        assert tracker.stable_version("k") == vv()
+        assert tracker.entry_count() == 0
+
+    def test_record_all_is_record_per_key_in_order(self):
+        sim = Simulator()
+        tracker = StabilityTracker()
+        tracker.set_floor(lambda key: vv(dc0=1) if key == "b" else vv())
+        parked = tracker.wait(sim, "c", vv(dc1=1))
+        seen = []
+        original = tracker.record
+
+        def spying(key, version):
+            seen.append(key)
+            original(key, version)
+
+        tracker.record = spying  # what the invariant monitor does
+        tracker.record_all(iter(["a", "b", "c"]), vv(dc1=1))
+        assert seen == ["a", "b", "c"]
+        assert tracker.notifications == 3 and parked.done()
+        assert tracker.stable_version("b") == vv(dc0=1, dc1=1)  # merged with the floor
+
+    def test_adopt_takes_the_floor_answer_as_a_live_entry_silently(self):
+        sim = Simulator()
+        tracker = StabilityTracker()
+        floor = {"k": vv(preload=1)}
+        tracker.set_floor(lambda key: floor.get(key, vv()))
+        parked = tracker.wait(sim, "k", vv(dc0=1, preload=1))
+        tracker.adopt("k", tracker.stable_version("k"))
+        del floor["k"]  # the record the floor read from is replaced
+        assert tracker.stable_version("k") == vv(preload=1)
+        assert tracker.raw_entry("k") == vv(preload=1) and tracker.entry_count() == 1
+        assert tracker.notifications == 0 and not parked.done()
+        tracker.record("k", vv(dc0=1, preload=1))
+        assert parked.done() and tracker.stable_version("k") == vv(dc0=1, preload=1)
+
+    def test_adopt_never_lowers_an_entry_that_is_already_there(self):
+        tracker = StabilityTracker()
+        tracker.record("k", vv(dc0=3))
+        tracker.adopt("k", vv(dc0=1))
+        assert tracker.stable_version("k") == vv(dc0=3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage import TOMBSTONE, LWWResolver, VersionedStore, VersionVector
+from repro.storage.store import Record
 
 
 def vv(**entries):
@@ -156,6 +157,68 @@ def write_sets(draw):
         state[(key, dc)] = version
         writes.append((key, i, version.entries()))
     return writes
+
+
+class TestInstall:
+    """``install`` takes many already-built records; an empty store
+    takes the mapping itself (docs/PERFORMANCE.md §11)."""
+
+    @staticmethod
+    def records(*keys, n=1):
+        return {k: Record(k, f"v-{k}", vv(preload=n), (n, (("preload", n),)), 0.0) for k in keys}
+
+    def test_an_empty_store_adopts_the_mapping_it_is_handed(self):
+        store = VersionedStore()
+        group = self.records("a", "b", "c")
+        fresh = store.install(group)
+        assert fresh is group and store._data is group  # no second dictionary
+        assert store.writes_applied == 3
+        assert [r.key for r in store.all_records()] == ["a", "b", "c"]
+        assert all(store.get_record(k) is group[k] for k in group)
+        # ...so later writes go into it: the caller gave it away for good
+        store.apply("d", "later", vv(dc0=1))
+        assert "d" in group
+
+    def test_a_store_with_other_keys_copies_and_returns_the_same_mapping(self):
+        store = VersionedStore()
+        store.apply("z", "old", vv(dc0=1))
+        group = self.records("a", "b")
+        assert store.install(group) is group and store._data is not group
+        assert [r.key for r in store.all_records()] == ["z", "a", "b"]
+        assert store.writes_applied == 3
+
+    def test_keys_already_held_are_arbitrated_and_left_out_of_the_result(self):
+        store = VersionedStore()
+        store.apply("a", "newer", vv(dc0=1, preload=1))
+        store.apply("b", "older", vv())  # dominated by the offer
+        group = self.records("a", "b", "c")
+        fresh = store.install(group)
+        assert list(fresh) == ["c"] and list(group) == ["a", "b", "c"]
+        assert store.get_record("a").value == "newer" and store.writes_ignored == 1
+        assert store.get_record("b").value == "v-b" and store.get_record("b") is not group["b"]
+        assert store.get_record("c") is group["c"]
+
+    def test_clear_after_adoption_wipes_the_store_like_any_other(self):
+        store = VersionedStore()
+        store.install(self.records("a"))
+        store.clear()
+        assert store.get_record("a") is None
+        assert store.install(self.records("a", n=2)) is not None
+        assert store.version_of("a") == vv(preload=2)
+
+    def test_same_outcome_as_apply_per_record(self):
+        bulk, walked = VersionedStore(), VersionedStore()
+        for target in (bulk, walked):
+            target.apply("b", "live", vv(dc0=2))
+        group = self.records("a", "b", "c")
+        for rec in group.values():
+            walked.apply(rec.key, rec.value, rec.version, rec.updated_at, rec.stamp)
+        bulk.install(group)
+        assert bulk.checksum_state() == walked.checksum_state()
+        assert [r.key for r in bulk.all_records()] == [r.key for r in walked.all_records()]
+        assert (bulk.writes_applied, bulk.writes_ignored, bulk.conflicts_resolved) == (
+            walked.writes_applied, walked.writes_ignored, walked.conflicts_resolved
+        )
 
 
 class TestConvergenceProperty:

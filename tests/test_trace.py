@@ -123,3 +123,39 @@ class TestDeploymentTracing:
         run_op(store, s.put(y, "2"))
         store.run(until=store.sim.now + 0.5)
         assert tracer.counts().get("put:dep-wait", 0) >= 1
+
+
+class TestGuardedSitesTraceTheSame:
+    """Six ``trace(..., version=str(version))`` sites format their vector
+    only when a tracer is attached. With one attached the rendered
+    timeline is what it always was: the digests below were recorded on
+    the tree before the guards (f0ebff3), both planes."""
+
+    PINNED = {
+        "notices": (7478, 1318, 659, "2af88dff1c8695061ca8433e94b7959145bcd368ddb217ce65dfdd0962be492b"),
+        "clock": (4633, 1172, 586, "81d9f228ccd86134a49d51a5514e8944bdc409275e57ac15339a5670d9dabcab"),
+    }
+
+    @pytest.mark.parametrize("plane", sorted(PINNED))
+    def test_timeline_is_byte_identical(self, plane):
+        import hashlib
+
+        from repro.baselines.registry import build_store
+        from repro.workload import WorkloadRunner, workload
+
+        store = build_store(
+            "chainreaction", sites=("dc0", "dc1"), servers_per_site=3, chain_length=2,
+            seed=11, overrides={"stability": plane},
+        )
+        tracer = store.attach_tracer(capacity=1_000_000)
+        WorkloadRunner(
+            store, workload("A", record_count=20, value_size=32), n_clients=4,
+            duration=0.3, warmup=0.05, drain=0.5, record_history=False,
+        ).run()
+        counts = tracer.counts()
+        assert (
+            len(tracer), counts["stability:dc-stable"], counts["geo:ship"],
+            hashlib.sha256(tracer.format().encode()).hexdigest(),
+        ) == self.PINNED[plane]
+        versions = [dict(e.fields)["version"] for e in tracer.events() if e.event == "dc-stable"]
+        assert versions and all(v.startswith("VV(") for v in versions)
