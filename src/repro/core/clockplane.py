@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.membership import RingView
 from repro.core.config import ChainReactionConfig
@@ -62,12 +62,11 @@ from repro.core.messages import (
     TailStable,
 )
 from repro.core.stability_plane import StabilityPlane
-from repro.errors import RequestTimeout
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.hlc import HLC_ZERO, NO_HLC, HLCStamp, HybridClock, just_below
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, spawn, with_timeout
+from repro.sim.process import Future
 from repro.storage.version import ZERO, VersionVector
 
 if TYPE_CHECKING:
@@ -193,17 +192,11 @@ class ClockNodePlane(StabilityPlane):
             and (placement is None or placement.owns(node.site, dep_key))
         ]
 
-    def spawn_dep_wait(self, dep_key: str, entry: Any) -> Future:
-        # Same RPC loop as the notices plane: ask the dependency's tail.
-        # The tail answers from clock state (apply == DC-stable at the
-        # tail) instead of the stability tracker, so the wait resolves a
-        # LAN hop after the chain commits — not a vector interval later.
-        node = self.node
-        return spawn(
-            node.sim, node._wait_dep(dep_key, entry.version), name=f"dep:{dep_key}"
-        )
-
     def wait_stable(self, key: str, version: VersionVector) -> Future:
+        # The same question the notices plane's tail is asked, answered
+        # from clock state (apply == DC-stable at the tail) instead of
+        # the stability tracker, so a dependency wait resolves a LAN hop
+        # after the chain commits — not a vector interval later.
         node = self.node
         fut = Future(node.sim)
         record = node.store.get_record(key)

@@ -299,6 +299,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         if self.proxies:
             stats["updates_shipped"] = sum(p.updates_shipped for p in self.proxies.values())
             stats["updates_applied"] = sum(p.updates_applied for p in self.proxies.values())
+            stats["updates_abandoned"] = sum(p.updates_abandoned for p in self.proxies.values())
             stats["visibility_samples"] = [
                 s for p in self.proxies.values() for s in p.visibility_samples
             ]

@@ -12,7 +12,9 @@ key — but only after every dependency it carries is DC-stable locally
 (when ``geo_causal_delivery`` is on). That gate is what makes a remote
 reader unable to observe a write before the writes it causally depends
 on; switching it off (DESIGN.md §6.4) reintroduces the anomalies that
-experiment E10 counts.
+experiment E10 counts. Each inbound update is one :class:`_RemoteApply`
+in continuation form — its waits, its place in the key's order and its
+injection attempts are callbacks on one object, not coroutines.
 
 A write acknowledged DC-stable by every datacenter is **globally
 stable**; the proxy at the origin records the latency of both milestones
@@ -27,7 +29,9 @@ from repro.cluster.membership import RingView
 from repro.core.batching import StabilityCoalescer, UpdateCoalescer
 from repro.core.clockplane import GeoClockCore
 from repro.core.config import ChainReactionConfig
+from repro.core.stability import DepWait
 from repro.core.messages import (
+    ApplyRemote,
     ClockReport,
     ClockShip,
     Deps,
@@ -46,9 +50,8 @@ from repro.errors import RemoteError, ReproError, RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
 from repro.net.network import Address, Network
-from repro.sim.hlc import HLCStamp
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, all_of, spawn, with_timeout
+from repro.sim.process import Future, spawn, with_timeout
 from repro.storage.version import VersionVector
 
 __all__ = ["GeoProxy"]
@@ -81,6 +84,8 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         # metrics
         self.updates_shipped = 0
         self.updates_applied = 0
+        #: inbound updates given up on after ``max_retries`` injections
+        self.updates_abandoned = 0
         self.duplicate_ships = 0
         # forwarded-operation service counters (partial replication): this
         # proxy acting as the owner-side entry point for remote clients
@@ -94,9 +99,10 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         #: (origin_put_at→acked-by-every-DC) latencies, origin side
         self.global_stability_samples: List[float] = []
         self._shipped: Set[Tuple[str, VersionVector]] = set()
-        #: per-key chain of in-flight remote applications (FIFO per key)
-        self._key_apply_tail: Dict[str, Future] = {}
-        #: updates handled since the last done-gate sweep of that table
+        #: key → its newest inbound update (each parks on its predecessor's
+        #: gate: FIFO per key)
+        self._key_apply_tail: Dict[str, _RemoteApply] = {}
+        #: updates handled since the last open-gate sweep of that table
         self._applies_since_sweep = 0
         #: batching-mode coalescers (None = unbatched per-write sends)
         self._update_coalescer: Optional[UpdateCoalescer] = None
@@ -340,71 +346,40 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
     def _inject_clock(self, msg: RemoteUpdate) -> None:
         """Issue an admitted remote update into the local chain head.
 
-        Same-key ordering reuses the notices plane's gate chain: the
-        admission queue releases updates in global stamp order, but two
-        same-key updates must also *arrive at the head* in that order,
-        which the gate futures (plus per-link FIFO) guarantee.
+        No dependency waits — the admission gate already held the update
+        until the site's visible horizon passed its deps — but the
+        notices plane's gate chain all the same: the admission queue
+        releases updates in global stamp order, and two same-key updates
+        must also *arrive at the head* in that order, which the gates
+        (plus per-link FIFO) guarantee.
         """
-        gate = Future(self.sim)
-        previous_gate = self._key_apply_tail.get(msg.key)
-        self._key_apply_tail[msg.key] = gate
-        spawn(
-            self.sim,
-            self._apply_remote_clock(msg, previous_gate, gate),
-            name=f"remote:{msg.key}",
-        )
-        self._applies_since_sweep += 1
-        if self._applies_since_sweep >= 256:
-            self._applies_since_sweep = 0
-            done = [k for k, g in self._key_apply_tail.items() if g.done()]
-            for k in done:
-                del self._key_apply_tail[k]
-
-    def _apply_remote_clock(
-        self, msg: RemoteUpdate, previous_gate: Optional[Future], gate: Future
-    ) -> Iterator[Any]:
-        # No dependency waits here — the admission gate already held the
-        # update until the site's visible horizon passed its deps.
-        try:
-            if previous_gate is not None and not previous_gate.done():
-                yield previous_gate
-        finally:
-            # Released: the gate-opening handle is dropped right here.
-            self.sim.call_soon(gate.try_set_result, True).release()
-        yield from self._inject_at_head(msg)
-        self.updates_applied += 1
-        self.trace("geo", "remote-apply", msg.key, origin=msg.origin_site)
-        self.visibility_samples.append(self.sim.now - msg.origin_put_at)
+        self._enqueue(msg, False)
 
     # ------------------------------------------------------------------
     # inbound: apply a remote update into the local chain
     # ------------------------------------------------------------------
     def on_remote_update(self, msg: RemoteUpdate, src: Address) -> None:
+        self._enqueue(msg, self.config.geo_causal_delivery and bool(msg.deps))
+
+    def _enqueue(self, msg: RemoteUpdate, wait_deps: bool) -> None:
         # Same-key updates must be *injected* in arrival order: a
         # dependency-free write would otherwise overtake its same-key
         # predecessor and become visible before the predecessor's own
         # dependencies are satisfied here — a transitive causality leak.
-        # Each update carries a gate future, resolved once its injection
-        # has been issued (after its dependency waits); the next update
-        # for the key waits on that gate. Dependency waits themselves run
+        # Each update has a gate, opened once its injection has been
+        # issued (after its dependency waits); the next update for the
+        # key waits on that gate. Dependency waits themselves run
         # concurrently, so ordering costs no pipeline stalls.
-        gate = Future(self.sim)
-        previous_gate = self._key_apply_tail.get(msg.key)
-        self._key_apply_tail[msg.key] = gate
-        spawn(
-            self.sim,
-            self._apply_remote(msg, previous_gate, gate),
-            name=f"remote:{msg.key}",
-        )
-        # Periodically drop gates that have already opened: a done gate
+        tail = self._key_apply_tail
+        tail[msg.key] = _RemoteApply(self, msg, tail.get(msg.key), wait_deps)
+        # Periodically drop gates that have already opened: an open gate
         # is behaviourally identical to no gate, so pruning is invisible
         # to ordering but keeps the table sized to in-flight keys.
         self._applies_since_sweep += 1
         if self._applies_since_sweep >= 256:
             self._applies_since_sweep = 0
-            done = [k for k, g in self._key_apply_tail.items() if g.done()]
-            for k in done:
-                del self._key_apply_tail[k]
+            for key in [k for k, op in tail.items() if op.opened]:
+                del tail[key]
 
     def on_remote_update_batch(self, msg: RemoteUpdateBatch, src: Address) -> None:
         """Unpack a coalesced shipment; in-batch order is arrival order."""
@@ -418,44 +393,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
             updates = tuple(reversed(updates))
         for update in updates:
             self.on_remote_update(update, src)
-
-    def _apply_remote(
-        self, msg: RemoteUpdate, previous_gate: Optional[Future], gate: Future
-    ) -> Iterator[Any]:
-        try:
-            if self.config.geo_causal_delivery and msg.deps:
-                waits = [
-                    spawn(
-                        self.sim,
-                        self._wait_dep_stable(dep_key, entry.version),
-                        name=f"geo-dep:{dep_key}",
-                    )
-                    for dep_key, entry in msg.deps.items()
-                    # Same-key order is already enforced by the gate chain
-                    # below; waiting for the predecessor's DC-stability
-                    # here would serialise the whole chain latency per
-                    # update instead of pipelining it. Under partial
-                    # replication, dependencies on shards this site does
-                    # not own are not locally checkable — and need not
-                    # be: local reads of those keys forward to the dep's
-                    # primary owner, whose chain already serialised the
-                    # dependency before this write existed.
-                    if dep_key != msg.key
-                    and (self._catalog is None or self._catalog.owns(self.site, dep_key))
-                ]
-                if waits:
-                    yield all_of(self.sim, waits)
-            if previous_gate is not None and not previous_gate.done():
-                yield previous_gate
-        finally:
-            # Open the gate exactly when this update's injection is
-            # issued (first attempt) — successors may then issue theirs;
-            # per-link FIFO keeps the heads applying them in order.
-            self.sim.call_soon(gate.try_set_result, True).release()
-        yield from self._inject_at_head(msg)
-        self.updates_applied += 1
-        self.trace("geo", "remote-apply", msg.key, origin=msg.origin_site)
-        self.visibility_samples.append(self.sim.now - msg.origin_put_at)
 
     # ------------------------------------------------------------------
     # forwarded client operations (partial replication, owner side)
@@ -552,44 +489,113 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         if fut is not None:
             fut.try_set_result(msg)
 
-    def _wait_dep_stable(self, key: str, version: VersionVector) -> Iterator[Any]:
-        """Wait until the local DC has stabilised a dependency version."""
-        deadline = self.sim.now + self.config.dep_wait_timeout
-        attempt = max(self.config.dep_wait_timeout / 3.0, 0.05)
-        while self.sim.now < deadline:
-            remaining = deadline - self.sim.now
-            tail = self.view.address_of(self.view.chain_for(key)[-1])
-            try:
-                yield self.call(
-                    tail,
-                    "wait_stable",
-                    (key, version.entries()),
-                    timeout=min(attempt, remaining),
-                )
-                return True
-            except (RequestTimeout, RemoteError):
-                continue
-        return False
 
-    def _inject_at_head(self, msg: RemoteUpdate) -> Iterator[Any]:
-        payload = {
-            "key": msg.key,
-            "value": msg.value,
-            "version": msg.version,
-            "stamp": msg.stamp,
-            "deps": msg.deps,
-            "origin_site": msg.origin_site,
-            "origin_put_at": msg.origin_put_at,
-        }
-        if isinstance(msg.hlc, HLCStamp):
-            # Only the clock plane adds the key at all, so notices-plane
-            # payload bytes (and the golden trace) are untouched.
-            payload["hlc"] = msg.hlc
-        for _attempt in range(self.config.max_retries):
-            head = self.view.address_of(self.view.chain_for(msg.key)[0])
-            try:
-                yield self.call(head, "apply_remote", payload, timeout=self.config.op_timeout)
-                return True
-            except (RequestTimeout, RemoteError):
-                yield self.config.client_retry_backoff
-        return False
+class _RemoteApply:
+    """One inbound :class:`RemoteUpdate` on its way into the local chain,
+    in continuation form. In order: its dependencies are DC-stable here
+    (one concurrent :class:`DepWait` each, ``wait_deps``); its same-key
+    predecessor's gate is open; its own gate opens — from its own event —
+    and ``apply_remote`` goes to the chain head, re-resolved and re-sent
+    after ``client_retry_backoff`` for up to ``max_retries`` attempts.
+
+    The first step runs from a zero-delay event, never inline: the event
+    is part of every recorded trace.
+    """
+
+    __slots__ = ("_proxy", "_update", "_previous", "_next", "opened", "_waits", "_attempts")
+
+    def __init__(
+        self, proxy: GeoProxy, msg: RemoteUpdate, previous: Optional["_RemoteApply"],
+        wait_deps: bool,
+    ) -> None:
+        self._proxy = proxy
+        self._update = ApplyRemote(
+            msg.key, msg.value, msg.version, msg.stamp, msg.deps, msg.origin_site,
+            msg.origin_put_at, msg.hlc,
+        )
+        self._previous = previous
+        #: the same-key successor parked on this update's gate, if any
+        self._next: Optional[_RemoteApply] = None
+        self.opened = False
+        self._waits = 0
+        self._attempts = proxy.config.max_retries
+        proxy.sim.post(0.0, self._wait_deps if wait_deps else self._await_turn)
+
+    def _wait_deps(self) -> None:
+        proxy = self._proxy
+        update = self._update
+        catalog = proxy._catalog
+        for dep_key, entry in update.deps.items():
+            # Same-key order is already enforced by the gate chain;
+            # waiting for the predecessor's DC-stability here would
+            # serialise the whole chain latency per update instead of
+            # pipelining it. Under partial replication, dependencies on
+            # shards this site does not own are not locally checkable —
+            # and need not be: local reads of those keys forward to the
+            # dep's primary owner, whose chain already serialised the
+            # dependency before this write existed.
+            if dep_key != update.key and (catalog is None or catalog.owns(proxy.site, dep_key)):
+                self._waits += 1
+                DepWait(proxy, self, dep_key, entry.version)
+        if not self._waits:
+            self._await_turn()
+
+    def dep_done(self, stable: bool) -> None:
+        # Stable or timed out alike: after ``dep_wait_timeout`` the
+        # update goes in anyway.
+        if self._waits:
+            self._waits -= 1
+            if not self._waits:
+                self._await_turn()
+
+    def dep_failed(self) -> None:
+        # The proxy went down under a wait and the update is lost with
+        # it; what its sibling waits report no longer matters. Its gate
+        # opens all the same, or the key's later updates would never go.
+        if self._waits:
+            self._waits = 0
+            self._proxy.sim.call_soon(self._open).release()
+
+    def _await_turn(self) -> None:
+        previous, self._previous = self._previous, None
+        if previous is not None and not previous.opened:
+            previous._next = self
+        else:
+            self._issue()
+
+    def _issue(self) -> None:
+        # The gate opens exactly when this update's injection is issued
+        # (first attempt) — successors may then issue theirs; per-link
+        # FIFO keeps the heads applying them in order.
+        self._proxy.sim.call_soon(self._open).release()
+        self._inject()
+
+    def _open(self) -> None:
+        self.opened = True
+        parked, self._next = self._next, None
+        if parked is not None:
+            parked._issue()
+
+    def _inject(self) -> None:
+        proxy = self._proxy
+        if not self._attempts:
+            proxy.updates_abandoned += 1
+            return
+        self._attempts -= 1
+        view = proxy.view
+        head = view.address_of(view.chain_for(self._update.key)[0])
+        proxy.request(head, "apply_remote", self._update, proxy.config.op_timeout, self)
+
+    def rpc_reply(self, _accepted: bool) -> None:
+        proxy = self._proxy
+        update = self._update
+        proxy.updates_applied += 1
+        if proxy.tracer is not None:
+            proxy.trace("geo", "remote-apply", update.key, origin=update.origin_site)
+        proxy.visibility_samples.append(proxy.sim.now - update.origin_put_at)
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        if isinstance(exc, (RequestTimeout, RemoteError)):
+            proxy = self._proxy
+            proxy.sim.post(proxy.config.client_retry_backoff, self._inject)
+        # else the proxy itself is down, and the update lost with it

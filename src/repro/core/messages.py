@@ -11,8 +11,10 @@ Three planes:
 - **chain plane** — ``ChainPut`` carries a write down the chain;
   ``ChainStable`` carries the tail's stability notification back up.
 - **geo plane** — ``RemoteUpdate`` ships a DC-stable write to the other
-  datacenters; ``GlobalAck`` flows back to the origin so it can declare
-  the write globally stable.
+  datacenters, where the proxy hands it to the local chain head as the
+  payload of an ``apply_remote`` RPC (an :class:`ApplyRemote`);
+  ``GlobalAck`` flows back to the origin so it can declare the write
+  globally stable.
 
 With ``config.protocol_batching`` the metadata plane coalesces:
 ``BulkStable`` replaces per-write ``ChainStable`` hops,
@@ -51,6 +53,7 @@ __all__ = [
     "Deps",
     "deps_size_bytes",
     "ReadReply",
+    "ApplyRemote",
     "PutRequest",
     "PutReply",
     "ChainPut",
@@ -179,6 +182,52 @@ class ReadReply:
             size += 7 + (1 if hlc is None else hlc.size_bytes())  # 4 + len("hlc")
         if self.fwd_deps is not None:
             size += 12 + deps_size_bytes(self.fwd_deps)  # 4 + len("fwd_deps")
+        return size
+
+
+class ApplyRemote:
+    """What an ``apply_remote`` RPC carries: a write shipped from
+    ``origin_site``, for the local chain head to serialise and propagate
+    like one of its own (the fields of the :class:`RemoteUpdate` it
+    arrived in; ``hlc`` is :data:`~repro.sim.hlc.NO_HLC` off the clock
+    plane).
+
+    ``size_bytes`` is what the string-keyed dict this replaced cost on
+    the wire (keys ``key value version stamp deps origin_site
+    origin_put_at``, plus ``hlc`` when there is a stamp), without
+    walking one.
+    """
+
+    __slots__ = (
+        "key", "value", "version", "stamp", "deps", "origin_site", "origin_put_at", "hlc",
+    )
+
+    def __init__(
+        self, key: str, value: Any, version: VersionVector, stamp: Any, deps: "Deps",
+        origin_site: str, origin_put_at: float, hlc: Any = NO_HLC,
+    ) -> None:
+        self.key = key
+        self.value = value
+        self.version = version
+        self.stamp = stamp
+        self.deps = deps
+        self.origin_site = origin_site
+        self.origin_put_at = origin_put_at
+        self.hlc = hlc
+
+    def size_bytes(self) -> int:
+        # 96 = the dict's length prefix, its seven fixed keys, two string
+        # length prefixes and a float: 4 + (4+3+4) + (4+5) + (4+7) + (4+5)
+        # + (4+4) + (4+11+4) + (4+13+8)
+        value = self.value
+        stamp = self.stamp
+        size = 96 + len(self.key) + len(self.origin_site) + self.version.size_bytes()
+        size += 4 + len(value) if type(value) is str else estimate_size(value)
+        size += 1 if stamp is None else estimate_size(stamp)
+        size += estimate_size(self.deps)
+        hlc = self.hlc
+        if hlc is not NO_HLC:
+            size += 7 + hlc.size_bytes()  # 4 + len("hlc")
         return size
 
 

@@ -25,7 +25,7 @@ still, as consistent hashing dictates. The node implements:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.membership import RingView
 from repro.cluster.ring import chain_positions
@@ -33,6 +33,7 @@ from repro.cluster.server_base import RingServer
 from repro.core.batching import StabilityCoalescer
 from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
+    ApplyRemote,
     BulkStable,
     ChainPut,
     ChainStable,
@@ -49,14 +50,14 @@ from repro.core.messages import (
     TransferDone,
 )
 from repro.core.deptable import DepSnapshot
-from repro.core.stability import StabilityTracker
+from repro.core.stability import DepWait, StabilityTracker
 from repro.core.stability_plane import make_plane
-from repro.errors import NotResponsibleError, RemoteError, ReplicaUnavailable, RequestTimeout
+from repro.errors import NotResponsibleError, ReplicaUnavailable
 from repro.net.message import Message
 from repro.net.network import Address, Network
 from repro.sim.hlc import NO_HLC
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, all_of, with_timeout
+from repro.sim.process import Future
 from repro.storage.merge import ConflictResolver
 from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
@@ -201,19 +202,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         if unresolved:
             self.dep_waits += 1
             self.trace("put", "dep-wait", msg.key, waiting_on=len(unresolved))
-            waits = [
-                self.plane.spawn_dep_wait(dep_key, entry)
-                for dep_key, entry in unresolved
-            ]
-
-            def waited(all_waits: Future) -> None:
-                # A wait that *raised* (e.g. this node crashed under it)
-                # drops the put silently. Timing out is not raising:
-                # _wait_dep then lets the put through.
-                if not all_waits.failed():
-                    self._apply_put(msg)
-
-            all_of(self.sim, waits).add_callback(waited)
+            _HeldPut(self, msg, unresolved)
         else:
             self._apply_put(msg)
 
@@ -266,39 +255,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             origin_put_at=self.sim.now,
             hlc=hlc,
         )
-
-    def _wait_dep(self, key: str, version: VersionVector) -> Iterator[Any]:
-        """Block until ``version`` of ``key`` is DC-stable (or time out).
-
-        The wait is answered by the dependency's chain tail; view changes
-        mid-wait are handled by re-asking whoever the tail now is. After
-        ``dep_wait_timeout`` the put proceeds anyway — the dependency can
-        only be permanently missing if its data was lost, in which case
-        no reader can observe it and waiting longer helps nobody.
-        """
-        deadline = self.sim.now + self.config.dep_wait_timeout
-        attempt = max(self.config.dep_wait_timeout / 3.0, 0.05)
-        while self.sim.now < deadline:
-            remaining = deadline - self.sim.now
-            chain = self.chain_for(key)
-            tail_name = chain[-1]
-            try:
-                if tail_name == self.name:
-                    yield with_timeout(
-                        self.sim, self.plane.wait_stable(key, version), remaining
-                    )
-                else:
-                    yield self.call(
-                        self.view.address_of(tail_name),
-                        "wait_stable",
-                        (key, version.entries()),
-                        timeout=min(attempt, remaining),
-                    )
-                return True
-            except (RequestTimeout, RemoteError):
-                continue
-        self.dep_wait_timeouts += 1
-        return False
 
     # ------------------------------------------------------------------
     # chain propagation
@@ -622,11 +578,9 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     # ------------------------------------------------------------------
     # stability queries (tail role)
     # ------------------------------------------------------------------
-    def rpc_wait_stable(
-        self, payload: Tuple[str, Dict[str, int]], src: Address
-    ) -> Future:
-        key, entries = payload
-        return self.plane.wait_stable(key, VersionVector(entries))
+    def rpc_wait_stable(self, payload: Tuple[str, VersionVector], src: Address) -> Future:
+        key, version = payload
+        return self.plane.wait_stable(key, version)
 
     # ------------------------------------------------------------------
     # clock-plane control traffic (config.stability == "clock")
@@ -640,8 +594,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     # ------------------------------------------------------------------
     # remote updates injected by the geo-proxy (head role)
     # ------------------------------------------------------------------
-    def rpc_apply_remote(self, payload: Dict[str, Any], src: Address) -> bool:
-        key = payload["key"]
+    def rpc_apply_remote(self, update: ApplyRemote, src: Address) -> bool:
+        key = update.key
         if self.syncing:
             raise ReplicaUnavailable("syncing")
         pos = chain_positions(self.chain_for(key), self.name)
@@ -650,16 +604,16 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.remote_applies += 1
         self._apply_and_propagate(
             key=key,
-            value=payload["value"],
-            version=payload["version"],
-            origin_site=payload["origin_site"],
-            deps=payload.get("deps", {}),
+            value=update.value,
+            version=update.version,
+            origin_site=update.origin_site,
+            deps=update.deps,
             ack_index=-1,
             request_id=0,
             reply_to=None,
-            origin_put_at=payload.get("origin_put_at", self.sim.now),
-            stamp=payload.get("stamp"),
-            hlc=payload.get("hlc", NO_HLC),
+            origin_put_at=update.origin_put_at,
+            stamp=update.stamp,
+            hlc=update.hlc,
         )
         return True
 
@@ -909,3 +863,30 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             # resume service rather than staying unavailable.
             self.syncing = False
             self.forced_sync_exits += 1
+
+
+class _HeldPut:
+    """A put held at its head until its unresolved dependencies are
+    DC-stable: one concurrent :class:`DepWait` each, counting down here.
+    A wait that timed out lets the put through all the same; a wait that
+    *failed* (this node crashed under it) drops the put, silently."""
+
+    __slots__ = ("_node", "_msg", "_waits")
+
+    def __init__(self, node: ChainNode, msg: PutRequest, unresolved: List[Tuple[str, Any]]) -> None:
+        self._node = node
+        self._msg = msg
+        self._waits = len(unresolved)
+        for dep_key, entry in unresolved:
+            DepWait(node, self, dep_key, entry.version)
+
+    def dep_done(self, stable: bool) -> None:
+        if not stable:
+            self._node.dep_wait_timeouts += 1
+        if self._waits:
+            self._waits -= 1
+            if not self._waits:
+                self._node._apply_put(self._msg)
+
+    def dep_failed(self) -> None:
+        self._waits = 0  # what the sibling waits report no longer matters

@@ -25,13 +25,14 @@ a representation change, not a semantic one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.kernel import Simulator
+from repro.errors import RemoteError, RequestTimeout
+from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Future
 from repro.storage.version import VersionVector
 
-__all__ = ["StabilityTracker"]
+__all__ = ["DepWait", "StabilityTracker"]
 
 _ZERO = VersionVector()
 
@@ -148,3 +149,83 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
     def snapshot(self) -> Dict[str, VersionVector]:
         """Copy of the stable map — used for chain-repair state transfer."""
         return dict(self._stable)
+
+
+class DepWait:
+    """One dependency of a write held back for it, in continuation form:
+    the asking side of :meth:`StabilityTracker.wait`.
+
+    Asks the dependency's chain tail (``wait_stable``) whether
+    ``version`` of ``key`` is DC-stable. A ``RequestTimeout`` or
+    ``RemoteError`` re-asks whoever the tail is by then — view changes
+    mid-wait — until ``dep_wait_timeout`` has passed. Then exactly one
+    of ``parent.dep_done(stable)`` and ``parent.dep_failed()``:
+    ``stable`` is False when time ran out (the write proceeds anyway —
+    the dependency can only be missing for good if its data was lost,
+    and then no reader can observe it and waiting longer helps nobody),
+    and the wait has *failed* when ``actor`` went down under it.
+
+    ``actor`` is the chain head holding a put, or the geo proxy holding
+    a remote update. A head that is itself the dependency's tail asks
+    its own plane, for all the time that is left rather than one RPC
+    attempt's worth.
+
+    Starts from a zero-delay event, never inline: the event is part of
+    every recorded trace.
+    """
+
+    __slots__ = ("_actor", "_parent", "_key", "_version", "_deadline", "_attempt", "_local", "_timer")
+
+    def __init__(self, actor: Any, parent: Any, key: str, version: VersionVector) -> None:
+        self._actor = actor
+        self._parent = parent
+        self._key = key
+        self._version = version
+        timeout = actor.config.dep_wait_timeout
+        self._deadline = actor.sim.now + timeout
+        #: one RPC's share of it
+        self._attempt = max(timeout / 3.0, 0.05)
+        #: the local answer being waited for; None over an RPC, and again
+        #: once its deadline fired (its late answer is then ignored)
+        self._local: Optional[Future] = None
+        actor.sim.post(0.0, self._ask)
+
+    def _ask(self) -> None:
+        actor = self._actor
+        sim = actor.sim
+        now = sim.now
+        if now >= self._deadline:
+            self._parent.dep_done(False)
+            return
+        remaining = self._deadline - now
+        view = actor.view
+        tail = view.address_of(view.chain_for(self._key)[-1])
+        if tail == actor.address:
+            answer = self._local = actor.plane.wait_stable(self._key, self._version)
+            self._timer: ScheduledEvent = sim.schedule(remaining, self._local_timeout)
+            answer.add_callback(self._local_answer)
+        else:
+            actor.request(
+                tail, "wait_stable", (self._key, self._version),
+                min(self._attempt, remaining), self,
+            )
+
+    def _local_answer(self, answer: Future) -> None:
+        if answer is self._local:
+            self._local = None
+            self._timer.cancel()
+            self._timer.release()
+            self._parent.dep_done(True)
+
+    def _local_timeout(self) -> None:
+        self._local = None
+        self._ask()
+
+    def rpc_reply(self, _stable: bool) -> None:
+        self._parent.dep_done(True)
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        if isinstance(exc, (RequestTimeout, RemoteError)):
+            self._ask()
+        else:
+            self._parent.dep_failed()

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.core.messages import ChainStable, Deps, PutRequest, ReadReply, TailStable
 from repro.sim.hlc import NO_HLC
-from repro.sim.process import Future, spawn
+from repro.sim.process import Future
 from repro.storage.version import VersionVector
 
 if TYPE_CHECKING:
@@ -41,8 +41,10 @@ class StabilityPlane:
 
     Hook contract (all called by :class:`~repro.core.node.ChainNode`):
 
-    - ``unresolved_deps(msg)`` / ``spawn_dep_wait(key, entry)`` — which
-      of a put's dependencies must be waited on at the head, and how.
+    - ``unresolved_deps(msg)`` — which of a put's dependencies must be
+      waited on at the head (how is the node's business: one
+      :class:`~repro.core.stability.DepWait` each, on either plane).
+    - ``wait_stable(key, version)`` — the tail's side of such a wait.
     - ``stamp_put(msg)`` — plane metadata minted for a freshly admitted
       local put (an HLC stamp on the clock plane, :data:`NO_HLC` on the
       notices plane).  Called with no intervening yield before the
@@ -68,9 +70,6 @@ class StabilityPlane:
 
     # -- dependency waits (head role) ----------------------------------
     def unresolved_deps(self, msg: PutRequest) -> List[Tuple[str, Any]]:
-        raise NotImplementedError
-
-    def spawn_dep_wait(self, dep_key: str, entry: Any) -> Future:
         raise NotImplementedError
 
     def wait_stable(self, key: str, version: VersionVector) -> Future:
@@ -182,12 +181,6 @@ class NoticesPlane(StabilityPlane):
             and (placement is None or placement.owns(node.site, dep_key))
             and not node.stability.is_stable(dep_key, entry.version)
         ]
-
-    def spawn_dep_wait(self, dep_key: str, entry: Any) -> Future:
-        node = self.node
-        return spawn(
-            node.sim, node._wait_dep(dep_key, entry.version), name=f"dep:{dep_key}"
-        )
 
     def wait_stable(self, key: str, version: VersionVector) -> Future:
         return self.node.stability.wait(self.node.sim, key, version)

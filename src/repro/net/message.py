@@ -86,16 +86,17 @@ _SIZERS: Dict[type, Callable[[Any], int]] = {}  # repro: lint-ok(module-mutable-
 
 def _sizer_for(cls: type) -> Callable[[Any], int]:
     """The sizing rule for instances of ``cls`` (non-scalar), first match
-    wins: length-prefixed bytes, container, own ``size_bytes()``,
-    dataclass fields, opaque."""
-    if issubclass(cls, (str, bytes)):
+    wins: own ``size_bytes()`` — also on a subclass of a builtin
+    container, as ``Address`` is of ``tuple`` — then length-prefixed
+    bytes, container, dataclass fields, opaque."""
+    if callable(getattr(cls, "size_bytes", None)):
+        sizer = _size_own
+    elif issubclass(cls, (str, bytes)):
         sizer = _size_bytes_like
     elif issubclass(cls, (list, tuple, set, frozenset)):
         sizer = _size_sequence
     elif issubclass(cls, dict):
         sizer = _size_dict
-    elif callable(getattr(cls, "size_bytes", None)):
-        sizer = _size_own
     elif dataclasses.is_dataclass(cls):
         sizer = _size_dataclass
     else:

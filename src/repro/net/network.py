@@ -20,6 +20,7 @@ Failure injection:
 from __future__ import annotations
 
 import dataclasses
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
@@ -84,37 +85,35 @@ def commutativity_fingerprint(
     return (str(dst), msg.type_name, message_keys(msg))
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class Address:
+class Address(tuple):
     """Network address of an actor: a node name within a site (datacenter).
 
-    Every message hop looks addresses up in several tables, so the hash
-    is computed once at construction. String hashes are salted per
-    process: the cached value must never be pickled — ``__reduce__``
-    rebuilds the address (and its hash) on the receiving side.
+    A ``(site, node)`` tuple with names: every message hop looks
+    addresses up in several tables, and a tuple hashes, compares and
+    orders in C. Site and node names recur across every address, record
+    and tracker entry; interning shares one string object apiece (and
+    ``__reduce__`` rebuilds through it on the far side of a pickle).
     """
 
-    site: str
-    node: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # Site/node names recur across every address, record, and
-        # tracker entry; interning shares one string object apiece.
-        object.__setattr__(self, "site", intern_str(self.site))
-        object.__setattr__(self, "node", intern_str(self.node))
-        object.__setattr__(self, "_hash", hash((self.site, self.node)))
+    def __new__(cls, site: str, node: str) -> "Address":
+        return tuple.__new__(cls, (intern_str(site), intern_str(node)))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined, no-any-return]
+    site = property(itemgetter(0))
+    node = property(itemgetter(1))
 
     def __reduce__(self) -> Tuple[type, Tuple[str, str]]:
-        return (Address, (self.site, self.node))
+        return (Address, (self[0], self[1]))
+
+    def __repr__(self) -> str:
+        return f"Address(site={self[0]!r}, node={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.site}:{self.node}"
+        return f"{self[0]}:{self[1]}"
 
     def size_bytes(self) -> int:
-        return 4 + len(self.site) + 4 + len(self.node)
+        return 4 + len(self[0]) + 4 + len(self[1])
 
 
 @dataclasses.dataclass

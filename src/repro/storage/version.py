@@ -147,6 +147,7 @@ def _from_entries(entries: _EntriesTuple) -> "VersionVector":
     inst = object.__new__(VersionVector)
     inst._entries = entries
     inst._stamp = None
+    inst._size = 0
     if _INTERN_ENABLED and len(_POOL) < _INTERN_MAX:
         _POOL[entries] = inst
     return inst
@@ -164,7 +165,7 @@ class VersionVector:
     with different DC sets compare correctly.
     """
 
-    __slots__ = ("_entries", "_stamp")
+    __slots__ = ("_entries", "_stamp", "_size")
 
     _entries: _EntriesTuple
 
@@ -179,6 +180,7 @@ class VersionVector:
         inst = object.__new__(cls)
         inst._entries = canonical
         inst._stamp = None
+        inst._size = 0
         return inst
 
     def __reduce__(self):
@@ -303,8 +305,12 @@ class VersionVector:
         return self == other or self < other
 
     def size_bytes(self) -> int:
-        """Wire size: one (dc-id, counter) pair per non-zero entry."""
-        return _entries_size_bytes(self._entries)
+        """Wire size: one (dc-id, counter) pair per non-zero entry.
+        Walked once per vector (it is immutable; 0 is no real size)."""
+        size = self._size
+        if not size:
+            size = self._size = _entries_size_bytes(self._entries)
+        return size
 
     def __repr__(self) -> str:
         inner = ",".join(f"{dc}:{n}" for dc, n in self._entries)

@@ -66,6 +66,13 @@ def reference_estimate_size(value) -> int:
     scalar = _REFERENCE_SCALARS.get(type(value))
     if scalar is not None:
         return scalar
+    if isinstance(value, Message) and type(value).size_bytes is Message.size_bytes:
+        return reference_message_size(value)
+    # An object that sizes itself wins over the container rungs: an
+    # ``Address`` is a tuple and still 8 + len(site) + len(node) bytes.
+    size_fn = getattr(value, "size_bytes", None)
+    if callable(size_fn):
+        return size_fn()
     if isinstance(value, (str, bytes)):
         return 4 + len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -74,11 +81,6 @@ def reference_estimate_size(value) -> int:
         return 4 + sum(
             reference_estimate_size(k) + reference_estimate_size(v) for k, v in value.items()
         )
-    if isinstance(value, Message) and type(value).size_bytes is Message.size_bytes:
-        return reference_message_size(value)
-    size_fn = getattr(value, "size_bytes", None)
-    if callable(size_fn):
-        return size_fn()
     if dataclasses.is_dataclass(value):
         return sum(
             reference_estimate_size(getattr(value, f.name)) for f in dataclasses.fields(value)
@@ -119,3 +121,30 @@ def legacy_read_reply(value, version, stable, globally, index, hlc=_ABSENT, fwd_
     if fwd_deps is not None:
         reply["fwd_deps"] = fwd_deps
     return reply
+
+
+# ----------------------------------------------------------------------
+# apply-remote reference
+# ----------------------------------------------------------------------
+# The string-keyed dict ``GeoProxy._inject_at_head`` sent as the payload
+# of an ``apply_remote`` RPC before ``repro.core.messages.ApplyRemote``,
+# built the way it built it: seven fixed keys off the ``RemoteUpdate``,
+# ``hlc`` only when the update carries a stamp (the clock plane). Sizing
+# this dict is the oracle ``ApplyRemote.size_bytes`` must equal to the byte.
+
+
+def legacy_apply_remote(msg) -> dict:
+    from repro.sim.hlc import HLCStamp
+
+    payload = {
+        "key": msg.key,
+        "value": msg.value,
+        "version": msg.version,
+        "stamp": msg.stamp,
+        "deps": msg.deps,
+        "origin_site": msg.origin_site,
+        "origin_put_at": msg.origin_put_at,
+    }
+    if isinstance(msg.hlc, HLCStamp):
+        payload["hlc"] = msg.hlc
+    return payload

@@ -133,13 +133,13 @@ class TestStability:
         run_op(store, s.put("key", "v"))
         store.run(until=2.0)
         tail = chain_nodes(store, "key")[-1]
-        fut = tail.rpc_wait_stable(("key", {"dc0": 1}), tail.address)
+        fut = tail.rpc_wait_stable(("key", VersionVector({"dc0": 1})), tail.address)
         assert fut.done() and fut.result() is True
 
     def test_wait_stable_blocks_for_future_version(self, ):
         store = make_store()
         tail = chain_nodes(store, "key")[-1]
-        fut = tail.rpc_wait_stable(("key", {"dc0": 5}), tail.address)
+        fut = tail.rpc_wait_stable(("key", VersionVector({"dc0": 5})), tail.address)
         assert not fut.done()
         assert tail.stability.pending_waiters() == 1
 
@@ -152,7 +152,7 @@ class TestStability:
         tail = chain_nodes(store, "key")[-1]
         start = store.sim.now
         get = s.call(tail.address, "get", "key")
-        wait = s.call(tail.address, "wait_stable", ("key", {}))
+        wait = s.call(tail.address, "wait_stable", ("key", VersionVector()))
         store.run(until=start + 1.0)
         assert wait.result() is True
         assert wait.resolved_at - start < 0.010  # two LAN hops, no queueing

@@ -30,6 +30,13 @@ RETIRED = {
     # _PutOp in repro.core.client); the generators are deleted.
     ("ChainClientSession", "_get_gen"),
     ("ChainClientSession", "_put_gen"),
+    # PR 20: dependency waits and the remote-update pipeline are
+    # continuation-form too (DepWait in repro.core.stability, _HeldPut in
+    # repro.core.node, _RemoteApply in repro.core.geo); the generators
+    # are deleted.
+    ("ChainNode", "_wait_dep"),
+    ("GeoProxy", "_wait_dep_stable"),
+    ("GeoProxy", "_inject_at_head"),
 }
 
 POINTS = [
