@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Perf smoke gate for the three interim A/B tiers of ``repro.perf``.
 
-Everything else — kernel rate, memory layout, stabilization plane,
-kernel backend — is measured by the standing benchmark
-(``benchmarks/suite/run.py``), not here. Kept out of tier-1 (two of the
+Everything else — kernel rate, memory layout, stabilization plane —
+is measured by the standing benchmark (``benchmarks/suite/run.py``),
+not here. Kept out of tier-1 (two of the
 gates read the wall clock, which CI machines make noisy) — run it
 explicitly::
 

@@ -1,8 +1,4 @@
-# All metadata lives in pyproject.toml. The optional mypyc-compiled
-# kernel is deliberately built out-of-band by scripts/build_kernel.py
-# (after `pip install -e .[compiled]`) so a plain install never needs a
-# C toolchain; any extensions it drops into src/repro/_compiled/ ship
-# via the package-data entry in pyproject.toml.
+# All metadata lives in pyproject.toml.
 from setuptools import setup
 
 setup()

@@ -55,18 +55,6 @@ failure mode in a discrete-event reproduction:
   a pragma stating why ties are impossible (e.g. sorting distinct
   strings).
 
-- ``compiled-kernel-clean`` — the :mod:`repro.kernelcore` modules are
-  compiled by mypyc (``scripts/build_kernel.py``) and must stay
-  *compilation-clean*: no dynamic attribute machinery (``getattr`` /
-  ``setattr`` / ``vars`` / ``eval`` / ``__dict__`` — mypyc classes have
-  no instance dict and the compiler specializes attribute access), no
-  ``sys.getrefcount`` (refcounts differ between the interpreter and
-  compiled code, so any behaviour keyed on them silently diverges
-  between backends), no module-level mutable containers (interpreted
-  and compiled copies of the module would each own one, splitting
-  state the moment both are imported side by side), and every function
-  fully annotated (mypyc compiles exactly what mypy can type).
-
 Suppression: append ``# repro: lint-ok(<rule>[, <rule>...])`` to the
 offending line, or put ``# repro: lint-ok-file(<rule>)`` in the first
 ten lines of a file to exempt the whole file from one rule. Per-file
@@ -84,7 +72,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "ALL_RULES",
-    "COMPILED_CLEAN_DIRS",
     "DEFAULT_WALL_CLOCK_EXEMPT",
     "EVENT_ORDERING_DIRS",
     "MODULE_STATE_DIRS",
@@ -112,7 +99,6 @@ RULE_SET_ITERATION = "set-iteration"
 RULE_SLOTS = "slots"
 RULE_MODULE_STATE = "module-mutable-state"
 RULE_SORT_TIE = "sort-tie-identity"
-RULE_COMPILED_CLEAN = "compiled-kernel-clean"
 
 ALL_RULES: Tuple[str, ...] = (
     RULE_NO_WALL_CLOCK,
@@ -125,7 +111,6 @@ ALL_RULES: Tuple[str, ...] = (
     RULE_SLOTS,
     RULE_MODULE_STATE,
     RULE_SORT_TIE,
-    RULE_COMPILED_CLEAN,
 )
 
 #: Files (paths relative to ``src/repro``) allowed to read the wall
@@ -173,27 +158,6 @@ SORT_TIE_DIRS: Tuple[str, ...] = (
     "sim",
     "net",
 )
-
-#: Directories (relative to ``src/repro``) compiled by mypyc: their
-#: modules must stay compilation-clean (see module docstring).
-COMPILED_CLEAN_DIRS: Tuple[str, ...] = (
-    "kernelcore",
-)
-
-#: Builtins whose call is dynamic attribute/namespace machinery that
-#: mypyc either rejects or deoptimizes; the kernel cores must not use
-#: them.
-_DYNAMIC_ATTR_BUILTINS: Set[str] = {
-    "getattr",
-    "setattr",
-    "delattr",
-    "vars",
-    "eval",
-    "exec",
-    "globals",
-    "locals",
-    "__import__",
-}
 
 #: Constructors whose call produces a mutable container.
 _MUTABLE_CONSTRUCTORS: Set[str] = {
@@ -279,9 +243,7 @@ class LintConfig:
     ``module_state_dirs`` scopes the ``module-mutable-state`` rule to
     the packages every shard worker imports independently;
     ``sort_tie_dirs`` scopes the ``sort-tie-identity`` rule to the
-    packages whose sorts decide message-delivery order;
-    ``compiled_clean_dirs`` scopes the ``compiled-kernel-clean`` rule
-    to the packages mypyc compiles.
+    packages whose sorts decide message-delivery order.
     """
 
     rules: Tuple[str, ...] = ALL_RULES
@@ -290,7 +252,6 @@ class LintConfig:
     slots_dirs: Tuple[str, ...] = SLOTS_DIRS
     module_state_dirs: Tuple[str, ...] = MODULE_STATE_DIRS
     sort_tie_dirs: Tuple[str, ...] = SORT_TIE_DIRS
-    compiled_clean_dirs: Tuple[str, ...] = COMPILED_CLEAN_DIRS
 
     def rules_for(self, path: Path) -> Set[str]:
         """The subset of rules that applies to ``path``."""
@@ -320,18 +281,6 @@ class LintConfig:
             top = rel.split("/", 1)[0]
             if "/" not in rel or top not in self.sort_tie_dirs:
                 active.discard(RULE_SORT_TIE)
-        if RULE_COMPILED_CLEAN in active:
-            # Opt-in by directory (unlike the discard-scoped rules above):
-            # full-annotation and no-dynamic-attribute requirements are far
-            # too strict for ordinary python, so the rule applies only to
-            # files that are actually compiled.
-            in_compiled_dir = False
-            if "/repro/" in posix:
-                rel = posix.split("/repro/", 1)[1]
-                top = rel.split("/", 1)[0]
-                in_compiled_dir = "/" in rel and top in self.compiled_clean_dirs
-            if not in_compiled_dir:
-                active.discard(RULE_COMPILED_CLEAN)
         return active
 
 
@@ -451,11 +400,9 @@ class _Linter(ast.NodeVisitor):
             self._check_global_random(node, module, attr)
             self._check_unseeded_rng(node, module, attr)
             self._check_hash_seed_call(node, module, attr)
-            self._check_compiled_clean_resolved(node, module, attr)
         elif isinstance(node.func, ast.Name) and node.func.id == "derive_seed":
             self._check_hash_in_args(node, "derive_seed")
         self._check_sort_tie(node)
-        self._check_compiled_clean_call(node)
         self.generic_visit(node)
 
     def _check_wall_clock(self, node: ast.Call, module: str, attr: str) -> None:
@@ -514,73 +461,6 @@ class _Linter(ast.NodeVisitor):
                     f"builtin hash() feeding {context}(...) is salted by "
                     "PYTHONHASHSEED; use repro.sim.rng.derive_seed",
                 )
-
-    # -- compiled-kernel cleanliness ------------------------------------
-    def _check_compiled_clean_call(self, node: ast.Call) -> None:
-        if RULE_COMPILED_CLEAN not in self.active:
-            return
-        if isinstance(node.func, ast.Name) and node.func.id in _DYNAMIC_ATTR_BUILTINS:
-            self._add(
-                node,
-                RULE_COMPILED_CLEAN,
-                f"{node.func.id}() in a mypyc-compiled kernel core: dynamic "
-                "attribute/namespace machinery is rejected or deoptimized by "
-                "the compiler; use direct attribute access",
-            )
-
-    def _check_compiled_clean_resolved(
-        self, node: ast.Call, module: str, attr: str
-    ) -> None:
-        if RULE_COMPILED_CLEAN not in self.active:
-            return
-        if module.split(".")[0] == "sys" and attr == "getrefcount":
-            self._add(
-                node,
-                RULE_COMPILED_CLEAN,
-                "sys.getrefcount() in a mypyc-compiled kernel core: refcounts "
-                "differ between interpreted and compiled code, so behaviour "
-                "keyed on them diverges between backends; track ownership "
-                "explicitly instead",
-            )
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if RULE_COMPILED_CLEAN in self.active and node.attr == "__dict__":
-            self._add(
-                node,
-                RULE_COMPILED_CLEAN,
-                "__dict__ access in a mypyc-compiled kernel core: compiled "
-                "classes carry no instance dict; access attributes directly",
-            )
-        self.generic_visit(node)
-
-    def _check_compiled_annotations(self, node: ast.AST) -> None:
-        if RULE_COMPILED_CLEAN not in self.active:
-            return
-        args = node.args  # type: ignore[attr-defined]
-        name = node.name  # type: ignore[attr-defined]
-        positional = list(args.posonlyargs) + list(args.args)
-        # The first positional arg of a method is the instance/class
-        # binding; its type is implied.
-        if positional and positional[0].arg in ("self", "cls"):
-            positional = positional[1:]
-        missing = [
-            a.arg
-            for a in positional + list(args.kwonlyargs)
-            if a.annotation is None
-        ]
-        for vararg in (args.vararg, args.kwarg):
-            if vararg is not None and vararg.annotation is None:
-                missing.append(vararg.arg)
-        if getattr(node, "returns", None) is None:
-            missing.append("return")
-        if missing:
-            self._add(
-                node,
-                RULE_COMPILED_CLEAN,
-                f"def {name} in a mypyc-compiled kernel core is missing "
-                f"annotations ({', '.join(missing)}); mypyc compiles exactly "
-                "what mypy can type, so every signature must be complete",
-            )
 
     # -- assignments (hash-seed + set tracking) -------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -643,12 +523,10 @@ class _Linter(ast.NodeVisitor):
     # -- mutable defaults -----------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_mutable_defaults(node)
-        self._check_compiled_annotations(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_mutable_defaults(node)
-        self._check_compiled_annotations(node)
         self.generic_visit(node)
 
     def _check_mutable_defaults(self, node: ast.AST) -> None:
@@ -953,10 +831,7 @@ class _Linter(ast.NodeVisitor):
         process*, which under the sharded engine means state that
         diverges between worker processes.
         """
-        if (
-            RULE_MODULE_STATE not in self.active
-            and RULE_COMPILED_CLEAN not in self.active
-        ):
+        if RULE_MODULE_STATE not in self.active:
             return
         self._walk_module_scope(tree.body)
 
@@ -1006,16 +881,6 @@ class _Linter(ast.NodeVisitor):
             "'# repro: lint-ok(module-mutable-state)' pragma if it is a "
             "per-process cache rebuilt identically from the same inputs",
         )
-        self._add(
-            stmt,
-            RULE_COMPILED_CLEAN,
-            f"module-level mutable container {name!r} in a mypyc-compiled "
-            "kernel core: the interpreted and compiled copies of the module "
-            "would each own one, splitting state the moment both backends "
-            "are imported side by side; keep caches in the interpreted "
-            "shell modules (storage/version.py, sim/hlc.py) instead",
-        )
-
     def _is_mutable_container_expr(self, value: ast.expr) -> bool:
         if isinstance(
             value,

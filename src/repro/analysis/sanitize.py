@@ -26,7 +26,6 @@ import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.registry import build_store
-from repro.sim.backend import active_kernel
 from repro.workload import WorkloadRunner, workload
 
 __all__ = [
@@ -176,7 +175,7 @@ def capture_run(
     """Build a deployment, run one workload, and return its trace.
 
     ``overrides`` passes protocol config fields through to the store
-    (e.g. the batching knobs for ``repro sanitize --batch``).
+    (e.g. the batching knobs for ``repro sanitize --stability notices+batch``).
     ``mutate_store`` is a test hook invoked on the freshly built store
     before the run starts — used to inject deliberate nondeterminism and
     verify the detector localizes it.
@@ -409,7 +408,6 @@ def sanitize_sharded(
         warmup=warmup,
         drain=0.5,
         overrides=tuple(sorted((overrides or {}).items())),
-        kernel=active_kernel(),
     )
     first = ShardedSimulator(spec, workers=workers).run()
     second = ShardedSimulator(spec, workers=workers).run()

@@ -44,7 +44,6 @@ __all__ = [
     "CAP_STABILITY",
     "CAP_DURABLE_STORAGE",
     "CAP_CLOCK_STABILITY",
-    "CAP_COMPILED_KERNEL",
     "GetResult",
     "PutResult",
     "SnapshotResult",
@@ -67,10 +66,6 @@ CAP_DURABLE_STORAGE = "durable-storage"
 #: Stability is driven by the clock plane (HLC stamps + periodic
 #: stability vectors) instead of per-write notification streams.
 CAP_CLOCK_STABILITY = "clock-stability"
-#: The deployment is running on the mypyc-compiled kernel backend
-#: (``ChainReactionConfig.kernel``; semantics identical to pure python,
-#: only speed differs — see repro.sim.backend).
-CAP_COMPILED_KERNEL = "compiled-kernel"
 
 
 @dataclasses.dataclass(frozen=True)

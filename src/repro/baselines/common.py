@@ -23,7 +23,6 @@ from repro.cluster.server_base import RingServer, install_converged
 from repro.errors import ConfigError
 from repro.net.latency import lan_latency, wan_latency
 from repro.net.network import Network
-from repro.sim.backend import new_simulator
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.version import VersionVector
@@ -97,9 +96,7 @@ class RingDeployment(Datastore):
         network: Optional[Network] = None,
     ) -> None:
         self.config = config
-        # Baselines have no kernel knob of their own; they run on
-        # whatever backend is active (see repro.sim.backend).
-        self.sim = sim or new_simulator()
+        self.sim = sim or Simulator()
         self.rng = RngRegistry(config.seed)
         self.network = network or Network(
             self.sim,

@@ -38,10 +38,6 @@ selects human tables or a machine-readable JSON document, and
 ``--out FILE`` writes the report to a file instead of stdout (``perf``
 prints its tables either way and writes its JSON report only to
 ``--out FILE``).
-``run``, ``faults``, and ``sanitize`` also accept ``--kernel
-{auto,pure,compiled}`` selecting the event-kernel backend (``auto``
-prefers the mypyc build when present, else pure; the ``REPRO_KERNEL``
-environment variable steers ``auto``).
 
 Examples::
 
@@ -52,7 +48,6 @@ Examples::
     python -m repro perf --protocol --out /tmp/protocol.json
     python -m repro perf --scale --workers 1 2 --out /tmp/parallel.json
     python -m repro perf --partial --out /tmp/partial.json
-    python -m repro run --protocol chainreaction --kernel compiled --clients 32
     python -m repro faults --campaign crash-head --seed 7
     python -m repro faults --campaign crash-head --check-determinism --stability clock
     python -m repro lint --typing
@@ -92,44 +87,6 @@ __all__ = ["main", "build_parser"]
 #: stabilization-plane selector values shared by run/faults/sanitize
 _PLANE_CHOICES = ("notices", "notices+batch", "clock")
 
-#: kernel-backend selector values shared by run/faults/sanitize
-_KERNEL_CHOICES = ("auto", "pure", "compiled")
-
-#: one deprecation warning per process for the --batch alias
-_batch_alias_warned = False
-
-
-def _resolve_plane(args: argparse.Namespace, out) -> str:
-    """Fold the deprecated ``--batch`` boolean into ``--stability``."""
-    global _batch_alias_warned
-    plane = getattr(args, "stability", None)
-    if getattr(args, "batch", False):
-        if not _batch_alias_warned:
-            print(
-                "warning: --batch is deprecated; use --stability notices+batch",
-                file=out,
-            )
-            _batch_alias_warned = True
-        if plane is None:
-            plane = "notices+batch"
-    return plane or "notices"
-
-
-def _activate_cli_kernel(args: argparse.Namespace, out) -> Optional[str]:
-    """Activate the ``--kernel`` backend; None (+ message) on bad request.
-
-    Returns the concrete backend name (``pure``/``compiled``) on
-    success. ``--kernel compiled`` without a build is the one failure
-    mode (ConfigError) — report it instead of tracebacking.
-    """
-    from repro.errors import ConfigError
-    from repro.sim.backend import activate_kernel
-
-    try:
-        return activate_kernel(getattr(args, "kernel", None))
-    except ConfigError as exc:
-        print(f"--kernel: {exc}", file=out)
-        return None
 
 
 def _placement_overrides(args: argparse.Namespace, out) -> Optional[Dict[str, Any]]:
@@ -191,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE", default=None,
         help="write the report to FILE instead of stdout",
     )
-    # Shared by run/faults/sanitize: which simulation-kernel backend to
-    # run on.
-    kernel_sel = argparse.ArgumentParser(add_help=False)
-    kernel_sel.add_argument(
-        "--kernel", choices=_KERNEL_CHOICES, default=None, metavar="BACKEND",
-        help="simulation-kernel backend: auto (default; prefers the "
-        "mypyc-compiled build when importable), pure, or compiled "
-        "(errors when no build is present); REPRO_KERNEL sets the "
-        "default — see docs/PERFORMANCE.md §9",
-    )
     # Shared by run/sanitize: partial geo-replication placement.
     placement_sel = argparse.ArgumentParser(add_help=False)
     placement_sel.add_argument(
@@ -217,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
-        "run", parents=[output, kernel_sel, placement_sel],
+        "run", parents=[output, placement_sel],
         help="drive a YCSB workload against one protocol",
     )
     run.add_argument("--protocol", choices=PROTOCOLS, default="chainreaction")
@@ -252,15 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="back servers with the FAWN-KV-style append-only log store",
     )
     run.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default=None, metavar="PLANE",
+        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
         help="stabilization plane: notices (default), notices+batch "
         "(PR 4 coalescers + metadata GC), or clock (HLC + stability "
         "vectors); chainreaction/chain only",
-    )
-    run.add_argument(
-        "--batch",
-        action="store_true",
-        help="deprecated alias for --stability notices+batch",
     )
 
     probe = sub.add_parser(
@@ -317,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     faults = sub.add_parser(
-        "faults", parents=[output, kernel_sel],
+        "faults", parents=[output],
         help="run a fault campaign: seeded crashes/partitions/slow links (docs/FAULTS.md)",
     )
     faults.add_argument(
@@ -342,13 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign twice under one seed and diff the message traces",
     )
     faults.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default=None, metavar="PLANE",
+        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
         help="run the campaign on a stabilization plane: notices (default), "
         "notices+batch, or clock",
-    )
-    faults.add_argument(
-        "--batch", action="store_true",
-        help="deprecated alias for --stability notices+batch",
     )
 
     lint = sub.add_parser(
@@ -364,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sanitize = sub.add_parser(
-        "sanitize", parents=[output, kernel_sel, placement_sel],
+        "sanitize", parents=[output, placement_sel],
         help="race detector: run one experiment twice under one seed and diff traces",
     )
     sanitize.add_argument("--protocol", choices=PROTOCOLS, default="chainreaction")
@@ -382,13 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the chain prefix/stability/causal-cut monitors",
     )
     sanitize.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default=None, metavar="PLANE",
+        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
         help="sanitize on a stabilization plane: notices (default), "
         "notices+batch, or clock",
-    )
-    sanitize.add_argument(
-        "--batch", action="store_true",
-        help="deprecated alias for --stability notices+batch",
     )
     sanitize.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -471,19 +405,12 @@ def _emit(args: argparse.Namespace, out, text: str, payload: Dict[str, Any]) -> 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
     overrides: Dict[str, Any] = {}
-    kernel = _activate_cli_kernel(args, out)
-    if kernel is None:
-        return 2
-    if args.protocol in ("chainreaction", "chain"):
-        # Pin the resolved backend into the store config so its own
-        # (default "auto") resolution cannot override the CLI choice.
-        overrides["kernel"] = kernel
     if args.durable:
         if args.protocol not in ("chainreaction", "chain"):
             print("--durable applies to chainreaction/chain only", file=out)
             return 2
         overrides["durable_storage"] = True
-    plane = _resolve_plane(args, out)
+    plane = args.stability
     if plane != "notices":
         if args.protocol not in ("chainreaction", "chain"):
             print("--stability applies to chainreaction/chain only", file=out)
@@ -530,9 +457,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     payload: Dict[str, Any] = result.summary_row()
     payload["ops_completed"] = result.ops_completed
     payload["metadata_bytes_mean"] = result.metadata_bytes.mean()
-    payload["kernel"] = kernel
     rows = [
-        ("kernel backend", kernel),
         ("throughput (ops/s)", result.throughput),
         ("operations", result.ops_completed),
         ("errors", result.errors),
@@ -756,8 +681,8 @@ def _cmd_perf(args: argparse.Namespace, out) -> int:
         return _cmd_perf_parallel(args, out)
     print(
         "perf: pick a tier — --protocol, --scale --workers N..., or --partial. "
-        "Everything else (kernel, memory layout, stabilization plane, "
-        "compiled backend) is measured by the standing benchmark: "
+        "Everything else (kernel, memory layout, stabilization plane) "
+        "is measured by the standing benchmark: "
         "python3 benchmarks/suite/run.py --workload W --seed 1234 "
         "(see benchmarks/suite/README.md)",
         file=out,
@@ -777,21 +702,13 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
     if not args.campaign:
         print("faults: --campaign NAME is required (or --list)", file=out)
         return 2
-    kernel = _activate_cli_kernel(args, out)
-    if kernel is None:
-        return 2
     spec = campaign(args.campaign)
     updates: Dict[str, Any] = {}
     if args.clients is not None:
         updates["clients"] = args.clients
     if args.workload is not None:
         updates["workload_name"] = args.workload
-    plane = _resolve_plane(args, out)
-    extra_overrides: Dict[str, Any] = {}
-    if plane != "notices":
-        extra_overrides.update(_plane_overrides(plane))
-    if spec.protocol in ("chainreaction", "chain"):
-        extra_overrides["kernel"] = kernel
+    extra_overrides = _plane_overrides(args.stability)
     if extra_overrides:
         updates["overrides"] = {**(spec.overrides or {}), **extra_overrides}
     if updates:
@@ -894,16 +811,11 @@ def _cmd_sanitize_sharded(args: argparse.Namespace, out, overrides) -> int:
 def _cmd_sanitize(args: argparse.Namespace, out) -> int:
     from repro.analysis import sanitize_run
 
-    kernel = _activate_cli_kernel(args, out)
-    if kernel is None:
-        return 2
-    plane = _resolve_plane(args, out)
+    plane = args.stability
     if plane != "notices" and args.protocol not in ("chainreaction", "chain"):
         print("--stability applies to chainreaction/chain only", file=out)
         return 2
     overrides = _plane_overrides(plane) or None
-    if args.protocol in ("chainreaction", "chain"):
-        overrides = {**(overrides or {}), "kernel": kernel}
     placement = _placement_overrides(args, out)
     if placement is None:
         return 2

@@ -73,10 +73,10 @@ class RetryingSession(Actor, ClientSession):
     def close(self) -> None:
         """Detach from the network and fail the operations
         :meth:`_fail_pending` tracks (ChainReaction: puts awaiting their
-        reply). Any other operation in flight is *not* failed: it retries
-        against the downed address until its budget is spent and ends as
-        ``RequestTimeout``, counted in ``retries`` and ``failed_ops``
-        (ROADMAP item 6)."""
+        reply) at once. Any other :class:`RetryingOp` in flight fails
+        with the same ``SessionClosedError`` when its current attempt
+        times out against the downed address — one ``op_timeout``, no
+        backoff, nothing counted in ``retries`` or ``failed_ops``."""
         if self.closed:
             return
         self.closed = True
@@ -186,8 +186,14 @@ class RetryingOp(Future):
 
     def _retry(self, exc: Optional[BaseException] = None) -> None:
         """The attempt failed (``exc``) or was refused (None): back off,
-        refresh the view, then run the next attempt — or give up."""
-        _BackoffRefresh(self._session, self._attempt, exc).add_callback(self._next_attempt)
+        refresh the view, then run the next attempt — or give up. On a
+        closed session no attempt can be answered, so the operation ends
+        here."""
+        session = self._session
+        if session.closed:
+            self.set_exception(SessionClosedError(f"session {session.session_id} closed"))
+            return
+        _BackoffRefresh(session, self._attempt, exc).add_callback(self._next_attempt)
 
     def _next_attempt(self, step: Future) -> None:
         if step.failed():

@@ -173,13 +173,6 @@ class ChainReactionConfig:
         mutations: test-only seeded protocol bugs (names from
             :data:`PROTOCOL_MUTATIONS`) for the schedule explorer's
             proving ground. Empty in every production configuration.
-        kernel: which simulation-kernel backend to run on. ``"auto"``
-            (default) prefers the opt-in mypyc-compiled build when it is
-            importable and falls back to pure python; ``"pure"`` /
-            ``"compiled"`` force one backend (``"compiled"`` without a
-            build is a ConfigError). Both backends are bit-identical by
-            contract — this knob trades nothing but speed. See
-            :mod:`repro.sim.backend`.
         seed: root seed for every random stream in the deployment.
     """
 
@@ -219,7 +212,6 @@ class ChainReactionConfig:
     stability: str = "notices"
     stability_interval: float = 0.005
     mutations: Tuple[str, ...] = ()
-    kernel: str = "auto"
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -285,14 +277,6 @@ class ChainReactionConfig:
             raise ConfigError(
                 "stability='clock' is incompatible with metadata_gc: the "
                 "clock plane keeps no stability-tracker entries to seal"
-            )
-        # Local import: config is imported by nearly everything, and the
-        # kernelcore package must stay importable before repro.core.
-        from repro.kernelcore import KERNEL_CHOICES
-
-        if self.kernel not in KERNEL_CHOICES:
-            raise ConfigError(
-                f"kernel must be one of {KERNEL_CHOICES}; got {self.kernel!r}"
             )
         unknown = [m for m in self.mutations if m not in PROTOCOL_MUTATIONS]
         if unknown:

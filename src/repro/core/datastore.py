@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.api import (
     CAP_CLOCK_STABILITY,
-    CAP_COMPILED_KERNEL,
     CAP_DEGRADED_READS,
     CAP_DURABLE_STORAGE,
     CAP_SNAPSHOT_READS,
@@ -43,7 +42,6 @@ from repro.metrics.protocol import (
 )
 from repro.net.latency import lan_latency, wan_latency
 from repro.net.network import Network
-from repro.sim.backend import activate_kernel, new_simulator
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.merge import ConflictResolver
@@ -85,13 +83,8 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             caps.add(CAP_DURABLE_STORAGE)
         if self.config.stability == "clock":
             caps.add(CAP_CLOCK_STABILITY)
-        # Resolve + activate the kernel backend before any simulator or
-        # actor exists; bit-identical semantics, so this is a speed knob
-        # (validated at config construction, enforced here).
-        if activate_kernel(self.config.kernel) == "compiled":
-            caps.add(CAP_COMPILED_KERNEL)
         self.capabilities = frozenset(caps)
-        self.sim = sim or new_simulator()
+        self.sim = sim or Simulator()
         self.rng = RngRegistry(self.config.seed)
         self.network = network or Network(
             self.sim,

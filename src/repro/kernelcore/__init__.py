@@ -1,41 +1,6 @@
-"""Compilation-clean cores of the three hot modules.
+"""Home of :mod:`repro.kernelcore.eventcore`, the simulation kernel.
 
-The modules in this package hold the pure computation behind the
-simulation kernel (:mod:`repro.kernelcore.eventcore`), version-vector
-math (:mod:`repro.kernelcore.vvcore`), and hybrid-logical-clock
-arithmetic (:mod:`repro.kernelcore.hlccore`).  They are written to a
-stricter contract than the rest of the tree so one source can serve two
-backends — imported directly (the pure backend, always available) or
-ahead-of-time compiled by mypyc into ``repro._compiled`` (the opt-in
-compiled backend built by ``scripts/build_kernel.py``):
-
-- fully typed (``disallow_untyped_defs``-clean; enforced by mypy *and*
-  the ``compiled-kernel-clean`` lint rule);
-- no dynamic attribute tricks (``getattr``/``setattr``/``vars``/
-  ``eval``/``exec``/``__dict__``) — native classes have fixed layouts;
-- no module-level mutable containers — compiled and interpreted copies
-  of a module would each own one, silently diverging (bounded caches
-  like the vector intern pool therefore live in the interpreted shells,
-  :mod:`repro.storage.version` / :mod:`repro.sim.hlc`, which both
-  backends share);
-- no ``sys.getrefcount`` or other CPython-refcount assumptions —
-  refcounts differ under compiled code, so recycling eligibility is an
-  explicit ownership flag on the handle instead.
-
-Backend selection is :mod:`repro.sim.backend`; the semantics contract
-("bit-identical traces from either backend") is pinned by the parity
-suite in ``tests/test_kernel_backends.py``.
+A package of one module because the standing benchmark binds
+``repro.kernelcore.eventcore.Simulator`` by path; everything else
+imports the kernel through :mod:`repro.sim.kernel`.
 """
-
-from typing import Tuple
-
-#: Valid values for ``ChainReactionConfig.kernel`` / ``--kernel`` /
-#: ``REPRO_KERNEL``: ``auto`` prefers the compiled build when it is
-#: importable, ``pure``/``compiled`` force one backend.
-KERNEL_CHOICES: Tuple[str, ...] = ("auto", "pure", "compiled")
-
-#: Module basenames this package contributes to the compiled build, in
-#: dependency order — ``scripts/build_kernel.py`` compiles exactly these.
-COMPILED_MODULES: Tuple[str, ...] = ("eventcore", "vvcore", "hlccore")
-
-__all__ = ["KERNEL_CHOICES", "COMPILED_MODULES"]

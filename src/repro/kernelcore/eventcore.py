@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulation kernel (compilation-clean core).
+"""Deterministic discrete-event simulation kernel.
 
 The kernel owns virtual time. Everything in the reproduction — network
 delivery, protocol timers, client think time — is expressed as callbacks
@@ -10,12 +10,8 @@ Events with equal timestamps fire in the order they were scheduled
 keeps executions deterministic even when many messages land on the same
 instant.
 
-This module is the shared source of both kernel backends: imported
-as-is it is the pure-python backend; compiled by mypyc (see
-``scripts/build_kernel.py``) it becomes ``repro._compiled.eventcore``.
-It therefore follows the ``compiled-kernel-clean`` contract described
-in :mod:`repro.kernelcore` — fully typed, no dynamic attribute access,
-no module-level mutable state, and no refcount introspection.
+Import the classes through :mod:`repro.sim.kernel`; the module sits
+here because the standing benchmark binds ``Simulator`` by this path.
 
 Performance notes (this is the hottest loop in the repository — every
 message hop and timer passes through it):
@@ -74,9 +70,8 @@ class ScheduledEvent:
     :meth:`release`; once a released handle leaves the heap (fired, or
     popped after cancellation) the simulator parks it on a freelist and
     a later ``schedule`` call may hand it out again. The flag is an
-    explicit contract rather than a refcount probe so both kernel
-    backends — and any runtime without CPython refcount semantics —
-    recycle identically.
+    explicit contract rather than a refcount probe, so recycling does
+    not depend on who else happens to hold a reference.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "owned", "_sim")
@@ -197,10 +192,7 @@ class Simulator:
     _cancelled_in_heap: int
     _freelist: List[ScheduledEvent]
     _events_reused: int
-    #: duck-typed on purpose: an interpreted DeliveryChooser subclass
-    #: must keep working when this class is the mypyc-compiled copy, so
-    #: no native type check may be compiled into the attribute.
-    _chooser: Any
+    _chooser: Optional[DeliveryChooser]
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -231,7 +223,7 @@ class Simulator:
         """Number of not-yet-fired, not-cancelled events. O(1)."""
         return self._pending
 
-    def set_delivery_chooser(self, chooser: Any) -> None:
+    def set_delivery_chooser(self, chooser: Optional[DeliveryChooser]) -> None:
         """Attach (or detach, with None) a :class:`DeliveryChooser`.
 
         Only :meth:`run_window` consults it; ``run()``'s fast path is
@@ -330,9 +322,7 @@ class Simulator:
         A handle is reused only if :meth:`ScheduledEvent.release` was
         called on it — the holder's explicit promise that no reference
         survives through which a late ``cancel()`` could reach the
-        recycled event. Unlike the refcount probe this replaces, the
-        flag behaves identically under the interpreted and compiled
-        backends (and any runtime whose refcounts differ from CPython's).
+        recycled event.
         """
         if not ev.owned and len(self._freelist) < _FREELIST_MAX:
             ev.callback = _noop

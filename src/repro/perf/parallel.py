@@ -25,7 +25,6 @@ import os
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from repro.sim.backend import active_kernel
 from repro.sim.shard import ExperimentSpec, ShardedSimulator, experiment_lookahead
 from repro.workload.ycsb import WorkloadSpec
 
@@ -120,9 +119,6 @@ def spec_from_profile(profile: Dict[str, Any]) -> ExperimentSpec:
         drain=profile["drain"],
         record_history=False,
         reservoir_capacity=2_000,
-        # Pin whatever backend this process runs to the spec, so worker
-        # processes measure the same kernel as the coordinator.
-        kernel=active_kernel(),
     )
 
 

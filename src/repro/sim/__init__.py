@@ -6,17 +6,8 @@ Public surface:
 - :class:`~repro.sim.process.Future` / :class:`~repro.sim.process.Process`
   — asynchronous results and generator-based sequential processes.
 - :class:`~repro.sim.rng.RngRegistry` — labelled deterministic RNG streams.
-- :mod:`~repro.sim.backend` — selection between the pure-python kernel
-  and the opt-in mypyc-compiled build (``activate_kernel`` /
-  ``active_kernel`` / ``compiled_available`` / ``new_simulator``).
 """
 
-from repro.sim.backend import (
-    activate_kernel,
-    active_kernel,
-    compiled_available,
-    new_simulator,
-)
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import (
     Future,
@@ -43,8 +34,4 @@ __all__ = [
     "with_timeout",
     "RngRegistry",
     "derive_seed",
-    "activate_kernel",
-    "active_kernel",
-    "compiled_available",
-    "new_simulator",
 ]

@@ -1,164 +1,7 @@
-"""Runtime selection between the pure-python and compiled kernels.
-
-The three hot modules live as compilation-clean sources in
-:mod:`repro.kernelcore`; ``scripts/build_kernel.py`` optionally compiles
-them with mypyc into :mod:`repro._compiled`. This module is the single
-switch between the two:
-
-- :func:`resolve_kernel` maps a requested choice (``auto``/``pure``/
-  ``compiled``, from ``ChainReactionConfig.kernel``, ``--kernel`` or the
-  ``REPRO_KERNEL`` environment variable) to a concrete backend. ``auto``
-  prefers the compiled build when it is importable and falls back to
-  pure; asking for ``compiled`` without a build is a hard
-  :class:`~repro.errors.ConfigError` — silently falling back would make
-  "I benchmarked the compiled kernel" unfalsifiable.
-- :func:`activate_kernel` makes a backend *current*, process-wide: it
-  rebinds the delegation globals inside the interpreted shells
-  (:mod:`repro.storage.version`, :mod:`repro.sim.hlc`) and swaps the
-  simulator factory used by :func:`new_simulator`.
-
-Activation is process-global rather than per-instance because the hot
-functions are reached through module globals precisely so the call sites
-carry zero dispatch overhead; sharded workers re-activate from
-``ExperimentSpec.kernel`` on startup, so every process in a run agrees.
-Both backends are bit-identical by contract (pinned by
-``tests/test_kernel_backends.py``), so switching mid-process changes
-speed, never results.
-
-Resolution order: explicit argument (when not ``auto``) → ``REPRO_KERNEL``
-→ auto-detection.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Any, Optional, Tuple
-
-from repro.errors import ConfigError
-from repro.kernelcore import KERNEL_CHOICES
-from repro.kernelcore import eventcore as _pure_eventcore
-from repro.kernelcore import hlccore as _pure_hlccore
-from repro.kernelcore import vvcore as _pure_vvcore
-
-__all__ = [
-    "ENV_VAR",
-    "KERNEL_CHOICES",
-    "activate_kernel",
-    "active_kernel",
-    "compiled_available",
-    "new_simulator",
-    "resolve_kernel",
-]
-
-#: environment override consulted when the explicit choice is ``auto``
-ENV_VAR = "REPRO_KERNEL"
-
-_active = "pure"
-_simulator_factory: Any = _pure_eventcore.Simulator
-_compiled_checked = False
-_compiled_modules: Optional[Tuple[Any, Any, Any]] = None
-
-
-def _load_compiled() -> Optional[Tuple[Any, Any, Any]]:
-    """The compiled (eventcore, vvcore, hlccore) triple, or None.
-
-    Memoized: import success cannot change within a process (the build
-    either shipped its extension modules or it did not).
-    """
-    global _compiled_checked, _compiled_modules
-    if _compiled_checked:
-        return _compiled_modules
-    _compiled_checked = True
-    try:
-        from repro._compiled import eventcore, hlccore, vvcore
-    except ImportError:
-        _compiled_modules = None
-    else:
-        _compiled_modules = (eventcore, vvcore, hlccore)
-    return _compiled_modules
-
-
-def compiled_available() -> bool:
-    """True iff the mypyc build is importable in this environment."""
-    return _load_compiled() is not None
-
-
-def resolve_kernel(choice: Optional[str] = None) -> str:
-    """Map a requested kernel choice to a concrete backend name.
-
-    ``None`` means "no explicit choice" and behaves like ``auto``:
-    consult ``REPRO_KERNEL``, then prefer the compiled build when
-    importable. An explicit ``pure``/``compiled`` wins over the
-    environment; ``compiled`` without a build raises
-    :class:`~repro.errors.ConfigError` rather than degrading silently.
-    """
-    selected = choice if choice is not None else "auto"
-    if selected not in KERNEL_CHOICES:
-        raise ConfigError(
-            f"kernel must be one of {KERNEL_CHOICES}; got {selected!r}"
-        )
-    if selected == "auto":
-        env = os.environ.get(ENV_VAR, "").strip().lower()
-        if env:
-            if env not in KERNEL_CHOICES:
-                raise ConfigError(
-                    f"{ENV_VAR} must be one of {KERNEL_CHOICES}; got {env!r}"
-                )
-            selected = env
-    if selected == "auto":
-        return "compiled" if compiled_available() else "pure"
-    if selected == "compiled" and not compiled_available():
-        raise ConfigError(
-            "kernel='compiled' requested but repro._compiled is not "
-            "importable; build it with `python scripts/build_kernel.py` "
-            "(requires the [compiled] extra: mypy/mypyc plus a C toolchain)"
-        )
-    return selected
+"""Owed to a future benchmark-only PR: ``benchmarks/suite/measure.py``
+imports ``active_kernel`` from here to label its rows, and a PR that
+touches ``src/`` may not edit the benchmark. There is one kernel."""
 
 
 def active_kernel() -> str:
-    """The currently-activated backend name (``pure`` until activation)."""
-    return _active
-
-
-def new_simulator() -> Any:
-    """A fresh :class:`Simulator` from the active backend.
-
-    Default-construction sites (datastore, baseline deployments) route
-    through this instead of naming the class so one activation switches
-    every subsequently-built simulator.
-    """
-    return _simulator_factory()
-
-
-def activate_kernel(choice: Optional[str] = None) -> str:
-    """Resolve ``choice`` and make that backend current, process-wide.
-
-    Idempotent and cheap when the resolved backend is already active.
-    Returns the concrete backend name (``pure`` or ``compiled``).
-    """
-    global _active, _simulator_factory
-    backend = resolve_kernel(choice)
-    if backend == _active:
-        return backend
-    if backend == "compiled":
-        modules = _load_compiled()
-        if modules is None:  # pragma: no cover - resolve_kernel guards this
-            raise ConfigError("compiled kernel vanished between resolve and activate")
-        eventcore, vvcore, hlccore = modules
-    else:
-        eventcore, vvcore, hlccore = (
-            _pure_eventcore,
-            _pure_vvcore,
-            _pure_hlccore,
-        )
-    # Local imports: version/hlc import kernelcore at module load; going
-    # the other way at import time would cycle.
-    from repro.sim import hlc as hlc_shell
-    from repro.storage import version as version_shell
-
-    version_shell._bind_kernel(vvcore)
-    hlc_shell._bind_kernel(hlccore)
-    _simulator_factory = eventcore.Simulator
-    _active = backend
-    return backend
+    return "pure"

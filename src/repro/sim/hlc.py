@@ -32,9 +32,7 @@ envelope boundary.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple
-
-from repro.kernelcore import hlccore as _hlccore
+from typing import Iterable, Optional, Tuple
 
 __all__ = [
     "HLCStamp",
@@ -46,32 +44,53 @@ __all__ = [
     "hlc_or_none",
 ]
 
-#: physical quantum: microseconds of simulated time (defined in hlccore
-#: so both backends quantize identically)
-_PHYSICAL_SCALE = _hlccore.PHYSICAL_SCALE
+#: physical quantum: microseconds of simulated time
+_PHYSICAL_SCALE = 1_000_000
 
 #: modeled wire size of a stamp: 8B physical + 2B logical + 2B origin id
 _STAMP_WIRE_BYTES = 12
 
-# Clock-arithmetic delegation: rebindable globals that repro.sim.backend
-# points at the mypyc-compiled copy of the same functions
-# (repro._compiled.hlccore) when the compiled backend is activated. The
-# HLCStamp wire type and the NO_HLC singleton stay in this interpreted
-# shell — their pickle round-trips and singleton identity must hold
-# across the sharded engine's envelope boundary on either backend.
-_wall_quantum = _hlccore.wall_quantum
-_clock_tick = _hlccore.clock_tick
-_clock_observe = _hlccore.clock_observe
-_clock_peek = _hlccore.clock_peek
+
+# ----------------------------------------------------------------------
+# clock arithmetic: integer-pure state transitions over the position
+# (physical, logical); float simulated time is quantized once, in
+# wall_quantum, so every caller sees the same inputs
+# ----------------------------------------------------------------------
+def wall_quantum(now: float) -> int:
+    """Quantize simulated seconds to the HLC physical component."""
+    return int(now * _PHYSICAL_SCALE)
 
 
-def _bind_kernel(core: Any) -> None:
-    """Point the clock-math globals at ``core`` (pure or compiled hlccore)."""
-    global _wall_quantum, _clock_tick, _clock_observe, _clock_peek
-    _wall_quantum = core.wall_quantum
-    _clock_tick = core.clock_tick
-    _clock_observe = core.clock_observe
-    _clock_peek = core.clock_peek
+def clock_tick(physical: int, logical: int, wall: int) -> Tuple[int, int]:
+    """Advance for minting a stamp: catch up to the wall quantum, or tick
+    the logical counter when the wall has not moved past the clock."""
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical + 1)
+
+
+def clock_observe(
+    physical: int,
+    logical: int,
+    s_physical: int,
+    s_logical: int,
+    wall: int,
+) -> Tuple[int, int]:
+    """Merge a remote stamp ``(s_physical, s_logical)`` then catch up to
+    the wall quantum. Never moves the clock backwards."""
+    if s_physical > physical or (s_physical == physical and s_logical > logical):
+        physical = s_physical
+        logical = s_logical
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical)
+
+
+def clock_peek(physical: int, logical: int, wall: int) -> Tuple[int, int]:
+    """Current position without consuming a logical tick."""
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical)
 
 
 class HLCStamp:
@@ -218,7 +237,7 @@ class HybridClock:
         self.max_skew = 0
 
     def _wall(self) -> int:
-        return _wall_quantum(self._sim.now)
+        return wall_quantum(self._sim.now)
 
     def _note_skew(self, wall: int) -> None:
         skew = self._physical - wall
@@ -227,7 +246,7 @@ class HybridClock:
 
     def stamp(self) -> HLCStamp:
         wall = self._wall()
-        self._physical, self._logical = _clock_tick(
+        self._physical, self._logical = clock_tick(
             self._physical, self._logical, wall
         )
         self._note_skew(wall)
@@ -237,7 +256,7 @@ class HybridClock:
         if not isinstance(stamp, HLCStamp):
             return
         wall = self._wall()
-        self._physical, self._logical = _clock_observe(
+        self._physical, self._logical = clock_observe(
             self._physical,
             self._logical,
             stamp.physical,
@@ -248,7 +267,7 @@ class HybridClock:
 
     def peek(self) -> HLCStamp:
         wall = self._wall()
-        physical, logical = _clock_peek(self._physical, self._logical, wall)
+        physical, logical = clock_peek(self._physical, self._logical, wall)
         return HLCStamp(physical, logical, self.origin)
 
 

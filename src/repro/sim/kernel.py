@@ -1,17 +1,8 @@
-"""Stable import surface of the discrete-event simulation kernel.
+"""Import surface of the discrete-event simulation kernel.
 
-The implementation moved to :mod:`repro.kernelcore.eventcore` so one
-compilation-clean source can serve two backends: imported directly (the
-pure-python backend re-exported here, always available) or ahead-of-time
-compiled by mypyc into ``repro._compiled.eventcore`` (opt-in; see
-``scripts/build_kernel.py``).
-
-This module always names the **pure** classes — it is the stable target
-for annotations, subclassing (:class:`DeliveryChooser` in the schedule
-explorer), and tests. Code that *constructs* a default simulator and
-should honour the selected backend goes through
-:func:`repro.sim.backend.new_simulator` instead of ``Simulator()``;
-backend selection itself lives in :mod:`repro.sim.backend`.
+The implementation lives in :mod:`repro.kernelcore.eventcore` (the
+standing benchmark binds ``Simulator`` there by path); import the
+classes from here.
 """
 
 from __future__ import annotations

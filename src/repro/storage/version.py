@@ -15,9 +15,7 @@ identically at every replica.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Tuple
-
-from repro.kernelcore import vvcore as _vvcore
+from typing import Dict, Iterable, Mapping, Tuple
 
 __all__ = [
     "VersionVector",
@@ -29,33 +27,89 @@ __all__ = [
     "clear_intern_pool",
 ]
 
+#: canonical form: sorted by dc id, no zero counters
 _EntriesTuple = Tuple[Tuple[str, int], ...]
 
-# Hot entries-tuple math delegates through these rebindable globals so
-# repro.sim.backend can swap in the mypyc-compiled copy of the very same
-# functions (repro._compiled.vvcore) at activation time. Module-global
-# indirection rather than an import of one or the other: the call sites
-# pay nothing extra, and this class — with its intern pools, which are
-# module-level mutable state and therefore barred from the compiled
-# package — stays the single interpreted shell both backends share.
-_get_entry = _vvcore.get_entry
-_total_entries = _vvcore.total_entries
-_increment_entries = _vvcore.increment_entries
-_merge_entries = _vvcore.merge_entries
-_dominates_entries = _vvcore.dominates_entries
-_entries_size_bytes = _vvcore.entries_size_bytes
+
+# ----------------------------------------------------------------------
+# entry math over the canonical tuple; VersionVector's methods call these
+# ----------------------------------------------------------------------
+def get_entry(entries: _EntriesTuple, dc: str) -> int:
+    """Counter for ``dc``; missing entries are implicitly zero.
+
+    Linear scan on purpose: real vectors have one entry per datacenter
+    (single digits), where a scan over a tuple beats building any map.
+    """
+    for name, n in entries:
+        if name == dc:
+            return n
+    return 0
 
 
-def _bind_kernel(core: Any) -> None:
-    """Point the hot-math globals at ``core`` (pure or compiled vvcore)."""
-    global _get_entry, _total_entries, _increment_entries
-    global _merge_entries, _dominates_entries, _entries_size_bytes
-    _get_entry = core.get_entry
-    _total_entries = core.total_entries
-    _increment_entries = core.increment_entries
-    _merge_entries = core.merge_entries
-    _dominates_entries = core.dominates_entries
-    _entries_size_bytes = core.entries_size_bytes
+def total_entries(entries: _EntriesTuple) -> int:
+    """Sum of all counters — the number of writes the version reflects."""
+    total = 0
+    for _, n in entries:
+        total += n
+    return total
+
+
+def increment_entries(entries: _EntriesTuple, dc: str) -> _EntriesTuple:
+    """Entries with ``dc``'s counter bumped by one (re-canonicalised)."""
+    updated = dict(entries)
+    updated[dc] = updated.get(dc, 0) + 1
+    return tuple(sorted(updated.items()))
+
+
+def merge_entries(a: _EntriesTuple, b: _EntriesTuple) -> _EntriesTuple:
+    """Pointwise maximum — the least upper bound under causality.
+
+    Identity contract: returns the operand tuple itself whenever it
+    already is the least upper bound (``a`` when it dominates or equals,
+    ``b`` when it does), so ``VersionVector.merge`` can forward the
+    corresponding *vector* — merges against ZERO and already-dominating
+    merges allocate nothing, which the memory model depends on.
+    """
+    if not b or b == a:
+        return a
+    if not a:
+        return b
+    merged = dict(a)
+    changed = False
+    for dc, n in b:
+        if n > merged.get(dc, 0):
+            merged[dc] = n
+            changed = True
+    if not changed:
+        return a
+    if len(merged) == len(b):
+        matches_b = True
+        for dc, n in b:
+            if merged[dc] != n:
+                matches_b = False
+                break
+        if matches_b:
+            return b
+    return tuple(sorted(merged.items()))
+
+
+def dominates_entries(a: _EntriesTuple, b: _EntriesTuple) -> bool:
+    """True iff ``a`` ≥ ``b`` pointwise (reflexive)."""
+    if a is b:  # the common case: an interned version against itself
+        return True
+    for dc, n in b:
+        if get_entry(a, dc) < n:
+            return False
+    return True
+
+
+def entries_size_bytes(entries: _EntriesTuple) -> int:
+    """Wire size: 4B count + one (4B dc-id + len + 8B counter) per entry."""
+    size = 4
+    for dc, _ in entries:
+        size += 4 + len(dc) + 8
+    return size
+
 
 # Intern pool: canonical entries tuple -> the one shared instance.  The
 # pool is bounded (no eviction — overflow vectors are simply not pooled)
@@ -194,7 +248,7 @@ class VersionVector:
     # accessors
     # ------------------------------------------------------------------
     def get(self, dc: str) -> int:
-        return _get_entry(self._entries, dc)
+        return get_entry(self._entries, dc)
 
     def entries(self) -> Dict[str, int]:
         return dict(self._entries)
@@ -207,13 +261,13 @@ class VersionVector:
 
     def total(self) -> int:
         """Sum of all counters — the number of writes this version reflects."""
-        return _total_entries(self._entries)
+        return total_entries(self._entries)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def increment(self, dc: str) -> "VersionVector":
-        return _from_entries(_increment_entries(self._entries, dc))
+        return _from_entries(increment_entries(self._entries, dc))
 
     def merge(self, other: "VersionVector") -> "VersionVector":
         """Pointwise maximum — the least upper bound under causality.
@@ -227,7 +281,7 @@ class VersionVector:
         """
         # merge_entries returns an *operand tuple* when it already is the
         # least upper bound; map tuple identity back to vector identity.
-        merged = _merge_entries(self._entries, other._entries)
+        merged = merge_entries(self._entries, other._entries)
         if merged is self._entries:
             return self
         if merged is other._entries:
@@ -258,7 +312,7 @@ class VersionVector:
     # ------------------------------------------------------------------
     def dominates(self, other: "VersionVector") -> bool:
         """True iff ``self`` ≥ ``other`` pointwise (reflexive)."""
-        return _dominates_entries(self._entries, other._entries)
+        return dominates_entries(self._entries, other._entries)
 
     def happens_before(self, other: "VersionVector") -> bool:
         """Strict causal precedence: ``self`` < ``other``."""
@@ -309,7 +363,7 @@ class VersionVector:
         Walked once per vector (it is immutable; 0 is no real size)."""
         size = self._size
         if not size:
-            size = self._size = _entries_size_bytes(self._entries)
+            size = self._size = entries_size_bytes(self._entries)
         return size
 
     def __repr__(self) -> str:

@@ -515,102 +515,6 @@ class TestEntryPoints:
         assert "[no-wall-clock]" in violation.format()
 
 
-KERNELCORE_PATH = "src/repro/kernelcore/fixture.py"  # mypyc-compiled dir
-
-
-class TestCompiledKernelClean:
-    def test_getrefcount_flagged(self):
-        src = (
-            "import sys\n\n"
-            "def live(obj: object) -> bool:\n"
-            "    return sys.getrefcount(obj) > 3\n"
-        )
-        assert rules_of(lint_source(src, KERNELCORE_PATH)) == [
-            "compiled-kernel-clean"
-        ]
-
-    def test_dynamic_attribute_builtins_flagged(self):
-        src = (
-            "def poke(obj: object) -> object:\n"
-            "    return getattr(obj, 'x', None)\n"
-        )
-        assert rules_of(lint_source(src, KERNELCORE_PATH)) == [
-            "compiled-kernel-clean"
-        ]
-        src = "def wipe(obj: object) -> None:\n    setattr(obj, 'x', 1)\n"
-        assert rules_of(lint_source(src, KERNELCORE_PATH)) == [
-            "compiled-kernel-clean"
-        ]
-
-    def test_dunder_dict_access_flagged(self):
-        src = "def peek(obj: object) -> dict:\n    return obj.__dict__\n"
-        assert rules_of(lint_source(src, KERNELCORE_PATH)) == [
-            "compiled-kernel-clean"
-        ]
-
-    def test_module_level_mutable_container_flagged(self):
-        src = "_CACHE: dict = {}\n"
-        assert "compiled-kernel-clean" in rules_of(
-            lint_source(src, KERNELCORE_PATH)
-        )
-
-    def test_unannotated_def_flagged(self):
-        src = "def tick(x):\n    return x + 1\n"
-        violations = lint_source(src, KERNELCORE_PATH)
-        assert rules_of(violations) == ["compiled-kernel-clean"]
-        assert "x, return" in violations[0].message
-
-    def test_missing_return_annotation_flagged(self):
-        src = "def tick(x: int):\n    return x + 1\n"
-        assert rules_of(lint_source(src, KERNELCORE_PATH)) == [
-            "compiled-kernel-clean"
-        ]
-
-    def test_self_needs_no_annotation(self):
-        src = (
-            "class Core:\n"
-            "    def tick(self, x: int) -> int:\n"
-            "        return x + 1\n"
-            "    @classmethod\n"
-            "    def make(cls) -> 'Core':\n"
-            "        return cls()\n"
-        )
-        assert lint_source(src, KERNELCORE_PATH) == []
-
-    def test_clean_core_passes(self):
-        src = (
-            "from typing import Tuple\n\n"
-            "SCALE: int = 1000\n\n"
-            "def tick(physical: int, logical: int, wall: int) -> Tuple[int, int]:\n"
-            "    if wall > physical:\n"
-            "        return (wall, 0)\n"
-            "    return (physical, logical + 1)\n"
-        )
-        assert lint_source(src, KERNELCORE_PATH) == []
-
-    def test_rule_scoped_to_kernelcore(self):
-        # Ordinary python elsewhere in the tree is exempt: the rule is
-        # opt-in by directory, not default-on.
-        src = "def tick(x):\n    return getattr(x, 'now')\n"
-        assert "compiled-kernel-clean" not in rules_of(
-            lint_source(src, "src/repro/metrics/fixture.py")
-        )
-        assert "compiled-kernel-clean" not in rules_of(
-            lint_source(src, "fixture.py")
-        )
-
-    def test_pragma_suppresses(self):
-        src = (
-            "def peek(obj: object) -> object:\n"
-            "    return getattr(obj, 'x')  # repro: lint-ok(compiled-kernel-clean)\n"
-        )
-        assert lint_source(src, KERNELCORE_PATH) == []
-
-    def test_shipped_kernelcore_is_clean(self):
-        root = Path(__file__).resolve().parents[1] / "src/repro/kernelcore"
-        assert lint_paths([root]) == []
-
-
 class TestShippedTree:
     def test_shipped_tree_is_clean(self):
         assert run_lint() == []

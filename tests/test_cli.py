@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import ast
 import io
 import json
@@ -236,8 +237,9 @@ class TestPerfOutput:
 
 
 class TestPerfRetiredTiers:
-    """The micro / memory-layout / stabilization-plane / compiled-kernel
-    tiers are measured by the standing benchmark now."""
+    """The micro / memory-layout / stabilization-plane tiers are measured
+    by the standing benchmark now; the kernel selector and the ``--batch``
+    alias are gone outright."""
 
     @pytest.mark.parametrize("argv", [("perf",), ("perf", "--scale")])
     def test_without_a_tier_points_at_the_suite(self, argv, tmp_path, monkeypatch):
@@ -259,6 +261,20 @@ class TestPerfRetiredTiers:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["perf", *flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--kernel", "pure"), ("--batch",)])
+    def test_kernel_and_batch_rejected_on_every_subcommand(self, flag, capsys):
+        parser = build_parser()
+        subcommands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert {"run", "faults", "sanitize"} <= set(subcommands)
+        for name in subcommands:
+            parser.parse_args([name])  # bare is fine, so the flag is what fails
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestPerfSmokeScript:

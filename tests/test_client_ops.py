@@ -274,11 +274,6 @@ def test_dependent_put_was_held_at_its_head():
         assert store.protocol_stats()["dep_waits"] == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="close() fails only puts awaiting their reply; a get in flight burns "
-    "its whole retry budget against the downed address (ROADMAP item 6)",
-)
 def test_close_fails_a_get_in_flight_with_session_closed():
     store = make_store(**FAST)
     s = store.session(session_id="alice")

@@ -221,28 +221,6 @@ class TestStabilityFlagCLI:
         assert code == 2
         assert "stability" in output
 
-    def test_batch_is_a_deprecated_alias(self):
-        import repro.cli as cli
-
-        cli._batch_alias_warned = False
-        code, output = run_cli(
-            "run", "--batch", "--duration", "0.2", "--clients", "2",
-            "--records", "10", "--sites", "dc0", "dc1",
-        )
-        assert code == 0
-        assert "deprecated" in output
-        assert "--stability notices+batch" in output
-
-    def test_explicit_stability_wins_over_batch(self):
-        import repro.cli as cli
-
-        cli._batch_alias_warned = False
-        code, output = run_cli(
-            "run", "--batch", "--stability", "clock", "--duration", "0.2",
-            "--clients", "2", "--records", "10", "--sites", "dc0", "dc1",
-        )
-        assert code == 0
-
     def test_sanitize_accepts_clock(self):
         code, output = run_cli(
             "sanitize", "--duration", "0.2", "--clients", "2",

@@ -1,13 +1,16 @@
-"""The names ``benchmarks/suite/shims.py`` binds must exist where it looks.
+"""The names ``benchmarks/suite`` binds must exist where it looks.
 
 The standing benchmark attributes host time to layers by replacing
 class attributes named in ``LAYER_POINTS`` (docs/PERFORMANCE.md, "the
 names the benchmark binds"). ``install`` silently skips a name that is
 not a function defined on its class, so renaming or moving a bound
 method drops its layer's time to zero without any test failing. This
-test reads — never edits — the shim table and fails instead.
+test reads — never edits — the shim table and fails instead. The same
+goes for the suite's plain imports: a PR that touches ``src/`` may not
+edit the benchmark, so a name it imports from ``repro`` must stay.
 """
 
+import ast
 import fnmatch
 import importlib
 import importlib.util
@@ -16,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "suite_shims", Path(__file__).resolve().parents[1] / "benchmarks" / "suite" / "shims.py"
-)
+SUITE = Path(__file__).resolve().parents[1] / "benchmarks" / "suite"
+
+_spec = importlib.util.spec_from_file_location("suite_shims", SUITE / "shims.py")
 shims = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(shims)
 
@@ -65,3 +68,23 @@ def test_every_bound_name_is_a_function_defined_on_its_class(layer, module, cls,
 def test_retired_names_are_still_listed():
     listed = {(cls, pattern) for _layer, _module, cls, pattern in POINTS}
     assert RETIRED <= listed, "the shim table dropped a retired name: drop it here too"
+
+
+REPRO_IMPORTS = sorted(
+    (path.name, node.module, alias.name)
+    for path in SUITE.glob("*.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.")
+    for alias in node.names
+)
+
+
+def test_the_import_scan_finds_the_suites_imports():
+    assert any(filename == "measure.py" for filename, _module, _name in REPRO_IMPORTS)
+
+
+@pytest.mark.parametrize("filename,module,name", REPRO_IMPORTS)
+def test_every_name_the_suite_imports_from_repro_resolves(filename, module, name):
+    assert hasattr(importlib.import_module(module), name), (
+        f"benchmarks/suite/{filename} does `from {module} import {name}`"
+    )

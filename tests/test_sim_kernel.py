@@ -159,3 +159,83 @@ class TestRun:
 
     def test_empty_run_is_noop(self, sim):
         assert sim.run() == 0.0
+
+
+class TestOwnershipRecycling:
+    def test_owned_handle_never_recycled(self):
+        sim = Simulator()
+        ev = sim.schedule(0.1, lambda: None)
+        sim.run()
+        # The holder still owns the handle, so the kernel must not hand
+        # the same object to a future schedule() call.
+        assert sim.event_pool_stats()["free"] == 0
+        ev2 = sim.schedule(0.2, lambda: None)
+        assert ev2 is not ev
+
+    def test_released_handle_recycled_after_fire(self):
+        sim = Simulator()
+        ev = sim.schedule(0.1, lambda: None)
+        ev.release()
+        sim.run()
+        assert sim.event_pool_stats()["free"] == 1
+        ev2 = sim.schedule(0.2, lambda: None)
+        assert ev2 is ev  # the freelist handed the same object back
+        assert ev2.owned
+        assert sim.event_pool_stats()["reused"] == 1
+
+    def test_late_release_after_fire_is_harmless_noop(self):
+        sim = Simulator()
+        ev = sim.schedule(0.1, lambda: None)
+        sim.run()
+        ev.release()  # fired while owned: recycling moment already passed
+        assert sim.event_pool_stats()["free"] == 0
+        assert sim.schedule(0.2, lambda: None) is not ev
+
+    def test_cancel_then_release_recycles(self):
+        # The with_timeout pattern: the done-callback cancels its timer
+        # and releases the handle; the cancelled entry is recycled when
+        # the heap reaches it.
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(0.1, fired.append, 1)
+        sim.schedule(0.2, fired.append, 2).release()
+        ev.cancel()
+        ev.release()
+        sim.run()
+        assert fired == [2]
+        assert sim.event_pool_stats()["free"] == 2
+
+    def test_recycled_handle_carries_no_stale_callback(self):
+        # Refurbishment must clear callback/args so a recycled handle
+        # can never re-fire its previous assignment.
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(0.1, fired.append, "old")
+        ev.release()
+        sim.run()
+        ev2 = sim.schedule(0.1, fired.append, "new")
+        assert ev2 is ev
+        sim.run()
+        assert fired == ["old", "new"]
+
+    def test_post_path_allocates_no_handles(self):
+        # post() is the handle-free hot path: it enqueues a bare tuple,
+        # so no ScheduledEvent is created and the freelist is untouched.
+        sim = Simulator()
+        for i in range(5):
+            sim.post(0.01 * (i + 1), lambda: None)
+        sim.run()
+        assert sim.events_processed == 5
+        stats = sim.event_pool_stats()
+        assert stats["free"] == 0
+        assert stats["reused"] == 0
+
+    def test_no_refcount_inspection_in_kernel_source(self):
+        # The heuristic this flag replaced must stay gone: recycling
+        # keyed on refcounts depends on who else happens to hold the
+        # handle (a debugger, a traceback, another runtime).
+        import inspect
+
+        from repro.kernelcore import eventcore
+
+        assert "getrefcount" not in inspect.getsource(eventcore)

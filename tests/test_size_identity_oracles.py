@@ -30,7 +30,7 @@ from repro.core.messages import ApplyRemote, ChainPut, DepEntry, PutRequest, Rem
 from repro.net import Address, RpcRequest, estimate_size
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
-from repro.storage.version import clear_intern_pool, set_interning
+from repro.storage.version import clear_intern_pool, entries_size_bytes, set_interning
 
 
 def vv(**entries):
@@ -224,19 +224,6 @@ class TestAddress:
         assert hash(copy) == hash(address)
 
 
-def _vvcores():
-    """The entry-math module of every kernel backend this host can run."""
-    from repro.kernelcore import vvcore as pure
-    from repro.sim.backend import compiled_available
-
-    cores = [pytest.param(pure, id="pure")]
-    if compiled_available():
-        from repro._compiled import vvcore as compiled
-
-        cores.append(pytest.param(compiled, id="compiled"))
-    return cores
-
-
 class _Tagged(VersionVector):
     __slots__ = ()
 
@@ -247,9 +234,8 @@ class TestVersionVectorSizeMemo:
 
     ENTRIES = [{}, {"dc0": 1}, {"dc0": 7, "dc1": 2, "a-long-datacenter-name": 3}]
 
-    @pytest.mark.parametrize("core", _vvcores())
     @pytest.mark.parametrize("entries", ENTRIES)
-    def test_equals_the_walk_however_the_vector_was_built(self, core, entries):
+    def test_equals_the_walk_however_the_vector_was_built(self, entries):
         pooled = VersionVector(entries)
         previous = set_interning(False)
         try:
@@ -267,15 +253,14 @@ class TestVersionVectorSizeMemo:
             pooled.increment("dc9"),
         ]
         for vector in built:
-            walked = core.entries_size_bytes(vector._entries)
+            walked = entries_size_bytes(vector._entries)
             assert vector.size_bytes() == walked  # fills the slot
             assert vector.size_bytes() == walked  # answers from it
             assert estimate_size(vector) == walked
 
-    @pytest.mark.parametrize("core", _vvcores())
     @given(vectors)
-    def test_equals_the_walk_for_any_vector(self, core, vector):
-        assert vector.size_bytes() == core.entries_size_bytes(vector._entries)
+    def test_equals_the_walk_for_any_vector(self, vector):
+        assert vector.size_bytes() == entries_size_bytes(vector._entries)
         assert vector.size_bytes() == 4 + sum(12 + len(dc) for dc in vector.entries())
 
     def test_a_cleared_pool_hands_out_fresh_vectors_with_the_same_size(self):
@@ -294,8 +279,6 @@ def test_no_other_production_type_subclasses_a_builtin_container():
     containers = (tuple, list, dict, set, frozenset, str, bytes)
     offenders = set()
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.startswith("repro._compiled"):
-            continue
         module = importlib.import_module(info.name)
         for value in vars(module).values():
             if (
