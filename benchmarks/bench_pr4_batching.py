@@ -3,8 +3,8 @@
 Two measurements back the PR's claims:
 
 1. **Protocol plane, batched vs unbatched** — the same write-heavy
-   geo workload (2 sites, R=3, k=2) with and without
-   ``protocol_batching`` + ``metadata_gc``. Batching must deliver at
+   geo workload (2 sites, R=3, k=2) on the ``notices`` and the
+   ``notices+batch`` plane. Batching must deliver at
    least a 1.3x wall-clock speedup (simulated ops per wall second) and
    at least a 5x reduction in stability-notification message count.
 2. **Metadata plateau** — a 10x-length insert-growing run (YCSB D).
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.baselines.registry import build_store
-from repro.core.config import BATCHED_OVERRIDES
 from repro.perf.protocol import bench_protocol_plane
 from repro.workload.driver import WorkloadRunner
 from repro.workload.ycsb import workload
@@ -45,9 +44,8 @@ MIN_STABILITY_REDUCTION = 5.0
 MAX_PLATEAU_GROWTH = 2.0
 
 
-def _plateau_arm(gc: bool, duration: float, n_clients: int, seed: int) -> Dict[str, Any]:
+def _plateau_arm(plane: str, duration: float, n_clients: int, seed: int) -> Dict[str, Any]:
     """One 10x-length YCSB-D run, sampling live metadata each 0.5s."""
-    overrides = dict(BATCHED_OVERRIDES) if gc else None
     store = build_store(
         "chainreaction",
         sites=("dc0", "dc1"),
@@ -55,7 +53,7 @@ def _plateau_arm(gc: bool, duration: float, n_clients: int, seed: int) -> Dict[s
         chain_length=3,
         ack_k=2,
         seed=seed,
-        overrides=overrides,
+        overrides={"stability": plane},
     )
     spec = workload("D", record_count=25, value_size=64)
     runner = WorkloadRunner(
@@ -82,7 +80,7 @@ def _plateau_arm(gc: bool, duration: float, n_clients: int, seed: int) -> Dict[s
     store.sim.post_at(0.5, sample)
     result = runner.run()
     return {
-        "metadata_gc": gc,
+        "plane": plane,
         "ops_completed": result.ops_completed,
         "keys_sealed": sum(n.keys_sealed for n in store.servers()),
         "samples": samples,
@@ -93,8 +91,8 @@ def collect(duration: float = 1.0, n_clients: int = 8, seed: int = SEED) -> dict
     protocol = bench_protocol_plane(
         duration=duration, n_clients=n_clients, seed=seed
     )
-    plateau_unbatched = _plateau_arm(False, duration * 5, n_clients, seed)
-    plateau_gc = _plateau_arm(True, duration * 5, n_clients, seed)
+    plateau_unbatched = _plateau_arm("notices", duration * 5, n_clients, seed)
+    plateau_gc = _plateau_arm("notices+batch", duration * 5, n_clients, seed)
 
     def growth(arm: Dict[str, Any]) -> float:
         series = [s["stable_map_entries"] for s in arm["samples"]]

@@ -50,6 +50,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.core.config import STABILITY_PLANES  # noqa: E402 - after the path line above
 
 #: the README's floor: fewer pairs can show a direction, never claim a gain
 MIN_PAIRS_FOR_A_GAIN = 10
@@ -70,14 +73,14 @@ def run_once(tree: Path, workload: str, seed: int, extra: Sequence[str],
     return {name: m["value"] for name, m in result["metrics"].items()}, digest
 
 
-#: the planes ``python -m repro faults --stability`` accepts
-PLANES = ("notices", "notices+batch", "clock")
-
 #: run in each tree's interpreter with that tree's ``src`` on the path:
-#: argv = campaign, plane, "shipped" | "2dc", seed; prints one JSON line
+#: argv = campaign, plane, "shipped" | "2dc", seed; prints one JSON line.
+#: A plane name is the override where the tree's ``STABILITY_PLANES``
+#: admits it; a base from before that tuple spells ``notices+batch``
+#: with its own legacy dict.
 _CAMPAIGN_RUNNER = """
 import dataclasses, hashlib, json, sys
-from repro.core.config import BATCHED_OVERRIDES
+from repro.core import config
 from repro.errors import ConfigError
 from repro.faults.campaign import CAMPAIGNS
 from repro.faults.engine import run_campaign
@@ -85,10 +88,10 @@ from repro.faults.engine import run_campaign
 name, plane, sites, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 spec = CAMPAIGNS[name]
 overrides = dict(spec.overrides or {})
-if plane == "notices+batch":
-    overrides.update(BATCHED_OVERRIDES)
-elif plane == "clock":
-    overrides["stability"] = "clock"
+if plane in getattr(config, "STABILITY_PLANES", ("notices", "clock")):
+    overrides["stability"] = plane
+else:
+    overrides.update(config.BATCHED_OVERRIDES)
 spec = dataclasses.replace(spec, overrides=overrides)
 if sites == "2dc":
     spec = dataclasses.replace(spec, sites=("dc0", "dc1"))
@@ -220,7 +223,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--campaigns", action="store_true",
                         help="compare fault-campaign message traces instead of benchmark pairs")
     parser.add_argument("--campaign", action="append", help="with --campaigns, repeatable; default: every built-in")
-    parser.add_argument("--stability", action="append", choices=PLANES,
+    parser.add_argument("--stability", action="append", choices=STABILITY_PLANES,
                         help="with --campaigns, repeatable; default: all three planes")
     parser.add_argument("--seed", type=int, default=42, help="with --campaigns: the campaign seed")
     parser.add_argument("--expect-different", action="append", default=[], metavar="ROW",
@@ -243,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     traces: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
         if args.campaigns:
-            return compare_campaigns(base_tree, args.campaign, args.stability or PLANES,
+            return compare_campaigns(base_tree, args.campaign, args.stability or STABILITY_PLANES,
                                      args.seed, args.expect_different)
         for workload in workloads:
             rows = runs[workload] = []

@@ -1390,7 +1390,7 @@ def _gc_floor_scope() -> ExploreScope:
             ExploreOp("B", "dc0", "get", key_y),
             ExploreOp("B", "dc0", "get", key_x),
         ),
-        overrides=(("metadata_gc", True), ("gc_interval", 0.05)),
+        overrides=(("stability", "notices+batch"), ("gc_interval", 0.05)),
         mutations=("gc_floor_off_by_one",),
         # the second write of key_x is deliberately left propagating in
         # the violating schedules; liveness oracles would double-report
@@ -1473,7 +1473,7 @@ def _batch_reorder_scope() -> ExploreScope:
             ExploreOp("B", "dc1", "get", "k01"),
             ExploreOp("B", "dc1", "get", "k00"),
         ),
-        overrides=(("protocol_batching", True), ("batch_flush_interval", 0.002)),
+        overrides=(("stability", "notices+batch"), ("batch_flush_interval", 0.002)),
         mutations=("batch_reorder",),
         check_stability_convergence=False,
         check_convergence=False,

@@ -72,7 +72,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.api import CAP_TRACING
 from repro.baselines.registry import PROTOCOLS, build_store
 from repro.checker import analyze_staleness, check_causal, check_session_guarantees
-from repro.core.config import BATCHED_OVERRIDES
+from repro.core.config import STABILITY_PLANES
 from repro.metrics import render_table
 from repro.workload import (
     WORKLOADS,
@@ -83,10 +83,6 @@ from repro.workload import (
 )
 
 __all__ = ["main", "build_parser"]
-
-#: stabilization-plane selector values shared by run/faults/sanitize
-_PLANE_CHOICES = ("notices", "notices+batch", "clock")
-
 
 
 def _placement_overrides(args: argparse.Namespace, out) -> Optional[Dict[str, Any]]:
@@ -122,15 +118,6 @@ def _placement_overrides(args: argparse.Namespace, out) -> Optional[Dict[str, An
             return None
         overrides["num_shards"] = shards
     return overrides
-
-
-def _plane_overrides(plane: str) -> Dict[str, Any]:
-    """Config overrides selecting a stabilization plane."""
-    if plane == "notices+batch":
-        return dict(BATCHED_OVERRIDES)
-    if plane == "clock":
-        return {"stability": "clock"}
-    return {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="back servers with the FAWN-KV-style append-only log store",
     )
     run.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
+        "--stability", choices=STABILITY_PLANES, metavar="PLANE",
         help="stabilization plane: notices (default), notices+batch "
         "(PR 4 coalescers + metadata GC), or clock (HLC + stability "
         "vectors); chainreaction/chain only",
@@ -284,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign twice under one seed and diff the message traces",
     )
     faults.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
+        "--stability", choices=STABILITY_PLANES, metavar="PLANE",
         help="run the campaign on a stabilization plane: notices (default), "
         "notices+batch, or clock",
     )
@@ -320,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the chain prefix/stability/causal-cut monitors",
     )
     sanitize.add_argument(
-        "--stability", choices=_PLANE_CHOICES, default="notices", metavar="PLANE",
+        "--stability", choices=STABILITY_PLANES, metavar="PLANE",
         help="sanitize on a stabilization plane: notices (default), "
         "notices+batch, or clock",
     )
@@ -410,12 +397,11 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             print("--durable applies to chainreaction/chain only", file=out)
             return 2
         overrides["durable_storage"] = True
-    plane = args.stability
-    if plane != "notices":
+    if args.stability is not None:
         if args.protocol not in ("chainreaction", "chain"):
             print("--stability applies to chainreaction/chain only", file=out)
             return 2
-        overrides.update(_plane_overrides(plane))
+        overrides["stability"] = args.stability
     placement = _placement_overrides(args, out)
     if placement is None:
         return 2
@@ -708,9 +694,8 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         updates["clients"] = args.clients
     if args.workload is not None:
         updates["workload_name"] = args.workload
-    extra_overrides = _plane_overrides(args.stability)
-    if extra_overrides:
-        updates["overrides"] = {**(spec.overrides or {}), **extra_overrides}
+    if args.stability is not None:
+        updates["overrides"] = {**(spec.overrides or {}), "stability": args.stability}
     if updates:
         spec = spec.with_updates(**updates)
 
@@ -811,11 +796,12 @@ def _cmd_sanitize_sharded(args: argparse.Namespace, out, overrides) -> int:
 def _cmd_sanitize(args: argparse.Namespace, out) -> int:
     from repro.analysis import sanitize_run
 
-    plane = args.stability
-    if plane != "notices" and args.protocol not in ("chainreaction", "chain"):
-        print("--stability applies to chainreaction/chain only", file=out)
-        return 2
-    overrides = _plane_overrides(plane) or None
+    overrides: Optional[Dict[str, Any]] = None
+    if args.stability is not None:
+        if args.protocol not in ("chainreaction", "chain"):
+            print("--stability applies to chainreaction/chain only", file=out)
+            return 2
+        overrides = {"stability": args.stability}
     placement = _placement_overrides(args, out)
     if placement is None:
         return 2

@@ -1,11 +1,15 @@
-"""Metadata-plane coalescing: per-destination buffers with flush timers.
+"""The ``notices+batch`` plane: the notices plane behind coalescers.
 
-The batching layer (``config.protocol_batching``) routes three message
-streams through coalescers instead of the wire:
+:class:`BatchedNoticesPlane` and :class:`BatchedShipping` wrap the two
+halves of the notices plane (:mod:`repro.core.stability_plane`): they
+route its three message streams through per-destination buffers with
+flush timers instead of the wire —
 
 - stability notifications (tail → upstream ``BulkStable`` hops),
 - global-stability fan-out (``GlobalStableBatch``),
-- geo shipping (``RemoteUpdateBatch`` per peer DC).
+- geo shipping (``RemoteUpdateBatch`` per peer DC)
+
+— and every server seals its fully-stable keys on a periodic sweep.
 
 A coalescer keeps one buffer per destination address. The first entry
 buffered arms a single simulator timer ``flush_interval`` out; when it
@@ -29,13 +33,33 @@ is the message count the batching layer saved.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro.cluster.ring import chain_positions
+from repro.core.messages import (
+    BulkStable,
+    GlobalStableBatch,
+    RemoteUpdate,
+    RemoteUpdateBatch,
+    StableEntries,
+)
+from repro.core.stability_plane import NoticesPlane, NoticesShipping
 from repro.net.network import Address
 from repro.sim.kernel import ScheduledEvent
+from repro.storage.logstore import DurableStore
 from repro.storage.version import VersionVector
 
-__all__ = ["Coalescer", "StabilityCoalescer", "UpdateCoalescer"]
+if TYPE_CHECKING:
+    from repro.core.geo import GeoProxy
+    from repro.core.node import ChainNode
+
+__all__ = [
+    "Coalescer",
+    "StabilityCoalescer",
+    "UpdateCoalescer",
+    "BatchedNoticesPlane",
+    "BatchedShipping",
+]
 
 
 class Coalescer:
@@ -177,3 +201,151 @@ class UpdateCoalescer(Coalescer):
 
     def _emit(self, dst: Address, bucket: Any) -> None:
         self._emit_updates(dst, tuple(bucket))
+
+
+class BatchedNoticesPlane(NoticesPlane):
+    """Server half: the ``ChainStable`` cascade travels as one
+    :class:`BulkStable` per upstream hop per window, and a sweep every
+    ``gc_interval`` seals the keys whose stable record already says
+    everything their tracker entries do (``ChainNode._try_seal``)."""
+
+    __slots__ = ("_coalescer",)
+
+    handles = ("on_bulk_stable", "on_global_stable_batch")
+
+    def __init__(self, node: "ChainNode") -> None:
+        super().__init__(node)
+        config = node.config
+        self._coalescer = StabilityCoalescer(
+            node, config.batch_flush_interval, config.batch_max_entries, self._send_bulk_stable
+        )
+        node.set_timer(config.gc_interval, self._gc_tick)
+
+    def _notify_upstream(
+        self, upstream: Address, key: str, version: VersionVector, position: int
+    ) -> None:
+        self._coalescer.add(upstream, key, version)
+
+    def _send_bulk_stable(self, dst: Address, entries: StableEntries) -> None:
+        self.node.send(dst, BulkStable(entries=entries))
+
+    def on_bulk_stable(self, msg: BulkStable, src: Address) -> None:
+        """Record a window's worth of stability entries; re-coalesce the
+        upstream forward per key (chains differ between keys)."""
+        node = self.node
+        for key, version in msg.entries:
+            node.stability.record(key, version)
+            node._refresh_stable_record(key)
+            chain = node.chain_for(key)
+            pos = chain_positions(chain, node.name)
+            if pos is not None and pos > 0:
+                self._coalescer.add(node.view.address_of(chain[pos - 1]), key, version)
+
+    def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
+        for key, version in msg.entries:
+            self.node.global_stability.record(key, version)
+
+    def _gc_tick(self) -> None:
+        """Seal keys whose metadata the stable record already subsumes."""
+        node = self.node
+        sealed = 0
+        for key in node.stability.tracked_keys():
+            if node._try_seal(key):
+                sealed += 1
+        if sealed:
+            node.keys_sealed += sealed
+            node.trace("gc", "sealed", sealed=str(sealed))
+            if isinstance(node.store, DurableStore):
+                # Sealing frees tracker entries; give the log the same
+                # chance to shed its dead prefix.
+                node.store.maybe_compact()
+        node.set_timer(node.config.gc_interval, self._gc_tick)
+
+    def on_recover(self) -> None:
+        # The crash cancelled the armed flush timer and the buffered
+        # entries belong to the pre-crash lifetime; start clean.
+        self._coalescer.reset()
+        self.node.set_timer(self.node.config.gc_interval, self._gc_tick)
+
+    def coalescers(self) -> Dict[str, Any]:
+        return {"stability": self._coalescer}
+
+
+class BatchedShipping(NoticesShipping):
+    """Site half: one :class:`RemoteUpdateBatch` per peer and one
+    :class:`GlobalStableBatch` per destination per window."""
+
+    __slots__ = ("_updates", "_globals")
+
+    handles = NoticesShipping.handles + ("on_remote_update_batch", "on_global_stable_batch")
+
+    def __init__(self, proxy: "GeoProxy") -> None:
+        super().__init__(proxy)
+        config = proxy.config
+        self._updates = UpdateCoalescer(
+            proxy, config.batch_flush_interval, config.batch_max_entries, self._send_update_batch
+        )
+        self._globals = StabilityCoalescer(
+            proxy, config.batch_flush_interval, config.batch_max_entries, self._send_global_batch
+        )
+
+    def _ship(self, peer: Address, update: RemoteUpdate) -> None:
+        self._updates.add(peer, update)
+
+    def _send_update_batch(self, dst: Address, updates: Tuple[RemoteUpdate, ...]) -> None:
+        self.proxy.send(dst, RemoteUpdateBatch(updates=updates))
+
+    def on_remote_update_batch(self, msg: RemoteUpdateBatch, src: Address) -> None:
+        """Unpack a coalesced shipment; in-batch order is arrival order."""
+        proxy = self.proxy
+        updates = msg.updates
+        if "batch_reorder" in proxy.config.mutations:
+            # MUTATION (proving ground): unpack the flush window in
+            # reverse. Two causally-ordered same-key writes coalesced
+            # into one batch then enter the per-key gate chain
+            # newer-first, making the remote DC apply (and serve) the
+            # newer write while skipping its predecessor.
+            updates = tuple(reversed(updates))
+        for update in updates:
+            proxy.on_remote_update(update, src)
+
+    def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:
+        view = self.proxy.view
+        for peer in peers:
+            self._globals.add(peer, key, version)
+        for server in view.chain_for(key):
+            self._globals.add(view.address_of(server), key, version)
+
+    def _send_global_batch(self, dst: Address, entries: StableEntries) -> None:
+        # Peer proxies re-fan the entries to their own chains; local
+        # chain members consume them directly.
+        fan_out = dst.node == "geoproxy"
+        self.proxy.send(dst, GlobalStableBatch(entries=entries, fan_out=fan_out))
+
+    def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
+        """Peer-proxy side of the batched fan-out: regroup per chain member.
+
+        Entries arrive grouped by *origin* proxy; each local server only
+        cares about the keys it replicates, so the batch is re-bucketed
+        by chain membership and forwarded immediately (no second flush
+        window — the WAN hop already paid the batching latency).
+        """
+        if not msg.fan_out:
+            return
+        proxy = self.proxy
+        buckets: Dict[Address, Dict[str, VersionVector]] = {}
+        for key, version in msg.entries:
+            for server in proxy.view.chain_for(key):
+                addr = proxy.view.address_of(server)
+                bucket = buckets.setdefault(addr, {})
+                have = bucket.get(key)
+                bucket[key] = version if have is None else have.merge(version)
+        for addr, bucket in buckets.items():
+            proxy.send(addr, GlobalStableBatch(entries=tuple(bucket.items())))
+
+    def on_recover(self) -> None:
+        self._updates.reset()
+        self._globals.reset()
+
+    def coalescers(self) -> Dict[str, Any]:
+        return {"shipping": self._updates, "global": self._globals}

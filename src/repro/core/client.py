@@ -276,8 +276,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         if reply.globally:
             # Globally stable (== DC-stable in a single-DC deployment):
             # every replica everywhere serves it, so it constrains nothing.
-            if self.config.collapse_deps_on_put or self.config.metadata_gc:
-                # metadata_gc prunes dominated entries even in the
+            if self.config.collapse_deps_on_put or self.config.prunes_stable_deps:
+                # A sealing plane prunes dominated entries even in the
                 # accumulate-forever ablation mode: a globally stable
                 # version constrains no read and no remote delivery, so
                 # keeping it only inflates the table the GC is bounding.

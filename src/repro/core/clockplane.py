@@ -1,6 +1,6 @@
 """The clock stability plane: HLC stamps + periodic stability vectors.
 
-``ChainReactionConfig.stability == "clock"`` replaces every per-write
+The clock plane (``ChainReactionConfig.stability``) replaces every per-write
 stability notification with clock arithmetic (the Okapi / deferred-
 update-stabilization design from the related work):
 
@@ -47,6 +47,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.api import CAP_CLOCK_STABILITY
 from repro.cluster.membership import RingView
 from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
@@ -61,7 +62,8 @@ from repro.core.messages import (
     TailApplied,
     TailStable,
 )
-from repro.core.stability_plane import StabilityPlane
+from repro.core.stability_plane import SitePlane, StabilityPlane
+from repro.metrics.protocol import CLOCK_STABILITY_MESSAGE_TYPES
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.hlc import HLC_ZERO, NO_HLC, HLCStamp, HybridClock, just_below
@@ -138,7 +140,11 @@ class ClockNodePlane(StabilityPlane):
         "_prune_deps",
     )
 
-    name = "clock"
+    handles = ("on_clock_tick", "on_tail_applied")
+    capability = CAP_CLOCK_STABILITY
+    control_types = CLOCK_STABILITY_MESSAGE_TYPES
+    #: a record without an HLC stamp is stable by construction here
+    tracks_preload = False
 
     def __init__(self, node: "ChainNode") -> None:
         super().__init__(node)
@@ -160,7 +166,7 @@ class ClockNodePlane(StabilityPlane):
         #: newest applied stamp per key — the record-stability answer
         self._hlc_of: Dict[str, HLCStamp] = {}
         #: (stamp, key) in apply order, pruned as the cut passes —
-        #: bounds ``_record_deps`` like metadata_gc sealing does
+        #: bounds ``_record_deps`` like the batched plane's sealing does
         self._deps_fifo: Deque[Tuple[HLCStamp, str]] = deque()
         self._interval = config.stability_interval
         self._agent = Address(
@@ -358,7 +364,7 @@ class ClockNodePlane(StabilityPlane):
         return ts if ts is not None else NO_HLC
 
     # -- control loop --------------------------------------------------
-    def on_clock_tick(self, msg: ClockTick) -> None:
+    def on_clock_tick(self, msg: ClockTick, src: Address) -> None:
         if isinstance(msg.dc_lst, HLCStamp) and msg.dc_lst > self.lst:
             self.lst = msg.dc_lst
         if isinstance(msg.cut, HLCStamp) and msg.cut > self.cut:
@@ -383,7 +389,7 @@ class ClockNodePlane(StabilityPlane):
                     # the per-key map stays bounded by in-flight writes.
                     del self._hlc_of[key]
 
-    def on_tail_applied(self, msg: TailApplied) -> None:
+    def on_tail_applied(self, msg: TailApplied, src: Address) -> None:
         if isinstance(msg.hlc, HLCStamp):
             self.clock.observe(msg.hlc)
             self.retire(msg.hlc)
@@ -490,17 +496,15 @@ class ClockAgent(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps
         super().on_recover()
 
 
-class GeoClockCore:
+class GeoClockCore(SitePlane):
     """Clock-plane brain hosted by each site's :class:`GeoProxy`.
 
     Owns floor aggregation, the stamp-ordered ship buffer, the pending
     (received-but-not-applied) set, peer horizons, the cut, and the
-    strictly stamp-ordered remote-injection queue.  The proxy delegates
-    all clock-plane message handling here.
+    strictly stamp-ordered remote-injection queue.
     """
 
     __slots__ = (
-        "proxy",
         "interval",
         "_floors",
         "dc_ship",
@@ -519,8 +523,10 @@ class GeoClockCore:
         "ticks_sent",
     )
 
+    handles = ("on_tail_stable", "on_clock_report", "on_clock_ship", "on_stability_vector")
+
     def __init__(self, proxy: "GeoProxy") -> None:
-        self.proxy = proxy
+        super().__init__(proxy)
         config = proxy.config
         self.interval = config.stability_interval
         self._floors = FloorTable(2.0 * config.failure_timeout)
@@ -554,11 +560,11 @@ class GeoClockCore:
         proxy.set_timer(self.interval, self._tick)
 
     # -- inbound control -----------------------------------------------
-    def on_clock_report(self, msg: ClockReport) -> None:
+    def on_clock_report(self, msg: ClockReport, src: Address) -> None:
         if isinstance(msg.floor, HLCStamp):
             self._floors.update(msg.server, msg.floor, self.proxy.sim.now)
 
-    def on_stability_vector(self, msg: StabilityVector) -> None:
+    def on_stability_vector(self, msg: StabilityVector, src: Address) -> None:
         if isinstance(msg.ship_lst, HLCStamp):
             cur = self.dc_ship.get(msg.site, HLC_ZERO)
             if msg.ship_lst > cur:
@@ -569,7 +575,7 @@ class GeoClockCore:
                 self.dc_visible[msg.site] = msg.visible
         self._reeval_injections()
 
-    def on_clock_ship(self, msg: ClockShip) -> None:
+    def on_clock_ship(self, msg: ClockShip, src: Address) -> None:
         now = self.proxy.sim.now
         if isinstance(msg.lst, HLCStamp):
             cur = self.dc_ship.get(msg.origin_site, HLC_ZERO)
@@ -584,7 +590,7 @@ class GeoClockCore:
             heappush(self._inject_heap, (key, update))
         self._reeval_injections()
 
-    def on_tail_stable(self, msg: TailStable) -> None:
+    def on_tail_stable(self, msg: TailStable, src: Address) -> None:
         proxy = self.proxy
         ts = msg.hlc if isinstance(msg.hlc, HLCStamp) else None
         if msg.origin_site != proxy.site:
@@ -692,7 +698,12 @@ class GeoClockCore:
                 # be waiting on anything queued behind it.
                 break
             heappop(heap)
-            proxy._inject_clock(update)
+            # No dependency waits — this gate already held the update
+            # until the visible horizon passed its deps — but the
+            # proxy's per-key gate chain all the same: two same-key
+            # updates must also *arrive at the head* in stamp order,
+            # which the gates (plus per-link FIFO) guarantee.
+            proxy._enqueue(update, False)
 
     # -- the per-interval control tick ---------------------------------
     def _tick(self) -> None:

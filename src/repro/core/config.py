@@ -8,24 +8,19 @@ misconfigured experiments fail loudly before any virtual time elapses.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.placement import ShardCatalog
 
-__all__ = ["BATCHED_OVERRIDES", "PROTOCOL_MUTATIONS", "ChainReactionConfig"]
+__all__ = ["STABILITY_PLANES", "PROTOCOL_MUTATIONS", "ChainReactionConfig"]
 
-#: Config overrides behind the ``notices+batch`` plane name (CLI
-#: ``--stability notices+batch``) — the notices plane with its
-#: coalescers and sealing on; also the batched arm of
-#: ``python -m repro perf --protocol``.
-BATCHED_OVERRIDES: Dict[str, object] = {
-    "protocol_batching": True,
-    "metadata_gc": True,
-    "batch_flush_interval": 0.025,
-}
+#: The stabilization planes by name: what ``ChainReactionConfig.stability``
+#: and every ``--stability`` flag choose from. What builds each one is
+#: :data:`repro.core.stability_plane.PLANES`, and nothing else asks which.
+STABILITY_PLANES: Tuple[str, ...] = ("notices", "notices+batch", "clock")
 
 #: Seeded protocol bugs the schedule explorer's proving ground can
 #: re-inject (test-only; see docs/ANALYSIS.md §4 and
@@ -39,7 +34,7 @@ PROTOCOL_MUTATIONS: Tuple[str, ...] = (
     # on_chain_stable drops the upstream cascade hop: stability never
     # reaches positions above the tail's predecessor.
     "drop_stable_cascade",
-    # metadata_gc sealing reports the *next* (unwritten) version as the
+    # the batched plane's sealing reports the *next* (unwritten) version as the
     # per-key stable floor — an off-by-one that over-promises stability.
     "gc_floor_off_by_one",
     # RemoteUpdateBatch entries are applied in reverse buffering order,
@@ -128,43 +123,33 @@ class ChainReactionConfig:
         num_shards: keyspace shards the partial-replication catalog
             divides the key hash space into. Irrelevant (but validated)
             when ``replication_degree`` is 0.
-        protocol_batching: coalesce the metadata plane — stability
-            notifications travel as :class:`~repro.core.messages.BulkStable`
-            per upstream hop, geo shipping as
-            :class:`~repro.core.messages.RemoteUpdateBatch` per peer DC,
-            and global-stability fan-out as
-            :class:`~repro.core.messages.GlobalStableBatch` — flushed on
-            a simulator-driven window (``batch_flush_interval``) or when
-            a destination's buffer reaches ``batch_max_entries``. Off by
-            default so fixed-seed traces recorded without batching stay
-            bit-identical.
-        batch_flush_interval: virtual-time window over which stability /
-            geo metadata is coalesced before flushing (seconds). The
-            knob trades metadata-plane message count against stability
-            latency; keep it well under ``wan_median`` so batching never
-            dominates the geo-visibility path.
+        batch_flush_interval: virtual-time window over which the
+            ``notices+batch`` plane coalesces stability / geo metadata
+            before flushing (seconds). The knob trades metadata-plane
+            message count against stability latency; keep it well under
+            ``wan_median`` so batching never dominates the
+            geo-visibility path.
         batch_max_entries: per-destination buffer size that forces an
             eager flush before the window expires (bounds both batch
             wire size and worst-case buffered-entry memory).
-        metadata_gc: seal fully-stable keys — once a key's newest record
-            is stable in every DC with no waiters, drop its tracker
-            entries (the stable record itself becomes the per-key floor)
-            and the dependency lists retained for snapshot reads. Bounds
-            metadata memory on long runs; off by default (no effect on
-            protocol messages, but the sweep alters timer event counts).
-        gc_interval: how often a server runs the sealing sweep (seconds).
-        stability: which stabilization plane drives causal visibility.
-            ``"notices"`` (default) is the paper's explicit plane:
-            per-write ChainStable cascades, RemoteUpdate fan-out and
-            GlobalStableNotice streams (optionally coalesced by
-            ``protocol_batching``). ``"clock"`` replaces all of that
-            with hybrid-logical-clock stamps on writes plus one small
-            stability vector per DC per ``stability_interval`` — remote
-            updates become visible when the periodic cut passes their
-            stamp (Okapi-style deferred stabilization). Incompatible
-            with ``protocol_batching`` (nothing left to coalesce) and
-            ``metadata_gc`` (the clock plane keeps no tracker entries
-            to seal).
+        gc_interval: how often a ``notices+batch`` server runs its
+            sealing sweep (seconds).
+        stability: which stabilization plane drives causal visibility,
+            one of :data:`STABILITY_PLANES`. ``"notices"`` (default) is
+            the paper's explicit plane: per-write ChainStable cascades,
+            RemoteUpdate fan-out and GlobalStableNotice streams.
+            ``"notices+batch"`` is the same plane with the three streams
+            coalesced per destination (``BulkStable`` /
+            ``RemoteUpdateBatch`` / ``GlobalStableBatch``, flushed every
+            ``batch_flush_interval`` or at ``batch_max_entries``) and
+            fully-stable keys sealed — tracker entries and retained
+            dependency lists dropped, the stable record itself the
+            per-key floor — by a sweep every ``gc_interval``.
+            ``"clock"`` replaces all of that with hybrid-logical-clock
+            stamps on writes plus one small stability vector per DC per
+            ``stability_interval`` — remote updates become visible when
+            the periodic cut passes their stamp (Okapi-style deferred
+            stabilization).
         stability_interval: period of the clock plane's control loop —
             server floor reports, site vector broadcast, ship flushes
             and visibility ticks all run on this cadence. Trades
@@ -204,10 +189,8 @@ class ChainReactionConfig:
     virtual_nodes: int = 64
     replication_degree: int = 0
     num_shards: int = 16
-    protocol_batching: bool = False
-    batch_flush_interval: float = 0.002
+    batch_flush_interval: float = 0.025
     batch_max_entries: int = 128
-    metadata_gc: bool = False
     gc_interval: float = 0.25
     stability: str = "notices"
     stability_interval: float = 0.005
@@ -260,24 +243,13 @@ class ChainReactionConfig:
             raise ConfigError("batch_max_entries must be >= 1")
         if self.gc_interval <= 0:
             raise ConfigError("gc_interval must be positive")
-        if self.stability not in ("notices", "clock"):
+        if self.stability not in STABILITY_PLANES:
             raise ConfigError(
-                f"stability must be 'notices' or 'clock'; got "
+                f"stability must be one of {STABILITY_PLANES}; got "
                 f"{self.stability!r}"
             )
         if self.stability_interval <= 0:
             raise ConfigError("stability_interval must be positive")
-        if self.stability == "clock" and self.protocol_batching:
-            raise ConfigError(
-                "stability='clock' is incompatible with protocol_batching: "
-                "the clock plane has no notice streams to coalesce "
-                "(choose one metadata plane)"
-            )
-        if self.stability == "clock" and self.metadata_gc:
-            raise ConfigError(
-                "stability='clock' is incompatible with metadata_gc: the "
-                "clock plane keeps no stability-tracker entries to seal"
-            )
         unknown = [m for m in self.mutations if m not in PROTOCOL_MUTATIONS]
         if unknown:
             raise ConfigError(
@@ -293,6 +265,14 @@ class ChainReactionConfig:
     def is_partial(self) -> bool:
         """True when some site does NOT replicate some shard."""
         return 0 < self.replication_degree < len(self.sites)
+
+    @property
+    def prunes_stable_deps(self) -> bool:
+        """True when a session drops a dependency as soon as a read
+        reports it globally stable, whatever ``collapse_deps_on_put``
+        says: the sealing plane bounds metadata, and such an entry
+        constrains no read and no remote delivery."""
+        return self.stability == "notices+batch"
 
     def placement(self) -> Optional["ShardCatalog"]:
         """The deployment's :class:`~repro.cluster.placement.ShardCatalog`,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.api import (
-    CAP_CLOCK_STABILITY,
     CAP_DEGRADED_READS,
     CAP_DURABLE_STORAGE,
     CAP_SNAPSHOT_READS,
@@ -26,10 +25,10 @@ if TYPE_CHECKING:
 from repro.cluster.membership import ClusterManager
 from repro.cluster.server_base import install_converged
 from repro.core.client import ChainClientSession
-from repro.core.clockplane import ClockAgent
 from repro.core.config import ChainReactionConfig
 from repro.core.geo import GeoProxy
 from repro.core.node import ChainNode
+from repro.core.stability_plane import plane_parts
 from repro.errors import ConfigError
 from repro.metrics.protocol import (
     GLOBAL_STABILITY_MESSAGE_TYPES,
@@ -81,8 +80,12 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             caps.add(CAP_DEGRADED_READS)
         if self.config.durable_storage:
             caps.add(CAP_DURABLE_STORAGE)
-        if self.config.stability == "clock":
-            caps.add(CAP_CLOCK_STABILITY)
+        parts = plane_parts(self.config)
+        #: the class of the stabilization plane's server half: what the
+        #: facade and the metrics need to know of a plane, they ask it
+        self.plane = parts.server
+        if self.plane.capability is not None:
+            caps.add(self.plane.capability)
         self.capabilities = frozenset(caps)
         self.sim = sim or Simulator()
         self.rng = RngRegistry(self.config.seed)
@@ -96,9 +99,9 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         self.nodes: Dict[str, List[ChainNode]] = {}
         self._nodes_by_name: Dict[str, Dict[str, ChainNode]] = {}
         self.proxies: Dict[str, GeoProxy] = {}
-        #: single-site clock-plane agents (geo sites host the role on
-        #: their proxy instead)
-        self.clock_agents: Dict[str, ClockAgent] = {}
+        #: the plane's control actor per site, where it needs one and no
+        #: geo-proxy hosts the role
+        self.control_agents: Dict[str, Any] = {}
         self._sessions: List[ChainClientSession] = []
         self._session_seq = 0
         self._resolver = resolver
@@ -140,16 +143,10 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                 )
                 manager.add_view_listener(proxy.set_view)
                 self.proxies[site] = proxy
-            elif self.config.stability == "clock":
-                agent = ClockAgent(
-                    self.sim,
-                    self.network,
-                    site=site,
-                    initial_view=manager.view,
-                    config=self.config,
-                )
+            elif parts.agent is not None:
+                agent = parts.agent(self.sim, self.network, site, manager.view, self.config)
                 manager.add_view_listener(agent.set_view)
-                self.clock_agents[site] = agent
+                self.control_agents[site] = agent
 
     # ------------------------------------------------------------------
     # Datastore surface
@@ -227,9 +224,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         arbitrated = install_converged(
             data, version, self.sim.now, views, self._nodes_by_name, owns=owns
         )
-        # The clock plane needs no tracker state at all: a record
-        # without an HLC stamp is stable by construction there.
-        track = self.config.stability != "clock"
+        track = self.plane.tracks_preload
         for site, site_nodes in self._nodes_by_name.items():
             for name, node in site_nodes.items():
                 if track:
@@ -306,6 +301,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         stats["metadata"] = metadata_footprint(nodes, self._sessions)
         stats["placement"] = placement_stats(self)
         stats["stability_plane"] = stability_plane_stats(self)
-        if self.config.protocol_batching:
-            stats["batching"] = batching_stats(nodes, self.proxies.values())
+        batching = batching_stats([*nodes, *self.proxies.values()])
+        if batching:
+            stats["batching"] = batching
         return stats

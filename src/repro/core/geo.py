@@ -1,10 +1,12 @@
 """Geo-replication: one proxy per datacenter.
 
 The proxy is the only component that talks across the WAN. The local
-chain tails notify it when a write becomes DC-stable; for locally
-originated writes it ships a :class:`RemoteUpdate` (value + the put's
-dependency list) to every peer DC, and for remotely originated writes it
-reports a :class:`GlobalAck` back to the origin.
+chain tails notify it when a write becomes DC-stable; what leaves the
+datacenter then is the stabilization plane's business (``proxy.plane``,
+a :class:`~repro.core.stability_plane.SitePlane`). On the paper's plane
+a locally originated write ships as a :class:`RemoteUpdate` (value + the
+put's dependency list) to every peer DC, and a remotely originated one
+is reported back to its origin with a :class:`GlobalAck`.
 
 On the receiving side, a remote update is injected into the local chain
 **head** — so remote and local writes share one serialisation point per
@@ -23,42 +25,26 @@ for experiment E7.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.membership import RingView
-from repro.core.batching import StabilityCoalescer, UpdateCoalescer
-from repro.core.clockplane import GeoClockCore
 from repro.core.config import ChainReactionConfig
 from repro.core.stability import DepWait
-from repro.core.messages import (
-    ApplyRemote,
-    ClockReport,
-    ClockShip,
-    Deps,
-    GlobalAck,
-    GlobalStableBatch,
-    GlobalStableNotice,
-    PutReply,
-    PutRequest,
-    RemoteUpdate,
-    RemoteUpdateBatch,
-    StabilityVector,
-    StableEntries,
-    TailStable,
-)
+from repro.core.stability_plane import plane_parts
+from repro.core.messages import ApplyRemote, Deps, PutReply, PutRequest, RemoteUpdate
 from repro.errors import RemoteError, ReproError, RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future, spawn, with_timeout
-from repro.storage.version import VersionVector
 
 __all__ = ["GeoProxy"]
 
 
 class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per site
-    """Ships DC-stable writes across datacenters and applies inbound ones."""
+    """The site's WAN endpoint: hosts the plane's shipping half, applies
+    inbound updates, serves forwarded operations."""
 
     def __init__(
         self,
@@ -79,8 +65,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         #: shard→owners map under partial replication; None (the default,
         #: full replication) gates every placement-aware branch off
         self._catalog = config.placement()
-        #: (key, version) → (sites yet to ack, origin put time)
-        self._pending_global: Dict[Tuple[str, VersionVector], Tuple[Set[str], float]] = {}
         # metrics
         self.updates_shipped = 0
         self.updates_applied = 0
@@ -98,39 +82,25 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         self.visibility_samples: List[float] = []
         #: (origin_put_at→acked-by-every-DC) latencies, origin side
         self.global_stability_samples: List[float] = []
-        self._shipped: Set[Tuple[str, VersionVector]] = set()
         #: key → its newest inbound update (each parks on its predecessor's
         #: gate: FIFO per key)
         self._key_apply_tail: Dict[str, _RemoteApply] = {}
         #: updates handled since the last open-gate sweep of that table
         self._applies_since_sweep = 0
-        #: batching-mode coalescers (None = unbatched per-write sends)
-        self._update_coalescer: Optional[UpdateCoalescer] = None
-        self._global_coalescer: Optional[StabilityCoalescer] = None
-        if config.protocol_batching:
-            self._update_coalescer = UpdateCoalescer(
-                self,
-                config.batch_flush_interval,
-                config.batch_max_entries,
-                self._send_update_batch,
-            )
-            self._global_coalescer = StabilityCoalescer(
-                self,
-                config.batch_flush_interval,
-                config.batch_max_entries,
-                self._send_global_batch,
-            )
-        #: clock-plane brain (config.stability == "clock"): hosts the
-        #: site's floor aggregation, ship buffer and stability vectors;
-        #: None on the notices plane
-        self._clock: Optional[GeoClockCore] = None
-        if config.stability == "clock":
-            self._clock = GeoClockCore(self)
+        #: the site half of the stabilization plane (config.stability):
+        #: what ships when a tail reports a write DC-stable, and the
+        #: handlers of the messages only that plane sends. Constructed
+        #: last — a plane may arm its timers immediately.
+        self.plane = plane_parts(config).site(self)
 
     def set_view(self, view: RingView) -> None:
         """Installed as a manager view listener by the datastore."""
         if view.epoch > self.view.epoch:
             self.view = view
+
+    def on_recover(self) -> None:
+        self.plane.on_recover()
+        super().on_recover()
 
     # ------------------------------------------------------------------
     # placement (partial replication)
@@ -167,195 +137,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         return kept
 
     # ------------------------------------------------------------------
-    # outbound: local tail says a write is DC-stable
-    # ------------------------------------------------------------------
-    def on_tail_stable(self, msg: TailStable, src: Address) -> None:
-        if self._clock is not None:
-            self._clock.on_tail_stable(msg)
-            return
-        token = (msg.key, msg.version)
-        if msg.origin_site != self.site:
-            # Remote-origin write finished our chain: tell the origin.
-            origin = self._proxies[msg.origin_site]
-            self.send(origin, GlobalAck(key=msg.key, version=msg.version, site=self.site))
-            return
-        if token in self._shipped:
-            # Repair re-stabilisation can re-announce a version.
-            self.duplicate_ships += 1
-            return
-        self._shipped.add(token)
-        self.updates_shipped += 1
-        if self.tracer is not None:
-            self.trace("geo", "ship", msg.key, version=str(msg.version))
-        # Partial replication ships only to the shard's other owner sites
-        # (full replication: every peer, as before).
-        peers = self._peers_for(msg.key)
-        if peers:
-            self._pending_global[token] = ({p.site for p in peers}, msg.origin_put_at)
-            if self._update_coalescer is not None:
-                # Coalesced shipping: one shared RemoteUpdate object is
-                # buffered for every peer; the flush window turns a
-                # window's worth of them into one RemoteUpdateBatch per
-                # peer (memoized element sizes are computed once). With a
-                # catalog, per-destination dep pruning may differentiate
-                # the copies, so each peer gets its own object.
-                shared: Optional[RemoteUpdate] = None
-                for peer in peers:
-                    deps = self._prune_deps(msg.deps, peer.site)
-                    if deps is msg.deps and shared is not None:
-                        update = shared
-                    else:
-                        update = RemoteUpdate(
-                            key=msg.key,
-                            value=msg.value,
-                            version=msg.version,
-                            stamp=msg.stamp,
-                            deps=deps,
-                            origin_site=self.site,
-                            origin_put_at=msg.origin_put_at,
-                        )
-                        if deps is msg.deps:
-                            shared = update
-                    self._update_coalescer.add(peer, update)
-                return
-            # Per-peer copies with identical deps are byte-identical;
-            # size the first such copy on send and let the rest inherit
-            # the memoized size. Pruned copies are sized individually.
-            first: Optional[RemoteUpdate] = None
-            for peer in peers:
-                deps = self._prune_deps(msg.deps, peer.site)
-                update = RemoteUpdate(
-                    key=msg.key,
-                    value=msg.value,
-                    version=msg.version,
-                    stamp=msg.stamp,
-                    deps=deps,
-                    origin_site=self.site,
-                    origin_put_at=msg.origin_put_at,
-                )
-                if deps is msg.deps:
-                    if first is None:
-                        first = update
-                    else:
-                        update.copy_size_from(first)
-                self.send(peer, update)
-        else:
-            self.global_stability_samples.append(self.sim.now - msg.origin_put_at)
-            self._announce_global(msg.key, msg.version)
-
-    def on_global_ack(self, msg: GlobalAck, src: Address) -> None:
-        token = (msg.key, msg.version)
-        pending = self._pending_global.get(token)
-        if pending is None:
-            return  # duplicate ack after completion
-        waiting, origin_put_at = pending
-        waiting.discard(msg.site)
-        if not waiting:
-            del self._pending_global[token]
-            self.global_stability_samples.append(self.sim.now - origin_put_at)
-            self._announce_global(msg.key, msg.version)
-
-    def _announce_global(self, key: str, version: VersionVector) -> None:
-        """Tell every owner DC (and our own chain members) the write is
-        globally stable, so client dependency tables can prune it."""
-        peers = self._peers_for(key)
-        if self._global_coalescer is not None:
-            for peer in peers:
-                self._global_coalescer.add(peer, key, version)
-            for server in self.view.chain_for(key):
-                self._global_coalescer.add(self.view.address_of(server), key, version)
-        else:
-            for peer in peers:
-                self.send(peer, GlobalStableNotice(key=key, version=version, fan_out=True))
-            self._fan_out_global(key, version)
-        # Globally stable writes need no duplicate-ship suppression any
-        # more; dropping the token keeps proxy memory proportional to
-        # in-flight writes rather than to history.
-        self._shipped.discard((key, version))
-
-    def _fan_out_global(self, key: str, version: VersionVector) -> None:
-        first: Optional[GlobalStableNotice] = None
-        for server in self.view.chain_for(key):
-            notice = GlobalStableNotice(key=key, version=version)
-            if first is None:
-                first = notice
-            else:
-                notice.copy_size_from(first)
-            self.send(self.view.address_of(server), notice)
-
-    def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:
-        if msg.fan_out:
-            self._fan_out_global(msg.key, msg.version)
-
-    def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
-        """Peer-proxy side of the batched fan-out: regroup per chain member.
-
-        Entries arrive grouped by *origin* proxy; each local server only
-        cares about the keys it replicates, so the batch is re-bucketed
-        by chain membership and forwarded immediately (no second flush
-        window — the WAN hop already paid the batching latency).
-        """
-        if not msg.fan_out:
-            return
-        buckets: Dict[Address, Dict[str, VersionVector]] = {}
-        for key, version in msg.entries:
-            for server in self.view.chain_for(key):
-                addr = self.view.address_of(server)
-                bucket = buckets.setdefault(addr, {})
-                have = bucket.get(key)
-                bucket[key] = version if have is None else have.merge(version)
-        for addr, bucket in buckets.items():
-            self.send(addr, GlobalStableBatch(entries=tuple(bucket.items())))
-
-    # ------------------------------------------------------------------
-    # batching emit hooks / lifecycle
-    # ------------------------------------------------------------------
-    def _send_update_batch(self, dst: Address, updates: Tuple[RemoteUpdate, ...]) -> None:
-        self.send(dst, RemoteUpdateBatch(updates=updates))
-
-    def _send_global_batch(self, dst: Address, entries: "StableEntries") -> None:
-        # Peer proxies re-fan the entries to their own chains; local
-        # chain members consume them directly.
-        fan_out = dst.node == "geoproxy"
-        self.send(dst, GlobalStableBatch(entries=entries, fan_out=fan_out))
-
-    def on_recover(self) -> None:
-        if self._update_coalescer is not None:
-            self._update_coalescer.reset()
-        if self._global_coalescer is not None:
-            self._global_coalescer.reset()
-        if self._clock is not None:
-            self._clock.on_recover()
-        super().on_recover()
-
-    # ------------------------------------------------------------------
-    # clock-plane traffic (config.stability == "clock")
-    # ------------------------------------------------------------------
-    def on_clock_report(self, msg: ClockReport, src: Address) -> None:
-        if self._clock is not None:
-            self._clock.on_clock_report(msg)
-
-    def on_clock_ship(self, msg: ClockShip, src: Address) -> None:
-        if self._clock is not None:
-            self._clock.on_clock_ship(msg)
-
-    def on_stability_vector(self, msg: StabilityVector, src: Address) -> None:
-        if self._clock is not None:
-            self._clock.on_stability_vector(msg)
-
-    def _inject_clock(self, msg: RemoteUpdate) -> None:
-        """Issue an admitted remote update into the local chain head.
-
-        No dependency waits — the admission gate already held the update
-        until the site's visible horizon passed its deps — but the
-        notices plane's gate chain all the same: the admission queue
-        releases updates in global stamp order, and two same-key updates
-        must also *arrive at the head* in that order, which the gates
-        (plus per-link FIFO) guarantee.
-        """
-        self._enqueue(msg, False)
-
-    # ------------------------------------------------------------------
     # inbound: apply a remote update into the local chain
     # ------------------------------------------------------------------
     def on_remote_update(self, msg: RemoteUpdate, src: Address) -> None:
@@ -381,19 +162,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
             for key in [k for k, op in tail.items() if op.opened]:
                 del tail[key]
 
-    def on_remote_update_batch(self, msg: RemoteUpdateBatch, src: Address) -> None:
-        """Unpack a coalesced shipment; in-batch order is arrival order."""
-        updates = msg.updates
-        if "batch_reorder" in self.config.mutations:
-            # MUTATION (proving ground): unpack the flush window in
-            # reverse. Two causally-ordered same-key writes coalesced
-            # into one batch then enter the per-key gate chain
-            # newer-first, making the remote DC apply (and serve) the
-            # newer write while skipping its predecessor.
-            updates = tuple(reversed(updates))
-        for update in updates:
-            self.on_remote_update(update, src)
-
     # ------------------------------------------------------------------
     # forwarded client operations (partial replication, owner side)
     # ------------------------------------------------------------------
@@ -403,7 +171,7 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         Served at the local chain *head*: the head is never behind, so a
         forwarded read always observes every version this owner site has
         serialised — the property the relaxed dependency checking in
-        :meth:`_apply_remote` (and the planes) relies on.
+        :meth:`_RemoteApply._wait_deps` (and the planes) relies on.
         """
         return spawn(self.sim, self._serve_forward_get(key), name=f"fwd-get:{key}")
 

@@ -16,7 +16,7 @@ Three planes:
   ``GlobalAck`` flows back to the origin so it can declare the write
   globally stable.
 
-With ``config.protocol_batching`` the metadata plane coalesces:
+On the ``notices+batch`` plane the metadata streams coalesce:
 ``BulkStable`` replaces per-write ``ChainStable`` hops,
 ``RemoteUpdateBatch`` carries a flush window's worth of ``RemoteUpdate``
 payloads to one peer DC, and ``GlobalStableBatch`` replaces the
@@ -28,8 +28,7 @@ so per-link FIFO semantics carry over unchanged.
 the version of an object the session observed and the deepest chain
 position known to hold it.
 
-With ``config.stability == "clock"`` the notice cascade above is
-replaced by the **clock plane**: writes carry an ``hlc`` stamp (the
+On the clock plane the notice cascade above is replaced: writes carry an ``hlc`` stamp (the
 field defaults to the zero-size :data:`repro.sim.hlc.NO_HLC` sentinel,
 so the notices plane's wire bytes are untouched), tails report
 per-write ``TailApplied`` retirements to their head, servers report
@@ -298,8 +297,8 @@ class ChainStable(Message):
 class BulkStable(Message):
     """Coalesced ``ChainStable``: one flush window of stability entries.
 
-    Sent tail → upstream (and re-coalesced hop by hop) when
-    ``protocol_batching`` is on. Entries appear in buffering order and
+    Sent tail → upstream (and re-coalesced hop by hop) on the
+    ``notices+batch`` plane. Entries appear in buffering order and
     carry the merged stable version per key.
     """
 
@@ -352,7 +351,7 @@ class RemoteUpdate(Message):
 @dataclasses.dataclass(frozen=True)
 class RemoteUpdateBatch(Message):
     """Coalesced geo shipping: one flush window of ``RemoteUpdate``s for
-    one peer DC, applied in order on receipt (``protocol_batching``)."""
+    one peer DC, applied in order on receipt (``notices+batch`` plane)."""
 
     type_name: ClassVar[str] = "remote-update-batch"
     memoize_size: ClassVar[bool] = True
@@ -389,7 +388,7 @@ class GlobalStableNotice(Message):
 @dataclasses.dataclass(frozen=True)
 class GlobalStableBatch(Message):
     """Coalesced ``GlobalStableNotice``: a flush window of globally
-    stable (key, version) entries (``protocol_batching``).
+    stable (key, version) entries (``notices+batch`` plane).
 
     With ``fan_out`` set (the proxy → proxy hop) the receiving proxy
     regroups the entries per local chain member and forwards one batch
@@ -423,7 +422,7 @@ class TransferDone(Message):
 
 
 # --------------------------------------------------------------------------
-# clock plane (config.stability == "clock")
+# the clock plane
 # --------------------------------------------------------------------------
 
 

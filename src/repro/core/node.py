@@ -30,28 +30,22 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.cluster.membership import RingView
 from repro.cluster.ring import chain_positions
 from repro.cluster.server_base import RingServer
-from repro.core.batching import StabilityCoalescer
 from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
     ApplyRemote,
-    BulkStable,
     ChainPut,
     ChainStable,
-    ClockTick,
     Deps,
-    GlobalStableBatch,
     GlobalStableNotice,
     PutReply,
     PutRequest,
     ReadReply,
-    StableEntries,
     StateTransfer,
-    TailApplied,
     TransferDone,
 )
 from repro.core.deptable import DepSnapshot
 from repro.core.stability import DepWait, StabilityTracker
-from repro.core.stability_plane import make_plane
+from repro.core.stability_plane import plane_parts
 from repro.errors import NotResponsibleError, ReplicaUnavailable
 from repro.net.message import Message
 from repro.net.network import Address, Network
@@ -124,16 +118,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self._sync_epoch = initial_view.epoch
         self._transfer_pending: Set[str] = set()
         self._done_received: Set[Tuple[int, str]] = set()
-        #: coalesces upstream stability notifications into BulkStable
-        #: messages (None = unbatched per-write ChainStable)
-        self._stable_coalescer: Optional[StabilityCoalescer] = None
-        if config.protocol_batching:
-            self._stable_coalescer = StabilityCoalescer(
-                self,
-                config.batch_flush_interval,
-                config.batch_max_entries,
-                self._send_bulk_stable,
-            )
         #: per-key globally-stable floor for sealed keys (geo deployments;
         #: the DC floor needs no map — the stable record itself serves it)
         self._global_floor: Dict[str, VersionVector] = {}
@@ -142,8 +126,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self._converged = ZERO
         self.stability.set_floor(self._stable_floor)
         self.global_stability.set_floor(self._global_stable_floor)
-        if config.metadata_gc:
-            self.set_timer(config.gc_interval, self._gc_tick)
         # counters surfaced by the harness
         self.puts_served = 0
         self.gets_served = 0
@@ -154,9 +136,10 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.forced_sync_exits = 0
         self.keys_sealed = 0
         #: the stabilization plane (config.stability): every stability
-        #: decision this node makes routes through it. Constructed last —
-        #: the clock plane arms its floor-report timer immediately.
-        self.plane = make_plane(self)
+        #: decision this node makes routes through it, and the messages
+        #: only that plane sends are handled by it. Constructed last — a
+        #: plane may arm its timers immediately.
+        self.plane = plane_parts(config).server(self)
 
     # ------------------------------------------------------------------
     # client puts (head role)
@@ -316,9 +299,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 ),
             )
         if pos == tail_pos:
-            self._tail_stabilise(
-                key, value, version, deps, origin_site, origin_put_at, chain,
-                stamp=stamp, hlc=hlc,
+            self.plane.tail_stabilise(
+                key, value, version, deps, origin_site, origin_put_at, chain, stamp, hlc
             )
         else:
             downstream = ChainPut(
@@ -425,22 +407,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             size_from=msg,
         )
 
-    def _tail_stabilise(
-        self,
-        key: str,
-        value: Any,
-        version: VersionVector,
-        deps: Deps,
-        origin_site: str,
-        origin_put_at: float,
-        chain: List[str],
-        stamp: Any = None,
-        hlc: Any = NO_HLC,
-    ) -> None:
-        self.plane.tail_stabilise(
-            key, value, version, deps, origin_site, origin_put_at, chain, stamp, hlc
-        )
-
     def on_chain_stable(self, msg: ChainStable, src: Address) -> None:
         self.stability.record(msg.key, msg.version)
         self._refresh_stable_record(msg.key)
@@ -457,32 +423,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 self.view.address_of(chain[pos - 1]),
                 ChainStable(key=msg.key, version=msg.version, position=pos - 1),
             )
-
-    def _send_bulk_stable(self, dst: Address, entries: StableEntries) -> None:
-        """Coalescer flush hook: one BulkStable per destination per window."""
-        self.send(dst, BulkStable(entries=entries))
-
-    def on_bulk_stable(self, msg: BulkStable, src: Address) -> None:
-        """Record a window's worth of stability entries; re-coalesce the
-        upstream forward per key (chains differ between keys)."""
-        coalescer = self._stable_coalescer
-        for key, version in msg.entries:
-            self.stability.record(key, version)
-            self._refresh_stable_record(key)
-            chain = self.chain_for(key)
-            pos = chain_positions(chain, self.name)
-            if pos is None or pos == 0:
-                continue
-            upstream = self.view.address_of(chain[pos - 1])
-            if coalescer is not None:
-                coalescer.add(upstream, key, version)
-            else:
-                # Defensive: a batched peer notified an unbatched node
-                # (mixed configs only happen in hand-built tests).
-                self.send(
-                    upstream,
-                    ChainStable(key=key, version=version, position=pos - 1),
-                )
 
     # ------------------------------------------------------------------
     # reads (any chain position)
@@ -540,10 +480,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self.trace("stability", "global-stable", msg.key, version=str(msg.version))
         self.global_stability.record(msg.key, msg.version)
 
-    def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
-        for key, version in msg.entries:
-            self.global_stability.record(key, version)
-
     def rpc_get_stable(self, key: str, src: Address) -> Dict[str, Any]:
         """Serve the newest DC-stable record for ``key``, with the deps of
         the write that produced it — one leg of a causally consistent
@@ -581,15 +517,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     def rpc_wait_stable(self, payload: Tuple[str, VersionVector], src: Address) -> Future:
         key, version = payload
         return self.plane.wait_stable(key, version)
-
-    # ------------------------------------------------------------------
-    # clock-plane control traffic (config.stability == "clock")
-    # ------------------------------------------------------------------
-    def on_clock_tick(self, msg: ClockTick, src: Address) -> None:
-        self.plane.on_clock_tick(msg)
-
-    def on_tail_applied(self, msg: TailApplied, src: Address) -> None:
-        self.plane.on_tail_applied(msg)
 
     # ------------------------------------------------------------------
     # remote updates injected by the geo-proxy (head role)
@@ -671,7 +598,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                     # Writes stranded mid-chain by the failure reach the new
                     # tail here; stabilising them re-opens reads-anywhere and
                     # (in geo mode) re-ships anything the old tail never sent.
-                    self._tail_stabilise(
+                    self.plane.tail_stabilise(
                         key,
                         record.value,
                         record.version,
@@ -679,8 +606,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                         self.site,
                         self.sim.now,
                         chain,
-                        stamp=record.stamp,
-                        hlc=self.plane.transfer_hlc(key),
+                        record.stamp,
+                        self.plane.transfer_hlc(key),
                     )
 
     def on_transfer_done(self, msg: TransferDone, src: Address) -> None:
@@ -711,7 +638,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.set_timer(self.config.compaction_interval, self._compaction_tick)
 
     # ------------------------------------------------------------------
-    # floors (converged records, sealed keys) and metadata GC
+    # floors (converged records, sealed keys) and sealing
     # ------------------------------------------------------------------
     def mark_converged(self, version: VersionVector) -> None:
         """Vouch for every stored record at or below ``version``: it was
@@ -759,21 +686,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             "converged_floor_overreach" in self.config.mutations
         )
         return held if vouched else ZERO
-
-    def _gc_tick(self) -> None:
-        """Seal keys whose metadata the stable record already subsumes."""
-        sealed = 0
-        for key in self.stability.tracked_keys():
-            if self._try_seal(key):
-                sealed += 1
-        if sealed:
-            self.keys_sealed += sealed
-            self.trace("gc", "sealed", sealed=str(sealed))
-            if isinstance(self.store, DurableStore):
-                # Sealing frees tracker entries; give the log the same
-                # chance to shed its dead prefix.
-                self.store.maybe_compact()
-        self.set_timer(self.config.gc_interval, self._gc_tick)
 
     def _try_seal(self, key: str) -> bool:
         """Seal one key if every stability fact about it is recoverable
@@ -842,12 +754,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         return len(self._global_floor)
 
     def on_recover(self) -> None:
-        if self._stable_coalescer is not None:
-            # The crash cancelled the armed flush timer and the buffered
-            # entries belong to the pre-crash lifetime; start clean.
-            self._stable_coalescer.reset()
-        if self.config.metadata_gc:
-            self.set_timer(self.config.gc_interval, self._gc_tick)
         self.plane.on_recover()
         if isinstance(self.store, DurableStore) and len(self.store) == 0 and len(self.store.log):
             replayed = self.store.recover_from_log()

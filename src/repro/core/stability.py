@@ -13,8 +13,8 @@ resolve exactly once and in stability order.
 A tracker holds entries only for keys that *need* one. The owning server
 installs a **floor** (:meth:`set_floor`) — what is stable about a key
 with no live entry, read off state it keeps anyway: a record installed
-converged answers for itself, a key sealed by metadata GC
-(``config.metadata_gc``) through its ``_stable_records`` slot.
+converged answers for itself, a key sealed by the ``notices+batch``
+plane's sweep through its ``_stable_records`` slot.
 ``stable_version`` falls through to the floor, and a later ``record``
 re-creates the entry merged with it. Entries appear at a key's first
 overwrite (:meth:`adopt`) or notice and sealing drops them again

@@ -1,42 +1,88 @@
-"""The ``StabilityPlane`` interface: how causal visibility is decided.
+"""The stabilization-plane seam: how causal visibility is decided.
 
 ChainReaction needs three facts per record — *is it DC-stable*, *is it
 globally stable*, and *when may a dependent write proceed* — and the
 seed implementation answers them with explicit per-write notification
 streams (``ChainStable`` cascades, ``RemoteUpdate`` fan-out,
-``GlobalStableNotice``).  This module extracts that machinery behind an
+``GlobalStableNotice``).  This module puts that machinery behind an
 interface so a rival metadata plane can answer the same three questions
-differently:
+differently. A plane has two halves: a :class:`StabilityPlane` on every
+:class:`~repro.core.node.ChainNode` (``node.plane``) and a
+:class:`SitePlane` on every :class:`~repro.core.geo.GeoProxy`
+(``proxy.plane``) — what leaves the datacenter once a tail reports a
+write DC-stable. Each half also binds, on its host, the handlers for the
+message types only its plane understands.
 
-- :class:`NoticesPlane` — the paper's plane, byte-identical to the
-  pre-interface code (the golden trace pins this).
-- :class:`~repro.core.clockplane.ClockNodePlane` — hybrid-logical-clock
-  stamps plus a periodic per-DC stability vector; per-write notice
-  streams disappear entirely (Okapi-style deferred stabilization).
+``ChainReactionConfig.stability`` names the plane and :data:`PLANES`
+below is the one table from a name to what builds it:
 
-``ChainReactionConfig.stability`` selects the plane; every
-:class:`~repro.core.node.ChainNode` owns one instance (``node.plane``)
-and routes each stability decision through it.  The hooks are exactly
-the seams where the two planes differ — chain propagation, repair, and
-reads themselves are shared.
+- :class:`NoticesPlane` / :class:`NoticesShipping` — the paper's plane,
+  byte-identical to the pre-interface code (the golden trace pins this).
+- :mod:`repro.core.batching` — the same plane with its three streams
+  coalesced and fully-stable keys sealed.
+- :mod:`repro.core.clockplane` — hybrid-logical-clock stamps plus a
+  periodic per-DC stability vector; per-write notice streams disappear
+  entirely (Okapi-style deferred stabilization).
+
+Nothing else asks which plane is running (``tests/test_plane_seam.py``):
+chain propagation, repair, reads, the inbound half of the proxy and the
+deployment facade are shared.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+import dataclasses
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Type
 
-from repro.core.messages import ChainStable, Deps, PutRequest, ReadReply, TailStable
+from repro.core.config import ChainReactionConfig
+from repro.core.messages import (
+    ChainStable,
+    Deps,
+    GlobalAck,
+    GlobalStableNotice,
+    PutRequest,
+    ReadReply,
+    RemoteUpdate,
+    TailStable,
+)
+from repro.metrics.protocol import GLOBAL_STABILITY_MESSAGE_TYPES, STABILITY_MESSAGE_TYPES
+from repro.net.network import Address
 from repro.sim.hlc import NO_HLC
 from repro.sim.process import Future
 from repro.storage.version import VersionVector
 
 if TYPE_CHECKING:
+    from repro.core.geo import GeoProxy
     from repro.core.node import ChainNode
 
-__all__ = ["StabilityPlane", "NoticesPlane", "make_plane"]
+__all__ = ["PLANES", "StabilityPlane", "SitePlane", "NoticesPlane", "NoticesShipping", "plane_parts"]
 
 
-class StabilityPlane:
+class _PlaneHalf:
+    """What the two halves of a plane share with respect to their host
+    actor: handlers bound on it, a crash hook, a metrics hook."""
+
+    __slots__ = ()
+
+    #: ``on_<type>`` methods of this half, bound on its host as the
+    #: handlers of the message types only this plane understands
+    handles: Tuple[str, ...] = ()
+
+    def _bind(self, host: Any) -> None:
+        # ``Actor._bind_handler`` resolves ``on_<type>`` through the instance.
+        for name in self.handles:
+            setattr(host, name, getattr(self, name))
+
+    def on_recover(self) -> None:
+        return None
+
+    def coalescers(self) -> Dict[str, Any]:
+        """Stream name → coalescer, for the planes that batch."""
+        return {}
+
+
+class StabilityPlane(_PlaneHalf):
     """Per-node strategy object for one stabilization protocol.
 
     Hook contract (all called by :class:`~repro.core.node.ChainNode`):
@@ -58,15 +104,23 @@ class StabilityPlane:
       cascade; the clock plane retires the stamp.
     - ``needs_restabilise`` / ``transfer_record`` — chain-repair hooks.
     - ``annotate_read(reply, key)`` — plane-specific read-reply fields.
-    - ``hlc_entry_count`` / ``max_skew`` — metrics gauges.
+    - ``hlc_entry_count`` / ``max_skew`` / ``coalescers`` — metrics gauges.
+
+    What the deployment facade and the metrics ask of the *class*:
+    the ``capability`` it advertises, the ``control_types`` it spends on
+    stabilization alone, and whether ``preload`` must write tracker
+    state (``tracks_preload``).
     """
 
     __slots__ = ("node",)
 
-    name = "abstract"
+    capability: Optional[str] = None
+    control_types: Tuple[str, ...] = ()
+    tracks_preload = True
 
     def __init__(self, node: "ChainNode") -> None:
         self.node = node
+        self._bind(node)
 
     # -- dependency waits (head role) ----------------------------------
     def unresolved_deps(self, msg: PutRequest) -> List[Tuple[str, Any]]:
@@ -129,18 +183,8 @@ class StabilityPlane:
     def transfer_hlc(self, key: str) -> Any:
         return NO_HLC
 
-    # -- clock-plane control traffic (no-ops on notices) ---------------
-    def on_clock_tick(self, msg: Any) -> None:
-        return None
-
-    def on_tail_applied(self, msg: Any) -> None:
-        return None
-
-    # -- read replies / lifecycle / gauges -----------------------------
+    # -- read replies / gauges -----------------------------------------
     def annotate_read(self, reply: ReadReply, key: str) -> None:
-        return None
-
-    def on_recover(self) -> None:
         return None
 
     def hlc_entry_count(self) -> int:
@@ -160,7 +204,7 @@ class NoticesPlane(StabilityPlane):
 
     __slots__ = ()
 
-    name = "notices"
+    control_types = STABILITY_MESSAGE_TYPES + GLOBAL_STABILITY_MESSAGE_TYPES + ("global-ack",)
 
     def unresolved_deps(self, msg: PutRequest) -> List[Tuple[str, Any]]:
         node = self.node
@@ -213,14 +257,7 @@ class NoticesPlane(StabilityPlane):
         if node.tracer is not None:
             node.trace("stability", "dc-stable", key, version=str(version))
         if len(chain) > 1:
-            upstream = node.view.address_of(chain[-2])
-            if node._stable_coalescer is not None:
-                node._stable_coalescer.add(upstream, key, version)
-            else:
-                node.send(
-                    upstream,
-                    ChainStable(key=key, version=version, position=len(chain) - 2),
-                )
+            self._notify_upstream(node.view.address_of(chain[-2]), key, version, len(chain) - 2)
         if node.config.is_geo:
             node.send(
                 node._geoproxy,
@@ -238,11 +275,162 @@ class NoticesPlane(StabilityPlane):
     def needs_restabilise(self, key: str, version: VersionVector) -> bool:
         return not self.node.stability.is_stable(key, version)
 
+    def _notify_upstream(
+        self, upstream: Address, key: str, version: VersionVector, position: int
+    ) -> None:
+        self.node.send(upstream, ChainStable(key=key, version=version, position=position))
 
-def make_plane(node: "ChainNode") -> StabilityPlane:
-    """Instantiate the plane selected by ``node.config.stability``."""
-    if node.config.stability == "clock":
-        from repro.core.clockplane import ClockNodePlane
 
-        return ClockNodePlane(node)
-    return NoticesPlane(node)
+class SitePlane(_PlaneHalf):
+    """Per-site half of a plane, hosted by the site's geo-proxy: what
+    the site ships, and tells its peers, once a tail reports a write
+    DC-stable. Inbound updates are the proxy's own business on every
+    plane (``GeoProxy._enqueue``)."""
+
+    __slots__ = ("proxy",)
+
+    def __init__(self, proxy: "GeoProxy") -> None:
+        self.proxy = proxy
+        self._bind(proxy)
+
+    def cut_lag(self) -> float:
+        """Seconds the plane's global-stabilization cut trails the clock."""
+        return 0.0
+
+
+class NoticesShipping(SitePlane):
+    """The paper's site half: one :class:`RemoteUpdate` per peer per
+    DC-stable local write, a :class:`GlobalAck` back per remote one, and
+    a :class:`GlobalStableNotice` round once every owner DC has acked."""
+
+    __slots__ = ("_pending_global", "_shipped")
+
+    handles = ("on_tail_stable", "on_global_ack", "on_global_stable_notice")
+
+    def __init__(self, proxy: "GeoProxy") -> None:
+        super().__init__(proxy)
+        #: (key, version) → (sites yet to ack, origin put time)
+        self._pending_global: Dict[Tuple[str, VersionVector], Tuple[Set[str], float]] = {}
+        self._shipped: Set[Tuple[str, VersionVector]] = set()
+
+    def on_tail_stable(self, msg: TailStable, src: Address) -> None:
+        proxy = self.proxy
+        token = (msg.key, msg.version)
+        if msg.origin_site != proxy.site:
+            # Remote-origin write finished our chain: tell the origin.
+            origin = proxy._proxies[msg.origin_site]
+            proxy.send(origin, GlobalAck(key=msg.key, version=msg.version, site=proxy.site))
+            return
+        if token in self._shipped:
+            # Repair re-stabilisation can re-announce a version.
+            proxy.duplicate_ships += 1
+            return
+        self._shipped.add(token)
+        proxy.updates_shipped += 1
+        if proxy.tracer is not None:
+            proxy.trace("geo", "ship", msg.key, version=str(msg.version))
+        # Partial replication ships only to the shard's other owner sites
+        # (full replication: every peer, as before).
+        peers = proxy._peers_for(msg.key)
+        if not peers:
+            self._globally_stable(msg.key, msg.version, msg.origin_put_at)
+            return
+        self._pending_global[token] = ({p.site for p in peers}, msg.origin_put_at)
+        # Peers whose dependency list nothing pruned share one frozen
+        # update, sized once; with a catalog, per-destination pruning
+        # may differentiate the copies, and those are their own objects.
+        shared: Optional[RemoteUpdate] = None
+        for peer in peers:
+            deps = proxy._prune_deps(msg.deps, peer.site)
+            if deps is msg.deps and shared is not None:
+                update = shared
+            else:
+                update = RemoteUpdate(
+                    key=msg.key,
+                    value=msg.value,
+                    version=msg.version,
+                    stamp=msg.stamp,
+                    deps=deps,
+                    origin_site=proxy.site,
+                    origin_put_at=msg.origin_put_at,
+                )
+                if deps is msg.deps:
+                    shared = update
+            self._ship(peer, update)
+
+    def _ship(self, peer: Address, update: RemoteUpdate) -> None:
+        self.proxy.send(peer, update)
+
+    def on_global_ack(self, msg: GlobalAck, src: Address) -> None:
+        token = (msg.key, msg.version)
+        pending = self._pending_global.get(token)
+        if pending is None:
+            return  # duplicate ack after completion
+        waiting, origin_put_at = pending
+        waiting.discard(msg.site)
+        if not waiting:
+            del self._pending_global[token]
+            self._globally_stable(msg.key, msg.version, origin_put_at)
+
+    def _globally_stable(self, key: str, version: VersionVector, origin_put_at: float) -> None:
+        proxy = self.proxy
+        proxy.global_stability_samples.append(proxy.sim.now - origin_put_at)
+        self._announce_global(proxy._peers_for(key), key, version)
+        # Globally stable writes need no duplicate-ship suppression any
+        # more; dropping the token keeps proxy memory proportional to
+        # in-flight writes rather than to history.
+        self._shipped.discard((key, version))
+
+    def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:
+        """Tell every owner DC (and our own chain members) the write is
+        globally stable, so client dependency tables can prune it."""
+        for peer in peers:
+            self.proxy.send(peer, GlobalStableNotice(key=key, version=version, fan_out=True))
+        self._fan_out_global(key, version)
+
+    def _fan_out_global(self, key: str, version: VersionVector) -> None:
+        proxy = self.proxy
+        first: Optional[GlobalStableNotice] = None
+        for server in proxy.view.chain_for(key):
+            notice = GlobalStableNotice(key=key, version=version)
+            if first is None:
+                first = notice
+            else:
+                notice.copy_size_from(first)
+            proxy.send(proxy.view.address_of(server), notice)
+
+    def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:
+        if msg.fan_out:
+            self._fan_out_global(msg.key, msg.version)
+
+
+#: Plane name → (module, server half, site half, control actor of a site
+#: without a geo-proxy): the one table that knows the alternatives, its
+#: keys :data:`~repro.core.config.STABILITY_PLANES`. Classes are named,
+#: not referenced: their modules import this one for its bases.
+PLANES: Dict[str, Tuple[str, str, str, Optional[str]]] = {
+    "notices": (__name__, "NoticesPlane", "NoticesShipping", None),
+    "notices+batch": ("repro.core.batching", "BatchedNoticesPlane", "BatchedShipping", None),
+    "clock": ("repro.core.clockplane", "ClockNodePlane", "GeoClockCore", "ClockAgent"),
+}
+
+
+for _entry in PLANES.values():
+    # Loaded with the seam, not inside the first deployment's set-up.
+    importlib.import_module(_entry[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class PlaneParts:
+    server: Type[StabilityPlane]
+    site: Type[SitePlane]
+    agent: Optional[Type[Any]]
+
+
+def plane_parts(config: ChainReactionConfig) -> PlaneParts:
+    """The classes :data:`PLANES` names for ``config``'s plane."""
+    module, server, site, agent = PLANES[config.stability]
+    loaded = importlib.import_module(module)
+    return PlaneParts(
+        getattr(loaded, server), getattr(loaded, site), getattr(loaded, agent) if agent else None
+    )

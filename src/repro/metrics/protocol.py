@@ -14,13 +14,13 @@ Two views matter for the perf report:
   now (stable-map entries, sealed keys, client dep-table entries and
   bytes). A key installed converged (preload) has no stable-map entry
   until its first overwrite, so the footprint grows with the keys
-  *written*, never with the keyspace; with ``metadata_gc`` on it
-  plateaus as the run grows.
+  *written*, never with the keyspace; on the ``notices+batch`` plane,
+  which seals, it plateaus as the run grows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable
+from typing import Any, Dict, Iterable, List
 
 __all__ = [
     "STABILITY_MESSAGE_TYPES",
@@ -57,7 +57,7 @@ CLOCK_STABILITY_MESSAGE_TYPES = (
 
 
 def coalescer_stats(coalescers: Iterable[Any]) -> Dict[str, int]:
-    """Sum the counters of a set of coalescers (``None`` entries skipped)."""
+    """Sum the counters of a set of coalescers."""
     out = {
         "entries_enqueued": 0,
         "batches_flushed": 0,
@@ -66,8 +66,6 @@ def coalescer_stats(coalescers: Iterable[Any]) -> Dict[str, int]:
         "pending_entries": 0,
     }
     for c in coalescers:
-        if c is None:
-            continue
         out["entries_enqueued"] += c.entries_enqueued
         out["batches_flushed"] += c.batches_flushed
         out["eager_flushes"] += c.eager_flushes
@@ -76,14 +74,15 @@ def coalescer_stats(coalescers: Iterable[Any]) -> Dict[str, int]:
     return out
 
 
-def batching_stats(nodes: Iterable[Any], proxies: Iterable[Any]) -> Dict[str, Any]:
-    """Batching counters split by stream: chain stability, geo, global."""
-    proxy_list = list(proxies)
-    return {
-        "stability": coalescer_stats(n._stable_coalescer for n in nodes),
-        "shipping": coalescer_stats(p._update_coalescer for p in proxy_list),
-        "global": coalescer_stats(p._global_coalescer for p in proxy_list),
-    }
+def batching_stats(hosts: Iterable[Any]) -> Dict[str, Any]:
+    """Batching counters split by stream (chain stability, geo shipping,
+    global fan-out) over the servers and proxies hosting a plane; empty
+    when the plane coalesces nothing."""
+    streams: Dict[str, List[Any]] = {}
+    for host in hosts:
+        for stream, coalescer in host.plane.coalescers().items():
+            streams.setdefault(stream, []).append(coalescer)
+    return {stream: coalescer_stats(found) for stream, found in streams.items()}
 
 
 def link_floor_profile(network: Any) -> Dict[str, float]:
@@ -226,15 +225,9 @@ def stability_plane_stats(store: Any) -> Dict[str, Any]:
     """
     net = store.network.stats
     config = store.config
-    plane = config.stability
-    if plane == "clock":
-        types = CLOCK_STABILITY_MESSAGE_TYPES
-    else:
-        types = STABILITY_MESSAGE_TYPES + GLOBAL_STABILITY_MESSAGE_TYPES + (
-            "global-ack",
-        )
+    types = store.plane.control_types
     out: Dict[str, Any] = {
-        "plane": plane,
+        "plane": config.stability,
         "stability_messages": net.count_of(*types),
         "stability_bytes": net.bytes_of(*types),
         "vector_bytes": net.bytes_of("stability-vector"),
@@ -246,12 +239,7 @@ def stability_plane_stats(store: Any) -> Dict[str, Any]:
     out["vector_bytes_per_interval"] = (
         out["vector_bytes"] / intervals if intervals else 0.0
     )
-    cut_lags = []
-    for proxy in getattr(store, "proxies", {}).values():
-        clock = getattr(proxy, "_clock", None)
-        if clock is not None:
-            cut_lags.append(clock.cut_lag())
-    for agent in getattr(store, "clock_agents", {}).values():
-        cut_lags.append(agent.cut_lag())
+    cut_lags = [proxy.plane.cut_lag() for proxy in store.proxies.values()]
+    cut_lags += [agent.cut_lag() for agent in store.control_agents.values()]
     out["cut_lag_max_s"] = max(cut_lags) if cut_lags else 0.0
     return out

@@ -2,8 +2,8 @@
 
 This benchmark measures the *protocol* plane: the same
 deterministic write-heavy geo workload runs twice — once with the seed
-per-notification protocol and once with ``protocol_batching`` +
-``metadata_gc`` — and the report compares
+per-notification protocol (``stability="notices"``) and once batched
+and sealing (``"notices+batch"``) — and the report compares
 
 - wall-clock rate (simulated ops per wall second: fewer wire messages
   means fewer simulator events per op),
@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
-from repro.core.config import BATCHED_OVERRIDES
 from repro.metrics.protocol import (
     GLOBAL_STABILITY_MESSAGE_TYPES,
     SHIPPING_MESSAGE_TYPES,
@@ -113,7 +112,7 @@ def bench_protocol_plane(
         return top
 
     unbatched = best(None)
-    batched = best(BATCHED_OVERRIDES)
+    batched = best({"stability": "notices+batch"})
 
     def ratio(a: float, b: float) -> float:
         return a / b if b else 0.0

@@ -1,6 +1,6 @@
 """Deterministic hybrid logical clocks for the clock stability plane.
 
-The clock plane (``ChainReactionConfig.stability == "clock"``) stamps
+The clock plane (``ChainReactionConfig.stability``) stamps
 every write with a hybrid logical clock (HLC) value: a *physical*
 component quantized from simulated time plus a *logical* counter that
 breaks ties when several stamps land in the same physical quantum

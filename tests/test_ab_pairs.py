@@ -134,8 +134,8 @@ def test_campaigns_cover_every_plane_and_add_two_dcs_to_single_site_campaigns(tm
     runs = _canned_campaigns(monkeypatch)
     assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--seed", "7"]) == 0
     rows = [row for side, row, _ in runs if side == "base"]
-    assert rows == [f"crash-head/{plane}/{sites}" for plane in ab_pairs.PLANES for sites in ("shipped", "2dc")] \
-        + [f"partition-sites/{plane}/shipped" for plane in ab_pairs.PLANES]
+    assert rows == [f"crash-head/{plane}/{sites}" for plane in ab_pairs.STABILITY_PLANES for sites in ("shipped", "2dc")] \
+        + [f"partition-sites/{plane}/shipped" for plane in ab_pairs.STABILITY_PLANES]
     # each row: base then change, same seed, and no benchmark pair ran
     assert runs[:2] == [("base", rows[0], 7), ("change", rows[0], 7)] and len(runs) == 2 * len(rows)
     verdicts = _verdicts(capsys.readouterr().out)
@@ -185,3 +185,49 @@ def test_campaign_runner_runs_in_the_trees_own_interpreter():
     again = ab_pairs.run_campaign_once(ab_pairs.ROOT, "slow-link", "notices", "shipped", 42)
     assert first == again and first["messages"] > 0 and len(first["sha256"]) == 64
     assert (first["causal"], first["invariant"]) == (0, 0)
+
+
+#: a tree reduced to what the campaign runner imports; its ``run_campaign``
+#: answers with the config overrides it was handed (as a ConfigError, which
+#: the runner reports as ``skipped``)
+_STUB_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/core/__init__.py": "",
+    "src/repro/errors.py": "class ConfigError(Exception):\n    pass\n",
+    "src/repro/faults/__init__.py": "",
+    "src/repro/faults/campaign.py": (
+        "import dataclasses\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    overrides: dict\n"
+        "    sites: tuple = ('dc0',)\n"
+        "CAMPAIGNS = {'stub': Spec({'durable_storage': True})}\n"
+    ),
+    "src/repro/faults/engine.py": (
+        "import json\n"
+        "from repro.errors import ConfigError\n"
+        "def run_campaign(spec, seed, capture_trace):\n"
+        "    raise ConfigError(json.dumps(spec.overrides, sort_keys=True))\n"
+    ),
+}
+_LEGACY_DICT = {"protocol_batching": True, "metadata_gc": True, "batch_flush_interval": 0.025}
+
+
+@pytest.mark.parametrize(
+    "config_source,batched",
+    [
+        ("STABILITY_PLANES = ('notices', 'notices+batch', 'clock')\n", {"stability": "notices+batch"}),
+        (f"BATCHED_OVERRIDES = {_LEGACY_DICT!r}\n", _LEGACY_DICT),
+    ],
+    ids=["a-plane-name-is-the-override", "a-base-that-still-has-the-dict"],
+)
+def test_campaign_runner_spells_the_plane_the_way_its_tree_does(tmp_path, config_source, batched):
+    for name, source in {**_STUB_TREE, "src/repro/core/config.py": config_source}.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+
+    def overrides(plane):
+        return ab_pairs.json.loads(ab_pairs.run_campaign_once(tmp_path, "stub", plane, "shipped", 42)["skipped"])
+
+    assert overrides("notices+batch") == {"durable_storage": True, **batched}
+    assert overrides("clock") == {"durable_storage": True, "stability": "clock"}

@@ -37,15 +37,14 @@ PROBES = sorted({*DATA, *AGAIN, "ghost0000", "ghost0001"})
 
 CONFIGS = {
     "notices": dict(sites=("dc0", "dc1")),
-    "notices+batch": dict(
-        sites=("dc0", "dc1"), protocol_batching=True, metadata_gc=True,
-        batch_flush_interval=0.025,
-    ),
+    "notices+batch": dict(sites=("dc0", "dc1"), stability="notices+batch"),
     "clock": dict(sites=("dc0", "dc1"), stability="clock"),
     "single-dc": dict(),
     "partial-r2-of-3": dict(sites=("dc0", "dc1", "dc2"), replication_degree=2),
     "durable": dict(sites=("dc0", "dc1"), durable_storage=True),
-    "metadata-gc": dict(sites=("dc0", "dc1"), metadata_gc=True),
+    # the batched plane again, its sealing sweep fast enough to run
+    # several times inside every window below
+    "metadata-gc": dict(sites=("dc0", "dc1"), stability="notices+batch", gc_interval=0.05),
 }
 
 
@@ -373,7 +372,7 @@ def _campaign_twins(spec, seed, monkeypatch):
     return twin, reference
 
 
-@pytest.mark.parametrize("overrides", [{}, {"metadata_gc": True}], ids=["notices", "metadata-gc"])
+@pytest.mark.parametrize("overrides", [{}, {"stability": "notices+batch"}], ids=["notices", "metadata-gc"])
 def test_twins_send_the_same_messages_through_crash_head(overrides, monkeypatch):
     spec = dataclasses.replace(CAMPAIGNS["crash-head"], clients=4, overrides=overrides)
     twin, reference = _campaign_twins(spec, 42, monkeypatch)

@@ -103,16 +103,6 @@ class TestConfigAndCapabilities:
         with pytest.raises(ConfigError, match="stability"):
             ChainReactionConfig(sites=("dc0",), stability="vector")
 
-    def test_clock_rejects_protocol_batching(self):
-        with pytest.raises(ConfigError, match="protocol_batching"):
-            ChainReactionConfig(
-                sites=("dc0",), stability="clock", protocol_batching=True
-            )
-
-    def test_clock_rejects_metadata_gc(self):
-        with pytest.raises(ConfigError, match="metadata_gc"):
-            ChainReactionConfig(sites=("dc0",), stability="clock", metadata_gc=True)
-
     def test_interval_must_be_positive(self):
         with pytest.raises(ConfigError, match="stability_interval"):
             ChainReactionConfig(sites=("dc0",), stability_interval=0.0)

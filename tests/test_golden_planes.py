@@ -1,29 +1,45 @@
-"""Golden pins for the planes and protocols ``test_golden_trace`` does not run.
+"""Golden pins for every stabilization plane and two baseline protocols.
 
 The golden trace pins the ``notices`` plane only, so a wire-size or
 event-order slip confined to ``ClockShip`` / ``StabilityVector`` /
 ``BulkStable`` / a baseline's messages would pass it. These are the same
 mini-run (``test_golden_trace._golden_run``: 2 DCs, YCSB-B, 25 keys, 3
-clients, seed 1234) under the other two stabilization planes and two
-baseline protocols, recorded on commit 8af2af1 — before the message
-fabric's link objects, size plans and handler tables. The same rule
-applies: a fabric optimisation that moves one of these changed the
-simulation and must be fixed, not re-recorded.
+clients, seed 1234) under each name of ``STABILITY_PLANES`` (``notices``
+by the golden trace's own counters) and two baseline protocols, recorded
+on commit 8af2af1 — before the message fabric's link objects, size plans
+and handler tables. The same rule applies: a fabric optimisation that
+moves one of these changed the simulation and must be fixed, not
+re-recorded.
 """
 
 import pytest
 
 from repro.baselines import build_store
-from repro.core.config import BATCHED_OVERRIDES
+from repro.core.config import STABILITY_PLANES
+from repro.core.stability_plane import PLANES
 from repro.workload import WorkloadRunner, workload
+from test_golden_trace import GOLDEN_BYTES_SENT, GOLDEN_EVENTS_PROCESSED, GOLDEN_MESSAGES_SENT
 
-#: (protocol, config overrides) -> (events processed, messages sent, bytes sent)
+#: stabilization plane -> (events processed, messages sent, bytes sent)
+PLANE_PINS = {
+    "notices": (GOLDEN_EVENTS_PROCESSED, GOLDEN_MESSAGES_SENT, GOLDEN_BYTES_SENT),
+    "notices+batch": (14983, 7961, 1227398),
+    "clock": (27498, 15988, 1568988),
+}
+
+#: (protocol, config overrides) -> the same three counters
 GOLDEN_PINS = {
-    "clock": ("chainreaction", {"stability": "clock"}, (27498, 15988, 1568988)),
-    "notices+batch": ("chainreaction", dict(BATCHED_OVERRIDES), (14983, 7961, 1227398)),
+    **{plane: ("chainreaction", {"stability": plane}, PLANE_PINS[plane]) for plane in STABILITY_PLANES},
     "cops": ("cops", None, (13506, 7045, 763654)),
     "eventual": ("eventual", None, (12451, 6189, 887205)),
 }
+
+
+def test_every_plane_has_a_builder_and_a_pin():
+    # A plane added to the names and not to the factory table (or the
+    # other way round, or left unpinned) fails here, not at run time.
+    assert tuple(PLANES) == STABILITY_PLANES
+    assert set(PLANE_PINS) == set(STABILITY_PLANES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PINS))

@@ -1,4 +1,4 @@
-"""Protocol batching + metadata GC (PR 4).
+"""The ``notices+batch`` plane: protocol batching + metadata GC (PR 4).
 
 Covers the coalescer machinery, the BulkStable cascade, the sealing GC
 (floors, monotonicity, re-opening), client dep pruning, the
@@ -25,7 +25,7 @@ def vv(**entries):
     return VersionVector(entries)
 
 
-BATCH = {"protocol_batching": True, "metadata_gc": True}
+BATCH = {"stability": "notices+batch"}
 
 
 class FakeActor:
@@ -244,7 +244,7 @@ class TestBatchedProtocol:
         assert result.value == "v" and result.stable
 
     def test_client_dep_table_prunes_on_global_stability(self):
-        # accumulate-forever ablation + metadata_gc: entries must still
+        # accumulate-forever ablation on the sealing plane: entries must still
         # disappear once a read observes global stability
         store = make_geo_store(collapse_deps_on_put=False, **BATCH)
         session = store.session(session_id="c0")
@@ -253,6 +253,23 @@ class TestBatchedProtocol:
         store.run(until=store.sim.now + 2.0)
         run_op(store, session.get("k"))
         assert session.metadata_entries() == 0
+
+    def test_protocol_stats_report_the_plane_that_ran(self):
+        # Was: ``plane == "notices"`` for a batched run, and the
+        # ``batching`` block gated on a config boolean.
+        def stats(**overrides):
+            store = make_geo_store(**overrides)
+            run_op(store, store.session(session_id="c0").put("k", "v"))
+            store.run(until=store.sim.now + 1.0)
+            return store.protocol_stats()
+
+        batched = stats(**BATCH)
+        assert batched["stability_plane"]["plane"] == "notices+batch"
+        assert list(batched["batching"]) == ["stability", "shipping", "global"]
+        assert all(stream["entries_enqueued"] > 0 for stream in batched["batching"].values())
+        for plane in ("notices", "clock"):
+            plain = stats(stability=plane)
+            assert plain["stability_plane"]["plane"] == plane and "batching" not in plain
 
     def test_metadata_plateau_vs_unbatched(self):
         def final_metadata(overrides):
@@ -279,12 +296,19 @@ class TestBatchingFaultCampaigns:
 
 
 class TestGoldenDefaultsUnchanged:
-    def test_new_knobs_default_off(self):
-        from repro.core.config import ChainReactionConfig
+    def test_a_plane_name_is_the_only_spelling(self):
+        # The states the deleted fields expressed (batching without
+        # sealing, either of them on the clock plane) have no spelling.
+        from repro.core.config import STABILITY_PLANES, ChainReactionConfig
+        from repro.errors import ConfigError
 
-        config = ChainReactionConfig()
-        assert config.protocol_batching is False
-        assert config.metadata_gc is False
+        assert ChainReactionConfig().stability == "notices"
+        for gone in ("protocol_batching", "metadata_gc"):
+            with pytest.raises(TypeError, match=gone):
+                ChainReactionConfig(**{gone: True})
+        with pytest.raises(ConfigError) as rejected:
+            ChainReactionConfig(stability="batch")
+        assert all(repr(plane) in str(rejected.value) for plane in STABILITY_PLANES)
 
     def test_config_validation(self):
         from repro.core.config import ChainReactionConfig
