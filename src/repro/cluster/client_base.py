@@ -12,9 +12,8 @@ property of the *harness*, not of one protocol:
   refreshes its ring view from the site's cluster manager, so retries
   re-route around crashed heads/tails once the failure detector fires,
 - an explicit lifecycle: ``close()`` detaches the session from the
-  network (late replies are dropped, not mis-delivered) and fails the
-  operations its ``_fail_pending`` hook tracks with
-  :class:`~repro.errors.SessionClosedError`.
+  network (late replies are dropped, not mis-delivered) and fails every
+  operation awaiting a reply with :class:`~repro.errors.SessionClosedError`.
 
 Protocol sessions implement only their operations: as
 :class:`RetryingOp` subclasses (one ``_try`` per attempt), or as
@@ -71,20 +70,15 @@ class RetryingSession(Actor, ClientSession):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Detach from the network and fail the operations
-        :meth:`_fail_pending` tracks (ChainReaction: puts awaiting their
-        reply) at once. Any other :class:`RetryingOp` in flight fails
-        with the same ``SessionClosedError`` when its current attempt
-        times out against the downed address — one ``op_timeout``, no
-        backoff, nothing counted in ``retries`` or ``failed_ops``."""
+        """Detach from the network and fail every entry of the deadline
+        table at once, as :meth:`crash` does: each operation awaiting a
+        reply ends with ``SessionClosedError`` — no backoff, nothing
+        counted in ``retries`` or ``failed_ops``."""
         if self.closed:
             return
         self.closed = True
         self.network.set_down(self.address, True)
-        self._fail_pending(SessionClosedError(f"session {self.session_id} closed"))
-
-    def _fail_pending(self, exc: ReproError) -> None:
-        """Hook: resolve any pending operation futures with ``exc``."""
+        self._fail_rpcs(SessionClosedError, f"session {self.session_id} closed")
 
     # ------------------------------------------------------------------
     # retry machinery
@@ -164,9 +158,10 @@ class RetryingOp(Future):
     one ``_try`` per attempt and resolves itself. Subclasses implement
     ``_try`` and call ``_retry`` when another attempt might help.
 
-    The first attempt runs from a zero-delay event, never inline: the
-    caller holds its future before anything is sent, and the event is
-    part of every recorded trace.
+    The session runs the first attempt inline, right after construction
+    (``__init__`` runs before a subclass has set its own fields):
+    ``op = _GetOp(...); op._try()``. No event stands between the call
+    and the first message.
     """
 
     __slots__ = ("_session", "_op", "_key", "_start", "_attempt")
@@ -178,7 +173,6 @@ class RetryingOp(Future):
         self._key = key
         self._start = session.sim.now
         self._attempt = 0
-        session.sim.post(0.0, self._try)
 
     def _try(self) -> None:
         """Issue attempt number ``self._attempt``."""
@@ -207,4 +201,4 @@ class RetryingOp(Future):
             self.set_exception(session._give_up(self._op, self._key))
 
     def rpc_failed(self, exc: BaseException) -> None:
-        self._retry(exc)  # every failure Actor.request reports is transient
+        self._retry(exc)  # transient, or the session closed: _retry checks that first

@@ -37,7 +37,7 @@ from repro.api import GetResult, PutResult, SnapshotResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.core.deptable import DepSnapshot, DepTable
 from repro.core.messages import DepEntry, PutReply, PutRequest, ReadReply
-from repro.errors import ReproError, RequestTimeout, TransientError
+from repro.errors import RequestTimeout, TransientError
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, hlc_or_none
 from repro.sim.process import Future, all_of, spawn
@@ -53,9 +53,6 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         super().__init__(*args, **kwargs)
         #: columnar key → (version, chain index) table; see repro.core.deptable
         self._deps = DepTable()
-        #: request id → the put awaiting its ``PutReply``
-        self._pending_puts: Dict[int, _PutOp] = {}
-        self._request_seq = 0
         #: shard→owners map under partial replication; None = full
         #: replication, where every key is served by the local site
         self._placement = self.config.placement()
@@ -81,7 +78,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         key = intern_str(key)
         owners = self._forward_owners(key)
         if owners is None:
-            return _GetOp(self, key)
+            op = _GetOp(self, key)
+            op._try()
+            return op
         return spawn(self.sim, self._forward_get_gen(key, owners), name=f"get:{key}")
 
     def put(self, key: str, value: Any) -> Future:
@@ -95,7 +94,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         key = intern_str(key)
         owners = self._forward_owners(key)
         if owners is None:
-            return _PutOp(self, key, value, is_delete)
+            op = _PutOp(self, key, value, is_delete)
+            op._try()
+            return op
         return spawn(
             self.sim,
             self._forward_put_gen(key, value, is_delete, owners),
@@ -111,11 +112,6 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
     def dependency_table(self) -> Dict[str, DepEntry]:
         """Copy of the session's current causality metadata (for tests/E8)."""
         return self._deps.as_dict()
-
-    def _fail_pending(self, exc: ReproError) -> None:
-        pending, self._pending_puts = self._pending_puts, {}
-        for op in pending.values():
-            op.session_closed(exc)
 
     # ------------------------------------------------------------------
     # partial replication: owner routing
@@ -408,9 +404,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             self._deps.set(key, reply.version, reply.index, hlc)
 
     def on_put_reply(self, msg: PutReply, src: Any) -> None:
-        op = self._pending_puts.pop(msg.request_id, None)
-        if op is not None:  # else: a late reply to an attempt that timed out
-            op.put_reply(msg)
+        pending = self._rpc_pending.pop(msg.request_id, None)
+        if pending is not None:  # else: a late reply to an attempt that timed out
+            pending[0].rpc_reply(msg)
 
 
 class _GetOp(RetryingOp):
@@ -477,9 +473,11 @@ class _GetOp(RetryingOp):
 class _PutOp(RetryingOp):
     """A put or delete of a locally-owned key: per attempt, a
     ``PutRequest`` to the chain head under a fresh request id, answered
-    by a ``PutReply`` straight from the k-th server."""
+    by a ``PutReply`` straight from the k-th server. The attempt waits in
+    the session's RPC deadline table like any request, so it times out,
+    crashes and closes the same way."""
 
-    __slots__ = ("_new_value", "_is_delete", "_deps", "_request_id", "_deadline")
+    __slots__ = ("_new_value", "_is_delete", "_deps")
 
     _session: ChainClientSession
     _deps: Optional[DepSnapshot]
@@ -501,14 +499,12 @@ class _PutOp(RetryingOp):
             # without the entry it could become visible remotely before
             # the predecessor's own dependencies have arrived.
             deps = self._deps = session._deps.snapshot()
-        session._request_seq += 1
-        self._request_id = session._request_seq
-        session._pending_puts[self._request_id] = self
         view = session.view
+        head = view.address_of(view.chain_for(self._key)[0])
         session.send(
-            view.address_of(view.chain_for(self._key)[0]),
+            head,
             PutRequest(
-                request_id=self._request_id,
+                request_id=session._expect_reply(self, session.config.op_timeout, "put", head),
                 key=self._key,
                 value=self._new_value,
                 deps=deps,
@@ -516,14 +512,8 @@ class _PutOp(RetryingOp):
                 is_delete=self._is_delete,
             ),
         )
-        self._deadline = session.sim.schedule(session.config.op_timeout, self._timed_out)
 
-    def _timed_out(self) -> None:
-        self._session._pending_puts.pop(self._request_id, None)
-        self._retry(RequestTimeout(f"put({self._key!r})"))
-
-    def put_reply(self, reply: PutReply) -> None:
-        self._deadline.cancel()
+    def rpc_reply(self, reply: PutReply) -> None:
         if not reply.ok:
             # syncing / not-head / not-responsible: refresh and retry
             self._retry()
@@ -533,7 +523,3 @@ class _PutOp(RetryingOp):
         self.set_result(
             PutResult(key=self._key, version=reply.version, stable=stable, acked_by=str(reply.index))
         )
-
-    def session_closed(self, exc: ReproError) -> None:
-        self._deadline.cancel()
-        self.set_exception(exc)

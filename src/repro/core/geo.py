@@ -266,8 +266,9 @@ class _RemoteApply:
     and ``apply_remote`` goes to the chain head, re-resolved and re-sent
     after ``client_retry_backoff`` for up to ``max_retries`` attempts.
 
-    The first step runs from a zero-delay event, never inline: the event
-    is part of every recorded trace.
+    The first step runs inline, from the constructor. The gate still
+    opens from its own ``call_soon`` event: the clock plane's simulated
+    latencies depend on where that event falls among the instant's others.
     """
 
     __slots__ = ("_proxy", "_update", "_previous", "_next", "opened", "_waits", "_attempts")
@@ -287,25 +288,31 @@ class _RemoteApply:
         self.opened = False
         self._waits = 0
         self._attempts = proxy.config.max_retries
-        proxy.sim.post(0.0, self._wait_deps if wait_deps else self._await_turn)
+        if wait_deps:
+            self._wait_deps()
+        else:
+            self._await_turn()
 
     def _wait_deps(self) -> None:
         proxy = self._proxy
         update = self._update
         catalog = proxy._catalog
-        for dep_key, entry in update.deps.items():
-            # Same-key order is already enforced by the gate chain;
-            # waiting for the predecessor's DC-stability here would
-            # serialise the whole chain latency per update instead of
-            # pipelining it. Under partial replication, dependencies on
-            # shards this site does not own are not locally checkable —
-            # and need not be: local reads of those keys forward to the
-            # dep's primary owner, whose chain already serialised the
-            # dependency before this write existed.
-            if dep_key != update.key and (catalog is None or catalog.owns(proxy.site, dep_key)):
-                self._waits += 1
-                DepWait(proxy, self, dep_key, entry.version)
-        if not self._waits:
+        # Same-key order is already enforced by the gate chain; waiting
+        # for the predecessor's DC-stability here would serialise the
+        # whole chain latency per update instead of pipelining it. Under
+        # partial replication, dependencies on shards this site does not
+        # own are not locally checkable — and need not be: local reads of
+        # those keys forward to the dep's primary owner, whose chain
+        # already serialised the dependency before this write existed.
+        waits = [
+            (dep_key, entry.version)
+            for dep_key, entry in update.deps.items()
+            if dep_key != update.key and (catalog is None or catalog.owns(proxy.site, dep_key))
+        ]
+        self._waits = len(waits)  # all counted first: a wait may end in its constructor
+        for dep_key, version in waits:
+            DepWait(proxy, self, dep_key, version)
+        if not waits:
             self._await_turn()
 
     def dep_done(self, stable: bool) -> None:

@@ -155,9 +155,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 )
             return
         self.trace("put", "received", msg.key, deps=len(msg.deps))
-        # From its own zero-delay event, never inline: the event is part
-        # of every recorded trace.
-        self.sim.post(0.0, self._serve_put, msg)
+        self._serve_put(msg)
 
     def _put_admission_error(self, key: str) -> Optional[str]:
         if self.syncing:
@@ -191,9 +189,9 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
 
     def _apply_put(self, msg: PutRequest) -> None:
         # Admission is re-checked at apply time, not only at arrival: a
-        # view change can land between the two (the serve runs from its
-        # own event), and a no-longer-head that assigned a version here
-        # would mint the same number as the new head — a split-brain
+        # view change can land between the two while the put is held for
+        # its dependencies, and a no-longer-head that assigned a version
+        # here would mint the same number as the new head — a split-brain
         # write under a stale epoch.
         if "split_brain_mint" in self.config.mutations:
             # MUTATION (proving ground): PR 3's bug, re-injected — skip
@@ -775,7 +773,8 @@ class _HeldPut:
     """A put held at its head until its unresolved dependencies are
     DC-stable: one concurrent :class:`DepWait` each, counting down here.
     A wait that timed out lets the put through all the same; a wait that
-    *failed* (this node crashed under it) drops the put, silently."""
+    *failed* (this node crashed under it) drops the put, silently. Waits
+    are all counted first: one may end inside its own constructor."""
 
     __slots__ = ("_node", "_msg", "_waits")
 

@@ -170,8 +170,9 @@ class DepWait:
     its own plane, for all the time that is left rather than one RPC
     attempt's worth.
 
-    Starts from a zero-delay event, never inline: the event is part of
-    every recorded trace.
+    Asks inline, from the constructor: the parent may hear back before
+    the constructor returns (a crashed actor's request fails at once, an
+    already-stable local answer resolves at once).
     """
 
     __slots__ = ("_actor", "_parent", "_key", "_version", "_deadline", "_attempt", "_local", "_timer")
@@ -188,7 +189,7 @@ class DepWait:
         #: the local answer being waited for; None over an RPC, and again
         #: once its deadline fired (its late answer is then ignored)
         self._local: Optional[Future] = None
-        actor.sim.post(0.0, self._ask)
+        self._ask()
 
     def _ask(self) -> None:
         actor = self._actor

@@ -26,8 +26,8 @@ message hop and timer passes through it):
 - ``pending_events()`` is O(1): the simulator keeps a live counter
   updated on schedule/cancel/pop instead of scanning the heap.
 - Lazily-cancelled entries are compacted away once they outnumber the
-  live ones, so a workload that cancels most of its timers (RPC
-  timeouts, usually) cannot grow the heap without bound.
+  live ones, so a workload that cancels most of its timers cannot grow
+  the heap without bound; a cancelled entry holds no callback meanwhile.
 - Fired handles are pooled and reused, but only when the scheduling
   site explicitly waived the handle via :meth:`ScheduledEvent.release`
   — see the class docstring for the ownership contract.
@@ -53,7 +53,8 @@ _FREELIST_MAX = 1024
 
 
 def _noop() -> None:
-    """Callback parked on recycled handles; firing one is a kernel bug."""
+    """Callback parked on recycled and cancelled handles; firing one is a
+    kernel bug."""
 
 
 class ScheduledEvent:
@@ -101,10 +102,16 @@ class ScheduledEvent:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the callback from firing. Safe to call more than once."""
+        """Prevent the callback from firing. Safe to call more than once.
+
+        Drops the callback and its arguments at once: the entry stays in
+        the heap until popped or compacted, and must not keep what it
+        would have called alive that long."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = _noop
+        self.args = ()
         if self._sim is not None:
             self._sim._note_cancel()
             self._sim = None

@@ -10,7 +10,9 @@ A built-in request/response layer (``rpc_<method>`` handlers) covers
 the client-facing paths: :meth:`Actor.request` hands the outcome to a
 *continuation* (``rpc_reply(value)`` / ``rpc_failed(exc)``), and
 :meth:`Actor.call` is the same with a fresh
-:class:`~repro.sim.process.Future` for code that yields the call.
+:class:`~repro.sim.process.Future` for code that yields the call. Every
+awaited reply sits in one deadline table per actor, watched by a single
+kernel alarm at its earliest deadline: a reply costs no heap entry.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ __all__ = ["Actor", "RpcRequest", "RpcResponse"]
 #: Default RPC deadline. Generous relative to LAN latencies so that the
 #: steady-state experiments never trip it; fault tests override it.
 DEFAULT_RPC_TIMEOUT = 5.0
+
+#: ``Actor._rpc_alarm_at`` while no alarm is armed
+_NEVER = float("inf")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,9 +89,13 @@ class Actor:
         self.tracer = None
         self._timers: Set[ScheduledEvent] = set()
         self._rpc_seq = 0
-        #: request id → (caller's continuation, its deadline); RPC
-        #: deadlines live only here, not in ``_timers``
-        self._rpc_pending: Dict[int, Tuple[Any, ScheduledEvent]] = {}
+        #: the deadline table: request id → (caller's continuation, its
+        #: deadline, method, destination) for every reply awaited
+        self._rpc_pending: Dict[int, Tuple[Any, float, str, Address]] = {}
+        #: the table's one kernel alarm, armed at ``_rpc_alarm_at`` — no
+        #: later than the earliest live deadline; not in ``_timers``
+        self._rpc_alarm: Optional[ScheduledEvent] = None
+        self._rpc_alarm_at = _NEVER
         #: message class → bound handler, filled by _bind_handler
         self._message_handlers: Dict[Type[Message], Callable[[Any, Address], None]] = {}
         #: RPC method name → bound ``rpc_<method>``
@@ -189,12 +198,7 @@ class Actor:
         for timer in sorted(self._timers):  # repro: lint-ok(sort-tie-identity)
             timer.cancel()
         self._timers.clear()
-        pending, self._rpc_pending = self._rpc_pending, {}
-        for cont, deadline in pending.values():
-            deadline.cancel()
-            cont.rpc_failed(
-                ReplicaUnavailable(f"{self.address} crashed with RPC in flight")
-            )
+        self._fail_rpcs(ReplicaUnavailable, f"{self.address} crashed with RPC in flight")
 
     def recover(self) -> None:
         """Bring a crashed actor back; volatile protocol state is NOT restored
@@ -217,19 +221,28 @@ class Actor:
     ) -> None:
         """Invoke ``rpc_<method>`` on the actor at ``dst``; exactly one
         of ``cont.rpc_reply(value)`` and ``cont.rpc_failed(exc)`` is
-        called, once, after the deadline has been cancelled. ``exc`` is
-        a :class:`RequestTimeout`, a :class:`RemoteError`, or
-        :class:`ReplicaUnavailable` when this actor is or goes down —
-        always a :class:`~repro.errors.TransientError`."""
+        called, once, after the request has left the deadline table.
+        ``exc`` is a :class:`RequestTimeout`, a :class:`RemoteError`, or
+        :class:`ReplicaUnavailable` when this actor is or goes down — a
+        :class:`~repro.errors.TransientError`, unless a client session
+        closes under it (:class:`~repro.errors.SessionClosedError`)."""
         if self.crashed:
             cont.rpc_failed(ReplicaUnavailable(f"{self.address} is crashed"))
             return
+        rid = self._expect_reply(cont, timeout, method, dst)
+        self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+
+    def _expect_reply(self, cont: Any, timeout: float, method: str, dst: Address) -> int:
+        """Enter ``cont`` in the deadline table under a fresh request id,
+        returned; the reply's receiver pops the entry, or at ``now +
+        timeout`` the alarm calls ``cont.rpc_failed(RequestTimeout)``."""
         self._rpc_seq += 1
         rid = self._rpc_seq
-        sim = self.sim
-        deadline = sim.schedule_at(sim.now + timeout, self._rpc_timeout, rid, method, dst)
-        self._rpc_pending[rid] = (cont, deadline)
-        self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+        at = self.sim.now + timeout
+        self._rpc_pending[rid] = (cont, at, method, dst)
+        if at < self._rpc_alarm_at:
+            self._arm_rpc_alarm(at)
+        return rid
 
     def call(
         self,
@@ -247,10 +260,43 @@ class Actor:
         self.request(dst, method, payload, timeout, fut)
         return fut
 
-    def _rpc_timeout(self, rid: int, method: str, dst: Address) -> None:
-        pending = self._rpc_pending.pop(rid, None)
-        if pending is not None:  # its deadline is this very callback
-            pending[0].rpc_failed(RequestTimeout(f"rpc {method!r} to {dst} timed out"))
+    def _arm_rpc_alarm(self, at: float) -> None:
+        alarm = self._rpc_alarm
+        if alarm is not None:
+            alarm.cancel()
+        self._rpc_alarm_at = at
+        # Released at once: the reference is dropped before the handle
+        # can leave the heap (on cancel here, or when it fires).
+        alarm = self._rpc_alarm = self.sim.schedule_at(at, self._rpc_timeout)
+        alarm.release()
+
+    def _rpc_timeout(self) -> None:
+        """The alarm: fail every expired entry, in id order, then re-arm
+        at the earliest deadline left. A reply never touches the alarm,
+        so it may find nothing due."""
+        self._rpc_alarm = None
+        now = self.sim.now
+        # Entries the failures' reactions add wait for the re-arm below.
+        self._rpc_alarm_at = now
+        for rid in [rid for rid, entry in self._rpc_pending.items() if entry[1] <= now]:
+            # Looked up afresh: a reaction may crash or close this actor.
+            entry = self._rpc_pending.pop(rid, None)
+            if entry is not None:
+                entry[0].rpc_failed(RequestTimeout(f"rpc {entry[2]!r} to {entry[3]} timed out"))
+        self._rpc_alarm_at = _NEVER
+        if self._rpc_pending:
+            self._arm_rpc_alarm(min(entry[1] for entry in self._rpc_pending.values()))
+
+    def _fail_rpcs(self, exc_type: Type[ReproError], message: str) -> None:
+        """Fail every entry of the deadline table with ``exc_type(message)``
+        at once, and disarm the alarm."""
+        if self._rpc_alarm is not None:
+            self._rpc_alarm.cancel()
+            self._rpc_alarm = None
+        self._rpc_alarm_at = _NEVER
+        pending, self._rpc_pending = self._rpc_pending, {}
+        for entry in pending.values():
+            entry[0].rpc_failed(exc_type(message))
 
     def _handle_rpc_request(self, msg: RpcRequest, src: Address) -> None:
         handler = self._rpc_handlers.get(msg.method)
@@ -309,8 +355,7 @@ class Actor:
         pending = self._rpc_pending.pop(msg.request_id, None)
         if pending is None:
             return  # late response after timeout; drop
-        cont, deadline = pending
-        deadline.cancel()  # before the caller resumes
+        cont = pending[0]
         if msg.ok:
             cont.rpc_reply(msg.payload)
         else:

@@ -105,9 +105,11 @@ def test_without_trace_no_traced_pass_runs(tmp_path, monkeypatch, capsys):
 SHIPPED = {"crash-head": ["dc0"], "partition-sites": ["dc0", "dc1"]}
 
 
-def _canned_campaigns(monkeypatch, differing=(), skipped=()):
+def _canned_campaigns(monkeypatch, differing=(), skipped=(), fewer_events=(), violating=()):
     """Both trees answer canned counts; rows in ``differing`` get another
-    trace on the change side, rows in ``skipped`` a ConfigError on both."""
+    trace on the change side, rows in ``fewer_events`` fewer kernel
+    events, rows in ``violating`` a causal violation, rows in ``skipped``
+    a ConfigError on both."""
     runs = []
 
     def canned(tree, name, plane, sites, seed):
@@ -116,9 +118,12 @@ def _canned_campaigns(monkeypatch, differing=(), skipped=()):
         runs.append((side, row, seed))
         if row in skipped:
             return {"skipped": "incompatible knobs"}
-        moved = side == "change" and row in differing
-        return {"messages": 100 - moved, "bytes": 9000 - 43 * moved, "events": 250, "ops": 40,
-                "sha256": ("c" if moved else "a") * 64, "causal": 0, "invariant": 0}
+        change = side == "change"
+        moved = change and row in differing
+        return {"messages": 100 - moved, "bytes": 9000 - 43 * moved,
+                "events": 250 - 60 * (change and row in fewer_events), "ops": 40,
+                "sha256": ("c" if moved else "a") * 64,
+                "causal": int(change and row in violating), "invariant": 0}
 
     monkeypatch.setattr(ab_pairs, "run_campaign_once", canned)
     monkeypatch.setattr(ab_pairs, "shipped_campaigns", lambda tree: dict(SHIPPED))
@@ -151,6 +156,17 @@ def test_a_different_row_fails_unless_it_is_expected(tmp_path, monkeypatch, caps
     assert f"not named by --expect-different: ['{corner}']" in out
     assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--expect-different", corner]) == 0
     assert "not named" not in capsys.readouterr().out
+
+
+def test_events_are_printed_but_not_judged_and_violations_are(tmp_path, monkeypatch, capsys):
+    cheaper, violating = "crash-head/notices/shipped", "crash-head/clock/2dc"
+    _canned_campaigns(monkeypatch, fewer_events={cheaper}, violating={violating})
+    assert ab_pairs.main(["--campaigns", "--base", str(tmp_path), "--campaign", "crash-head"]) == 1
+    out = capsys.readouterr().out
+    verdicts = _verdicts(out)
+    assert "250/190" in out and verdicts[cheaper] == "equal"
+    assert verdicts[violating] == "DIFFERENT"
+    assert f"not named by --expect-different: ['{violating}']" in out
 
 
 def test_an_expected_row_that_came_out_equal_fails_too(tmp_path, monkeypatch, capsys):

@@ -1,18 +1,22 @@
-"""The client retry loop and the RPC primitive, pinned on the parent commit.
+"""The client retry loop and the RPC primitive, pinned.
 
-PR 18 turned the hot get / put round trip from a coroutine
-(``Process`` + nested ``_op_attempts`` generator + a ``Future`` and a
-``set_timer`` per RPC) into continuation form (``RetryingOp`` +
-``Actor.request``). The rewrite must not change *what* a session does —
-every retry / timeout / crash / degraded-read branch fires the same
-events at the same virtual instants with the same RNG draws.
+The hot get / put round trip is in continuation form (``RetryingOp`` +
+``Actor.request``). It replaced a coroutine (``Process`` + nested
+``_op_attempts`` generator + a ``Future`` and a ``set_timer`` per RPC)
+without changing *what* a session does: every retry / timeout / crash /
+degraded-read branch sends the same messages at the same virtual
+instants with the same RNG draws.
 
 ``SCRIPTS`` drives each branch through the public session API and
-``PINNED`` holds what commit 1359141 (the parent, still coroutine-based)
-produced for it: ``(outcome type, resolved_at, retries, failed_ops,
+``PINNED`` holds ``(outcome type, resolved_at, retries, failed_ops,
 degraded_reads, events_processed, messages_sent, bytes_sent)`` — the
-``tests/test_golden_planes.py`` method. A script whose tuple moves
-changed the simulation and must be fixed, not re-recorded.
+``tests/test_golden_planes.py`` method. Every field but the event count
+is what commit 1359141 (still coroutine-based) produced. The event
+counts were re-recorded once, when an operation's first attempt began to
+run inline instead of from a zero-delay event and each actor's
+deadlines moved to one alarm: they count kernel work, not protocol
+steps. A script whose other fields move changed the simulation and must
+be fixed, not re-recorded.
 """
 
 import pytest
@@ -20,6 +24,7 @@ import pytest
 from helpers import make_store
 
 from repro.analysis.invariants import ChainInvariantMonitor
+from repro.core.messages import PutReply
 from repro.errors import (
     RemoteError,
     ReplicaUnavailable,
@@ -231,20 +236,21 @@ def fingerprint(name):
     )
 
 
-#: recorded on 1359141 with ``python tests/test_client_ops.py``
+#: recorded on 1359141 with ``python tests/test_client_ops.py``; the
+#: event counts (sixth field) re-recorded once, see the module docstring
 PINNED = {
-    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 593, 290, 12006),
-    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 324, 164, 6581),
+    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 595, 290, 12006),
+    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 323, 164, 6581),
     'degraded_after_unreachable_prefix': ('GetResult', 0.6330106051156347, 2, 0, 1, 491, 248, 9714),
     'non_retryable_remote_error': ('RemoteError', 0.0004226981130156571, 0, 0, 0, 162, 78, 2983),
-    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 672, 335, 13302),
-    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 172, 90, 3970),
-    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 10, 0, 0),
-    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 7, 0, 0),
-    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 162, 77, 2951),
-    'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 334, 157, 5972),
-    'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 178, 90, 4038),
-    'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2763, 1680, 75644),
+    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 671, 335, 13302),
+    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 170, 90, 3970),
+    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 9, 0, 0),
+    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 6, 0, 0),
+    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 161, 77, 2951),
+    'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 333, 157, 5972),
+    'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 175, 90, 4038),
+    'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2760, 1680, 75644),
 }
 
 
@@ -281,7 +287,37 @@ def test_close_fails_a_get_in_flight_with_session_closed():
     store.sim.schedule(0.0001, s.close)
     store.run(until=30.0)
     assert isinstance(fut.exception(), SessionClosedError)
+    assert fut.resolved_at == 0.0001  # at close, not an op_timeout later
     assert (s.retries, s.failed_ops) == (0, 0)
+
+
+def _unanswered_session():
+    """A session whose servers are all down: every attempt times out."""
+    store = make_store(**FAST, **NO_DETECTOR)
+    for node in store.servers():
+        node.crash()
+    return store, store.session(session_id="alice")
+
+
+def test_a_put_attempt_and_an_rpc_share_the_deadline_table_and_alarm():
+    store, s = _unanswered_session()
+    put, get = s.put("k", "v"), s.get("j")
+    (put_id, put_entry), (get_id, get_entry) = s._rpc_pending.items()
+    assert get_id == put_id + 1  # one request-id counter
+    assert (put_entry[2], get_entry[2]) == ("put", "get")
+    assert s._rpc_alarm_at == put_entry[1] == get_entry[1] == FAST["op_timeout"]
+    store.run(until=FAST["op_timeout"])
+    assert s.retries == 2 and not (put.done() or get.done())  # both failed by one firing
+
+
+def test_a_late_put_reply_after_its_attempt_timed_out_is_dropped():
+    store, s = _unanswered_session()
+    fut = s.put("k", "v")
+    (request_id,) = s._rpc_pending
+    store.run(until=FAST["op_timeout"])
+    assert request_id not in s._rpc_pending and s.retries == 1
+    s.on_put_reply(PutReply(request_id=request_id, key="k", ok=True, index=0, chain_len=3), None)
+    assert not fut.done() and s.dependency_table() == {}
 
 
 def test_monitor_wrapped_note_observed_sees_every_get():
@@ -366,16 +402,21 @@ def test_crash_with_rpcs_pending_leaves_no_live_deadline(sim):
     b.crash()  # requests are dropped at send: the only events are a's
     recorder = Recorder()
     for n in range(3):
-        a.request(b.address, "double", n, 5.0, recorder)
+        a.request(b.address, "double", n, 5.0 - n, recorder)
     fut = a.call(b.address, "double", 3, timeout=5.0)
     a.set_timer(1.0, lambda: None)
-    assert sim.pending_events() == 5  # four RPC deadlines + one protocol timer
+    assert sim.pending_events() == 2  # one deadline alarm + one protocol timer
     a.crash()
-    assert sim.pending_events() == 0
+    assert sim.pending_events() == 0 and a._rpc_alarm is None
     assert [outcome[1] for outcome in recorder.outcomes] == [ReplicaUnavailable] * 3
     assert isinstance(fut.exception(), ReplicaUnavailable)
     sim.run()
-    assert sim.events_processed == 0 and len(recorder.outcomes) == 3
+    assert sim.events_processed == 0 and len(recorder.outcomes) == 3  # each failed once
+    # Recovered, the actor arms a fresh alarm for its next request.
+    a.recover()
+    a.request(b.address, "double", 4, 0.5, recorder)
+    sim.run()
+    assert recorder.outcomes[3][1] is RequestTimeout and sim.now == 0.5
 
 
 def test_request_from_a_crashed_actor_fails_its_continuation_at_once(sim):

@@ -1,29 +1,31 @@
-"""The remote-update pipeline and the dependency waits, pinned on the parent.
+"""The remote-update pipeline and the dependency waits, pinned.
 
-PR 20 turned the last coroutine stage of a write — the geo proxy's
-``_apply_remote`` / ``_wait_dep_stable`` / ``_inject_at_head`` and the
-head's ``_wait_dep`` (a ``Process`` each, joined by ``all_of``) — into
-continuation form on ``Actor.request``. As with ``tests/test_client_ops.py``
-the rewrite must not change *what* a proxy or a head does: every wait,
-retry, timeout, crash and gate fires the same events at the same virtual
-instants and sends the same messages.
+The last stage of a write runs in continuation form on ``Actor.request``:
+the geo proxy's ``_RemoteApply`` and the head's ``_HeldPut``, with one
+``DepWait`` per dependency. They replaced coroutines (``_apply_remote`` /
+``_wait_dep_stable`` / ``_inject_at_head`` and ``_wait_dep``, a
+``Process`` each, joined by ``all_of``), and as with
+``tests/test_client_ops.py`` the rewrite must not change *what* a proxy
+or a head does: every wait, retry, timeout, crash and gate sends the
+same messages at the same virtual instants.
 
 ``SCRIPTS`` drives each branch with hand-built ``RemoteUpdate`` s (or,
-head side, a real session) and ``PINNED`` holds what commit 729cc81 (the
-parent, still coroutine-based) produced: ``(outcome, resolved_at,
+head side, a real session) and ``PINNED`` holds ``(outcome, resolved_at,
 updates_applied, counters, events_processed, messages_sent, bytes_sent,
-message-trace digest)``. A script whose tuple moves changed the
-simulation and must be fixed, not re-recorded — except the two fields of
-the two scripts named in ``BUGFIX``.
+message-trace digest)``. Every field but the event count is what commit
+729cc81 (still coroutine-based) produced. A script whose tuple moves
+changed the simulation and must be fixed, not re-recorded — except the
+event count (re-recorded once, see ``PINNED``) and the two fields of the
+two scripts named in ``BUGFIX``.
 
-What the scripts hold, as found while writing the ops: *event parity* —
-each ``spawn`` posted one zero-delay event, a backoff ``yield <float>``
-posts one, the gate opens from its own ``call_soon`` event and an RPC
-schedules its deadline before it sends; *failure semantics* — a
-dependency wait retries on ``RequestTimeout`` / ``RemoteError`` only, a
-crashed proxy kills the update but still opens its gate, a sibling
-wait's later completion is ignored, and injection sleeps
-``client_retry_backoff`` after every failed attempt, the last included.
+What the scripts hold: the first step of an update, a held put and a
+dependency wait runs inline, a backoff posts one event, the gate opens
+from its own ``call_soon`` event, and an actor's RPC deadlines share one
+alarm; *failure semantics* — a dependency wait retries on
+``RequestTimeout`` / ``RemoteError`` only, a crashed proxy kills the
+update but still opens its gate, a sibling wait's later completion is
+ignored, and injection sleeps ``client_retry_backoff`` after every
+failed attempt, the last included.
 """
 
 import dataclasses
@@ -44,6 +46,14 @@ FAST = dict(op_timeout=0.05, client_retry_backoff=0.01)
 NO_DETECTOR = dict(heartbeat_interval=1.0, failure_timeout=30.0)
 #: per-RPC attempt = max(dep_wait_timeout / 3, 0.05) = 0.1 s
 SHORT_WAIT = dict(dep_wait_timeout=0.3)
+
+
+def _store(make, **overrides):
+    """``make(**overrides)`` with a message tap attached before the script
+    takes its first step: a session's first message leaves at the op call."""
+    store = make(**overrides)
+    store.message_tap = MessageTap().attach(store.network)
+    return store
 
 
 def vv(n):
@@ -84,7 +94,7 @@ def _chain(store, site, key):
 
 
 def no_dependencies():
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "v", 1))
     return store, ("k",), 1.0
 
@@ -92,7 +102,7 @@ def no_dependencies():
 def one_dependency():
     """``k`` names ``d``: asked of ``d``'s tail, injected once ``d`` is
     DC-stable in dc1."""
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "v", 1, {"d": dep(1)}))
     _arrive(store, 0.002, update("d", "dep", 1))
     return store, ("d", "k"), 1.0
@@ -101,7 +111,7 @@ def one_dependency():
 def two_dependencies():
     """Two concurrent waits answered at different instants; the update
     goes in with the second."""
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "v", 1, {"d1": dep(1), "d2": dep(1)}))
     _arrive(store, 0.001, update("d1", "dep-one", 1))
     _arrive(store, 0.010, update("d2", "dep-two", 1))
@@ -111,14 +121,14 @@ def two_dependencies():
 def own_key_dependency_is_skipped():
     """A dependency on the update's own key is the gate chain's job: no
     ``wait_stable`` is sent although version 1 never arrives."""
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "v2", 2, {"k": dep(1)}))
     return store, ("k",), 1.0
 
 
 def causal_delivery_off():
     """The E10 ablation: dependencies are not waited for at all."""
-    store = make_geo_store(geo_causal_delivery=False, **FAST)
+    store = _store(make_geo_store, geo_causal_delivery=False, **FAST)
     _arrive(store, 0.0, update("k", "v", 1, {"ghost": dep(1)}))
     return store, ("k",), 1.0
 
@@ -126,7 +136,7 @@ def causal_delivery_off():
 def wait_stable_times_out_once():
     """The first ``wait_stable`` (0.1 s) expires, the second is answered;
     the tail's late answer to the first is dropped."""
-    store = make_geo_store(**FAST, **SHORT_WAIT)
+    store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     _arrive(store, 0.0, update("k", "v", 1, {"d": dep(1)}))
     _arrive(store, 0.15, update("d", "dep", 1))
     return store, ("d", "k"), 1.0
@@ -135,7 +145,7 @@ def wait_stable_times_out_once():
 def dep_wait_timeout_expires():
     """The dependency never arrives: after ``dep_wait_timeout`` the
     update is applied anyway."""
-    store = make_geo_store(**FAST, **SHORT_WAIT)
+    store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     _arrive(store, 0.0, update("k", "v", 1, {"ghost": dep(1)}))
     return store, ("k",), 1.0
 
@@ -145,7 +155,7 @@ def proxy_crash_mid_dep_wait():
     the update and opens its gate once, the second is ignored; the
     same-key successor parked on that gate goes in after the recovery,
     and so does a third that arrives later."""
-    store = make_geo_store(**FAST, **SHORT_WAIT)
+    store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     proxy = store.proxies["dc1"]
     _arrive(store, 0.0, update("k", "dropped", 1, {"g1": dep(1), "g2": dep(1)}))
     _arrive(store, 0.01, update("k", "second", 2))
@@ -158,7 +168,7 @@ def proxy_crash_mid_dep_wait():
 def proxy_down_when_the_gate_opens():
     """Still crashed when the successor's turn comes: it is dropped too
     (its RPC fails at once) but opens its own gate for the next."""
-    store = make_geo_store(**FAST, **SHORT_WAIT)
+    store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     proxy = store.proxies["dc1"]
     _arrive(store, 0.0, update("k", "dropped", 1, {"ghost": dep(1)}))
     _arrive(store, 0.01, update("k", "dropped-too", 2))
@@ -171,7 +181,7 @@ def proxy_down_when_the_gate_opens():
 def same_key_order_preserved():
     """The first update is held by a dependency, the second has none: it
     waits for the first one's gate, so the head sees ship order."""
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "first", 1, {"d": dep(1)}))
     _arrive(store, 0.001, update("k", "second!!", 2))
     _arrive(store, 0.01, update("d", "dep", 1))
@@ -182,7 +192,7 @@ def not_responsible_then_accepted():
     """The proxy's view names the wrong head (a view change it has not
     seen): ``NotResponsibleError`` travels back, the proxy backs off,
     re-resolves the head from its — by then current — view, succeeds."""
-    store = make_geo_store(**FAST, **NO_DETECTOR)
+    store = _store(make_geo_store, **FAST, **NO_DETECTOR)
     proxy = store.proxies["dc1"]
     current = proxy.view
     head = current.chain_for("k")[0]
@@ -200,7 +210,7 @@ def head_crash_then_failover():
     """The head is down: attempts time out and back off until the
     detector removes it, the new head finishes its repair sync
     (``ReplicaUnavailable`` meanwhile) and accepts."""
-    store = make_geo_store(**FAST)
+    store = _store(make_geo_store, **FAST)
     _chain(store, "dc1", "k")[0].crash()
     _arrive(store, 0.0, update("k", "v", 1))
     return store, ("k",), 3.0
@@ -209,7 +219,7 @@ def head_crash_then_failover():
 def max_retries_exhausted():
     """No attempt is ever answered: the update is given up after
     ``max_retries`` attempts and as many backoff sleeps."""
-    store = make_geo_store(max_retries=3, **FAST, **NO_DETECTOR)
+    store = _store(make_geo_store, max_retries=3, **FAST, **NO_DETECTOR)
     _chain(store, "dc1", "k")[0].crash()
     _arrive(store, 0.0, update("k", "v", 1))
     _arrive(store, 0.001, update("k", "v2", 2))  # its gate opened all the same
@@ -219,7 +229,7 @@ def max_retries_exhausted():
 def clock_plane_injection():
     """The clock plane's admitted updates: no waits, same gate chain,
     ``hlc`` on the wire."""
-    store = make_geo_store(stability="clock", **FAST)
+    store = _store(make_geo_store, stability="clock", **FAST)
     first, second = HLCStamp(1000, 0, "dc0:s0"), HLCStamp(2000, 0, "dc0:s0")
     _arrive(store, 0.0, update("k", "first", 1, {"d": dep(1, first)}, hlc=first), clock=True)
     _arrive(store, 0.0, update("k", "second!!", 2, hlc=second), clock=True)
@@ -228,7 +238,7 @@ def clock_plane_injection():
 
 
 def clock_plane_head_down():
-    store = make_geo_store(stability="clock", max_retries=3, **FAST, **NO_DETECTOR)
+    store = _store(make_geo_store, stability="clock", max_retries=3, **FAST, **NO_DETECTOR)
     _chain(store, "dc1", "k")[0].crash()
     stamp = HLCStamp(1000, 0, "dc0:s0")
     _arrive(store, 0.0, update("k", "v", 1, hlc=stamp), clock=True)
@@ -238,7 +248,7 @@ def clock_plane_head_down():
 def _session_run(**overrides):
     """End to end, nothing hand-built: a dc0 session whose writes carry
     one and two dependencies and hammer one key, shipped to dc1."""
-    store = make_geo_store(**overrides)
+    store = _store(make_geo_store, **overrides)
     s = store.session("dc0", session_id="alice")
     script = iter(
         [("put", "a", "1"), ("put", "b", "2"), ("get", "a", None), ("put", "c", "3")]
@@ -303,7 +313,7 @@ def _held_put(local, release_at, crash_at=None, **overrides):
     back until ``release_at`` (None: for good), so ``k``'s head has to
     wait — on its own tracker when it *is* ``d``'s tail (``local``), over
     a ``wait_stable`` RPC otherwise."""
-    store = make_store(ack_k=1, op_timeout=1.0, **overrides)  # the client never retries
+    store = _store(make_store, ack_k=1, op_timeout=1.0, **overrides)  # the client never retries
     view = store.managers["dc0"].view
     head = view.chain_for("k")[0]
     d = next(
@@ -396,9 +406,8 @@ SCRIPTS = {**PROXY_SCRIPTS, **HEAD_SCRIPTS}
 
 def run_script(name):
     store, keys, until = SCRIPTS[name]()
-    tap = MessageTap().attach(store.network)
     store.run(until=until)
-    return store, keys, tap
+    return store, keys, store.message_tap
 
 
 def fingerprint(name):
@@ -428,35 +437,42 @@ def fingerprint(name):
 #: (``notices+batch``) also arms the sealing sweep — 8 servers x 8 ticks
 #: of ``gc_interval`` in 2.0 s = 64 timer events (843 -> 907). Messages,
 #: bytes, digest, counters and all nine visibility samples are the parent's.
+#: Event counts re-recorded once more, when the first steps above began
+#: to run inline and each actor's RPC deadlines moved to one alarm (907 ->
+#: 875 for that script). Each script's message tap is attached before its
+#: first step for that reason: a session's first ``put-request`` now
+#: leaves at the op call, at t = 0, before ``run_script`` used to attach
+#: it. With the tap attached first, all thirteen session-driven digests
+#: are the parent's again.
 PINNED = {
     'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6426, 'f0f101a221e52a8e'),
-    'one_dependency': (('dep', 'v'), (0.00249792377575309, 0.003867354438638095), 2, (2, 0, 0, 0), 343, 170, 7310, '5ef20e3740f63842'),
-    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0017345572346631078, 0.01089564380746174, 0.012331373473772958), 3, (3, 0, 0, 0), 357, 180, 8250, '0763970401e924fd'),
+    'one_dependency': (('dep', 'v'), (0.00249792377575309, 0.003867354438638095), 2, (2, 0, 0, 0), 341, 170, 7310, '5ef20e3740f63842'),
+    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0017345572346631078, 0.01089564380746174, 0.012331373473772958), 3, (3, 0, 0, 0), 353, 180, 8250, '0763970401e924fd'),
     'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6542, '4fb523d6cb8aa620'),
     'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6554, '02609b23a35d5eba'),
-    'wait_stable_times_out_once': (('dep', 'v'), (0.1505593670408919, 0.15184141753555028), 2, (2, 0, 0, 0), 346, 172, 7424, 'f417f6888ae76370'),
-    'dep_wait_timeout_expires': (('v',), (0.30058497219402813,), 1, (1, 0, 0, 0), 336, 163, 6791, 'b051e04e33c465ef'),
-    'proxy_crash_mid_dep_wait': (('third',), (0.02073455723466311, 0.05057276404827303), 2, (2, 0, 0, 0), 349, 170, 7264, 'c8625244ccccaabe'),
-    'proxy_down_when_the_gate_opens': (('third',), (0.05090741340568155,), 1, (1, 0, 0, 0), 339, 161, 6521, 'f5b27f345843721e'),
-    'same_key_order_preserved': (('dep', 'second!!'), (0.01049792377575309, 0.011809379569115909, 0.011877580737476455), 3, (3, 0, 0, 0), 354, 178, 8004, '4b6ec846abccffa7'),
+    'wait_stable_times_out_once': (('dep', 'v'), (0.1505593670408919, 0.15184141753555028), 2, (2, 0, 0, 0), 344, 172, 7424, 'f417f6888ae76370'),
+    'dep_wait_timeout_expires': (('v',), (0.30058497219402813,), 1, (1, 0, 0, 0), 335, 163, 6791, 'b051e04e33c465ef'),
+    'proxy_crash_mid_dep_wait': (('third',), (0.02073455723466311, 0.05057276404827303), 2, (2, 0, 0, 0), 345, 170, 7264, 'c8625244ccccaabe'),
+    'proxy_down_when_the_gate_opens': (('third',), (0.05090741340568155,), 1, (1, 0, 0, 0), 336, 161, 6521, 'f5b27f345843721e'),
+    'same_key_order_preserved': (('dep', 'second!!'), (0.01049792377575309, 0.011809379569115909, 0.011877580737476455), 3, (3, 0, 0, 0), 351, 178, 8004, '4b6ec846abccffa7'),
     'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6664, 'bfb1724b25805a29'),
     'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 17033, 'f724697d64b8c7cf'),
-    'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 284, 133, 5054, '054fb19d783c92cc'),
-    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2939, 1877, 87044, 'd667618e53e3d81a'),
-    'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2604, 1654, 75920, 'a67a1999169783d7'),
-    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.0509326700868293, 0.050593530773802055, 0.050626052261984605, 0.04962586951617488, 0.048855133319892365, 0.04797830564982439, 0.04695918391139543, 0.04621013992132275), 9, (9, 9, 1, 0), 915, 531, 29806, 'aa09a2d36d061468'),
-    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11972, 7622, 358384, 'c4e25be4668e2cf0'),
-    'session_writes_batched': (('1', '2', '3', 'v5'), (0.06464729436734194, 0.06447618949149843, 0.06345851777552781, 0.06355134245512441, 0.06277865735732453, 0.061978068669281954, 0.060970346507891675, 0.05997611711910229, 0.05900526129366533), 9, (9, 9, 2, 0), 907, 447, 26622, 'cbc869e6b7f810ed'),
-    'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 345, 168, 6979, '13a84a650a44f5db'),
-    'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 170, 7094, '92788e3afb615f28'),
-    'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5535, 3366, 150944, 'd4eb2d1f955f58fa'),
-    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5537, 3368, 151059, '29002e6084ffbe08'),
-    'head_local_wait_outlives_an_attempt': (('dep', 'v'), (), 0, (0, 2, 1, 0), 345, 168, 6979, 'a215aea15d76a79d'),
-    'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 350, 172, 7209, 'a2bad9c896342fdb'),
-    'head_local_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 342, 166, 6865, 'ea80408d1c54ca7a'),
-    'head_rpc_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 347, 169, 7093, 'c93ef091da16c0e5'),
-    'head_crash_mid_local_wait': (('dep', 'v'), (), 0, (0, 2, 1, 1), 251, 125, 5080, '79d4f254966dbede'),
-    'head_crash_mid_rpc_wait': (('dep', None), (), 0, (0, 1, 1, 0), 251, 126, 5156, '5b0aa55e65146f53'),
+    'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 282, 133, 5054, '054fb19d783c92cc'),
+    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 87044, 'd667618e53e3d81a'),
+    'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, 'a67a1999169783d7'),
+    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.0509326700868293, 0.050593530773802055, 0.050626052261984605, 0.04962586951617488, 0.048855133319892365, 0.04797830564982439, 0.04695918391139543, 0.04621013992132275), 9, (9, 9, 1, 0), 885, 531, 29806, 'aa09a2d36d061468'),
+    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 358384, 'c4e25be4668e2cf0'),
+    'session_writes_batched': (('1', '2', '3', 'v5'), (0.06464729436734194, 0.06447618949149843, 0.06345851777552781, 0.06355134245512441, 0.06277865735732453, 0.061978068669281954, 0.060970346507891675, 0.05997611711910229, 0.05900526129366533), 9, (9, 9, 2, 0), 875, 447, 26622, 'cbc869e6b7f810ed'),
+    'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
+    'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7094, '92788e3afb615f28'),
+    'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, 'd4eb2d1f955f58fa'),
+    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151059, '29002e6084ffbe08'),
+    'head_local_wait_outlives_an_attempt': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, 'a215aea15d76a79d'),
+    'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 172, 7209, 'a2bad9c896342fdb'),
+    'head_local_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 338, 166, 6865, 'ea80408d1c54ca7a'),
+    'head_rpc_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 343, 169, 7093, 'c93ef091da16c0e5'),
+    'head_crash_mid_local_wait': (('dep', 'v'), (), 0, (0, 2, 1, 1), 247, 125, 5080, '79d4f254966dbede'),
+    'head_crash_mid_rpc_wait': (('dep', None), (), 0, (0, 1, 1, 0), 247, 126, 5156, '5b0aa55e65146f53'),
 }
 
 #: The one deliberate difference (ISSUE 20's accounting fix): the parent

@@ -47,6 +47,29 @@ class Echo(Actor):
         raise StorageError("server side boom")
 
 
+class Outcomes:
+    """A log of (tag, "reply" | "failed", value or exception type,
+    virtual time), one entry per continuation call."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.seen = []
+
+    def cont(self, tag):
+        return _Tagged(self, tag)
+
+
+class _Tagged:
+    def __init__(self, outcomes, tag):
+        self.outcomes, self.tag = outcomes, tag
+
+    def rpc_reply(self, value):
+        self.outcomes.seen.append((self.tag, "reply", value, self.outcomes.sim.now))
+
+    def rpc_failed(self, exc):
+        self.outcomes.seen.append((self.tag, "failed", type(exc), self.outcomes.sim.now))
+
+
 @pytest.fixture
 def pair(sim):
     net = Network(sim, lan=FixedLatency(0.001))
@@ -225,12 +248,55 @@ class TestRpc:
     def test_response_cancels_the_timeout_before_the_caller_resumes(self, sim, pair):
         a, b = pair
         fut = a.call(b.address, "double", 2, timeout=5.0)
-        pending_at_resume = []
-        fut.add_callback(lambda _f: pending_at_resume.append(sim.pending_events()))
+        awaited_at_resume = []
+        fut.add_callback(lambda _f: awaited_at_resume.append(len(a._rpc_pending)))
         sim.run()
         assert fut.result() == 4
-        assert pending_at_resume == [0]  # the timeout was no longer live
-        assert sim.now < 1.0  # ... and never fired
+        assert awaited_at_resume == [0]  # nothing left for a deadline to fail
+
+    def test_an_answered_rpc_is_never_failed_when_the_alarm_fires_later(self, sim, pair):
+        a, b = pair
+        outcomes = Outcomes(sim)
+        a.request(b.address, "double", 2, 1.0, outcomes.cont("x"))
+        sim.run()
+        assert outcomes.seen == [("x", "reply", 4, 0.002)]
+        # request, response, and the alarm's no-op firing at the deadline
+        assert (sim.events_processed, sim.now) == (3, 1.0)
+
+    def test_each_rpc_times_out_at_its_own_deadline_in_id_order_on_ties(self, sim, pair):
+        a, b = pair
+        b.crash()  # requests are dropped at send: the only events are a's alarm
+        outcomes = Outcomes(sim)
+        start = 0.05
+
+        def send_all():
+            for tag, timeout in enumerate([0.3, 0.1, 0.2, 0.1]):
+                a.request(b.address, "double", tag, timeout, outcomes.cont(tag))
+            assert sim.pending_events() == 1
+
+        sim.schedule(start, send_all)
+        sim.run()
+        assert outcomes.seen == [
+            (1, "failed", RequestTimeout, start + 0.1),
+            (3, "failed", RequestTimeout, start + 0.1),
+            (2, "failed", RequestTimeout, start + 0.2),
+            (0, "failed", RequestTimeout, start + 0.3),
+        ]
+        assert sim.events_processed == 1 + 3  # the issuing event, one alarm per deadline
+
+    def test_a_thousand_rpcs_in_flight_keep_one_alarm(self, sim, pair):
+        a, b = pair
+        b.rpc_hold = lambda payload, src: Future(sim)  # never answered
+        outcomes = Outcomes(sim)
+        for n in range(1000):
+            a.request(b.address, "hold", n, 1.0 + (n % 10) / 10, outcomes.cont(n))
+        for until in (0.5, 1.05, 1.45):
+            sim.run(until=until)
+            assert sim.pending_events() == 1 and a._rpc_alarm is not None
+        sim.run()
+        assert sim.pending_events() == 0 and not a._rpc_pending
+        assert len(outcomes.seen) == 1000
+        assert all(at == 1.0 + (n % 10) / 10 for n, _kind, _exc, at in outcomes.seen)
 
     def test_late_response_after_timeout_is_dropped(self, sim, pair):
         a, b = pair

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -100,6 +103,23 @@ class TestCancellation:
         sim.schedule(2.0, lambda: None)
         handle.cancel()
         assert sim.pending_events() == 1
+
+    def test_a_cancelled_handle_keeps_nothing_it_would_have_called_alive(self, sim):
+        class Owner:
+            def fire(self, payload):
+                raise AssertionError("cancelled")
+
+        owner, payload = Owner(), Owner()
+        refs = weakref.ref(owner), weakref.ref(payload)
+        handle = sim.schedule(1.0, owner.fire, payload)
+        sim.schedule(2.0, lambda: None)
+        handle.cancel()
+        del owner, payload
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert len(sim._heap) == 2  # the entry itself is still in the heap
+        sim.run()
+        assert sim.events_processed == 1
 
 
 class TestRun:
