@@ -53,6 +53,7 @@ import dataclasses
 from typing import Any, Dict, List, Tuple
 
 from repro.core.messages import ReadReply
+from repro.storage.store import installed
 
 __all__ = ["ChainInvariantMonitor", "InvariantReport", "InvariantViolation"]
 
@@ -171,16 +172,17 @@ class ChainInvariantMonitor:
         #: keys the last ``install`` stored as given (grounds the marking)
         handed: List[str] = []
 
-        def recording_install(records: Any) -> Any:
+        def recording_install(base: Any, holds: Any) -> Any:
             # Keys the store already held go through ``store.apply``,
-            # i.e. ``recording_apply``; the rest come back as ``fresh``.
-            fresh = original_install(records)
-            handed[:] = fresh
+            # i.e. ``recording_apply``; the rest are stored as given.
+            arbitrated = original_install(base, holds)
+            fresh = list(installed(base, holds, arbitrated))
+            handed[:] = [record.key for record in fresh]
             monitor.applies_checked += len(fresh)
             if not getattr(node, "syncing", False):
-                for key, record in fresh.items():
-                    applied.setdefault(key, []).append(record.version)
-            return fresh
+                for record in fresh:
+                    applied.setdefault(record.key, []).append(record.version)
+            return arbitrated
 
         node.store.install = recording_install
 

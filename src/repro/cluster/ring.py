@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ClusterError
 
@@ -109,6 +109,15 @@ class HashRing:
             # serves every key that lands on the same ring point.
             chain = cache[key] = chains[start]
         return chain
+
+    def chains(self, keys: Iterable[str], length: int) -> Mapping[str, List[str]]:
+        """``key → chain_for(key, length)`` for every key of ``keys`` (and
+        any placed before): the ring's own memo, so read-only for callers
+        and free to keep — the ring and its chains never change."""
+        chain_for = self.chain_for
+        for key in keys:
+            chain_for(key, length)
+        return self._chain_cache.setdefault(length, {})
 
     def _walk_all_points(self, length: int) -> List[List[str]]:
         """The ``length``-server successor walk from every ring point."""

@@ -11,6 +11,7 @@ their own message handlers.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.membership import Heartbeat, RingView, ViewChange
@@ -130,34 +131,39 @@ def install_converged(
 
     ``views`` and ``nodes`` are per site (``nodes[site]`` by server
     name); ``owns(site, key)`` restricts a key to its owner sites. Each
-    key gets **one** :class:`Record`, shared by all its replicas in all
-    sites, and each server takes its keys in a single
-    :meth:`VersionedStore.install`, in ``data`` order — which hands the
-    store the per-server mapping built here for good, so none of them
-    leaves this function. Returns ``site → server name → keys`` that did
-    *not* land as given (the store already held them and arbitrated);
-    every list is empty on a fresh deployment.
+    key gets **one** :class:`Record` in **one** ``key → Record`` table,
+    the *base*, in ``data`` order. Every server takes the base in a
+    single :meth:`VersionedStore.install` with the rule for which of its
+    keys it holds: its name is in the key's chain under ``views`` — the
+    preload-time view, never a later one — and its site owns the key.
+    Returns ``site → server name → keys`` that did *not* land as given
+    (the store already held them and arbitrated); every list is empty on
+    a fresh deployment.
     """
     stamp = stamp_of(version)
-    groups: Dict[str, Dict[str, Dict[str, Record]]] = {
-        site: {name: {} for name in nodes[site]} for site in views
-    }
-    per_site = [
-        (site, view.ring().chain_for, view.chain_length, groups[site])
-        for site, view in views.items()
-    ]
+    base: Dict[str, Record] = {}
     for key, value in data.items():
         key = intern_str(key)
-        record = Record(key, value, version, stamp, now)
-        for site, chain_for, chain_length, site_groups in per_site:
-            if owns is not None and not owns(site, key):
-                continue
-            for name in chain_for(key, chain_length):
-                site_groups[name][key] = record
+        base[key] = Record(key, value, version, stamp, now)
     arbitrated: Dict[str, Dict[str, List[str]]] = {}
-    for site, site_groups in groups.items():
-        arbitrated[site] = {}
-        for name, group in site_groups.items():
-            fresh = nodes[site][name].store.install(group)
-            arbitrated[site][name] = [] if fresh is group else [k for k in group if k not in fresh]
+    for site, view in views.items():
+        # Placing every key now, not at its first lookup, keeps that
+        # work (and the memo's growth) out of the run.
+        chains = view.ring().chains(base, view.chain_length)
+        owned = None if owns is None else functools.partial(owns, site)
+        arbitrated[site] = {
+            name: node.store.install(base, _holding(name, chains, owned))
+            for name, node in nodes[site].items()
+        }
     return arbitrated
+
+
+def _holding(
+    name: str, chains: Mapping[str, List[str]], owned: Optional[Callable[[str], bool]]
+) -> Callable[[str], bool]:
+    """Which base keys server ``name`` holds: those whose chain in
+    ``chains`` (the preload view's, covering every base key) names it
+    and, under placement, that its site ``owned``."""
+    if owned is None:
+        return lambda key: name in chains[key]
+    return lambda key: owned(key) and name in chains[key]

@@ -8,7 +8,7 @@ that compare configurations no standing workload reaches yet:
 - :mod:`repro.perf.parallel` — the sharded engine vs worker count;
 - :mod:`repro.perf.partial` — replication degree vs full replication.
 
-Each goes once the suite carries the matching arm (ROADMAP item 1a).
+Each goes once the suite carries the matching arm (ROADMAP item 2(a)).
 ``python -m repro perf --protocol | --scale --workers N... | --partial``
 is the front door; see ``docs/PERFORMANCE.md``.
 """

@@ -16,10 +16,10 @@ missed while it was down.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver
-from repro.storage.store import Record, VersionedStore
+from repro.storage.store import Record, VersionedStore, installed
 from repro.storage.version import VersionVector
 
 __all__ = ["LogEntry", "AppendLog", "DurableStore"]
@@ -135,12 +135,12 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
             self.log.append(LogEntry(key, value, version, record.stamp))
         return result
 
-    def install(self, records: Dict[str, Record]) -> Mapping[str, Record]:
-        fresh = super().install(records)
+    def install(self, base: Mapping[str, Record], holds: Callable[[str], bool]) -> List[str]:
+        arbitrated = super().install(base, holds)
         append = self.log.append
-        for rec in fresh.values():
+        for rec in installed(base, holds, arbitrated):
             append(LogEntry(rec.key, rec.value, rec.version, rec.stamp))
-        return fresh
+        return arbitrated
 
     # ------------------------------------------------------------------
     # crash & recovery

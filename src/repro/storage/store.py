@@ -15,12 +15,12 @@ like any other write instead of resurrecting old data.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver, LWWResolver, Stamp, stamp_of
 from repro.storage.version import ZERO, VersionVector
 
-__all__ = ["Record", "ApplyResult", "VersionedStore", "TOMBSTONE", "Tombstone"]
+__all__ = ["Record", "ApplyResult", "VersionedStore", "TOMBSTONE", "Tombstone", "installed"]
 
 
 class Tombstone:
@@ -52,13 +52,14 @@ class Record:
     order-independent.
 
     Hand-rolled slotted class (not ``dataclass(slots=True)`` — py3.9):
-    stores hold one instance per key per replica, so the per-instance
-    ``__dict__`` a dataclass carries dominated large-keyspace memory.
+    large keyspaces hold one instance per key, so the per-instance
+    ``__dict__`` a dataclass carries dominated their memory.
 
-    **Never mutate a Record.** :meth:`VersionedStore.install` stores the
-    instance it is handed, and preload hands the same instance to every
-    replica of a key in every datacenter: a write replaces the store's
-    slot with a new ``Record``, it does not edit the old one. Stability
+    **Never mutate a Record, or the base that holds it.** Preload builds
+    one ``Record`` per key in one shared ``key → Record`` table, and every
+    replica of the key in every datacenter answers from that instance
+    (:meth:`VersionedStore.install`): a write puts a new ``Record`` in the
+    writing store's own table, it does not edit the shared one. Stability
     leans on it too: a record installed converged has no tracker entry
     and answers for itself by its version (``ChainNode.mark_converged``).
     """
@@ -128,45 +129,87 @@ class ApplyResult:
 
 
 class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .apply per instance
-    """Convergent versioned KV store used by every replica."""
+    """Convergent versioned KV store used by every replica.
+
+    State is two tables. The *base* is a ``key → Record`` table shared by
+    every replica a preload installed (:meth:`install`), with a rule for
+    which of its keys this store holds; the store's own table holds only
+    what was written here since. Lookups try the own table first, and
+    iteration yields one table's order: the held base keys in base order,
+    each as last written here, then the keys first written here.
+    """
 
     def __init__(self, resolver: Optional[ConflictResolver] = None):
         self._data: Dict[str, Record] = {}
+        self._base: Optional[Mapping[str, Record]] = None
+        self._holds: Callable[[str], bool] = _holds_nothing
         self._resolver = resolver or LWWResolver()
-        self.writes_applied = 0
+        self._writes_applied = 0
         self.writes_ignored = 0
         self.conflicts_resolved = 0
+
+    @property
+    def writes_applied(self) -> int:
+        """Writes that took effect here, each held base record counted once."""
+        base = self._base
+        if base is None:
+            return self._writes_applied
+        return self._writes_applied + sum(1 for key in base if self._holds(key))
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Record]:
         """The live record for ``key``; None if absent or deleted."""
-        rec = self._data.get(key)
+        rec = self.get_record(key)
         if rec is None or rec.is_deleted:
             return None
         return rec
 
     def get_record(self, key: str) -> Optional[Record]:
         """The raw record including tombstones; None only if never written."""
-        return self._data.get(key)
+        rec = self._data.get(key)
+        if rec is None and self._base is not None:
+            rec = self._base.get(key)
+            if rec is not None and not self._holds(key):
+                return None
+        return rec
 
     def version_of(self, key: str) -> VersionVector:
+        # get_record, inlined (as in apply): the floor of every
+        # never-written key asks this on each read
         rec = self._data.get(key)
-        return rec.version if rec is not None else ZERO
+        if rec is None and self._base is not None:
+            rec = self._base.get(key)
+            if rec is not None and not self._holds(key):
+                rec = None
+        return ZERO if rec is None else rec.version
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
     def __len__(self) -> int:
-        return sum(1 for rec in self._data.values() if not rec.is_deleted)
+        return sum(1 for _, rec in self._items() if not rec.is_deleted)
 
     def keys(self) -> Iterator[str]:
-        return (k for k, rec in self._data.items() if not rec.is_deleted)
+        return (k for k, rec in self._items() if not rec.is_deleted)
 
     def all_records(self) -> List[Record]:
         """Every record including tombstones — for anti-entropy / repair."""
-        return list(self._data.values())
+        return [rec for _, rec in self._items()]
+
+    def _items(self) -> Iterator[Tuple[str, Record]]:
+        data, base = self._data, self._base
+        if base is None:
+            yield from data.items()
+            return
+        holds, mine = self._holds, data.get
+        for key, rec in base.items():
+            if holds(key):
+                yield key, mine(key, rec)
+        for key, rec in data.items():
+            if key not in base or not holds(key):
+                yield key, rec
 
     # ------------------------------------------------------------------
     # writes
@@ -194,10 +237,14 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         if stamp is None:
             stamp = stamp_of(version)
         existing = self._data.get(key)
+        if existing is None and self._base is not None:
+            existing = self._base.get(key)
+            if existing is not None and not self._holds(key):
+                existing = None
         if existing is None:
             rec = Record(key, value, version, stamp, now)
             self._data[key] = rec
-            self.writes_applied += 1
+            self._writes_applied += 1
             return ApplyResult(True, rec)
 
         if existing.version.dominates(version):
@@ -207,7 +254,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         if version.dominates(existing.version):
             rec = Record(key, value, version, stamp, now)
             self._data[key] = rec
-            self.writes_applied += 1
+            self._writes_applied += 1
             return ApplyResult(True, rec)
 
         winner_value, winner_stamp = self._resolver.resolve(
@@ -215,41 +262,40 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         )
         rec = Record(key, winner_value, existing.version.merge(version), winner_stamp, now)
         self._data[key] = rec
-        self.writes_applied += 1
+        self._writes_applied += 1
         self.conflicts_resolved += 1
         return ApplyResult(True, rec, was_conflict=True)
 
-    def install(self, records: Dict[str, Record]) -> Mapping[str, Record]:
-        """Offer many already-built records at once (``key → record``).
+    def install(self, base: Mapping[str, Record], holds: Callable[[str], bool]) -> List[str]:
+        """Take the records of ``base`` (``key → Record``, shared by every
+        replica) whose keys ``holds`` admits, as installed writes.
 
-        Same outcome as :meth:`apply` on each record's fields in mapping
-        order, except that a key this store has never seen takes the
-        given ``Record`` *instance* — callers share one instance across
-        replicas. Keys already present go through the convergent
-        :meth:`apply`. Returns the records stored as given: ``records``
-        itself when that is all of them.
-
-        **The store owns the mapping it is handed**: an empty store
-        adopts ``records`` as its table (no second dictionary per
-        server), so the caller must neither modify nor keep it, or the
-        returned mapping, beyond reading it on the spot.
+        Same outcome as :meth:`apply` on each held record's fields in
+        base order, except that a key this store has never seen answers
+        with the base's ``Record`` *instance*. An empty store keeps
+        ``base`` and ``holds`` themselves — no per-key work and nothing of
+        its own — so neither may change afterwards: ``holds`` must be a
+        fixed rule, and the caller never edits ``base``. A store that
+        already holds state offers each held key in turn: one it holds is
+        arbitrated through the convergent :meth:`apply`, any other is
+        stored as given. Returns the keys arbitrated, ``[]`` on an empty
+        store; :func:`installed` lists the records stored as given.
         """
+        if self._base is None and not self._data:
+            self._base, self._holds = base, holds
+            return []
+        arbitrated = []
         data = self._data
-        fresh = records
-        if not data:
-            self._data = records
-        elif data.keys().isdisjoint(records.keys()):
-            data.update(records)
-        else:
-            fresh = {}
-            for key, rec in records.items():
-                if key in data:
-                    self.apply(key, rec.value, rec.version, rec.updated_at, rec.stamp)
-                else:
-                    fresh[key] = rec
-            data.update(fresh)
-        self.writes_applied += len(fresh)
-        return fresh
+        for key, rec in base.items():
+            if not holds(key):
+                continue
+            if self.get_record(key) is None:
+                data[key] = rec
+                self._writes_applied += 1
+            else:
+                self.apply(key, rec.value, rec.version, rec.updated_at, rec.stamp)
+                arbitrated.append(key)
+        return arbitrated
 
     def delete(
         self,
@@ -266,24 +312,40 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
     # ------------------------------------------------------------------
     def digest(self) -> Dict[str, VersionVector]:
         """key → version map, the unit of anti-entropy comparison."""
-        return {k: rec.version for k, rec in self._data.items()}
+        return {k: rec.version for k, rec in self._items()}
 
     def records_newer_than(self, digest: Dict[str, VersionVector]) -> List[Record]:
         """Records the peer summarised by ``digest`` is missing or behind on."""
         out = []
-        for key, rec in self._data.items():
+        for key, rec in self._items():
             peer_version = digest.get(key)
             if peer_version is None or not peer_version.dominates(rec.version):
                 out.append(rec)
         return out
 
     def clear(self) -> None:
-        """Drop all data — models losing volatile state in a crash."""
+        """Drop all data, the base included — models losing volatile
+        state in a crash."""
+        self._writes_applied = self.writes_applied  # the count is not state
         self._data.clear()
+        self._base, self._holds = None, _holds_nothing
 
     def checksum_state(self) -> Tuple[Tuple[str, Any, VersionVector], ...]:
         """Canonical tuple of live state, for convergence assertions in tests."""
         return tuple(
             (rec.key, rec.value, rec.version)
-            for rec in sorted(self._data.values(), key=lambda r: r.key)
+            for rec in sorted(self.all_records(), key=lambda r: r.key)
         )
+
+
+def _holds_nothing(key: str) -> bool:
+    return False
+
+
+def installed(
+    base: Mapping[str, Record], holds: Callable[[str], bool], arbitrated: List[str]
+) -> Iterator[Record]:
+    """The records :meth:`VersionedStore.install` stored as given, in
+    base order: every held key it did not arbitrate."""
+    skip = set(arbitrated)
+    return (rec for key, rec in base.items() if key not in skip and holds(key))

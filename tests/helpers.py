@@ -7,6 +7,9 @@ import dataclasses
 from repro.baselines import build_store
 from repro.core import ChainReactionConfig, ChainReactionStore
 from repro.net.message import WIRE_HEADER_BYTES, Message
+from repro.storage.merge import stamp_of
+from repro.storage.store import Record
+from repro.storage.version import intern_str
 
 
 def make_store(**overrides) -> ChainReactionStore:
@@ -48,6 +51,39 @@ def build(protocol: str, **kwargs):
     defaults = dict(servers_per_site=4, chain_length=3, seed=7)
     defaults.update(kwargs)
     return build_store(protocol, **defaults)
+
+
+# ----------------------------------------------------------------------
+# preload reference: one table per server
+# ----------------------------------------------------------------------
+# ``install_converged`` as it was before the shared base, kept as the
+# oracle the base must equal: one ring lookup per (site, key) groups the
+# keys into one ``key → Record`` table per server, and each server's own
+# table takes its group through the convergent ``apply``, so no store
+# has a base to read through. Same signature and return value; patch it
+# over the facade module's ``install_converged`` to preload a twin this way.
+
+
+def install_per_server(data, version, now, views, nodes, owns=None):
+    stamp = stamp_of(version)
+    groups = {site: {name: {} for name in nodes[site]} for site in views}
+    for key, value in data.items():
+        key = intern_str(key)
+        record = Record(key, value, version, stamp, now)
+        for site, view in views.items():
+            if owns is not None and not owns(site, key):
+                continue
+            for name in view.chain_for(key):
+                groups[site][name][key] = record
+    arbitrated = {}
+    for site, site_groups in groups.items():
+        arbitrated[site] = {}
+        for name, group in site_groups.items():
+            store = nodes[site][name].store
+            arbitrated[site][name] = [k for k in group if store.get_record(k) is not None]
+            for rec in group.values():
+                store.apply(rec.key, rec.value, rec.version, rec.updated_at, rec.stamp)
+    return arbitrated
 
 
 # ----------------------------------------------------------------------

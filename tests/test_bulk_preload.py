@@ -1,16 +1,27 @@
-"""A preloaded record answers for itself; the per-record walk is the oracle.
+"""A preloaded record answers for itself; two older preloads are the oracles.
 
-``ChainReactionStore.preload`` builds one shared ``Record`` per key, hands
-each server its keys in one store call (the store adopts the mapping) and,
-on the notices plane, writes *no* tracker state: a record installed
+``ChainReactionStore.preload`` builds one shared ``Record`` per key in one
+shared ``key → Record`` table, the *base*, and hands every server the base
+plus the rule for which of its keys that server holds (its name in the
+key's chain under the preload-time view, its site an owner): a server's
+own table stays empty until something is written to it. On the notices
+plane preload writes *no* tracker state either: a record installed
 converged is DC-stable and globally stable by construction
 (``ChainNode.mark_converged``) and gets tracker entries only at its first
-overwrite. :func:`reference_preload` below is the per-record loop preload
-replaced — it walks ``store.apply`` and both trackers' ``record`` per
-replica, i.e. it builds the explicit per-key entries this tree's parent
-kept — and stays here as the oracle: twin deployments loaded one way each
-must hold the same records and give the same **answers** on every node,
-whatever representation the answers come from.
+overwrite.
+
+Two references stay here as oracles, and twin deployments loaded one
+way each must hold the same records in the same order, count the same
+writes, log the same entries and give the same **answers** on every
+node, whatever representation the answers come from:
+
+- :func:`reference_preload`, the per-record loop — it walks
+  ``store.apply`` and both trackers' ``record`` per replica, i.e. it
+  builds the explicit per-key entries older trees kept;
+- ``helpers.install_per_server``, the per-server grouping — every
+  server's own table takes its group of keys, as the tree before the
+  base did, and no store reads through a base; it is patched over
+  ``install_converged`` (:func:`per_server`).
 """
 
 import dataclasses
@@ -19,7 +30,9 @@ import hashlib
 
 import pytest
 
-from helpers import make_store, run_op
+import repro.baselines.common as baseline_common
+import repro.core.datastore as chainreaction_datastore
+from helpers import build, install_per_server, make_store, run_op
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.analysis.sanitize import MessageTap
 from repro.baselines.registry import build_store
@@ -226,6 +239,21 @@ def test_install_converged_reports_only_the_keys_a_store_arbitrated():
     assert sum(len(keys) for per_site in again.values() for keys in per_site.values()) == 50 * 6
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_fresh_deployment_keeps_nothing_per_server(name):
+    store = make_store(**CONFIGS[name])
+    store.preload(DATA)
+    base = store.servers()[0].store._base
+    assert list(base) == list(DATA)
+    for node in store.servers():
+        assert node.store._base is base
+        assert node.store._data == {}
+        # No other per-key container stands in for the own table.
+        for attr, value in vars(node.store).items():
+            if isinstance(value, (dict, list, set, tuple)) and value is not base:
+                assert not value, attr
+
+
 def test_one_record_object_serves_every_replica():
     store = make_store(sites=("dc0", "dc1"))
     store.preload(DATA)
@@ -426,3 +454,115 @@ def test_geo_view_change_corner_only_ever_drops_dependencies(monkeypatch):
     assert mine[:4] == theirs[:4] and mine[3] == "put-request"
     assert mine[4] < theirs[4]
     assert sum(e[4] for e in twin.trace) <= sum(e[4] for e in reference.trace)
+
+
+# ----------------------------------------------------------------------
+# the per-server twin: one shared base against one table per server
+# ----------------------------------------------------------------------
+def per_server(store, data, monkeypatch):
+    """Preload ``store`` through ``helpers.install_per_server``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chainreaction_datastore, "install_converged", install_per_server)
+        patch.setattr(baseline_common, "install_converged", install_per_server)
+        store.preload(data)
+
+
+def assert_same_holdings(twin, reference):
+    for mine, theirs in zip(twin.servers(), reference.servers()):
+        assert held(mine) == held(theirs), f"{mine.site}:{mine.name}"
+    assert twin.sim.events_processed == reference.sim.events_processed
+
+
+def both(twin, reference, step):
+    for store in (twin, reference):
+        step(store)
+    assert_same_holdings(twin, reference)
+
+
+def test_a_new_chain_member_answers_none_until_its_transfer_lands(monkeypatch):
+    """The base rule is read off the preload-time view: a server that a
+    view change makes a member of a preloaded key's chain holds nothing
+    for it until a ``StateTransfer`` brings the record, as a server with
+    its own table does."""
+    twin, reference = twins(sites=("dc0", "dc1"))
+    twin.preload(DATA)
+    per_server(reference, DATA, monkeypatch)
+    view = twin.managers["dc0"].view
+    victim = view.chain_for("user0000")[0]
+    after = dataclasses.replace(
+        view, epoch=view.epoch + 1, servers=tuple(s for s in view.servers if s != victim)
+    )
+    joined = [
+        (name, key) for key in DATA
+        for name in after.chain_for(key) if name not in view.chain_for(key)
+    ]
+    assert joined
+    member = joined[0][0]
+    keys = [key for name, key in joined if name == member]
+
+    def until_member_sees_the_change(store):
+        store._node("dc0", victim).crash()
+        node = store._node("dc0", member)
+        while node.view.epoch == view.epoch:
+            assert store.sim.step()
+        # The view change has landed; no peer's transfer has yet.
+        assert node.syncing
+        assert all(node.store.get_record(key) is None for key in keys)
+
+    both(twin, reference, until_member_sees_the_change)
+    both(twin, reference, lambda store: store.run(until=store.sim.now + 1.0))
+    for store in (twin, reference):
+        node = store._node("dc0", member)
+        assert not node.syncing
+        assert all(node.store.version_of(key) == VersionVector({"preload": 1}) for key in keys)
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["clear", "log-replay"])
+def test_a_wiped_server_matches_its_per_server_twin(durable, monkeypatch):
+    twin, reference = twins(sites=("dc0", "dc1"), durable_storage=durable)
+    twin.preload(DATA)
+    per_server(reference, DATA, monkeypatch)
+    both(twin, reference, _disturb)
+    view = twin.managers["dc0"].view
+    victim = view.chain_for("user0000")[1]
+    mine = [key for key in DATA if victim in view.chain_for(key)]
+
+    def wipe(store):
+        node = store._node("dc0", victim)
+        node.crash()
+        node.store.clear()  # a crash loses memory (and the base), not the log
+        assert node.store.checksum_state() == () and node.store._base is None
+
+    both(twin, reference, wipe)
+    both(twin, reference, lambda store: store.run(until=store.sim.now + 0.5))
+    both(twin, reference, lambda store: store._node("dc0", victim).recover())
+    if durable:  # recovery replayed the log before anything else arrived
+        assert twin._node("dc0", victim).store.recoveries == 1
+        assert all(twin._node("dc0", victim).store.get_record(key) for key in mine)
+    both(twin, reference, lambda store: store.run(until=store.sim.now + 1.5))
+    assert all(twin.converged(key) for key in DATA)
+
+
+def test_eventual_anti_entropy_reads_the_base_like_its_own_table(monkeypatch):
+    twin, reference = (build("eventual", sites=("dc0", "dc1")) for _ in range(2))
+    twin.preload(DATA)
+    per_server(reference, DATA, monkeypatch)
+    taps = [MessageTap().attach(store.network) for store in (twin, reference)]
+
+    def write(store):
+        session = store.session("dc0", "writer")
+        for i in range(0, 90, 7):
+            run_op(store, session.put(f"user{i:04d}", f"eventual-{i}"))
+
+    both(twin, reference, write)
+    for store in (twin, reference):
+        store.run(until=store.sim.now + 1.2)  # two anti-entropy rounds
+    assert_same_holdings(twin, reference)
+    assert _digest(taps[0].entries) == _digest(taps[1].entries)
+    assert any(e[3] == "ev-ae-records" for e in taps[0].entries)
+    nodes = [(a.store, b.store) for a, b in zip(twin.servers(), reference.servers())]
+    peer = nodes[-1][1].digest()
+    for mine, theirs in nodes:
+        assert list(mine.digest().items()) == list(theirs.digest().items())
+        assert mine.records_newer_than(peer) == theirs.records_newer_than(peer)
+        assert mine.records_newer_than({}) == theirs.records_newer_than({})

@@ -32,7 +32,7 @@ def test_crash_tail_on_two_dcs_resolves_every_op_and_keeps_the_chain_invariants(
     strict=True,
     reason="a remote session reads below its causal floor after a tail crash "
     "in the other DC; protocol bug or checker false positive undecided "
-    "(ROADMAP item 6)",
+    "(ROADMAP item 1)",
 )
 def test_crash_tail_on_two_dcs_is_causally_clean(crash_tail_on_two_dcs):
     """``crash-tail`` with ``sites=("dc0", "dc1")``, seed 42: ``dc0:s0``

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage import TOMBSTONE, LWWResolver, VersionedStore, VersionVector
-from repro.storage.store import Record
+from repro.storage.store import Record, installed
 
 
 def vv(**entries):
@@ -160,60 +160,99 @@ def write_sets(draw):
 
 
 class TestInstall:
-    """``install`` takes many already-built records; an empty store
-    takes the mapping itself (docs/PERFORMANCE.md §11)."""
+    """``install`` takes a shared ``key → Record`` base and the rule for
+    which of its keys the store holds; an empty store keeps both and has
+    no table of its own (docs/PERFORMANCE.md §11)."""
 
     @staticmethod
     def records(*keys, n=1):
         return {k: Record(k, f"v-{k}", vv(preload=n), (n, (("preload", n),)), 0.0) for k in keys}
 
-    def test_an_empty_store_adopts_the_mapping_it_is_handed(self):
-        store = VersionedStore()
-        group = self.records("a", "b", "c")
-        fresh = store.install(group)
-        assert fresh is group and store._data is group  # no second dictionary
-        assert store.writes_applied == 3
-        assert [r.key for r in store.all_records()] == ["a", "b", "c"]
-        assert all(store.get_record(k) is group[k] for k in group)
-        # ...so later writes go into it: the caller gave it away for good
-        store.apply("d", "later", vv(dc0=1))
-        assert "d" in group
+    @staticmethod
+    def holds_all_but(*skipped):
+        return lambda key: key not in skipped
 
-    def test_a_store_with_other_keys_copies_and_returns_the_same_mapping(self):
+    def test_an_empty_store_keeps_the_base_and_its_rule(self):
+        store = VersionedStore()
+        base = self.records("a", "b", "c")
+        assert store.install(base, self.holds_all_but("b")) == []
+        assert store._base is base and store._data == {}
+        assert store.writes_applied == 2
+        assert [r.key for r in store.all_records()] == ["a", "c"]
+        assert store.get_record("a") is base["a"] and store.get_record("b") is None
+        assert store.version_of("b").is_zero() and "b" not in store and len(store) == 2
+
+    def test_writes_go_to_the_own_table_and_keep_one_tables_order(self):
+        store = VersionedStore()
+        base = self.records("a", "b", "c")
+        store.install(base, self.holds_all_but("b"))
+        store.apply("d", "later", vv(dc0=1))
+        store.apply("a", "newer", vv(preload=1, dc0=1))
+        store.apply("b", "not-held", vv(dc0=1))  # in the base, not held here
+        assert base == self.records("a", "b", "c")  # the base is never edited
+        assert list(store._data) == ["d", "a", "b"]
+        assert [(r.key, r.value) for r in store.all_records()] == [
+            ("a", "newer"), ("c", "v-c"), ("d", "later"), ("b", "not-held")
+        ]
+        assert list(store.keys()) == ["a", "c", "d", "b"]
+        assert list(store.digest()) == ["a", "c", "d", "b"]
+        assert store.writes_applied == 5
+
+    def test_a_store_with_state_stores_new_keys_as_given(self):
         store = VersionedStore()
         store.apply("z", "old", vv(dc0=1))
-        group = self.records("a", "b")
-        assert store.install(group) is group and store._data is not group
+        base = self.records("a", "b")
+        assert store.install(base, self.holds_all_but()) == []
+        assert store._base is None
         assert [r.key for r in store.all_records()] == ["z", "a", "b"]
+        assert store.get_record("a") is base["a"]
         assert store.writes_applied == 3
 
-    def test_keys_already_held_are_arbitrated_and_left_out_of_the_result(self):
+    def test_keys_already_held_are_arbitrated_and_returned(self):
         store = VersionedStore()
         store.apply("a", "newer", vv(dc0=1, preload=1))
         store.apply("b", "older", vv())  # dominated by the offer
-        group = self.records("a", "b", "c")
-        fresh = store.install(group)
-        assert list(fresh) == ["c"] and list(group) == ["a", "b", "c"]
+        base = self.records("a", "b", "c")
+        assert store.install(base, self.holds_all_but()) == ["a", "b"]
         assert store.get_record("a").value == "newer" and store.writes_ignored == 1
-        assert store.get_record("b").value == "v-b" and store.get_record("b") is not group["b"]
-        assert store.get_record("c") is group["c"]
+        assert store.get_record("b").value == "v-b" and store.get_record("b") is not base["b"]
+        assert store.get_record("c") is base["c"]
+        assert [r.key for r in installed(base, self.holds_all_but(), ["a", "b"])] == ["c"]
+
+    def test_a_second_base_is_arbitrated_against_the_first(self):
+        store = VersionedStore()
+        first = self.records("a", "b")
+        store.install(first, self.holds_all_but("b"))
+        second = self.records("a", "b", "c", n=2)
+        assert store.install(second, self.holds_all_but()) == ["a"]
+        assert store._base is first
+        assert [(r.key, r.version) for r in store.all_records()] == [
+            ("a", vv(preload=2)), ("b", vv(preload=2)), ("c", vv(preload=2))
+        ]
+        assert store.get_record("b") is second["b"]
+        assert store.writes_applied == 4
 
     def test_clear_after_adoption_wipes_the_store_like_any_other(self):
         store = VersionedStore()
-        store.install(self.records("a"))
+        base = self.records("a")
+        store.install(base, self.holds_all_but())
         store.clear()
-        assert store.get_record("a") is None
-        assert store.install(self.records("a", n=2)) is not None
+        assert store.get_record("a") is None and store._base is None
+        assert store.writes_applied == 1 and base == self.records("a")
+        assert store.install(self.records("a", n=2), self.holds_all_but()) == []
         assert store.version_of("a") == vv(preload=2)
+        assert store.writes_applied == 2
 
     def test_same_outcome_as_apply_per_record(self):
         bulk, walked = VersionedStore(), VersionedStore()
         for target in (bulk, walked):
             target.apply("b", "live", vv(dc0=2))
-        group = self.records("a", "b", "c")
-        for rec in group.values():
-            walked.apply(rec.key, rec.value, rec.version, rec.updated_at, rec.stamp)
-        bulk.install(group)
+        base = self.records("a", "b", "c", "d")
+        holds = self.holds_all_but("c")
+        for rec in base.values():
+            if holds(rec.key):
+                walked.apply(rec.key, rec.value, rec.version, rec.updated_at, rec.stamp)
+        bulk.install(base, holds)
         assert bulk.checksum_state() == walked.checksum_state()
         assert [r.key for r in bulk.all_records()] == [r.key for r in walked.all_records()]
         assert (bulk.writes_applied, bulk.writes_ignored, bulk.conflicts_resolved) == (
