@@ -4,7 +4,8 @@ Eight subcommands, mirroring how the paper's evaluation is exercised:
 
 - ``repro run`` — drive a YCSB workload against any protocol and print
   the throughput/latency summary (optionally with a consistency audit
-  and staleness analysis of the recorded history);
+  of the recorded history — ``--check`` exits 1 on any causal or
+  session-guarantee violation — and a staleness analysis);
 - ``repro consistency`` — run the geo causality probe against one or
   more protocols and print the anomaly table (experiment E10);
 - ``repro perf`` — run one of the three interim A/B tiers the standing
@@ -42,7 +43,7 @@ prints its tables either way and writes its JSON report only to
 Examples::
 
     python -m repro run --protocol chainreaction --workload B --clients 32
-    python -m repro run --protocol eventual --sites dc0 dc1 --check
+    python -m repro run --protocol eventual --sites dc0 dc1 --check   # exits 1: violations
     python -m repro consistency --protocols chainreaction eventual
     python -m repro run --sites dc0 dc1 dc2 --replication-degree 2 --clients 9
     python -m repro perf --protocol --out /tmp/protocol.json
@@ -168,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--check",
         action="store_true",
-        help="audit the recorded history (causal + session guarantees)",
+        help="audit the recorded history (causal + session guarantees); "
+        "exit 1 on any violation",
     )
     run.add_argument(
         "--staleness",
@@ -455,6 +457,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     ]
     sections = [render_table(["metric", "value"], rows, title="results")]
 
+    violation_count = 0
     if args.check:
         causal = check_causal(result.history)
         sessions = check_session_guarantees(result.history)
@@ -462,6 +465,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             (name, len(violations)) for name, violations in sessions.items()
         ]
         payload["audit"] = {name: count for name, count in check_rows}
+        violation_count = sum(count for _, count in check_rows)
         sections.append(
             render_table(["guarantee", "violations"], check_rows, title="consistency audit")
         )
@@ -487,7 +491,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             )
         )
     _emit(args, out, "\n\n".join(sections), payload)
-    return 0
+    return 1 if violation_count else 0
 
 
 def _cmd_consistency(args: argparse.Namespace, out) -> int:

@@ -38,14 +38,21 @@ cannot deadlock).  Liveness under crashes is timeout-based: in-flight
 head entries and pending-injection entries are dropped after
 ``2 * sync_timeout`` (chain repair re-stabilises stranded writes), and
 floors from servers silent for ``2 * failure_timeout`` are ignored.
+
+Per-event horizon work is O(log n) amortised in the number of writes in
+flight.  One :class:`StampSet` structure serves all three sets the plane
+keeps — a head's in-flight stamps, a site's pending injections and its
+shipped-but-not-globally-stable writes — so a floor or ``visible``
+reads the oldest entry off a lazy heap instead of scanning, and the cut
+prunes the shipped set from the heap's bottom.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.api import CAP_CLOCK_STABILITY
 from repro.cluster.membership import RingView
@@ -75,7 +82,7 @@ if TYPE_CHECKING:
     from repro.core.geo import GeoProxy
     from repro.core.node import ChainNode
 
-__all__ = ["ClockNodePlane", "ClockAgent", "GeoClockCore", "FloorTable"]
+__all__ = ["ClockNodePlane", "ClockAgent", "GeoClockCore", "FloorTable", "StampSet"]
 
 _GEOPROXY = "geoproxy"
 _CLOCKAGENT = "clockagent"
@@ -120,6 +127,79 @@ class FloorTable:
         return lst if lst is not None else HLC_ZERO
 
 
+class StampSet:
+    """Stamps in flight: ``stamp-key → (stamp, at)`` plus a lazy min-heap.
+
+    One structure answers every horizon question the plane asks of a set
+    of writes — the head's in-flight stamps, a site's pending remote
+    injections, a site's shipped-but-not-globally-stable writes:
+
+    - :meth:`oldest` is the smallest live stamp, amortised O(log n):
+      removals only delete the dict entry, and the heap drops a dead key
+      when it surfaces;
+    - :meth:`drop_through` forgets every stamp at or below a horizon in
+      O(k log n) for the k it forgets;
+    - :meth:`drop_stale` forgets entries last added before a cutoff (a
+      scan, run once per control interval, never per event).
+
+    Re-adding a live key refreshes its ``at`` without a second heap
+    entry; re-adding a dropped key pushes it again (a dead copy still in
+    the heap is harmless).  The heap is rebuilt from the dict once dead
+    keys outnumber live ones by more than a small slack, so it stays
+    O(live).
+    """
+
+    __slots__ = ("_entries", "_heap")
+
+    def __init__(self) -> None:
+        self._entries: Dict[_Key, Tuple[HLCStamp, float]] = {}
+        self._heap: List[_Key] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: _Key) -> bool:
+        return key in self._entries
+
+    def add(self, stamp: HLCStamp, at: float) -> None:
+        key = stamp.key()
+        entries = self._entries
+        if key not in entries:
+            heap = self._heap
+            if len(heap) > 2 * len(entries) + 64:
+                heap[:] = entries
+                heapify(heap)
+            heappush(heap, key)
+        entries[key] = (stamp, at)
+
+    def discard(self, key: _Key) -> None:
+        self._entries.pop(key, None)
+
+    def oldest(self) -> Optional[HLCStamp]:
+        """The smallest live stamp, or ``None`` when the set is empty."""
+        heap = self._heap
+        entries = self._entries
+        while heap:
+            got = entries.get(heap[0])
+            if got is not None:
+                return got[0]
+            heappop(heap)
+        return None
+
+    def drop_through(self, key: _Key) -> None:
+        """Forget every stamp whose key is ≤ ``key``."""
+        heap = self._heap
+        entries = self._entries
+        while heap and heap[0] <= key:
+            entries.pop(heappop(heap), None)
+
+    def drop_stale(self, cutoff: float) -> None:
+        """Forget every entry whose last ``at`` is before ``cutoff``."""
+        entries = self._entries
+        for key in [k for k, rec in entries.items() if rec[1] < cutoff]:
+            del entries[key]
+
+
 class ClockNodePlane(StabilityPlane):
     """Node-side clock plane: stamping, floors, parked waits, answers."""
 
@@ -128,7 +208,6 @@ class ClockNodePlane(StabilityPlane):
         "lst",
         "cut",
         "_inflight",
-        "_inflight_heap",
         "_waiters",
         "_wait_seq",
         "_apply_waiters",
@@ -154,10 +233,9 @@ class ClockNodePlane(StabilityPlane):
         self.lst = HLC_ZERO
         #: the global-stabilization cut (from ClockTick); monotone
         self.cut = HLC_ZERO
-        #: stamp-key → (stamp, key, minted_at): local puts this head
-        #: stamped whose TailApplied has not come back yet
-        self._inflight: Dict[_Key, Tuple[HLCStamp, str, float]] = {}
-        self._inflight_heap: List[_Key] = []
+        #: (stamp, minted_at) of local puts this head stamped whose
+        #: TailApplied has not come back yet
+        self._inflight = StampSet()
         #: parked dependency waits: (stamp-key, seq, future)
         self._waiters: List[Tuple[_Key, int, Future]] = []
         self._wait_seq = 0
@@ -231,8 +309,7 @@ class ClockNodePlane(StabilityPlane):
             if entry.hlc is not None:
                 clock.observe(entry.hlc)
         ts = clock.stamp()
-        self._inflight[ts.key()] = (ts, msg.key, self.node.sim.now)
-        heappush(self._inflight_heap, ts.key())
+        self._inflight.add(ts, self.node.sim.now)
         return ts
 
     def observe(self, hlc: Any) -> None:
@@ -271,7 +348,7 @@ class ClockNodePlane(StabilityPlane):
     def retire(self, ts: HLCStamp) -> None:
         # Unknown stamps are ignored: repair can route a TailApplied to
         # a head that never stamped the write (or already timed it out).
-        self._inflight.pop(ts.key(), None)
+        self._inflight.discard(ts.key())
 
     # -- visibility questions ------------------------------------------
     def record_is_stable(self, key: str, version: VersionVector) -> bool:
@@ -395,25 +472,17 @@ class ClockNodePlane(StabilityPlane):
             self.retire(msg.hlc)
 
     def _floor(self) -> HLCStamp:
-        heap = self._inflight_heap
-        inflight = self._inflight
-        while heap and heap[0] not in inflight:
-            heappop(heap)
-        if heap:
-            return just_below(inflight[heap[0]][0])
+        oldest = self._inflight.oldest()
+        if oldest is not None:
+            return just_below(oldest)
         return self.clock.peek()
 
     def _report_tick(self) -> None:
         node = self.node
-        now = node.sim.now
-        if self._inflight:
-            # A crashed tail (or a deposed head) can orphan an entry;
-            # repair re-stabilises the write, so drop it after the
-            # repair window rather than pinning the floor forever.
-            cutoff = now - self._inflight_timeout
-            stale = [k for k, rec in self._inflight.items() if rec[2] < cutoff]
-            for k in stale:
-                del self._inflight[k]
+        # A crashed tail (or a deposed head) can orphan an entry; repair
+        # re-stabilises the write, so drop it after the repair window
+        # rather than pinning the floor forever.
+        self._inflight.drop_stale(node.sim.now - self._inflight_timeout)
         node.send(self._agent, ClockReport(server=node.name, floor=self._floor()))
         node.set_timer(self._interval, self._report_tick)
 
@@ -482,13 +551,12 @@ class ClockAgent(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps
         lst = self._floors.local_lst(self.view.servers, self.sim.now)
         if lst > self._lst:
             self._lst = lst
+        # Every server gets the same frozen instance; the network sizes
+        # it once per send (fixed-width fields, cheap).
         tick = ClockTick(dc_lst=self._lst, cut=self._lst)
         for server in self.view.servers:
             self.send(self.view.address_of(server), tick)
             self.ticks_sent += 1
-            # Per-server copies share one frozen instance; the network
-            # sizes it once per send (fixed-width fields, cheap).
-            tick = ClockTick(dc_lst=self._lst, cut=self._lst)
         self.set_timer(self.config.stability_interval, self._tick)
 
     def on_recover(self) -> None:
@@ -543,11 +611,12 @@ class GeoClockCore(SitePlane):
         #: DC-stable local writes not yet covered by the ship horizon
         self._ship_buf: List[Tuple[_Key, RemoteUpdate]] = []
         self._ship_seq = 0
-        #: duplicate-ship suppression (repair re-announcements)
-        self._shipped: Set[_Key] = set()
-        #: stamp-key → (stamp, received_at): remote updates received but
-        #: not yet tail-applied locally — they cap ``visible``
-        self._pending_in: Dict[_Key, Tuple[HLCStamp, float]] = {}
+        #: (stamp, shipped_at) of local writes shipped but not yet passed
+        #: by the cut — duplicate-ship suppression (repair re-announcements)
+        self._shipped = StampSet()
+        #: (stamp, received_at) of remote updates received but not yet
+        #: tail-applied locally — the oldest caps ``visible``
+        self._pending_in = StampSet()
         #: received remote updates awaiting the admission gate
         self._inject_heap: List[Tuple[_Key, RemoteUpdate]] = []
         #: (stamp, origin_put_at) of shipped local writes, stamp order —
@@ -585,9 +654,8 @@ class GeoClockCore(SitePlane):
             ts = update.hlc
             if not isinstance(ts, HLCStamp):
                 continue
-            key = ts.key()
-            self._pending_in[key] = (ts, now)
-            heappush(self._inject_heap, (key, update))
+            self._pending_in.add(ts, now)
+            heappush(self._inject_heap, (ts.key(), update))
         self._reeval_injections()
 
     def on_tail_stable(self, msg: TailStable, src: Address) -> None:
@@ -598,7 +666,7 @@ class GeoClockCore(SitePlane):
             # caps our visible horizon (no GlobalAck on this plane —
             # the cut replaces the ack round).
             if ts is not None:
-                self._pending_in.pop(ts.key(), None)
+                self._pending_in.discard(ts.key())
             self._reeval_injections()
             return
         if ts is None:
@@ -608,7 +676,7 @@ class GeoClockCore(SitePlane):
             # Repair re-stabilisation can re-announce a version.
             proxy.duplicate_ships += 1
             return
-        self._shipped.add(key)
+        self._shipped.add(ts, proxy.sim.now)
         if proxy.tracer is not None:
             proxy.trace("geo", "ship", msg.key, version=str(msg.version))
         update = RemoteUpdate(
@@ -636,12 +704,8 @@ class GeoClockCore(SitePlane):
         horizons (writes that have not even arrived yet).
         """
         visible = self._local_lst(now)
-        if self._pending_in:
-            oldest: Optional[HLCStamp] = None
-            for ts, _at in self._pending_in.values():
-                if oldest is None or ts < oldest:
-                    oldest = ts
-            assert oldest is not None
+        oldest = self._pending_in.oldest()
+        if oldest is not None:
             below = just_below(oldest)
             if below < visible:
                 visible = below
@@ -710,14 +774,10 @@ class GeoClockCore(SitePlane):
         proxy = self.proxy
         now = proxy.sim.now
         local = self._local_lst(now)
-        if self._pending_in:
-            # An injection orphaned by a crash would cap visible forever;
-            # repair re-stabilises the write, so lazily drop it after
-            # the repair window.
-            cutoff = now - self._pending_timeout
-            stale = [k for k, rec in self._pending_in.items() if rec[1] < cutoff]
-            for k in stale:
-                del self._pending_in[k]
+        # An injection orphaned by a crash would cap visible forever;
+        # repair re-stabilises the write, so lazily drop it after the
+        # repair window.
+        self._pending_in.drop_stale(now - self._pending_timeout)
         # 1. Ship everything at or below the local LST, stamp-ordered,
         #    one batch per peer — then the vector on the same FIFO link.
         local_key = local.key()
@@ -780,12 +840,10 @@ class GeoClockCore(SitePlane):
             self.cut = cut
         if visible > self.node_lst:
             self.node_lst = visible
-        # 4. Drive the local servers.
+        # 4. Drive the local servers, one frozen instance for all.
+        tick = ClockTick(dc_lst=self.node_lst, cut=self.cut)
         for server in proxy.view.servers:
-            proxy.send(
-                proxy.view.address_of(server),
-                ClockTick(dc_lst=self.node_lst, cut=self.cut),
-            )
+            proxy.send(proxy.view.address_of(server), tick)
             self.ticks_sent += 1
         # 5. Global-stability latency samples: the cut passed these writes.
         fifo = self._global_fifo
@@ -796,11 +854,7 @@ class GeoClockCore(SitePlane):
         #    any more (a post-repair re-announcement re-ships, and the
         #    receiver's store drops the dominated duplicate) — pruning
         #    keeps the set sized to in-flight writes, not history.
-        if self._shipped:
-            cut_key = self.cut.key()
-            dead = [k for k in sorted(self._shipped) if k <= cut_key]
-            for k in dead:
-                self._shipped.discard(k)
+        self._shipped.drop_through(self.cut.key())
         self._reeval_injections()
         proxy.set_timer(self.interval, self._tick)
 

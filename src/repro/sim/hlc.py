@@ -32,7 +32,7 @@ envelope boundary.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "HLCStamp",
@@ -40,7 +40,6 @@ __all__ = [
     "NO_HLC",
     "HybridClock",
     "just_below",
-    "hlc_min",
     "hlc_or_none",
 ]
 
@@ -50,70 +49,35 @@ _PHYSICAL_SCALE = 1_000_000
 #: modeled wire size of a stamp: 8B physical + 2B logical + 2B origin id
 _STAMP_WIRE_BYTES = 12
 
-
-# ----------------------------------------------------------------------
-# clock arithmetic: integer-pure state transitions over the position
-# (physical, logical); float simulated time is quantized once, in
-# wall_quantum, so every caller sees the same inputs
-# ----------------------------------------------------------------------
-def wall_quantum(now: float) -> int:
-    """Quantize simulated seconds to the HLC physical component."""
-    return int(now * _PHYSICAL_SCALE)
-
-
-def clock_tick(physical: int, logical: int, wall: int) -> Tuple[int, int]:
-    """Advance for minting a stamp: catch up to the wall quantum, or tick
-    the logical counter when the wall has not moved past the clock."""
-    if wall > physical:
-        return (wall, 0)
-    return (physical, logical + 1)
-
-
-def clock_observe(
-    physical: int,
-    logical: int,
-    s_physical: int,
-    s_logical: int,
-    wall: int,
-) -> Tuple[int, int]:
-    """Merge a remote stamp ``(s_physical, s_logical)`` then catch up to
-    the wall quantum. Never moves the clock backwards."""
-    if s_physical > physical or (s_physical == physical and s_logical > logical):
-        physical = s_physical
-        logical = s_logical
-    if wall > physical:
-        return (wall, 0)
-    return (physical, logical)
-
-
-def clock_peek(physical: int, logical: int, wall: int) -> Tuple[int, int]:
-    """Current position without consuming a logical tick."""
-    if wall > physical:
-        return (wall, 0)
-    return (physical, logical)
+#: writes a slot past :meth:`HLCStamp.__setattr__`'s immutability guard
+_set = object.__setattr__
 
 
 class HLCStamp:
     """An immutable hybrid logical clock value.
 
     Ordered by ``(physical, logical, origin)``; see the module docstring
-    for why that order is total.  The wire-size model is a flat
+    for why that order is total.  That tuple is built once, at
+    construction, and is what :meth:`key` returns and every comparison
+    and the hash compare — tuple order runs in C, with no allocation
+    per comparison.  The wire-size model is a flat
     :data:`_STAMP_WIRE_BYTES` (origins are modeled as interned ids, not
     strings, matching how a real implementation would encode them).
     """
 
-    __slots__ = ("physical", "logical", "origin")
+    __slots__ = ("physical", "logical", "origin", "_key")
 
     def __init__(self, physical: int, logical: int, origin: str) -> None:
-        object.__setattr__(self, "physical", physical)
-        object.__setattr__(self, "logical", logical)
-        object.__setattr__(self, "origin", origin)
+        _set(self, "physical", physical)
+        _set(self, "logical", logical)
+        _set(self, "origin", origin)
+        _set(self, "_key", (physical, logical, origin))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HLCStamp is immutable")
 
     def key(self) -> Tuple[int, int, str]:
-        return (self.physical, self.logical, self.origin)
+        return self._key
 
     def size_bytes(self) -> int:
         return _STAMP_WIRE_BYTES
@@ -121,32 +85,28 @@ class HLCStamp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HLCStamp):
             return NotImplemented
-        return (
-            self.physical == other.physical
-            and self.logical == other.logical
-            and self.origin == other.origin
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.physical, self.logical, self.origin))
+        return hash(self._key)
 
     def __lt__(self, other: "HLCStamp") -> bool:
-        return self.key() < other.key()
+        return self._key < other._key
 
     def __le__(self, other: "HLCStamp") -> bool:
-        return self.key() <= other.key()
+        return self._key <= other._key
 
     def __gt__(self, other: "HLCStamp") -> bool:
-        return self.key() > other.key()
+        return self._key > other._key
 
     def __ge__(self, other: "HLCStamp") -> bool:
-        return self.key() >= other.key()
+        return self._key >= other._key
 
     def __repr__(self) -> str:
         return f"HLC({self.physical},{self.logical},{self.origin})"
 
     def __reduce__(self) -> Tuple[type, Tuple[int, int, str]]:
-        return (HLCStamp, (self.physical, self.logical, self.origin))
+        return (HLCStamp, self._key)
 
 
 #: the bottom element: compares <= every real stamp
@@ -202,18 +162,6 @@ def just_below(stamp: HLCStamp) -> HLCStamp:
     return HLCStamp(stamp.physical, stamp.logical, "")
 
 
-def hlc_min(stamps: Iterable[Optional[HLCStamp]]) -> Optional[HLCStamp]:
-    """Minimum of the non-``None`` stamps, or ``None`` if there are none."""
-
-    best: Optional[HLCStamp] = None
-    for stamp in stamps:
-        if stamp is None:
-            continue
-        if best is None or stamp < best:
-            best = stamp
-    return best
-
-
 class HybridClock:
     """A per-entity HLC source driven by simulated time.
 
@@ -236,39 +184,48 @@ class HybridClock:
         #: "HLC skew" gauge surfaced by metrics.protocol
         self.max_skew = 0
 
-    def _wall(self) -> int:
-        return wall_quantum(self._sim.now)
-
-    def _note_skew(self, wall: int) -> None:
+    def stamp(self) -> HLCStamp:
+        # Catch up to the wall quantum, or tick the logical counter when
+        # the wall has not moved past the clock.
+        wall = int(self._sim.now * _PHYSICAL_SCALE)
+        if wall > self._physical:
+            self._physical = wall
+            self._logical = 0
+        else:
+            self._logical += 1
         skew = self._physical - wall
         if skew > self.max_skew:
             self.max_skew = skew
-
-    def stamp(self) -> HLCStamp:
-        wall = self._wall()
-        self._physical, self._logical = clock_tick(
-            self._physical, self._logical, wall
-        )
-        self._note_skew(wall)
         return HLCStamp(self._physical, self._logical, self.origin)
 
     def observe(self, stamp: object) -> None:
+        # Merge the remote position, then catch up to the wall quantum;
+        # never moves the clock backwards.
         if not isinstance(stamp, HLCStamp):
             return
-        wall = self._wall()
-        self._physical, self._logical = clock_observe(
-            self._physical,
-            self._logical,
-            stamp.physical,
-            stamp.logical,
-            wall,
-        )
-        self._note_skew(wall)
+        wall = int(self._sim.now * _PHYSICAL_SCALE)
+        physical = self._physical
+        logical = self._logical
+        s_physical = stamp.physical
+        if s_physical > physical or (
+            s_physical == physical and stamp.logical > logical
+        ):
+            physical = s_physical
+            logical = stamp.logical
+        if wall > physical:
+            physical = wall
+            logical = 0
+        self._physical = physical
+        self._logical = logical
+        skew = physical - wall
+        if skew > self.max_skew:
+            self.max_skew = skew
 
     def peek(self) -> HLCStamp:
-        wall = self._wall()
-        physical, logical = clock_peek(self._physical, self._logical, wall)
-        return HLCStamp(physical, logical, self.origin)
+        wall = int(self._sim.now * _PHYSICAL_SCALE)
+        if wall > self._physical:
+            return HLCStamp(wall, 0, self.origin)
+        return HLCStamp(self._physical, self._logical, self.origin)
 
 
 class SimClock:

@@ -7,6 +7,7 @@ import dataclasses
 from repro.baselines import build_store
 from repro.core import ChainReactionConfig, ChainReactionStore
 from repro.net.message import WIRE_HEADER_BYTES, Message
+from repro.sim.hlc import just_below
 from repro.storage.merge import stamp_of
 from repro.storage.store import Record
 from repro.storage.version import intern_str
@@ -184,3 +185,135 @@ def legacy_apply_remote(msg) -> dict:
     if isinstance(msg.hlc, HLCStamp):
         payload["hlc"] = msg.hlc
     return payload
+
+
+# ----------------------------------------------------------------------
+# HLC arithmetic reference
+# ----------------------------------------------------------------------
+# The integer-pure state transitions ``repro.sim.hlc`` kept as free
+# functions before ``HybridClock.stamp`` / ``observe`` / ``peek`` took
+# them inline, kept as the oracle the clock must equal: simulated time
+# is quantized once, in ``wall_quantum``, and every transition maps a
+# position ``(physical, logical)`` plus that quantum to the next one.
+
+
+def wall_quantum(now: float) -> int:
+    """Quantize simulated seconds to the HLC physical component."""
+    return int(now * 1_000_000)
+
+
+def clock_tick(physical: int, logical: int, wall: int):
+    """Advance for minting a stamp: catch up to the wall quantum, or tick
+    the logical counter when the wall has not moved past the clock."""
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical + 1)
+
+
+def clock_observe(physical: int, logical: int, s_physical: int, s_logical: int, wall: int):
+    """Merge a remote stamp ``(s_physical, s_logical)`` then catch up to
+    the wall quantum. Never moves the clock backwards."""
+    if s_physical > physical or (s_physical == physical and s_logical > logical):
+        physical = s_physical
+        logical = s_logical
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical)
+
+
+def clock_peek(physical: int, logical: int, wall: int):
+    """Current position without consuming a logical tick."""
+    if wall > physical:
+        return (wall, 0)
+    return (physical, logical)
+
+
+class ReferenceClock:
+    """``HybridClock`` as it was composed from the four functions above:
+    ``stamp`` / ``observe`` / ``peek`` return and track the same
+    positions and the same ``max_skew``."""
+
+    def __init__(self, origin: str) -> None:
+        self.origin = origin
+        self.physical = 0
+        self.logical = 0
+        self.max_skew = 0
+
+    def _note_skew(self, wall: int) -> None:
+        self.max_skew = max(self.max_skew, self.physical - wall)
+
+    def stamp(self, now: float):
+        wall = wall_quantum(now)
+        self.physical, self.logical = clock_tick(self.physical, self.logical, wall)
+        self._note_skew(wall)
+        return (self.physical, self.logical, self.origin)
+
+    def observe(self, now: float, s_physical: int, s_logical: int) -> None:
+        wall = wall_quantum(now)
+        self.physical, self.logical = clock_observe(
+            self.physical, self.logical, s_physical, s_logical, wall
+        )
+        self._note_skew(wall)
+
+    def peek(self, now: float):
+        physical, logical = clock_peek(self.physical, self.logical, wall_quantum(now))
+        return (physical, logical, self.origin)
+
+
+# ----------------------------------------------------------------------
+# clock-plane stamp-set reference
+# ----------------------------------------------------------------------
+# The plain-dict bookkeeping ``GeoClockCore`` and ``ClockNodePlane`` kept
+# before ``repro.core.clockplane.StampSet``, kept as the oracle it must
+# equal: a ``stamp-key → (stamp, at)`` dict whose oldest entry is found by
+# the linear scan ``GeoClockCore._visible`` ran on every inbound event,
+# stale entries by a scan, and cut-passed entries by ``sorted`` over the
+# keys (the shipped set's prune).
+
+
+class LinearStampSet:
+    def __init__(self) -> None:
+        self.entries = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self.entries
+
+    def add(self, stamp, at: float) -> None:
+        self.entries[stamp.key()] = (stamp, at)
+
+    def discard(self, key) -> None:
+        self.entries.pop(key, None)
+
+    def oldest(self):
+        oldest = None
+        for ts, _at in self.entries.values():
+            if oldest is None or ts < oldest:
+                oldest = ts
+        return oldest
+
+    def drop_through(self, key) -> None:
+        for k in [k for k in sorted(self.entries) if k <= key]:
+            del self.entries[k]
+
+    def drop_stale(self, cutoff: float) -> None:
+        for k in [k for k, rec in self.entries.items() if rec[1] < cutoff]:
+            del self.entries[k]
+
+
+def linear_visible(local_lst, pending: LinearStampSet, dc_ship):
+    """``GeoClockCore._visible`` with the linear pending scan: the local
+    LST, capped just below the oldest pending injection and by every
+    peer's ship horizon."""
+    visible = local_lst
+    oldest = pending.oldest()
+    if oldest is not None:
+        below = just_below(oldest)
+        if below < visible:
+            visible = below
+    for horizon in dc_ship.values():
+        if horizon < visible:
+            visible = horizon
+    return visible

@@ -67,6 +67,27 @@ class TestRun:
         assert "causal" in output
         assert "staleness" in output
 
+    def test_check_exits_zero_on_a_clean_audit(self):
+        code, output = run_cli(
+            "run", "--sites", "dc0", "dc1", "--clients", "4", "--duration", "0.3",
+            "--warmup", "0.1", "--records", "20", "--check",
+        )
+        assert code == 0
+        assert "consistency audit" in output
+
+    def test_check_exits_one_on_any_violation(self):
+        # Eventual consistency violates causality across two DCs; the
+        # audit table is still printed before the failing exit.
+        code, output = run_cli(
+            "run", "--protocol", "eventual", "--sites", "dc0", "dc1",
+            "--clients", "4", "--duration", "0.3", "--warmup", "0.1",
+            "--records", "20", "--check",
+        )
+        assert code == 1
+        assert "consistency audit" in output
+        causal = next(line for line in output.splitlines() if line.split()[:1] == ["causal"])
+        assert int(causal.split()[1]) > 0
+
     def test_run_other_protocol_and_sites(self):
         code, output = run_cli(
             "run", "--protocol", "eventual", "--sites", "dc0", "dc1",

@@ -1,20 +1,32 @@
 """Tests for the clock stabilization plane (PR 8): HLC semantics, the
 ``StabilityPlane`` config/capability surface, determinism of the clock
 plane under the single- and multi-process engines, causal parity with
-the notices plane, the dep-table HLC column, and the CLI's unified
-``--stability`` flag."""
+the notices plane, the dep-table HLC column, the CLI's unified
+``--stability`` flag, and the plane's horizon structure (``StampSet``)
+against the linear scans it replaced."""
 
 import io
 import pickle
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    LinearStampSet,
+    ReferenceClock,
+    linear_visible,
+    make_geo_store,
+    make_store,
+)
 from repro.api import CAP_CLOCK_STABILITY
 from repro.cli import main
+from repro.core.clockplane import FloorTable, StampSet
 from repro.core.config import ChainReactionConfig
 from repro.core.deptable import DepEntry, DepTable
+from repro.core.messages import ClockTick
 from repro.errors import ConfigError
-from repro.sim.hlc import NO_HLC, HLCStamp, HybridClock, hlc_or_none, just_below
+from repro.sim.hlc import HLC_ZERO, NO_HLC, HLCStamp, HybridClock, hlc_or_none, just_below
 
 
 class _FakeSim:
@@ -83,6 +95,244 @@ class TestHLC:
         stamp = HLCStamp(7, 2, "dc1")
         assert hlc_or_none(stamp) is stamp
         assert pickle.loads(pickle.dumps(stamp)) == stamp
+
+
+_stamps = st.builds(
+    HLCStamp,
+    st.integers(0, 20),
+    st.integers(0, 3),
+    st.sampled_from(["", "dc0:s0", "dc0:s1", "dc1:s0"]),
+)
+
+
+class TestHLCStampContract:
+    @given(_stamps, _stamps)
+    def test_order_and_equality_are_the_key_tuples(self, a, b):
+        ka, kb = (a.physical, a.logical, a.origin), (b.physical, b.logical, b.origin)
+        assert a.key() == ka
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+        assert (a == b) == (ka == kb)
+        assert (a != b) == (ka != kb)
+
+    @given(_stamps)
+    def test_hash_is_the_tuple_hash_and_pickle_round_trips(self, a):
+        assert hash(a) == hash((a.physical, a.logical, a.origin))
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.key() == a.key() and hash(back) == hash(a)
+        assert {a: 1}[HLCStamp(a.physical, a.logical, a.origin)] == 1
+
+    def test_immutable(self):
+        stamp = HLCStamp(3, 1, "dc0")
+        for name in ("physical", "logical", "origin", "_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(stamp, name, 9)
+        assert stamp.key() == (3, 1, "dc0")
+
+    def test_not_equal_to_other_types(self):
+        stamp = HLCStamp(3, 1, "dc0")
+        assert stamp != (3, 1, "dc0")
+        assert stamp != NO_HLC
+        assert HLC_ZERO <= stamp
+
+    @given(_stamps, _stamps)
+    def test_just_below(self, stamp, other):
+        below = just_below(stamp)
+        if stamp.origin:
+            assert below < stamp
+        else:
+            assert below is stamp
+        if (other.physical, other.logical) < (stamp.physical, stamp.logical):
+            assert other < below
+        assert just_below(below) == below
+
+
+_clock_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["stamp", "observe", "peek"]),
+        st.floats(0.0, 0.01, allow_nan=False),
+        st.integers(0, 12_000),
+        st.integers(0, 5),
+    ),
+    max_size=60,
+)
+
+
+class TestHybridClockOracle:
+    @given(_clock_ops)
+    def test_matches_the_reference_arithmetic(self, ops):
+        sim = _FakeSim()
+        clock = HybridClock(sim, "dc0:s0")
+        ref = ReferenceClock("dc0:s0")
+        for kind, now, s_physical, s_logical in ops:
+            sim.now = now
+            if kind == "stamp":
+                assert clock.stamp().key() == ref.stamp(now)
+            elif kind == "observe":
+                clock.observe(HLCStamp(s_physical, s_logical, "dc1:s0"))
+                ref.observe(now, s_physical, s_logical)
+            else:
+                assert clock.peek().key() == ref.peek(now)
+            assert clock.max_skew == ref.max_skew
+        clock.observe(NO_HLC)  # non-stamps are ignored
+        assert clock.peek().key() == ref.peek(sim.now)
+
+
+_set_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _stamps, st.integers(0, 50)),
+        st.tuples(st.just("discard"), _stamps, st.just(0)),
+        st.tuples(st.just("drop_stale"), st.just(None), st.integers(0, 60)),
+        st.tuples(st.just("drop_through"), _stamps, st.just(0)),
+    ),
+    max_size=80,
+)
+
+
+@pytest.fixture(scope="module")
+def geo_clock():
+    """One two-site clock deployment and its dc0 site half, shared by
+    every hypothesis example (each resets the state it reads)."""
+    store = make_geo_store(stability="clock")
+    return store, store.proxies["dc0"].plane
+
+
+class TestStampSet:
+    """``StampSet`` against the plain-dict scans it replaced."""
+
+    @settings(max_examples=200)
+    @given(_set_ops, _stamps, _stamps)
+    def test_matches_the_linear_oracle(self, geo_clock, ops, local_lst, ship_lst):
+        # Drives the real ``GeoClockCore._visible`` over a fresh pending
+        # set, next to the linear rule it replaced over a plain dict.
+        store, core = geo_clock
+        now = store.sim.now
+        core._floors = FloorTable(core._floors.stale_after)
+        for server in store.proxies["dc0"].view.servers:
+            core._floors.update(server, local_lst, now)
+        core.dc_ship["dc1"] = ship_lst
+        fast = core._pending_in = StampSet()
+        ref = LinearStampSet()
+        seen = set()
+        for kind, stamp, at in ops:
+            if kind == "add":
+                fast.add(stamp, float(at))
+                ref.add(stamp, float(at))
+                seen.add(stamp.key())
+            elif kind == "discard":
+                fast.discard(stamp.key())
+                ref.discard(stamp.key())
+            elif kind == "drop_stale":
+                fast.drop_stale(float(at))
+                ref.drop_stale(float(at))
+            else:
+                fast.drop_through(stamp.key())
+                ref.drop_through(stamp.key())
+            assert fast.oldest() == ref.oldest()
+            assert len(fast) == len(ref)
+            assert {k for k in seen if k in fast} == {k for k in seen if k in ref}
+            assert core._visible(now) == linear_visible(local_lst, ref, core.dc_ship)
+
+    def test_duplicate_re_add_after_a_discard(self):
+        # A post-repair re-ship re-adds a key whose dead copy is still in
+        # the heap: one live entry, and nothing left once it goes again.
+        stamps = StampSet()
+        a, b = HLCStamp(5, 0, "dc0:s0"), HLCStamp(7, 0, "dc0:s0")
+        stamps.add(a, 0.0)
+        stamps.add(b, 0.0)
+        stamps.discard(a.key())
+        stamps.add(a, 1.0)
+        assert stamps.oldest() == a and len(stamps) == 2
+        stamps.discard(a.key())
+        assert stamps.oldest() == b
+        stamps.discard(b.key())
+        assert stamps.oldest() is None and len(stamps) == 0
+
+    def test_re_add_refreshes_the_stale_clock(self):
+        stamps = StampSet()
+        a = HLCStamp(5, 0, "dc0:s0")
+        stamps.add(a, 0.0)
+        stamps.add(a, 3.0)
+        stamps.drop_stale(2.0)
+        assert a.key() in stamps
+
+    def test_an_orphan_pins_oldest_until_the_stale_cutoff(self):
+        stamps = StampSet()
+        orphan = HLCStamp(1, 0, "dc0:s0")
+        stamps.add(orphan, 0.0)
+        for i in range(2, 2000):
+            ts = HLCStamp(i, 0, "dc0:s1")
+            stamps.add(ts, i / 1000)
+            if i % 7:
+                stamps.discard(ts.key())
+        assert stamps.oldest() == orphan
+        stamps.drop_stale(0.0005)
+        assert stamps.oldest() == HLCStamp(7, 0, "dc0:s1")
+        # The heap holds mostly dead keys behind the orphan; it is
+        # rebuilt from the live ones rather than growing with history.
+        assert len(stamps._heap) <= 2 * len(stamps) + 65
+
+    def test_drop_through_forgets_at_or_below(self):
+        stamps = StampSet()
+        for i in range(10):
+            stamps.add(HLCStamp(i, 0, "dc0:s0"), 0.0)
+        stamps.drop_through(HLCStamp(4, 0, "dc0:s0").key())
+        assert len(stamps) == 5
+        assert stamps.oldest() == HLCStamp(5, 0, "dc0:s0")
+
+
+class _NoIteration(dict):
+    """A pending map that fails the test if anything iterates it."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the pending map was iterated")
+
+    __iter__ = keys = values = items = _refuse
+
+
+class TestVisibleScaling:
+    def test_visible_does_not_iterate_ten_thousand_pending_entries(self):
+        store = make_geo_store(stability="clock")
+        core = store.proxies["dc0"].plane
+        now = store.sim.now
+        # Lift the other two caps (local floors, peer ship horizons) so
+        # the oldest pending injection decides ``visible``.
+        high = HLCStamp(10**9, 0, "dc0:s0")
+        for server in store.proxies["dc0"].view.servers:
+            core._floors.update(server, high, now)
+        for peer in core.dc_ship:
+            core.dc_ship[peer] = high
+        pending = core._pending_in
+        for i in range(10_000):
+            # 7919 is coprime with 10 000: every physical once, shuffled.
+            pending.add(HLCStamp(10_000 + (i * 7919) % 10_000, 0, "dc1:s0"), now)
+        pending._entries = _NoIteration(pending._entries)
+        assert core._visible(now) == just_below(HLCStamp(10_000, 0, "dc1:s0"))
+        for physical in range(10_000, 10_005):
+            pending.discard(HLCStamp(physical, 0, "dc1:s0").key())
+        assert core._visible(now) == just_below(HLCStamp(10_005, 0, "dc1:s0"))
+
+
+class TestClockTickFanOut:
+    @pytest.mark.parametrize("sites", [("dc0",), ("dc0", "dc1")])
+    def test_one_frozen_instance_per_tick(self, sites):
+        # ClockAgent (one site) and GeoClockCore (geo) alike send every
+        # local server the same ClockTick object each interval.
+        store = make_store(sites=sites, stability="clock")
+        network = store.network
+        original = network.send
+        sent = defaultdict(list)
+
+        def recording_send(src, dst, msg):
+            if isinstance(msg, ClockTick):
+                sent[(src, network.sim.now)].append(msg)
+            original(src, dst, msg)
+
+        network.send = recording_send
+        store.sim.run(until=0.05)
+        assert len(sent) >= 5 * len(sites)
+        for ticks in sent.values():
+            assert len(ticks) == store.config.servers_per_site
+            assert len({id(tick) for tick in ticks}) == 1
 
 
 class TestConfigAndCapabilities:
