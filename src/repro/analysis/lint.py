@@ -17,10 +17,12 @@ failure mode in a discrete-event reproduction:
 - ``no-builtin-hash-seed`` — builtin ``hash()`` on strings is salted by
   ``PYTHONHASHSEED``, so a seed derived from it differs between
   interpreter launches. Use :func:`repro.sim.rng.derive_seed`.
-- ``frozen-message`` — protocol messages must be ``frozen=True``
-  dataclasses: the wire-size memo (``memoize_size`` /
-  ``copy_size_from``) caches the first ``size_bytes()`` result, so a
-  mutated message would silently ship stale byte accounting.
+- ``frozen-message`` — protocol messages must be declared with
+  ``@wire_message`` (a frozen dataclass with a compiled ``__init__``
+  and size plan), and with nothing else: the wire-size memo
+  (``memoize_size`` / ``copy_size_from``) caches the first
+  ``size_bytes()`` result, so a mutated message would silently ship
+  stale byte accounting.
 - ``no-mutable-default`` — a mutable default argument is shared across
   calls; protocol state bleeding between actors breaks run isolation.
 - ``set-iteration`` — iterating a bare ``set`` in event-ordering code
@@ -550,7 +552,7 @@ class _Linter(ast.NodeVisitor):
     # -- frozen messages -------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self._subclasses_message(node):
-            self._check_frozen_dataclass(node)
+            self._check_wire_message(node)
         else:
             self._check_slots(node)
         self.generic_visit(node)
@@ -563,51 +565,19 @@ class _Linter(ast.NodeVisitor):
                 return True
         return False
 
-    def _check_frozen_dataclass(self, node: ast.ClassDef) -> None:
+    def _check_wire_message(self, node: ast.ClassDef) -> None:
         for deco in node.decorator_list:
-            if isinstance(deco, ast.Call):
-                func = deco.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr
-                    if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if name == "dataclass":
-                    for kw in deco.keywords:
-                        if (
-                            kw.arg == "frozen"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is True
-                        ):
-                            return
-                    self._add(
-                        node,
-                        RULE_FROZEN_MESSAGE,
-                        f"protocol message {node.name} must be a frozen "
-                        "dataclass (frozen=True): the wire-size memo assumes "
-                        "messages never mutate after construction",
-                    )
-                    return
-            elif isinstance(deco, (ast.Name, ast.Attribute)):
-                name = deco.id if isinstance(deco, ast.Name) else deco.attr
-                if name == "dataclass":
-                    self._add(
-                        node,
-                        RULE_FROZEN_MESSAGE,
-                        f"protocol message {node.name} must be a frozen "
-                        "dataclass (frozen=True): the wire-size memo assumes "
-                        "messages never mutate after construction",
-                    )
-                    return
-        # No dataclass decorator at all: also a violation — messages are
-        # sized field-by-field through the dataclass machinery.
+            if isinstance(deco, ast.Name) and deco.id == "wire_message":
+                return
+            if isinstance(deco, ast.Attribute) and deco.attr == "wire_message":
+                return
         self._add(
             node,
             RULE_FROZEN_MESSAGE,
-            f"protocol message {node.name} must be declared as a frozen "
-            "dataclass so wire sizing can enumerate its fields",
+            f"protocol message {node.name} must be declared with "
+            "@wire_message: a frozen dataclass (the wire-size memo assumes "
+            "messages never mutate after construction) whose __init__ and "
+            "size plan are compiled from its fields",
         )
 
     # -- slots ------------------------------------------------------------

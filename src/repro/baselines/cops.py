@@ -25,7 +25,7 @@ from repro.cluster.client_base import RetryingSession
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
 from repro.errors import NotResponsibleError, TransientError
-from repro.net.message import Message
+from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future, all_of, spawn
@@ -39,7 +39,7 @@ def context_size_bytes(context: Dict[str, VersionVector]) -> int:
     return 4 + sum(4 + len(k) + vv.size_bytes() for k, vv in context.items())
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class RemoteWrite(Message):
     """Cross-DC replication of one write with its dependency list."""
 

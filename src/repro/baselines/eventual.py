@@ -23,7 +23,7 @@ from repro.cluster.client_base import RetryingSession
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
 from repro.errors import TransientError
-from repro.net.message import Message
+from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future, spawn
@@ -34,7 +34,7 @@ from repro.storage.version import VersionVector
 __all__ = ["EventualStore", "EventualServer", "EventualSession"]
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class Replicate(Message):
     """Asynchronous replication of one write to a peer replica.
 
@@ -50,7 +50,7 @@ class Replicate(Message):
     stamp: Any = None
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class AeDigest(Message):
     """Anti-entropy round: sender's key→version digest."""
 
@@ -59,7 +59,7 @@ class AeDigest(Message):
     wants_reply: bool = True
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class AeRecords(Message):
     """Anti-entropy round: records the peer was missing."""
 

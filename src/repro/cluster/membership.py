@@ -21,7 +21,7 @@ from repro.cluster.placement import ShardCatalog, shard_catalog
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
 from repro.net.actor import Actor
-from repro.net.message import Message
+from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 
@@ -87,14 +87,14 @@ class RingView:
         return 8 + 4 + len(self.site) + sum(4 + len(s) for s in self.servers) + 8
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class Heartbeat(Message):
     type_name: ClassVar[str] = "heartbeat"
     server: str = ""
     epoch: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ViewChange(Message):
     type_name: ClassVar[str] = "view-change"
     view: Optional[RingView] = None

@@ -787,14 +787,9 @@ class GeoClockCore(SitePlane):
         if batch and proxy._peers:
             catalog = proxy._catalog
             if catalog is None:
-                updates = tuple(batch)
-                first: Optional[ClockShip] = None
+                # One frozen batch for every peer, sized once.
+                ship = ClockShip(origin_site=proxy.site, lst=local, updates=tuple(batch))
                 for peer in proxy._peers:
-                    ship = ClockShip(origin_site=proxy.site, lst=local, updates=updates)
-                    if first is None:
-                        first = ship
-                    else:
-                        ship.copy_size_from(first)
                     proxy.send(peer, ship)
                     self.ships_sent += 1
             else:
@@ -824,12 +819,10 @@ class GeoClockCore(SitePlane):
                     self.ships_sent += 1
             proxy.updates_shipped += len(batch)
         visible = self._visible(now)
-        # 2. Broadcast the site's stability vector.
+        # 2. Broadcast the site's stability vector, one frozen instance.
+        vector = StabilityVector(site=proxy.site, ship_lst=local, visible=visible)
         for peer in proxy._peers:
-            proxy.send(
-                peer,
-                StabilityVector(site=proxy.site, ship_lst=local, visible=visible),
-            )
+            proxy.send(peer, vector)
             self.vectors_sent += 1
         # 3. Advance the cut: min over every site's visible horizon.
         cut = visible

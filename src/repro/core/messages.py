@@ -35,6 +35,15 @@ per-write ``TailApplied`` retirements to their head, servers report
 low-stamp floors via ``ClockReport``, the site agent broadcasts one
 ``StabilityVector`` per interval per peer, ships DC-stable writes in
 ``ClockShip`` batches, and drives local visibility with ``ClockTick``.
+
+Every message is declared ``@wire_message`` on a ``Message`` subclass:
+class-level ``type_name`` (the ``on_<type_name>`` handler it reaches)
+and ``memoize_size``, then fields with defaults, mutable ones through
+``dataclasses.field(default_factory=...)``. The decorator makes the
+class a frozen dataclass and compiles its ``__init__`` and size plan
+from the field list; the linter's ``frozen-message`` rule accepts no
+other declaration. A message sent to several destinations is built
+once and handed to every send.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.net.message import Message, estimate_size
+from repro.net.message import Message, estimate_size, wire_message
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage.version import VersionVector
@@ -230,7 +239,7 @@ class ApplyRemote:
         return size
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class PutRequest(Message):
     """Client → chain head. Carries the session's unstable dependencies."""
 
@@ -244,7 +253,7 @@ class PutRequest(Message):
     is_delete: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class PutReply(Message):
     """k-th chain server → client, acknowledging the write."""
 
@@ -260,7 +269,7 @@ class PutReply(Message):
     hlc: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ChainPut(Message):
     """Propagation of a write down the chain (head → ... → tail)."""
 
@@ -283,7 +292,7 @@ class ChainPut(Message):
     hlc: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ChainStable(Message):
     """Tail → ... → head: this version is now DC-stable."""
 
@@ -293,7 +302,7 @@ class ChainStable(Message):
     position: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class BulkStable(Message):
     """Coalesced ``ChainStable``: one flush window of stability entries.
 
@@ -307,7 +316,7 @@ class BulkStable(Message):
     entries: "StableEntries" = ()
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class TailStable(Message):
     """Chain tail → local geo-proxy: a write just became DC-stable here.
 
@@ -330,7 +339,7 @@ class TailStable(Message):
     hlc: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class RemoteUpdate(Message):
     """Origin geo-proxy → remote geo-proxy: ship a DC-stable write."""
 
@@ -348,7 +357,7 @@ class RemoteUpdate(Message):
     hlc: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class RemoteUpdateBatch(Message):
     """Coalesced geo shipping: one flush window of ``RemoteUpdate``s for
     one peer DC, applied in order on receipt (``notices+batch`` plane)."""
@@ -358,7 +367,7 @@ class RemoteUpdateBatch(Message):
     updates: Tuple[RemoteUpdate, ...] = ()
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class GlobalAck(Message):
     """Remote geo-proxy → origin geo-proxy: the write is DC-stable here."""
 
@@ -368,7 +377,7 @@ class GlobalAck(Message):
     site: str = ""
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class GlobalStableNotice(Message):
     """Origin geo-proxy → peer proxies → chain members: globally stable.
 
@@ -385,7 +394,7 @@ class GlobalStableNotice(Message):
     fan_out: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class GlobalStableBatch(Message):
     """Coalesced ``GlobalStableNotice``: a flush window of globally
     stable (key, version) entries (``notices+batch`` plane).
@@ -401,7 +410,7 @@ class GlobalStableBatch(Message):
     fan_out: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class StateTransfer(Message):
     """Chain repair: records (with stability) pushed to a chain member."""
 
@@ -412,7 +421,7 @@ class StateTransfer(Message):
     epoch: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class TransferDone(Message):
     """Chain repair: sender finished streaming state for this epoch."""
 
@@ -426,7 +435,7 @@ class TransferDone(Message):
 # --------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class TailApplied(Message):
     """Chain tail → chain head: a locally-originated write reached the
     tail, so the head can retire it from its in-flight low-stamp set."""
@@ -436,7 +445,7 @@ class TailApplied(Message):
     hlc: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ClockReport(Message):
     """Storage server → site clock agent, once per stability interval:
     the server's low-stamp floor (min in-flight stamp, else its clock).
@@ -447,7 +456,7 @@ class ClockReport(Message):
     floor: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ClockTick(Message):
     """Site clock agent → local servers, once per stability interval.
 
@@ -461,7 +470,7 @@ class ClockTick(Message):
     cut: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class StabilityVector(Message):
     """Geo-proxy → peer proxies, once per stability interval.
 
@@ -476,7 +485,7 @@ class StabilityVector(Message):
     visible: Any = NO_HLC
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class ClockShip(Message):
     """Geo-proxy → peer proxy: stamp-ordered batch of DC-stable local
     writes, plus the origin's ship horizon (``lst``).  Replaces the

@@ -73,12 +73,17 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     )
 
     def service_cost(self, msg: Message) -> float:
-        # Stability queries are version comparisons, not data operations;
-        # charging them a full service slot would tax every dependency-
-        # carrying put with capacity it doesn't consume in reality.
-        if msg.type_name == "rpc-request" and msg.method == "wait_stable":  # type: ignore[attr-defined]
-            return 0.0
-        return super().service_cost(msg)
+        # Actor.service_cost's rule, answered here without its frame.
+        type_name = msg.type_name
+        if self.service_time > 0 and type_name in self.SERVICED_TYPES:
+            # Stability queries are version comparisons, not data
+            # operations; charging them a full service slot would tax
+            # every dependency-carrying put with capacity it doesn't
+            # consume in reality.
+            if type_name == "rpc-request" and msg.method == "wait_stable":  # type: ignore[attr-defined]
+                return 0.0
+            return self.service_time
+        return 0.0
 
     def __init__(
         self,

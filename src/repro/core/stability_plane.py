@@ -384,19 +384,17 @@ class NoticesShipping(SitePlane):
     def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:
         """Tell every owner DC (and our own chain members) the write is
         globally stable, so client dependency tables can prune it."""
-        for peer in peers:
-            self.proxy.send(peer, GlobalStableNotice(key=key, version=version, fan_out=True))
+        if peers:
+            notice = GlobalStableNotice(key=key, version=version, fan_out=True)
+            for peer in peers:
+                self.proxy.send(peer, notice)
         self._fan_out_global(key, version)
 
     def _fan_out_global(self, key: str, version: VersionVector) -> None:
         proxy = self.proxy
-        first: Optional[GlobalStableNotice] = None
+        # One frozen notice for every chain member, sized once.
+        notice = GlobalStableNotice(key=key, version=version)
         for server in proxy.view.chain_for(key):
-            notice = GlobalStableNotice(key=key, version=version)
-            if first is None:
-                first = notice
-            else:
-                notice.copy_size_from(first)
             proxy.send(proxy.view.address_of(server), notice)
 
     def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:

@@ -17,11 +17,10 @@ kernel alarm at its earliest deadline: a reply costs no heap entry.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, ClassVar, Dict, Optional, Set, Tuple, Type
 
 from repro.errors import RemoteError, ReplicaUnavailable, ReproError, RequestTimeout
-from repro.net.message import Message
+from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Future
@@ -36,7 +35,7 @@ DEFAULT_RPC_TIMEOUT = 5.0
 _NEVER = float("inf")
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class RpcRequest(Message):
     type_name: ClassVar[str] = "rpc-request"
     request_id: int = 0
@@ -44,7 +43,7 @@ class RpcRequest(Message):
     payload: Any = None
 
 
-@dataclasses.dataclass(frozen=True)
+@wire_message
 class RpcResponse(Message):
     type_name: ClassVar[str] = "rpc-response"
     request_id: int = 0
@@ -136,9 +135,14 @@ class Actor:
                 self._busy_until = start + cost
                 self.sim.post_at(self._busy_until, self._dispatch, msg, src)
                 return
-        self._dispatch(msg, src)
+        # _dispatch's lookup, without its frame: most deliveries are free.
+        handler = self._message_handlers.get(type(msg))
+        if handler is None:
+            handler = self._bind_handler(type(msg))
+        handler(msg, src)
 
     def _dispatch(self, msg: Message, src: Address) -> None:
+        """A serviced message, once its service slot ends."""
         if self.crashed:
             return
         handler = self._message_handlers.get(type(msg))
@@ -303,12 +307,14 @@ class Actor:
         if handler is None:
             handler = getattr(self, "rpc_" + msg.method, None)
             if handler is None:
+                # An unsupported operation is permanent: re-asking cannot help.
                 self.send(
                     src,
                     RpcResponse(
                         request_id=msg.request_id,
                         ok=False,
                         error=f"no rpc handler {msg.method!r} on {type(self).__name__}",
+                        retryable=False,
                     ),
                 )
                 return

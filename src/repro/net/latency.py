@@ -38,6 +38,10 @@ _LOGNORMAL_FLOOR_SIGMAS = 8.0
 #: ``random.NV_MAGICCONST``, which is not public API).
 _KM_RATIO = 4.0 * math.exp(-0.5) / math.sqrt(2.0)
 
+#: bound once: ``LogNormalLatency.sample`` runs once per message
+_log = math.log
+_exp = math.exp
+
 
 class LatencyModel:
     """Distribution over one-way message delays (seconds)."""
@@ -154,9 +158,9 @@ class LogNormalLatency(LatencyModel):
             u1 = uniform()
             u2 = 1.0 - uniform()
             z = _KM_RATIO * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -math.log(u2):
+            if z * z / 4.0 <= -_log(u2):
                 break
-        draw = math.exp(self._mu + z * self.sigma)
+        draw = _exp(self._mu + z * self.sigma)
         return draw if draw >= self._floor else self._floor
 
     def mean(self) -> float:

@@ -11,9 +11,14 @@ size here.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, ClassVar, Dict, Tuple
+import inspect
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type, TypeVar
 
-__all__ = ["Message", "estimate_size", "WIRE_HEADER_BYTES"]
+from repro.storage.version import VersionVector
+
+__all__ = ["Message", "estimate_size", "wire_message", "WIRE_HEADER_BYTES"]
+
+_M = TypeVar("_M")
 
 #: Fixed per-message envelope: source + destination address, type tag,
 #: and length prefix — roughly what a compact binary framing would use.
@@ -126,21 +131,25 @@ def estimate_size(value: Any) -> int:
 
 
 #: What a field annotation promises: (runtime type, wire bytes a plan
-#: folds into its constant). Keyed by both spellings — annotations are
-#: strings under ``from __future__ import annotations``, types otherwise.
-#: A promise is checked against every value (see ``Message.size_bytes``).
-_ANNOTATED: Dict[Any, Tuple[type, int]] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
-    bool: (bool, 1),
-    "bool": (bool, 1),
-    int: (int, 8),
-    "int": (int, 8),
-    float: (float, 8),
-    "float": (float, 8),
-    str: (str, 4),
-    "str": (str, 4),
+#: folds into its constant, the plan's per-call term or None). Keyed by
+#: both spellings — annotations are strings under ``from __future__
+#: import annotations``, types otherwise. A promise is checked against
+#: every value (see ``Message.size_bytes``).
+_ANNOTATED: Dict[Any, Tuple[type, int, Optional[str]]] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
+    bool: (bool, 1, None),
+    "bool": (bool, 1, None),
+    int: (int, 8, None),
+    "int": (int, 8, None),
+    float: (float, 8, None),
+    "float": (float, 8, None),
+    str: (str, 4, "len({})"),
+    "str": (str, 4, "len({})"),
+    VersionVector: (VersionVector, 0, "{}.size_bytes()"),
+    "VersionVector": (VersionVector, 0, "{}.size_bytes()"),
 }
 
-#: Per-class size plans, compiled on first use.
+#: Per-class size plans: compiled when ``@wire_message`` declares the
+#: class, on first use for any other ``Message`` subclass.
 _SIZE_PLANS: Dict[type, Callable[[Any], int]] = {}  # repro: lint-ok(module-mutable-state) — per-process memo rebuilt identically from class definitions
 
 
@@ -153,11 +162,21 @@ def _size_unplanned(message: Any) -> int:
     return body
 
 
+def _compiled(cls: type, lines: List[str], namespace: Dict[str, Any], name: str) -> Any:
+    """Compile ``lines`` under the class's own file name, so a profiler
+    keeps one row per class instead of merging every class's function
+    into one ``<string>`` row."""
+    code = compile("\n".join(lines), f"<wire:{cls.__qualname__}>", "exec")
+    exec(code, namespace)  # noqa: S102 - built from field names and the tables here only
+    return namespace[name]
+
+
 def _size_plan(cls: type) -> Callable[[Any], int]:
     """Compile ``cls``'s field list into a straight-line sizing function.
 
     The envelope and the fixed bytes of every promised field fold into
-    one constant; what remains is ``len`` per ``str`` field and a full
+    one constant; what remains is ``len`` per ``str`` field,
+    ``size_bytes()`` per ``VersionVector`` field and a full
     :func:`estimate_size` per un-promised one. Promises are checked on
     every call — a value whose type breaks one (annotations are never
     trusted) sends the whole message down :func:`_size_unplanned`.
@@ -166,34 +185,97 @@ def _size_plan(cls: type) -> Callable[[Any], int]:
     lines, promises, terms = ["def plan(message):"], [], []
     for i, field in enumerate(dataclasses.fields(cls)):
         lines.append(f"    v{i} = message.{field.name}")
-        promised, folded = _ANNOTATED.get(field.type, (None, 0))
+        promised, folded, term = _ANNOTATED.get(field.type, (None, 0, "estimate_size({})"))
         fixed += folded
-        if promised is None:
-            terms.append(f"estimate_size(v{i})")
-        else:
+        if promised is not None:
             promises.append(f"type(v{i}) is {promised.__name__}")
-            if promised is str:
-                terms.append(f"len(v{i})")
+        if term is not None:
+            terms.append(term.format(f"v{i}"))
     if promises:
         lines.append(f"    if not ({' and '.join(promises)}):")
         lines.append("        return unplanned(message)")
     lines.append(f"    return {' + '.join([str(fixed), *terms])}")
-    namespace: Dict[str, Any] = {"estimate_size": estimate_size, "unplanned": _size_unplanned}
-    exec("\n".join(lines), namespace)  # noqa: S102 - built from field names and the table above only
-    plan: Callable[[Any], int] = namespace["plan"]
+    namespace: Dict[str, Any] = {
+        "estimate_size": estimate_size,
+        "unplanned": _size_unplanned,
+        "VersionVector": VersionVector,
+    }
+    plan: Callable[[Any], int] = _compiled(cls, lines, namespace, "plan")
     _SIZE_PLANS[cls] = plan
     return plan
 
 
-@dataclasses.dataclass(frozen=True)
+def _direct_init(cls: type, generated: List[inspect.Parameter]) -> Callable[..., None]:
+    """``cls``'s dataclass ``__init__`` (whose parameters are
+    ``generated``), compiled to store each field straight into the
+    instance ``__dict__`` rather than through ``object.__setattr__``:
+    the same parameters in the same order with the same default objects
+    — a ``default_factory`` field's is the dataclass's own sentinel, and
+    the factory is called once per instance that does not pass one."""
+    namespace: Dict[str, Any] = {"__name__": cls.__module__}
+    params, body = ["self"], ["    fields_ = self.__dict__"]
+    for field, parameter in zip(dataclasses.fields(cls), generated):
+        name = field.name
+        if parameter.default is inspect.Parameter.empty:
+            params.append(name)
+        else:
+            namespace[f"_default_{name}"] = parameter.default
+            params.append(f"{name}=_default_{name}")
+        if field.default_factory is dataclasses.MISSING:
+            body.append(f"    fields_[{name!r}] = {name}")
+        else:
+            namespace[f"_factory_{name}"] = field.default_factory
+            body.append(
+                f"    fields_[{name!r}] = _factory_{name}() if {name} is _default_{name} else {name}"
+            )
+    init: Callable[..., None] = _compiled(
+        cls, [f"def __init__({', '.join(params)}):", *body], namespace, "__init__"
+    )
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)  # type: ignore[misc]
+    return init
+
+
+def wire_message(cls: Type[_M]) -> Type[_M]:
+    """Declare a protocol message: the one spelling for a ``Message``
+    subclass (the linter's ``frozen-message`` rule accepts nothing else).
+
+    Applies ``dataclasses.dataclass(frozen=True)`` — frozen semantics,
+    ``__eq__``, ``__repr__``, ``__hash__``, pickling, ``fields`` and
+    ``replace`` are the dataclass's own — then swaps the generated
+    ``__init__`` for :func:`_direct_init`'s and compiles the size plan.
+    A message is built once per hop, and ``object.__setattr__`` per
+    field was most of what building one cost.
+
+    Refuses what the compiled ``__init__`` does not reproduce: a
+    ``__post_init__``, and a parameter list that is not exactly the
+    fields (an ``init=False``, ``kw_only`` or ``InitVar`` field).
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"wire message {cls.__qualname__} may not define __post_init__")
+    cls = dataclasses.dataclass(frozen=True)(cls)
+    generated = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    expected = [(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in dataclasses.fields(cls)]
+    if [(p.name, p.kind) for p in generated] != expected:
+        raise TypeError(
+            f"wire message {cls.__qualname__}: every field must be an __init__ "
+            "parameter, positional or keyword (no init=False, kw_only or InitVar)"
+        )
+    cls.__init__ = _direct_init(cls, generated)  # type: ignore[misc]
+    _size_plan(cls)
+    return cls
+
+
+@wire_message
 class Message:
     """Base class for all protocol messages.
 
-    Subclasses are frozen dataclasses (``@dataclass(frozen=True)`` —
-    the linter's ``frozen-message`` rule enforces it); ``size_bytes``
-    sums the envelope and every field. Override it only when a field
-    should *not* count toward the wire size (e.g. simulation
-    bookkeeping).
+    Subclasses are declared with :func:`wire_message` (the linter's
+    ``frozen-message`` rule enforces it): frozen dataclasses whose
+    ``__init__`` and size plan are compiled from the field list.
+    ``size_bytes`` sums the envelope and every field. Override it only
+    when a field should *not* count toward the wire size (e.g.
+    simulation bookkeeping).
 
     Subclasses whose instances are never mutated after being handed to
     the network may set ``memoize_size = True``: the first

@@ -161,7 +161,7 @@ class TestFrozenMessage:
         )
         assert rules_of(lint_source(src, SIM_PATH)) == ["frozen-message"]
 
-    def test_frozen_message_clean(self):
+    def test_plain_frozen_dataclass_flagged(self):
         src = (
             "import dataclasses\n"
             "from repro.net.message import Message\n\n"
@@ -169,7 +169,13 @@ class TestFrozenMessage:
             "class Ping(Message):\n"
             "    n: int = 0\n"
         )
-        assert lint_source(src, SIM_PATH) == []
+        assert rules_of(lint_source(src, SIM_PATH)) == ["frozen-message"]
+
+    def test_frozen_message_clean(self):
+        for deco, module in (("wire_message", "from repro.net.message import Message, wire_message"),
+                             ("message.wire_message", "from repro.net import message\nfrom repro.net.message import Message")):
+            src = f"{module}\n\n@{deco}\nclass Ping(Message):\n    n: int = 0\n"
+            assert lint_source(src, SIM_PATH) == [], deco
 
     def test_unrelated_class_clean(self):
         src = (

@@ -229,6 +229,18 @@ class TestRpc:
         with pytest.raises(RemoteError, match="nope"):
             fut.result()
 
+    def test_unknown_method_fails_the_caller_at_once_and_for_good(self, sim, pair):
+        # an unsupported operation is permanent (repro.errors): a retrying
+        # caller must not re-ask a method that can never exist
+        a, b = pair
+        fut = a.call(b.address, "nope", None, timeout=5.0)
+        failed_at = []
+        fut.add_callback(lambda _f: failed_at.append(sim.now))
+        sim.run()
+        exc = fut.exception()
+        assert isinstance(exc, RemoteError) and exc.retryable is False
+        assert failed_at == [pytest.approx(0.002)]  # one round trip, no deadline
+
     def test_handler_exception_propagates_as_remote_error(self, sim, pair):
         a, b = pair
         fut = a.call(b.address, "explode", None)
