@@ -8,7 +8,9 @@ measure *protocol* differences, not harness differences.
 :class:`BaselineConfig` carries the knobs the baselines share;
 :class:`RingDeployment` assembles sim/network/managers/servers and
 implements the :class:`~repro.api.Datastore` surface given two
-factories (server and session).
+factories (server and session). :class:`RandomReplicaSession` is the
+session of the two baselines whose every replica serves every operation
+(eventual and quorum).
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ import dataclasses
 import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.api import ClientSession, Datastore
+from repro.api import ClientSession, Datastore, GetResult, PutResult
+from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.cluster.membership import ClusterManager, RingView
 from repro.cluster.server_base import RingServer, install_converged
 from repro.errors import ConfigError
 from repro.net.latency import lan_latency, wan_latency
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
+from repro.sim.process import Future
 from repro.sim.rng import RngRegistry
 from repro.storage.version import VersionVector
 
-__all__ = ["BaselineConfig", "RingDeployment"]
+__all__ = ["BaselineConfig", "RandomReplicaSession", "RingDeployment"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,3 +223,52 @@ class RingDeployment(Datastore):
 
     def client_rng(self, session_name: str) -> random.Random:
         return self.rng.stream(f"client:{session_name}")
+
+
+class RandomReplicaSession(RetryingSession):
+    """Client of the eventual and quorum stores: each attempt goes to one
+    random replica of the key's chain (a plain replica for eventual, the
+    request's coordinator for quorum)."""
+
+    def get(self, key: str) -> Future:
+        return self._start("get", key, key)
+
+    def put(self, key: str, value: Any) -> Future:
+        return self._start("put", key, (key, value, False))
+
+    def delete(self, key: str) -> Future:
+        return self._start("put", key, (key, None, True))
+
+    def _start(self, method: str, key: str, payload: Any) -> Future:
+        self._check_open()
+        op = _RandomReplicaOp(self, method, key, payload)
+        op._try()
+        return op
+
+
+class _RandomReplicaOp(RetryingOp):
+    """One ``get`` / ``put`` RPC per attempt, each to a freshly drawn
+    replica."""
+
+    __slots__ = ("_payload", "_target")
+
+    def __init__(self, session: RandomReplicaSession, method: str, key: str, payload: Any) -> None:
+        super().__init__(session, method, key)
+        self._payload = payload
+
+    def _try(self) -> None:
+        session = self._session
+        view = session.view
+        target = self._target = view.address_of(session._rng.choice(view.chain_for(self._key)))
+        session.request(target, self._op, self._payload, session.config.op_timeout, self)
+
+    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        if self._op == "get":
+            self.set_result(
+                GetResult(
+                    key=self._key, value=reply["value"], version=reply["version"],
+                    stable=True, served_by=self._target.node,
+                )
+            )
+        else:
+            self.set_result(PutResult(key=self._key, version=reply["version"], stable=True))

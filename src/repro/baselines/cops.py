@@ -17,18 +17,18 @@ origin* via DC-stability and then lets reads fan out over R replicas.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult
 from repro.baselines.common import BaselineConfig, RingDeployment
-from repro.cluster.client_base import RetryingSession
+from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
-from repro.errors import NotResponsibleError, TransientError
+from repro.errors import NotResponsibleError
 from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, all_of, spawn
+from repro.sim.process import Future, all_of
 from repro.storage.store import TOMBSTONE
 from repro.storage.version import VersionVector
 
@@ -163,28 +163,36 @@ class CopsServer(RingServer):
         if remaining:
             self._waiters[key] = remaining
         else:
-            del self._waiters[key]
+            # A resolved check may have applied a same-key write inline
+            # (its callbacks run at once) and settled the entry already.
+            self._waiters.pop(key, None)
 
     def on_cops_remote_write(self, msg: RemoteWrite, src: Address) -> None:
-        spawn(self.sim, self._apply_remote(msg), name=f"cops-remote:{msg.key}")
-
-    def _apply_remote(self, msg: RemoteWrite) -> Iterator[Any]:
-        if msg.deps:
-            checks = []
-            for dep_key, wanted in msg.deps.items():
-                owner = self.view.address_of(self._owner_of(dep_key, self.view))
-                if owner == self.address:
-                    checks.append(self.rpc_dep_check((dep_key, wanted.entries()), owner))
-                else:
-                    checks.append(
-                        self.call(
-                            owner,
-                            "dep_check",
-                            (dep_key, wanted.entries()),
-                            timeout=self.config.op_timeout * 5,
-                        )
+        """Apply a replicated write once every listed dependency is
+        present here (``dep_check`` at each dependency's owner, joined by
+        ``all_of``). A failed check drops the write."""
+        if not msg.deps:
+            self._apply_remote(msg)
+            return
+        checks = []
+        for dep_key, wanted in msg.deps.items():
+            owner = self.view.address_of(self._owner_of(dep_key, self.view))
+            if owner == self.address:
+                checks.append(self.rpc_dep_check((dep_key, wanted.entries()), owner))
+            else:
+                checks.append(
+                    self.call(
+                        owner,
+                        "dep_check",
+                        (dep_key, wanted.entries()),
+                        timeout=self.config.op_timeout * 5,
                     )
-            yield all_of(self.sim, checks)
+                )
+        all_of(self.sim, checks).add_callback(
+            lambda checked: None if checked.failed() else self._apply_remote(msg)
+        )
+
+    def _apply_remote(self, msg: RemoteWrite) -> None:
         self._apply(msg.key, msg.value, msg.version)
         self.remote_applies += 1
         self.visibility_samples.append(self.sim.now - msg.origin_put_at)
@@ -205,56 +213,71 @@ class CopsSession(RetryingSession):
 
     def get(self, key: str) -> Future:
         self._check_open()
-        return spawn(self.sim, self._get_gen(key), name=f"get:{key}")
+        op = _CopsGet(self, "get", key)
+        op._try()
+        return op
 
     def put(self, key: str, value: Any) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._put_gen(key, value, False), name=f"put:{key}")
+        return self._write(key, value, False)
 
     def delete(self, key: str) -> Future:
+        return self._write(key, None, True)
+
+    def _write(self, key: str, value: Any, is_delete: bool) -> Future:
         self._check_open()
-        return spawn(self.sim, self._put_gen(key, None, True), name=f"del:{key}")
+        op = _CopsPut(self, key, value, is_delete)
+        op._try()
+        return op
 
-    def _get_gen(self, key: str) -> Iterator[Any]:
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            try:
-                reply = yield self.call(
-                    self._owner(key), "get", key, timeout=self.config.op_timeout
-                )
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-            version = reply["version"]
-            if not version.is_zero():
-                self._context[key] = self._context.get(key, VersionVector()).merge(version)
-            return GetResult(
-                key=key, value=reply["value"], version=version, stable=True
-            )
-        raise self._give_up("get", key)
 
-    def _put_gen(self, key: str, value: Any, is_delete: bool) -> Iterator[Any]:
+class _CopsGet(RetryingOp):
+    """A get at the key's owner; a non-zero version joins the context."""
+
+    __slots__ = ()
+
+    _session: CopsSession
+
+    def _try(self) -> None:
+        session = self._session
+        session.request(
+            session._owner(self._key), "get", self._key, session.config.op_timeout, self
+        )
+
+    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        key = self._key
+        version = reply["version"]
+        if not version.is_zero():
+            context = self._session._context
+            context[key] = context.get(key, VersionVector()).merge(version)
+        self.set_result(GetResult(key=key, value=reply["value"], version=version, stable=True))
+
+
+class _CopsPut(RetryingOp):
+    """A put or delete at the key's owner, carrying the session's context
+    as its dependency list; the new write then replaces the context."""
+
+    __slots__ = ("_payload",)
+
+    _session: CopsSession
+
+    def __init__(self, session: CopsSession, key: str, value: Any, is_delete: bool) -> None:
+        super().__init__(session, "delete" if is_delete else "put", key)
         # Include the same-key context version: remote owners must apply
         # this write only after the observed predecessor (and hence its
         # transitive dependencies) has arrived there.
-        deps = dict(self._context)
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            try:
-                reply = yield self.call(
-                    self._owner(key),
-                    "put",
-                    (key, value, is_delete, deps),
-                    timeout=self.config.op_timeout,
-                )
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-            version = reply["version"]
-            # put_after semantics: the new write subsumes the context.
-            self._context = {key: version}
-            return PutResult(key=key, version=version, stable=True)
-        raise self._give_up("delete" if is_delete else "put", key)
+        self._payload = (key, value, is_delete, dict(session._context))
+
+    def _try(self) -> None:
+        session = self._session
+        session.request(
+            session._owner(self._key), "put", self._payload, session.config.op_timeout, self
+        )
+
+    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        version = reply["version"]
+        # put_after semantics: the new write subsumes the context.
+        self._session._context = {self._key: version}
+        self.set_result(PutResult(key=self._key, version=version, stable=True))
 
 
 class CopsStore(RingDeployment):

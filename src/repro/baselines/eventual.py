@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, ClassVar, Dict, Iterator, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.api import GetResult, PutResult
-from repro.baselines.common import BaselineConfig, RingDeployment
-from repro.cluster.client_base import RetryingSession
+from repro.baselines.common import BaselineConfig, RandomReplicaSession, RingDeployment
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
-from repro.errors import TransientError
 from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, spawn
 from repro.sim.rng import derive_seed
 from repro.storage.store import TOMBSTONE
 from repro.storage.version import VersionVector
 
-__all__ = ["EventualStore", "EventualServer", "EventualSession"]
+__all__ = ["EventualStore", "EventualServer"]
 
 
 @wire_message
@@ -174,48 +170,6 @@ class EventualServer(RingServer):
             self.store.apply(key, value, version, self.sim.now, stamp)
 
 
-class EventualSession(RetryingSession):
-    """Client of the eventual store: one random replica per operation."""
-
-    def _pick_replica(self, key: str) -> Address:
-        chain = self.view.chain_for(key)
-        return self.view.address_of(self._rng.choice(chain))
-
-    def get(self, key: str) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("get", key, None, False), name=f"get:{key}")
-
-    def put(self, key: str, value: Any) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("put", key, value, False), name=f"put:{key}")
-
-    def delete(self, key: str) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("put", key, None, True), name=f"del:{key}")
-
-    def _op_gen(self, op: str, key: str, value: Any, is_delete: bool) -> Iterator[Any]:
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            target = self._pick_replica(key)
-            try:
-                if op == "get":
-                    reply = yield self.call(target, "get", key, timeout=self.config.op_timeout)
-                    return GetResult(
-                        key=key,
-                        value=reply["value"],
-                        version=reply["version"],
-                        stable=True,
-                        served_by=target.node,
-                    )
-                reply = yield self.call(
-                    target, "put", (key, value, is_delete), timeout=self.config.op_timeout
-                )
-                return PutResult(key=key, version=reply["version"], stable=True)
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-        raise self._give_up(op, key)
-
-
 class EventualStore(RingDeployment):
     """Deployment facade for the eventually-consistent baseline."""
 
@@ -230,7 +184,7 @@ class EventualStore(RingDeployment):
         super().__init__(
             config or BaselineConfig(),
             server_factory=EventualServer,
-            session_factory=EventualSession,
+            session_factory=RandomReplicaSession,
             sim=sim,
             network=network,
         )

@@ -15,22 +15,19 @@ semantics), so causal anomalies across sites remain either way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.api import GetResult, PutResult
-from repro.baselines.common import BaselineConfig, RingDeployment
+from repro.baselines.common import BaselineConfig, RandomReplicaSession, RingDeployment
 from repro.baselines.eventual import Replicate
-from repro.cluster.client_base import RetryingSession
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
-from repro.errors import TransientError
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, n_of, spawn
+from repro.sim.process import Future, n_of
 from repro.storage.store import TOMBSTONE
 from repro.storage.version import VersionVector
 
-__all__ = ["QuorumStore", "QuorumServer", "QuorumSession"]
+__all__ = ["QuorumStore", "QuorumServer"]
 
 
 class QuorumServer(RingServer):
@@ -60,44 +57,60 @@ class QuorumServer(RingServer):
     # ------------------------------------------------------------------
     # coordinator roles
     # ------------------------------------------------------------------
-    def rpc_put(self, payload: Tuple[str, Any, bool], src: Address) -> Future:
-        return spawn(self.sim, self._coordinate_put(payload), name="q-put")
-
-    def _coordinate_put(self, payload: Tuple[str, Any, bool]) -> Iterator[Any]:
+    def rpc_put(self, payload: Tuple[str, Any, bool], src: Address) -> Any:
         key, value, is_delete = payload
         stored_value = TOMBSTONE if is_delete else value
         version = self.store.version_of(key).increment(str(self.address))
         self.store.apply(key, stored_value, version, self.sim.now)
         self.puts_served += 1
-        peers = self._local_peers(key)
         futures = [
             self.call(
                 peer, "replica_write", (key, stored_value, version), timeout=self.config.op_timeout
             )
-            for peer in peers
+            for peer in self._local_peers(key)
         ]
-        needed = self.config.write_quorum - 1
-        if needed > 0:
-            yield n_of(self.sim, futures, min(needed, len(futures)))
-        self._ship_remote(key, stored_value, version)
-        return {"version": version}
 
-    def rpc_get(self, key: str, src: Address) -> Future:
-        return spawn(self.sim, self._coordinate_get(key), name="q-get")
+        def acked(_acks: List[Any]) -> Dict[str, Any]:
+            self._ship_remote(key, stored_value, version)
+            return {"version": version}
 
-    def _coordinate_get(self, key: str) -> Iterator[Any]:
+        return self._after_quorum(futures, self.config.write_quorum - 1, acked)
+
+    def rpc_get(self, key: str, src: Address) -> Any:
         self.gets_served += 1
         peers = self._local_peers(key)
         futures = [
             self.call(peer, "replica_read", key, timeout=self.config.op_timeout)
             for peer in peers
         ]
-        needed = self.config.read_quorum - 1
-        replies: List[Tuple[Address, Dict[str, Any]]] = []
-        if needed > 0:
-            results = yield n_of(self.sim, futures, min(needed, len(futures)))
-            replies = list(zip(peers, results))
+        return self._after_quorum(
+            futures,
+            self.config.read_quorum - 1,
+            lambda results: self._read_result(key, list(zip(peers, results))),
+        )
 
+    def _after_quorum(
+        self, futures: List[Future], needed: int, finish: Callable[[List[Any]], Any]
+    ) -> Any:
+        """The coordinator's reply: ``finish(results)`` once ``needed`` of
+        the replicas' ``futures`` have answered (at once when none are
+        needed), or the quorum's failure."""
+        if needed <= 0:
+            return finish([])
+        out = Future(self.sim)
+
+        def done(quorum: Future) -> None:
+            if quorum.failed():
+                out.set_exception(quorum.exception())  # type: ignore[arg-type]
+            else:
+                out.set_result(finish(quorum.result()))
+
+        n_of(self.sim, futures, min(needed, len(futures))).add_callback(done)
+        return out
+
+    def _read_result(
+        self, key: str, replies: List[Tuple[Address, Dict[str, Any]]]
+    ) -> Dict[str, Any]:
         local = self.store.get_record(key)
         best_value = local.value if local is not None else None
         best_version = local.version if local is not None else VersionVector()
@@ -172,47 +185,6 @@ class QuorumServer(RingServer):
                 self.send(view.address_of(server), msg)
 
 
-class QuorumSession(RetryingSession):
-    """Client of the quorum store: random coordinator per operation."""
-
-    def _pick_coordinator(self, key: str) -> Address:
-        return self.view.address_of(self._rng.choice(self.view.chain_for(key)))
-
-    def get(self, key: str) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("get", key, None, False), name=f"get:{key}")
-
-    def put(self, key: str, value: Any) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("put", key, value, False), name=f"put:{key}")
-
-    def delete(self, key: str) -> Future:
-        self._check_open()
-        return spawn(self.sim, self._op_gen("put", key, None, True), name=f"del:{key}")
-
-    def _op_gen(self, op: str, key: str, value: Any, is_delete: bool) -> Iterator[Any]:
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            target = self._pick_coordinator(key)
-            try:
-                if op == "get":
-                    reply = yield self.call(target, "get", key, timeout=self.config.op_timeout)
-                    return GetResult(
-                        key=key,
-                        value=reply["value"],
-                        version=reply["version"],
-                        stable=True,
-                        served_by=target.node,
-                    )
-                reply = yield self.call(
-                    target, "put", (key, value, is_delete), timeout=self.config.op_timeout
-                )
-                return PutResult(key=key, version=reply["version"], stable=True)
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-        raise self._give_up(op, key)
-
-
 class QuorumStore(RingDeployment):
     """Deployment facade for the quorum baseline."""
 
@@ -227,7 +199,7 @@ class QuorumStore(RingDeployment):
         super().__init__(
             config or BaselineConfig(),
             server_factory=QuorumServer,
-            session_factory=QuorumSession,
+            session_factory=RandomReplicaSession,
             sim=sim,
             network=network,
         )

@@ -15,22 +15,20 @@ property of the *harness*, not of one protocol:
   network (late replies are dropped, not mis-delivered) and fails every
   operation awaiting a reply with :class:`~repro.errors.SessionClosedError`.
 
-Protocol sessions implement only their operations: as
-:class:`RetryingOp` subclasses (one ``_try`` per attempt), or as
-generators that walk ``_op_attempts`` and ``yield from
-_backoff_and_refresh`` between attempts. Both run the same
-:class:`_BackoffRefresh` step.
+Protocol sessions implement only their operations, as
+:class:`RetryingOp` subclasses: one ``_try`` per attempt, and the
+:class:`_BackoffRefresh` step between two attempts.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.api import ClientSession
 from repro.cluster.membership import RingView
 from repro.core.retry import RetryPolicy
-from repro.errors import ReproError, RequestTimeout, SessionClosedError
+from repro.errors import RequestTimeout, SessionClosedError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
@@ -90,19 +88,6 @@ class RetryingSession(Actor, ClientSession):
         return attempt < policy.max_attempts and not (
             attempt and policy.out_of_time(start, self.sim.now)
         )
-
-    def _op_attempts(self, start: float) -> Iterator[int]:
-        """Attempt counter bounded by the policy's budget and deadline."""
-        attempt = 0
-        while self._may_attempt(attempt, start):
-            yield attempt
-            attempt += 1
-
-    def _backoff_and_refresh(
-        self, attempt: int, exc: Optional[ReproError] = None
-    ) -> Iterator[Any]:
-        """Generator form of :class:`_BackoffRefresh`, for ``yield from``."""
-        yield _BackoffRefresh(self, attempt, exc)
 
     def _give_up(self, op: str, key: str) -> "RequestTimeout":
         """Terminal failure for one operation (the caller raises it)."""

@@ -31,16 +31,16 @@ separately; disable with ``config.degraded_reads=False``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult, SnapshotResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.core.deptable import DepSnapshot, DepTable
 from repro.core.messages import DepEntry, PutReply, PutRequest, ReadReply
-from repro.errors import RequestTimeout, TransientError
+from repro.errors import RequestTimeout
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, hlc_or_none
-from repro.sim.process import Future, all_of, spawn
+from repro.sim.process import Future, all_of
 from repro.storage.version import intern_str
 
 __all__ = ["ChainClientSession"]
@@ -77,11 +77,9 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         # and stability entries all end up holding this exact object.
         key = intern_str(key)
         owners = self._forward_owners(key)
-        if owners is None:
-            op = _GetOp(self, key)
-            op._try()
-            return op
-        return spawn(self.sim, self._forward_get_gen(key, owners), name=f"get:{key}")
+        op = _GetOp(self, key) if owners is None else _ForwardGetOp(self, key, owners)
+        op._try()
+        return op
 
     def put(self, key: str, value: Any) -> Future:
         return self._write(key, value, False)
@@ -93,15 +91,13 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         self._check_open()
         key = intern_str(key)
         owners = self._forward_owners(key)
+        op: RetryingOp
         if owners is None:
             op = _PutOp(self, key, value, is_delete)
-            op._try()
-            return op
-        return spawn(
-            self.sim,
-            self._forward_put_gen(key, value, is_delete, owners),
-            name=f"{'del' if is_delete else 'put'}:{key}",
-        )
+        else:
+            op = _ForwardPutOp(self, key, value, is_delete, owners)
+        op._try()
+        return op
 
     def metadata_bytes(self) -> int:
         return self._deps.size_bytes()
@@ -145,105 +141,6 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             have = self._deps.version_for(dep_key)
             if have is None or entry.version.dominates(have):
                 self._deps.set(dep_key, entry.version, 0, entry.hlc)
-
-    def _forward_get_gen(self, key: str, owners: Tuple[str, ...]) -> Iterator[Any]:
-        """Read a non-locally-owned key via an owner DC's proxy.
-
-        Sticky to the primary owner — the chain every write of the shard
-        serialises through, whose head is never behind. After
-        ``degraded_read_after`` failed attempts the session rotates
-        through backup owners; a backup may trail the primary, so a
-        non-dominating answer from one is served flagged degraded (PR 3
-        taxonomy) rather than retried forever.
-        """
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            failover = (
-                self.config.degraded_reads
-                and attempt >= self.config.degraded_read_after
-                and len(owners) > 1
-            )
-            site = owners[attempt % len(owners)] if failover else owners[0]
-            proxy = self._owner_proxy(site)
-            sent_at = self.sim.now
-            try:
-                reply = yield self.call(
-                    proxy, "forward_get", key, timeout=self._forward_timeout
-                )
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-            self.forwarded_gets += 1
-            self.forward_latency_samples.append(self.sim.now - sent_at)
-            version = reply.version
-            observed = self._deps.version_for(key)
-            behind = observed is not None and not version.dominates(observed)
-            if behind:
-                if not failover:
-                    yield from self._backoff_and_refresh(attempt)
-                    continue
-                # Behind what this session already saw and the primary
-                # is unreachable: serve it, flagged. The dep table is
-                # left untouched (degraded reads must not regress known
-                # dependencies).
-                self.degraded_reads += 1
-            else:
-                self._merge_forward_deps(reply)
-                self._note_observed(key, reply)
-            return GetResult(
-                key=key,
-                value=reply.value,
-                version=version,
-                stable=reply.stable,
-                served_by=f"{site}/geoproxy",
-                degraded=behind,
-            )
-        raise self._give_up("get", key)
-
-    def _forward_put_gen(
-        self, key: str, value: Any, is_delete: bool, owners: Tuple[str, ...]
-    ) -> Iterator[Any]:
-        """Write a non-locally-owned key through the primary owner's chain.
-
-        Always the primary — funnelling every writer of a shard through
-        one chain is what keeps per-shard writes totally ordered without
-        cross-DC conflict resolution on the common path.
-        """
-        deps = self._deps.snapshot()
-        payload = {"key": key, "value": value, "deps": deps, "is_delete": is_delete}
-        proxy = self._owner_proxy(owners[0])
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            sent_at = self.sim.now
-            try:
-                reply = yield self.call(
-                    proxy, "forward_put", payload, timeout=self._forward_timeout
-                )
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-                continue
-            self.forwarded_puts += 1
-            self.forward_latency_samples.append(self.sim.now - sent_at)
-            if not reply["ok"]:
-                yield from self._backoff_and_refresh(attempt)
-                continue
-            put_reply = PutReply(
-                request_id=0,
-                key=key,
-                version=reply["version"],
-                index=reply["index"],
-                chain_len=reply["chain_len"],
-                hlc=reply["hlc"],
-            )
-            stable = put_reply.index >= put_reply.chain_len - 1
-            self._record_put(key, put_reply, stable)
-            return PutResult(
-                key=key,
-                version=put_reply.version,
-                stable=stable,
-                acked_by=f"{owners[0]}:{put_reply.index}",
-            )
-        raise self._give_up("delete" if is_delete else "put", key)
 
     # ------------------------------------------------------------------
     # reads
@@ -313,75 +210,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         satisfies the floor); in practice one extra round suffices.
         """
         self._check_open()
-        return spawn(self.sim, self._multi_get_gen(list(keys)), name="multi-get")
-
-    def _multi_get_gen(self, keys: List[str]) -> Iterator[Any]:
-        results: Dict[str, Dict[str, Any]] = {}
-        pending = list(dict.fromkeys(keys))
-        rounds = 0
-        max_rounds = 8
-        while pending and rounds < max_rounds:
-            rounds += 1
-            reads = [
-                spawn(self.sim, self._get_stable_one(key), name=f"snap:{key}")
-                for key in pending
-            ]
-            replies = yield all_of(self.sim, reads)
-            results.update(zip(pending, replies))
-
-            # Mutual-consistency floors: every returned write's deps that
-            # point at other snapshot keys must be covered by what we
-            # return for those keys.
-            floors: Dict[str, Any] = {}
-            for reply in results.values():
-                for dep_key, dep_version in reply["deps"].items():
-                    if dep_key in results:
-                        current = floors.get(dep_key)
-                        floors[dep_key] = (
-                            dep_version if current is None else current.merge(dep_version)
-                        )
-            pending = [
-                key
-                for key, floor in floors.items()
-                if not results[key]["version"].dominates(floor)
-            ]
-        if pending:
-            self.failed_ops += 1
-            raise RequestTimeout(
-                f"snapshot over {len(keys)} keys did not stabilise in {max_rounds} rounds"
-            )
-        return SnapshotResult(
-            values={key: results[key]["value"] for key in keys},
-            versions={key: results[key]["version"] for key in keys},
-            rounds=rounds,
-        )
-
-    def _get_stable_one(self, key: str) -> Iterator[Any]:
-        owners = self._forward_owners(key)
-        start = self.sim.now
-        for attempt in self._op_attempts(start):
-            if owners is not None:
-                # Non-owned shard: the primary owner serves the stable
-                # record with the producing write's full dependency list
-                # (never pruned at the origin), keeping the snapshot's
-                # mutual-consistency floors complete.
-                target = self._owner_proxy(owners[0])
-                method = "forward_get_stable"
-                timeout = self._forward_timeout
-            else:
-                chain = self.view.chain_for(key)
-                # Stable versions live on every replica: load-balance freely.
-                target = self.view.address_of(chain[self._rng.randrange(len(chain))])
-                method = "get_stable"
-                timeout = self.config.op_timeout
-            try:
-                reply = yield self.call(target, method, key, timeout=timeout)
-                if owners is not None:
-                    self.forwarded_gets += 1
-                return reply
-            except TransientError as exc:
-                yield from self._backoff_and_refresh(attempt, exc)
-        raise self._give_up("get_stable", key)
+        return _Snapshot(self, list(keys))
 
     # ------------------------------------------------------------------
     # writes
@@ -523,3 +352,226 @@ class _PutOp(RetryingOp):
         self.set_result(
             PutResult(key=self._key, version=reply.version, stable=stable, acked_by=str(reply.index))
         )
+
+
+class _ForwardGetOp(RetryingOp):
+    """A get of a non-locally-owned key: per attempt, one ``forward_get``
+    RPC to an owner DC's proxy.
+
+    Sticky to the primary owner — the chain every write of the shard
+    serialises through, whose head is never behind. After
+    ``degraded_read_after`` failed attempts the session rotates through
+    backup owners; a backup may trail the primary, so a non-dominating
+    answer from one is served flagged degraded (PR 3 taxonomy) rather
+    than retried forever.
+    """
+
+    __slots__ = ("_owners", "_failover", "_site", "_sent_at")
+
+    _session: ChainClientSession
+
+    def __init__(self, session: ChainClientSession, key: str, owners: Tuple[str, ...]) -> None:
+        super().__init__(session, "get", key)
+        self._owners = owners
+
+    def _try(self) -> None:
+        session = self._session
+        config = session.config
+        owners = self._owners
+        failover = self._failover = (
+            config.degraded_reads
+            and self._attempt >= config.degraded_read_after
+            and len(owners) > 1
+        )
+        site = self._site = owners[self._attempt % len(owners)] if failover else owners[0]
+        self._sent_at = session.sim.now
+        session.request(
+            session._owner_proxy(site), "forward_get", self._key, session._forward_timeout, self
+        )
+
+    def rpc_reply(self, reply: ReadReply) -> None:
+        session = self._session
+        key = self._key
+        session.forwarded_gets += 1
+        session.forward_latency_samples.append(session.sim.now - self._sent_at)
+        version = reply.version
+        observed = session._deps.version_for(key)
+        behind = observed is not None and not version.dominates(observed)
+        if behind:
+            if not self._failover:
+                self._retry()
+                return
+            # Behind what this session already saw and the primary is
+            # unreachable: serve it, flagged. The dep table is left
+            # untouched (degraded reads must not regress known
+            # dependencies).
+            session.degraded_reads += 1
+        else:
+            session._merge_forward_deps(reply)
+            session._note_observed(key, reply)
+        self.set_result(
+            GetResult(
+                key, reply.value, version, reply.stable, f"{self._site}/geoproxy", degraded=behind
+            )
+        )
+
+
+class _ForwardPutOp(RetryingOp):
+    """A put or delete of a non-locally-owned key: per attempt, one
+    ``forward_put`` RPC to the primary owner's proxy, which runs it
+    through its local chain.
+
+    Always the primary — funnelling every writer of a shard through one
+    chain is what keeps per-shard writes totally ordered without cross-DC
+    conflict resolution on the common path.
+    """
+
+    __slots__ = ("_payload", "_primary", "_sent_at")
+
+    _session: ChainClientSession
+
+    def __init__(
+        self, session: ChainClientSession, key: str, value: Any, is_delete: bool,
+        owners: Tuple[str, ...],
+    ) -> None:
+        super().__init__(session, "delete" if is_delete else "put", key)
+        # Built at the first attempt's instant (the session runs it right
+        # after construction) and shared by every retry, as _PutOp's deps.
+        self._payload = {
+            "key": key, "value": value, "deps": session._deps.snapshot(), "is_delete": is_delete,
+        }
+        self._primary = owners[0]
+
+    def _try(self) -> None:
+        session = self._session
+        self._sent_at = session.sim.now
+        session.request(
+            session._owner_proxy(self._primary), "forward_put", self._payload,
+            session._forward_timeout, self,
+        )
+
+    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        session = self._session
+        session.forwarded_puts += 1
+        session.forward_latency_samples.append(session.sim.now - self._sent_at)
+        if not reply["ok"]:
+            self._retry()
+            return
+        put_reply = PutReply(
+            request_id=0,
+            key=self._key,
+            version=reply["version"],
+            index=reply["index"],
+            chain_len=reply["chain_len"],
+            hlc=reply["hlc"],
+        )
+        stable = put_reply.index >= put_reply.chain_len - 1
+        session._record_put(self._key, put_reply, stable)
+        self.set_result(
+            PutResult(
+                key=self._key, version=put_reply.version, stable=stable,
+                acked_by=f"{self._primary}:{put_reply.index}",
+            )
+        )
+
+
+class _GetStableOp(RetryingOp):
+    """One leg of a snapshot read: the newest DC-stable record of one key
+    with the dependency list of the write that produced it. A locally
+    owned key is read from any replica; a non-owned one from the primary
+    owner, whose stable records carry their full, never-pruned deps —
+    keeping the snapshot's mutual-consistency floors complete."""
+
+    __slots__ = ("_owners",)
+
+    _session: ChainClientSession
+
+    def __init__(self, session: ChainClientSession, key: str) -> None:
+        super().__init__(session, "get_stable", key)
+        self._owners = session._forward_owners(key)
+
+    def _try(self) -> None:
+        session = self._session
+        key = self._key
+        if self._owners is not None:
+            session.request(
+                session._owner_proxy(self._owners[0]), "forward_get_stable", key,
+                session._forward_timeout, self,
+            )
+            return
+        view = session.view
+        chain = view.chain_for(key)
+        # Stable versions live on every replica: load-balance freely.
+        target = view.address_of(chain[session._rng.randrange(len(chain))])
+        session.request(target, "get_stable", key, session.config.op_timeout, self)
+
+    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        if self._owners is not None:
+            self._session.forwarded_gets += 1
+        self.set_result(reply)
+
+
+class _Snapshot(Future):
+    """A ``multi_get`` in rounds: one :class:`_GetStableOp` per pending
+    key, joined by ``all_of``; each round's callback checks the
+    mutual-consistency floors and either resolves or reads the keys that
+    fell short again, for at most ``MAX_ROUNDS`` rounds."""
+
+    MAX_ROUNDS = 8
+
+    __slots__ = ("_session", "_keys", "_results", "_pending", "_rounds")
+
+    def __init__(self, session: ChainClientSession, keys: List[str]) -> None:
+        super().__init__(session.sim)
+        self._session = session
+        self._keys = keys
+        self._results: Dict[str, Dict[str, Any]] = {}
+        self._rounds = 0
+        self._read(list(dict.fromkeys(keys)))
+
+    def _read(self, pending: List[str]) -> None:
+        self._rounds += 1
+        self._pending = pending
+        reads = []
+        for key in pending:
+            op = _GetStableOp(self._session, key)
+            op._try()
+            reads.append(op)
+        all_of(self._sim, reads).add_callback(self._round_done)
+
+    def _round_done(self, round_: Future) -> None:
+        if round_.failed():
+            self.set_exception(round_.exception())  # type: ignore[arg-type]
+            return
+        results = self._results
+        results.update(zip(self._pending, round_.result()))
+        # Mutual-consistency floors: every returned write's deps that
+        # point at other snapshot keys must be covered by what we return
+        # for those keys.
+        floors: Dict[str, Any] = {}
+        for reply in results.values():
+            for dep_key, dep_version in reply["deps"].items():
+                if dep_key in results:
+                    current = floors.get(dep_key)
+                    floors[dep_key] = dep_version if current is None else current.merge(dep_version)
+        pending = [
+            key for key, floor in floors.items() if not results[key]["version"].dominates(floor)
+        ]
+        keys = self._keys
+        if not pending:
+            self.set_result(
+                SnapshotResult(
+                    values={key: results[key]["value"] for key in keys},
+                    versions={key: results[key]["version"] for key in keys},
+                    rounds=self._rounds,
+                )
+            )
+        elif self._rounds < self.MAX_ROUNDS:
+            self._read(pending)
+        else:
+            self._session.failed_ops += 1
+            self.set_exception(
+                RequestTimeout(
+                    f"snapshot over {len(keys)} keys did not stabilise in {self.MAX_ROUNDS} rounds"
+                )
+            )

@@ -25,19 +25,19 @@ for experiment E7.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.membership import RingView
 from repro.core.config import ChainReactionConfig
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
 from repro.core.messages import ApplyRemote, Deps, PutReply, PutRequest, RemoteUpdate
-from repro.errors import RemoteError, ReproError, RequestTimeout
+from repro.errors import RemoteError, RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future, spawn, with_timeout
+from repro.sim.process import Future
 
 __all__ = ["GeoProxy"]
 
@@ -76,8 +76,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         self.forwarded_gets_served = 0
         self.forwarded_get_bytes = 0
         self.forwarded_puts_served = 0
-        self._pending_forward_puts: Dict[int, Future] = {}
-        self._forward_seq = 0
         #: (origin_put_at→applied-at-local-head) latencies, remote side
         self.visibility_samples: List[float] = []
         #: (origin_put_at→acked-by-every-DC) latencies, origin side
@@ -173,34 +171,14 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         serialised — the property the relaxed dependency checking in
         :meth:`_RemoteApply._wait_deps` (and the planes) relies on.
         """
-        return spawn(self.sim, self._serve_forward_get(key), name=f"fwd-get:{key}")
-
-    def _serve_forward_get(self, key: str) -> Iterator[Any]:
-        head = self.view.address_of(self.view.chain_for(key)[0])
-        reply = yield self.call(
-            head, "get_fwd", key, timeout=self.config.op_timeout
-        )
-        self.forwarded_gets_served += 1
-        self.forwarded_get_bytes += estimate_size(reply)
-        return reply
+        return _ForwardRead(self, "get_fwd", key)
 
     def rpc_forward_get_stable(self, key: str, src: Address) -> Future:
         """Snapshot-read leg for a non-owned shard: the primary's stable
         record plus the full dependency list of the write that produced
         it (the primary's record deps are never pruned — it admitted the
         write straight from the client's PutRequest)."""
-        return spawn(
-            self.sim, self._serve_forward_get_stable(key), name=f"fwd-snap:{key}"
-        )
-
-    def _serve_forward_get_stable(self, key: str) -> Iterator[Any]:
-        head = self.view.address_of(self.view.chain_for(key)[0])
-        reply = yield self.call(
-            head, "get_stable", key, timeout=self.config.op_timeout
-        )
-        self.forwarded_gets_served += 1
-        self.forwarded_get_bytes += estimate_size(reply)
-        return reply
+        return _ForwardRead(self, "get_stable", key)
 
     def rpc_forward_put(self, payload: Dict[str, Any], src: Address) -> Future:
         """Apply a remote client's write through the local chain.
@@ -210,52 +188,78 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         lives — version assignment, dependency waits, and stability all
         run exactly the local-client path.
         """
-        return spawn(
-            self.sim,
-            self._serve_forward_put(payload),
-            name=f"fwd-put:{payload['key']}",
-        )
+        return _ForwardPut(self, payload)
 
-    def _serve_forward_put(self, payload: Dict[str, Any]) -> Iterator[Any]:
-        self._forward_seq += 1
-        request_id = self._forward_seq
-        fut = Future(self.sim)
-        self._pending_forward_puts[request_id] = fut
-        key = payload["key"]
-        head = self.view.address_of(self.view.chain_for(key)[0])
-        self.send(
+    def on_put_reply(self, msg: PutReply, src: Address) -> None:
+        pending = self._rpc_pending.pop(msg.request_id, None)
+        if pending is not None:  # else: a late reply to an attempt that timed out
+            pending[0].rpc_reply(msg)
+
+
+class _ForwardRead(Future):
+    """A forwarded read at the owner side: one request to the local chain
+    head, whose reply (or failure) is the remote client's."""
+
+    __slots__ = ("_proxy",)
+
+    def __init__(self, proxy: GeoProxy, method: str, key: str) -> None:
+        super().__init__(proxy.sim)
+        self._proxy = proxy
+        view = proxy.view
+        head = view.address_of(view.chain_for(key)[0])
+        proxy.request(head, method, key, proxy.config.op_timeout, self)
+
+    def rpc_reply(self, reply: Any) -> None:
+        proxy = self._proxy
+        proxy.forwarded_gets_served += 1
+        proxy.forwarded_get_bytes += estimate_size(reply)
+        self.set_result(reply)
+
+
+class _ForwardPut(Future):
+    """A forwarded write at the owner side: a ``PutRequest`` to the local
+    chain head, waiting in the proxy's deadline table like a client's
+    ``_PutOp``; the ``PutReply`` travels back as a plain dict, from which
+    the remote session rebuilds its own view."""
+
+    __slots__ = ("_proxy", "_key")
+
+    def __init__(self, proxy: GeoProxy, payload: Dict[str, Any]) -> None:
+        super().__init__(proxy.sim)
+        self._proxy = proxy
+        key = self._key = payload["key"]
+        head = proxy.view.address_of(proxy.view.chain_for(key)[0])
+        proxy.send(
             head,
             PutRequest(
-                request_id=request_id,
+                request_id=proxy._expect_reply(self, proxy.config.op_timeout, "put", head),
                 key=key,
                 value=payload["value"],
                 deps=payload["deps"],
-                reply_to=self.address,
+                reply_to=proxy.address,
                 is_delete=payload["is_delete"],
             ),
         )
-        try:
-            reply: PutReply = yield with_timeout(
-                self.sim, fut, self.config.op_timeout, f"forward-put({key!r})"
-            )
-        finally:
-            self._pending_forward_puts.pop(request_id, None)
-        self.forwarded_puts_served += 1
-        # A plain dict travels back over the RPC reply; the remote
-        # session rebuilds its PutReply view from it.
-        return {
-            "ok": reply.ok,
-            "error": reply.error,
-            "version": reply.version,
-            "index": reply.index,
-            "chain_len": reply.chain_len,
-            "hlc": reply.hlc,
-        }
 
-    def on_put_reply(self, msg: PutReply, src: Address) -> None:
-        fut = self._pending_forward_puts.get(msg.request_id)
-        if fut is not None:
-            fut.try_set_result(msg)
+    def rpc_reply(self, reply: PutReply) -> None:
+        self._proxy.forwarded_puts_served += 1
+        self.set_result(
+            {
+                "ok": reply.ok,
+                "error": reply.error,
+                "version": reply.version,
+                "index": reply.index,
+                "chain_len": reply.chain_len,
+                "hlc": reply.hlc,
+            }
+        )
+
+    def rpc_failed(self, exc: BaseException) -> None:
+        # The error text travels back to the client: it names the
+        # forwarded write, not the proxy's request to its head.
+        if isinstance(exc, RequestTimeout):
+            exc = RequestTimeout(f"forward-put({self._key!r})")
+        self.set_exception(exc)
 
 
 class _RemoteApply:

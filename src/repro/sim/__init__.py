@@ -9,16 +9,7 @@ Public surface:
 """
 
 from repro.sim.kernel import ScheduledEvent, Simulator
-from repro.sim.process import (
-    Future,
-    Process,
-    all_of,
-    any_of,
-    n_of,
-    sleep_future,
-    spawn,
-    with_timeout,
-)
+from repro.sim.process import Future, Process, all_of, n_of, spawn
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -28,10 +19,7 @@ __all__ = [
     "Process",
     "spawn",
     "all_of",
-    "any_of",
     "n_of",
-    "sleep_future",
-    "with_timeout",
     "RngRegistry",
     "derive_seed",
 ]

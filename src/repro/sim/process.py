@@ -1,9 +1,10 @@
 """Futures and generator-based processes on top of the simulation kernel.
 
-Protocol *servers* in this codebase are event-driven actors (they react to
-messages), but *clients* and *workload drivers* read much more naturally
-as sequential code. A :class:`Process` wraps a generator and drives it on
-the simulator:
+Protocol actors in this codebase — servers, proxies and client sessions —
+are event-driven: they react to messages, and an operation in flight is a
+continuation object. *Workload drivers* and scripted scenarios read much
+more naturally as sequential code. A :class:`Process` wraps a generator
+and drives it on the simulator:
 
 - ``yield some_future``   → suspend until the future resolves; the
   future's value is sent back into the generator (exceptions are thrown
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.errors import RequestTimeout, SimulationError
-from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.errors import SimulationError
+from repro.sim.kernel import Simulator
 
-__all__ = ["Future", "Process", "all_of", "any_of", "n_of", "sleep_future", "with_timeout"]
+__all__ = ["Future", "Process", "all_of", "n_of"]
 
 _PENDING = object()
 
@@ -125,13 +126,6 @@ class Future:
             fn(self)
 
 
-def sleep_future(sim: Simulator, delay: float) -> Future:
-    """A future that resolves (to None) after ``delay`` virtual seconds."""
-    fut = Future(sim)
-    sim.post(delay, fut.try_set_result, None)
-    return fut
-
-
 def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
     """Resolve with the list of all results once every input resolves.
 
@@ -153,26 +147,6 @@ def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
         remaining[0] -= 1
         if remaining[0] == 0:
             out.set_result([f.result() for f in futures])
-
-    for f in futures:
-        f.add_callback(on_done)
-    return out
-
-
-def any_of(sim: Simulator, futures: Iterable[Future]) -> Future:
-    """Resolve with the first result (or first exception) among the inputs."""
-    futures = list(futures)
-    if not futures:
-        raise SimulationError("any_of() needs at least one future")
-    out = Future(sim)
-
-    def on_done(_fut: Future) -> None:
-        if out.done():
-            return
-        if _fut.failed():
-            out.try_set_exception(_fut.exception())  # type: ignore[arg-type]
-        else:
-            out.try_set_result(_fut.result())
 
     for f in futures:
         f.add_callback(on_done)
@@ -210,31 +184,6 @@ def n_of(sim: Simulator, futures: Iterable[Future], n: int) -> Future:
 
     for f in futures:
         f.add_callback(on_done)
-    return out
-
-
-def with_timeout(sim: Simulator, fut: Future, timeout: float, message: str = "") -> Future:
-    """Wrap ``fut`` with a deadline; fails with :class:`RequestTimeout` if late."""
-    out = Future(sim)
-    timer: ScheduledEvent = sim.schedule(
-        timeout,
-        lambda: out.try_set_exception(
-            RequestTimeout(message or f"timed out after {timeout}s")
-        ),
-    )
-
-    def on_done(_fut: Future) -> None:
-        timer.cancel()
-        # Last touch of the handle: let the kernel pool it. (If the
-        # timer fired first this is a harmless no-op — see
-        # ScheduledEvent.release.)
-        timer.release()
-        if _fut.failed():
-            out.try_set_exception(_fut.exception())  # type: ignore[arg-type]
-        else:
-            out.try_set_result(_fut.result())
-
-    fut.add_callback(on_done)
     return out
 
 
@@ -297,13 +246,6 @@ class Process(Future):
             self._advance(None, fut._exception)
         else:
             self._advance(fut._value, None)
-
-    def interrupt(self, exc: Optional[BaseException] = None) -> None:
-        """Stop the process; its future fails with ``exc`` (or GeneratorExit)."""
-        if self.done():
-            return
-        self._gen.close()
-        self.try_set_exception(exc or SimulationError(f"process {self._name!r} interrupted"))
 
 
 def spawn(sim: Simulator, gen: Generator[Any, Any, Any], name: str = "") -> Process:

@@ -1,8 +1,9 @@
 """The client retry loop and the RPC primitive, pinned.
 
-The hot get / put round trip is in continuation form (``RetryingOp`` +
-``Actor.request``). It replaced a coroutine (``Process`` + nested
-``_op_attempts`` generator + a ``Future`` and a ``set_timer`` per RPC)
+Every client operation is in continuation form (``RetryingOp`` +
+``Actor.request``): the hot get / put, forwarded gets and puts, snapshot
+reads and the baselines' operations. Each replaced a coroutine
+(``Process`` + nested ``_op_attempts`` generator + a ``Future`` per RPC)
 without changing *what* a session does: every retry / timeout / crash /
 degraded-read branch sends the same messages at the same virtual
 instants with the same RNG draws.
@@ -17,11 +18,17 @@ run inline instead of from a zero-delay event and each actor's
 deadlines moved to one alarm: they count kernel work, not protocol
 steps. A script whose other fields move changed the simulation and must
 be fixed, not re-recorded.
+
+The scripts from ``forwarded_get_at_primary`` on were recorded on commit
+6e5887a, where forwarded operations, snapshot reads, the geo proxy's
+side of forwarding and every baseline operation still ran as generator
+processes. Their event counts were re-recorded once, when those became
+continuations started inline: the zero-delay start events are gone.
 """
 
 import pytest
 
-from helpers import make_store
+from helpers import build, make_geo_store, make_store
 
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.core.messages import PutReply
@@ -199,6 +206,150 @@ def put_waits_on_unstable_dep_clock():
     return put_waits_on_unstable_dep(stability="clock")
 
 
+# ----------------------------------------------------------------------
+# forwarded operations (partial replication), snapshot reads, baselines
+# ----------------------------------------------------------------------
+
+#: three sites, each shard on two of them; ``d`` lives on dc1 (primary)
+#: and dc2 (backup), so a dc0 session forwards every operation on it
+PARTIAL = dict(replication_degree=2, num_shards=8)
+
+
+def _partial_store(**overrides):
+    store = make_geo_store(3, **PARTIAL, **FAST, **overrides)
+    assert store.config.placement().owners_for("d") == ("dc1", "dc2")
+    return store
+
+
+def forwarded_get_at_primary():
+    store = _partial_store()
+    store.preload({"d": "v1"})
+    s = store.session(session_id="alice")
+    return store, s, s.get("d"), 1.0
+
+
+def forwarded_get_degraded_at_backup():
+    """The primary owner's proxy is unreachable and the backup never
+    received the session's own write: after ``degraded_read_after``
+    attempts the get rotates to the backup and serves its older version
+    flagged degraded."""
+    store = _partial_store(**NO_DETECTOR)
+    store.preload({"d": "v1"})
+    s = store.session(session_id="alice")
+    store.network.block("dc1:geoproxy", "dc2:geoproxy")
+    fut = s.put("d", "v2")
+    store.run(until=0.5)
+    assert fut.succeeded()
+    store.network.block("dc0:alice", "dc1:geoproxy")
+    return store, s, s.get("d"), 3.0
+
+
+def forwarded_put_refused_then_retried():
+    """The owner's head refuses the forwarded put while syncing: the
+    proxy relays ``ok=False``, the session backs off and retries."""
+    store = _partial_store(**NO_DETECTOR)
+    view = store.managers["dc1"].view
+    head = next(n for n in store.servers("dc1") if n.name == view.chain_for("d")[0])
+    head.syncing = True
+    store.sim.schedule(0.1, setattr, head, "syncing", False)
+    s = store.session(session_id="alice")
+    return store, s, s.put("d", "v"), 1.0
+
+
+def forwarded_put_times_out_at_proxy():
+    """The head's first PutReply to the owner's proxy is held past the
+    proxy's deadline: the proxy answers with a timeout, the session
+    retries, and the late reply for the old request id is dropped."""
+    store = _partial_store(**NO_DETECTOR)
+    s = store.session(session_id="alice")
+    held = []
+
+    def hold_first_reply(src, dst, msg):
+        if msg.type_name == "put-reply" and not held:
+            held.append((src, dst, msg))
+            return True
+        return False
+
+    store.network.set_divert(hold_first_reply)
+    fut = s.put("d", "v")
+    store.sim.schedule(0.12, lambda: store.network.inject_now(*held[0]))
+    return store, s, fut, 1.0
+
+
+def forwarded_put_carries_a_local_dep():
+    """A forwarded put after a local one: the payload carries the local
+    write as a dependency, and the owner's head holds the put until that
+    write, shipped from dc0, is DC-stable at dc1."""
+    store = _partial_store()
+    assert store.config.placement().owners_for("a") == ("dc1", "dc0")
+    s = store.session(session_id="alice")
+    s.put("a", "1").add_callback(lambda _f: held.append(s.put("d", "2")))
+    held = []
+    store.run(until=0.01)
+    assert held
+    return store, s, held[0], 1.0
+
+
+def multi_get_in_one_round():
+    """One local key and one forwarded to its primary owner."""
+    store = _partial_store()
+    store.preload({"a": "1", "d": "2"})
+    s = store.session(session_id="alice")
+    return store, s, s.multi_get(["a", "d"]), 1.0
+
+
+def _snapshot_behind_a_stranded_notice(seed):
+    """``b`` depends on ``a``, and only ``a``'s tail ever learns that
+    ``a`` is stable: a snapshot leg for ``a`` served by another replica
+    falls short of ``b``'s floor and is read again."""
+    store = make_store(ack_k=1, seed=seed, **FAST, **NO_DETECTOR)
+    w = store.session(session_id="writer")
+    store.network.set_divert(lambda src, dst, msg: msg.type_name == "chain-stable" and msg.key == "a")
+    w.put("a", 1).add_callback(lambda _f: w.put("b", 2))
+    store.run(until=0.05)
+    s = store.session(session_id="alice")
+    return store, s, s.multi_get(["a", "b"]), 1.0
+
+
+def multi_get_rereads_a_key():
+    return _snapshot_behind_a_stranded_notice(seed=1)
+
+
+def multi_get_gives_up_after_eight_rounds():
+    return _snapshot_behind_a_stranded_notice(seed=6)
+
+
+def cops_put():
+    """A put carrying the context of an earlier get; its remote copy is
+    applied after a dependency check at the other site."""
+    store = build("cops", sites=("dc0", "dc1"), overrides=FAST)
+    store.preload({"a": "v0"})
+    s = store.session(session_id="alice")
+    s.get("a").add_callback(lambda _f: held.append(s.put("b", "v1")))
+    held = []
+    store.run(until=0.01)
+    assert held
+    return store, s, held[0], 1.0
+
+
+def eventual_get_retried_once():
+    """The get's first request is lost: timeout, backoff, view refresh,
+    and a second random replica answers."""
+    store = build("eventual", sites=("dc0", "dc1"), overrides=FAST)
+    store.preload({"a": "v0"})
+    s = store.session(session_id="alice")
+    dropped = []
+
+    def drop_first_request(src, dst, msg):
+        if str(src) == "dc0:alice" and msg.type_name == "rpc-request" and not dropped:
+            dropped.append(msg)
+            return True
+        return False
+
+    store.network.set_divert(drop_first_request)
+    return store, s, s.get("a"), 1.0
+
+
 SCRIPTS = {
     script.__name__: script
     for script in (
@@ -214,6 +365,16 @@ SCRIPTS = {
         client_crashed_with_get_in_flight,
         put_waits_on_unstable_dep,
         put_waits_on_unstable_dep_clock,
+        forwarded_get_at_primary,
+        forwarded_get_degraded_at_backup,
+        forwarded_put_refused_then_retried,
+        forwarded_put_times_out_at_proxy,
+        forwarded_put_carries_a_local_dep,
+        multi_get_in_one_round,
+        multi_get_rereads_a_key,
+        multi_get_gives_up_after_eight_rounds,
+        cops_put,
+        eventual_get_retried_once,
     )
 }
 
@@ -236,8 +397,9 @@ def fingerprint(name):
     )
 
 
-#: recorded on 1359141 with ``python tests/test_client_ops.py``; the
-#: event counts (sixth field) re-recorded once, see the module docstring
+#: recorded on 1359141 (6e5887a from ``forwarded_get_at_primary`` on) with
+#: ``python tests/test_client_ops.py``; the event counts (sixth field)
+#: re-recorded once, see the module docstring
 PINNED = {
     'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 595, 290, 12006),
     'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 323, 164, 6581),
@@ -251,12 +413,39 @@ PINNED = {
     'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 333, 157, 5972),
     'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 175, 90, 4038),
     'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2760, 1680, 75644),
+    'forwarded_get_at_primary': ('GetResult', 0.06849192830258789, 0, 0, 0, 483, 232, 9024),
+    'forwarded_get_degraded_at_backup': ('GetResult', 1.2856754454066295, 3, 0, 1, 1460, 739, 29046),
+    'forwarded_put_refused_then_retried': ('PutResult', 0.15752557057317268, 1, 0, 0, 495, 259, 11025),
+    'forwarded_put_times_out_at_proxy': ('PutResult', 0.20366506402592496, 1, 0, 0, 518, 280, 12440),
+    'forwarded_put_carries_a_local_dep': ('PutResult', 0.08491484947194096, 0, 0, 0, 534, 278, 12397),
+    'multi_get_in_one_round': ('SnapshotResult', 0.07299379673766357, 0, 0, 0, 486, 234, 9161),
+    'multi_get_rereads_a_key': ('SnapshotResult', 0.05125404335945394, 0, 0, 0, 173, 95, 4494),
+    'multi_get_gives_up_after_eight_rounds': ('RequestTimeout', 0.05495905381645978, 0, 1, 0, 185, 107, 5312),
+    'cops_put': ('PutResult', 0.001357255347678765, 0, 0, 0, 327, 157, 6171),
+    'eventual_get_retried_once': ('GetResult', 0.06202758000450802, 1, 0, 0, 382, 185, 7761),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
 def test_script_reproduces_the_parents_tuple(name):
     assert fingerprint(name)[-1] == PINNED[name]
+
+
+def test_forwarded_and_snapshot_outcomes():
+    _store, s, outcome, _ = fingerprint("forwarded_get_degraded_at_backup")
+    assert outcome.degraded and outcome.value == "v1" and outcome.served_by == "dc2/geoproxy"
+    assert (s.forwarded_gets, s.forwarded_puts) == (1, 1)
+    store, s, outcome, _ = fingerprint("forwarded_put_times_out_at_proxy")
+    assert outcome.acked_by.startswith("dc1:") and s.forwarded_puts == 1
+    assert store.proxies["dc1"].forwarded_puts_served == 1  # the timed-out attempt is not counted
+    _store, s, outcome, _ = fingerprint("forwarded_put_refused_then_retried")
+    assert s.forwarded_puts == 2  # the refusal is a forwarded reply too
+    store, _s, outcome, _ = fingerprint("forwarded_put_carries_a_local_dep")
+    assert store.protocol_stats()["dep_waits"] == 1 and outcome.acked_by.startswith("dc1:")
+    _store, s, outcome, _ = fingerprint("multi_get_in_one_round")
+    assert (outcome.rounds, outcome.values, s.forwarded_gets) == (1, {"a": "1", "d": "2"}, 1)
+    _store, _s, outcome, _ = fingerprint("multi_get_rereads_a_key")
+    assert (outcome.rounds, outcome.values) == (2, {"a": 1, "b": 2})
 
 
 def test_non_retryable_failure_is_not_retried():

@@ -1,23 +1,25 @@
-"""Golden pins for every stabilization plane and two baseline protocols.
+"""Golden pins for every stabilization plane and three baseline protocols.
 
 The golden trace pins the ``notices`` plane only, so a wire-size or
 event-order slip confined to ``ClockShip`` / ``StabilityVector`` /
 ``BulkStable`` / a baseline's messages would pass it. These are the same
 mini-run (``test_golden_trace._golden_run``: 2 DCs, YCSB-B, 25 keys, 3
 clients, seed 1234) under each name of ``STABILITY_PLANES`` (``notices``
-by the golden trace's own counters) and two baseline protocols, recorded
-on commit 8af2af1 — before the message fabric's link objects, size plans
-and handler tables. The same rule applies: a fabric optimisation that
-moves one of these changed the simulation and must be fixed, not
-re-recorded.
+by the golden trace's own counters) and the ``cops`` / ``eventual`` /
+``quorum`` baselines, recorded on commit 8af2af1 (``quorum`` on 6e5887a)
+— before the message fabric's link objects, size plans and handler
+tables. The same rule applies: a fabric optimisation that moves one of
+these changed the simulation and must be fixed, not re-recorded.
 
-Event counts re-recorded once, when operations began to start inline
-and each actor's RPC deadlines moved to one alarm; messages and bytes
-are the parent's. The chainreaction rows fall (the zero-delay start
-events are gone). The ``cops`` / ``eventual`` rows *rise* by 17 / 9:
-their generator ops keep their start events, and a cancelled per-RPC
-deadline never counted as an event, so all that changes for them is
-the alarm's no-op firings — at a deadline whose RPC was answered.
+Event counts re-recorded twice; messages and bytes are the recording
+commit's. First when the chain client's get / put began to start inline
+and each actor's RPC deadlines moved to one alarm: the chainreaction
+rows fell, and the baseline rows, still generator processes, rose only
+by the alarm's no-op firings. Then when every baseline operation — the
+client's, the quorum coordinator's and the COPS remote apply — became a
+continuation started inline: the baseline rows fell by their zero-delay
+start events (``cops`` 13 523 -> 10 884, ``eventual`` 12 460 -> 9 924,
+``quorum`` 15 730 -> 13 106).
 """
 
 import pytest
@@ -38,8 +40,9 @@ PLANE_PINS = {
 #: (protocol, config overrides) -> the same three counters
 GOLDEN_PINS = {
     **{plane: ("chainreaction", {"stability": plane}, PLANE_PINS[plane]) for plane in STABILITY_PLANES},
-    "cops": ("cops", None, (13523, 7045, 763654)),
-    "eventual": ("eventual", None, (12460, 6189, 887205)),
+    "cops": ("cops", None, (10884, 7045, 763654)),
+    "eventual": ("eventual", None, (9924, 6189, 887205)),
+    "quorum": ("quorum", None, (13106, 8488, 1145100)),
 }
 
 

@@ -212,9 +212,9 @@ class TestOwnershipRecycling:
         assert sim.schedule(0.2, lambda: None) is not ev
 
     def test_cancel_then_release_recycles(self):
-        # The with_timeout pattern: the done-callback cancels its timer
-        # and releases the handle; the cancelled entry is recycled when
-        # the heap reaches it.
+        # A deadline answered early: its owner cancels the timer and
+        # releases the handle; the cancelled entry is recycled when the
+        # heap reaches it.
         sim = Simulator()
         fired = []
         ev = sim.schedule(0.1, fired.append, 1)

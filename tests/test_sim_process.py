@@ -3,15 +3,7 @@
 import pytest
 
 from repro.errors import RequestTimeout, SimulationError
-from repro.sim import (
-    Future,
-    all_of,
-    any_of,
-    n_of,
-    sleep_future,
-    spawn,
-    with_timeout,
-)
+from repro.sim import Future, all_of, n_of, spawn
 
 
 class TestFuture:
@@ -157,19 +149,6 @@ class TestProcess:
         sim.run()
         assert p.failed()
 
-    def test_interrupt_stops_process(self, sim):
-        progressed = []
-
-        def proc():
-            yield 1.0
-            progressed.append(True)
-
-        p = spawn(sim, proc())
-        sim.schedule(0.5, p.interrupt)
-        sim.run()
-        assert p.failed()
-        assert progressed == []
-
     def test_nested_process_await(self, sim):
         def inner():
             yield 0.5
@@ -185,11 +164,6 @@ class TestProcess:
 
 
 class TestCombinators:
-    def test_sleep_future_resolves_after_delay(self, sim):
-        fut = sleep_future(sim, 2.0)
-        sim.run()
-        assert fut.resolved_at == 2.0
-
     def test_all_of_collects_results_in_input_order(self, sim):
         futures = [Future(sim) for _ in range(3)]
         sim.schedule(3.0, futures[0].set_result, "a")
@@ -208,18 +182,6 @@ class TestCombinators:
         combined = all_of(sim, futures)
         sim.run()
         assert combined.failed()
-
-    def test_any_of_returns_first(self, sim):
-        futures = [Future(sim) for _ in range(3)]
-        sim.schedule(2.0, futures[0].set_result, "slow")
-        sim.schedule(1.0, futures[1].set_result, "fast")
-        winner = any_of(sim, futures)
-        sim.run()
-        assert winner.result() == "fast"
-
-    def test_any_of_requires_input(self, sim):
-        with pytest.raises(SimulationError):
-            any_of(sim, [])
 
     def test_n_of_resolves_at_quorum(self, sim):
         futures = [Future(sim) for _ in range(3)]
@@ -251,19 +213,3 @@ class TestCombinators:
     def test_n_of_validates_bounds(self, sim):
         with pytest.raises(SimulationError):
             n_of(sim, [Future(sim)], 2)
-
-    def test_with_timeout_passes_through_fast_result(self, sim):
-        fut = Future(sim)
-        sim.schedule(0.5, fut.set_result, "ok")
-        wrapped = with_timeout(sim, fut, 1.0)
-        sim.run()
-        assert wrapped.result() == "ok"
-
-    def test_with_timeout_fails_late_result(self, sim):
-        fut = Future(sim)
-        sim.schedule(5.0, fut.try_set_result, "late")
-        wrapped = with_timeout(sim, fut, 1.0, "op x")
-        sim.run()
-        assert wrapped.failed()
-        with pytest.raises(RequestTimeout, match="op x"):
-            wrapped.result()
