@@ -46,7 +46,7 @@ def _relay_history(geo_causal_delivery: bool, scale):
     )
 
 
-def test_e10_anomaly_table(benchmark, scale):
+def test_e10_anomaly_table(scale):
     def experiment():
         rows = consistency_table(PROTOCOLS, scale, sites=GEO_SITES)
         # Ablation: apply remote updates on arrival vs. causally gated,
@@ -66,7 +66,7 @@ def test_e10_anomaly_table(benchmark, scale):
             )
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = run_once(experiment)
     print()
     print(
         render_table(

@@ -22,7 +22,7 @@ from repro.sim import spawn
 from repro.workload import workload
 
 
-def test_e11_snapshot_reads(benchmark, scale):
+def test_e11_snapshot_reads(scale):
     def experiment():
         store = build_store(
             "chainreaction",
@@ -81,7 +81,7 @@ def test_e11_snapshot_reads(benchmark, scale):
         sim.run(until=stop_at + 2.0)
         return snap_latency, get_latency, anomalies[0], snapshots[0], rounds[0]
 
-    snap_latency, get_latency, anomalies, snapshots, rounds = run_once(benchmark, experiment)
+    snap_latency, get_latency, anomalies, snapshots, rounds = run_once(experiment)
     print()
     print(
         render_table(

@@ -26,7 +26,7 @@ HEAL_AT = 2.0
 RUN_FOR = 3.0
 
 
-def test_e12_wan_partition(benchmark, scale):
+def test_e12_wan_partition(scale):
     def experiment():
         store = build_store(
             "chainreaction",
@@ -47,7 +47,7 @@ def test_e12_wan_partition(benchmark, scale):
         report = await_convergence(store, keys, max_extra_time=20.0)
         return store, result, report
 
-    store, result, report = run_once(benchmark, experiment)
+    store, result, report = run_once(experiment)
     before = result.timeline.rate_between(0.3, PARTITION_AT)
     during = result.timeline.rate_between(PARTITION_AT + 0.1, HEAL_AT)
     after = result.timeline.rate_between(HEAL_AT + 0.2, 0.2 + RUN_FOR)

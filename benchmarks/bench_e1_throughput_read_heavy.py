@@ -19,7 +19,7 @@ from repro.metrics import render_table
 PROTOCOLS = ("chainreaction", "chain", "eventual", "quorum")
 
 
-def test_e1_read_heavy_throughput(benchmark, scale):
+def test_e1_read_heavy_throughput(scale):
     def experiment():
         rows = throughput_sweep(PROTOCOLS, "B", scale)
         ablation = run_ycsb(
@@ -34,7 +34,7 @@ def test_e1_read_heavy_throughput(benchmark, scale):
         rows.append(ab_row)
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = run_once(experiment)
     print()
     print(
         render_table(

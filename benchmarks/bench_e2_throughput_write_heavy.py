@@ -17,8 +17,8 @@ from repro.metrics import render_table
 PROTOCOLS = ("chainreaction", "chain", "eventual", "quorum")
 
 
-def test_e2_write_heavy_throughput(benchmark, scale):
-    rows = run_once(benchmark, lambda: throughput_sweep(PROTOCOLS, "A", scale))
+def test_e2_write_heavy_throughput(scale):
+    rows = run_once(lambda: throughput_sweep(PROTOCOLS, "A", scale))
     print()
     print(
         render_table(

@@ -17,8 +17,8 @@ from repro.metrics import render_table
 PROTOCOLS = ("chainreaction", "chain", "eventual", "quorum")
 
 
-def test_e3_get_latency_distribution(benchmark, scale):
-    results = run_once(benchmark, lambda: latency_run(PROTOCOLS, "B", scale))
+def test_e3_get_latency_distribution(scale):
+    results = run_once(lambda: latency_run(PROTOCOLS, "B", scale))
     rows = []
     for protocol, result in results.items():
         s = result.get_latency.summary()

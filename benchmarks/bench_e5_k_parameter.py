@@ -15,7 +15,7 @@ from repro.bench import run_ycsb
 from repro.metrics import render_table
 
 
-def test_e5_k_parameter_sweep(benchmark, scale):
+def test_e5_k_parameter_sweep(scale):
     def experiment():
         # Read-heavy mix: with writes rare, a put's latency is its own
         # k-hop acknowledgement path, not dependency-wait coupling with
@@ -27,7 +27,7 @@ def test_e5_k_parameter_sweep(benchmark, scale):
             )
         return results
 
-    results = run_once(benchmark, experiment)
+    results = run_once(experiment)
     rows = []
     for k, result in sorted(results.items()):
         rows.append(

@@ -17,7 +17,7 @@ from repro.metrics import render_table
 CLIENTS_PER_SERVER = 8
 
 
-def test_e6_server_scalability(benchmark, scale):
+def test_e6_server_scalability(scale):
     def experiment():
         rows = []
         for protocol in ("chainreaction", "chain"):
@@ -36,7 +36,7 @@ def test_e6_server_scalability(benchmark, scale):
                 rows.append((protocol, n_servers, result.throughput, result.errors))
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = run_once(experiment)
     print()
     print(
         render_table(

@@ -18,7 +18,7 @@ from repro.metrics import render_table
 WAN_MEDIAN = 0.040  # seconds, one-way
 
 
-def test_e7_geo_two_datacenters(benchmark, scale):
+def test_e7_geo_two_datacenters(scale):
     def experiment():
         return run_ycsb(
             "chainreaction",
@@ -28,7 +28,7 @@ def test_e7_geo_two_datacenters(benchmark, scale):
             sites=GEO_SITES,
         )
 
-    result = run_once(benchmark, experiment)
+    result = run_once(experiment)
     stats = result.store.protocol_stats()
     visibility = stats["visibility_samples"]
     global_stability = stats["global_stability_samples"]

@@ -16,7 +16,7 @@ from repro.bench import run_ycsb
 from repro.metrics import render_table
 
 
-def test_e8_metadata_overhead(benchmark, scale):
+def test_e8_metadata_overhead(scale):
     def experiment():
         collapsing = run_ycsb(
             "chainreaction", "A", scale.latency_clients, scale, record_history=False
@@ -31,7 +31,7 @@ def test_e8_metadata_overhead(benchmark, scale):
         )
         return collapsing, accumulating
 
-    collapsing, accumulating = run_once(benchmark, experiment)
+    collapsing, accumulating = run_once(experiment)
     rows = [
         (
             "collapse-on-put (paper)",

@@ -23,7 +23,7 @@ CRASH_AT = 1.0
 RUN_FOR = 3.0
 
 
-def test_e9_throughput_through_failure(benchmark, scale):
+def test_e9_throughput_through_failure(scale):
     def experiment():
         store = build_store(
             "chainreaction",
@@ -40,7 +40,7 @@ def test_e9_throughput_through_failure(benchmark, scale):
         )
         return runner.run(), store
 
-    result, store = run_once(benchmark, experiment)
+    result, store = run_once(experiment)
     series = result.timeline.series()
     before = result.timeline.rate_between(0.4, CRASH_AT)
     dip = result.timeline.rate_between(CRASH_AT, CRASH_AT + 0.6)

@@ -26,7 +26,7 @@ Run as a script to (re)generate ``BENCH_PR10.json`` at the repo root::
 
 or as part of the benchmark suite::
 
-    pytest benchmarks/bench_pr10_partial.py --benchmark-only -s
+    pytest benchmarks/bench_pr10_partial.py -s
 """
 
 from __future__ import annotations

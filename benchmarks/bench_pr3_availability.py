@@ -12,7 +12,7 @@ Run as a script to (re)generate ``BENCH_PR3.json`` at the repo root::
 
 or as part of the benchmark suite::
 
-    pytest benchmarks/bench_pr3_availability.py --benchmark-only -s
+    pytest benchmarks/bench_pr3_availability.py -s
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def collect(clients: int = 16, seed: int = SEED) -> dict:
     return report
 
 
-def test_pr3_availability(benchmark, scale):
+def test_pr3_availability(scale):
     from bench_utils import run_once
 
-    report = run_once(benchmark, lambda: collect(clients=scale.latency_clients))
+    report = run_once(lambda: collect(clients=scale.latency_clients))
     print()
     for phase in ("before", "during", "after"):
         rec = report["recovery"]

@@ -19,7 +19,7 @@ Run as a script to (re)generate ``BENCH_PR4.json`` at the repo root::
 
 or as part of the benchmark suite::
 
-    pytest benchmarks/bench_pr4_batching.py --benchmark-only -s
+    pytest benchmarks/bench_pr4_batching.py -s
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ def _print_summary(report: dict) -> None:
     )
 
 
-def test_pr4_batching(benchmark, scale):
+def test_pr4_batching(scale):
     from bench_utils import run_once
 
-    report = run_once(benchmark, collect)
+    report = run_once(collect)
     print()
     _print_summary(report)
     acc = report["acceptance"]

@@ -25,7 +25,7 @@ Run as a script to (re)generate ``BENCH_PR6.json`` at the repo root::
 
 or as part of the benchmark suite (shrunk tier)::
 
-    pytest benchmarks/bench_pr6_parallel.py --benchmark-only -s
+    pytest benchmarks/bench_pr6_parallel.py -s
 """
 
 from __future__ import annotations
@@ -117,11 +117,10 @@ def _print_summary(report: Dict[str, Any]) -> None:
         )
 
 
-def test_pr6_parallel(benchmark, scale):
+def test_pr6_parallel(scale):
     from bench_utils import run_once
 
     report = run_once(
-        benchmark,
         lambda: collect(workers_list=(1, 2), overrides=PARALLEL_SMOKE_OVERRIDES),
     )
     print()

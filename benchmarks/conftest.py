@@ -3,7 +3,7 @@
 Every benchmark runs at ``QUICK`` scale by default so the whole suite
 finishes in minutes; set ``REPRO_BENCH_SCALE=full`` for operating
 points closer to the paper's. Tables are printed to stdout -- run with
-``pytest benchmarks/ --benchmark-only -s`` to see them.
+``pytest benchmarks/ -s`` to see them.
 """
 
 from __future__ import annotations

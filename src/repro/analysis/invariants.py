@@ -176,12 +176,11 @@ class ChainInvariantMonitor:
             # Keys the store already held go through ``store.apply``,
             # i.e. ``recording_apply``; the rest are stored as given.
             arbitrated = original_install(base, holds)
-            fresh = list(installed(base, holds, arbitrated))
-            handed[:] = [record.key for record in fresh]
-            monitor.applies_checked += len(fresh)
+            handed[:] = installed(base, holds, arbitrated)
+            monitor.applies_checked += len(handed)
             if not getattr(node, "syncing", False):
-                for record in fresh:
-                    applied.setdefault(record.key, []).append(record.version)
+                for key in handed:
+                    applied.setdefault(key, []).append(base.version)
             return arbitrated
 
         node.store.install = recording_install

@@ -78,15 +78,16 @@ class QuorumServer(RingServer):
 
     def rpc_get(self, key: str, src: Address) -> Any:
         self.gets_served += 1
-        peers = self._local_peers(key)
-        futures = [
-            self.call(peer, "replica_read", key, timeout=self.config.op_timeout)
-            for peer in peers
-        ]
+        futures = []
+        for peer in self._local_peers(key):
+            # Replies complete in any order: each one names its sender.
+            reply = _FromPeer(self.sim, peer)
+            self.request(peer, "replica_read", key, self.config.op_timeout, reply)
+            futures.append(reply)
         return self._after_quorum(
             futures,
             self.config.read_quorum - 1,
-            lambda results: self._read_result(key, list(zip(peers, results))),
+            lambda replies: self._read_result(key, replies),
         )
 
     def _after_quorum(
@@ -183,6 +184,20 @@ class QuorumServer(RingServer):
                 continue
             for server in view.chain_for(key):
                 self.send(view.address_of(server), msg)
+
+
+class _FromPeer(Future):
+    """A ``replica_read`` reply that resolves as ``(peer, reply)``, so a
+    quorum gathered in completion order still knows who said what."""
+
+    __slots__ = ("peer",)
+
+    def __init__(self, sim: Simulator, peer: Address) -> None:
+        super().__init__(sim)
+        self.peer = peer
+
+    def rpc_reply(self, value: Any) -> None:
+        super().rpc_reply((self.peer, value))
 
 
 class QuorumStore(RingDeployment):

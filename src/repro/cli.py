@@ -1003,7 +1003,7 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
             for name, spec in sorted(WORKLOADS.items())
         ),
         "defaults  : 6 servers/site, R=3, k=2, LAN 0.3ms, WAN 40ms",
-        "see also  : pytest benchmarks/ --benchmark-only -s  (experiments E1-E11)",
+        "see also  : pytest benchmarks/ -s  (experiments E1-E12)",
     ]
     payload = {
         "protocols": list(PROTOCOLS),

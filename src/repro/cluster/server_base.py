@@ -20,8 +20,8 @@ from repro.errors import NotResponsibleError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.storage.merge import ConflictResolver, stamp_of
-from repro.storage.store import Record, VersionedStore
+from repro.storage.merge import ConflictResolver
+from repro.storage.store import ConvergedBase, VersionedStore
 from repro.storage.version import VersionVector, intern_str
 
 __all__ = ["RingServer", "install_converged"]
@@ -130,9 +130,11 @@ def install_converged(
     protocol: the state a long-converged deployment would hold.
 
     ``views`` and ``nodes`` are per site (``nodes[site]`` by server
-    name); ``owns(site, key)`` restricts a key to its owner sites. Each
-    key gets **one** :class:`Record` in **one** ``key → Record`` table,
-    the *base*, in ``data`` order. Every server takes the base in a
+    name); ``owns(site, key)`` restricts a key to its owner sites. The
+    install is **one** :class:`ConvergedBase`, the *base*: one
+    ``key → value`` table in ``data`` order at one version, stamp and
+    install time. A key's ``Record`` is built on first touch, then
+    shared by every replica of the key. Every server takes the base in a
     single :meth:`VersionedStore.install` with the rule for which of its
     keys it holds: its name is in the key's chain under ``views`` — the
     preload-time view, never a later one — and its site owns the key.
@@ -140,16 +142,12 @@ def install_converged(
     (the store already held them and arbitrated); every list is empty on
     a fresh deployment.
     """
-    stamp = stamp_of(version)
-    base: Dict[str, Record] = {}
-    for key, value in data.items():
-        key = intern_str(key)
-        base[key] = Record(key, value, version, stamp, now)
+    base = ConvergedBase({intern_str(key): value for key, value in data.items()}, version, now)
     arbitrated: Dict[str, Dict[str, List[str]]] = {}
     for site, view in views.items():
         # Placing every key now, not at its first lookup, keeps that
         # work (and the memo's growth) out of the run.
-        chains = view.ring().chains(base, view.chain_length)
+        chains = view.ring().chains(base.entries, view.chain_length)
         owned = None if owns is None else functools.partial(owns, site)
         arbitrated[site] = {
             name: node.store.install(base, _holding(name, chains, owned))

@@ -73,10 +73,12 @@ def _census_nodes(nodes: Any) -> Dict[str, Dict[str, int]]:
     log_entries = log_bytes = 0
     for node in nodes:
         store = getattr(node, "store", None)
-        if store is not None and hasattr(store, "all_records"):
-            for rec in store.all_records():
+        if store is not None and hasattr(store, "record_sizes"):
+            # One record at a time: no list, and no Record built for a
+            # preloaded key nothing has touched.
+            for size in store.record_sizes():
                 rec_objects += 1
-                rec_bytes += rec.size_bytes()
+                rec_bytes += size
             log = getattr(store, "log", None)
             if log is not None:
                 log_entries += len(log)

@@ -16,10 +16,10 @@ missed while it was down.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver
-from repro.storage.store import Record, VersionedStore, installed
+from repro.storage.store import ConvergedBase, VersionedStore, installed
 from repro.storage.version import VersionVector
 
 __all__ = ["LogEntry", "AppendLog", "DurableStore"]
@@ -135,11 +135,11 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
             self.log.append(LogEntry(key, value, version, record.stamp))
         return result
 
-    def install(self, base: Mapping[str, Record], holds: Callable[[str], bool]) -> List[str]:
+    def install(self, base: ConvergedBase, holds: Callable[[str], bool]) -> List[str]:
         arbitrated = super().install(base, holds)
-        append = self.log.append
-        for rec in installed(base, holds, arbitrated):
-            append(LogEntry(rec.key, rec.value, rec.version, rec.stamp))
+        append, value, version, stamp = self.log.append, base.value, base.version, base.stamp
+        for key in installed(base, holds, arbitrated):
+            append(LogEntry(key, value(key), version, stamp))
         return arbitrated
 
     # ------------------------------------------------------------------
@@ -169,7 +169,7 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
         ]
 
     def should_compact(self) -> bool:
-        live = max(len(self.all_records()), 1)
+        live = max(sum(1 for _ in self._walk()), 1)
         return (
             len(self.log) >= self.min_compact_entries
             and len(self.log) > self.compact_ratio * live

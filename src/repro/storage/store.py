@@ -15,12 +15,15 @@ like any other write instead of resurrecting old data.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.merge import ConflictResolver, LWWResolver, Stamp, stamp_of
 from repro.storage.version import ZERO, VersionVector
 
-__all__ = ["Record", "ApplyResult", "VersionedStore", "TOMBSTONE", "Tombstone", "installed"]
+__all__ = [
+    "Record", "ConvergedBase", "ApplyResult", "VersionedStore", "TOMBSTONE", "Tombstone",
+    "installed",
+]
 
 
 class Tombstone:
@@ -55,13 +58,15 @@ class Record:
     large keyspaces hold one instance per key, so the per-instance
     ``__dict__`` a dataclass carries dominated their memory.
 
-    **Never mutate a Record, or the base that holds it.** Preload builds
-    one ``Record`` per key in one shared ``key → Record`` table, and every
-    replica of the key in every datacenter answers from that instance
-    (:meth:`VersionedStore.install`): a write puts a new ``Record`` in the
-    writing store's own table, it does not edit the shared one. Stability
-    leans on it too: a record installed converged has no tracker entry
-    and answers for itself by its version (``ChainNode.mark_converged``).
+    **Never mutate a Record, or the base that holds it.** A preloaded
+    key's ``Record`` is built on first touch, then shared: the first
+    replica to look the key up builds it into the base's shared table
+    (:class:`ConvergedBase`), and every replica of the key in every
+    datacenter answers from that instance. A write puts a new ``Record``
+    in the writing store's own table, it does not edit the shared one.
+    Stability leans on it too: a record installed converged has no
+    tracker entry and answers for itself by its version
+    (``ChainNode.mark_converged``).
     """
 
     __slots__ = ("key", "value", "version", "stamp", "updated_at")
@@ -85,9 +90,7 @@ class Record:
         return self.value is TOMBSTONE
 
     def size_bytes(self) -> int:
-        from repro.net.message import estimate_size
-
-        return estimate_size(self.key) + estimate_size(self.value) + self.version.size_bytes()
+        return _record_size(self.key, self.value, self.version)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):
@@ -111,6 +114,55 @@ class Record:
         )
 
 
+def _record_size(key: str, value: Any, version: VersionVector) -> int:
+    from repro.net.message import estimate_size
+
+    return estimate_size(key) + estimate_size(value) + version.size_bytes()
+
+
+class ConvergedBase:
+    """One converged install, shared by every replica it lands on.
+
+    ``entries`` is one table in install order: ``key → value`` at the one
+    ``version`` (and its stamp) and install time ``at``. A key's
+    :class:`Record` is built on first touch, then shared: :meth:`share`
+    builds it the first time any replica looks the key up and puts it in
+    the key's slot in place of the value, and every later lookup answers
+    with that instance. An entry is therefore a value or, once touched,
+    its ``Record`` (so a preloaded value is never itself a ``Record``);
+    the caller never edits the table.
+    """
+
+    __slots__ = ("entries", "version", "stamp", "at")
+
+    def __init__(self, entries: Dict[str, Any], version: VersionVector, at: float = 0.0) -> None:
+        self.entries = entries
+        self.version = version
+        self.stamp = stamp_of(version)
+        self.at = at
+
+    def share(self, key: str) -> Record:
+        """``key``'s shared Record, built (and shared) on first touch."""
+        entry = self.entries[key]
+        if type(entry) is Record:
+            return entry
+        rec = self.entries[key] = Record(key, entry, self.version, self.stamp, self.at)
+        return rec
+
+    def record(self, key: str, entry: Any) -> Record:
+        """The Record of ``key``'s ``entry`` (a base entry, or any Record):
+        the Record itself, else a new one that is not shared — how
+        iteration reads the base without touching it."""
+        if type(entry) is Record:
+            return entry
+        return Record(key, entry, self.version, self.stamp, self.at)
+
+    def value(self, key: str) -> Any:
+        """``key``'s preloaded value, touched or not."""
+        entry = self.entries[key]
+        return entry.value if type(entry) is Record else entry
+
+
 class ApplyResult:
     """Outcome of offering a write to the store (slotted; py3.9-safe)."""
 
@@ -131,17 +183,21 @@ class ApplyResult:
 class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .apply per instance
     """Convergent versioned KV store used by every replica.
 
-    State is two tables. The *base* is a ``key → Record`` table shared by
+    State is two tables. The *base* is a :class:`ConvergedBase` shared by
     every replica a preload installed (:meth:`install`), with a rule for
     which of its keys this store holds; the store's own table holds only
-    what was written here since. Lookups try the own table first, and
-    iteration yields one table's order: the held base keys in base order,
-    each as last written here, then the keys first written here.
+    what was written here since. Lookups try the own table, then the
+    base's table (one C-level ``dict.get``), and build a held key's
+    ``Record`` only if no replica has yet: built on first touch, then
+    shared. Versions, counts, iteration and sizes read the base without
+    building anything. Iteration yields one table's order: the held base
+    keys in base order, each as last written here, then the keys first
+    written here.
     """
 
     def __init__(self, resolver: Optional[ConflictResolver] = None):
         self._data: Dict[str, Record] = {}
-        self._base: Optional[Mapping[str, Record]] = None
+        self._base: Optional[ConvergedBase] = None
         self._holds: Callable[[str], bool] = _holds_nothing
         self._resolver = resolver or LWWResolver()
         self._writes_applied = 0
@@ -154,7 +210,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         base = self._base
         if base is None:
             return self._writes_applied
-        return self._writes_applied + sum(1 for key in base if self._holds(key))
+        return self._writes_applied + sum(1 for key in base.entries if self._holds(key))
 
     # ------------------------------------------------------------------
     # reads
@@ -170,45 +226,75 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         """The raw record including tombstones; None only if never written."""
         rec = self._data.get(key)
         if rec is None and self._base is not None:
-            rec = self._base.get(key)
-            if rec is not None and not self._holds(key):
+            entry = self._base.entries.get(key, _ABSENT)
+            if entry is _ABSENT or not self._holds(key):
                 return None
+            if type(entry) is not Record:
+                entry = self._base.share(key)
+            return entry
         return rec
 
     def version_of(self, key: str) -> VersionVector:
-        # get_record, inlined (as in apply): the floor of every
-        # never-written key asks this on each read
+        """``key``'s stored version, ZERO if never written; builds nothing."""
         rec = self._data.get(key)
-        if rec is None and self._base is not None:
-            rec = self._base.get(key)
-            if rec is not None and not self._holds(key):
-                rec = None
-        return ZERO if rec is None else rec.version
+        if rec is not None:
+            return rec.version
+        base = self._base
+        if base is not None and key in base.entries and self._holds(key):
+            return base.version
+        return ZERO
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
     def __len__(self) -> int:
-        return sum(1 for _, rec in self._items() if not rec.is_deleted)
+        return sum(1 for _, rec in self.items() if not rec.is_deleted)
 
     def keys(self) -> Iterator[str]:
-        return (k for k, rec in self._items() if not rec.is_deleted)
+        return (k for k, rec in self.items() if not rec.is_deleted)
 
     def all_records(self) -> List[Record]:
         """Every record including tombstones — for anti-entropy / repair."""
-        return [rec for _, rec in self._items()]
+        return [rec for _, rec in self.items()]
 
-    def _items(self) -> Iterator[Tuple[str, Record]]:
+    def items(self) -> Iterator[Tuple[str, Record]]:
+        """``(key, record)`` for every record, tombstones included, in one
+        table's order. A base key no replica has touched comes as a new
+        ``Record`` that is not shared: iterating touches nothing."""
+        base = self._base
+        if base is None:
+            yield from self._data.items()
+            return
+        record = base.record
+        for key, entry in self._walk():
+            yield key, record(key, entry)
+
+    def record_sizes(self) -> Iterator[int]:
+        """The wire size of each record :meth:`items` yields, in its order,
+        without building a ``Record`` for a base key nothing has touched."""
+        version = self._base.version if self._base is not None else ZERO
+        for key, entry in self._walk():
+            if type(entry) is Record:
+                yield entry.size_bytes()
+            else:
+                yield _record_size(key, entry, version)
+
+    def _walk(self) -> Iterator[Tuple[str, Any]]:
+        """One table's order: the held base keys in base order, each as
+        last written here, then the keys first written here. A held base
+        key never written here comes as its base entry, which is its
+        value if no replica has touched it."""
         data, base = self._data, self._base
         if base is None:
             yield from data.items()
             return
-        holds, mine = self._holds, data.get
-        for key, rec in base.items():
+        holds, mine, entries = self._holds, data.get, base.entries
+        for key, entry in entries.items():
             if holds(key):
-                yield key, mine(key, rec)
+                rec = mine(key)
+                yield key, entry if rec is None else rec
         for key, rec in data.items():
-            if key not in base or not holds(key):
+            if key not in entries or not holds(key):
                 yield key, rec
 
     # ------------------------------------------------------------------
@@ -236,11 +322,14 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         """
         if stamp is None:
             stamp = stamp_of(version)
+        # get_record, inlined: every replica's write asks this
         existing = self._data.get(key)
         if existing is None and self._base is not None:
-            existing = self._base.get(key)
-            if existing is not None and not self._holds(key):
+            existing = self._base.entries.get(key, _ABSENT)
+            if existing is _ABSENT or not self._holds(key):
                 existing = None
+            elif type(existing) is not Record:
+                existing = self._base.share(key)
         if existing is None:
             rec = Record(key, value, version, stamp, now)
             self._data[key] = rec
@@ -266,34 +355,34 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         self.conflicts_resolved += 1
         return ApplyResult(True, rec, was_conflict=True)
 
-    def install(self, base: Mapping[str, Record], holds: Callable[[str], bool]) -> List[str]:
-        """Take the records of ``base`` (``key → Record``, shared by every
-        replica) whose keys ``holds`` admits, as installed writes.
+    def install(self, base: ConvergedBase, holds: Callable[[str], bool]) -> List[str]:
+        """Take the entries of ``base`` (shared by every replica) whose keys
+        ``holds`` admits, as installed writes.
 
-        Same outcome as :meth:`apply` on each held record's fields in
-        base order, except that a key this store has never seen answers
-        with the base's ``Record`` *instance*. An empty store keeps
-        ``base`` and ``holds`` themselves — no per-key work and nothing of
-        its own — so neither may change afterwards: ``holds`` must be a
-        fixed rule, and the caller never edits ``base``. A store that
-        already holds state offers each held key in turn: one it holds is
-        arbitrated through the convergent :meth:`apply`, any other is
-        stored as given. Returns the keys arbitrated, ``[]`` on an empty
-        store; :func:`installed` lists the records stored as given.
+        Same outcome as :meth:`apply` on each held entry in base order,
+        except that a key this store has never seen answers with the
+        base's shared ``Record``: built on first touch, then shared. An
+        empty store keeps ``base`` and ``holds`` themselves — no per-key
+        work and nothing of its own — so ``holds`` must be a fixed rule.
+        A store that already holds state offers each held key in turn:
+        one it holds is arbitrated through the convergent :meth:`apply`,
+        any other is stored as given. Returns the keys arbitrated, ``[]``
+        on an empty store; :func:`installed` lists the keys stored as
+        given.
         """
         if self._base is None and not self._data:
             self._base, self._holds = base, holds
             return []
         arbitrated = []
         data = self._data
-        for key, rec in base.items():
+        for key in base.entries:
             if not holds(key):
                 continue
             if self.get_record(key) is None:
-                data[key] = rec
+                data[key] = base.share(key)
                 self._writes_applied += 1
             else:
-                self.apply(key, rec.value, rec.version, rec.updated_at, rec.stamp)
+                self.apply(key, base.value(key), base.version, base.at, base.stamp)
                 arbitrated.append(key)
         return arbitrated
 
@@ -312,20 +401,21 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
     # ------------------------------------------------------------------
     def digest(self) -> Dict[str, VersionVector]:
         """key → version map, the unit of anti-entropy comparison."""
-        return {k: rec.version for k, rec in self._items()}
+        return {k: rec.version for k, rec in self.items()}
 
     def records_newer_than(self, digest: Dict[str, VersionVector]) -> List[Record]:
         """Records the peer summarised by ``digest`` is missing or behind on."""
         out = []
-        for key, rec in self._items():
+        for key, rec in self.items():
             peer_version = digest.get(key)
             if peer_version is None or not peer_version.dominates(rec.version):
                 out.append(rec)
         return out
 
     def clear(self) -> None:
-        """Drop all data, the base included — models losing volatile
-        state in a crash."""
+        """Drop all data, this store's hold on the base included — models
+        losing volatile state in a crash. The base and its shared records
+        stay with every other replica."""
         self._writes_applied = self.writes_applied  # the count is not state
         self._data.clear()
         self._base, self._holds = None, _holds_nothing
@@ -342,10 +432,14 @@ def _holds_nothing(key: str) -> bool:
     return False
 
 
+_ABSENT = object()
+
+
 def installed(
-    base: Mapping[str, Record], holds: Callable[[str], bool], arbitrated: List[str]
-) -> Iterator[Record]:
-    """The records :meth:`VersionedStore.install` stored as given, in
-    base order: every held key it did not arbitrate."""
+    base: ConvergedBase, holds: Callable[[str], bool], arbitrated: List[str]
+) -> Iterator[str]:
+    """The keys :meth:`VersionedStore.install` stored as given, in base
+    order: every held key it did not arbitrate. Each stands at the base's
+    ``version`` / ``stamp`` with the value :meth:`ConvergedBase.value`."""
     skip = set(arbitrated)
-    return (rec for key, rec in base.items() if key not in skip and holds(key))
+    return (key for key in base.entries if key not in skip and holds(key))

@@ -65,6 +65,12 @@ def build(protocol: str, **kwargs):
 # over the facade module's ``install_converged`` to preload a twin this way.
 
 
+def touched(base):
+    """The keys of a ``ConvergedBase`` whose shared Record some replica
+    has built (its slot holds the Record in place of the value)."""
+    return [key for key, entry in base.entries.items() if type(entry) is Record]
+
+
 def install_per_server(data, version, now, views, nodes, owns=None):
     stamp = stamp_of(version)
     groups = {site: {name: {} for name in nodes[site]} for site in views}

@@ -5,6 +5,7 @@ import pytest
 from helpers import run_op
 
 from repro.baselines import BaselineConfig, QuorumStore
+from repro.storage.version import VersionVector
 
 
 def make_quorum(**overrides):
@@ -105,3 +106,47 @@ class TestQuorumSemantics:
         run_op(store, s.put("k", "new"))
         for _ in range(10):
             assert run_op(store, s.get("k")).value == "new"
+
+
+class TestReadRepairTarget:
+    def test_repair_goes_to_the_stale_peer_when_replies_arrive_out_of_ring_order(self):
+        """The coordinator gathers replies in completion order; the one
+        repaired is the peer whose reply was stale, not the one at that
+        reply's index in ring order."""
+        store = make_quorum(write_quorum=1, read_quorum=3)
+        chain = store.managers["dc0"].view.chain_for("k")
+        coordinator = store._node("dc0", chain[0])
+        peers = coordinator._local_peers("k")  # ring order
+        fresh, stale = (store._node("dc0", peer.node) for peer in peers)
+        version = VersionVector({"dc0": 1})
+        for node in (coordinator, fresh):
+            node.store.apply("k", "v", version)
+
+        held, repaired = [], []
+
+        def divert(src, dst, msg):
+            if dst == coordinator.address and msg.type_name == "rpc-response":
+                held.append((src, dst, msg))
+                return True
+            return False
+
+        def watch(src, dst, msg):
+            if msg.type_name == "ev-replicate":
+                repaired.append(dst)
+            return True
+
+        store.network.set_divert(divert)
+        store.network.add_filter(watch)
+        answer = coordinator.rpc_get("k", coordinator.address)
+        while len(held) < 2:
+            assert store.sim.step()
+        assert [src for src, _, _ in held] == peers
+        for src, dst, msg in reversed(held):  # peers[1]'s reply completes first
+            store.network.inject_now(src, dst, msg)
+        store.network.set_divert(None)
+        store.run(until=store.sim.now + 0.5)
+
+        assert answer.result()["value"] == "v"
+        assert repaired == [peers[1]]
+        assert coordinator.read_repairs == 1
+        assert stale.store.version_of("k") == version

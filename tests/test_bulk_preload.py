@@ -1,10 +1,11 @@
 """A preloaded record answers for itself; two older preloads are the oracles.
 
-``ChainReactionStore.preload`` builds one shared ``Record`` per key in one
-shared ``key → Record`` table, the *base*, and hands every server the base
-plus the rule for which of its keys that server holds (its name in the
-key's chain under the preload-time view, its site an owner): a server's
-own table stays empty until something is written to it. On the notices
+``ChainReactionStore.preload`` builds one shared ``key → value`` table at
+one version, the *base*, and hands every server the base plus the rule
+for which of its keys that server holds (its name in the key's chain
+under the preload-time view, its site an owner): a server's own table
+stays empty until something is written to it, and a key's ``Record`` is
+built on first touch, then shared by every replica. On the notices
 plane preload writes *no* tracker state either: a record installed
 converged is DC-stable and globally stable by construction
 (``ChainNode.mark_converged``) and gets tracker entries only at its first
@@ -244,7 +245,7 @@ def test_a_fresh_deployment_keeps_nothing_per_server(name):
     store = make_store(**CONFIGS[name])
     store.preload(DATA)
     base = store.servers()[0].store._base
-    assert list(base) == list(DATA)
+    assert list(base.entries.items()) == list(DATA.items())  # nothing touched yet
     for node in store.servers():
         assert node.store._base is base
         assert node.store._data == {}

@@ -19,7 +19,10 @@ by the alarm's no-op firings. Then when every baseline operation — the
 client's, the quorum coordinator's and the COPS remote apply — became a
 continuation started inline: the baseline rows fell by their zero-delay
 start events (``cops`` 13 523 -> 10 884, ``eventual`` 12 460 -> 9 924,
-``quorum`` 15 730 -> 13 106).
+``quorum`` 15 730 -> 13 106). Pairing each quorum read reply with the
+replica that sent it moved none of the ``quorum`` row's counters; only
+its message trace changed, as repairs now reach the peers that answered
+stale.
 """
 
 import pytest

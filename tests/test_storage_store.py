@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import touched
+
 from repro.storage import TOMBSTONE, LWWResolver, VersionedStore, VersionVector
-from repro.storage.store import Record, installed
+from repro.storage.store import ConvergedBase, installed
 
 
 def vv(**entries):
@@ -160,13 +162,14 @@ def write_sets(draw):
 
 
 class TestInstall:
-    """``install`` takes a shared ``key → Record`` base and the rule for
+    """``install`` takes a shared :class:`ConvergedBase` and the rule for
     which of its keys the store holds; an empty store keeps both and has
-    no table of its own (docs/PERFORMANCE.md §11)."""
+    no table of its own (docs/PERFORMANCE.md §11). A held key's
+    ``Record`` is built on first touch, then shared (§21)."""
 
     @staticmethod
-    def records(*keys, n=1):
-        return {k: Record(k, f"v-{k}", vv(preload=n), (n, (("preload", n),)), 0.0) for k in keys}
+    def base(*keys, n=1):
+        return ConvergedBase({k: f"v-{k}" for k in keys}, vv(preload=n), at=0.5)
 
     @staticmethod
     def holds_all_but(*skipped):
@@ -174,72 +177,87 @@ class TestInstall:
 
     def test_an_empty_store_keeps_the_base_and_its_rule(self):
         store = VersionedStore()
-        base = self.records("a", "b", "c")
+        base = self.base("a", "b", "c")
         assert store.install(base, self.holds_all_but("b")) == []
         assert store._base is base and store._data == {}
         assert store.writes_applied == 2
-        assert [r.key for r in store.all_records()] == ["a", "c"]
-        assert store.get_record("a") is base["a"] and store.get_record("b") is None
-        assert store.version_of("b").is_zero() and "b" not in store and len(store) == 2
+        assert [(r.key, r.value) for r in store.all_records()] == [("a", "v-a"), ("c", "v-c")]
+        assert store.version_of("a") == vv(preload=1) and store.version_of("b").is_zero()
+        assert touched(base) == []  # iterating and versions build nothing
+        assert store.get_record("b") is None and touched(base) == []
+        record = store.get_record("a")
+        assert touched(base) == ["a"] and base.entries["a"] is record
+        assert (record.value, record.version, record.stamp, record.updated_at) == (
+            "v-a", vv(preload=1), base.stamp, 0.5
+        )
+        assert base.value("a") == "v-a" and base.value("c") == "v-c"
+        assert store.get_record("a") is record and store.all_records()[0] is record
+        assert "b" not in store and len(store) == 2
 
     def test_writes_go_to_the_own_table_and_keep_one_tables_order(self):
         store = VersionedStore()
-        base = self.records("a", "b", "c")
+        base = self.base("a", "b", "c")
         store.install(base, self.holds_all_but("b"))
         store.apply("d", "later", vv(dc0=1))
         store.apply("a", "newer", vv(preload=1, dc0=1))
         store.apply("b", "not-held", vv(dc0=1))  # in the base, not held here
-        assert base == self.records("a", "b", "c")  # the base is never edited
+        assert [base.value(k) for k in base.entries] == ["v-a", "v-b", "v-c"]
+        assert touched(base) == ["a"]  # the overwrite looked "a" up first
         assert list(store._data) == ["d", "a", "b"]
         assert [(r.key, r.value) for r in store.all_records()] == [
             ("a", "newer"), ("c", "v-c"), ("d", "later"), ("b", "not-held")
         ]
         assert list(store.keys()) == ["a", "c", "d", "b"]
         assert list(store.digest()) == ["a", "c", "d", "b"]
+        assert list(store.record_sizes()) == [r.size_bytes() for r in store.all_records()]
         assert store.writes_applied == 5
 
     def test_a_store_with_state_stores_new_keys_as_given(self):
         store = VersionedStore()
         store.apply("z", "old", vv(dc0=1))
-        base = self.records("a", "b")
+        base = self.base("a", "b")
         assert store.install(base, self.holds_all_but()) == []
         assert store._base is None
         assert [r.key for r in store.all_records()] == ["z", "a", "b"]
-        assert store.get_record("a") is base["a"]
+        assert store.get_record("a") is base.entries["a"]
         assert store.writes_applied == 3
 
     def test_keys_already_held_are_arbitrated_and_returned(self):
         store = VersionedStore()
         store.apply("a", "newer", vv(dc0=1, preload=1))
         store.apply("b", "older", vv())  # dominated by the offer
-        base = self.records("a", "b", "c")
+        base = self.base("a", "b", "c")
         assert store.install(base, self.holds_all_but()) == ["a", "b"]
         assert store.get_record("a").value == "newer" and store.writes_ignored == 1
-        assert store.get_record("b").value == "v-b" and store.get_record("b") is not base["b"]
-        assert store.get_record("c") is base["c"]
-        assert [r.key for r in installed(base, self.holds_all_but(), ["a", "b"])] == ["c"]
+        assert store.get_record("b").value == "v-b" and base.entries["b"] == "v-b"
+        assert store.get_record("c") is base.entries["c"]
+        assert list(installed(base, self.holds_all_but(), ["a", "b"])) == ["c"]
 
     def test_a_second_base_is_arbitrated_against_the_first(self):
         store = VersionedStore()
-        first = self.records("a", "b")
+        first = self.base("a", "b")
         store.install(first, self.holds_all_but("b"))
-        second = self.records("a", "b", "c", n=2)
+        second = self.base("a", "b", "c", n=2)
         assert store.install(second, self.holds_all_but()) == ["a"]
         assert store._base is first
         assert [(r.key, r.version) for r in store.all_records()] == [
             ("a", vv(preload=2)), ("b", vv(preload=2)), ("c", vv(preload=2))
         ]
-        assert store.get_record("b") is second["b"]
+        assert store.get_record("b") is second.entries["b"]
         assert store.writes_applied == 4
 
     def test_clear_after_adoption_wipes_the_store_like_any_other(self):
-        store = VersionedStore()
-        base = self.records("a")
-        store.install(base, self.holds_all_but())
+        store, other = VersionedStore(), VersionedStore()
+        base = self.base("a")
+        for target in (store, other):
+            target.install(base, self.holds_all_but())
+        shared = other.get_record("a")
         store.clear()
         assert store.get_record("a") is None and store._base is None
-        assert store.writes_applied == 1 and base == self.records("a")
-        assert store.install(self.records("a", n=2), self.holds_all_but()) == []
+        assert store.writes_applied == 1 and base.value("a") == "v-a"
+        # Only this store's hold went: the shared record serves the rest.
+        assert base.entries == {"a": shared} and other.get_record("a") is shared
+        assert store.install(self.base("a", n=2), self.holds_all_but()) == []
         assert store.version_of("a") == vv(preload=2)
         assert store.writes_applied == 2
 
@@ -247,11 +265,11 @@ class TestInstall:
         bulk, walked = VersionedStore(), VersionedStore()
         for target in (bulk, walked):
             target.apply("b", "live", vv(dc0=2))
-        base = self.records("a", "b", "c", "d")
+        base = self.base("a", "b", "c", "d")
         holds = self.holds_all_but("c")
-        for rec in base.values():
-            if holds(rec.key):
-                walked.apply(rec.key, rec.value, rec.version, rec.updated_at, rec.stamp)
+        for key in base.entries:
+            if holds(key):
+                walked.apply(key, base.value(key), base.version, base.at, base.stamp)
         bulk.install(base, holds)
         assert bulk.checksum_state() == walked.checksum_state()
         assert [r.key for r in bulk.all_records()] == [r.key for r in walked.all_records()]
