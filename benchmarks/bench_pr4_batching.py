@@ -10,8 +10,9 @@ Two measurements back the PR's claims:
 2. **Metadata plateau** — a 10x-length insert-growing run (YCSB D).
    Without GC the servers' live stability metadata grows linearly with
    the keyspace; with GC it must plateau (final size within 2x of the
-   early steady level) while only the O(1)-per-record seal floors keep
-   growing.
+   early steady level). A key is sealed at the stability event that
+   completes it; what stays is one sealed version per key at rest
+   (``global_floor_entries``), reclaimed by the key's next write.
 
 Run as a script to (re)generate ``BENCH_PR4.json`` at the repo root::
 

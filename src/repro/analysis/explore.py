@@ -1367,7 +1367,7 @@ def _drop_cascade_scope() -> ExploreScope:
 
 
 def _gc_floor_scope() -> ExploreScope:
-    """Seal a key via metadata GC, then write it again: the mutated
+    """Seal a key when it settles, then write it again: the mutated
     stable floor over-promises by one version, so a dependent write's
     stability wait resolves instantly and readers see the dependent
     write before its dependency."""
@@ -1390,7 +1390,7 @@ def _gc_floor_scope() -> ExploreScope:
             ExploreOp("B", "dc0", "get", key_y),
             ExploreOp("B", "dc0", "get", key_x),
         ),
-        overrides=(("stability", "notices+batch"), ("gc_interval", 0.05)),
+        overrides=(("stability", "notices+batch"),),
         mutations=("gc_floor_off_by_one",),
         # the second write of key_x is deliberately left propagating in
         # the violating schedules; liveness oracles would double-report

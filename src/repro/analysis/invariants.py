@@ -21,13 +21,15 @@ them into assertions that can ride along on any run of the
   its causal past.
 
 The monitor wraps per-node ``store.apply`` / ``store.install`` /
-``stability.record`` / ``mark_converged`` and per-session observation
-hooks on a live deployment. A record installed converged has no tracker
-entry (``ChainNode.mark_converged``), so both stability checks cover
-that floor too: marking is grounded only if every key the node was just
-handed is held at exactly the vouched version, and an answer that has
-*sunk* by the key's first notice — on the way from the floor to a live
-entry — breaks monotonicity though no single ``record`` shrank anything.
+``stability.record`` / ``mark_converged`` / ``seal`` and per-session
+observation hooks on a live deployment. A record installed converged,
+like a sealed key, has no tracker entry (``ChainNode.mark_converged``,
+``ChainNode.seal``), so both stability checks cover that floor too:
+marking is grounded only if every key the node was just handed is held
+at exactly the vouched version, sealing only if the store holds exactly
+the sealed one, and an answer that has *sunk* by the key's next notice
+— on the way from the floor to a live entry — breaks monotonicity
+though no single ``record`` shrank anything.
 
 Runs with failure injection are supported (the fault-campaign engine
 attaches this monitor on every campaign). Three adjustments keep the
@@ -187,14 +189,15 @@ class ChainInvariantMonitor:
 
         original_crash = node.crash
 
-        #: key -> what the floor answered at marking, until its first notice
-        converged: Dict[str, Any] = {}
+        #: key -> what the floor answered at marking or sealing, until
+        #: the key's next notice
+        vouched: Dict[str, Any] = {}
 
         def resetting_crash() -> None:
             # Fail-stop: the replica's recorded lifetime ends here. What
             # it re-applies after recovery belongs to a fresh sequence.
             applied.clear()
-            converged.clear()
+            vouched.clear()
             original_crash()
 
         node.crash = resetting_crash
@@ -218,11 +221,11 @@ class ChainInvariantMonitor:
 
         def checking_record(key: str, version: Any) -> None:
             before = tracker.stable_version(key)
-            vouched = converged.pop(key, None)
-            if vouched is not None:
+            floor = vouched.pop(key, None)
+            if floor is not None:
                 # By now the answer may come from an entry created off
                 # the floor; it must not have sunk on the way.
-                check_monotone(key, vouched, before)
+                check_monotone(key, floor, before)
             original_record(key, version)
             after = tracker.stable_version(key)
             monitor.stability_checks += 1
@@ -245,9 +248,22 @@ class ChainInvariantMonitor:
                     violated("stability-grounding", key,
                              f"marked {version} converged while holding {held}; "
                              "only a record installed as given answers for itself")
-                converged[key] = tracker.stable_version(key)
+                vouched[key] = tracker.stable_version(key)
 
         node.mark_converged = checking_mark_converged
+
+        original_seal = node.seal
+
+        def checking_seal(key: str, version: Any) -> None:
+            original_seal(key, version)
+            held = node.store.version_of(key)
+            if held != version:
+                violated("stability-grounding", key,
+                         f"sealed {version} while holding {held}; "
+                         "only the stored record answers for itself")
+            vouched[key] = tracker.stable_version(key)
+
+        node.seal = checking_seal
 
     def _wrap_session_factory(self) -> None:
         original_session = self.store.session

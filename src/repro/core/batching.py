@@ -9,7 +9,8 @@ flush timers instead of the wire —
 - global-stability fan-out (``GlobalStableBatch``),
 - geo shipping (``RemoteUpdateBatch`` per peer DC)
 
-— and every server seals its fully-stable keys on a periodic sweep.
+— and every server seals a key at the stability event that completes
+it (:meth:`BatchedNoticesPlane._try_seal`).
 
 A coalescer keeps one buffer per destination address. The first entry
 buffered arms a single simulator timer ``flush_interval`` out; when it
@@ -46,7 +47,6 @@ from repro.core.messages import (
 from repro.core.stability_plane import NoticesPlane, NoticesShipping
 from repro.net.network import Address
 from repro.sim.kernel import ScheduledEvent
-from repro.storage.logstore import DurableStore
 from repro.storage.version import VersionVector
 
 if TYPE_CHECKING:
@@ -205,9 +205,9 @@ class UpdateCoalescer(Coalescer):
 
 class BatchedNoticesPlane(NoticesPlane):
     """Server half: the ``ChainStable`` cascade travels as one
-    :class:`BulkStable` per upstream hop per window, and a sweep every
-    ``gc_interval`` seals the keys whose stable record already says
-    everything their tracker entries do (``ChainNode._try_seal``)."""
+    :class:`BulkStable` per upstream hop per window, and a key is sealed
+    (:meth:`ChainNode.seal`) at the stability event that leaves its
+    stable record saying everything its tracker entries do."""
 
     __slots__ = ("_coalescer",)
 
@@ -219,7 +219,10 @@ class BatchedNoticesPlane(NoticesPlane):
         self._coalescer = StabilityCoalescer(
             node, config.batch_flush_interval, config.batch_max_entries, self._send_bulk_stable
         )
-        node.set_timer(config.gc_interval, self._gc_tick)
+
+    def tail_stabilise(self, key: str, *rest: Any, **kw: Any) -> None:
+        super().tail_stabilise(key, *rest, **kw)
+        self._try_seal(key)
 
     def _notify_upstream(
         self, upstream: Address, key: str, version: VersionVector, position: int
@@ -240,32 +243,46 @@ class BatchedNoticesPlane(NoticesPlane):
             pos = chain_positions(chain, node.name)
             if pos is not None and pos > 0:
                 self._coalescer.add(node.view.address_of(chain[pos - 1]), key, version)
+            self._try_seal(key)
 
     def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
+        record = self.node.global_stability.record
         for key, version in msg.entries:
-            self.node.global_stability.record(key, version)
+            record(key, version)
+            self._try_seal(key)
 
-    def _gc_tick(self) -> None:
-        """Seal keys whose metadata the stable record already subsumes."""
+    def _try_seal(self, key: str) -> None:
+        """Seal ``key`` once its stored record says every stability fact
+        about it: the live DC entry covers the record (nothing newer in
+        flight on the chain) with no waiter parked, and in geo mode the
+        global entry covers it too.
+
+        Dropping the record's dependency list leans on the stability
+        gates: a write only becomes DC-stable after its dependencies
+        are DC-stable in that DC, so a globally stable record has
+        globally stable dependencies. That needs the causal-delivery
+        gate, so the E10 ablation that switches it off never seals.
+        """
         node = self.node
-        sealed = 0
-        for key in node.stability.tracked_keys():
-            if node._try_seal(key):
-                sealed += 1
-        if sealed:
-            node.keys_sealed += sealed
-            node.trace("gc", "sealed", sealed=str(sealed))
-            if isinstance(node.store, DurableStore):
-                # Sealing frees tracker entries; give the log the same
-                # chance to shed its dead prefix.
-                node.store.maybe_compact()
-        node.set_timer(node.config.gc_interval, self._gc_tick)
+        config = node.config
+        if config.is_geo and not config.geo_causal_delivery:
+            return
+        entry = node.stability.raw_entry(key)
+        if entry is None or node.stability.has_waiters(key):
+            return
+        record = node.store.get_record(key)
+        if record is None or not entry.dominates(record.version):
+            return
+        if config.is_geo:
+            global_entry = node.global_stability.raw_entry(key)
+            if global_entry is None or not global_entry.dominates(record.version):
+                return
+        node.seal(key, record.version)
 
     def on_recover(self) -> None:
         # The crash cancelled the armed flush timer and the buffered
         # entries belong to the pre-crash lifetime; start clean.
         self._coalescer.reset()
-        self.node.set_timer(self.node.config.gc_interval, self._gc_tick)
 
     def coalescers(self) -> Dict[str, Any]:
         return {"stability": self._coalescer}

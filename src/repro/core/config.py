@@ -132,8 +132,6 @@ class ChainReactionConfig:
         batch_max_entries: per-destination buffer size that forces an
             eager flush before the window expires (bounds both batch
             wire size and worst-case buffered-entry memory).
-        gc_interval: how often a ``notices+batch`` server runs its
-            sealing sweep (seconds).
         stability: which stabilization plane drives causal visibility,
             one of :data:`STABILITY_PLANES`. ``"notices"`` (default) is
             the paper's explicit plane: per-write ChainStable cascades,
@@ -143,8 +141,8 @@ class ChainReactionConfig:
             ``RemoteUpdateBatch`` / ``GlobalStableBatch``, flushed every
             ``batch_flush_interval`` or at ``batch_max_entries``) and
             fully-stable keys sealed — tracker entries and retained
-            dependency lists dropped, the stable record itself the
-            per-key floor — by a sweep every ``gc_interval``.
+            dependency lists dropped, the stored version itself the
+            per-key floor — at the stability event that completes them.
             ``"clock"`` replaces all of that with hybrid-logical-clock
             stamps on writes plus one small stability vector per DC per
             ``stability_interval`` — remote updates become visible when
@@ -191,7 +189,6 @@ class ChainReactionConfig:
     num_shards: int = 16
     batch_flush_interval: float = 0.025
     batch_max_entries: int = 128
-    gc_interval: float = 0.25
     stability: str = "notices"
     stability_interval: float = 0.005
     mutations: Tuple[str, ...] = ()
@@ -241,8 +238,6 @@ class ChainReactionConfig:
             raise ConfigError("batch_flush_interval must be positive")
         if self.batch_max_entries < 1:
             raise ConfigError("batch_max_entries must be >= 1")
-        if self.gc_interval <= 0:
-            raise ConfigError("gc_interval must be positive")
         if self.stability not in STABILITY_PLANES:
             raise ConfigError(
                 f"stability must be one of {STABILITY_PLANES}; got "

@@ -115,22 +115,23 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.syncing = False
         #: where a geo deployment's tails announce DC-stable writes
         self._geoproxy = Address(site, "geoproxy")
-        #: newest record known DC-stable per key, with the dependency list
-        #: of the write that produced it — the unit served to causally
-        #: consistent snapshot reads (multi_get)
+        #: newest DC-stable record, with the dependency list of the write
+        #: that produced it, of a key whose live record is not stable yet
+        #: (a shadow) — the unit served to causally consistent snapshot
+        #: reads (multi_get)
         self._stable_records: Dict[str, Tuple[Any, Any]] = {}
         self._record_deps: Dict[str, Deps] = {}
         self._sync_epoch = initial_view.epoch
         self._transfer_pending: Set[str] = set()
         self._done_received: Set[Tuple[int, str]] = set()
-        #: per-key globally-stable floor for sealed keys (geo deployments;
-        #: the DC floor needs no map — the stable record itself serves it)
-        self._global_floor: Dict[str, VersionVector] = {}
+        #: what :meth:`seal` vouched for, per key: the stored version,
+        #: DC-stable and globally stable, until the key's next write
+        self._sealed: Dict[str, VersionVector] = {}
         #: what :meth:`mark_converged` vouched for: a stored record at or
         #: below it is stable, with no tracker entry until overwritten
         self._converged = ZERO
-        self.stability.set_floor(self._stable_floor)
-        self.global_stability.set_floor(self._global_stable_floor)
+        self.stability.set_floor(self._floor)
+        self.global_stability.set_floor(self._floor)
         # counters surfaced by the harness
         self.puts_served = 0
         self.gets_served = 0
@@ -333,15 +334,18 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self._stable_records[key] = (existing, self._record_deps.get(key, _NO_DEPS))
         result = self.store.apply(key, value, version, self.sim.now, stamp)
         if result.applied:
-            if existing is not None and self._converged.dominates(existing.version):
-                # Unseal: the floors answered for this key off the record
+            vouched = self._sealed.pop(key, None)
+            if vouched is None and existing is not None and self._converged.dominates(existing.version):
+                vouched = existing.version
+            if vouched is not None:
+                # Unseal: the floor answered for this key off the record
                 # just replaced, so both trackers adopt its version before
                 # anything asks again. From its first write on, a key's
                 # tracker state is what explicit entries would hold.
                 # MUTATION (proving ground): skipped, see _converged_floor.
                 if "converged_floor_overreach" not in self.config.mutations:
-                    self.stability.adopt(key, existing.version)
-                    self.global_stability.adopt(key, existing.version)
+                    self.stability.adopt(key, vouched)
+                    self.global_stability.adopt(key, vouched)
             self.plane.note_applied(key, hlc)
             if result.was_conflict:
                 merged = dict(self._record_deps.get(key, _NO_DEPS))
@@ -372,8 +376,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         steady state (live record stable, nothing in flight) is served
         lazily by :meth:`_stable_entry` from the store and dep map
         directly, so the per-key tuple is pinned only for keys actually
-        in transition. Sealed keys keep their explicit pair: sealing
-        drops the tracker entry this laziness relies on.
+        in transition. A sealed key needs no pair either: its floor
+        answers for the live record.
         """
         record = self.store.get_record(key)
         if record is not None and self.plane.record_is_stable(key, record.version):
@@ -383,7 +387,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         """The newest DC-stable (record, deps) pair, or None.
 
         Reads the shadow map first (set while an unstable write hides
-        the stable record, and by sealing); otherwise the live record
+        the stable record); otherwise the live record
         serves iff it is DC-stable — exactly the pair the eager refresh
         used to store.
         """
@@ -641,44 +645,51 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.set_timer(self.config.compaction_interval, self._compaction_tick)
 
     # ------------------------------------------------------------------
-    # floors (converged records, sealed keys) and sealing
+    # the floor (converged records, sealed keys)
     # ------------------------------------------------------------------
     def mark_converged(self, version: VersionVector) -> None:
         """Vouch for every stored record at or below ``version``: it was
         installed converged, on every replica of every datacenter, so it
         is DC-stable and globally stable and answers for itself through
-        the floors below. A rule on the *version*, not on a flag or on
+        :meth:`_floor`. A rule on the *version*, not on a flag or on
         ``Record`` identity: log replay and state transfer re-create
         records, and a re-created converged record is no less stable."""
         self._converged = self._converged.merge(version)
 
-    def _stable_floor(self, key: str) -> VersionVector:
-        """DC-stable version of a key with no live tracker entry: a
-        sealed or shadowed key is answered by the newest stable record
-        the server already holds — refreshing that slot is guarded by
-        DC-stability, so everything it reports *is* stable — any other
-        key by its live record, iff that was installed converged."""
-        # Reads the explicit map and the store only — NOT the lazy
-        # ``_stable_entry``, which asks ``is_stable`` and so lands back
-        # here. Runs once per read of a never-written key: keep it flat.
-        entry = self._stable_records.get(key)
-        if entry is not None:
-            if "gc_floor_off_by_one" in self.config.mutations:
-                # MUTATION (proving ground): off-by-one floor — claim the
-                # *next* (unwritten) version of the key is already stable,
-                # so a sealed key answers stability queries a write early.
-                return entry[0].version.increment(self.site)
-            return entry[0].version
-        return self._converged_floor(key)
+    def seal(self, key: str, version: VersionVector) -> None:
+        """Vouch for ``version`` of ``key`` — the stored record, DC-stable
+        and globally stable — until the key's next write: the per-key
+        counterpart of :meth:`mark_converged`. Both trackers drop their
+        entries, and the write's dependency list goes too: a globally
+        stable write has globally stable dependencies, so a snapshot cut
+        needs no floors from them any more. Not under partial
+        replication: there a write is globally stable once its shard's
+        owner DCs hold it, which says nothing of its dependencies at any
+        other DC, so a forwarded read must still hand the list on
+        (``fwd_deps``)."""
+        self._sealed[key] = version
+        self.stability.drop_entry(key)
+        self.global_stability.drop_entry(key)
+        if self.placement is None:
+            self._record_deps.pop(key, None)
+        self.keys_sealed += 1
+        if self.tracer is not None:
+            self.trace("gc", "sealed", key, version=str(version))
 
-    def _global_stable_floor(self, key: str) -> VersionVector:
-        """Globally-stable floor. Unlike the DC floor, sealing needs its
-        own map here: ``_stable_records`` refreshes on *DC* stability, so
-        reusing it would claim global stability a WAN round-trip early."""
-        sealed = self._global_floor.get(key)
-        if sealed is not None:
-            return sealed
-        return self._converged_floor(key)
+    def _floor(self, key: str) -> VersionVector:
+        """Stable version — DC and global alike — of a key with no live
+        tracker entry: its sealed version if it has one, else its live
+        record iff that was installed converged. Runs once per read of a
+        never-written key: keep it flat."""
+        sealed = self._sealed.get(key)
+        if sealed is None:
+            return self._converged_floor(key)
+        if "gc_floor_off_by_one" in self.config.mutations:
+            # MUTATION (proving ground): off-by-one floor — claim the
+            # *next* (unwritten) version of the key is already stable,
+            # so a sealed key answers stability queries a write early.
+            return sealed.increment(self.site)
+        return sealed
 
     def _converged_floor(self, key: str) -> VersionVector:
         held = self.store.version_of(key)
@@ -690,61 +701,13 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         )
         return held if vouched else ZERO
 
-    def _try_seal(self, key: str) -> bool:
-        """Seal one key if every stability fact about it is recoverable
-        from the stable record itself:
-
-        - the live DC entry equals the newest record's version (nothing
-          newer is in flight on the chain),
-        - in geo mode the record is acknowledged globally stable,
-        - no waiters are parked on the key.
-
-        Dropping the record's dependency list is covered by the
-        stability gates themselves: a write only becomes DC-stable
-        after its dependencies are DC-stable in that DC (the head holds
-        local puts; the proxy holds remote injections), so a globally
-        stable record has globally stable dependencies — every
-        replica's latest-stable version of a dep key already dominates
-        the floor the list would have imposed on a snapshot cut. That
-        implication needs the causal-delivery gate, so sealing is
-        disabled under the E10 ablation that switches it off.
-        """
-        if self.config.is_geo and not self.config.geo_causal_delivery:
-            return False
-        entry = self.stability.raw_entry(key)
-        if entry is None or self.stability.has_waiters(key):
-            return False
-        record = self.store.get_record(key)
-        if record is None or not entry.dominates(record.version):
-            return False
-        stable_entry = self._stable_entry(key)
-        if stable_entry is None or stable_entry[0].version != record.version:
-            return False
-        if self.config.is_geo:
-            if self.global_stability.has_waiters(key):
-                return False
-            global_entry = self.global_stability.raw_entry(key)
-            if global_entry is None or not global_entry.dominates(record.version):
-                return False
-        if not self.stability.drop_entry(key):
-            return False
-        if self.config.is_geo:
-            self._global_floor[key] = record.version
-            self.global_stability.drop_entry(key)
-        # The deps of a globally stable write are globally stable too;
-        # the snapshot path needs no floors from them any more.
-        self._stable_records[key] = (stable_entry[0], {})
-        self._record_deps.pop(key, None)
-        return True
-
     def metadata_entries(self) -> int:
         """Live protocol metadata entries this server holds (GC metric).
 
         Counts what sealing can reclaim: tracker entries and record
-        dependency lists. The global floor is excluded — it is the O(1)
-        seal marker a sealed record keeps forever (one frozen vector,
-        like the record's own version), counted separately by
-        :meth:`global_floor_entries`.
+        dependency lists. Sealed versions are excluded — one frozen
+        vector per sealed key, like the record's own version, held until
+        the key's next write and counted by :meth:`global_floor_entries`.
         """
         return (
             self.stability.entry_count()
@@ -753,8 +716,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         )
 
     def global_floor_entries(self) -> int:
-        """Sealed-key floor vectors (one per sealed key, never reclaimed)."""
-        return len(self._global_floor)
+        """Sealed versions (one per sealed key; its next write reclaims it)."""
+        return len(self._sealed)
 
     def on_recover(self) -> None:
         self.plane.on_recover()

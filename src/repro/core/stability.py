@@ -12,10 +12,10 @@ resolve exactly once and in stability order.
 
 A tracker holds entries only for keys that *need* one. The owning server
 installs a **floor** (:meth:`set_floor`) — what is stable about a key
-with no live entry, read off state it keeps anyway: a record installed
-converged answers for itself, a key sealed by the ``notices+batch``
-plane's sweep through its ``_stable_records`` slot.
-``stable_version`` falls through to the floor, and a later ``record``
+with no live entry: a record installed converged answers for itself,
+and so does the version of a key the ``notices+batch`` plane sealed at
+the stability event that completed it. Both trackers share the one
+floor. ``stable_version`` falls through to it, and a later ``record``
 re-creates the entry merged with it. Entries appear at a key's first
 overwrite (:meth:`adopt`) or notice and sealing drops them again
 (:meth:`drop_entry`): a tracker is O(keys written), never O(keys). The
@@ -136,7 +136,7 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
         return True
 
     def tracked_keys(self) -> List[str]:
-        """Keys with a live entry, in insertion order (GC scan input)."""
+        """Keys with a live entry, in insertion order (memory census)."""
         return list(self._stable)
 
     def entry_count(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import ChainInvariantMonitor, capture_run
 from repro.baselines.registry import build_store
 from repro.core.messages import DepEntry, ReadReply
+from repro.core.stability import StabilityTracker
 from repro.storage.version import VersionVector
 from repro.workload import WorkloadRunner, workload
 
@@ -116,6 +117,38 @@ class TestBrokenRuns:
         # Checked once, at the key's first notice after the marking.
         node.stability.record(key, preload)
         assert len(monitor.violations) == 1
+
+    def _sealed_key(self):
+        store = build_store("chainreaction", sites=("dc0", "dc1"), servers_per_site=3,
+                            chain_length=3, seed=42,
+                            overrides={"stability": "notices+batch"})
+        monitor = ChainInvariantMonitor(store).attach()
+        session = store.session("dc0", "writer")
+        session.put("k", "v1")
+        store.run(until=store.sim.now + 1.0)
+        sealed = [n for n in store.servers() if "k" in n._sealed]
+        assert len(sealed) == 6 and monitor.violations == []
+        return store, monitor, session, sealed
+
+    def test_sealing_what_is_not_held_breaks_grounding(self):
+        store, monitor, _, sealed = self._sealed_key()
+        node = sealed[0]
+        node.seal("k", node.store.version_of("k").increment("ghost"))
+        assert [(v.kind, v.key) for v in monitor.violations] == [
+            ("stability-grounding", "k")
+        ]
+
+    def test_unsealing_without_adopting_breaks_monotonicity(self, monkeypatch):
+        store, monitor, session, sealed = self._sealed_key()
+        # The unseal pops the sealed version but no tracker adopts it:
+        # the key answers ZERO until the next write's notice lands.
+        monkeypatch.setattr(StabilityTracker, "adopt", lambda self, key, version: None)
+        session.put("k", "v2")
+        store.run(until=store.sim.now + 1.0)
+        assert monitor.violations
+        assert {(v.kind, v.key) for v in monitor.violations} == {
+            ("stability-monotonicity", "k")
+        }
 
     def test_causal_cut_violation_detected(self):
         store, monitor = self._monitored_store()

@@ -56,9 +56,8 @@ CONFIGS = {
     "single-dc": dict(),
     "partial-r2-of-3": dict(sites=("dc0", "dc1", "dc2"), replication_degree=2),
     "durable": dict(sites=("dc0", "dc1"), durable_storage=True),
-    # the batched plane again, its sealing sweep fast enough to run
-    # several times inside every window below
-    "metadata-gc": dict(sites=("dc0", "dc1"), stability="notices+batch", gc_interval=0.05),
+    # the sealing plane on one DC, where a key seals on DC-stability alone
+    "metadata-gc": dict(stability="notices+batch"),
 }
 
 
@@ -194,7 +193,7 @@ def test_second_preload_over_live_state_takes_the_per_key_path(name):
 
 
 #: replicas of a key per config whose trackers keep what they learn
-#: (no sealing sweep, not the clock plane)
+#: (not the sealing plane, not the clock plane)
 KEEPING = {"notices": 6, "single-dc": 3, "partial-r2-of-3": 6, "durable": 6}
 
 
@@ -401,7 +400,7 @@ def _campaign_twins(spec, seed, monkeypatch):
     return twin, reference
 
 
-@pytest.mark.parametrize("overrides", [{}, {"stability": "notices+batch"}], ids=["notices", "metadata-gc"])
+@pytest.mark.parametrize("overrides", [{}, {"stability": "notices+batch"}], ids=["notices", "notices+batch"])
 def test_twins_send_the_same_messages_through_crash_head(overrides, monkeypatch):
     spec = dataclasses.replace(CAMPAIGNS["crash-head"], clients=4, overrides=overrides)
     twin, reference = _campaign_twins(spec, 42, monkeypatch)

@@ -434,8 +434,8 @@ def fingerprint(name):
 #: recorded on 729cc81 with ``python tests/test_geo_ops.py``. One field
 #: re-recorded since, once: ``session_writes_batched`` ran the parent's
 #: ``protocol_batching=True`` alone; the plane it names now
-#: (``notices+batch``) also arms the sealing sweep — 8 servers x 8 ticks
-#: of ``gc_interval`` in 2.0 s = 64 timer events (843 -> 907). Messages,
+#: (``notices+batch``) then also armed a sealing sweep — 8 servers x 8
+#: ticks of its 0.25 s period in 2.0 s = 64 timer events (843 -> 907). Messages,
 #: bytes, digest, counters and all nine visibility samples are the parent's.
 #: Event counts re-recorded once more, when the first steps above began
 #: to run inline and each actor's RPC deadlines moved to one alarm (907 ->
@@ -443,7 +443,9 @@ def fingerprint(name):
 #: first step for that reason: a session's first ``put-request`` now
 #: leaves at the op call, at t = 0, before ``run_script`` used to attach
 #: it. With the tap attached first, all thirteen session-driven digests
-#: are the parent's again.
+#: are the parent's again. ``session_writes_batched``'s events fell once
+#: more when sealing left the sweep for the stability events (875 ->
+#: 811): the sweep's 64 timer events are gone, nothing else moved.
 PINNED = {
     'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6426, 'f0f101a221e52a8e'),
     'one_dependency': (('dep', 'v'), (0.00249792377575309, 0.003867354438638095), 2, (2, 0, 0, 0), 341, 170, 7310, '5ef20e3740f63842'),
@@ -462,7 +464,7 @@ PINNED = {
     'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, 'a67a1999169783d7'),
     'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.0509326700868293, 0.050593530773802055, 0.050626052261984605, 0.04962586951617488, 0.048855133319892365, 0.04797830564982439, 0.04695918391139543, 0.04621013992132275), 9, (9, 9, 1, 0), 885, 531, 29806, 'aa09a2d36d061468'),
     'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 358384, 'c4e25be4668e2cf0'),
-    'session_writes_batched': (('1', '2', '3', 'v5'), (0.06464729436734194, 0.06447618949149843, 0.06345851777552781, 0.06355134245512441, 0.06277865735732453, 0.061978068669281954, 0.060970346507891675, 0.05997611711910229, 0.05900526129366533), 9, (9, 9, 2, 0), 875, 447, 26622, 'cbc869e6b7f810ed'),
+    'session_writes_batched': (('1', '2', '3', 'v5'), (0.06464729436734194, 0.06447618949149843, 0.06345851777552781, 0.06355134245512441, 0.06277865735732453, 0.061978068669281954, 0.060970346507891675, 0.05997611711910229, 0.05900526129366533), 9, (9, 9, 2, 0), 811, 447, 26622, 'cbc869e6b7f810ed'),
     'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
     'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7094, '92788e3afb615f28'),
     'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, 'd4eb2d1f955f58fa'),

@@ -223,17 +223,77 @@ class TestBatchedProtocol:
     def test_sealing_reclaims_tracker_entries(self):
         store = make_geo_store(**BATCH)
         session = store.session(session_id="c0")
-        for i in range(10):
-            run_op(store, session.put(f"k{i}", "v"))
-        store.run(until=store.sim.now + 2.0)  # global acks + GC ticks
+        keys = [f"k{i}" for i in range(10)]
+        for key in keys:
+            run_op(store, session.put(key, "v"))
         nodes = store.servers()
-        assert sum(n.keys_sealed for n in nodes) > 0
-        assert sum(n.global_floor_entries() for n in nodes) > 0
-        # sealed keys still answer stability queries through the floor
-        for node in store.nodes["dc0"]:
-            for key in list(node._stable_records):
-                record = node._stable_records[key][0]
-                assert node.stability.is_stable(key, record.version)
+        settled = {}  # (node, key) -> when both trackers first cover the record
+        sealed = {}  # (node, key) -> when the node sealed it
+        sim = store.sim
+        # Well inside the 0.25 s a periodic sweep would have needed.
+        deadline = sim.now + 0.2
+        while sim.now < deadline and sim.step():
+            for node in nodes:
+                for key in keys:
+                    record = node.store.get_record(key)
+                    if record is None:
+                        continue
+                    slot = (node.address, key)
+                    if key in node._sealed:
+                        sealed.setdefault(slot, sim.now)
+                    elif slot not in settled and node.stability.is_stable(
+                        key, record.version
+                    ) and node.global_stability.is_stable(key, record.version):
+                        settled[slot] = sim.now
+        assert len(sealed) == 2 * 3 * len(keys)  # every replica, both DCs
+        # No step in which a key answered stable everywhere unsealed.
+        assert settled == {}
+        assert sum(n.keys_sealed for n in nodes) == len(sealed)
+        assert sum(n.global_floor_entries() for n in nodes) == len(sealed)
+        assert sum(n.metadata_entries() for n in nodes) == 0
+        # sealed keys still answer both stability questions off the floor
+        for node in nodes:
+            for key, version in node._sealed.items():
+                assert node.store.version_of(key) == version
+                assert node.stability.stable_version(key) == version
+                assert node.global_stability.stable_version(key) == version
+            assert node._stable_records == {}
+
+    def test_a_repair_transfer_of_a_sealed_record_keeps_its_answer(self):
+        # A duplicate apply of the sealed version — what a repair
+        # transfer does first — once dropped the DC answer to ZERO while
+        # the global answer held.
+        store = make_geo_store(**BATCH)
+        session = store.session(session_id="c0")
+        run_op(store, session.put("k", "v"))
+        store.run(until=store.sim.now + 1.0)
+        replicas = [n for n in store.servers() if n.store.get_record("k") is not None]
+        assert len(replicas) == 6 and all("k" in n._sealed for n in replicas)
+        for node in replicas:
+            record = node.store.get_record("k")
+            sealed = node._sealed["k"]
+            node._apply_local("k", record.value, record.version, record.stamp, {})
+            assert node.stability.stable_version("k") == sealed
+            assert node.global_stability.stable_version("k") == sealed
+            reply = node.rpc_get("k", session.address)
+            assert reply.version == sealed and reply.stable and reply.globally
+
+    def test_sealing_keeps_the_dependencies_a_forwarded_read_hands_on(self):
+        # Under partial replication a write is globally stable once its
+        # shard's owners hold it; a reader at a non-owner DC still needs
+        # the write's dependencies to check its own DC against.
+        store = make_store(
+            sites=("dc0", "dc1", "dc2"), replication_degree=2, **BATCH
+        )
+        session = store.session("dc0", "w")
+        run_op(store, session.put("d", "1"))
+        run_op(store, session.put("w", "2"))
+        store.run(until=store.sim.now + 1.0)
+        owners = [n for n in store.servers() if n.store.get_record("w") is not None]
+        assert owners and all("w" in n._sealed for n in owners)
+        for node in owners:
+            fwd = node.rpc_get_fwd("w", session.address).fwd_deps
+            assert fwd is not None and set(fwd) == {"d"}
 
     def test_sealed_key_reads_report_stable(self):
         store = make_geo_store(**BATCH)
@@ -318,5 +378,3 @@ class TestGoldenDefaultsUnchanged:
             ChainReactionConfig(batch_flush_interval=0.0)
         with pytest.raises(ConfigError):
             ChainReactionConfig(batch_max_entries=0)
-        with pytest.raises(ConfigError):
-            ChainReactionConfig(gc_interval=-1.0)

@@ -41,9 +41,10 @@ RETIRED = {
     ("ChainNode", "_wait_dep"),
     ("GeoProxy", "_wait_dep_stable"),
     ("GeoProxy", "_inject_at_head"),
-    # PR 24: the sealing sweep and its timer belong to the one plane that
-    # seals (BatchedNoticesPlane._gc_tick in repro.core.batching); no
-    # suite workload runs that plane, so no layer's time moved.
+    # PR 24 moved the sealing sweep to the one plane that seals; it is
+    # gone since: BatchedNoticesPlane seals a key at the stability event
+    # that completes it (_try_seal in repro.core.batching), with no timer.
+    # No suite workload runs that plane, so no layer's time moved.
     ("ChainNode", "_gc_tick"),
     # Forwarded operations, snapshot reads and the proxy's side of
     # forwarding are continuation-form (_ForwardGetOp / _ForwardPutOp /
