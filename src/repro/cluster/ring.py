@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ClusterError
 
@@ -90,34 +90,36 @@ class HashRing:
     # ------------------------------------------------------------------
     def chain_for(self, key: str, length: int) -> List[str]:
         """The replica chain for ``key``: ``length`` distinct servers in
-        ring-successor order. Head first, tail last."""
-        if not self._servers:
-            raise ClusterError("ring is empty")
-        if length < 1:
-            raise ClusterError(f"chain length must be >= 1, got {length}")
+        ring-successor order. Head first, tail last. Memoized: routing
+        asks for the same keys' chains millions of times."""
         cache = self._chain_cache.get(length)
         if cache is None:
             cache = self._chain_cache[length] = {}
         chain = cache.get(key)
         if chain is None:
-            clamped = min(length, len(self._servers))
-            chains = self._point_chains.get(clamped)
-            if chains is None:
-                chains = self._point_chains[clamped] = self._walk_all_points(clamped)
-            start = bisect.bisect_right(self._hashes, _hash64(key)) % len(chains)
-            # Callers treat chains as read-only: the same list instance
-            # serves every key that lands on the same ring point.
-            chain = cache[key] = chains[start]
+            chain = cache[key] = self.place(key, length)
         return chain
 
-    def chains(self, keys: Iterable[str], length: int) -> Mapping[str, List[str]]:
-        """``key → chain_for(key, length)`` for every key of ``keys`` (and
-        any placed before): the ring's own memo, so read-only for callers
-        and free to keep — the ring and its chains never change."""
-        chain_for = self.chain_for
-        for key in keys:
-            chain_for(key, length)
+    def routed(self, length: int) -> Mapping[str, List[str]]:
+        """The memo :meth:`chain_for` fills at ``length``: ``key → chain``
+        for every key routed so far. Read-only for callers."""
         return self._chain_cache.setdefault(length, {})
+
+    def place(self, key: str, length: int) -> List[str]:
+        """``key``'s chain as :meth:`chain_for` gives it, computed afresh
+        and memoized nowhere: for walks over many keys, which would
+        otherwise fill the memo with every one."""
+        if not self._servers:
+            raise ClusterError("ring is empty")
+        if length < 1:
+            raise ClusterError(f"chain length must be >= 1, got {length}")
+        clamped = min(length, len(self._servers))
+        chains = self._point_chains.get(clamped)
+        if chains is None:
+            chains = self._point_chains[clamped] = self._walk_all_points(clamped)
+        # Callers treat chains as read-only: the same list instance
+        # serves every key that lands on the same ring point.
+        return chains[bisect.bisect_right(self._hashes, _hash64(key)) % len(chains)]
 
     def _walk_all_points(self, length: int) -> List[List[str]]:
         """The ``length``-server successor walk from every ring point."""

@@ -15,7 +15,7 @@ import functools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.membership import Heartbeat, RingView, ViewChange
-from repro.cluster.ring import chain_positions
+from repro.cluster.ring import HashRing, chain_positions
 from repro.errors import NotResponsibleError
 from repro.net.actor import Actor
 from repro.net.network import Address, Network
@@ -24,7 +24,7 @@ from repro.storage.merge import ConflictResolver
 from repro.storage.store import ConvergedBase, VersionedStore
 from repro.storage.version import VersionVector, intern_str
 
-__all__ = ["RingServer", "install_converged"]
+__all__ = ["RingServer", "install_converged", "PreloadPlacement", "Holding"]
 
 
 class RingServer(Actor):
@@ -135,9 +135,9 @@ def install_converged(
     ``key → value`` table in ``data`` order at one version, stamp and
     install time. A key's ``Record`` is built on first touch, then
     shared by every replica of the key. Every server takes the base in a
-    single :meth:`VersionedStore.install` with the rule for which of its
-    keys it holds: its name is in the key's chain under ``views`` — the
-    preload-time view, never a later one — and its site owns the key.
+    single :meth:`VersionedStore.install` with the fixed rule
+    :meth:`Holding.holds` for which of its keys it holds, and nothing is
+    placed here: a key is placed when something first asks about it.
     Returns ``site → server name → keys`` that did *not* land as given
     (the store already held them and arbitrated); every list is empty on
     a fresh deployment.
@@ -145,23 +145,57 @@ def install_converged(
     base = ConvergedBase({intern_str(key): value for key, value in data.items()}, version, now)
     arbitrated: Dict[str, Dict[str, List[str]]] = {}
     for site, view in views.items():
-        # Placing every key now, not at its first lookup, keeps that
-        # work (and the memo's growth) out of the run.
-        chains = view.ring().chains(base.entries, view.chain_length)
-        owned = None if owns is None else functools.partial(owns, site)
+        placement = PreloadPlacement(
+            view.ring(), view.chain_length, None if owns is None else functools.partial(owns, site)
+        )
         arbitrated[site] = {
-            name: node.store.install(base, _holding(name, chains, owned))
+            name: node.store.install(base, Holding(name, placement).holds)
             for name, node in nodes[site].items()
         }
     return arbitrated
 
 
-def _holding(
-    name: str, chains: Mapping[str, List[str]], owned: Optional[Callable[[str], bool]]
-) -> Callable[[str], bool]:
-    """Which base keys server ``name`` holds: those whose chain in
-    ``chains`` (the preload view's, covering every base key) names it
-    and, under placement, that its site ``owned``."""
-    if owned is None:
-        return lambda key: name in chains[key]
-    return lambda key: owned(key) and name in chains[key]
+class PreloadPlacement:
+    """Where one site's preloaded keys live, fixed at preload: a key's
+    chain under ``ring`` (the preload view's, never a later one) at
+    ``length``, if the site ``owned`` the key (``None``: every key).
+    One per site, told apart by identity.
+
+    A key's chain is a pure function of the ring and the key, so it is
+    computed when asked for, never ahead: read off the ring's chain memo
+    (``routed``) if the run has routed the key, else placed without
+    memoizing it (:meth:`HashRing.place`). A walk over every base key
+    (the census, counts, repair) therefore leaves the memo holding only
+    what the run routed.
+    """
+
+    __slots__ = ("ring", "length", "owned", "routed")
+
+    def __init__(self, ring: HashRing, length: int, owned: Optional[Callable[[str], bool]]) -> None:
+        self.ring = ring
+        self.length = length
+        self.owned = owned
+        self.routed = ring.routed(length)
+
+
+class Holding:
+    """Which base keys server ``name`` holds: those its site owns whose
+    chain under ``placement`` names it. :meth:`holds` is the fixed rule
+    :meth:`VersionedStore.install` keeps (a bound method: stores ask it
+    on every read that misses their own table)."""
+
+    __slots__ = ("name", "placement")
+
+    def __init__(self, name: str, placement: PreloadPlacement) -> None:
+        self.name = name
+        self.placement = placement
+
+    def holds(self, key: str) -> bool:
+        placement = self.placement
+        owned = placement.owned
+        if owned is not None and not owned(key):
+            return False
+        chain = placement.routed.get(key)
+        if chain is None:
+            chain = placement.ring.place(key, placement.length)
+        return self.name in chain

@@ -233,11 +233,12 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                     keys = arbitrated[site][name]
                     if node.stability.pending_waiters() or node.global_stability.pending_waiters():
                         # Only ``record`` wakes a parked waiter: the
-                        # per-key walk for all this node was handed.
-                        chain_for = views[site].chain_for
+                        # per-key walk for all this node was handed,
+                        # placing each key without memoizing it.
+                        place, length = views[site].ring().place, views[site].chain_length
                         keys = [
                             key for key in data
-                            if name in chain_for(key) and (owns is None or owns(site, key))
+                            if name in place(key, length) and (owns is None or owns(site, key))
                         ]
                     else:
                         # What landed as given answers for itself now.

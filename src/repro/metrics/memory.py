@@ -23,8 +23,11 @@ report zero.
 from __future__ import annotations
 
 import tracemalloc
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
+from repro.cluster.ring import HashRing
+from repro.cluster.server_base import Holding, PreloadPlacement
+from repro.storage.store import ConvergedBase, VersionedStore
 from repro.storage.version import intern_stats
 
 __all__ = ["TracedPeak", "traced_call", "memory_census", "census_totals"]
@@ -66,19 +69,72 @@ def traced_call(fn: Callable[[], Any]) -> Tuple[Any, int, int]:
     return result, trace.current_bytes, trace.peak_bytes
 
 
+def _census_records(stores: List[VersionedStore]) -> Tuple[int, int]:
+    """``(objects, bytes)`` of every record ``stores`` hold, tombstones
+    included, building no ``Record`` for a preloaded key nothing touched.
+
+    Stores that read through one shared base under a :class:`Holding`
+    rule are sized in one pass over the base: each key is placed once
+    per preload ring and counted for every server, in every site, that
+    holds it, at the size of that server's own record if the key was
+    written there. Every store walking the whole base by itself would
+    place each key once per store. The rule is :meth:`Holding.holds`,
+    read off its holding: sites sharing a ring share one placement of a
+    key.
+    """
+    objects = size = 0
+    shared: Dict[int, Tuple[ConvergedBase, Dict[PreloadPlacement, Dict[str, VersionedStore]]]] = {}
+    for store in stores:
+        base, holding = store.base, getattr(store.holds, "__self__", None)
+        if base is not None and type(holding) is Holding:
+            sites = shared.setdefault(id(base), (base, {}))[1]
+            sites.setdefault(holding.placement, {})[holding.name] = store
+        else:
+            for record_size in store.record_sizes():
+                objects += 1
+                size += record_size
+    for base, sites in shared.values():
+        rings: Dict[Tuple[HashRing, int], List[Tuple[Any, Dict[str, VersionedStore]]]] = {}
+        for placement, holders in sites.items():
+            rings.setdefault((placement.ring, placement.length), []).append(
+                (placement.owned, holders)
+            )
+        for key, entry in base.entries.items():
+            entry_size = None
+            for (ring, length), ring_sites in rings.items():
+                chain = ring.place(key, length)
+                for owned, holders in ring_sites:
+                    if owned is not None and not owned(key):
+                        continue
+                    for name in chain:
+                        store = holders.get(name)
+                        if store is None:
+                            continue
+                        objects += 1
+                        record = store.own_record(key)
+                        if record is not None:
+                            size += record.size_bytes()
+                        else:
+                            if entry_size is None:
+                                entry_size = base.record_size(key, entry)
+                            size += entry_size
+        for holders in sites.values():
+            for store in holders.values():
+                for _, record in store.first_written():
+                    objects += 1
+                    size += record.size_bytes()
+    return objects, size
+
+
 def _census_nodes(nodes: Any) -> Dict[str, Dict[str, int]]:
-    rec_objects = rec_bytes = 0
     stab_entries = stab_bytes = 0
     record_dep_entries = 0
     log_entries = log_bytes = 0
+    stores = []
     for node in nodes:
         store = getattr(node, "store", None)
         if store is not None and hasattr(store, "record_sizes"):
-            # One record at a time: no list, and no Record built for a
-            # preloaded key nothing has touched.
-            for size in store.record_sizes():
-                rec_objects += 1
-                rec_bytes += size
+            stores.append(store)
             log = getattr(store, "log", None)
             if log is not None:
                 log_entries += len(log)
@@ -94,6 +150,7 @@ def _census_nodes(nodes: Any) -> Dict[str, Dict[str, int]]:
         record_deps = getattr(node, "_record_deps", None)
         if record_deps:
             record_dep_entries += sum(len(deps) for deps in record_deps.values())
+    rec_objects, rec_bytes = _census_records(stores)
     return {
         "records": {"objects": rec_objects, "bytes": rec_bytes},
         "stability": {"objects": stab_entries, "bytes": stab_bytes},

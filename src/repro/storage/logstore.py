@@ -136,10 +136,15 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
         return result
 
     def install(self, base: ConvergedBase, holds: Callable[[str], bool]) -> List[str]:
+        adopting = self._base is None and not self._data
         arbitrated = super().install(base, holds)
         append, value, version, stamp = self.log.append, base.value, base.version, base.stamp
+        logged = 0
         for key in installed(base, holds, arbitrated):
             append(LogEntry(key, value(key), version, stamp))
+            logged += 1
+        if adopting:  # every held base key was just logged: the count is known
+            self._held = logged
         return arbitrated
 
     # ------------------------------------------------------------------
@@ -169,11 +174,13 @@ class DurableStore(VersionedStore):  # repro: lint-ok(slots) — base keeps __di
         ]
 
     def should_compact(self) -> bool:
-        live = max(sum(1 for _ in self._walk()), 1)
-        return (
-            len(self.log) >= self.min_compact_entries
-            and len(self.log) > self.compact_ratio * live
-        )
+        logged = len(self.log)
+        if logged < self.min_compact_entries:
+            return False
+        # The live set without walking the base: the held base keys,
+        # counted once, plus the keys first written here.
+        live = self._held_count() + sum(1 for _ in self.first_written())
+        return logged > self.compact_ratio * max(live, 1)
 
     def compact(self) -> int:
         """Rewrite the log to the live image; returns entries reclaimed."""

@@ -157,6 +157,13 @@ class ConvergedBase:
             return entry
         return Record(key, entry, self.version, self.stamp, self.at)
 
+    def record_size(self, key: str, entry: Any) -> int:
+        """The wire size of :meth:`record` of ``key``'s ``entry``, without
+        building a Record for it."""
+        if type(entry) is Record:
+            return entry.size_bytes()
+        return _record_size(key, entry, self.version)
+
     def value(self, key: str) -> Any:
         """``key``'s preloaded value, touched or not."""
         entry = self.entries[key]
@@ -199,6 +206,8 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         self._data: Dict[str, Record] = {}
         self._base: Optional[ConvergedBase] = None
         self._holds: Callable[[str], bool] = _holds_nothing
+        #: how many base keys ``_holds`` admits, counted on first use
+        self._held: Optional[int] = None
         self._resolver = resolver or LWWResolver()
         self._writes_applied = 0
         self.writes_ignored = 0
@@ -207,10 +216,25 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
     @property
     def writes_applied(self) -> int:
         """Writes that took effect here, each held base record counted once."""
-        base = self._base
-        if base is None:
-            return self._writes_applied
-        return self._writes_applied + sum(1 for key in base.entries if self._holds(key))
+        return self._writes_applied + self._held_count()
+
+    @property
+    def base(self) -> Optional[ConvergedBase]:
+        """The shared base this store reads through; None if it has none."""
+        return self._base
+
+    @property
+    def holds(self) -> Callable[[str], bool]:
+        """The fixed rule for which keys of :attr:`base` this store holds."""
+        return self._holds
+
+    def _held_count(self) -> int:
+        """How many base keys this store holds. Counted once, on first
+        use: the base and its rule are fixed until :meth:`clear`."""
+        if self._held is None:
+            base, holds = self._base, self._holds
+            self._held = 0 if base is None else sum(1 for key in base.entries if holds(key))
+        return self._held
 
     # ------------------------------------------------------------------
     # reads
@@ -272,12 +296,9 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
     def record_sizes(self) -> Iterator[int]:
         """The wire size of each record :meth:`items` yields, in its order,
         without building a ``Record`` for a base key nothing has touched."""
-        version = self._base.version if self._base is not None else ZERO
+        base = self._base
         for key, entry in self._walk():
-            if type(entry) is Record:
-                yield entry.size_bytes()
-            else:
-                yield _record_size(key, entry, version)
+            yield entry.size_bytes() if base is None else base.record_size(key, entry)
 
     def _walk(self) -> Iterator[Tuple[str, Any]]:
         """One table's order: the held base keys in base order, each as
@@ -288,12 +309,27 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         if base is None:
             yield from data.items()
             return
-        holds, mine, entries = self._holds, data.get, base.entries
-        for key, entry in entries.items():
+        holds, mine = self._holds, data.get
+        for key, entry in base.entries.items():
             if holds(key):
                 rec = mine(key)
                 yield key, entry if rec is None else rec
-        for key, rec in data.items():
+        yield from self.first_written()
+
+    def own_record(self, key: str) -> Optional[Record]:
+        """``key``'s record as last written here; None if this store never
+        wrote it (it may still hold it through the base)."""
+        return self._data.get(key)
+
+    def first_written(self) -> Iterator[Tuple[str, Record]]:
+        """``(key, record)`` for each key first written here — the own
+        table's keys that are not held base keys — in own-table order."""
+        base = self._base
+        if base is None:
+            yield from self._data.items()
+            return
+        holds, entries = self._holds, base.entries
+        for key, rec in self._data.items():
             if key not in entries or not holds(key):
                 yield key, rec
 
@@ -371,7 +407,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         given.
         """
         if self._base is None and not self._data:
-            self._base, self._holds = base, holds
+            self._base, self._holds, self._held = base, holds, None
             return []
         arbitrated = []
         data = self._data
@@ -418,7 +454,7 @@ class VersionedStore:  # repro: lint-ok(slots) — invariant monitor rebinds .ap
         stay with every other replica."""
         self._writes_applied = self.writes_applied  # the count is not state
         self._data.clear()
-        self._base, self._holds = None, _holds_nothing
+        self._base, self._holds, self._held = None, _holds_nothing, None
 
     def checksum_state(self) -> Tuple[Tuple[str, Any, VersionVector], ...]:
         """Canonical tuple of live state, for convergence assertions in tests."""

@@ -37,6 +37,7 @@ from helpers import build, install_per_server, make_store, run_op
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.analysis.sanitize import MessageTap
 from repro.baselines.registry import build_store
+from repro.cluster.ring import HashRing
 from repro.faults import engine as fault_engine
 from repro.faults.campaign import CAMPAIGNS
 from repro.metrics.memory import memory_census
@@ -470,7 +471,22 @@ def per_server(store, data, monkeypatch):
 def assert_same_holdings(twin, reference):
     for mine, theirs in zip(twin.servers(), reference.servers()):
         assert held(mine) == held(theirs), f"{mine.site}:{mine.name}"
+        assert_held_under_the_preload_ring(twin, mine)
     assert twin.sim.events_processed == reference.sim.events_processed
+
+
+def assert_held_under_the_preload_ring(store, node):
+    """A server reading through the base holds the base keys whose chain
+    under the *preload-time* ring (every server of the site) names it,
+    whatever view it is at now."""
+    base, holds = node.store.base, node.store.holds
+    if base is None:
+        return
+    preload_ring = HashRing(tuple(store._nodes_by_name[node.site]), node.view.virtual_nodes)
+    length = node.view.chain_length
+    assert [key for key in base.entries if holds(key)] == [
+        key for key in base.entries if node.name in preload_ring.place(key, length)
+    ], f"{node.site}:{node.name} at epoch {node.view.epoch}"
 
 
 def both(twin, reference, step):
@@ -513,7 +529,7 @@ def test_a_new_chain_member_answers_none_until_its_transfer_lands(monkeypatch):
     both(twin, reference, lambda store: store.run(until=store.sim.now + 1.0))
     for store in (twin, reference):
         node = store._node("dc0", member)
-        assert not node.syncing
+        assert node.view.epoch > view.epoch and not node.syncing
         assert all(node.store.version_of(key) == VersionVector({"preload": 1}) for key in keys)
 
 

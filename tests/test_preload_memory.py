@@ -6,6 +6,11 @@ slot for a key holds the key's shared ``Record`` from the first time some
 replica looks it up (docs/PERFORMANCE.md §21). These tests pin the
 memory that buys, that only a lookup builds a Record, and that the
 result still matches a deployment preloaded one table per server.
+
+Preload places no key either: a key's chain is computed when the run
+first routes it, and walks over the base (census, counts, iteration, a
+durable install) place keys without memoizing them, so the ring's chain
+memo holds only what the run routed (docs/PERFORMANCE.md §23).
 """
 
 import gc
@@ -14,10 +19,12 @@ import tracemalloc
 
 import pytest
 
+import repro.cluster.membership as membership
 import repro.core.datastore as chainreaction_datastore
 from helpers import install_per_server, make_store, touched
 from repro.analysis.sanitize import MessageTap
 from repro.metrics.memory import memory_census
+from repro.storage.logstore import DurableStore
 from repro.storage.store import installed
 from repro.storage.version import clear_intern_pool
 from repro.workload import WorkloadRunner, workload
@@ -39,6 +46,19 @@ def _fresh_pool():
     clear_intern_pool()
     yield
     clear_intern_pool()
+
+
+@pytest.fixture
+def fresh_rings(monkeypatch):
+    """An empty ring cache: rings (and their chain memos) are shared by
+    every deployment with the same servers, earlier tests' included."""
+    monkeypatch.setattr(membership, "_RING_CACHE", {})
+
+
+def _memo(store):
+    """The keys the chain memos of ``store``'s current rings hold."""
+    views = [manager.view for manager in store.managers.values()]
+    return set().union(*(view.ring().routed(view.chain_length) for view in views))
 
 
 def _base(store):
@@ -139,3 +159,57 @@ def test_a_seeded_run_matches_its_per_server_twin(durable, monkeypatch):
             result.ops_completed,
         ))
     assert runs[0] == runs[1]
+
+
+# ----------------------------------------------------------------------
+# placement on first route: the chain memo holds what the run routed
+# ----------------------------------------------------------------------
+def test_preload_places_no_key(fresh_rings):
+    store = make_store(sites=("dc0", "dc1"))
+    store.preload({f"user{i:06d}": i for i in range(10_000)})
+    assert _memo(store) == set()
+    node = store.servers()[0]
+    assert node.store.writes_applied > 0  # a count places keys, memoizes none
+    assert _memo(store) == set()
+
+
+def test_a_seeded_run_memoizes_only_the_keys_it_routed(fresh_rings):
+    store = make_store(sites=("dc0", "dc1"))
+    result = _run(store)
+    memo = _memo(store)
+    assert memo and memo <= set(result.history.keys())
+    assert len(memo) < len(_base(store).entries)
+
+
+def _census(store):
+    memory_census(store)
+
+
+def _items(store):
+    for node in store.servers():
+        assert sum(1 for _ in node.store.items())
+
+
+def _writes_applied(store):
+    for node in store.servers():
+        assert node.store.writes_applied
+
+
+def _durable_install(store):
+    for node in store.servers():
+        fresh = DurableStore()
+        assert fresh.install(node.store.base, node.store.holds) == []
+        assert len(fresh.log) == fresh.writes_applied > 0
+
+
+@pytest.mark.parametrize(
+    "walk", [_census, _items, _writes_applied, _durable_install],
+    ids=["census", "items", "writes_applied", "durable-install"],
+)
+def test_walks_over_the_base_leave_the_memo_as_the_run_left_it(walk, fresh_rings):
+    store = make_store(sites=("dc0", "dc1"), durable_storage=True)
+    _run(store)
+    routed = _memo(store)
+    assert len(routed) < len(_base(store).entries)
+    walk(store)
+    assert _memo(store) == routed

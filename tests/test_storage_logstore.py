@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage import AppendLog, DurableStore, LogEntry, VersionVector, VersionedStore
+from repro.storage.store import ConvergedBase
 
 
 def vv(**entries):
@@ -113,6 +114,26 @@ class TestCompaction:
         assert store.should_compact()  # 8 entries, 1 live, ratio 8 > 2
         assert store.maybe_compact() == 7
         assert not store.should_compact()
+
+    def test_a_second_check_asks_the_rule_only_about_own_table_keys(self):
+        base = ConvergedBase({f"user{i:05d}": i for i in range(10_000)}, vv(preload=1))
+        asked = []
+
+        def holds(key):  # a fixed rule over the base: every other key
+            asked.append(key)
+            return int(key[4:]) % 2 == 0
+
+        store = DurableStore(min_compact_entries=8, compact_ratio=2.0)
+        store.install(base, holds)
+        for i in range(0, 40, 4):  # held base keys, written here
+            store.apply(f"user{i:05d}", "again", vv(dc0=i + 1))
+        store.apply("user00001", "not held", vv(dc0=1))  # a base key it does not hold
+        store.apply("brand-new", "x", vv(dc0=1))
+        assert not store.should_compact()
+        asked.clear()
+        assert not store.should_compact()
+        assert store.writes_applied == 5_000 + 12
+        assert sorted(asked) == sorted(key for key in store._data if key in base.entries)
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
