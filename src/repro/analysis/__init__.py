@@ -35,7 +35,9 @@ This package provides four enforcement layers:
    minimizes any violation to a replayable counterexample schedule. A
    proving ground of seeded protocol mutations keeps the explorer
    honest: each mutation must be caught, and the unmutated tree must
-   pass clean.
+   pass clean. The mutations are class patches in one table,
+   :mod:`repro.analysis.mutations`, installed around a run and removed
+   after it; no production module names them.
 
 See ``docs/ANALYSIS.md`` for the rule reference and pragma syntax.
 """

@@ -63,9 +63,12 @@ deviations away.
 The proving ground
 ------------------
 Each seeded protocol mutation in
-:data:`repro.core.config.PROTOCOL_MUTATIONS` has a scenario here sized
+:data:`repro.analysis.mutations.MUTATIONS` has a scenario here sized
 so the explorer provably finds the bug (and the clean tree provably
-passes the identical scope). See :data:`SCENARIOS`.
+passes the identical scope). See :data:`SCENARIOS`. A run seeds its
+scope's mutations as class patches around the whole run, store build
+included, and removes them when the run ends; the production modules
+never name them.
 """
 
 from __future__ import annotations
@@ -89,11 +92,11 @@ from typing import (
 )
 
 from repro.analysis.invariants import ChainInvariantMonitor
+from repro.analysis.mutations import MUTATIONS, mutated
 from repro.baselines.registry import build_store
 from repro.checker.causal import check_causal
 from repro.checker.history import GET, PUT, History
 from repro.cluster.membership import RingView
-from repro.core.config import PROTOCOL_MUTATIONS
 from repro.core.datastore import ChainReactionStore
 from repro.errors import CheckerError, ReproError
 from repro.net.message import Message
@@ -266,6 +269,13 @@ class ExploreScope:
     check_convergence: bool = True
     check_stability_convergence: bool = True
 
+    def __post_init__(self) -> None:
+        unknown = [m for m in self.mutations if m not in MUTATIONS]
+        if unknown:
+            raise ExploreError(
+                f"unknown mutation(s) {unknown}; choose from {sorted(MUTATIONS)}"
+            )
+
     def config_overrides(self) -> Dict[str, Any]:
         """The deterministic-exploration base config, plus scope tweaks."""
         merged: Dict[str, Any] = {
@@ -284,7 +294,6 @@ class ExploreScope:
             "virtual_nodes": _VNODES,
             "dep_wait_timeout": 0.3,
             "backoff_jitter": 0.0,
-            "mutations": tuple(self.mutations),
         }
         merged.update(dict(self.overrides))
         return merged
@@ -720,6 +729,10 @@ class _ScheduleRunner:
 
     # -- driving -------------------------------------------------------
     def run(self) -> _RunOutcome:
+        with mutated(self.scope.mutations):
+            return self._run()
+
+    def _run(self) -> _RunOutcome:
         scope = self.scope
         store = build_store(
             "chainreaction",
@@ -1566,7 +1579,7 @@ SCENARIOS: Dict[str, Callable[[], ExploreScope]] = {
 }
 
 # every seeded mutation must have a proving-ground scenario
-assert set(PROTOCOL_MUTATIONS) <= set(SCENARIOS)
+assert set(MUTATIONS) <= set(SCENARIOS)
 
 
 def scenario_names() -> List[str]:

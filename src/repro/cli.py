@@ -851,9 +851,13 @@ def _cmd_sanitize(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_explore_replay(args: argparse.Namespace, out) -> int:
-    from repro.analysis.explore import load_schedule, replay_schedule
+    from repro.analysis.explore import ExploreError, load_schedule, replay_schedule
 
-    schedule = load_schedule(args.replay)
+    try:
+        schedule = load_schedule(args.replay)
+    except ExploreError as exc:
+        print(f"cannot replay {args.replay}: {exc}", file=out)
+        return 2
     mode = "clean tree (mutations stripped, guided)" if args.clean_tree else "strict"
     print(
         f"replaying {args.replay}: scope {schedule.scope.name!r}, "

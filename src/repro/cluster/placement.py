@@ -96,6 +96,16 @@ class ShardCatalog:  # repro: lint-ok(slots) — a handful per process, cached
     def owns(self, site: str, key: str) -> bool:
         return site in self._owner_sets[self.shard_of(key)]
 
+    def owns_unmemoized(self, site: str, key: str) -> bool:
+        """:meth:`owns`, read off the memo if the run has asked about
+        ``key``, else computed afresh and memoized nowhere: for walks
+        over many keys (the preload holding rule, the census), which
+        would otherwise fill the memo with every one."""
+        shard = self._shard_cache.get(key)
+        if shard is None:
+            shard = _hash64(key) % self.num_shards
+        return site in self._owner_sets[shard]
+
     def owns_shard(self, site: str, shard: int) -> bool:
         return site in self._owner_sets[shard]
 

@@ -130,7 +130,9 @@ def install_converged(
     protocol: the state a long-converged deployment would hold.
 
     ``views`` and ``nodes`` are per site (``nodes[site]`` by server
-    name); ``owns(site, key)`` restricts a key to its owner sites. The
+    name); ``owns(site, key)`` restricts a key to its owner sites and,
+    like :meth:`HashRing.place`, memoizes nothing
+    (:meth:`~repro.cluster.placement.ShardCatalog.owns_unmemoized`). The
     install is **one** :class:`ConvergedBase`, the *base*: one
     ``key → value`` table in ``data`` order at one version, stamp and
     install time. A key's ``Record`` is built on first touch, then

@@ -315,15 +315,7 @@ class BatchedShipping(NoticesShipping):
     def on_remote_update_batch(self, msg: RemoteUpdateBatch, src: Address) -> None:
         """Unpack a coalesced shipment; in-batch order is arrival order."""
         proxy = self.proxy
-        updates = msg.updates
-        if "batch_reorder" in proxy.config.mutations:
-            # MUTATION (proving ground): unpack the flush window in
-            # reverse. Two causally-ordered same-key writes coalesced
-            # into one batch then enter the per-key gate chain
-            # newer-first, making the remote DC apply (and serve) the
-            # newer write while skipping its predecessor.
-            updates = tuple(reversed(updates))
-        for update in updates:
+        for update in msg.updates:
             proxy.on_remote_update(update, src)
 
     def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:

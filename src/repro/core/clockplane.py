@@ -737,15 +737,6 @@ class GeoClockCore(SitePlane):
         dep_ts = self._max_dep_ts(update)
         if dep_ts is None:
             return True
-        if "stale_stability_vector" in self.proxy.config.mutations:
-            # MUTATION (proving ground): trust the origin's stability
-            # vector over local application state. The origin's ship
-            # horizon proves the dependency was stable *at the origin*
-            # and has *arrived* here — not that it has finished
-            # propagating down the local chain. A dependent write can
-            # then become readable at its tail while its dependency is
-            # still mid-chain: a causal-cut violation.
-            return dep_ts <= self.dc_ship.get(update.origin_site, HLC_ZERO)
         return dep_ts <= visible
 
     def _reeval_injections(self) -> None:

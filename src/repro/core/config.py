@@ -3,6 +3,8 @@
 One dataclass carries every knob the paper discusses plus the ablation
 switches called out in DESIGN.md §6, with validation at construction so
 misconfigured experiments fail loudly before any virtual time elapses.
+The schedule explorer's seeded protocol bugs are not options here: they
+are class patches in :mod:`repro.analysis.mutations`.
 """
 
 from __future__ import annotations
@@ -15,47 +17,12 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.placement import ShardCatalog
 
-__all__ = ["STABILITY_PLANES", "PROTOCOL_MUTATIONS", "ChainReactionConfig"]
+__all__ = ["STABILITY_PLANES", "ChainReactionConfig"]
 
 #: The stabilization planes by name: what ``ChainReactionConfig.stability``
 #: and every ``--stability`` flag choose from. What builds each one is
 #: :data:`repro.core.stability_plane.PLANES`, and nothing else asks which.
 STABILITY_PLANES: Tuple[str, ...] = ("notices", "notices+batch", "clock")
-
-#: Seeded protocol bugs the schedule explorer's proving ground can
-#: re-inject (test-only; see docs/ANALYSIS.md §4 and
-#: repro.analysis.explore). Each name gates one seeded bug in core/node.py,
-#: core/geo.py or core/clockplane.py; the default configuration enables none,
-#: so production runs and the golden trace are unaffected.
-PROTOCOL_MUTATIONS: Tuple[str, ...] = (
-    # PR 3's split-brain bug: a deposed head skips the apply-time
-    # admission re-check and mints a duplicate (key, version).
-    "split_brain_mint",
-    # on_chain_stable drops the upstream cascade hop: stability never
-    # reaches positions above the tail's predecessor.
-    "drop_stable_cascade",
-    # the batched plane's sealing reports the *next* (unwritten) version as the
-    # per-key stable floor — an off-by-one that over-promises stability.
-    "gc_floor_off_by_one",
-    # RemoteUpdateBatch entries are applied in reverse buffering order,
-    # reordering causally-related writes across a flush window.
-    "batch_reorder",
-    # the k-th (non-tail) chain position records DC-stability at ack
-    # time, before the tail has even applied the write.
-    "ack_implies_stable",
-    # the head treats unresolved causal dependencies as already stable
-    # and admits the write without waiting.
-    "skip_dep_wait",
-    # clock plane: the geo-proxy trusts a peer's (stale) stability
-    # vector over its own pending-injection state — the remote-update
-    # admission gate ignores received-but-not-yet-applied updates, so a
-    # dependent write can be injected before its dependency finishes
-    # propagating down the local chain.
-    "stale_stability_vector",
-    # the converged floor vouches for whatever record the store holds and
-    # an overwrite no longer unseals: a mid-chain write is "globally stable".
-    "converged_floor_overreach",
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,9 +120,6 @@ class ChainReactionConfig:
             and visibility ticks all run on this cadence. Trades
             control-message rate against visibility latency (adds up to
             ~2 intervals on top of the WAN hop).
-        mutations: test-only seeded protocol bugs (names from
-            :data:`PROTOCOL_MUTATIONS`) for the schedule explorer's
-            proving ground. Empty in every production configuration.
         seed: root seed for every random stream in the deployment.
     """
 
@@ -191,7 +155,6 @@ class ChainReactionConfig:
     batch_max_entries: int = 128
     stability: str = "notices"
     stability_interval: float = 0.005
-    mutations: Tuple[str, ...] = ()
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -245,12 +208,6 @@ class ChainReactionConfig:
             )
         if self.stability_interval <= 0:
             raise ConfigError("stability_interval must be positive")
-        unknown = [m for m in self.mutations if m not in PROTOCOL_MUTATIONS]
-        if unknown:
-            raise ConfigError(
-                f"unknown protocol mutation(s) {unknown}; "
-                f"choose from {PROTOCOL_MUTATIONS}"
-            )
 
     @property
     def is_geo(self) -> bool:

@@ -219,7 +219,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         """
         version = VersionVector({"preload": 1})
         placement = self.config.placement()
-        owns = placement.owns if placement is not None else None
+        owns = placement.owns_unmemoized if placement is not None else None
         views = {site: manager.view for site, manager in self.managers.items()}
         arbitrated = install_converged(
             data, version, self.sim.now, views, self._nodes_by_name, owns=owns

@@ -180,12 +180,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     def _serve_put(self, msg: PutRequest) -> None:
         """Hold the put until its dependencies are DC-stable, then apply."""
         unresolved = self.plane.unresolved_deps(msg)
-        if "skip_dep_wait" in self.config.mutations:
-            # MUTATION (proving ground): admit the write as if its causal
-            # dependencies were already DC-stable. A reader at the tail
-            # can then observe this write before its dependency is
-            # visible anywhere — a causal-cut violation.
-            unresolved = []
         if unresolved:
             self.dep_waits += 1
             self.trace("put", "dep-wait", msg.key, waiting_on=len(unresolved))
@@ -199,13 +193,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         # its dependencies, and a no-longer-head that assigned a version
         # here would mint the same number as the new head — a split-brain
         # write under a stale epoch.
-        if "split_brain_mint" in self.config.mutations:
-            # MUTATION (proving ground): PR 3's bug, re-injected — skip
-            # the apply-time re-check, so a deposed head mints the same
-            # version number as the new head under a stale epoch.
-            error = None
-        else:
-            error = self._put_admission_error(msg.key)
+        error = self._put_admission_error(msg.key)
         if error is not None:
             self.rejected_ops += 1
             self.trace("put", "apply-rejected", msg.key, error=error)
@@ -284,13 +272,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         tail_pos = len(chain) - 1
         if ack_index >= 0 and pos == min(ack_index, tail_pos) and reply_to is not None:
             self.trace("put", "ack-client", key, position=pos)
-            if pos != tail_pos and "ack_implies_stable" in self.config.mutations:
-                # MUTATION (proving ground): conflate k-acknowledgement
-                # with DC-stability. Only the tail may declare stability;
-                # recording it here lets readers treat a mid-chain write
-                # as stable and drop the dependency that still guards it.
-                self.stability.record(key, version)
-                self._refresh_stable_record(key)
             self.send(
                 reply_to,
                 PutReply(
@@ -342,10 +323,8 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 # just replaced, so both trackers adopt its version before
                 # anything asks again. From its first write on, a key's
                 # tracker state is what explicit entries would hold.
-                # MUTATION (proving ground): skipped, see _converged_floor.
-                if "converged_floor_overreach" not in self.config.mutations:
-                    self.stability.adopt(key, vouched)
-                    self.global_stability.adopt(key, vouched)
+                self.stability.adopt(key, vouched)
+                self.global_stability.adopt(key, vouched)
             self.plane.note_applied(key, hlc)
             if result.was_conflict:
                 merged = dict(self._record_deps.get(key, _NO_DEPS))
@@ -420,12 +399,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         chain = self.chain_for(msg.key)
         pos = chain_positions(chain, self.name)
         if pos is not None and pos > 0:
-            if "drop_stable_cascade" in self.config.mutations:
-                # MUTATION (proving ground): drop the upstream cascade
-                # hop. On chains of length >= 3 the head never learns
-                # DC-stability, so completed writes never converge to
-                # stable at every replica.
-                return
             self.send(
                 self.view.address_of(chain[pos - 1]),
                 ChainStable(key=msg.key, version=msg.version, position=pos - 1),
@@ -684,22 +657,11 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         sealed = self._sealed.get(key)
         if sealed is None:
             return self._converged_floor(key)
-        if "gc_floor_off_by_one" in self.config.mutations:
-            # MUTATION (proving ground): off-by-one floor — claim the
-            # *next* (unwritten) version of the key is already stable,
-            # so a sealed key answers stability queries a write early.
-            return sealed.increment(self.site)
         return sealed
 
     def _converged_floor(self, key: str) -> VersionVector:
         held = self.store.version_of(key)
-        # MUTATION (proving ground), right operand: vouch for whatever
-        # the store holds, and (in _apply_local) never unseal — a write
-        # still on its chain answers "stable in every datacenter".
-        vouched = self._converged.dominates(held) or (
-            "converged_floor_overreach" in self.config.mutations
-        )
-        return held if vouched else ZERO
+        return held if self._converged.dominates(held) else ZERO
 
     def metadata_entries(self) -> int:
         """Live protocol metadata entries this server holds (GC metric).

@@ -9,6 +9,8 @@ import json
 import pytest
 
 from repro.analysis.explore import (
+    ExploreError,
+    ExploreScope,
     FaultAction,
     Schedule,
     explore_scope,
@@ -19,7 +21,7 @@ from repro.analysis.explore import (
     scenario,
     scenario_names,
 )
-from repro.core.config import PROTOCOL_MUTATIONS
+from repro.analysis.mutations import MUTATIONS
 from repro.sim.kernel import DeliveryChooser, Simulator
 
 #: catch budgets observed empirically: the latest catch across the
@@ -89,21 +91,25 @@ class TestDeliveryChooserSeam:
 class TestScenarios:
     def test_every_mutation_has_a_scenario(self):
         names = scenario_names()
-        for mutation in PROTOCOL_MUTATIONS:
+        for mutation in MUTATIONS:
             assert mutation in names
         assert "smallest" in names
 
     def test_mutation_scenarios_carry_their_mutation(self):
-        for mutation in PROTOCOL_MUTATIONS:
+        for mutation in MUTATIONS:
             scope = scenario(mutation)
             assert scope.mutations == (mutation,)
             assert scope.without_mutations().mutations == ()
 
     def test_unknown_scenario_rejected(self):
-        from repro.analysis.explore import ExploreError
-
         with pytest.raises(ExploreError):
             scenario("no-such-scenario")
+
+    def test_unknown_mutation_rejected_at_load(self):
+        data = scenario("drop_stable_cascade").to_dict()
+        data["mutations"] = ["drop_stable_cascde"]
+        with pytest.raises(ExploreError, match="drop_stable_cascade"):
+            ExploreScope.from_dict(data)
 
     def test_after_put_gate_round_trips_through_schedule_files(self, tmp_path):
         scope = scenario("split_brain_mint")
@@ -115,7 +121,7 @@ class TestScenarios:
 
 
 class TestProvingGround:
-    @pytest.mark.parametrize("mutation", PROTOCOL_MUTATIONS)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_mutation_is_caught(self, mutation):
         report = explore_scope(scenario(mutation), budget=CATCH_BUDGET)
         assert not report.clean, f"{mutation} not caught in {CATCH_BUDGET} schedules"
@@ -124,7 +130,7 @@ class TestProvingGround:
         assert report.counterexample.trace
         assert mutation in report.scope.mutations
 
-    @pytest.mark.parametrize("mutation", PROTOCOL_MUTATIONS)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_clean_twin_passes(self, mutation):
         budget = CLEAN_BUDGETS.get(mutation, 2000)
         report = explore_scope(
@@ -199,8 +205,6 @@ class TestDPOR:
         )
 
     def test_unknown_mode_rejected(self):
-        from repro.analysis.explore import ExploreError
-
         with pytest.raises(ExploreError):
             explore_scope(scenario("smallest"), mode="bogus")
 
@@ -216,7 +220,7 @@ class TestCliExplore:
     def test_list_scenarios(self):
         code, text = self._run(["explore", "--list"])
         assert code == 0
-        for mutation in PROTOCOL_MUTATIONS:
+        for mutation in MUTATIONS:
             assert mutation in text
 
     def test_expect_violation_catches_and_saves(self, tmp_path):
@@ -241,6 +245,25 @@ class TestCliExplore:
         )
         assert clean_code == 0
         assert "bug is fixed" in clean_text
+
+    @pytest.mark.parametrize("clean_tree", [False, True], ids=["strict", "clean-tree"])
+    def test_replay_of_an_unknown_mutation_is_a_structural_failure(self, tmp_path, clean_tree):
+        path = tmp_path / "bug.json"
+        self._run(
+            [
+                "explore", "--scope", "drop_stable_cascade",
+                "--expect-violation", "--save", str(path),
+                "--budget", str(CATCH_BUDGET),
+            ]
+        )
+        data = json.loads(path.read_text())
+        data["scope"]["mutations"] = ["drop_stable_cascde"]
+        path.write_text(json.dumps(data))
+        argv = ["explore", "--replay", str(path)] + (["--clean-tree"] if clean_tree else [])
+        code, text = self._run(argv)
+        assert code == 2
+        assert "drop_stable_cascde" in text and "drop_stable_cascade" in text
+        assert "bug is fixed" not in text
 
     def test_clean_run_exits_zero(self):
         code, text = self._run(

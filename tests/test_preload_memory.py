@@ -20,6 +20,7 @@ import tracemalloc
 import pytest
 
 import repro.cluster.membership as membership
+import repro.cluster.placement as placement
 import repro.core.datastore as chainreaction_datastore
 from helpers import install_per_server, make_store, touched
 from repro.analysis.sanitize import MessageTap
@@ -59,6 +60,12 @@ def _memo(store):
     """The keys the chain memos of ``store``'s current rings hold."""
     views = [manager.view for manager in store.managers.values()]
     return set().union(*(view.ring().routed(view.chain_length) for view in views))
+
+
+def _shard_memo(store):
+    """The keys the shard catalog's memo holds (none without one)."""
+    catalog = store.config.placement()
+    return set() if catalog is None else set(catalog._shard_cache)
 
 
 def _base(store):
@@ -202,14 +209,32 @@ def _durable_install(store):
         assert len(fresh.log) == fresh.writes_applied > 0
 
 
+_WALKS = {
+    "census": _census,
+    "items": _items,
+    "writes_applied": _writes_applied,
+    "durable-install": _durable_install,
+}
+
+
 @pytest.mark.parametrize(
-    "walk", [_census, _items, _writes_applied, _durable_install],
-    ids=["census", "items", "writes_applied", "durable-install"],
+    "walk, partial",
+    [pytest.param(walk, False, id=name) for name, walk in _WALKS.items()]
+    + [pytest.param(walk, True, id=name + "-partial") for name, walk in _WALKS.items()],
 )
-def test_walks_over_the_base_leave_the_memo_as_the_run_left_it(walk, fresh_rings):
-    store = make_store(sites=("dc0", "dc1"), durable_storage=True)
+def test_walks_over_the_base_leave_the_memo_as_the_run_left_it(walk, partial, fresh_rings, monkeypatch):
+    """Partial replication adds a second memo, the shard catalog's, which
+    the holding rule reads the same way it reads the chain memo."""
+    monkeypatch.setattr(placement, "_CATALOG_CACHE", {})
+    if partial:
+        store = make_store(sites=("dc0", "dc1", "dc2"), replication_degree=2, durable_storage=True)
+    else:
+        store = make_store(sites=("dc0", "dc1"), durable_storage=True)
     _run(store)
     routed = _memo(store)
+    shards = _shard_memo(store)
     assert len(routed) < len(_base(store).entries)
+    assert len(shards) < len(_base(store).entries)
     walk(store)
     assert _memo(store) == routed
+    assert _shard_memo(store) == shards
