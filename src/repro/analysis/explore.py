@@ -302,6 +302,10 @@ class ExploreScope:
         """The identical scope on the clean (fixed) tree."""
         return dataclasses.replace(self, mutations=())
 
+    def on_plane(self, plane: str) -> "ExploreScope":
+        """The identical scope on stabilization plane ``plane``."""
+        return dataclasses.replace(self, overrides=self.overrides + (("stability", plane),))
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -1563,6 +1567,43 @@ def _converged_floor_scope() -> ExploreScope:
     )
 
 
+def _proxy_gate_scope() -> ExploreScope:
+    """Two DCs, 2-node chains: A writes X, then Y, which names X; a dc1
+    session reads Y, then X. The mutated dc1 proxy lets Y in as soon as
+    it arrives, so the reader can see Y and then miss X, still on its way
+    down X's chain. The clean proxy holds Y until X's tail in dc1
+    announces X DC-stable. The scope runs ``notices+batch``: the reader's
+    second pair lands on the instant the flush window closes, racing the
+    batch. Its first pair races ``notices`` shipping at t = 0
+    (``explore --stability notices``); the reader is named to sort after
+    the servers, so the canonical schedule serves its reads last and the
+    explorer reaches that race within a few dozen schedules."""
+    flush = 0.002
+    chains = _chain_map(["s0", "s1"], 2)
+    key_x = _pick(chains, lambda k, c: c[0] == "s1")
+    key_y = _pick(chains, lambda k, c: c[0] == "s0")
+    return ExploreScope(
+        name="proxy_gate_open",
+        sites=("dc0", "dc1"),
+        servers_per_site=2,
+        chain_length=2,
+        ack_k=1,
+        ops=(
+            ExploreOp("A", "dc0", "put", key_x, 1),
+            ExploreOp("A", "dc0", "put", key_y, 2),
+            ExploreOp("viewer", "dc1", "get", key_y),
+            ExploreOp("viewer", "dc1", "get", key_x),
+            ExploreOp("viewer", "dc1", "pause", delay=flush),
+            ExploreOp("viewer", "dc1", "get", key_y),
+            ExploreOp("viewer", "dc1", "get", key_x),
+        ),
+        overrides=(("stability", "notices+batch"), ("batch_flush_interval", flush)),
+        mutations=("proxy_gate_open",),
+        check_stability_convergence=False,
+        check_convergence=False,
+    )
+
+
 #: scenario name -> factory. The mutation scenarios carry their mutation
 #: in ``scope.mutations``; ``scope.without_mutations()`` is the clean
 #: twin the unmutated tree must pass.
@@ -1576,6 +1617,7 @@ SCENARIOS: Dict[str, Callable[[], ExploreScope]] = {
     "batch_reorder": _batch_reorder_scope,
     "stale_stability_vector": _stale_vector_scope,
     "converged_floor_overreach": _converged_floor_scope,
+    "proxy_gate_open": _proxy_gate_scope,
 }
 
 # every seeded mutation must have a proving-ground scenario

@@ -30,8 +30,9 @@ from repro.core.clockplane import ClockNodePlane, GeoClockCore
 from repro.core.messages import RemoteUpdateBatch
 from repro.core.node import ChainNode
 from repro.core.stability import StabilityTracker
-from repro.core.stability_plane import NoticesPlane
+from repro.core.stability_plane import NoticesPlane, NoticesShipping
 from repro.sim.hlc import HLC_ZERO
+from repro.sim.process import Future
 
 __all__ = ["MUTATIONS", "mutated"]
 
@@ -107,6 +108,12 @@ def _trust_ship_vector(original: Any) -> Any:
     return _admissible
 
 
+def _answered(self: NoticesShipping, key: str, version: Any) -> Future:
+    answer = Future(self.proxy.sim)
+    answer.set_result(True)
+    return answer
+
+
 def _returning(value: Callable[..., Any]) -> Callable[[Any], Any]:
     """A patch that replaces the method outright with ``value``."""
     return lambda original: value
@@ -132,6 +139,9 @@ MUTATIONS: Dict[str, Tuple[Patch, ...]] = {
         (ChainNode, "_converged_floor", _returning(lambda self, key: self.store.version_of(key))),
         (StabilityTracker, "adopt", _returning(lambda self, key, version: None)),
     ),
+    # The proxy's dependency gate answers at once: an inbound update goes
+    # in before its dependencies are DC-stable in this datacenter.
+    "proxy_gate_open": ((NoticesShipping, "wait_stable", _returning(_answered)),),
 }
 
 

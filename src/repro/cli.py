@@ -277,6 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign on a stabilization plane: notices (default), "
         "notices+batch, or clock",
     )
+    faults.add_argument(
+        "--sites", nargs="+", metavar="SITE", default=None,
+        help="run the campaign on these datacenters instead of its own",
+    )
 
     lint = sub.add_parser(
         "lint", help="determinism/protocol-invariant AST linter (docs/ANALYSIS.md)"
@@ -337,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--clean", action="store_true",
         help="strip the scenario's seeded protocol mutation and explore the "
         "unmutated tree (must pass clean)",
+    )
+    explore.add_argument(
+        "--stability", choices=STABILITY_PLANES, metavar="PLANE",
+        help="explore the scenario on a stabilization plane: notices, "
+        "notices+batch, or clock (default: the scenario's own)",
     )
     explore.add_argument(
         "--budget", type=int, default=20000,
@@ -700,6 +709,8 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         updates["workload_name"] = args.workload
     if args.stability is not None:
         updates["overrides"] = {**(spec.overrides or {}), "stability": args.stability}
+    if args.sites is not None:
+        updates["sites"] = tuple(args.sites)
     if updates:
         spec = spec.with_updates(**updates)
 
@@ -937,6 +948,8 @@ def _cmd_explore(args: argparse.Namespace, out) -> int:
     scope = scenario(args.scope)
     if args.clean:
         scope = scope.without_mutations()
+    if args.stability is not None:
+        scope = scope.on_plane(args.stability)
     mode = "naive" if args.naive else "dpor"
     print(
         f"exploring scope {scope.name!r} "

@@ -406,18 +406,9 @@ class ClockNodePlane(StabilityPlane):
                         TailApplied(key=key, hlc=ts),
                     )
         if node.config.is_geo:
-            node.send(
-                node._geoproxy,
-                TailStable(
-                    key=key,
-                    value=value,
-                    version=version,
-                    stamp=stamp,
-                    deps=deps,
-                    origin_site=origin_site,
-                    origin_put_at=origin_put_at,
-                    hlc=ts if ts is not None else NO_HLC,
-                ),
+            self._tell_proxy(
+                key, value, version, deps, origin_site, origin_put_at, stamp,
+                ts if ts is not None else NO_HLC,
             )
 
     # -- chain repair --------------------------------------------------
@@ -426,15 +417,8 @@ class ClockNodePlane(StabilityPlane):
         return ts is not None and ts > self.cut
 
     def transfer_record(self, record: Any) -> Tuple:
-        ts = self._hlc_of.get(record.key)
-        return (
-            record.key,
-            record.value,
-            record.version,
-            ZERO,  # trackers and their floors are the notices plane's
-            record.stamp,
-            ts if ts is not None else NO_HLC,
-        )
+        # trackers and their floors are the notices plane's
+        return self._transfer_entry(record, ZERO, self.transfer_hlc(record.key))
 
     def transfer_hlc(self, key: str) -> Any:
         ts = self._hlc_of.get(key)

@@ -247,6 +247,8 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                     node.global_stability.record_all(keys, version)
                 for key in [k for k in node._stable_records if k in data]:
                     node._refresh_stable_record(key)
+        for proxy in self.proxies.values():
+            proxy.plane.mark_converged(version)
 
     def attach_tracer(self, capacity: int = 100_000) -> Tracer:
         """Attach a structured-trace collector to every actor in the

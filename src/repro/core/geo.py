@@ -11,7 +11,10 @@ is reported back to its origin with a :class:`GlobalAck`.
 On the receiving side, a remote update is injected into the local chain
 **head** — so remote and local writes share one serialisation point per
 key — but only after every dependency it carries is DC-stable locally
-(when ``geo_causal_delivery`` is on). That gate is what makes a remote
+(when ``geo_causal_delivery`` is on). On the notices planes the proxy
+answers that from its own plane, which records every ``TailStable`` the
+local tails send it; it asks a dependency's tail (``wait_stable``) only
+when no word came within one attempt. That gate is what makes a remote
 reader unable to observe a write before the writes it causally depends
 on; switching it off (DESIGN.md §6.4) reintroduces the anomalies that
 experiment E10 counts. Each inbound update is one :class:`_RemoteApply`

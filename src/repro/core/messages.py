@@ -322,7 +322,11 @@ class TailStable(Message):
 
     For locally-originated writes the proxy ships it to the other DCs;
     for remote-originated writes the proxy reports a :class:`GlobalAck`
-    back to the origin.
+    back to the origin (the clock plane: its injection horizon moves).
+    Either way the notices proxy records the version as DC-stable, which
+    is what its dependency gate waits on. A remote-origin notice carries
+    only ``key``, ``version``, ``origin_site`` and ``hlc``: nothing ships
+    it again, and no site half reads its value, stamp, deps or put time.
     """
 
     type_name: ClassVar[str] = "tail-stable"
@@ -416,7 +420,8 @@ class StateTransfer(Message):
 
     type_name: ClassVar[str] = "state-transfer"
     memoize_size: ClassVar[bool] = True
-    #: (key, value, version, stable_version, stamp) tuples
+    #: (key, value, version, stable_version, stamp[, hlc[, deps]]) tuples
+    #: (``StabilityPlane._transfer_entry``)
     records: Tuple = ()
     epoch: int = 0
 

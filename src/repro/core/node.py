@@ -347,6 +347,11 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self.plane.observe(hlc)
         self._refresh_stable_record(key)
 
+    def record_deps(self, key: str) -> Deps:
+        """The dependency list of the write that produced ``key``'s
+        stored record (empty once sealed, and for a preloaded record)."""
+        return self._record_deps.get(key, _NO_DEPS)
+
     def _refresh_stable_record(self, key: str) -> None:
         """Drop the shadow entry once the live record is itself stable.
 
@@ -562,11 +567,12 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
 
     def on_state_transfer(self, msg: StateTransfer, src: Address) -> None:
         for rec in msg.records:
+            # (key, value, version, stable, stamp[, hlc[, deps]]): see
+            # StabilityPlane._transfer_entry
             key, value, version, stable_version, stamp = rec[:5]
-            # Clock-plane transfers append the record's HLC stamp as a
-            # sixth element; notices-plane tuples stay five-wide.
             hlc = rec[5] if len(rec) > 5 else NO_HLC
-            self._apply_local(key, value, version, stamp, {}, hlc)
+            deps = rec[6] if len(rec) > 6 else _NO_DEPS
+            self._apply_local(key, value, version, stamp, deps, hlc)
             if not stable_version.is_zero():
                 self.stability.record(key, stable_version)
                 self._refresh_stable_record(key)
@@ -577,12 +583,13 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 if record is not None and self.plane.needs_restabilise(key, record.version):
                     # Writes stranded mid-chain by the failure reach the new
                     # tail here; stabilising them re-opens reads-anywhere and
-                    # (in geo mode) re-ships anything the old tail never sent.
+                    # (in geo mode) re-ships anything the old tail never sent,
+                    # with the dependencies its client named.
                     self.plane.tail_stabilise(
                         key,
                         record.value,
                         record.version,
-                        {},
+                        self.record_deps(key),
                         self.site,
                         self.sim.now,
                         chain,

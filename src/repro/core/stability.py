@@ -168,14 +168,23 @@ class DepWait:
     ``actor`` is the chain head holding a put, or the geo proxy holding
     a remote update. A head that is itself the dependency's tail asks
     its own plane, for all the time that is left rather than one RPC
-    attempt's worth.
+    attempt's worth. A host whose plane hears the key's stability
+    (``plane.hears_stability``: the notices proxies, told by every tail
+    of their site) first waits on that plane for one attempt, entered in
+    its deadline table as if it had asked itself, so a crash fails it
+    like an RPC; only if no word came does it ask the tail — a
+    ``TailStable`` is lost with a crashed tail's in-flight messages, or
+    with the proxy when it was down at the stability event.
 
     Asks inline, from the constructor: the parent may hear back before
     the constructor returns (a crashed actor's request fails at once, an
     already-stable local answer resolves at once).
     """
 
-    __slots__ = ("_actor", "_parent", "_key", "_version", "_deadline", "_attempt", "_local", "_timer")
+    __slots__ = (
+        "_actor", "_parent", "_key", "_version", "_deadline", "_attempt", "_local", "_timer",
+        "_overhear", "_rid",
+    )
 
     def __init__(self, actor: Any, parent: Any, key: str, version: VersionVector) -> None:
         self._actor = actor
@@ -189,6 +198,8 @@ class DepWait:
         #: the local answer being waited for; None over an RPC, and again
         #: once its deadline fired (its late answer is then ignored)
         self._local: Optional[Future] = None
+        #: whether the first attempt waits on the host's own plane
+        self._overhear = actor.plane.hears_stability(key)
         self._ask()
 
     def _ask(self) -> None:
@@ -199,6 +210,10 @@ class DepWait:
             self._parent.dep_done(False)
             return
         remaining = self._deadline - now
+        if self._overhear:
+            self._overhear = False
+            self._overheard(actor, min(self._attempt, remaining))
+            return
         view = actor.view
         tail = view.address_of(view.chain_for(self._key)[-1])
         if tail == actor.address:
@@ -210,6 +225,22 @@ class DepWait:
                 tail, "wait_stable", (self._key, self._version),
                 min(self._attempt, remaining), self,
             )
+
+    def _overheard(self, actor: Any, span: float) -> None:
+        answer = actor.plane.wait_stable(self._key, self._version)
+        if answer.done():
+            self._parent.dep_done(True)
+            return
+        # Its own request id: the deadline table times the attempt out
+        # (``rpc_failed``, then the tail is asked), and fails it at once
+        # if the host crashes.
+        self._rid = actor._expect_reply(self, span, "wait_stable", actor.address)
+        answer.add_callback(self._answered)
+
+    def _answered(self, _answer: Future) -> None:
+        # Still in the table: neither timed out nor failed by a crash.
+        if self._actor._rpc_pending.pop(self._rid, None) is not None:
+            self._parent.dep_done(True)
 
     def _local_answer(self, answer: Future) -> None:
         if answer is self._local:

@@ -46,6 +46,7 @@ from repro.core.messages import (
     RemoteUpdate,
     TailStable,
 )
+from repro.core.stability import StabilityTracker
 from repro.metrics.protocol import GLOBAL_STABILITY_MESSAGE_TYPES, STABILITY_MESSAGE_TYPES
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC
@@ -76,6 +77,12 @@ class _PlaneHalf:
 
     def on_recover(self) -> None:
         return None
+
+    def hears_stability(self, key: str) -> bool:
+        """Whether this half is told when ``key`` becomes DC-stable here,
+        so that a :class:`~repro.core.stability.DepWait` on its host may
+        first wait on :meth:`wait_stable` before asking the key's tail."""
+        return False
 
     def coalescers(self) -> Dict[str, Any]:
         """Stream name → coalescer, for the planes that batch."""
@@ -165,6 +172,38 @@ class StabilityPlane(_PlaneHalf):
     ) -> None:
         raise NotImplementedError
 
+    def _tell_proxy(
+        self,
+        key: str,
+        value: Any,
+        version: VersionVector,
+        deps: Deps,
+        origin_site: str,
+        origin_put_at: float,
+        stamp: Any,
+        hlc: Any,
+    ) -> None:
+        """Send the site's geo-proxy the :class:`TailStable` for a write
+        that just became DC-stable here. A remote-origin write is not
+        shipped again, so its notice carries no value, stamp, deps or
+        put time: the site halves read only its key, version, origin and
+        HLC stamp."""
+        node = self.node
+        if origin_site == node.site:
+            notice = TailStable(
+                key=key,
+                value=value,
+                version=version,
+                stamp=stamp,
+                deps=deps,
+                origin_site=origin_site,
+                origin_put_at=origin_put_at,
+                hlc=hlc,
+            )
+        else:
+            notice = TailStable(key=key, version=version, origin_site=origin_site, hlc=hlc)
+        node.send(node._geoproxy, notice)
+
     # -- chain repair --------------------------------------------------
     def needs_restabilise(self, key: str, version: VersionVector) -> bool:
         raise NotImplementedError
@@ -172,13 +211,18 @@ class StabilityPlane(_PlaneHalf):
     def transfer_record(self, record: Any) -> Tuple:
         """The :class:`StateTransfer` entry for ``record``; its fourth
         slot is what the sender knows DC-stable about the key."""
-        return (
-            record.key,
-            record.value,
-            record.version,
-            self.node.stability.stable_version(record.key),
-            record.stamp,
-        )
+        return self._transfer_entry(record, self.node.stability.stable_version(record.key), NO_HLC)
+
+    def _transfer_entry(self, record: Any, stable: VersionVector, hlc: Any) -> Tuple:
+        """``(key, value, version, stable, stamp, hlc, deps)``, where
+        ``deps`` is the dependency list of the write that produced the
+        record. Trailing slots that would carry nothing are left off, so
+        a record without dependencies costs the bytes it always did."""
+        entry = (record.key, record.value, record.version, stable, record.stamp)
+        deps = self.node.record_deps(record.key)
+        if deps:
+            return entry + (hlc, deps)
+        return entry if hlc is NO_HLC else entry + (hlc,)
 
     def transfer_hlc(self, key: str) -> Any:
         return NO_HLC
@@ -259,18 +303,7 @@ class NoticesPlane(StabilityPlane):
         if len(chain) > 1:
             self._notify_upstream(node.view.address_of(chain[-2]), key, version, len(chain) - 2)
         if node.config.is_geo:
-            node.send(
-                node._geoproxy,
-                TailStable(
-                    key=key,
-                    value=value,
-                    version=version,
-                    stamp=stamp,
-                    deps=deps,
-                    origin_site=origin_site,
-                    origin_put_at=origin_put_at,
-                ),
-            )
+            self._tell_proxy(key, value, version, deps, origin_site, origin_put_at, stamp, NO_HLC)
 
     def needs_restabilise(self, key: str, version: VersionVector) -> bool:
         return not self.node.stability.is_stable(key, version)
@@ -297,13 +330,25 @@ class SitePlane(_PlaneHalf):
         """Seconds the plane's global-stabilization cut trails the clock."""
         return 0.0
 
+    def mark_converged(self, version: VersionVector) -> None:
+        """Preload installed every record at or below ``version`` on
+        every replica of the site."""
+        return None
+
 
 class NoticesShipping(SitePlane):
     """The paper's site half: one :class:`RemoteUpdate` per peer per
     DC-stable local write, a :class:`GlobalAck` back per remote one, and
-    a :class:`GlobalStableNotice` round once every owner DC has acked."""
+    a :class:`GlobalStableNotice` round once every owner DC has acked.
 
-    __slots__ = ("_pending_global", "_shipped")
+    Every :class:`TailStable` the site's tails send, local and remote
+    origin alike, is also recorded in the half's own
+    :class:`StabilityTracker`, so an inbound update's dependency waits
+    (:class:`~repro.core.stability.DepWait`) are answered here, from the
+    stream the tails already send, rather than by a ``wait_stable`` RPC
+    per dependency. Its floor is what preload installed converged."""
+
+    __slots__ = ("_pending_global", "_shipped", "_stable", "_converged")
 
     handles = ("on_tail_stable", "on_global_ack", "on_global_stable_notice")
 
@@ -312,9 +357,29 @@ class NoticesShipping(SitePlane):
         #: (key, version) → (sites yet to ack, origin put time)
         self._pending_global: Dict[Tuple[str, VersionVector], Tuple[Set[str], float]] = {}
         self._shipped: Set[Tuple[str, VersionVector]] = set()
+        #: what this site's tails announced DC-stable
+        self._stable = StabilityTracker()
+        #: what :meth:`mark_converged` vouched for, DC-stable for every key
+        self._converged = VersionVector()
+        self._stable.set_floor(self._floor)
+
+    def mark_converged(self, version: VersionVector) -> None:
+        self._converged = self._converged.merge(version)
+
+    def _floor(self, key: str) -> VersionVector:
+        return self._converged
+
+    def hears_stability(self, key: str) -> bool:
+        return True
+
+    def wait_stable(self, key: str, version: VersionVector) -> Future:
+        """A future resolving once a tail here announced ``version`` of
+        ``key`` DC-stable (or preload installed it converged)."""
+        return self._stable.wait(self.proxy.sim, key, version)
 
     def on_tail_stable(self, msg: TailStable, src: Address) -> None:
         proxy = self.proxy
+        self._stable.record(msg.key, msg.version)
         token = (msg.key, msg.version)
         if msg.origin_site != proxy.site:
             # Remote-origin write finished our chain: tell the origin.

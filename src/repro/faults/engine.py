@@ -178,6 +178,7 @@ class CampaignResult:
             "campaign": self.spec.name,
             "description": self.spec.description,
             "protocol": self.spec.protocol,
+            "sites": list(self.spec.sites),
             "seed": self.seed,
             "clients": self.spec.clients,
             "workload": self.spec.workload_name,

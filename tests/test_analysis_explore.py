@@ -130,6 +130,14 @@ class TestProvingGround:
         assert report.counterexample.trace
         assert mutation in report.scope.mutations
 
+    def test_the_proxy_gate_is_caught_on_the_unbatched_plane_too(self):
+        # the scope runs notices+batch; its first pair of reads races
+        # the notices plane's shipping
+        scope = scenario("proxy_gate_open").on_plane("notices")
+        report = explore_scope(scope, budget=CATCH_BUDGET)
+        assert not report.clean, f"not caught in {CATCH_BUDGET} schedules"
+        assert dict(report.scope.overrides)["stability"] == "notices"
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_clean_twin_passes(self, mutation):
         budget = CLEAN_BUDGETS.get(mutation, 2000)
@@ -280,6 +288,19 @@ class TestCliExplore:
             ]
         )
         assert code == 1
+
+    def test_stability_runs_the_scenario_on_another_plane(self, tmp_path):
+        path = tmp_path / "gate.json"
+        code, text = self._run(
+            [
+                "explore", "--scope", "proxy_gate_open", "--stability", "notices",
+                "--expect-violation", "--save", str(path), "--budget", str(CATCH_BUDGET),
+            ]
+        )
+        assert code == 0 and "VIOLATION" in text
+        saved = json.loads(path.read_text())["scope"]
+        assert dict(saved["overrides"])["stability"] == "notices"
+        assert self._run(["explore", "--replay", str(path)])[0] == 0
 
     def test_compare_naive_reports_ratio(self):
         code, text = self._run(

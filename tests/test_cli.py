@@ -375,6 +375,16 @@ class TestFaults:
         with pytest.raises(ConfigError, match="unknown campaign"):
             run_cli("faults", "--campaign", "meteor-strike")
 
+    def test_sites_runs_a_campaign_on_other_datacenters(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        code, _output = run_cli(
+            "faults", "--campaign", "crash-tail", "--sites", "dc0", "dc1", "--seed", "42",
+            "--clients", "4", "--format", "json", "--out", str(path),
+        )
+        doc = json.loads(path.read_text())
+        assert (doc["campaign"], doc["sites"]) == ("crash-tail", ["dc0", "dc1"])
+        assert code == 0 and doc["clean"] is True
+
     def test_crash_head_campaign_clean(self, tmp_path):
         path = tmp_path / "campaign.json"
         code, output = run_cli(

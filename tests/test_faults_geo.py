@@ -10,6 +10,8 @@ import dataclasses
 
 import pytest
 
+from helpers import make_geo_store, run_op
+
 from repro.faults import CAMPAIGNS, run_campaign
 
 
@@ -28,28 +30,43 @@ def test_crash_tail_on_two_dcs_resolves_every_op_and_keeps_the_chain_invariants(
     assert result.invariant_report.clean, result.invariant_report.format()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a remote session reads below its causal floor after a tail crash "
-    "in the other DC; protocol bug or checker false positive undecided "
-    "(ROADMAP item 1)",
-)
 def test_crash_tail_on_two_dcs_is_causally_clean(crash_tail_on_two_dcs):
     """``crash-tail`` with ``sites=("dc0", "dc1")``, seed 42: ``dc0:s0``
-    crashes at 0.7 s and recovers at 1.5 s, and ``check_causal`` reports
-    two violations, both at ``dc1:client2``:
-
-    - ``user00000014: read VV(dc0:11,dc1:35,preload:1) but causal floor
-      is VV(dc0:12,dc1:35,preload:1)``
-    - ``user00000046: read VV(dc0:40,dc1:39,preload:1) but causal floor
-      is VV(dc0:41,dc1:39,preload:1)``
-
-    Seeds 43-45 are clean and the invariant monitor is silent (test
-    above). Either repair re-stabilisation / remote apply ordering lets
-    the remote DC serve a version older than one the session's own
-    dependency table already names, or the checker mis-attributes a
-    degraded-free read; the built-in campaign is single-site, which is
-    why nothing caught it. A fix changes what a campaign counts as
-    clean and is its own change.
+    crashes at 0.7 s and recovers at 1.5 s. Repair hands the still
+    in-flight write ``user00000037@(dc0:14,dc1:13)`` to the new tail
+    ``dc0:s4``, which re-stabilises it. While the transfer entry carried
+    no dependency list, the proxy shipped it with none, dropped the real
+    ``TailStable`` that followed as a duplicate, and dc1 applied 037
+    before the writes it depends on (``check_causal`` reported two reads
+    at ``dc1:client2`` below its causal floor). Transfers now carry the
+    record's dependencies, and the new tail ships them
+    (:func:`test_a_write_stranded_mid_chain_ships_with_its_dependencies`).
     """
     assert crash_tail_on_two_dcs.causal_violations == 0
+
+
+def test_a_write_stranded_mid_chain_ships_with_its_dependencies():
+    """A dc0 session writes ``d``, then ``k``, which names it. The
+    ``ChainPut`` carrying ``k`` to its tail is lost and the tail crashes:
+    ``k`` is acknowledged, held mid-chain, and reaches the new tail only
+    in the repair's ``StateTransfer``. The new tail re-stabilises it, and
+    dc0's proxy ships it to dc1 with the dependency the client named."""
+    store = make_geo_store(ack_k=2)
+    view = store.managers["dc0"].view
+    tail = view.chain_for("k")[-1]
+    d = next(name for name in (f"d{i}" for i in range(500)) if tail not in view.chain_for(name))
+    shipped = []
+
+    def watch(src, dst, msg):
+        if msg.type_name == "remote-update" and msg.key == "k":
+            shipped.append(msg)
+        return msg.type_name == "chain-put" and msg.key == "k" and dst == view.address_of(tail)
+
+    store.network.set_divert(watch)
+    session = store.session("dc0", session_id="alice")
+    run_op(store, session.put(d, "dep"))
+    run_op(store, session.put("k", "v"))
+    next(node for node in store.servers("dc0") if node.name == tail).crash()
+    store.run(until=store.sim.now + 2.0)
+    assert tail not in store.managers["dc0"].view.chain_for("k")
+    assert [sorted(msg.deps) for msg in shipped] == [[d]]

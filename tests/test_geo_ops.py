@@ -15,8 +15,10 @@ updates_applied, counters, events_processed, messages_sent, bytes_sent,
 message-trace digest)``. Every field but the event count is what commit
 729cc81 (still coroutine-based) produced. A script whose tuple moves
 changed the simulation and must be fixed, not re-recorded — except the
-event count (re-recorded once, see ``PINNED``) and the two fields of the
-two scripts named in ``BUGFIX``.
+event count (re-recorded once, see ``PINNED``), the two fields of the
+two scripts named in ``BUGFIX``, and the two-site scripts, re-recorded
+when the proxy began to wait on its own ``TailStable`` table (see
+``PINNED``).
 
 What the scripts hold: the first step of an update, a held put and a
 dependency wait runs inline, a backoff posts one event, the gate opens
@@ -36,9 +38,11 @@ import pytest
 from helpers import make_geo_store, make_store
 
 from repro.analysis.sanitize import MessageTap
+from repro.baselines import build_store
 from repro.core.messages import DepEntry, RemoteUpdate
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
+from repro.workload import WorkloadRunner, workload
 
 #: short RPC attempts and backoffs so retries fit a script; a failure
 #: detector slow enough never to interfere unless a script wants it
@@ -100,8 +104,8 @@ def no_dependencies():
 
 
 def one_dependency():
-    """``k`` names ``d``: asked of ``d``'s tail, injected once ``d`` is
-    DC-stable in dc1."""
+    """``k`` names ``d``: waited for on the proxy's own table, injected
+    once ``d``'s tail in dc1 announces it DC-stable."""
     store = _store(make_geo_store, **FAST)
     _arrive(store, 0.0, update("k", "v", 1, {"d": dep(1)}))
     _arrive(store, 0.002, update("d", "dep", 1))
@@ -134,8 +138,9 @@ def causal_delivery_off():
 
 
 def wait_stable_times_out_once():
-    """The first ``wait_stable`` (0.1 s) expires, the second is answered;
-    the tail's late answer to the first is dropped."""
+    """The first attempt (0.1 s, on the proxy's own table) expires before
+    ``d`` arrives; the ``wait_stable`` RPC to ``d``'s tail that follows
+    is answered, and the ``TailStable`` heard after it changes nothing."""
     store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     _arrive(store, 0.0, update("k", "v", 1, {"d": dep(1)}))
     _arrive(store, 0.15, update("d", "dep", 1))
@@ -446,25 +451,32 @@ def fingerprint(name):
 #: are the parent's again. ``session_writes_batched``'s events fell once
 #: more when sealing left the sweep for the stability events (875 ->
 #: 811): the sweep's 64 timer events are gone, nothing else moved.
+#: Every two-site script re-recorded once more when the proxy began to
+#: wait on its own ``TailStable`` table instead of asking the tail, and
+#: a remote-origin ``TailStable`` dropped the value and dependencies no
+#: site half reads: the clock-plane scripts moved in bytes only, the
+#: notices scripts lost their ``wait_stable`` round trips (messages,
+#: events, bytes and visibility samples), and the single-site head
+#: scripts did not move.
 PINNED = {
-    'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6426, 'f0f101a221e52a8e'),
-    'one_dependency': (('dep', 'v'), (0.00249792377575309, 0.003867354438638095), 2, (2, 0, 0, 0), 341, 170, 7310, '5ef20e3740f63842'),
-    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0017345572346631078, 0.01089564380746174, 0.012331373473772958), 3, (3, 0, 0, 0), 353, 180, 8250, '0763970401e924fd'),
-    'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6542, '4fb523d6cb8aa620'),
-    'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6554, '02609b23a35d5eba'),
-    'wait_stable_times_out_once': (('dep', 'v'), (0.1505593670408919, 0.15184141753555028), 2, (2, 0, 0, 0), 344, 172, 7424, 'f417f6888ae76370'),
-    'dep_wait_timeout_expires': (('v',), (0.30058497219402813,), 1, (1, 0, 0, 0), 335, 163, 6791, 'b051e04e33c465ef'),
-    'proxy_crash_mid_dep_wait': (('third',), (0.02073455723466311, 0.05057276404827303), 2, (2, 0, 0, 0), 345, 170, 7264, 'c8625244ccccaabe'),
-    'proxy_down_when_the_gate_opens': (('third',), (0.05090741340568155,), 1, (1, 0, 0, 0), 336, 161, 6521, 'f5b27f345843721e'),
-    'same_key_order_preserved': (('dep', 'second!!'), (0.01049792377575309, 0.011809379569115909, 0.011877580737476455), 3, (3, 0, 0, 0), 351, 178, 8004, '4b6ec846abccffa7'),
-    'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6664, 'bfb1724b25805a29'),
-    'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 17033, 'f724697d64b8c7cf'),
+    'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6422, 'fd30bab6d6636bc8'),
+    'one_dependency': (('dep', 'v'), (0.0025448782563099372, 0.0035394704559096888), 2, (2, 0, 0, 0), 339, 168, 7158, 'ea72a168b948e7eb'),
+    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0015448782563099372, 0.010579661341312559, 0.012088602374867325), 3, (3, 0, 0, 0), 349, 176, 7938, '7f7c258938703647'),
+    'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6509, 'b74a582e8301c319'),
+    'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6518, '4efab5c342843065'),
+    'wait_stable_times_out_once': (('dep', 'v'), (0.1505873151117727, 0.15179233150779314), 2, (2, 0, 0, 0), 342, 170, 7272, '46ce77927f70ec47'),
+    'dep_wait_timeout_expires': (('v',), (0.3007229651017506,), 1, (1, 0, 0, 0), 334, 162, 6676, 'f5e2845282810fe2'),
+    'proxy_crash_mid_dep_wait': (('third',), (0.020544878256309938, 0.050586093732652354), 2, (2, 0, 0, 0), 343, 168, 7095, '88d7663c4100a0c4'),
+    'proxy_down_when_the_gate_opens': (('third',), (0.05057966134131256,), 1, (1, 0, 0, 0), 335, 160, 6434, 'aafc697dd78eec97'),
+    'same_key_order_preserved': (('dep', 'second!!'), (0.010544878256309936, 0.011846295892815136, 0.011846296892815135), 3, (3, 0, 0, 0), 349, 176, 7837, '796186329d87a6bf'),
+    'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6660, '447b5128a5904a77'),
+    'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 17029, 'bde1d74b6ce296e5'),
     'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 282, 133, 5054, '054fb19d783c92cc'),
-    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 87044, 'd667618e53e3d81a'),
+    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 86977, '081950d870ab5a20'),
     'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, 'a67a1999169783d7'),
-    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.0509326700868293, 0.050593530773802055, 0.050626052261984605, 0.04962586951617488, 0.048855133319892365, 0.04797830564982439, 0.04695918391139543, 0.04621013992132275), 9, (9, 9, 1, 0), 885, 531, 29806, 'aa09a2d36d061468'),
-    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 358384, 'c4e25be4668e2cf0'),
-    'session_writes_batched': (('1', '2', '3', 'v5'), (0.06464729436734194, 0.06447618949149843, 0.06345851777552781, 0.06355134245512441, 0.06277865735732453, 0.061978068669281954, 0.060970346507891675, 0.05997611711910229, 0.05900526129366533), 9, (9, 9, 2, 0), 811, 447, 26622, 'cbc869e6b7f810ed'),
+    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.050404260193395486, 0.050099376229576664, 0.05031176844496563, 0.0493835283991457, 0.04833448918214134, 0.04745766151207336, 0.04636666295601233, 0.045617618965939646), 9, (9, 9, 1, 0), 877, 523, 29046, '62b8198f26fe3896'),
+    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 357972, '043ed45ec3c074bb'),
+    'session_writes_batched': (('1', '2', '3', 'v5'), (0.0648042800546071, 0.06440417138181936, 0.0633359037562934, 0.06349438476112074, 0.06248011269083027, 0.061833385022037744, 0.060825662860647466, 0.059831433471858084, 0.058909028454218915), 9, (9, 9, 2, 0), 803, 439, 25862, '82692a54e8eff697'),
     'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
     'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7094, '92788e3afb615f28'),
     'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, 'd4eb2d1f955f58fa'),
@@ -562,11 +574,100 @@ def test_a_crashed_proxy_drops_the_update_but_not_its_successors():
 def test_an_expired_dependency_wait_lets_the_write_through():
     store, _keys, tap = run_script("dep_wait_timeout_expires")
     assert store.proxies["dc1"].visibility_samples[0] >= store.config.dep_wait_timeout
-    assert _proxy_rpcs(tap) == 3 + 1  # three 0.1 s wait_stable attempts, then apply_remote
+    # one 0.1 s attempt on the proxy's own table, two 0.1 s wait_stable
+    # RPCs, then apply_remote
+    assert _proxy_rpcs(tap) == 2 + 1
     for name in ("head_local_wait_expires", "head_rpc_wait_expires"):
         store, _keys, _tap = run_script(name)
         stats = store.protocol_stats()
         assert (stats["dep_waits"], stats["dep_wait_timeouts"], stats["puts_served"]) == (1, 1, 2)
+
+
+def _watch(store, keep):
+    """Collect every ``(src, dst, msg)`` the network accepts from here on;
+    ``keep`` returns True for a message to drop instead of delivering."""
+    seen = []
+
+    def watch(src, dst, msg):
+        seen.append((src, dst, msg))
+        return keep(src, dst, msg)
+
+    store.network.set_divert(watch)
+    return seen
+
+
+def _proxy_wait_stables(seen):
+    return [
+        msg for src, _dst, msg in seen
+        if src.node == "geoproxy" and msg.type_name == "rpc-request" and msg.method == "wait_stable"
+    ]
+
+
+@pytest.mark.parametrize("plane", ["notices", "notices+batch"])
+def test_a_fault_free_two_site_run_waits_on_the_proxys_own_table(plane):
+    store = build_store(
+        "chainreaction", sites=("dc0", "dc1"), servers_per_site=4, chain_length=3, seed=1234,
+        overrides={"stability": plane},
+    )
+    seen = _watch(store, lambda src, dst, msg: False)
+    spec = workload("A", record_count=25, value_size=32)
+    WorkloadRunner(store, spec, n_clients=4, duration=0.5, warmup=0.1).run()
+    store.run(until=store.sim.now + 1.0)
+    stats = store.protocol_stats()
+    assert stats["updates_applied"] == stats["updates_shipped"] > 100
+    assert stats["updates_abandoned"] == 0
+    shipped = [
+        update for _src, _dst, msg in seen if msg.type_name.startswith("remote-update")
+        for update in getattr(msg, "updates", (msg,))
+    ]
+    assert sum(1 for update in shipped if update.deps) > 100  # there was waiting to do
+    assert _proxy_wait_stables(seen) == []
+
+
+def test_a_lost_tail_stable_falls_back_to_the_tail_after_one_attempt():
+    """``one_dependency`` with ``d``'s ``TailStable`` to dc1's proxy lost:
+    the proxy's own table never hears of ``d``, so after one attempt's
+    wait it asks ``d``'s tail, which answers at once. ``k`` goes in after
+    ``d``, an attempt later, and well before ``dep_wait_timeout``."""
+    store, _keys, until = one_dependency()
+    proxy = store.proxies["dc1"]
+    seen = _watch(
+        store,
+        lambda src, dst, msg: dst == proxy.address and msg.type_name == "tail-stable" and msg.key == "d",
+    )
+    store.run(until=until)
+    config = store.config
+    attempt = max(config.dep_wait_timeout / 3.0, 0.05)
+    assert [msg.payload[0] for msg in _proxy_wait_stables(seen)] == ["d"]
+    d_visible, k_visible = proxy.visibility_samples
+    assert d_visible < attempt <= k_visible < config.dep_wait_timeout
+    assert (proxy.updates_applied, proxy.updates_abandoned) == (2, 0)
+    assert [_chain(store, "dc1", key)[0].store.get(key).value for key in ("d", "k")] == ["dep", "v"]
+
+
+#: script -> (bytes of dc0's local-origin ``TailStable``s, of its
+#: ``RemoteUpdate``s), as the parent tree sent them: a remote-origin
+#: notice lost its payload, nothing else did
+LOCAL_ORIGIN_BYTES = {
+    "session_writes_notices": (937, 937),
+    "session_writes_clock": (1153, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_ORIGIN_BYTES))
+def test_a_remote_origin_tail_stable_carries_no_payload(name):
+    store, _keys, until = SCRIPTS[name]()
+    seen = _watch(store, lambda src, dst, msg: False)
+    store.run(until=until)
+    notices = [(src.site, msg) for src, _dst, msg in seen if msg.type_name == "tail-stable"]
+    remote = [msg for site, msg in notices if site == "dc1"]
+    assert len(remote) == 9
+    for msg in remote:
+        assert (msg.origin_site, msg.value, msg.deps, msg.stamp, msg.origin_put_at) == ("dc0", None, {}, None, 0.0)
+        assert msg.version.get("dc0") > 0
+    local = sum(msg.size_bytes() for site, msg in notices if site == "dc0")
+    shipped = sum(msg.size_bytes() for _src, _dst, msg in seen if msg.type_name == "remote-update")
+    assert (local, shipped) == LOCAL_ORIGIN_BYTES[name]
 
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=<parent>/src:tests python tests/test_geo_ops.py

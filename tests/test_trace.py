@@ -129,10 +129,13 @@ class TestGuardedSitesTraceTheSame:
     """Six ``trace(..., version=str(version))`` sites format their vector
     only when a tracer is attached. With one attached the rendered
     timeline is what it always was: the digests below were recorded on
-    the tree before the guards (f0ebff3), both planes."""
+    the tree before the guards (f0ebff3), both planes. The ``notices``
+    row was re-recorded once, when the geo-proxy stopped asking tails
+    over ``wait_stable`` RPCs and the run's schedule shifted (7 478 /
+    1 318 / 659 -> 7 445 / 1 312 / 656)."""
 
     PINNED = {
-        "notices": (7478, 1318, 659, "2af88dff1c8695061ca8433e94b7959145bcd368ddb217ce65dfdd0962be492b"),
+        "notices": (7445, 1312, 656, "01f05248aeb64bafc3cbc76d1b24cdf854837ae075f9475c5c285983082aec77"),
         "clock": (4633, 1172, 586, "81d9f228ccd86134a49d51a5514e8944bdc409275e57ac15339a5670d9dabcab"),
     }
 
