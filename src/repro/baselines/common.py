@@ -16,7 +16,6 @@ session of the two baselines whose every replica serves every operation
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import ClientSession, Datastore, GetResult, PutResult
@@ -195,9 +194,6 @@ class RingDeployment(Datastore):
             raise ConfigError(f"no node {name!r} in {site!r}")
         return node
 
-    def view_of(self, site: str) -> RingView:
-        return self.managers[site].view
-
     def all_views(self) -> Dict[str, RingView]:
         return {site: mgr.view for site, mgr in self.managers.items()}
 
@@ -220,9 +216,6 @@ class RingDeployment(Datastore):
             "bytes_sent": self.network.stats.bytes_sent,
             "cross_site_bytes": self.network.stats.cross_site_bytes,
         }
-
-    def client_rng(self, session_name: str) -> random.Random:
-        return self.rng.stream(f"client:{session_name}")
 
 
 class RandomReplicaSession(RetryingSession):

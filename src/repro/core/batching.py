@@ -212,6 +212,7 @@ class BatchedNoticesPlane(NoticesPlane):
     __slots__ = ("_coalescer",)
 
     handles = ("on_bulk_stable", "on_global_stable_batch")
+    prunes_stable_deps = True
 
     def __init__(self, node: "ChainNode") -> None:
         super().__init__(node)

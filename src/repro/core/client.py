@@ -49,10 +49,13 @@ __all__ = ["ChainClientSession"]
 class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per client
     """One sequential client of a ChainReaction deployment."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, prunes_stable_deps: bool, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: columnar key → (version, chain index) table; see repro.core.deptable
         self._deps = DepTable()
+        #: drop a dependency once a read reports it globally stable:
+        #: ``collapse_deps_on_put``, or a plane that says it prunes them
+        self._drop_global_deps = self.config.collapse_deps_on_put or prunes_stable_deps
         #: shard→owners map under partial replication; None = full
         #: replication, where every key is served by the local site
         self._placement = self.config.placement()
@@ -169,7 +172,7 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         if reply.globally:
             # Globally stable (== DC-stable in a single-DC deployment):
             # every replica everywhere serves it, so it constrains nothing.
-            if self.config.collapse_deps_on_put or self.config.prunes_stable_deps:
+            if self._drop_global_deps:
                 # A sealing plane prunes dominated entries even in the
                 # accumulate-forever ablation mode: a globally stable
                 # version constrains no read and no remote delivery, so

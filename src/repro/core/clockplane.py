@@ -9,21 +9,23 @@ update-stabilization design from the related work):
   in-flight set until the **tail** reports back one tiny
   ``TailApplied`` (the only remaining per-write control message, and it
   is chain-local).
-- Every server reports a **low-stamp floor** to its site's clock agent
+- Every server reports a **low-stamp floor** to its site's geo-proxy
   once per ``stability_interval``: no write it heads will ever be
   stamped at or below the floor.  ``min`` over the floors is the site's
   *local stability timestamp* (LST): every local write stamped ≤ LST is
   tail-applied in this DC.
-- The **geo-proxy** hosts the agent in multi-site deployments.  It
-  ships DC-stable local writes in stamp-ordered ``ClockShip`` batches
-  bounded by the LST, and broadcasts one ``StabilityVector`` per peer
-  per interval carrying ``(ship_lst, visible)``.  ``visible`` is the
-  site's applied horizon: ``min(local LST, just-below the oldest
-  received-but-not-yet-applied remote update, min over peers'
-  ship_lst)`` — the last term covers writes that exist remotely but
-  have not arrived here.  Because the ship batch is flushed before the
-  vector on the same FIFO link, a peer that trusts a vector has already
-  received every update the vector covers.
+- The **geo-proxy** hosts the site half, :class:`GeoClockCore`, on
+  every deployment (a single site's has no peers: its cut is its own
+  LST, and it ships nothing).  It ships DC-stable local writes in
+  stamp-ordered ``ClockShip`` batches bounded by the LST, and
+  broadcasts one ``StabilityVector`` per peer per interval carrying
+  ``(ship_lst, visible)``.  ``visible`` is the site's applied horizon:
+  ``min(local LST, just-below the oldest received-but-not-yet-applied
+  remote update, min over peers' ship_lst)`` — the last term covers
+  writes that exist remotely but have not arrived here.  Because the
+  ship batch is flushed before the vector on the same FIFO link, a peer
+  that trusts a vector has already received every update the vector
+  covers.
 - The **global-stabilization cut** is ``min`` over every site's
   ``visible``.  A write is globally stable — prunable from dependency
   tables — exactly when the cut passes its stamp.  ``ClockTick``
@@ -55,8 +57,6 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.api import CAP_CLOCK_STABILITY
-from repro.cluster.membership import RingView
-from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
     ClockReport,
     ClockShip,
@@ -71,10 +71,8 @@ from repro.core.messages import (
 )
 from repro.core.stability_plane import SitePlane, StabilityPlane
 from repro.metrics.protocol import CLOCK_STABILITY_MESSAGE_TYPES
-from repro.net.actor import Actor
-from repro.net.network import Address, Network
+from repro.net.network import Address
 from repro.sim.hlc import HLC_ZERO, NO_HLC, HLCStamp, HybridClock, just_below
-from repro.sim.kernel import Simulator
 from repro.sim.process import Future
 from repro.storage.version import ZERO, VersionVector
 
@@ -82,10 +80,7 @@ if TYPE_CHECKING:
     from repro.core.geo import GeoProxy
     from repro.core.node import ChainNode
 
-__all__ = ["ClockNodePlane", "ClockAgent", "GeoClockCore", "FloorTable", "StampSet"]
-
-_GEOPROXY = "geoproxy"
-_CLOCKAGENT = "clockagent"
+__all__ = ["ClockNodePlane", "GeoClockCore", "FloorTable", "StampSet"]
 
 #: stamp key tuple — unique total order (see repro.sim.hlc)
 _Key = Tuple[int, int, str]
@@ -214,7 +209,6 @@ class ClockNodePlane(StabilityPlane):
         "_hlc_of",
         "_deps_fifo",
         "_interval",
-        "_agent",
         "_inflight_timeout",
         "_prune_deps",
     )
@@ -247,9 +241,6 @@ class ClockNodePlane(StabilityPlane):
         #: bounds ``_record_deps`` like the batched plane's sealing does
         self._deps_fifo: Deque[Tuple[HLCStamp, str]] = deque()
         self._interval = config.stability_interval
-        self._agent = Address(
-            node.site, _GEOPROXY if config.is_geo else _CLOCKAGENT
-        )
         self._inflight_timeout = 2.0 * config.sync_timeout
         # Dropping a globally-stable record's dependency list leans on
         # the causal-delivery gate (same argument as sealing, DESIGN
@@ -467,7 +458,7 @@ class ClockNodePlane(StabilityPlane):
         # re-stabilises the write, so drop it after the repair window
         # rather than pinning the floor forever.
         self._inflight.drop_stale(node.sim.now - self._inflight_timeout)
-        node.send(self._agent, ClockReport(server=node.name, floor=self._floor()))
+        node.send(node._geoproxy, ClockReport(server=node.name, floor=self._floor()))
         node.set_timer(self._interval, self._report_tick)
 
     def on_recover(self) -> None:
@@ -481,75 +472,21 @@ class ClockNodePlane(StabilityPlane):
     def max_skew(self) -> int:
         return self.clock.max_skew
 
-    def pending_dep_entries(self) -> int:
-        return len(self._deps_fifo)
 
+class ClockAgent:
+    """Owed to a future change that edits only the benchmark:
+    ``benchmarks/suite/shims.py`` binds this name, and a change to
+    ``src/`` leaves the benchmark as it is. Nothing builds it: every
+    site's geo-proxy hosts the clock role (:class:`GeoClockCore`), a
+    single site's included."""
 
-class ClockAgent(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per site
-    """Single-site clock agent: aggregates floors, drives ClockTicks.
-
-    In geo deployments the :class:`~repro.core.geo.GeoProxy` hosts this
-    role instead (via :class:`GeoClockCore`) so floor aggregation and
-    WAN shipping share one actor without extra LAN chatter.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        site: str,
-        initial_view: RingView,
-        config: ChainReactionConfig,
-    ) -> None:
-        super().__init__(sim, network, Address(site, _CLOCKAGENT))
-        self.site = site
-        self.config = config
-        self.view = initial_view
-        self._floors = FloorTable(2.0 * config.failure_timeout)
-        self._lst = HLC_ZERO
-        self.ticks_sent = 0
-        self.set_timer(config.stability_interval, self._tick)
-
-    def set_view(self, view: RingView) -> None:
-        if view.epoch > self.view.epoch:
-            self.view = view
-
-    def on_clock_report(self, msg: ClockReport, src: Address) -> None:
-        if isinstance(msg.floor, HLCStamp):
-            self._floors.update(msg.server, msg.floor, self.sim.now)
-
-    @property
-    def lst(self) -> HLCStamp:
-        return self._lst
-
-    @property
-    def cut(self) -> HLCStamp:
-        # One site: local stability is global stability.
-        return self._lst
-
-    def cut_lag(self) -> float:
-        """Seconds between now and the cut's physical component."""
-        return max(0.0, self.sim.now - self._lst.physical / 1_000_000)
-
-    def _tick(self) -> None:
-        lst = self._floors.local_lst(self.view.servers, self.sim.now)
-        if lst > self._lst:
-            self._lst = lst
-        # Every server gets the same frozen instance; the network sizes
-        # it once per send (fixed-width fields, cheap).
-        tick = ClockTick(dc_lst=self._lst, cut=self._lst)
-        for server in self.view.servers:
-            self.send(self.view.address_of(server), tick)
-            self.ticks_sent += 1
-        self.set_timer(self.config.stability_interval, self._tick)
-
-    def on_recover(self) -> None:
-        self.set_timer(self.config.stability_interval, self._tick)
-        super().on_recover()
+    __slots__ = ()
 
 
 class GeoClockCore(SitePlane):
-    """Clock-plane brain hosted by each site's :class:`GeoProxy`.
+    """Clock-plane brain hosted by each site's :class:`GeoProxy`, a
+    single site's included (no peers: no ships, no vectors, and the cut
+    is the site's own visible horizon).
 
     Owns floor aggregation, the stamp-ordered ship buffer, the pending
     (received-but-not-applied) set, peer horizons, the cut, and the
@@ -564,15 +501,11 @@ class GeoClockCore(SitePlane):
         "cut",
         "node_lst",
         "_ship_buf",
-        "_ship_seq",
         "_shipped",
         "_pending_in",
         "_inject_heap",
         "_global_fifo",
         "_pending_timeout",
-        "vectors_sent",
-        "ships_sent",
-        "ticks_sent",
     )
 
     handles = ("on_tail_stable", "on_clock_report", "on_clock_ship", "on_stability_vector")
@@ -594,7 +527,6 @@ class GeoClockCore(SitePlane):
         self.node_lst = HLC_ZERO
         #: DC-stable local writes not yet covered by the ship horizon
         self._ship_buf: List[Tuple[_Key, RemoteUpdate]] = []
-        self._ship_seq = 0
         #: (stamp, shipped_at) of local writes shipped but not yet passed
         #: by the cut — duplicate-ship suppression (repair re-announcements)
         self._shipped = StampSet()
@@ -607,9 +539,6 @@ class GeoClockCore(SitePlane):
         #: drained as the cut passes for global-stability latency samples
         self._global_fifo: Deque[Tuple[HLCStamp, float]] = deque()
         self._pending_timeout = 2.0 * config.sync_timeout
-        self.vectors_sent = 0
-        self.ships_sent = 0
-        self.ticks_sent = 0
         proxy.set_timer(self.interval, self._tick)
 
     # -- inbound control -----------------------------------------------
@@ -766,7 +695,6 @@ class GeoClockCore(SitePlane):
                 ship = ClockShip(origin_site=proxy.site, lst=local, updates=tuple(batch))
                 for peer in proxy._peers:
                     proxy.send(peer, ship)
-                    self.ships_sent += 1
             else:
                 # Partial replication: each peer receives only the batch
                 # entries for shards it owns, with per-destination dep
@@ -791,14 +719,12 @@ class GeoClockCore(SitePlane):
                             origin_site=proxy.site, lst=local, updates=tuple(share)
                         ),
                     )
-                    self.ships_sent += 1
             proxy.updates_shipped += len(batch)
         visible = self._visible(now)
         # 2. Broadcast the site's stability vector, one frozen instance.
         vector = StabilityVector(site=proxy.site, ship_lst=local, visible=visible)
         for peer in proxy._peers:
             proxy.send(peer, vector)
-            self.vectors_sent += 1
         # 3. Advance the cut: min over every site's visible horizon.
         cut = visible
         for horizon in self.dc_visible.values():
@@ -812,7 +738,6 @@ class GeoClockCore(SitePlane):
         tick = ClockTick(dc_lst=self.node_lst, cut=self.cut)
         for server in proxy.view.servers:
             proxy.send(proxy.view.address_of(server), tick)
-            self.ticks_sent += 1
         # 5. Global-stability latency samples: the cut passed these writes.
         fifo = self._global_fifo
         while fifo and fifo[0][0] <= self.cut:

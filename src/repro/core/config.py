@@ -4,7 +4,10 @@ One dataclass carries every knob the paper discusses plus the ablation
 switches called out in DESIGN.md §6, with validation at construction so
 misconfigured experiments fail loudly before any virtual time elapses.
 The schedule explorer's seeded protocol bugs are not options here: they
-are class patches in :mod:`repro.analysis.mutations`.
+are class patches in :mod:`repro.analysis.mutations`. Nor is anything a
+stabilization plane decides: ``stability`` is a name, and what a plane
+does — down to whether a session prunes globally stable dependencies —
+is asked of the classes :data:`repro.core.stability_plane.PLANES` builds.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ class ChainReactionConfig:
     """Deployment and protocol parameters.
 
     Attributes:
-        sites: datacenter names; one full replica set per site.
+        sites: datacenter names; one full replica set and one geo-proxy
+            per site.
         servers_per_site: storage servers in each DC's ring.
         chain_length: R — replicas per key within a DC.
         ack_k: k — chain positions that must apply a put before the
@@ -217,14 +221,6 @@ class ChainReactionConfig:
     def is_partial(self) -> bool:
         """True when some site does NOT replicate some shard."""
         return 0 < self.replication_degree < len(self.sites)
-
-    @property
-    def prunes_stable_deps(self) -> bool:
-        """True when a session drops a dependency as soon as a read
-        reports it globally stable, whatever ``collapse_deps_on_put``
-        says: the sealing plane bounds metadata, and such an entry
-        constrains no read and no remote delivery."""
-        return self.stability == "notices+batch"
 
     def placement(self) -> Optional["ShardCatalog"]:
         """The deployment's :class:`~repro.cluster.placement.ShardCatalog`,

@@ -80,10 +80,10 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             caps.add(CAP_DEGRADED_READS)
         if self.config.durable_storage:
             caps.add(CAP_DURABLE_STORAGE)
-        parts = plane_parts(self.config)
         #: the class of the stabilization plane's server half: what the
-        #: facade and the metrics need to know of a plane, they ask it
-        self.plane = parts.server
+        #: facade, the metrics and the sessions need to know of a plane,
+        #: they ask it
+        self.plane = plane_parts(self.config).server
         if self.plane.capability is not None:
             caps.add(self.plane.capability)
         self.capabilities = frozenset(caps)
@@ -99,9 +99,6 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         self.nodes: Dict[str, List[ChainNode]] = {}
         self._nodes_by_name: Dict[str, Dict[str, ChainNode]] = {}
         self.proxies: Dict[str, GeoProxy] = {}
-        #: the plane's control actor per site, where it needs one and no
-        #: geo-proxy hosts the role
-        self.control_agents: Dict[str, Any] = {}
         self._sessions: List[ChainClientSession] = []
         self._session_seq = 0
         self._resolver = resolver
@@ -132,21 +129,18 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                 for name in server_names
             ]
             self._nodes_by_name[site] = {node.name: node for node in self.nodes[site]}
-            if self.config.is_geo:
-                proxy = GeoProxy(
-                    self.sim,
-                    self.network,
-                    site=site,
-                    all_sites=self.config.sites,
-                    initial_view=manager.view,
-                    config=self.config,
-                )
-                manager.add_view_listener(proxy.set_view)
-                self.proxies[site] = proxy
-            elif parts.agent is not None:
-                agent = parts.agent(self.sim, self.network, site, manager.view, self.config)
-                manager.add_view_listener(agent.set_view)
-                self.control_agents[site] = agent
+            # Every site has its proxy, a single site's too: it hosts the
+            # plane's per-site role, and with no peers it ships nothing.
+            proxy = GeoProxy(
+                self.sim,
+                self.network,
+                site=site,
+                all_sites=self.config.sites,
+                initial_view=manager.view,
+                config=self.config,
+            )
+            manager.add_view_listener(proxy.set_view)
+            self.proxies[site] = proxy
 
     # ------------------------------------------------------------------
     # Datastore surface
@@ -171,6 +165,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             initial_view=self.managers[site].view,
             config=self.config,
             rng=self.rng.stream(f"client:{site}:{name}"),
+            prunes_stable_deps=self.plane.prunes_stable_deps,
         )
         session.tracer = getattr(self, "_tracer", None)
         self._sessions.append(session)
@@ -287,16 +282,14 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             "bytes_sent": self.network.stats.bytes_sent,
             "cross_site_bytes": self.network.stats.cross_site_bytes,
         }
-        if self.proxies:
-            stats["updates_shipped"] = sum(p.updates_shipped for p in self.proxies.values())
-            stats["updates_applied"] = sum(p.updates_applied for p in self.proxies.values())
-            stats["updates_abandoned"] = sum(p.updates_abandoned for p in self.proxies.values())
-            stats["visibility_samples"] = [
-                s for p in self.proxies.values() for s in p.visibility_samples
-            ]
-            stats["global_stability_samples"] = [
-                s for p in self.proxies.values() for s in p.global_stability_samples
-            ]
+        proxies = self.proxies.values()
+        stats["updates_shipped"] = sum(p.updates_shipped for p in proxies)
+        stats["updates_applied"] = sum(p.updates_applied for p in proxies)
+        stats["updates_abandoned"] = sum(p.updates_abandoned for p in proxies)
+        stats["visibility_samples"] = [s for p in proxies for s in p.visibility_samples]
+        stats["global_stability_samples"] = [
+            s for p in proxies for s in p.global_stability_samples
+        ]
         net = self.network.stats
         stats["stability_messages"] = net.count_of(*STABILITY_MESSAGE_TYPES)
         stats["global_stability_messages"] = net.count_of(*GLOBAL_STABILITY_MESSAGE_TYPES)
@@ -304,7 +297,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         stats["metadata"] = metadata_footprint(nodes, self._sessions)
         stats["placement"] = placement_stats(self)
         stats["stability_plane"] = stability_plane_stats(self)
-        batching = batching_stats([*nodes, *self.proxies.values()])
+        batching = batching_stats([*nodes, *proxies])
         if batching:
             stats["batching"] = batching
         return stats

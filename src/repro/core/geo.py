@@ -1,5 +1,7 @@
-"""Geo-replication: one proxy per datacenter.
+"""Geo-replication: one proxy per datacenter, on every deployment.
 
+Every site builds its proxy, a single site's included: it hosts the
+stabilization plane's per-site role, and with no peers it ships nothing.
 The proxy is the only component that talks across the WAN. The local
 chain tails notify it when a write becomes DC-stable; what leaves the
 datacenter then is the stabilization plane's business (``proxy.plane``,

@@ -115,8 +115,11 @@ class StabilityPlane(_PlaneHalf):
 
     What the deployment facade and the metrics ask of the *class*:
     the ``capability`` it advertises, the ``control_types`` it spends on
-    stabilization alone, and whether ``preload`` must write tracker
-    state (``tracks_preload``).
+    stabilization alone, whether ``preload`` must write tracker state
+    (``tracks_preload``), and whether a session drops a dependency once
+    a read reports it globally stable, whatever ``collapse_deps_on_put``
+    says (``prunes_stable_deps``: a sealing plane bounds metadata, and
+    such an entry constrains no read and no remote delivery).
     """
 
     __slots__ = ("node",)
@@ -124,6 +127,7 @@ class StabilityPlane(_PlaneHalf):
     capability: Optional[str] = None
     control_types: Tuple[str, ...] = ()
     tracks_preload = True
+    prunes_stable_deps = False
 
     def __init__(self, node: "ChainNode") -> None:
         self.node = node
@@ -467,14 +471,15 @@ class NoticesShipping(SitePlane):
             self._fan_out_global(msg.key, msg.version)
 
 
-#: Plane name → (module, server half, site half, control actor of a site
-#: without a geo-proxy): the one table that knows the alternatives, its
-#: keys :data:`~repro.core.config.STABILITY_PLANES`. Classes are named,
+#: Plane name → (module, server half, site half): the one table that
+#: knows the alternatives, its keys :data:`~repro.core.config.STABILITY_PLANES`.
+#: Every site builds one geo-proxy, a single site's included, so the site
+#: half is a plane's per-site role on every deployment. Classes are named,
 #: not referenced: their modules import this one for its bases.
-PLANES: Dict[str, Tuple[str, str, str, Optional[str]]] = {
-    "notices": (__name__, "NoticesPlane", "NoticesShipping", None),
-    "notices+batch": ("repro.core.batching", "BatchedNoticesPlane", "BatchedShipping", None),
-    "clock": ("repro.core.clockplane", "ClockNodePlane", "GeoClockCore", "ClockAgent"),
+PLANES: Dict[str, Tuple[str, str, str]] = {
+    "notices": (__name__, "NoticesPlane", "NoticesShipping"),
+    "notices+batch": ("repro.core.batching", "BatchedNoticesPlane", "BatchedShipping"),
+    "clock": ("repro.core.clockplane", "ClockNodePlane", "GeoClockCore"),
 }
 
 
@@ -487,13 +492,10 @@ for _entry in PLANES.values():
 class PlaneParts:
     server: Type[StabilityPlane]
     site: Type[SitePlane]
-    agent: Optional[Type[Any]]
 
 
 def plane_parts(config: ChainReactionConfig) -> PlaneParts:
     """The classes :data:`PLANES` names for ``config``'s plane."""
-    module, server, site, agent = PLANES[config.stability]
+    module, server, site = PLANES[config.stability]
     loaded = importlib.import_module(module)
-    return PlaneParts(
-        getattr(loaded, server), getattr(loaded, site), getattr(loaded, agent) if agent else None
-    )
+    return PlaneParts(getattr(loaded, server), getattr(loaded, site))

@@ -240,6 +240,5 @@ def stability_plane_stats(store: Any) -> Dict[str, Any]:
         out["vector_bytes"] / intervals if intervals else 0.0
     )
     cut_lags = [proxy.plane.cut_lag() for proxy in store.proxies.values()]
-    cut_lags += [agent.cut_lag() for agent in store.control_agents.values()]
     out["cut_lag_max_s"] = max(cut_lags) if cut_lags else 0.0
     return out

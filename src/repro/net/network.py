@@ -312,9 +312,6 @@ class Network:
     def unregister(self, address: Address) -> None:
         self._handlers.pop(address, None)
 
-    def is_registered(self, address: Address) -> bool:
-        return address in self._handlers
-
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
@@ -324,9 +321,6 @@ class Network:
             self._down.add(address)
         else:
             self._down.discard(address)
-
-    def is_down(self, address: Address) -> bool:
-        return address in self._down
 
     def block(self, a: Union[str, Address], b: Union[str, Address]) -> None:
         """Partition two endpoints (site names or addresses), both directions."""

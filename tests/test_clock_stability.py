@@ -315,8 +315,9 @@ class TestVisibleScaling:
 class TestClockTickFanOut:
     @pytest.mark.parametrize("sites", [("dc0",), ("dc0", "dc1")])
     def test_one_frozen_instance_per_tick(self, sites):
-        # ClockAgent (one site) and GeoClockCore (geo) alike send every
-        # local server the same ClockTick object each interval.
+        # Each site's geo-proxy hosts GeoClockCore, with peers or
+        # without: it sends every local server the same ClockTick
+        # object each interval.
         store = make_store(sites=sites, stability="clock")
         network = store.network
         original = network.send

@@ -2,9 +2,12 @@
 
 import pytest
 
-from helpers import make_geo_store, run_op
+from helpers import make_geo_store, make_store, run_op
 
+from repro.analysis.sanitize import MessageTap
+from repro.core.config import STABILITY_PLANES
 from repro.core.messages import GlobalAck, TailStable
+from repro.core.stability_plane import plane_parts
 from repro.storage import VersionVector
 
 
@@ -118,3 +121,32 @@ class TestPerKeyOrdering:
             node = next(n for n in store.nodes["dc1"] if n.name == name)
             assert node.store.get("hot").value == "v9"
         assert store.converged("hot")
+
+
+class TestOneProxyPerSite:
+    """Every site builds its geo-proxy, a single site's included: the
+    proxy hosts the plane's per-site role on every deployment."""
+
+    #: plane -> the message types a single site's proxy receives
+    SINGLE_SITE_INBOUND = {
+        "notices": set(),
+        "notices+batch": set(),
+        "clock": {"clock-report"},
+    }
+
+    @pytest.mark.parametrize("plane", STABILITY_PLANES)
+    def test_a_single_site_has_exactly_one_proxy(self, plane):
+        store = make_store(stability=plane)
+        tap = MessageTap().attach(store.network)
+        s = store.session()
+        run_op(store, s.put("a", "1"))
+        run_op(store, s.get("a"))
+        run_op(store, s.put("b", "2"))
+        store.run(until=store.sim.now + 0.5)
+        assert list(store.proxies) == ["dc0"]
+        proxy = store.proxies["dc0"]
+        assert type(proxy.plane) is plane_parts(store.config).site
+        to_proxy = {entry[3] for entry in tap.entries if entry[2] == str(proxy.address)}
+        assert to_proxy == self.SINGLE_SITE_INBOUND[plane]
+        stats = store.protocol_stats()
+        assert (stats["updates_shipped"], stats["updates_applied"]) == (0, 0)

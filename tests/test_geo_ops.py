@@ -16,9 +16,9 @@ message-trace digest)``. Every field but the event count is what commit
 729cc81 (still coroutine-based) produced. A script whose tuple moves
 changed the simulation and must be fixed, not re-recorded — except the
 event count (re-recorded once, see ``PINNED``), the two fields of the
-two scripts named in ``BUGFIX``, and the two-site scripts, re-recorded
-when the proxy began to wait on its own ``TailStable`` table (see
-``PINNED``).
+two scripts named in ``BUGFIX``, the two-site scripts, re-recorded
+when the proxy began to wait on its own ``TailStable`` table, and two
+single-site clock digests that hash an address name (see ``PINNED``).
 
 What the scripts hold: the first step of an update, a held put and a
 dependency wait runs inline, a backoff posts one event, the gate opens
@@ -457,7 +457,11 @@ def fingerprint(name):
 #: site half reads: the clock-plane scripts moved in bytes only, the
 #: notices scripts lost their ``wait_stable`` round trips (messages,
 #: events, bytes and visibility samples), and the single-site head
-#: scripts did not move.
+#: scripts did not move. The two single-site clock scripts' digests were
+#: re-recorded when a single site's clock role moved from its own
+#: ``clockagent`` actor into the site's geo-proxy: the trace hashes the
+#: address name, and with ``dc0:clockagent`` read as ``dc0:geoproxy`` the
+#: parent's trace is this one, entry for entry.
 PINNED = {
     'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6422, 'fd30bab6d6636bc8'),
     'one_dependency': (('dep', 'v'), (0.0025448782563099372, 0.0035394704559096888), 2, (2, 0, 0, 0), 339, 168, 7158, 'ea72a168b948e7eb'),
@@ -479,8 +483,8 @@ PINNED = {
     'session_writes_batched': (('1', '2', '3', 'v5'), (0.0648042800546071, 0.06440417138181936, 0.0633359037562934, 0.06349438476112074, 0.06248011269083027, 0.061833385022037744, 0.060825662860647466, 0.059831433471858084, 0.058909028454218915), 9, (9, 9, 2, 0), 803, 439, 25862, '82692a54e8eff697'),
     'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
     'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7094, '92788e3afb615f28'),
-    'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, 'd4eb2d1f955f58fa'),
-    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151059, '29002e6084ffbe08'),
+    'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, '54a1f5f8daa61c89'),
+    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151059, 'f55df31a9289e23e'),
     'head_local_wait_outlives_an_attempt': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, 'a215aea15d76a79d'),
     'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 172, 7209, 'a2bad9c896342fdb'),
     'head_local_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 338, 166, 6865, 'ea80408d1c54ca7a'),

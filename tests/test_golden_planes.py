@@ -33,6 +33,11 @@ dropped the value, stamp and dependencies no site half reads:
 ``notices+batch`` 11 685 / 7 961 / 1 227 398 -> 10 783 / 7 055 /
 1 123 510 (``notices`` is the golden trace's row), and ``clock``, which
 never waited over RPC, moved in bytes only (1 568 988 -> 1 529 723).
+
+``clock-1dc`` is the same run on one site (``dc0``), recorded on
+0172bb7, when a single site's clock role was a ``ClockAgent`` actor of
+its own; every site's geo-proxy hosts it now, sending the same
+``ClockTick`` s on the same timers.
 """
 
 import pytest
@@ -50,12 +55,18 @@ PLANE_PINS = {
     "clock": (24687, 15988, 1529723),
 }
 
-#: (protocol, config overrides) -> the same three counters
+TWO_SITES = ("dc0", "dc1")
+
+#: (protocol, sites, config overrides) -> the same three counters
 GOLDEN_PINS = {
-    **{plane: ("chainreaction", {"stability": plane}, PLANE_PINS[plane]) for plane in STABILITY_PLANES},
-    "cops": ("cops", None, (10884, 7045, 763654)),
-    "eventual": ("eventual", None, (9924, 6189, 887205)),
-    "quorum": ("quorum", None, (13106, 8488, 1145100)),
+    **{
+        plane: ("chainreaction", TWO_SITES, {"stability": plane}, PLANE_PINS[plane])
+        for plane in STABILITY_PLANES
+    },
+    "clock-1dc": ("chainreaction", ("dc0",), {"stability": "clock"}, (15109, 9643, 852971)),
+    "cops": ("cops", TWO_SITES, None, (10884, 7045, 763654)),
+    "eventual": ("eventual", TWO_SITES, None, (9924, 6189, 887205)),
+    "quorum": ("quorum", TWO_SITES, None, (13106, 8488, 1145100)),
 }
 
 
@@ -68,10 +79,10 @@ def test_every_plane_has_a_builder_and_a_pin():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PINS))
 def test_fixed_seed_run_matches_recorded_counters(name):
-    protocol, overrides, pinned = GOLDEN_PINS[name]
+    protocol, sites, overrides, pinned = GOLDEN_PINS[name]
     store = build_store(
         protocol,
-        sites=("dc0", "dc1"),
+        sites=sites,
         servers_per_site=4,
         chain_length=3,
         seed=1234,

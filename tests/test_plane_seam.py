@@ -15,8 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: the field's validation and derived property, and the factory table
-READERS = {SRC / "core" / "config.py", SRC / "core" / "stability_plane.py"}
+#: the factory table
+READERS = {SRC / "core" / "stability_plane.py"}
 
 DELETED_SPELLINGS = re.compile(r"protocol_batching|metadata_gc|BATCHED_OVERRIDES")
 
@@ -47,9 +47,27 @@ def _plane_decisions(path):
     return found
 
 
-def test_the_scan_bites_where_a_comparison_is_allowed():
-    hits = _plane_decisions(SRC / "core" / "config.py")
-    assert any("compares stability" in hit for hit in hits), hits
+#: a module that decides the plane by itself, once each way the scan knows
+DECIDING_SOURCE = """
+def prunes(config):
+    return config.stability == "notices+batch"
+
+def batched(plane):
+    return plane._coalescer is not None
+
+BATCHED = "protocol_batching"
+"""
+
+
+def test_the_scan_bites_where_a_comparison_is_allowed(tmp_path):
+    fixture = tmp_path / "deciding.py"
+    fixture.write_text(DECIDING_SOURCE, encoding="utf-8")
+    hits = _plane_decisions(fixture)
+    assert [hit.split(": ", 1)[1] for hit in sorted(hits)] == [
+        "compares stability with a string literal",
+        "tests an optional plane part (_coalescer) for None",
+        "mentions protocol_batching",
+    ], hits
 
 
 def test_no_other_module_decides_which_plane_is_running():

@@ -57,6 +57,13 @@ RETIRED = {
     ("ChainClientSession", "_get_stable_one"),
     ("GeoProxy", "_serve_forward_*"),
     ("RetryingSession", "_backoff_and_refresh"),
+    # A single site's clock role moved into its geo-proxy, which every
+    # site now builds (GeoClockCore, bound above, hosts it): the
+    # ClockAgent actor is an empty class kept for this table. No suite
+    # workload ran it: ycsb-b-1dc is on the notices plane.
+    ("ClockAgent", "on_*"),  # floor reports: GeoClockCore.on_clock_report
+    ("ClockAgent", "set_view"),  # views: GeoProxy.set_view
+    ("ClockAgent", "_tick"),  # the ClockTick fan-out: GeoClockCore._tick
 }
 
 POINTS = [
