@@ -64,15 +64,13 @@ def _plateau_arm(plane: str, duration: float, n_clients: int, seed: int) -> Dict
     samples: List[Dict[str, Any]] = []
 
     def sample() -> None:
-        nodes = store.servers()
+        metadata = store.protocol_stats()["metadata"]
         samples.append(
             {
                 "t": store.sim.now,
-                "stable_map_entries": sum(n.metadata_entries() for n in nodes),
-                "global_floor_entries": sum(n.global_floor_entries() for n in nodes),
-                "dep_table_entries": sum(
-                    s.metadata_entries() for s in store._sessions
-                ),
+                "stable_map_entries": metadata["stable_map_entries"],
+                "global_floor_entries": metadata["global_floor_entries"],
+                "dep_table_entries": metadata["dep_table_entries"],
             }
         )
         if store.sim.now < duration:
@@ -83,7 +81,7 @@ def _plateau_arm(plane: str, duration: float, n_clients: int, seed: int) -> Dict
     return {
         "plane": plane,
         "ops_completed": result.ops_completed,
-        "keys_sealed": sum(n.keys_sealed for n in store.servers()),
+        "keys_sealed": store.protocol_stats()["metadata"]["keys_sealed"],
         "samples": samples,
     }
 

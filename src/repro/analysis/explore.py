@@ -853,7 +853,7 @@ class _ScheduleRunner:
             for site, manager in sorted(store.managers.items()):
                 for server in manager.view.chain_for(key):
                     node = store._node(site, server)
-                    if not node.stability.is_stable(key, newest):
+                    if not node.plane.record_is_stable(key, newest):
                         out.append(
                             Violation(
                                 "stability-convergence",

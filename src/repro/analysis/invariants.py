@@ -20,11 +20,12 @@ them into assertions that can ride along on any run of the
   that key; anything less would hand the application a state outside
   its causal past.
 
-The monitor wraps per-node ``store.apply`` / ``store.install`` /
-``stability.record`` / ``mark_converged`` / ``seal`` and per-session
+The monitor wraps per-node ``store.apply`` / ``store.install``, the
+``stability.record`` / ``mark_converged`` / ``seal`` of a node's plane
+if it keeps trackers (the clock plane does not), and per-session
 observation hooks on a live deployment. A record installed converged,
-like a sealed key, has no tracker entry (``ChainNode.mark_converged``,
-``ChainNode.seal``), so both stability checks cover that floor too:
+like a sealed key, has no tracker entry (``NoticesPlane.mark_converged``,
+``BatchedNoticesPlane.seal``), so both stability checks cover that floor too:
 marking is grounded only if every key the node was just handed is held
 at exactly the vouched version, sealing only if the store holds exactly
 the sealed one, and an answer that has *sunk* by the key's next notice
@@ -202,11 +203,12 @@ class ChainInvariantMonitor:
 
         node.crash = resetting_crash
 
-        if not hasattr(node, "stability"):
-            return  # non-chain server: prefix recording only
+        plane = getattr(node, "plane", None)
+        tracker = getattr(plane, "stability", None)
+        if tracker is None:
+            return  # no stability tracker to check: prefix recording only
 
-        original_record = node.stability.record
-        tracker = node.stability
+        original_record = tracker.record
         node_name = f"{site}:{node.name}"
 
         def violated(kind: str, key: str, detail: str) -> None:
@@ -236,12 +238,12 @@ class ChainInvariantMonitor:
                          f"declared {after} stable while holding only {held}; "
                          "a server may not stabilise versions it does not store")
 
-        node.stability.record = checking_record
+        tracker.record = checking_record
 
-        original_mark = node.mark_converged
+        original_mark = plane.mark_converged
 
-        def checking_mark_converged(version: Any) -> None:
-            original_mark(version)
+        def checking_mark_converged(version: Any, arbitrated: Any, placed: Any) -> None:
+            original_mark(version, arbitrated, placed)
             for key in handed:
                 held = node.store.version_of(key)
                 if held != version:
@@ -250,9 +252,11 @@ class ChainInvariantMonitor:
                              "only a record installed as given answers for itself")
                 vouched[key] = tracker.stable_version(key)
 
-        node.mark_converged = checking_mark_converged
+        plane.mark_converged = checking_mark_converged
 
-        original_seal = node.seal
+        original_seal = getattr(plane, "seal", None)
+        if original_seal is None:
+            return  # a plane that never seals
 
         def checking_seal(key: str, version: Any) -> None:
             original_seal(key, version)
@@ -263,7 +267,7 @@ class ChainInvariantMonitor:
                          "only the stored record answers for itself")
             vouched[key] = tracker.stable_version(key)
 
-        node.seal = checking_seal
+        plane.seal = checking_seal
 
     def _wrap_session_factory(self) -> None:
         original_session = self.store.session

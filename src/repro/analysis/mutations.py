@@ -14,9 +14,9 @@ them for the duration of a ``with`` block.
 Install before you build. Some methods are captured per instance at
 construction or first use, so a patch applied to a live deployment
 reaches only part of it: ``_PlaneHalf._bind`` copies a plane's
-``on_*`` handlers onto its host, ``ChainNode`` hands its ``_floor``
-to both trackers, and ``Actor._bind_handler`` caches a handler on
-first delivery.
+``on_*`` handlers onto its host, ``NoticesPlane`` hands its ``_floor``
+to both of its trackers, and ``Actor._bind_handler`` caches a handler
+on first delivery.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import contextlib
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cluster.ring import chain_positions
-from repro.core.batching import BatchedShipping
+from repro.core.batching import BatchedNoticesPlane, BatchedShipping
 from repro.core.clockplane import ClockNodePlane, GeoClockCore
 from repro.core.messages import RemoteUpdateBatch
 from repro.core.node import ChainNode
@@ -56,18 +56,18 @@ def _skip_admission_recheck(original: Any) -> Any:
 def _drop_cascade(original: Any) -> Any:
     # Stability is recorded but never passed upstream: on chains of
     # three or more the head never learns a write is DC-stable.
-    def on_chain_stable(self: ChainNode, msg: Any, src: Any) -> None:
+    def on_chain_stable(self: NoticesPlane, msg: Any, src: Any) -> None:
         self.stability.record(msg.key, msg.version)
-        self._refresh_stable_record(msg.key)
+        self.node._refresh_stable_record(msg.key)
 
     return on_chain_stable
 
 
 def _floor_one_ahead(original: Any) -> Any:
     # A sealed key claims its next, unwritten version is already stable.
-    def _floor(self: ChainNode, key: str) -> Any:
+    def _floor(self: BatchedNoticesPlane, key: str) -> Any:
         floor = original(self, key)
-        return floor.increment(self.site) if key in self._sealed else floor
+        return floor.increment(self.node.site) if key in self._sealed else floor
 
     return _floor
 
@@ -91,7 +91,7 @@ def _stable_at_ack(original: Any) -> Any:
         if fields["reply_to"] is not None and (
             chain_positions(chain, self.name) == fields["ack_index"] < len(chain) - 1
         ):
-            self.stability.record(key, fields["version"])
+            self.plane.stability.record(key, fields["version"])
             self._refresh_stable_record(key)
 
     return _apply_and_propagate
@@ -122,8 +122,8 @@ def _returning(value: Callable[..., Any]) -> Callable[[Any], Any]:
 #: mutation name -> the patches that seed it
 MUTATIONS: Dict[str, Tuple[Patch, ...]] = {
     "split_brain_mint": ((ChainNode, "_apply_put", _skip_admission_recheck),),
-    "drop_stable_cascade": ((ChainNode, "on_chain_stable", _drop_cascade),),
-    "gc_floor_off_by_one": ((ChainNode, "_floor", _floor_one_ahead),),
+    "drop_stable_cascade": ((NoticesPlane, "on_chain_stable", _drop_cascade),),
+    "gc_floor_off_by_one": ((BatchedNoticesPlane, "_floor", _floor_one_ahead),),
     "batch_reorder": ((BatchedShipping, "on_remote_update_batch", _reverse_batch),),
     "ack_implies_stable": ((ChainNode, "_apply_and_propagate", _stable_at_ack),),
     # The head admits a write as if its dependencies were DC-stable.
@@ -136,7 +136,7 @@ MUTATIONS: Dict[str, Tuple[Patch, ...]] = {
     # and an overwrite no longer unseals, so a write still on its chain
     # answers "stable in every DC".
     "converged_floor_overreach": (
-        (ChainNode, "_converged_floor", _returning(lambda self, key: self.store.version_of(key))),
+        (NoticesPlane, "_floor", _returning(lambda self, key: self.node.store.version_of(key))),
         (StabilityTracker, "adopt", _returning(lambda self, key, version: None)),
     ),
     # The proxy's dependency gate answers at once: an inbound update goes

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.ring import chain_positions
 from repro.core.messages import (
     BulkStable,
     GlobalStableBatch,
@@ -203,15 +202,13 @@ class UpdateCoalescer(Coalescer):
         self._emit_updates(dst, tuple(bucket))
 
 
-class BatchedNoticesPlane(NoticesPlane):
+class BatchedNoticesPlane(NoticesPlane):  # repro: lint-ok(slots) — NoticesPlane keeps a __dict__; one per server
     """Server half: the ``ChainStable`` cascade travels as one
     :class:`BulkStable` per upstream hop per window, and a key is sealed
-    (:meth:`ChainNode.seal`) at the stability event that leaves its
-    stable record saying everything its tracker entries do."""
+    (:meth:`seal`) at the stability event that leaves its stable record
+    saying everything its tracker entries do. The one plane that seals."""
 
-    __slots__ = ("_coalescer",)
-
-    handles = ("on_bulk_stable", "on_global_stable_batch")
+    handles = NoticesPlane.handles + ("on_bulk_stable", "on_global_stable_batch")
     prunes_stable_deps = True
 
     def __init__(self, node: "ChainNode") -> None:
@@ -220,6 +217,10 @@ class BatchedNoticesPlane(NoticesPlane):
         self._coalescer = StabilityCoalescer(
             node, config.batch_flush_interval, config.batch_max_entries, self._send_bulk_stable
         )
+        #: what :meth:`seal` vouched for, per key: the stored version,
+        #: DC-stable and globally stable, until the key's next write
+        self._sealed: Dict[str, VersionVector] = {}
+        self._seals = 0
 
     def tail_stabilise(self, key: str, *rest: Any, **kw: Any) -> None:
         super().tail_stabilise(key, *rest, **kw)
@@ -236,21 +237,22 @@ class BatchedNoticesPlane(NoticesPlane):
     def on_bulk_stable(self, msg: BulkStable, src: Address) -> None:
         """Record a window's worth of stability entries; re-coalesce the
         upstream forward per key (chains differ between keys)."""
-        node = self.node
         for key, version in msg.entries:
-            node.stability.record(key, version)
-            node._refresh_stable_record(key)
-            chain = node.chain_for(key)
-            pos = chain_positions(chain, node.name)
-            if pos is not None and pos > 0:
-                self._coalescer.add(node.view.address_of(chain[pos - 1]), key, version)
+            self._cascade(key, version)
             self._try_seal(key)
 
     def on_global_stable_batch(self, msg: GlobalStableBatch, src: Address) -> None:
-        record = self.node.global_stability.record
+        record = self.global_stability.record
         for key, version in msg.entries:
             record(key, version)
             self._try_seal(key)
+
+    def note_applied(self, key: str, hlc: Any, replaced: Any) -> None:
+        vouched = self._sealed.pop(key, None)
+        if vouched is None:
+            super().note_applied(key, hlc, replaced)
+        else:
+            self._unseal(key, vouched)
 
     def _try_seal(self, key: str) -> None:
         """Seal ``key`` once its stored record says every stability fact
@@ -268,17 +270,47 @@ class BatchedNoticesPlane(NoticesPlane):
         config = node.config
         if config.is_geo and not config.geo_causal_delivery:
             return
-        entry = node.stability.raw_entry(key)
-        if entry is None or node.stability.has_waiters(key):
+        entry = self.stability.raw_entry(key)
+        if entry is None or self.stability.has_waiters(key):
             return
         record = node.store.get_record(key)
         if record is None or not entry.dominates(record.version):
             return
         if config.is_geo:
-            global_entry = node.global_stability.raw_entry(key)
+            global_entry = self.global_stability.raw_entry(key)
             if global_entry is None or not global_entry.dominates(record.version):
                 return
-        node.seal(key, record.version)
+        self.seal(key, record.version)
+
+    def seal(self, key: str, version: VersionVector) -> None:
+        """Vouch for ``version`` of ``key`` — the stored record, DC-stable
+        and globally stable — until the key's next write: the per-key
+        counterpart of :meth:`mark_converged`. Both trackers drop their
+        entries, and the write's dependency list goes too: a globally
+        stable write has globally stable dependencies, so a snapshot cut
+        needs no floors from them any more. Not under partial
+        replication: there a write is globally stable once its shard's
+        owner DCs hold it, which says nothing of its dependencies at any
+        other DC, so a forwarded read must still hand the list on
+        (``fwd_deps``)."""
+        node = self.node
+        self._sealed[key] = version
+        self.stability.drop_entry(key)
+        self.global_stability.drop_entry(key)
+        if node.placement is None:
+            node._record_deps.pop(key, None)
+        self._seals += 1
+        if node.tracer is not None:
+            node.trace("gc", "sealed", key, version=str(version))
+
+    def _floor(self, key: str) -> VersionVector:
+        """The key's sealed version if it has one, else the converged floor."""
+        sealed = self._sealed.get(key)
+        return NoticesPlane._floor(self, key) if sealed is None else sealed
+
+    def metadata(self) -> Dict[str, int]:
+        # a sealed version stays until the key's next write
+        return {**super().metadata(), "global_floor_entries": len(self._sealed), "keys_sealed": self._seals}
 
     def on_recover(self) -> None:
         # The crash cancelled the armed flush timer and the buffered

@@ -216,8 +216,6 @@ class ClockNodePlane(StabilityPlane):
     handles = ("on_clock_tick", "on_tail_applied")
     capability = CAP_CLOCK_STABILITY
     control_types = CLOCK_STABILITY_MESSAGE_TYPES
-    #: a record without an HLC stamp is stable by construction here
-    tracks_preload = False
 
     def __init__(self, node: "ChainNode") -> None:
         super().__init__(node)
@@ -276,22 +274,21 @@ class ClockNodePlane(StabilityPlane):
         fut = Future(node.sim)
         record = node.store.get_record(key)
         if record is not None and record.version.dominates(version):
-            ts = self._hlc_of.get(key)
-            if ts is None or ts <= self.lst or self._is_tail(key):
-                fut.try_set_result(True)
-            else:
-                self._park(ts, fut)
+            self._answer_applied(key, fut)
             return fut
         # Not applied here yet: note_applied re-evaluates on arrival.
         self._apply_waiters.setdefault(key, []).append((version, fut))
         return fut
 
-    def _is_tail(self, key: str) -> bool:
-        return self.node.chain_for(key)[-1] == self.node.name
-
-    def _park(self, ts: HLCStamp, fut: Future) -> None:
-        self._wait_seq += 1
-        heappush(self._waiters, (ts.key(), self._wait_seq, fut))
+    def _answer_applied(self, key: str, fut: Future) -> None:
+        """``fut`` waits on a version of ``key`` applied here: resolve it
+        if the record is DC-stable, else park it until a tick's ``lst``
+        passes the record's stamp."""
+        if self.record_is_stable(key, ZERO):
+            fut.try_set_result(True)
+        else:
+            self._wait_seq += 1
+            heappush(self._waiters, (self._hlc_of[key].key(), self._wait_seq, fut))
 
     # -- write metadata ------------------------------------------------
     def stamp_put(self, msg: PutRequest) -> Any:
@@ -306,7 +303,7 @@ class ClockNodePlane(StabilityPlane):
     def observe(self, hlc: Any) -> None:
         self.clock.observe(hlc)
 
-    def note_applied(self, key: str, hlc: Any) -> None:
+    def note_applied(self, key: str, hlc: Any, replaced: Any) -> None:
         if isinstance(hlc, HLCStamp):
             self.clock.observe(hlc)
             cur = self._hlc_of.get(key)
@@ -326,11 +323,7 @@ class ClockNodePlane(StabilityPlane):
         still: List[Tuple[VersionVector, Future]] = []
         for version, fut in waiters:
             if applied is not None and applied.dominates(version):
-                ts = self._hlc_of.get(key)
-                if ts is None or ts <= self.lst or self._is_tail(key):
-                    fut.try_set_result(True)
-                else:
-                    self._park(ts, fut)
+                self._answer_applied(key, fut)
             else:
                 still.append((version, fut))
         if still:
@@ -344,16 +337,12 @@ class ClockNodePlane(StabilityPlane):
     # -- visibility questions ------------------------------------------
     def record_is_stable(self, key: str, version: VersionVector) -> bool:
         ts = self._hlc_of.get(key)
-        if ts is None:
-            # No clock-stamped write ever landed here: preloaded or
-            # repair-transferred legacy state, stable by construction.
-            return True
-        if ts <= self.lst:
-            return True
-        # The tail applying a write *is* DC-stability on this plane.
-        # (chain_for, not is_tail: the latter raises for keys whose
-        # chain a view change moved away while the record lingers here.)
-        return self.node.chain_for(key)[-1] == self.node.name
+        # A record with no stamp (preloaded or repair-transferred legacy
+        # state) is stable by construction, and the tail applying a
+        # write *is* DC-stability on this plane. (chain_for, not
+        # is_tail: the latter raises for keys whose chain a view change
+        # moved away while the record lingers here.)
+        return ts is None or ts <= self.lst or self.node.chain_for(key)[-1] == self.node.name
 
     def record_is_global(
         self, key: str, version: VersionVector, dc_stable: bool
@@ -406,10 +395,6 @@ class ClockNodePlane(StabilityPlane):
     def needs_restabilise(self, key: str, version: VersionVector) -> bool:
         ts = self._hlc_of.get(key)
         return ts is not None and ts > self.cut
-
-    def transfer_record(self, record: Any) -> Tuple:
-        # trackers and their floors are the notices plane's
-        return self._transfer_entry(record, ZERO, self.transfer_hlc(record.key))
 
     def transfer_hlc(self, key: str) -> Any:
         ts = self._hlc_of.get(key)
@@ -466,8 +451,8 @@ class ClockNodePlane(StabilityPlane):
         # retained clock state (monotone, so peers saw nothing newer).
         self.node.set_timer(self._interval, self._report_tick)
 
-    def hlc_entry_count(self) -> int:
-        return len(self._hlc_of)
+    def metadata(self) -> Dict[str, int]:
+        return {**super().metadata(), "hlc_entries": len(self._hlc_of)}
 
     def max_skew(self) -> int:
         return self.clock.max_skew

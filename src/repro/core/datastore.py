@@ -205,7 +205,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
 
     def preload(self, data: Dict[str, Any]) -> None:
         """Install records on every replica directly (skipping the protocol)
-        and mark them DC-stable — the benchmark warm-up path.
+        and mark them converged on both plane halves — the warm-up path.
 
         All owner sites receive identical, already-stable state, exactly
         what a long-converged deployment would hold; under partial
@@ -219,27 +219,16 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         arbitrated = install_converged(
             data, version, self.sim.now, views, self._nodes_by_name, owns=owns
         )
-        track = self.plane.tracks_preload
         for site, site_nodes in self._nodes_by_name.items():
+            place, length = views[site].ring().place, views[site].chain_length
             for name, node in site_nodes.items():
-                if track:
-                    # A key the store arbitrated holds whatever won, which
-                    # the converged rule may not cover: recorded per key.
-                    keys = arbitrated[site][name]
-                    if node.stability.pending_waiters() or node.global_stability.pending_waiters():
-                        # Only ``record`` wakes a parked waiter: the
-                        # per-key walk for all this node was handed,
-                        # placing each key without memoizing it.
-                        place, length = views[site].ring().place, views[site].chain_length
-                        keys = [
-                            key for key in data
-                            if name in place(key, length) and (owns is None or owns(site, key))
-                        ]
-                    else:
-                        # What landed as given answers for itself now.
-                        node.mark_converged(version)
-                    node.stability.record_all(keys, version)
-                    node.global_stability.record_all(keys, version)
+                # every key handed this node, placed without memoizing
+                # it; called, if at all, within this iteration
+                placed = lambda: [  # noqa: E731
+                    key for key in data
+                    if name in place(key, length) and (owns is None or owns(site, key))
+                ]
+                node.plane.mark_converged(version, arbitrated[site][name], placed)
                 for key in [k for k in node._stable_records if k in data]:
                     node._refresh_stable_record(key)
         for proxy in self.proxies.values():

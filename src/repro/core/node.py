@@ -11,9 +11,11 @@ still, as consistent hashing dictates. The node implements:
   dependencies is held at the head until those versions are DC-stable
   (confirmed by the dependency's chain tail), the mechanism that makes
   reads-anywhere safe for causality.
-- **stability propagation** — the tail marks versions DC-stable and
-  notifies the chain (and the geo-proxy) so reads can fan out to all
-  ``R`` replicas.
+- **stability** — what is DC-stable or globally stable, and what the
+  tail does when a write completes its chain, is the business of the
+  node's stabilization plane (``node.plane``, see
+  :mod:`repro.core.stability_plane`); the node asks it and keeps no
+  stability state of its own.
 - **prefix reads** — a get is served by whichever chain position the
   client chose; the reply carries the server's position and a stability
   flag so the client can maintain its metadata.
@@ -34,9 +36,7 @@ from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
     ApplyRemote,
     ChainPut,
-    ChainStable,
     Deps,
-    GlobalStableNotice,
     PutReply,
     PutRequest,
     ReadReply,
@@ -44,7 +44,7 @@ from repro.core.messages import (
     TransferDone,
 )
 from repro.core.deptable import DepSnapshot
-from repro.core.stability import DepWait, StabilityTracker
+from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
 from repro.errors import NotResponsibleError, ReplicaUnavailable
 from repro.net.message import Message
@@ -55,7 +55,7 @@ from repro.sim.process import Future
 from repro.storage.merge import ConflictResolver
 from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
-from repro.storage.version import ZERO, VersionVector
+from repro.storage.version import VersionVector
 
 __all__ = ["ChainNode"]
 
@@ -108,10 +108,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             # that wipe memory; compaction bounds log growth.
             self.store = DurableStore(resolver)
             self.set_timer(config.compaction_interval, self._compaction_tick)
-        self.stability = StabilityTracker()
-        #: versions DC-stable in *every* datacenter; in a single-DC
-        #: deployment this coincides with plain DC-stability
-        self.global_stability = StabilityTracker()
         self.syncing = False
         #: where a geo deployment's tails announce DC-stable writes
         self._geoproxy = Address(site, "geoproxy")
@@ -124,14 +120,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self._sync_epoch = initial_view.epoch
         self._transfer_pending: Set[str] = set()
         self._done_received: Set[Tuple[int, str]] = set()
-        #: what :meth:`seal` vouched for, per key: the stored version,
-        #: DC-stable and globally stable, until the key's next write
-        self._sealed: Dict[str, VersionVector] = {}
-        #: what :meth:`mark_converged` vouched for: a stored record at or
-        #: below it is stable, with no tracker entry until overwritten
-        self._converged = ZERO
-        self.stability.set_floor(self._floor)
-        self.global_stability.set_floor(self._floor)
         # counters surfaced by the harness
         self.puts_served = 0
         self.gets_served = 0
@@ -140,7 +128,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         self.dep_wait_timeouts = 0
         self.rejected_ops = 0
         self.forced_sync_exits = 0
-        self.keys_sealed = 0
         #: the stabilization plane (config.stability): every stability
         #: decision this node makes routes through it, and the messages
         #: only that plane sends are handled by it. Constructed last — a
@@ -315,17 +302,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self._stable_records[key] = (existing, self._record_deps.get(key, _NO_DEPS))
         result = self.store.apply(key, value, version, self.sim.now, stamp)
         if result.applied:
-            vouched = self._sealed.pop(key, None)
-            if vouched is None and existing is not None and self._converged.dominates(existing.version):
-                vouched = existing.version
-            if vouched is not None:
-                # Unseal: the floor answered for this key off the record
-                # just replaced, so both trackers adopt its version before
-                # anything asks again. From its first write on, a key's
-                # tracker state is what explicit entries would hold.
-                self.stability.adopt(key, vouched)
-                self.global_stability.adopt(key, vouched)
-            self.plane.note_applied(key, hlc)
+            self.plane.note_applied(key, hlc, existing)
             if result.was_conflict:
                 merged = dict(self._record_deps.get(key, _NO_DEPS))
                 for dep_key, entry in deps.items():
@@ -398,17 +375,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             size_from=msg,
         )
 
-    def on_chain_stable(self, msg: ChainStable, src: Address) -> None:
-        self.stability.record(msg.key, msg.version)
-        self._refresh_stable_record(msg.key)
-        chain = self.chain_for(msg.key)
-        pos = chain_positions(chain, self.name)
-        if pos is not None and pos > 0:
-            self.send(
-                self.view.address_of(chain[pos - 1]),
-                ChainStable(key=msg.key, version=msg.version, position=pos - 1),
-            )
-
     # ------------------------------------------------------------------
     # reads (any chain position)
     # ------------------------------------------------------------------
@@ -459,11 +425,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             if fwd:
                 reply.fwd_deps = fwd
         return reply
-
-    def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:
-        if self.tracer is not None:
-            self.trace("stability", "global-stable", msg.key, version=str(msg.version))
-        self.global_stability.record(msg.key, msg.version)
 
     def rpc_get_stable(self, key: str, src: Address) -> Dict[str, Any]:
         """Serve the newest DC-stable record for ``key``, with the deps of
@@ -573,9 +534,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             hlc = rec[5] if len(rec) > 5 else NO_HLC
             deps = rec[6] if len(rec) > 6 else _NO_DEPS
             self._apply_local(key, value, version, stamp, deps, hlc)
-            if not stable_version.is_zero():
-                self.stability.record(key, stable_version)
-                self._refresh_stable_record(key)
+            self.plane.note_transferred(key, stable_version)
             chain = self.chain_for(key)
             pos = chain_positions(chain, self.name)
             if pos is not None and pos == len(chain) - 1:
@@ -623,70 +582,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         if reclaimed:
             self.trace("storage", "compaction", reclaimed=reclaimed)
         self.set_timer(self.config.compaction_interval, self._compaction_tick)
-
-    # ------------------------------------------------------------------
-    # the floor (converged records, sealed keys)
-    # ------------------------------------------------------------------
-    def mark_converged(self, version: VersionVector) -> None:
-        """Vouch for every stored record at or below ``version``: it was
-        installed converged, on every replica of every datacenter, so it
-        is DC-stable and globally stable and answers for itself through
-        :meth:`_floor`. A rule on the *version*, not on a flag or on
-        ``Record`` identity: log replay and state transfer re-create
-        records, and a re-created converged record is no less stable."""
-        self._converged = self._converged.merge(version)
-
-    def seal(self, key: str, version: VersionVector) -> None:
-        """Vouch for ``version`` of ``key`` — the stored record, DC-stable
-        and globally stable — until the key's next write: the per-key
-        counterpart of :meth:`mark_converged`. Both trackers drop their
-        entries, and the write's dependency list goes too: a globally
-        stable write has globally stable dependencies, so a snapshot cut
-        needs no floors from them any more. Not under partial
-        replication: there a write is globally stable once its shard's
-        owner DCs hold it, which says nothing of its dependencies at any
-        other DC, so a forwarded read must still hand the list on
-        (``fwd_deps``)."""
-        self._sealed[key] = version
-        self.stability.drop_entry(key)
-        self.global_stability.drop_entry(key)
-        if self.placement is None:
-            self._record_deps.pop(key, None)
-        self.keys_sealed += 1
-        if self.tracer is not None:
-            self.trace("gc", "sealed", key, version=str(version))
-
-    def _floor(self, key: str) -> VersionVector:
-        """Stable version — DC and global alike — of a key with no live
-        tracker entry: its sealed version if it has one, else its live
-        record iff that was installed converged. Runs once per read of a
-        never-written key: keep it flat."""
-        sealed = self._sealed.get(key)
-        if sealed is None:
-            return self._converged_floor(key)
-        return sealed
-
-    def _converged_floor(self, key: str) -> VersionVector:
-        held = self.store.version_of(key)
-        return held if self._converged.dominates(held) else ZERO
-
-    def metadata_entries(self) -> int:
-        """Live protocol metadata entries this server holds (GC metric).
-
-        Counts what sealing can reclaim: tracker entries and record
-        dependency lists. Sealed versions are excluded — one frozen
-        vector per sealed key, like the record's own version, held until
-        the key's next write and counted by :meth:`global_floor_entries`.
-        """
-        return (
-            self.stability.entry_count()
-            + self.global_stability.entry_count()
-            + sum(len(deps) for deps in self._record_deps.values())
-        )
-
-    def global_floor_entries(self) -> int:
-        """Sealed versions (one per sealed key; its next write reclaims it)."""
-        return len(self._sealed)
 
     def on_recover(self) -> None:
         self.plane.on_recover()

@@ -10,12 +10,13 @@ updates whose dependencies have not stabilised yet.
 The stable version per key only ever grows (vector merge), so waiters
 resolve exactly once and in stability order.
 
-A tracker holds entries only for keys that *need* one. The owning server
-installs a **floor** (:meth:`set_floor`) — what is stable about a key
-with no live entry: a record installed converged answers for itself,
-and so does the version of a key the ``notices+batch`` plane sealed at
-the stability event that completed it. Both trackers share the one
-floor. ``stable_version`` falls through to it, and a later ``record``
+Only the notices planes keep trackers (two per server half, one per
+site half). A tracker holds entries only for keys that *need* one. The
+owning plane installs a **floor** (:meth:`set_floor`) — what is stable
+about a key with no live entry: a record installed converged answers
+for itself, and so does the version of a key the ``notices+batch`` plane
+sealed at the stability event that completed it. A server's two
+trackers share the one floor. ``stable_version`` falls through to it, and a later ``record``
 re-creates the entry merged with it. Entries appear at a key's first
 overwrite (:meth:`adopt`) or notice and sealing drops them again
 (:meth:`drop_entry`): a tracker is O(keys written), never O(keys). The

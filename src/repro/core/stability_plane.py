@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
+from repro.cluster.ring import chain_positions
 from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
     ChainStable,
@@ -51,7 +52,7 @@ from repro.metrics.protocol import GLOBAL_STABILITY_MESSAGE_TYPES, STABILITY_MES
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC
 from repro.sim.process import Future
-from repro.storage.version import VersionVector
+from repro.storage.version import ZERO, VersionVector
 
 if TYPE_CHECKING:
     from repro.core.geo import GeoProxy
@@ -102,21 +103,24 @@ class StabilityPlane(_PlaneHalf):
       local put (an HLC stamp on the clock plane, :data:`NO_HLC` on the
       notices plane).  Called with no intervening yield before the
       write is applied.
-    - ``observe(hlc)`` / ``note_applied(key, hlc)`` — clock bookkeeping
-      on message receipt and local application (no-ops for notices).
+    - ``observe(hlc)`` / ``note_applied(key, hlc, replaced)`` — bookkeeping
+      on message receipt and local application (``replaced``: the record
+      the write overwrote, None for a key's first).
     - ``record_is_stable`` / ``record_is_global`` — the visibility
       questions every read and snapshot path asks.
     - ``tail_stabilise(...)`` — what the chain tail does when a write
       completes its chain: the notices plane starts the notification
       cascade; the clock plane retires the stamp.
-    - ``needs_restabilise`` / ``transfer_record`` — chain-repair hooks.
+    - ``needs_restabilise`` / ``transfer_record`` / ``note_transferred``
+      — chain-repair hooks.
+    - ``mark_converged(version, arbitrated, placed)`` — preload's hook,
+      the twin of :meth:`SitePlane.mark_converged`.
     - ``annotate_read(reply, key)`` — plane-specific read-reply fields.
-    - ``hlc_entry_count`` / ``max_skew`` / ``coalescers`` — metrics gauges.
+    - ``metadata`` / ``max_skew`` / ``coalescers`` — metrics gauges.
 
     What the deployment facade and the metrics ask of the *class*:
     the ``capability`` it advertises, the ``control_types`` it spends on
-    stabilization alone, whether ``preload`` must write tracker state
-    (``tracks_preload``), and whether a session drops a dependency once
+    stabilization alone, and whether a session drops a dependency once
     a read reports it globally stable, whatever ``collapse_deps_on_put``
     says (``prunes_stable_deps``: a sealing plane bounds metadata, and
     such an entry constrains no read and no remote delivery).
@@ -126,7 +130,6 @@ class StabilityPlane(_PlaneHalf):
 
     capability: Optional[str] = None
     control_types: Tuple[str, ...] = ()
-    tracks_preload = True
     prunes_stable_deps = False
 
     def __init__(self, node: "ChainNode") -> None:
@@ -149,7 +152,7 @@ class StabilityPlane(_PlaneHalf):
     def observe(self, hlc: Any) -> None:
         return None
 
-    def note_applied(self, key: str, hlc: Any) -> None:
+    def note_applied(self, key: str, hlc: Any, replaced: Any) -> None:
         return None
 
     # -- visibility questions ------------------------------------------
@@ -215,7 +218,7 @@ class StabilityPlane(_PlaneHalf):
     def transfer_record(self, record: Any) -> Tuple:
         """The :class:`StateTransfer` entry for ``record``; its fourth
         slot is what the sender knows DC-stable about the key."""
-        return self._transfer_entry(record, self.node.stability.stable_version(record.key), NO_HLC)
+        return self._transfer_entry(record, ZERO, self.transfer_hlc(record.key))
 
     def _transfer_entry(self, record: Any, stable: VersionVector, hlc: Any) -> Tuple:
         """``(key, value, version, stable, stamp, hlc, deps)``, where
@@ -231,28 +234,51 @@ class StabilityPlane(_PlaneHalf):
     def transfer_hlc(self, key: str) -> Any:
         return NO_HLC
 
+    def note_transferred(self, key: str, stable: VersionVector) -> None:
+        """A transfer installed ``key``, its entry's stable slot ``stable``."""
+        return None
+
+    def mark_converged(
+        self, version: VersionVector, arbitrated: List[str], placed: Callable[[], List[str]]
+    ) -> None:
+        """Preload installed every record at or below ``version`` here,
+        converged, except that the store arbitrated the keys in
+        ``arbitrated``; ``placed()`` lists every key it handed this node."""
+        return None
+
     # -- read replies / gauges -----------------------------------------
     def annotate_read(self, reply: ReadReply, key: str) -> None:
         return None
 
-    def hlc_entry_count(self) -> int:
-        return 0
+    def metadata(self) -> Dict[str, int]:
+        """This server's summed gauges of ``protocol_stats()["metadata"]``."""
+        return {"stable_map_entries": sum(len(deps) for deps in self.node._record_deps.values())}
 
     def max_skew(self) -> int:
         return 0
 
 
-class NoticesPlane(StabilityPlane):
+class NoticesPlane(StabilityPlane):  # repro: lint-ok(slots) — invariant monitor rebinds mark_converged / seal per instance; one per server
     """The paper's explicit plane: per-write stability notifications.
 
-    Every hook delegates to the node's :class:`StabilityTracker` pair
+    Every hook answers from the plane's :class:`StabilityTracker` pair
+    (``stability``: DC-stable here; ``global_stability``: in every DC)
     and emits exactly the messages the pre-interface code emitted, in
     the same order — the golden trace holds this plane bit-identical.
     """
 
-    __slots__ = ()
-
+    handles = ("on_chain_stable", "on_global_stable_notice")
     control_types = STABILITY_MESSAGE_TYPES + GLOBAL_STABILITY_MESSAGE_TYPES + ("global-ack",)
+
+    def __init__(self, node: "ChainNode") -> None:
+        super().__init__(node)
+        self.stability = StabilityTracker()
+        self.global_stability = StabilityTracker()
+        #: what :meth:`mark_converged` vouched for: a stored record at or
+        #: below it is stable, with no tracker entry until overwritten
+        self._converged = ZERO
+        self.stability.set_floor(self._floor)
+        self.global_stability.set_floor(self._floor)
 
     def unresolved_deps(self, msg: PutRequest) -> List[Tuple[str, Any]]:
         node = self.node
@@ -271,20 +297,30 @@ class NoticesPlane(StabilityPlane):
             # entry onward via ``fwd_deps`` for the reader's DC to check.
             if dep_key != msg.key
             and (placement is None or placement.owns(node.site, dep_key))
-            and not node.stability.is_stable(dep_key, entry.version)
+            and not self.stability.is_stable(dep_key, entry.version)
         ]
 
     def wait_stable(self, key: str, version: VersionVector) -> Future:
-        return self.node.stability.wait(self.node.sim, key, version)
+        return self.stability.wait(self.node.sim, key, version)
+
+    def note_applied(self, key: str, hlc: Any, replaced: Any) -> None:
+        if replaced is not None and self._converged.dominates(replaced.version):
+            self._unseal(key, replaced.version)
+
+    def _unseal(self, key: str, vouched: VersionVector) -> None:
+        """The floor answered ``vouched`` for ``key`` off the record just
+        replaced: both trackers adopt it before anything asks again."""
+        self.stability.adopt(key, vouched)
+        self.global_stability.adopt(key, vouched)
 
     def record_is_stable(self, key: str, version: VersionVector) -> bool:
-        return self.node.stability.is_stable(key, version)
+        return self.stability.is_stable(key, version)
 
     def record_is_global(
         self, key: str, version: VersionVector, dc_stable: bool
     ) -> bool:
         if self.node.config.is_geo:
-            return self.node.global_stability.is_stable(key, version)
+            return self.global_stability.is_stable(key, version)
         return dc_stable
 
     def tail_stabilise(
@@ -300,7 +336,7 @@ class NoticesPlane(StabilityPlane):
         hlc: Any,
     ) -> None:
         node = self.node
-        node.stability.record(key, version)
+        self.stability.record(key, version)
         node._refresh_stable_record(key)
         if node.tracer is not None:
             node.trace("stability", "dc-stable", key, version=str(version))
@@ -309,13 +345,77 @@ class NoticesPlane(StabilityPlane):
         if node.config.is_geo:
             self._tell_proxy(key, value, version, deps, origin_site, origin_put_at, stamp, NO_HLC)
 
-    def needs_restabilise(self, key: str, version: VersionVector) -> bool:
-        return not self.node.stability.is_stable(key, version)
-
     def _notify_upstream(
         self, upstream: Address, key: str, version: VersionVector, position: int
     ) -> None:
         self.node.send(upstream, ChainStable(key=key, version=version, position=position))
+
+    def on_chain_stable(self, msg: ChainStable, src: Address) -> None:
+        self._cascade(msg.key, msg.version)
+
+    def _cascade(self, key: str, version: VersionVector) -> None:
+        """One step of the stability cascade: record ``version`` of
+        ``key`` DC-stable here and pass it on to the upstream neighbour."""
+        node = self.node
+        self.stability.record(key, version)
+        node._refresh_stable_record(key)
+        chain = node.chain_for(key)
+        pos = chain_positions(chain, node.name)
+        if pos is not None and pos > 0:
+            self._notify_upstream(node.view.address_of(chain[pos - 1]), key, version, pos - 1)
+
+    def on_global_stable_notice(self, msg: GlobalStableNotice, src: Address) -> None:
+        node = self.node
+        if node.tracer is not None:
+            node.trace("stability", "global-stable", msg.key, version=str(msg.version))
+        self.global_stability.record(msg.key, msg.version)
+
+    def needs_restabilise(self, key: str, version: VersionVector) -> bool:
+        return not self.stability.is_stable(key, version)
+
+    def transfer_record(self, record: Any) -> Tuple:
+        return self._transfer_entry(record, self.stability.stable_version(record.key), NO_HLC)
+
+    def note_transferred(self, key: str, stable: VersionVector) -> None:
+        if not stable.is_zero():
+            self.stability.record(key, stable)
+            self.node._refresh_stable_record(key)
+
+    # -- the floor -----------------------------------------------------
+    def mark_converged(
+        self, version: VersionVector, arbitrated: List[str], placed: Callable[[], List[str]]
+    ) -> None:
+        """Vouch for every stored record at or below ``version``: it was
+        installed converged, on every replica of every datacenter, so it
+        answers for itself through :meth:`_floor`. A rule on the
+        *version*, not on a flag or on ``Record`` identity: log replay
+        and state transfer re-create records, and a re-created converged
+        record is no less stable. A key the store arbitrated holds
+        whatever won, which the rule may not cover: recorded per key."""
+        keys = arbitrated
+        if self.stability.pending_waiters() or self.global_stability.pending_waiters():
+            # Only ``record`` wakes a parked waiter: every key preload
+            # handed this node is recorded, and nothing is vouched for.
+            keys = placed()
+        else:
+            self._converged = self._converged.merge(version)
+        self.stability.record_all(keys, version)
+        self.global_stability.record_all(keys, version)
+
+    def _floor(self, key: str) -> VersionVector:
+        """Stable version — DC and global alike — of a key with no live
+        tracker entry: its live record's iff that was installed converged.
+        Runs once per read of a never-written key: keep it flat."""
+        held = self.node.store.version_of(key)
+        return held if self._converged.dominates(held) else ZERO
+
+    def metadata(self) -> Dict[str, int]:
+        # what sealing can reclaim: tracker entries and dependency lists
+        gauges = super().metadata()
+        trackers = (self.stability, self.global_stability)
+        gauges["stable_map_entries"] += sum(tracker.entry_count() for tracker in trackers)
+        gauges["entries_sealed"] = sum(tracker.entries_sealed for tracker in trackers)
+        return gauges
 
 
 class SitePlane(_PlaneHalf):
@@ -352,15 +452,15 @@ class NoticesShipping(SitePlane):
     stream the tails already send, rather than by a ``wait_stable`` RPC
     per dependency. Its floor is what preload installed converged."""
 
-    __slots__ = ("_pending_global", "_shipped", "_stable", "_converged")
+    __slots__ = ("_pending_global", "_stable", "_converged")
 
     handles = ("on_tail_stable", "on_global_ack", "on_global_stable_notice")
 
     def __init__(self, proxy: "GeoProxy") -> None:
         super().__init__(proxy)
-        #: (key, version) → (sites yet to ack, origin put time)
+        #: (key, version) → (sites yet to ack, origin put time), for
+        #: every local write shipped and not yet globally stable
         self._pending_global: Dict[Tuple[str, VersionVector], Tuple[Set[str], float]] = {}
-        self._shipped: Set[Tuple[str, VersionVector]] = set()
         #: what this site's tails announced DC-stable
         self._stable = StabilityTracker()
         #: what :meth:`mark_converged` vouched for, DC-stable for every key
@@ -390,11 +490,12 @@ class NoticesShipping(SitePlane):
             origin = proxy._proxies[msg.origin_site]
             proxy.send(origin, GlobalAck(key=msg.key, version=msg.version, site=proxy.site))
             return
-        if token in self._shipped:
-            # Repair re-stabilisation can re-announce a version.
+        if token in self._pending_global:
+            # Repair re-stabilisation can re-announce a version. Only
+            # writes still awaiting acks are suppressed: a globally stable
+            # one needs no suppression, so memory follows in-flight writes.
             proxy.duplicate_ships += 1
             return
-        self._shipped.add(token)
         proxy.updates_shipped += 1
         if proxy.tracer is not None:
             proxy.trace("geo", "ship", msg.key, version=str(msg.version))
@@ -445,10 +546,6 @@ class NoticesShipping(SitePlane):
         proxy = self.proxy
         proxy.global_stability_samples.append(proxy.sim.now - origin_put_at)
         self._announce_global(proxy._peers_for(key), key, version)
-        # Globally stable writes need no duplicate-ship suppression any
-        # more; dropping the token keeps proxy memory proportional to
-        # in-flight writes rather than to history.
-        self._shipped.discard((key, version))
 
     def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:
         """Tell every owner DC (and our own chain members) the write is

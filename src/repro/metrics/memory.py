@@ -139,8 +139,9 @@ def _census_nodes(nodes: Any) -> Dict[str, Dict[str, int]]:
             if log is not None:
                 log_entries += len(log)
                 log_bytes += getattr(log, "bytes_written", 0)
+        plane = getattr(node, "plane", None)
         for tracker_name in ("stability", "global_stability"):
-            tracker = getattr(node, tracker_name, None)
+            tracker = getattr(plane, tracker_name, None)
             if tracker is None or not hasattr(tracker, "tracked_keys"):
                 continue
             for key in tracker.tracked_keys():

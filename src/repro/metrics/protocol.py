@@ -130,23 +130,16 @@ def metadata_footprint(nodes: Iterable[Any], sessions: Iterable[Any]) -> Dict[st
         column_slots = getattr(table, "column_slots", None)
         if column_slots is not None:
             dep_slots += column_slots()
-    hlc_entries = 0
-    hlc_skew_max = 0
+    server = dict.fromkeys(
+        ("stable_map_entries", "global_floor_entries", "keys_sealed", "entries_sealed", "hlc_entries"), 0
+    )
     for n in node_list:
-        plane = getattr(n, "plane", None)
-        if plane is not None:
-            hlc_entries += plane.hlc_entry_count()
-            skew = plane.max_skew()
-            if skew > hlc_skew_max:
-                hlc_skew_max = skew
+        for name, value in n.plane.metadata().items():
+            server[name] += value
+    hlc_entries = server.pop("hlc_entries")
+    hlc_skew_max = max((n.plane.max_skew() for n in node_list), default=0)
     return {
-        "stable_map_entries": sum(n.metadata_entries() for n in node_list),
-        "global_floor_entries": sum(n.global_floor_entries() for n in node_list),
-        "keys_sealed": sum(n.keys_sealed for n in node_list),
-        "entries_sealed": sum(
-            n.stability.entries_sealed + n.global_stability.entries_sealed
-            for n in node_list
-        ),
+        **server,
         "dep_table_entries": sum(s.metadata_entries() for s in session_list),
         "dep_table_bytes": sum(s.metadata_bytes() for s in session_list),
         "dep_table_slots": dep_slots,

@@ -66,7 +66,7 @@ class Record:
     in the writing store's own table, it does not edit the shared one.
     Stability leans on it too: a record installed converged has no
     tracker entry and answers for itself by its version
-    (``ChainNode.mark_converged``).
+    (``NoticesPlane.mark_converged``).
     """
 
     __slots__ = ("key", "value", "version", "stamp", "updated_at")

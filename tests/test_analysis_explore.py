@@ -138,6 +138,14 @@ class TestProvingGround:
         assert not report.clean, f"not caught in {CATCH_BUDGET} schedules"
         assert dict(report.scope.overrides)["stability"] == "notices"
 
+    def test_the_smallest_scope_holds_on_the_clock_plane(self):
+        # The stability-convergence oracle asks the node's plane: the
+        # clock plane answers from its horizon, and keeps no tracker that
+        # a notices-plane question could find empty.
+        report = explore_scope(scenario("smallest").on_plane("clock"), budget=300)
+        assert report.clean, report.counterexample and report.counterexample.violations
+        assert dict(report.scope.overrides)["stability"] == "clock"
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_clean_twin_passes(self, mutation):
         budget = CLEAN_BUDGETS.get(mutation, 2000)

@@ -83,7 +83,7 @@ class TestBrokenRuns:
         node = self._node_named(store, view.chain_for(key)[0])
         # Declare stable a version strictly above anything the node holds.
         ghost = node.store.version_of(key).increment("ghost")
-        node.stability.record(key, ghost)
+        node.plane.stability.record(key, ghost)
         report = monitor.report()
         assert any(v.kind == "stability-grounding" and v.key == key
                    for v in report.violations)
@@ -95,7 +95,7 @@ class TestBrokenRuns:
         node = store.nodes["dc0"][0]
         # Vouch for a version above the one the node was just handed:
         # the floor would then answer for writes that never landed.
-        node.mark_converged(VersionVector({"preload": 2}))
+        node.plane.mark_converged(VersionVector({"preload": 2}), [], lambda: [])
         held = list(node.store.keys())
         assert held and [v.key for v in monitor.violations] == held
         assert {v.kind for v in monitor.violations} == {"stability-grounding"}
@@ -106,16 +106,16 @@ class TestBrokenRuns:
         node = store.nodes["dc0"][0]
         key = next(iter(node.store.keys()))
         preload = node.store.version_of(key)
-        assert node.stability.stable_version(key) == preload  # off the floor
+        assert node.plane.stability.stable_version(key) == preload  # off the floor
         # An entry created *below* what the floor answered: every single
         # ``record`` still only grows it, yet the key's answer has sunk.
-        node.stability.adopt(key, VersionVector())
-        node.stability.record(key, preload)
+        node.plane.stability.adopt(key, VersionVector())
+        node.plane.stability.record(key, preload)
         assert [(v.kind, v.key) for v in monitor.violations] == [
             ("stability-monotonicity", key)
         ]
         # Checked once, at the key's first notice after the marking.
-        node.stability.record(key, preload)
+        node.plane.stability.record(key, preload)
         assert len(monitor.violations) == 1
 
     def _sealed_key(self):
@@ -126,14 +126,14 @@ class TestBrokenRuns:
         session = store.session("dc0", "writer")
         session.put("k", "v1")
         store.run(until=store.sim.now + 1.0)
-        sealed = [n for n in store.servers() if "k" in n._sealed]
+        sealed = [n for n in store.servers() if "k" in n.plane._sealed]
         assert len(sealed) == 6 and monitor.violations == []
         return store, monitor, session, sealed
 
     def test_sealing_what_is_not_held_breaks_grounding(self):
         store, monitor, _, sealed = self._sealed_key()
         node = sealed[0]
-        node.seal("k", node.store.version_of("k").increment("ghost"))
+        node.plane.seal("k", node.store.version_of("k").increment("ghost"))
         assert [(v.kind, v.key) for v in monitor.violations] == [
             ("stability-grounding", "k")
         ]

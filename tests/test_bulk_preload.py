@@ -8,8 +8,8 @@ stays empty until something is written to it, and a key's ``Record`` is
 built on first touch, then shared by every replica. On the notices
 plane preload writes *no* tracker state either: a record installed
 converged is DC-stable and globally stable by construction
-(``ChainNode.mark_converged``) and gets tracker entries only at its first
-overwrite.
+(``NoticesPlane.mark_converged``) and gets tracker entries only at its
+first overwrite. The clock plane keeps no trackers at all.
 
 Two references stay here as oracles, and twin deployments loaded one
 way each must hold the same records in the same order, count the same
@@ -67,7 +67,6 @@ def reference_preload(store, data):
     convergent write path and both trackers' ``record``."""
     version = VersionVector({"preload": 1})
     placement = store.config.placement()
-    track = store.config.stability != "clock"
     for key, value in data.items():
         key = intern_str(key)
         for site, manager in store.managers.items():
@@ -76,10 +75,15 @@ def reference_preload(store, data):
             for server_name in manager.view.chain_for(key):
                 node = store._node(site, server_name)
                 node.store.apply(key, value, version, store.sim.now)
-                if track:
-                    node.stability.record(key, version)
-                    node.global_stability.record(key, version)
+                for tracker in trackers(node):
+                    tracker.record(key, version)
                 node._refresh_stable_record(key)
+
+
+def trackers(node):
+    """The node's DC and global stability trackers; none on the clock plane."""
+    plane = node.plane
+    return [getattr(plane, name) for name in ("stability", "global_stability") if hasattr(plane, name)]
 
 
 def answers(node):
@@ -90,8 +94,7 @@ def answers(node):
         version = node.store.version_of(key)
         dc_stable = node.plane.record_is_stable(key, version)
         out[key] = (
-            node.stability.stable_version(key),
-            node.global_stability.stable_version(key),
+            *[tracker.stable_version(key) for tracker in trackers(node)],
             dc_stable,
             node.plane.record_is_global(key, version, dc_stable),
             node._stable_entry(key),
@@ -120,10 +123,7 @@ def held(node):
 
 
 def tracker_entries(store):
-    return sum(
-        n.stability.entry_count() + n.global_stability.entry_count()
-        for n in store.servers()
-    )
+    return sum(tracker.entry_count() for n in store.servers() for tracker in trackers(n))
 
 
 def assert_twins_agree(twin, reference):
@@ -301,24 +301,24 @@ def test_wiped_durable_node_answers_from_the_floor_again_after_replay():
     assert any(stable for _, _, stable, _, entry in before.values() if entry is not None)
     victim.crash()
     victim.store.clear()
-    assert all(victim.stability.stable_version(key) == ZERO for key in PROBES)
+    assert all(victim.plane.stability.stable_version(key) == ZERO for key in PROBES)
     victim.recover()  # replays the log before re-joining
     assert answers(victim) == before
     assert all(victim.store.get_record(key) is not old for key, old in records.items())
-    assert victim.stability.entry_count() == victim.global_stability.entry_count() == 0
+    assert victim.plane.stability.entry_count() == victim.plane.global_stability.entry_count() == 0
 
 
 def test_preload_with_parked_waiters_wakes_them():
     store = make_store()
     version = VersionVector({"preload": 1})
     node = store._node("dc0", store.managers["dc0"].view.chain_for("user0000")[0])
-    waiter = node.stability.wait(store.sim, "user0000", version)
+    waiter = node.plane.stability.wait(store.sim, "user0000", version)
     assert not waiter.done()
     store.preload(DATA)
     store.run(until=store.sim.now + 0.01)
     assert waiter.done() and waiter.result() is True
-    assert node.stability.pending_waiters() == 0
-    assert node.stability.notifications == len(list(node.store.keys()))
+    assert node.plane.stability.pending_waiters() == 0
+    assert node.plane.stability.notifications == len(list(node.store.keys()))
 
 
 @pytest.mark.parametrize("protocol", ["eventual", "quorum", "cops"])

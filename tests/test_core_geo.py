@@ -65,7 +65,7 @@ class TestGlobalStability:
             view = store.managers[site].view
             for name in view.chain_for("k"):
                 node = next(n for n in store.nodes[site] if n.name == name)
-                assert node.global_stability.is_stable("k", version)
+                assert node.plane.global_stability.is_stable("k", version)
 
     def test_client_prunes_entry_only_after_global_stability(self):
         store = make_geo_store()

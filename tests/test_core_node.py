@@ -111,7 +111,7 @@ class TestStability:
         version = run_op(store, s.put("key", "v")).version
         store.run(until=2.0)
         for node in chain_nodes(store, "key"):
-            assert node.stability.is_stable("key", version)
+            assert node.plane.stability.is_stable("key", version)
 
     def test_version_not_stable_before_tail_applies(self):
         store = make_store(ack_k=1)
@@ -121,7 +121,7 @@ class TestStability:
 
         def on_ack(_f):
             head = chain_nodes(store, "key")[0]
-            stable_at_ack.append(head.stability.is_stable("key", _f.result().version))
+            stable_at_ack.append(head.plane.stability.is_stable("key", _f.result().version))
 
         fut.add_callback(on_ack)
         store.run(until=2.0)
@@ -141,7 +141,7 @@ class TestStability:
         tail = chain_nodes(store, "key")[-1]
         fut = tail.rpc_wait_stable(("key", VersionVector({"dc0": 5})), tail.address)
         assert not fut.done()
-        assert tail.stability.pending_waiters() == 1
+        assert tail.plane.stability.pending_waiters() == 1
 
 
     def test_wait_stable_rpcs_cost_no_service_time(self):
@@ -235,7 +235,7 @@ class TestDependencyWaits:
         assert sum(n.dep_waits for n in store.servers()) >= 1
         # And y is only readable with x DC-stable:
         x_tail = chain_nodes(store, x)[-1]
-        assert x_tail.stability.is_stable(x, VersionVector({"dc0": 1}))
+        assert x_tail.plane.stability.is_stable(x, VersionVector({"dc0": 1}))
 
     def test_no_wait_when_dependency_already_stable(self):
         store = make_store(ack_k=3)  # writes born stable

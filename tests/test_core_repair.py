@@ -49,7 +49,7 @@ class TestCrashRepair:
         for key, version in versions.items():
             tail_name = view.chain_for(key)[-1]
             tail = next(n for n in store.nodes["dc0"] if n.name == tail_name)
-            assert tail.stability.is_stable(key, version), key
+            assert tail.plane.stability.is_stable(key, version), key
 
     def test_sync_window_is_bounded(self):
         store = make_store(servers_per_site=5)

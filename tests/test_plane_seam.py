@@ -7,11 +7,19 @@ module under ``src/repro`` and fails when one of them decides which plane
 is running by itself: a comparison of something called ``stability``
 with a string literal, a ``None`` test on a ``_clock`` / ``_…_coalescer``
 optional, or any mention of the three spellings this tree deleted.
+
+The notices planes' per-node state lives in their server half as well:
+the chain node and the deployment facade name none of it, and a
+clock-plane deployment builds no stability tracker at all.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from repro.baselines.registry import build_store
+from repro.core.node import ChainNode
+from repro.core.stability import StabilityTracker
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -79,3 +87,56 @@ def test_no_other_module_decides_which_plane_is_running():
         if hits
     }
     assert not offenders, offenders
+
+
+#: the notices planes' own messages and tracker
+NOTICES_NAMES = ("ChainStable", "GlobalStableNotice", "StabilityTracker")
+
+
+def test_the_node_and_the_facade_import_no_notices_plane_names():
+    for module in ("node.py", "datastore.py"):
+        tree = ast.parse((SRC / "core" / module).read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported.intersection(NOTICES_NAMES), (module, imported & set(NOTICES_NAMES))
+
+
+def test_the_chain_node_defines_no_notices_plane_step():
+    defined = set(vars(ChainNode))
+    for name in ("seal", "mark_converged", "on_chain_stable", "on_global_stable_notice"):
+        assert name not in defined, name
+
+
+def _held_values(obj):
+    values = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
+    for cls in type(obj).__mro__:
+        for slot in cls.__dict__.get("__slots__", ()):
+            if hasattr(obj, slot):
+                values.append(getattr(obj, slot))
+    return values
+
+
+def test_a_clock_plane_store_holds_no_stability_tracker():
+    store = build_store("chainreaction", sites=("dc0", "dc1"), servers_per_site=3,
+                        chain_length=3, seed=3, overrides={"stability": "clock"})
+    store.preload({f"user{i}": "v" for i in range(20)})
+    session = store.session("dc0", "writer")
+    session.put("user1", "w")
+    store.run(until=store.sim.now + 0.5)
+    hosts = [*store.servers(), *store.proxies.values()]
+    for host in [*hosts, *(host.plane for host in hosts)]:
+        held = [value for value in _held_values(host) if isinstance(value, StabilityTracker)]
+        assert not held, host
+
+
+def test_a_notices_plane_store_keeps_its_trackers_in_the_plane():
+    # the scan above finds a tracker where one is held
+    store = build_store("chainreaction", sites=("dc0",), servers_per_site=3,
+                        chain_length=3, seed=3)
+    node = store.servers()[0]
+    assert not any(isinstance(v, StabilityTracker) for v in _held_values(node))
+    assert sum(isinstance(v, StabilityTracker) for v in _held_values(node.plane)) == 2

@@ -239,24 +239,25 @@ class TestBatchedProtocol:
                     if record is None:
                         continue
                     slot = (node.address, key)
-                    if key in node._sealed:
+                    if key in node.plane._sealed:
                         sealed.setdefault(slot, sim.now)
-                    elif slot not in settled and node.stability.is_stable(
+                    elif slot not in settled and node.plane.stability.is_stable(
                         key, record.version
-                    ) and node.global_stability.is_stable(key, record.version):
+                    ) and node.plane.global_stability.is_stable(key, record.version):
                         settled[slot] = sim.now
         assert len(sealed) == 2 * 3 * len(keys)  # every replica, both DCs
         # No step in which a key answered stable everywhere unsealed.
         assert settled == {}
-        assert sum(n.keys_sealed for n in nodes) == len(sealed)
-        assert sum(n.global_floor_entries() for n in nodes) == len(sealed)
-        assert sum(n.metadata_entries() for n in nodes) == 0
+        metadata = store.protocol_stats()["metadata"]
+        assert metadata["keys_sealed"] == len(sealed)
+        assert metadata["global_floor_entries"] == len(sealed)
+        assert metadata["stable_map_entries"] == 0
         # sealed keys still answer both stability questions off the floor
         for node in nodes:
-            for key, version in node._sealed.items():
+            for key, version in node.plane._sealed.items():
                 assert node.store.version_of(key) == version
-                assert node.stability.stable_version(key) == version
-                assert node.global_stability.stable_version(key) == version
+                assert node.plane.stability.stable_version(key) == version
+                assert node.plane.global_stability.stable_version(key) == version
             assert node._stable_records == {}
 
     def test_a_repair_transfer_of_a_sealed_record_keeps_its_answer(self):
@@ -268,13 +269,13 @@ class TestBatchedProtocol:
         run_op(store, session.put("k", "v"))
         store.run(until=store.sim.now + 1.0)
         replicas = [n for n in store.servers() if n.store.get_record("k") is not None]
-        assert len(replicas) == 6 and all("k" in n._sealed for n in replicas)
+        assert len(replicas) == 6 and all("k" in n.plane._sealed for n in replicas)
         for node in replicas:
             record = node.store.get_record("k")
-            sealed = node._sealed["k"]
+            sealed = node.plane._sealed["k"]
             node._apply_local("k", record.value, record.version, record.stamp, {})
-            assert node.stability.stable_version("k") == sealed
-            assert node.global_stability.stable_version("k") == sealed
+            assert node.plane.stability.stable_version("k") == sealed
+            assert node.plane.global_stability.stable_version("k") == sealed
             reply = node.rpc_get("k", session.address)
             assert reply.version == sealed and reply.stable and reply.globally
 
@@ -290,7 +291,7 @@ class TestBatchedProtocol:
         run_op(store, session.put("w", "2"))
         store.run(until=store.sim.now + 1.0)
         owners = [n for n in store.servers() if n.store.get_record("w") is not None]
-        assert owners and all("w" in n._sealed for n in owners)
+        assert owners and all("w" in n.plane._sealed for n in owners)
         for node in owners:
             fwd = node.rpc_get_fwd("w", session.address).fwd_deps
             assert fwd is not None and set(fwd) == {"d"}
@@ -338,7 +339,7 @@ class TestBatchedProtocol:
             for i in range(40):
                 run_op(store, session.put(f"k{i}", "v"))
             store.run(until=store.sim.now + 2.0)
-            return sum(n.metadata_entries() for n in store.servers())
+            return store.protocol_stats()["metadata"]["stable_map_entries"]
 
         assert final_metadata(BATCH) < final_metadata({})
 
