@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.api import ClientSession, Datastore, GetResult, PutResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.cluster.membership import ClusterManager, RingView
+from repro.cluster.placement import FullReplication
 from repro.cluster.server_base import RingServer, install_converged
 from repro.errors import ConfigError
 from repro.net.latency import lan_latency, wan_latency
@@ -205,6 +206,7 @@ class RingDeployment(Datastore):
             self.sim.now,
             self.all_views(),
             self._nodes_by_name,
+            FullReplication(self.config.sites),
         )
 
     def run(self, until: Optional[float] = None) -> float:

@@ -413,10 +413,10 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             print("--stability applies to chainreaction/chain only", file=out)
             return 2
         overrides["stability"] = args.stability
-    placement = _placement_overrides(args, out)
-    if placement is None:
+    replication = _placement_overrides(args, out)
+    if replication is None:
         return 2
-    overrides.update(placement)
+    overrides.update(replication)
     store = build_store(
         args.protocol,
         sites=tuple(args.sites),
@@ -817,11 +817,11 @@ def _cmd_sanitize(args: argparse.Namespace, out) -> int:
             print("--stability applies to chainreaction/chain only", file=out)
             return 2
         overrides = {"stability": args.stability}
-    placement = _placement_overrides(args, out)
-    if placement is None:
+    replication = _placement_overrides(args, out)
+    if replication is None:
         return 2
-    if placement:
-        overrides = {**(overrides or {}), **placement}
+    if replication:
+        overrides = {**(overrides or {}), **replication}
     if args.workers is not None:
         if args.workers < 1:
             print("sanitize: --workers must be >= 1", file=out)

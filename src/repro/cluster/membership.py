@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.cluster.placement import ShardCatalog, shard_catalog
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
 from repro.net.actor import Actor
@@ -29,9 +28,7 @@ __all__ = [
     "RingView",
     "ClusterManager",
     "Heartbeat",
-    "ShardCatalog",
     "ViewChange",
-    "shard_catalog",
 ]
 
 _RING_CACHE: Dict[Tuple[Tuple[str, ...], int], HashRing] = {}

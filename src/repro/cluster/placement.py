@@ -1,13 +1,18 @@
-"""Partial geo-replication: the keyspace-shard catalog.
+"""Geo-replication placement: which sites own a key, and what each peer
+site receives of a shipment (``prune``, the one per-peer rule every
+stabilization plane ships by). Every deployment has one catalog,
+``ChainReactionConfig.placement()``, and this module alone knows its
+two kinds:
 
-Full replication keeps every key at every datacenter, so geo write
-bandwidth, dependency metadata, and memory all scale with ``sites x
-keys``. Partial replication (following Xiang & Vaidya, *Partially
-Replicated Causally Consistent Shared Memory*) instead hashes the
-keyspace into a fixed number of **shards** and replicates each shard at
-only ``r`` *owner* sites.
+- :class:`FullReplication` — every site owns every key (the paper's
+  deployment). It hashes and memoizes nothing.
+- :class:`ShardCatalog` — partial replication (following Xiang &
+  Vaidya, *Partially Replicated Causally Consistent Shared Memory*):
+  the keyspace hashes into a fixed number of **shards**, each
+  replicated at only ``r`` *owner* sites, so geo write bandwidth,
+  dependency metadata and memory stop scaling with ``sites x keys``.
 
-The catalog is a pure value object, exactly like
+The shard catalog is a pure value object, exactly like
 :class:`repro.cluster.ring.HashRing` one layer down: owners derive
 deterministically from (site list, shard count, replication degree,
 virtual-node count) by placing the *sites* on a consistent-hash ring and
@@ -25,12 +30,48 @@ dependency checking in the stability planes leans on; see DESIGN
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import dataclasses
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.cluster.ring import HashRing, _hash64
 from repro.errors import ClusterError
+from repro.net.network import Address
 
-__all__ = ["ShardCatalog", "shard_catalog"]
+__all__ = ["Catalog", "FullReplication", "ShardCatalog", "shard_catalog"]
+
+#: ``(peer, what it receives)`` for each peer that receives anything
+Shares = List[Tuple[Address, Tuple[Any, ...]]]
+
+
+class FullReplication:
+    """Every site owns every key, and every peer receives every update
+    whole; a walk over many keys needs no per-key test (:meth:`owns_all`)."""
+
+    __slots__ = ("sites",)
+
+    def __init__(self, sites: Sequence[str]) -> None:
+        self.sites: Tuple[str, ...] = tuple(sites)
+
+    def owns(self, site: str, key: str) -> bool:
+        return True
+
+    owns_unmemoized = owns
+
+    def owns_all(self, site: str) -> bool:
+        return True
+
+    def owners_for(self, key: str) -> Tuple[str, ...]:
+        return self.sites
+
+    def primary_for(self, key: str) -> str:
+        return self.sites[0]
+
+    def owner_peers(self, peers: List[Address], key: str) -> List[Address]:
+        return peers
+
+    def prune(self, peers: List[Address], updates: Tuple[Any, ...]) -> Shares:
+        return [(peer, updates) for peer in peers]
+
 
 #: site-ring virtual nodes: sites are few, so a modest count balances
 #: shard ownership without bloating catalog construction.
@@ -106,19 +147,40 @@ class ShardCatalog:  # repro: lint-ok(slots) — a handful per process, cached
             shard = _hash64(key) % self.num_shards
         return site in self._owner_sets[shard]
 
-    def owns_shard(self, site: str, shard: int) -> bool:
-        return site in self._owner_sets[shard]
-
     def owned_shards(self, site: str) -> Tuple[int, ...]:
-        return tuple(
-            shard
-            for shard in range(self.num_shards)
-            if site in self._owner_sets[shard]
-        )
+        return tuple(shard for shard, owners in enumerate(self._owner_sets) if site in owners)
 
-    @property
-    def is_full(self) -> bool:
-        return self.replication_degree == len(self.sites)
+    def owns_all(self, site: str) -> bool:
+        """True when ``site`` owns every shard: a walk over many keys
+        then needs no per-key :meth:`owns_unmemoized`."""
+        return len(self.owned_shards(site)) == self.num_shards
+
+    def owner_peers(self, peers: List[Address], key: str) -> List[Address]:
+        return [peer for peer in peers if self.owns(peer.site, key)]
+
+    def prune(self, peers: List[Address], updates: Tuple[Any, ...]) -> Shares:
+        """What each peer receives of ``updates`` (each with a ``key`` and
+        a ``deps`` map): the updates of keys its site owns, each keeping
+        only the dependency entries on shards the site owns — the
+        entries its causal-delivery gate can check; reads of any other
+        key forward to the key's primary owner, whose chain is never
+        behind (share-bounded tracking). A peer from which nothing was
+        dropped receives ``updates`` itself, so those peers can share
+        one frozen message, sized once.
+        """
+        shares: Shares = []
+        for peer in peers:
+            site = peer.site
+            share = tuple(
+                self._pruned(site, update) for update in updates if self.owns(site, update.key)
+            )
+            if share:
+                shares.append((peer, updates if share == updates else share))
+        return shares
+
+    def _pruned(self, site: str, update: Any) -> Any:
+        kept = {key: entry for key, entry in update.deps.items() if self.owns(site, key)}
+        return update if len(kept) == len(update.deps) else dataclasses.replace(update, deps=kept)
 
     # ------------------------------------------------------------------
     # value semantics
@@ -150,10 +212,6 @@ class ShardCatalog:  # repro: lint-ok(slots) — a handful per process, cached
             f"replication_degree={self.replication_degree})"
         )
 
-    def describe(self) -> List[Tuple[int, Tuple[str, ...]]]:
-        """(shard, owners) rows — diagnostics and doc tables."""
-        return list(enumerate(self.owners))
-
 
 #: Catalogs are pure values; share one instance per deployment shape
 #: (same memo pattern as membership's ring cache).
@@ -166,10 +224,14 @@ def shard_catalog(
     replication_degree: int,
     virtual_nodes: int = SITE_VIRTUAL_NODES,
 ) -> ShardCatalog:
-    """The (cached) catalog for a deployment shape."""
+    """The (cached) shard catalog for a deployment shape."""
     cache_key = (tuple(sites), num_shards, replication_degree, virtual_nodes)
     catalog = _CATALOG_CACHE.get(cache_key)
     if catalog is None:
         catalog = ShardCatalog(*cache_key)
         _CATALOG_CACHE[cache_key] = catalog
     return catalog
+
+
+#: a deployment's placement: what ``ChainReactionConfig.placement()`` returns
+Catalog = Union[FullReplication, ShardCatalog]

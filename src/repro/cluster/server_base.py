@@ -15,6 +15,7 @@ import functools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.membership import Heartbeat, RingView, ViewChange
+from repro.cluster.placement import Catalog
 from repro.cluster.ring import HashRing, chain_positions
 from repro.errors import NotResponsibleError
 from repro.net.actor import Actor
@@ -124,15 +125,15 @@ def install_converged(
     now: float,
     views: Mapping[str, RingView],
     nodes: Mapping[str, Mapping[str, RingServer]],
-    owns: Optional[Callable[[str, str], bool]] = None,
+    catalog: Catalog,
 ) -> Dict[str, Dict[str, List[str]]]:
     """Put ``data`` at ``version`` on every replica directly, skipping the
     protocol: the state a long-converged deployment would hold.
 
     ``views`` and ``nodes`` are per site (``nodes[site]`` by server
-    name); ``owns(site, key)`` restricts a key to its owner sites and,
-    like :meth:`HashRing.place`, memoizes nothing
-    (:meth:`~repro.cluster.placement.ShardCatalog.owns_unmemoized`). The
+    name); ``catalog`` restricts a key to its owner sites
+    (:mod:`repro.cluster.placement`), asked, like :meth:`HashRing.place`,
+    without memoizing anything. The
     install is **one** :class:`ConvergedBase`, the *base*: one
     ``key → value`` table in ``data`` order at one version, stamp and
     install time. A key's ``Record`` is built on first touch, then
@@ -147,9 +148,7 @@ def install_converged(
     base = ConvergedBase({intern_str(key): value for key, value in data.items()}, version, now)
     arbitrated: Dict[str, Dict[str, List[str]]] = {}
     for site, view in views.items():
-        placement = PreloadPlacement(
-            view.ring(), view.chain_length, None if owns is None else functools.partial(owns, site)
-        )
+        placement = PreloadPlacement(view.ring(), view.chain_length, catalog, site)
         arbitrated[site] = {
             name: node.store.install(base, Holding(name, placement).holds)
             for name, node in nodes[site].items()
@@ -160,8 +159,9 @@ def install_converged(
 class PreloadPlacement:
     """Where one site's preloaded keys live, fixed at preload: a key's
     chain under ``ring`` (the preload view's, never a later one) at
-    ``length``, if the site ``owned`` the key (``None``: every key).
-    One per site, told apart by identity.
+    ``length``, if the site ``owned`` the key — which nothing asks when
+    the catalog says the site ``owns_all`` keys (full replication). One
+    per site, told apart by identity.
 
     A key's chain is a pure function of the ring and the key, so it is
     computed when asked for, never ahead: read off the ring's chain memo
@@ -171,12 +171,13 @@ class PreloadPlacement:
     what the run routed.
     """
 
-    __slots__ = ("ring", "length", "owned", "routed")
+    __slots__ = ("ring", "length", "owns_all", "owned", "routed")
 
-    def __init__(self, ring: HashRing, length: int, owned: Optional[Callable[[str], bool]]) -> None:
+    def __init__(self, ring: HashRing, length: int, catalog: Catalog, site: str) -> None:
         self.ring = ring
         self.length = length
-        self.owned = owned
+        self.owns_all = catalog.owns_all(site)
+        self.owned: Callable[[str], bool] = functools.partial(catalog.owns_unmemoized, site)
         self.routed = ring.routed(length)
 
 
@@ -194,8 +195,7 @@ class Holding:
 
     def holds(self, key: str) -> bool:
         placement = self.placement
-        owned = placement.owned
-        if owned is not None and not owned(key):
+        if not placement.owns_all and not placement.owned(key):
             return False
         chain = placement.routed.get(key)
         if chain is None:

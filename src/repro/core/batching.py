@@ -297,7 +297,7 @@ class BatchedNoticesPlane(NoticesPlane):  # repro: lint-ok(slots) — NoticesPla
         self._sealed[key] = version
         self.stability.drop_entry(key)
         self.global_stability.drop_entry(key)
-        if node.placement is None:
+        if not node.config.is_partial:
             node._record_deps.pop(key, None)
         self._seals += 1
         if node.tracer is not None:

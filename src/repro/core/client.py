@@ -56,8 +56,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
         #: drop a dependency once a read reports it globally stable:
         #: ``collapse_deps_on_put``, or a plane that says it prunes them
         self._drop_global_deps = self.config.collapse_deps_on_put or prunes_stable_deps
-        #: shard→owners map under partial replication; None = full
-        #: replication, where every key is served by the local site
+        #: which sites own which keys: a key the local site does not own
+        #: is forwarded to an owner (:mod:`repro.cluster.placement`)
         self._placement = self.config.placement()
         #: per-attempt deadline for forwarded ops: one WAN round trip on
         #: top of the owner site's own service budget
@@ -117,9 +117,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
     # ------------------------------------------------------------------
     def _forward_owners(self, key: str) -> Optional[Tuple[str, ...]]:
         """Owner sites to forward ``key``'s operations to, or None when
-        the local site replicates the shard (including full replication,
-        where the catalog itself is None)."""
-        if self._placement is None or self._placement.owns(self.site, key):
+        the local site owns the key (every key, under full replication)."""
+        if self._placement.owns(self.site, key):
             return None
         return self._placement.owners_for(key)
 

@@ -51,7 +51,6 @@ prunes the shipped set from the heap's bottom.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
@@ -262,7 +261,7 @@ class ClockNodePlane(StabilityPlane):
             if dep_key != msg.key
             and entry.hlc is not None
             and entry.hlc > lst
-            and (placement is None or placement.owns(node.site, dep_key))
+            and placement.owns(node.site, dep_key)
         ]
 
     def wait_stable(self, key: str, version: VersionVector) -> Future:
@@ -625,7 +624,7 @@ class GeoClockCore(SitePlane):
             # still carry such entries.
             if dep_key == update.key or entry.hlc is None:
                 continue
-            if catalog is not None and not catalog.owns(site, dep_key):
+            if not catalog.owns(site, dep_key):
                 continue
             if worst is None or entry.hlc > worst:
                 worst = entry.hlc
@@ -674,36 +673,17 @@ class GeoClockCore(SitePlane):
         while self._ship_buf and self._ship_buf[0][0] <= local_key:
             batch.append(heappop(self._ship_buf)[1])
         if batch and proxy._peers:
-            catalog = proxy._catalog
-            if catalog is None:
-                # One frozen batch for every peer, sized once.
-                ship = ClockShip(origin_site=proxy.site, lst=local, updates=tuple(batch))
-                for peer in proxy._peers:
-                    proxy.send(peer, ship)
-            else:
-                # Partial replication: each peer receives only the batch
-                # entries for shards it owns, with per-destination dep
-                # pruning. An empty share sends nothing — the stability
-                # vector broadcast below advances the peer's ship
-                # horizon to ``local`` on the same FIFO link, so its
-                # visible arithmetic never waits on unsent updates.
-                for peer in proxy._peers:
-                    share: List[RemoteUpdate] = []
-                    for update in batch:
-                        if not catalog.owns(peer.site, update.key):
-                            continue
-                        deps = proxy._prune_deps(update.deps, peer.site)
-                        if deps is not update.deps:
-                            update = dataclasses.replace(update, deps=deps)
-                        share.append(update)
-                    if not share:
-                        continue
-                    proxy.send(
-                        peer,
-                        ClockShip(
-                            origin_site=proxy.site, lst=local, updates=tuple(share)
-                        ),
-                    )
+            # The catalog decides each peer's share; unpruned peers share
+            # one frozen batch. A peer with no share gets nothing: the
+            # vector below advances its ship horizon to ``local`` on the
+            # same FIFO link, so it never waits on unsent updates.
+            ship = tuple(batch)
+            whole = ClockShip(origin_site=proxy.site, lst=local, updates=ship)
+            for peer, share in proxy._catalog.prune(proxy._peers, ship):
+                if share is ship:
+                    proxy.send(peer, whole)
+                else:
+                    proxy.send(peer, ClockShip(origin_site=proxy.site, lst=local, updates=share))
             proxy.updates_shipped += len(batch)
         visible = self._visible(now)
         # 2. Broadcast the site's stability vector, one frozen instance.

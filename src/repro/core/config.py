@@ -13,12 +13,12 @@ is asked of the classes :data:`repro.core.stability_plane.PLANES` builds.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.cluster.placement import ShardCatalog
+    from repro.cluster.placement import Catalog
 
 __all__ = ["STABILITY_PLANES", "ChainReactionConfig"]
 
@@ -83,7 +83,8 @@ class ChainReactionConfig:
         virtual_nodes: consistent-hashing virtual nodes per server.
         replication_degree: r — how many sites replicate each keyspace
             shard. 0 (default) means full replication: every site owns
-            every key and nothing about the geo plane changes. Any value
+            every key, and the catalog is a
+            :class:`~repro.cluster.placement.FullReplication`. Any value
             in [1, len(sites)) enables *partial* geo-replication: keys
             hash into ``num_shards`` shards, each owned by ``r`` sites
             chosen on a consistent-hash ring over the site names
@@ -222,20 +223,21 @@ class ChainReactionConfig:
         """True when some site does NOT replicate some shard."""
         return 0 < self.replication_degree < len(self.sites)
 
-    def placement(self) -> Optional["ShardCatalog"]:
-        """The deployment's :class:`~repro.cluster.placement.ShardCatalog`,
-        or None under full replication.
+    def placement(self) -> "Catalog":
+        """The deployment's catalog (:mod:`repro.cluster.placement`):
+        a :class:`~repro.cluster.placement.FullReplication` for
+        ``replication_degree`` 0 or ``len(sites)``, else the cached
+        :class:`~repro.cluster.placement.ShardCatalog`.
 
-        None (rather than a degenerate catalog) is the gate every
-        partial-replication branch checks, so the default configuration
-        executes exactly the pre-catalog code paths — the golden-trace
-        guarantee. Callers on hot paths cache the result.
+        Callers ask it, never which kind it is: which keys a site owns,
+        and what each peer site receives of a shipment. Callers on hot
+        paths cache the result.
         """
-        if not self.is_partial:
-            return None
         # Local import: config is a leaf module nearly everything imports.
-        from repro.cluster.placement import shard_catalog
+        from repro.cluster.placement import FullReplication, shard_catalog
 
+        if not self.is_partial:
+            return FullReplication(self.sites)
         return shard_catalog(self.sites, self.num_shards, self.replication_degree)
 
     def with_updates(self, **changes: object) -> "ChainReactionConfig":

@@ -183,7 +183,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         placement = self.config.placement()
         observed = set()
         for site, manager in self.managers.items():
-            if placement is not None and not placement.owns(site, key):
+            if not placement.owns(site, key):
                 continue
             for server_name in manager.view.chain_for(key):
                 node = self._node(site, server_name)
@@ -213,11 +213,10 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         the census in ``bench_pr10_partial`` measures).
         """
         version = VersionVector({"preload": 1})
-        placement = self.config.placement()
-        owns = placement.owns_unmemoized if placement is not None else None
+        catalog = self.config.placement()
         views = {site: manager.view for site, manager in self.managers.items()}
         arbitrated = install_converged(
-            data, version, self.sim.now, views, self._nodes_by_name, owns=owns
+            data, version, self.sim.now, views, self._nodes_by_name, catalog
         )
         for site, site_nodes in self._nodes_by_name.items():
             place, length = views[site].ring().place, views[site].chain_length
@@ -226,7 +225,7 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
                 # it; called, if at all, within this iteration
                 placed = lambda: [  # noqa: E731
                     key for key in data
-                    if name in place(key, length) and (owns is None or owns(site, key))
+                    if name in place(key, length) and catalog.owns_unmemoized(site, key)
                 ]
                 node.plane.mark_converged(version, arbitrated[site][name], placed)
                 for key in [k for k in node._stable_records if k in data]:

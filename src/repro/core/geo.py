@@ -7,8 +7,11 @@ chain tails notify it when a write becomes DC-stable; what leaves the
 datacenter then is the stabilization plane's business (``proxy.plane``,
 a :class:`~repro.core.stability_plane.SitePlane`). On the paper's plane
 a locally originated write ships as a :class:`RemoteUpdate` (value + the
-put's dependency list) to every peer DC, and a remotely originated one
-is reported back to its origin with a :class:`GlobalAck`.
+put's dependency list) to each peer DC, and a remotely originated one
+is reported back to its origin with a :class:`GlobalAck`. Which peers
+receive a write, with which dependency entries, the deployment's
+catalog decides (:mod:`repro.cluster.placement`): every peer, whole,
+under full replication.
 
 On the receiving side, a remote update is injected into the local chain
 **head** — so remote and local writes share one serialisation point per
@@ -36,7 +39,7 @@ from repro.cluster.membership import RingView
 from repro.core.config import ChainReactionConfig
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
-from repro.core.messages import ApplyRemote, Deps, PutReply, PutRequest, RemoteUpdate
+from repro.core.messages import ApplyRemote, PutReply, PutRequest, RemoteUpdate
 from repro.errors import RemoteError, RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
@@ -67,8 +70,8 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         #: site → its proxy's address (one object per site, not per message)
         self._proxies = {s: Address(s, "geoproxy") for s in all_sites}
         self._peers = [self._proxies[s] for s in all_sites if s != site]
-        #: shard→owners map under partial replication; None (the default,
-        #: full replication) gates every placement-aware branch off
+        #: which sites own which keys, and what each peer receives of a
+        #: shipment (:mod:`repro.cluster.placement`)
         self._catalog = config.placement()
         # metrics
         self.updates_shipped = 0
@@ -104,40 +107,6 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
     def on_recover(self) -> None:
         self.plane.on_recover()
         super().on_recover()
-
-    # ------------------------------------------------------------------
-    # placement (partial replication)
-    # ------------------------------------------------------------------
-    def _peers_for(self, key: str) -> List[Address]:
-        """Peer proxies that replicate ``key``'s shard.
-
-        Full replication returns the shared peer list object itself, so
-        the default path is bit-identical to the pre-placement code.
-        """
-        if self._catalog is None:
-            return self._peers
-        return [p for p in self._peers if self._catalog.owns(p.site, key)]
-
-    def _prune_deps(self, deps: Deps, dst_site: str) -> Deps:
-        """Dependency entries worth shipping to ``dst_site``.
-
-        Under partial replication a destination only *checks* (and only
-        can check) dependencies on shards it owns — its causal-delivery
-        gate skips the rest, and reads of non-owned keys are forwarded to
-        their primary owner's chain head, which is never behind. Entries
-        for shards the destination doesn't replicate are therefore dead
-        weight on the WAN; dropping them per destination is what bounds
-        replication metadata to the shards a site holds (Xiang & Vaidya's
-        share-bounded tracking). Returns the original object untouched
-        when nothing prunes, so full replication keeps byte-identical
-        messages (and their memoized-size sharing).
-        """
-        if self._catalog is None or not deps:
-            return deps
-        kept = {k: e for k, e in deps.items() if self._catalog.owns(dst_site, k)}
-        if len(kept) == len(deps):
-            return deps
-        return kept
 
     # ------------------------------------------------------------------
     # inbound: apply a remote update into the local chain
@@ -316,7 +285,7 @@ class _RemoteApply:
         waits = [
             (dep_key, entry.version)
             for dep_key, entry in update.deps.items()
-            if dep_key != update.key and (catalog is None or catalog.owns(proxy.site, dep_key))
+            if dep_key != update.key and catalog.owns(proxy.site, dep_key)
         ]
         self._waits = len(waits)  # all counted first: a wait may end in its constructor
         for dep_key, version in waits:

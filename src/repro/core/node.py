@@ -100,8 +100,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             service_time=config.service_time,
         )
         self.config = config
-        #: shard→owners map under partial replication; None = full
-        #: replication (every placement-aware branch gates on this)
+        #: which sites own which keys (:mod:`repro.cluster.placement`)
         self.placement = config.placement()
         if config.durable_storage:
             # FAWN-KV-style log-structured datastore: survives crashes
@@ -153,7 +152,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     def _put_admission_error(self, key: str) -> Optional[str]:
         if self.syncing:
             return "syncing"
-        if self.placement is not None and not self.placement.owns(self.site, key):
+        if not self.placement.owns(self.site, key):
             # Partial replication: this whole site doesn't hold the
             # key's shard — the client must forward to an owner DC.
             return "not-responsible-shard"
@@ -382,7 +381,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         if self.syncing:
             self.rejected_ops += 1
             raise ReplicaUnavailable("syncing")
-        if self.placement is not None and not self.placement.owns(self.site, key):
+        if not self.placement.owns(self.site, key):
             self.rejected_ops += 1
             raise NotResponsibleError(f"{self.site} does not own the shard of {key!r}")
         pos = chain_positions(self.chain_for(key), self.name)
@@ -434,7 +433,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         if self.syncing:
             self.rejected_ops += 1
             raise ReplicaUnavailable("syncing")
-        if self.placement is not None and not self.placement.owns(self.site, key):
+        if not self.placement.owns(self.site, key):
             self.rejected_ops += 1
             raise NotResponsibleError(f"{self.site} does not own the shard of {key!r}")
         if chain_positions(self.chain_for(key), self.name) is None:

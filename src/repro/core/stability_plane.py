@@ -296,7 +296,7 @@ class NoticesPlane(StabilityPlane):  # repro: lint-ok(slots) — invariant monit
             # existed), and forwarded reads of *this* write carry the
             # entry onward via ``fwd_deps`` for the reader's DC to check.
             if dep_key != msg.key
-            and (placement is None or placement.owns(node.site, dep_key))
+            and placement.owns(node.site, dep_key)
             and not self.stability.is_stable(dep_key, entry.version)
         ]
 
@@ -499,34 +499,25 @@ class NoticesShipping(SitePlane):
         proxy.updates_shipped += 1
         if proxy.tracer is not None:
             proxy.trace("geo", "ship", msg.key, version=str(msg.version))
-        # Partial replication ships only to the shard's other owner sites
-        # (full replication: every peer, as before).
-        peers = proxy._peers_for(msg.key)
+        # The catalog decides which peers receive the write, with which
+        # dependency entries; unpruned peers share one frozen update.
+        catalog = proxy._catalog
+        peers = catalog.owner_peers(proxy._peers, msg.key)
         if not peers:
             self._globally_stable(msg.key, msg.version, msg.origin_put_at)
             return
         self._pending_global[token] = ({p.site for p in peers}, msg.origin_put_at)
-        # Peers whose dependency list nothing pruned share one frozen
-        # update, sized once; with a catalog, per-destination pruning
-        # may differentiate the copies, and those are their own objects.
-        shared: Optional[RemoteUpdate] = None
-        for peer in peers:
-            deps = proxy._prune_deps(msg.deps, peer.site)
-            if deps is msg.deps and shared is not None:
-                update = shared
-            else:
-                update = RemoteUpdate(
-                    key=msg.key,
-                    value=msg.value,
-                    version=msg.version,
-                    stamp=msg.stamp,
-                    deps=deps,
-                    origin_site=proxy.site,
-                    origin_put_at=msg.origin_put_at,
-                )
-                if deps is msg.deps:
-                    shared = update
-            self._ship(peer, update)
+        update = RemoteUpdate(
+            key=msg.key,
+            value=msg.value,
+            version=msg.version,
+            stamp=msg.stamp,
+            deps=msg.deps,
+            origin_site=proxy.site,
+            origin_put_at=msg.origin_put_at,
+        )
+        for peer, (share,) in catalog.prune(peers, (update,)):
+            self._ship(peer, share)
 
     def _ship(self, peer: Address, update: RemoteUpdate) -> None:
         self.proxy.send(peer, update)
@@ -545,7 +536,7 @@ class NoticesShipping(SitePlane):
     def _globally_stable(self, key: str, version: VersionVector, origin_put_at: float) -> None:
         proxy = self.proxy
         proxy.global_stability_samples.append(proxy.sim.now - origin_put_at)
-        self._announce_global(proxy._peers_for(key), key, version)
+        self._announce_global(proxy._catalog.owner_peers(proxy._peers, key), key, version)
 
     def _announce_global(self, peers: List[Address], key: str, version: VersionVector) -> None:
         """Tell every owner DC (and our own chain members) the write is

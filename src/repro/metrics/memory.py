@@ -94,17 +94,17 @@ def _census_records(stores: List[VersionedStore]) -> Tuple[int, int]:
                 objects += 1
                 size += record_size
     for base, sites in shared.values():
-        rings: Dict[Tuple[HashRing, int], List[Tuple[Any, Dict[str, VersionedStore]]]] = {}
+        rings: Dict[Tuple[HashRing, int], List[Tuple[bool, Any, Dict[str, VersionedStore]]]] = {}
         for placement, holders in sites.items():
             rings.setdefault((placement.ring, placement.length), []).append(
-                (placement.owned, holders)
+                (placement.owns_all, placement.owned, holders)
             )
         for key, entry in base.entries.items():
             entry_size = None
             for (ring, length), ring_sites in rings.items():
                 chain = ring.place(key, length)
-                for owned, holders in ring_sites:
-                    if owned is not None and not owned(key):
+                for owns_all, owned, holders in ring_sites:
+                    if not owns_all and not owned(key):
                         continue
                     for name in chain:
                         store = holders.get(name)

@@ -168,17 +168,16 @@ def placement_stats(store: Any) -> Dict[str, Any]:
     census the replication-degree A/B compares; the forwarded-operation
     counters and ``dep_table_slots`` bound the extra metadata partial
     replication introduces (remote routing plus ``fwd_deps`` merges).
-    Under full replication the catalog is None and the dict collapses to
-    the degenerate summary.
+    Under full replication the dict collapses to the degenerate summary.
     """
     config = store.config
-    catalog = config.placement()
-    if catalog is None:
+    if not config.is_partial:
         return {
             "partial": False,
             "replication_degree": len(config.sites),
             "num_shards": config.num_shards,
         }
+    catalog = config.placement()
     per_site: Dict[str, Dict[str, int]] = {}
     for site in store.local_sites:
         nodes = store.nodes.get(site, [])

@@ -71,14 +71,14 @@ def touched(base):
     return [key for key, entry in base.entries.items() if type(entry) is Record]
 
 
-def install_per_server(data, version, now, views, nodes, owns=None):
+def install_per_server(data, version, now, views, nodes, catalog):
     stamp = stamp_of(version)
     groups = {site: {name: {} for name in nodes[site]} for site in views}
     for key, value in data.items():
         key = intern_str(key)
         record = Record(key, value, version, stamp, now)
         for site, view in views.items():
-            if owns is not None and not owns(site, key):
+            if not catalog.owns(site, key):
                 continue
             for name in view.chain_for(key):
                 groups[site][name][key] = record

@@ -70,7 +70,7 @@ def reference_preload(store, data):
     for key, value in data.items():
         key = intern_str(key)
         for site, manager in store.managers.items():
-            if placement is not None and not placement.owns(site, key):
+            if not placement.owns(site, key):
                 continue
             for server_name in manager.view.chain_for(key):
                 node = store._node(site, server_name)
@@ -226,7 +226,9 @@ def test_install_converged_reports_only_the_keys_a_store_arbitrated():
     views = {site: manager.view for site, manager in store.managers.items()}
 
     def install(data):
-        return install_converged(data, version, store.sim.now, views, store._nodes_by_name)
+        return install_converged(
+            data, version, store.sim.now, views, store._nodes_by_name, store.config.placement()
+        )
 
     fresh = install(DATA)
     assert set(fresh) == {"dc0", "dc1"}

@@ -38,6 +38,14 @@ never waited over RPC, moved in bytes only (1 568 988 -> 1 529 723).
 0172bb7, when a single site's clock role was a ``ClockAgent`` actor of
 its own; every site's geo-proxy hosts it now, sending the same
 ``ClockTick`` s on the same timers.
+
+The ``-r2`` rows pin partial replication on every plane: three sites
+(``dc0 dc1 dc2``) at ``replication_degree=2``, the same mini-run but
+YCSB-A, as B ships only 8 writes. They pin the per-peer shipping rule
+(owner peers only, each with the dependency entries on its own shards)
+on the notices, batched and clock ship paths. Recorded on c941bce,
+where each ship path still wrote the rule out itself, and unchanged
+when the rule moved into the placement catalog.
 """
 
 import pytest
@@ -55,18 +63,36 @@ PLANE_PINS = {
     "clock": (24687, 15988, 1529723),
 }
 
-TWO_SITES = ("dc0", "dc1")
+#: stabilization plane -> the same counters at replication degree 2 of 3
+PARTIAL_PINS = {
+    "notices": (3831, 2548, 295437),
+    "notices+batch": (3504, 2084, 272848),
+    "clock": (26328, 17338, 964431),
+}
 
-#: (protocol, sites, config overrides) -> the same three counters
+TWO_SITES = ("dc0", "dc1")
+THREE_SITES = ("dc0", "dc1", "dc2")
+
+#: (protocol, sites, config overrides, YCSB workload) -> the same three counters
 GOLDEN_PINS = {
     **{
-        plane: ("chainreaction", TWO_SITES, {"stability": plane}, PLANE_PINS[plane])
+        plane: ("chainreaction", TWO_SITES, {"stability": plane}, "B", PLANE_PINS[plane])
         for plane in STABILITY_PLANES
     },
-    "clock-1dc": ("chainreaction", ("dc0",), {"stability": "clock"}, (15109, 9643, 852971)),
-    "cops": ("cops", TWO_SITES, None, (10884, 7045, 763654)),
-    "eventual": ("eventual", TWO_SITES, None, (9924, 6189, 887205)),
-    "quorum": ("quorum", TWO_SITES, None, (13106, 8488, 1145100)),
+    **{
+        f"{plane}-r2": (
+            "chainreaction",
+            THREE_SITES,
+            {"stability": plane, "replication_degree": 2},
+            "A",
+            PARTIAL_PINS[plane],
+        )
+        for plane in STABILITY_PLANES
+    },
+    "clock-1dc": ("chainreaction", ("dc0",), {"stability": "clock"}, "B", (15109, 9643, 852971)),
+    "cops": ("cops", TWO_SITES, None, "B", (10884, 7045, 763654)),
+    "eventual": ("eventual", TWO_SITES, None, "B", (9924, 6189, 887205)),
+    "quorum": ("quorum", TWO_SITES, None, "B", (13106, 8488, 1145100)),
 }
 
 
@@ -74,12 +100,12 @@ def test_every_plane_has_a_builder_and_a_pin():
     # A plane added to the names and not to the factory table (or the
     # other way round, or left unpinned) fails here, not at run time.
     assert tuple(PLANES) == STABILITY_PLANES
-    assert set(PLANE_PINS) == set(STABILITY_PLANES)
+    assert set(PLANE_PINS) == set(PARTIAL_PINS) == set(STABILITY_PLANES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PINS))
 def test_fixed_seed_run_matches_recorded_counters(name):
-    protocol, sites, overrides, pinned = GOLDEN_PINS[name]
+    protocol, sites, overrides, letter, pinned = GOLDEN_PINS[name]
     store = build_store(
         protocol,
         sites=sites,
@@ -88,7 +114,7 @@ def test_fixed_seed_run_matches_recorded_counters(name):
         seed=1234,
         overrides=overrides,
     )
-    spec = workload("B", record_count=25, value_size=32)
+    spec = workload(letter, record_count=25, value_size=32)
     WorkloadRunner(store, spec, n_clients=3, duration=0.5, warmup=0.1).run()
     stats = store.network.stats
     assert (store.sim.events_processed, stats.messages_sent, stats.bytes_sent) == pinned

@@ -1,16 +1,25 @@
-"""Tests for the partial-replication shard catalog (PR 10): placement
-determinism (pinned owner tables), the ring-prefix property that makes
-primaries degree-invariant, pickle/value semantics for the sharded
-simulator, validation, and the config gating that keeps full
-replication (the default) on the exact pre-PR code path."""
+"""Tests for the placement catalogs: the partial-replication shard
+catalog's determinism (pinned owner tables), the ring-prefix property
+that makes primaries degree-invariant, pickle/value semantics for the
+sharded simulator and validation; what each peer receives of a shipment
+(``prune``); and the config choosing ``FullReplication`` for the
+default and for ``r = len(sites)``."""
 
 import pickle
 
 import pytest
 
-from repro.cluster.placement import SITE_VIRTUAL_NODES, ShardCatalog, shard_catalog
+from repro.cluster.placement import (
+    SITE_VIRTUAL_NODES,
+    FullReplication,
+    ShardCatalog,
+    shard_catalog,
+)
 from repro.core.config import ChainReactionConfig
+from repro.core.messages import DepEntry, RemoteUpdate
 from repro.errors import ClusterError, ConfigError
+from repro.net.network import Address
+from repro.storage.version import VersionVector
 
 SITES = ("dc0", "dc1", "dc2")
 
@@ -97,16 +106,17 @@ class TestLookups:
             assert owners == catalog.owners[shard]
             for site in SITES:
                 assert catalog.owns(site, key) == (site in owners)
-                assert catalog.owns_shard(site, shard) == (site in owners)
                 assert (shard in catalog.owned_shards(site)) == (site in owners)
 
-    def test_is_full_and_describe(self):
-        assert ShardCatalog(SITES, 4, 3).is_full
+    def test_owns_all(self):
+        assert all(ShardCatalog(SITES, 4, 3).owns_all(site) for site in SITES)
         partial = ShardCatalog(SITES, 4, 1)
-        assert not partial.is_full
-        rows = partial.describe()
-        assert len(rows) == 4
-        assert rows[0] == (0, partial.owners[0])
+        assert not any(partial.owns_all(site) for site in SITES)
+        # a partial catalog's site may still own every shard
+        one_shard = ShardCatalog(SITES, 1, 2)
+        assert [one_shard.owns_all(site) for site in SITES] == [
+            site in one_shard.owners[0] for site in SITES
+        ]
 
 
 class TestValueSemantics:
@@ -144,24 +154,86 @@ class TestValidation:
             ShardCatalog(SITES, 0, 1)
 
 
+def _peers(sites=SITES):
+    return [Address(site, "geoproxy") for site in sites]
+
+
+def _update(key, *dep_keys):
+    deps = {dep: DepEntry(VersionVector({"dc0": 1}), 0) for dep in dep_keys}
+    return RemoteUpdate(key=key, value="v", deps=deps, origin_site="dc0")
+
+
+def _assert_full_replication(catalog):
+    """Every site owns every key, and every peer receives the shipment
+    itself: the same tuple, the same dependency maps."""
+    assert isinstance(catalog, FullReplication)
+    assert catalog.sites == SITES
+    keys = [f"user{i:08d}" for i in range(50)]
+    assert all(catalog.owns(site, key) for site in SITES for key in keys)
+    assert all(catalog.owns_all(site) for site in SITES)
+    peers = _peers()
+    assert catalog.owner_peers(peers, keys[0]) is peers
+    ship = (_update(keys[0], *keys[1:4]), _update(keys[4]))
+    shares = catalog.prune(peers, ship)
+    assert [peer for peer, _ in shares] == peers
+    assert all(share is ship for _, share in shares)
+    assert shares[0][1][0].deps is ship[0].deps
+
+
+class TestPrune:
+    """``ShardCatalog.prune``: owner peers only, each with the dependency
+    entries on its own shards, the shipment itself where nothing drops."""
+
+    CATALOG = ShardCatalog(SITES, 8, 2)
+
+    def _key_owned_by(self, owners):
+        return next(
+            key for key in (f"user{i:08d}" for i in range(1000))
+            if set(self.CATALOG.owners_for(key)) == set(owners)
+        )
+
+    def test_only_owner_peers_receive_an_update(self):
+        key = self._key_owned_by(("dc0", "dc1"))
+        peers = _peers(("dc1", "dc2"))
+        assert self.CATALOG.owner_peers(peers, key) == [peers[0]]
+        ship = (_update(key),)
+        assert self.CATALOG.prune(peers, ship) == [(peers[0], ship)]
+
+    def test_dependency_entries_are_pruned_per_peer(self):
+        key = self._key_owned_by(("dc1", "dc2"))
+        on_dc1 = self._key_owned_by(("dc0", "dc1"))
+        on_both = self._key_owned_by(("dc1", "dc2"))
+        ship = (_update(key, on_dc1, on_both),)
+        (dc1, whole), (dc2, pruned) = self.CATALOG.prune(_peers(("dc1", "dc2")), ship)
+        assert (dc1.site, dc2.site) == ("dc1", "dc2")
+        assert whole is ship
+        assert pruned is not ship and set(pruned[0].deps) == {on_both}
+        assert pruned[0].deps[on_both] is ship[0].deps[on_both]
+        assert (pruned[0].key, pruned[0].value) == (key, "v")
+
+    def test_a_peer_with_nothing_to_receive_is_left_out(self):
+        key = self._key_owned_by(("dc0", "dc1"))
+        assert self.CATALOG.prune(_peers(("dc2",)), (_update(key),)) == []
+
+
 class TestConfigGating:
     def test_default_is_full_replication(self):
         config = ChainReactionConfig(sites=SITES)
         assert config.replication_degree == 0
-        assert config.placement() is None
+        _assert_full_replication(config.placement())
 
     def test_degree_equal_to_sites_is_full(self):
-        # explicit r=sites must take the same no-catalog path as the
-        # default — the golden-trace invariance gate depends on it
+        # explicit r=sites is the default's catalog — the golden-trace
+        # invariance gate depends on it
         config = ChainReactionConfig(sites=SITES, replication_degree=3)
-        assert config.placement() is None
+        _assert_full_replication(config.placement())
 
     def test_partial_degree_builds_a_catalog(self):
         config = ChainReactionConfig(
             sites=SITES, replication_degree=2, num_shards=8
         )
         catalog = config.placement()
-        assert catalog is not None
+        assert isinstance(catalog, ShardCatalog)
         assert catalog.replication_degree == 2
         assert catalog.num_shards == 8
         assert config.placement() is catalog  # cached value object

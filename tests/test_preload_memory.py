@@ -63,9 +63,9 @@ def _memo(store):
 
 
 def _shard_memo(store):
-    """The keys the shard catalog's memo holds (none without one)."""
-    catalog = store.config.placement()
-    return set() if catalog is None else set(catalog._shard_cache)
+    """The keys the shard catalog's memo holds (a full-replication
+    catalog has none)."""
+    return set(getattr(store.config.placement(), "_shard_cache", ()))
 
 
 def _base(store):
