@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.api import GetResult, PutResult, SnapshotResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.core.deptable import DepSnapshot, DepTable
-from repro.core.messages import DepEntry, PutReply, PutRequest, ReadReply
+from repro.core.messages import DepEntry, GetRequest, PutReply, PutRequest, ReadReply
 from repro.errors import RequestTimeout
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, hlc_or_none
@@ -234,15 +234,15 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             # Ablation mode: accumulate forever (measured in E8).
             self._deps.set(key, reply.version, reply.index, hlc)
 
-    def on_put_reply(self, msg: PutReply, src: Any) -> None:
-        pending = self._rpc_pending.pop(msg.request_id, None)
-        if pending is not None:  # else: a late reply to an attempt that timed out
-            pending[0].rpc_reply(msg)
+    #: the answers to this session's gets and puts
+    on_put_reply = on_read_reply = RetryingSession.take_reply
 
 
 class _GetOp(RetryingOp):
-    """A get of a locally-owned key: per attempt, one ``get`` RPC to a
-    chain position the session's metadata allows."""
+    """A get of a locally-owned key: per attempt, a ``GetRequest`` to a
+    chain position the session's metadata allows under a fresh request
+    id, answered by a ``ReadReply`` straight back. The attempt waits in
+    the session's deadline table, as a ``_PutOp``'s does."""
 
     __slots__ = ("_force_head", "_probe_deep", "_served_by")
 
@@ -271,9 +271,16 @@ class _GetOp(RetryingOp):
         else:
             index = session._read_target_index(len(chain), key, self._force_head)
         served_by = self._served_by = chain[index]
-        session.request(view.address_of(served_by), "get", key, config.op_timeout, self)
+        target = view.address_of(served_by)
+        rid = session._open_request(self, config.op_timeout, "get", target)
+        if rid:
+            session.send(target, GetRequest(request_id=rid, key=key))
 
     def rpc_reply(self, reply: ReadReply) -> None:
+        if not reply.ok:
+            # syncing / not responsible: refresh and retry
+            self._retry()
+            return
         session = self._session
         key = self._key
         version = reply.version
@@ -305,7 +312,7 @@ class _PutOp(RetryingOp):
     """A put or delete of a locally-owned key: per attempt, a
     ``PutRequest`` to the chain head under a fresh request id, answered
     by a ``PutReply`` straight from the k-th server. The attempt waits in
-    the session's RPC deadline table like any request, so it times out,
+    the session's deadline table like any request, so it times out,
     crashes and closes the same way."""
 
     __slots__ = ("_new_value", "_is_delete", "_deps")

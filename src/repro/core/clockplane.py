@@ -62,7 +62,6 @@ from repro.core.messages import (
     ClockTick,
     Deps,
     PutRequest,
-    ReadReply,
     RemoteUpdate,
     StabilityVector,
     TailApplied,
@@ -351,10 +350,10 @@ class ClockNodePlane(StabilityPlane):
             return True
         return ts <= self.cut
 
-    def annotate_read(self, reply: ReadReply, key: str) -> None:
+    def annotate_read(self, key: str) -> Optional[HLCStamp]:
         # Clients thread the stamp into their dependency metadata so a
         # dependent put can name the exact stamp to wait on.
-        reply.hlc = self._hlc_of.get(key)
+        return self._hlc_of.get(key)
 
     # -- tail completion -----------------------------------------------
     def tail_stabilise(

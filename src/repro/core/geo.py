@@ -18,7 +18,7 @@ On the receiving side, a remote update is injected into the local chain
 key — but only after every dependency it carries is DC-stable locally
 (when ``geo_causal_delivery`` is on). On the notices planes the proxy
 answers that from its own plane, which records every ``TailStable`` the
-local tails send it; it asks a dependency's tail (``wait_stable``) only
+local tails send it; it asks a dependency's tail (a ``WaitStable``) only
 when no word came within one attempt. That gate is what makes a remote
 reader unable to observe a write before the writes it causally depends
 on; switching it off (DESIGN.md §6.4) reintroduces the anomalies that
@@ -39,7 +39,15 @@ from repro.cluster.membership import RingView
 from repro.core.config import ChainReactionConfig
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
-from repro.core.messages import ApplyRemote, PutReply, PutRequest, RemoteUpdate
+from repro.core.messages import (
+    Ack,
+    ApplyRemote,
+    GetRequest,
+    PutReply,
+    PutRequest,
+    ReadReply,
+    RemoteUpdate,
+)
 from repro.errors import RemoteError, RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
@@ -145,14 +153,14 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         serialised — the property the relaxed dependency checking in
         :meth:`_RemoteApply._wait_deps` (and the planes) relies on.
         """
-        return _ForwardRead(self, "get_fwd", key)
+        return _ForwardRead(self, key, stable=False)
 
     def rpc_forward_get_stable(self, key: str, src: Address) -> Future:
         """Snapshot-read leg for a non-owned shard: the primary's stable
         record plus the full dependency list of the write that produced
         it (the primary's record deps are never pruned — it admitted the
         write straight from the client's PutRequest)."""
-        return _ForwardRead(self, "get_stable", key)
+        return _ForwardRead(self, key, stable=True)
 
     def rpc_forward_put(self, payload: Dict[str, Any], src: Address) -> Future:
         """Apply a remote client's write through the local chain.
@@ -164,26 +172,37 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
         """
         return _ForwardPut(self, payload)
 
-    def on_put_reply(self, msg: PutReply, src: Address) -> None:
-        pending = self._rpc_pending.pop(msg.request_id, None)
-        if pending is not None:  # else: a late reply to an attempt that timed out
-            pending[0].rpc_reply(msg)
+    #: the answers to forwarded reads and writes, dependency waits and
+    #: injections
+    on_put_reply = on_read_reply = on_ack = Actor.take_reply
 
 
 class _ForwardRead(Future):
     """A forwarded read at the owner side: one request to the local chain
-    head, whose reply (or failure) is the remote client's."""
+    head — a forwarded ``GetRequest``, or a ``get_stable`` RPC for a
+    snapshot-read leg — whose reply (or failure) is the remote client's.
+    A read the head refused fails with a :class:`RemoteError`, which the
+    remote client retries."""
 
     __slots__ = ("_proxy",)
 
-    def __init__(self, proxy: GeoProxy, method: str, key: str) -> None:
+    def __init__(self, proxy: GeoProxy, key: str, stable: bool) -> None:
         super().__init__(proxy.sim)
         self._proxy = proxy
         view = proxy.view
         head = view.address_of(view.chain_for(key)[0])
-        proxy.request(head, method, key, proxy.config.op_timeout, self)
+        timeout = proxy.config.op_timeout
+        if stable:
+            proxy.request(head, "get_stable", key, timeout, self)
+            return
+        rid = proxy._open_request(self, timeout, "get", head)
+        if rid:
+            proxy.send(head, GetRequest(request_id=rid, key=key, forwarded=True))
 
     def rpc_reply(self, reply: Any) -> None:
+        if type(reply) is ReadReply and not reply.ok:
+            self.set_exception(RemoteError(reply.error))
+            return
         proxy = self._proxy
         proxy.forwarded_gets_served += 1
         proxy.forwarded_get_bytes += estimate_size(reply)
@@ -241,8 +260,9 @@ class _RemoteApply:
     in continuation form. In order: its dependencies are DC-stable here
     (one concurrent :class:`DepWait` each, ``wait_deps``); its same-key
     predecessor's gate is open; its own gate opens — from its own event —
-    and ``apply_remote`` goes to the chain head, re-resolved and re-sent
-    after ``client_retry_backoff`` for up to ``max_retries`` attempts.
+    and an :class:`ApplyRemote` goes to the chain head, re-resolved and
+    re-sent after ``client_retry_backoff`` for up to ``max_retries``
+    attempts.
 
     The first step runs inline, from the constructor. The gate still
     opens from its own ``call_soon`` event: the clock plane's simulated
@@ -256,10 +276,7 @@ class _RemoteApply:
         wait_deps: bool,
     ) -> None:
         self._proxy = proxy
-        self._update = ApplyRemote(
-            msg.key, msg.value, msg.version, msg.stamp, msg.deps, msg.origin_site,
-            msg.origin_put_at, msg.hlc,
-        )
+        self._update = msg
         self._previous = previous
         #: the same-key successor parked on this update's gate, if any
         self._next: Optional[_RemoteApply] = None
@@ -335,12 +352,24 @@ class _RemoteApply:
             proxy.updates_abandoned += 1
             return
         self._attempts -= 1
+        update = self._update
         view = proxy.view
-        head = view.address_of(view.chain_for(self._update.key)[0])
-        proxy.request(head, "apply_remote", self._update, proxy.config.op_timeout, self)
+        head = view.address_of(view.chain_for(update.key)[0])
+        rid = proxy._open_request(self, proxy.config.op_timeout, "apply_remote", head)
+        if rid:
+            # the RemoteUpdate's fields, in its order, under the request id
+            proxy.send(head, ApplyRemote(
+                rid, update.key, update.value, update.version, update.stamp, update.deps,
+                update.origin_site, update.origin_put_at, update.hlc,
+            ))
 
-    def rpc_reply(self, _accepted: bool) -> None:
+    def rpc_reply(self, ack: Ack) -> None:
         proxy = self._proxy
+        if not ack.ok:
+            # Refused: the head is syncing, or not the key's head under
+            # its own view. Re-resolve and re-send after the backoff.
+            proxy.sim.post(proxy.config.client_retry_backoff, self._inject)
+            return
         update = self._update
         proxy.updates_applied += 1
         if proxy.tracer is not None:
@@ -348,7 +377,7 @@ class _RemoteApply:
         proxy.visibility_samples.append(proxy.sim.now - update.origin_put_at)
 
     def rpc_failed(self, exc: BaseException) -> None:
-        if isinstance(exc, (RequestTimeout, RemoteError)):
+        if isinstance(exc, RequestTimeout):
             proxy = self._proxy
             proxy.sim.post(proxy.config.client_retry_backoff, self._inject)
         # else the proxy itself is down, and the update lost with it

@@ -5,16 +5,19 @@ Three planes:
 - **client plane** — ``PutRequest`` travels from a client session to a
   chain head; ``PutReply`` returns *directly* from whichever chain
   position acknowledges (the k-th server), saving the back-hop that a
-  conventional RPC would pay. Reads use the actor RPC layer (single
-  round-trip to one chosen server): the request's payload is the key,
-  the response's a :class:`ReadReply`.
+  conventional RPC would pay. A read is one ``GetRequest`` to one chosen
+  server, answered by a ``ReadReply`` straight back.
 - **chain plane** — ``ChainPut`` carries a write down the chain;
   ``ChainStable`` carries the tail's stability notification back up.
 - **geo plane** — ``RemoteUpdate`` ships a DC-stable write to the other
-  datacenters, where the proxy hands it to the local chain head as the
-  payload of an ``apply_remote`` RPC (an :class:`ApplyRemote`);
-  ``GlobalAck`` flows back to the origin so it can declare the write
-  globally stable.
+  datacenters, where the proxy injects it at the local chain head as an
+  ``ApplyRemote``; ``GlobalAck`` flows back to the origin so it can
+  declare the write globally stable.
+
+A dependency wait asks the dependency's chain tail with a
+``WaitStable``. It and ``ApplyRemote`` are answered by an ``Ack``.
+Every request of these pairs carries a ``request_id`` from its sender's
+deadline table (``Actor._open_request``), and its reply hands it back.
 
 On the ``notices+batch`` plane the metadata streams coalesce:
 ``BulkStable`` replaces per-write ``ChainStable`` hops,
@@ -51,7 +54,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.net.message import Message, estimate_size, wire_message
+from repro.net.message import Message, wire_message
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage.version import VersionVector
@@ -60,10 +63,13 @@ __all__ = [
     "DepEntry",
     "Deps",
     "deps_size_bytes",
-    "ReadReply",
-    "ApplyRemote",
     "PutRequest",
     "PutReply",
+    "GetRequest",
+    "ReadReply",
+    "WaitStable",
+    "ApplyRemote",
+    "Ack",
     "ChainPut",
     "ChainStable",
     "BulkStable",
@@ -148,97 +154,6 @@ def deps_size_bytes(deps: "Deps") -> int:
     return 4 + sum(4 + len(k) + d.size_bytes() for k, d in deps.items())
 
 
-class ReadReply:
-    """What a ``get`` / ``get_fwd`` RPC answers: the record as this
-    chain position (``index``) holds it.
-
-    ``value`` is None for a missing or deleted key; ``stable`` /
-    ``globally``: the version is DC-stable / stable in every DC. ``hlc``
-    is set by the clock plane only (the record's stamp, or None for an
-    unstamped record), ``fwd_deps`` only on forwarded reads of a write
-    with dependencies. Both are "absent" by values that survive pickle
-    (:data:`~repro.sim.hlc.NO_HLC`, None), never by an identity
-    sentinel: a reply crosses the shard boundary by pickle.
-
-    ``size_bytes`` is what the string-keyed dict this replaced cost on
-    the wire (keys ``value version stable global index``, plus ``hlc``
-    / ``fwd_deps`` when present), without walking one.
-    """
-
-    __slots__ = ("value", "version", "stable", "globally", "index", "hlc", "fwd_deps")
-
-    def __init__(
-        self, value: Any, version: VersionVector, stable: bool, globally: bool, index: int,
-        hlc: Any = NO_HLC, fwd_deps: Optional["Deps"] = None,
-    ) -> None:
-        self.value = value
-        self.version = version
-        self.stable = stable
-        self.globally = globally
-        self.index = index
-        self.hlc = hlc
-        self.fwd_deps = fwd_deps
-
-    def size_bytes(self) -> int:
-        # 63 = the dict's length prefix, its five fixed keys, two bools and
-        # an int: 4 + (4+5) + (4+7) + (4+6+1) + (4+6+1) + (4+5+8)
-        value = self.value
-        size = 63 + self.version.size_bytes()
-        size += 4 + len(value) if type(value) is str else estimate_size(value)
-        hlc = self.hlc
-        if hlc is not NO_HLC:
-            size += 7 + (1 if hlc is None else hlc.size_bytes())  # 4 + len("hlc")
-        if self.fwd_deps is not None:
-            size += 12 + deps_size_bytes(self.fwd_deps)  # 4 + len("fwd_deps")
-        return size
-
-
-class ApplyRemote:
-    """What an ``apply_remote`` RPC carries: a write shipped from
-    ``origin_site``, for the local chain head to serialise and propagate
-    like one of its own (the fields of the :class:`RemoteUpdate` it
-    arrived in; ``hlc`` is :data:`~repro.sim.hlc.NO_HLC` off the clock
-    plane).
-
-    ``size_bytes`` is what the string-keyed dict this replaced cost on
-    the wire (keys ``key value version stamp deps origin_site
-    origin_put_at``, plus ``hlc`` when there is a stamp), without
-    walking one.
-    """
-
-    __slots__ = (
-        "key", "value", "version", "stamp", "deps", "origin_site", "origin_put_at", "hlc",
-    )
-
-    def __init__(
-        self, key: str, value: Any, version: VersionVector, stamp: Any, deps: "Deps",
-        origin_site: str, origin_put_at: float, hlc: Any = NO_HLC,
-    ) -> None:
-        self.key = key
-        self.value = value
-        self.version = version
-        self.stamp = stamp
-        self.deps = deps
-        self.origin_site = origin_site
-        self.origin_put_at = origin_put_at
-        self.hlc = hlc
-
-    def size_bytes(self) -> int:
-        # 96 = the dict's length prefix, its seven fixed keys, two string
-        # length prefixes and a float: 4 + (4+3+4) + (4+5) + (4+7) + (4+5)
-        # + (4+4) + (4+11+4) + (4+13+8)
-        value = self.value
-        stamp = self.stamp
-        size = 96 + len(self.key) + len(self.origin_site) + self.version.size_bytes()
-        size += 4 + len(value) if type(value) is str else estimate_size(value)
-        size += 1 if stamp is None else estimate_size(stamp)
-        size += estimate_size(self.deps)
-        hlc = self.hlc
-        if hlc is not NO_HLC:
-            size += 7 + hlc.size_bytes()  # 4 + len("hlc")
-        return size
-
-
 @wire_message
 class PutRequest(Message):
     """Client → chain head. Carries the session's unstable dependencies."""
@@ -267,6 +182,92 @@ class PutReply(Message):
     error: str = ""
     #: HLC stamp of the write (clock plane); NO_HLC costs zero bytes
     hlc: Any = NO_HLC
+
+
+@wire_message
+class GetRequest(Message):
+    """Client → any chain position the session's metadata allows (or the
+    owner site's geo-proxy → the chain head, for a read forwarded from a
+    non-owner DC). Answered by a :class:`ReadReply` straight back."""
+
+    type_name: ClassVar[str] = "get-request"
+    request_id: int = 0
+    key: str = ""
+    #: forwarded from a non-owner DC: the reply carries ``fwd_deps``
+    forwarded: bool = False
+
+
+@wire_message
+class ReadReply(Message):
+    """Chain position → reader: the record as this position (``index``)
+    holds it, or ``ok=False`` with the reason the read was refused
+    (``syncing``, ``not-responsible-shard``, ``not-responsible``).
+
+    ``value`` is None for a missing or deleted key; ``stable`` /
+    ``globally``: the version is DC-stable / stable in every DC. ``hlc``
+    is the record's stamp on the clock plane (None for an unstamped
+    record), :data:`~repro.sim.hlc.NO_HLC` (zero bytes) elsewhere.
+    ``fwd_deps`` is set only on a forwarded read of a write with
+    dependencies. Both are "absent" by values that survive pickle, never
+    by an identity sentinel: a reply crosses the shard boundary by pickle.
+    """
+
+    type_name: ClassVar[str] = "read-reply"
+    request_id: int = 0
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+    stable: bool = False
+    globally: bool = False
+    index: int = 0
+    ok: bool = True
+    error: str = ""
+    hlc: Any = NO_HLC
+    fwd_deps: Optional[Deps] = None
+
+
+@wire_message
+class WaitStable(Message):
+    """A held write's dependency wait → the dependency's chain tail:
+    answer with an :class:`Ack` once ``version`` of ``key`` is DC-stable
+    there. A version comparison, not a data operation: it costs the tail
+    no service slot."""
+
+    type_name: ClassVar[str] = "wait-stable"
+    request_id: int = 0
+    key: str = ""
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+
+
+@wire_message
+class ApplyRemote(Message):
+    """Geo-proxy → local chain head: serialise and propagate a write
+    shipped from ``origin_site`` like one of the head's own (the fields
+    of the :class:`RemoteUpdate` it arrived in; ``hlc`` is
+    :data:`~repro.sim.hlc.NO_HLC` off the clock plane). Answered by an
+    :class:`Ack`, ``ok=False`` when the head is syncing or is not the
+    key's head."""
+
+    type_name: ClassVar[str] = "apply-remote"
+    request_id: int = 0
+    key: str = ""
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+    #: arbitration stamp of the surviving write (None = derive from version)
+    stamp: Any = None
+    deps: Deps = dataclasses.field(default_factory=dict)
+    origin_site: str = ""
+    origin_put_at: float = 0.0
+    hlc: Any = NO_HLC
+
+
+@wire_message
+class Ack(Message):
+    """Chain node → requester: the answer to a :class:`WaitStable` (the
+    version is DC-stable) or an :class:`ApplyRemote` (``ok``: applied)."""
+
+    type_name: ClassVar[str] = "ack"
+    request_id: int = 0
+    ok: bool = True
 
 
 @wire_message

@@ -16,9 +16,9 @@ still, as consistent hashing dictates. The node implements:
   node's stabilization plane (``node.plane``, see
   :mod:`repro.core.stability_plane`); the node asks it and keeps no
   stability state of its own.
-- **prefix reads** — a get is served by whichever chain position the
-  client chose; the reply carries the server's position and a stability
-  flag so the client can maintain its metadata.
+- **prefix reads** — a ``GetRequest`` is served by whichever chain
+  position the client chose; the ``ReadReply`` carries the server's
+  position and a stability flag so the client can maintain its metadata.
 - **chain repair** — on a membership change every server streams the
   records each new chain member is responsible for, and pauses
   client-facing service until it has received its peers' transfers
@@ -34,24 +34,25 @@ from repro.cluster.ring import chain_positions
 from repro.cluster.server_base import RingServer
 from repro.core.config import ChainReactionConfig
 from repro.core.messages import (
+    Ack,
     ApplyRemote,
     ChainPut,
     Deps,
+    GetRequest,
     PutReply,
     PutRequest,
     ReadReply,
     StateTransfer,
     TransferDone,
+    WaitStable,
 )
 from repro.core.deptable import DepSnapshot
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
 from repro.errors import NotResponsibleError, ReplicaUnavailable
-from repro.net.message import Message
 from repro.net.network import Address, Network
 from repro.sim.hlc import NO_HLC
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future
 from repro.storage.merge import ConflictResolver
 from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
@@ -68,22 +69,16 @@ _NO_DEPS: Deps = {}
 class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per server, not per key
     """A ChainReaction server: head/replica/tail for its share of chains."""
 
+    #: The data operations. A ``wait-stable`` is not one: a stability
+    #: query is a version comparison, and charging it a service slot
+    #: would tax every dependency-carrying put with capacity it does not
+    #: consume. (``rpc-request``: the snapshot read's ``get_stable``.)
     SERVICED_TYPES = frozenset(
-        {"rpc-request", "put-request", "chain-put", "state-transfer"}
+        {"rpc-request", "get-request", "put-request", "apply-remote", "chain-put", "state-transfer"}
     )
 
-    def service_cost(self, msg: Message) -> float:
-        # Actor.service_cost's rule, answered here without its frame.
-        type_name = msg.type_name
-        if self.service_time > 0 and type_name in self.SERVICED_TYPES:
-            # Stability queries are version comparisons, not data
-            # operations; charging them a full service slot would tax
-            # every dependency-carrying put with capacity it doesn't
-            # consume in reality.
-            if type_name == "rpc-request" and msg.method == "wait_stable":  # type: ignore[attr-defined]
-                return 0.0
-            return self.service_time
-        return 0.0
+    #: answers to this head's own dependency waits
+    on_ack = RingServer.take_reply
 
     def __init__(
         self,
@@ -377,53 +372,62 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     # ------------------------------------------------------------------
     # reads (any chain position)
     # ------------------------------------------------------------------
-    def rpc_get(self, key: str, src: Address) -> ReadReply:
-        if self.syncing:
-            self.rejected_ops += 1
-            raise ReplicaUnavailable("syncing")
-        if not self.placement.owns(self.site, key):
-            self.rejected_ops += 1
-            raise NotResponsibleError(f"{self.site} does not own the shard of {key!r}")
+    def on_get_request(self, msg: GetRequest, src: Address) -> None:
+        self.send(src, self.read_reply(msg.key, msg.request_id, msg.forwarded))
+
+    def read_reply(self, key: str, request_id: int = 0, forwarded: bool = False) -> ReadReply:
+        """This chain position's answer to a read of ``key``.
+
+        A read ``forwarded`` from a non-owner DC (via the proxy) also
+        gets ``fwd_deps``: the dependency list of the write being
+        served. A local reader is covered by this site's admission gates
+        (dependencies on owned shards were DC-stable *here* before the
+        write surfaced), but a remote reader observes the write before
+        those dependencies reach *its* site — so the entries ride along
+        for the reader's session to dominance-check against its own DC.
+        The list is the write's (already bounded) client dep snapshot,
+        not a transitive closure.
+        """
+        if self.syncing or not self.placement.owns(self.site, key):
+            return self._refuse_read(key, request_id)
         pos = chain_positions(self.chain_for(key), self.name)
         if pos is None:
-            self.rejected_ops += 1
-            raise NotResponsibleError(f"{self.name} not in chain for {key!r}")
+            return self._refuse_read(key, request_id)
         self.gets_served += 1
+        plane = self.plane
+        fwd_deps = None
+        if forwarded:
+            deps = self._record_deps.get(key)
+            if deps:
+                fwd_deps = {k: e for k, e in deps.items() if k != key} or None
         record = self.store.get_record(key)
         if record is None:
-            reply = ReadReply(None, VersionVector(), True, True, pos)
-        else:
-            version = record.version
-            dc_stable = self.plane.record_is_stable(key, version)
-            reply = ReadReply(
-                None if record.is_deleted else record.value,
-                version,
-                dc_stable,
-                self.plane.record_is_global(key, version, dc_stable),
-                pos,
+            return ReadReply(
+                request_id=request_id, stable=True, globally=True, index=pos,
+                hlc=plane.annotate_read(key), fwd_deps=fwd_deps,
             )
-        self.plane.annotate_read(reply, key)
-        return reply
+        version = record.version
+        dc_stable = plane.record_is_stable(key, version)
+        return ReadReply(
+            request_id=request_id,
+            value=None if record.is_deleted else record.value,
+            version=version,
+            stable=dc_stable,
+            globally=plane.record_is_global(key, version, dc_stable),
+            index=pos,
+            hlc=plane.annotate_read(key),
+            fwd_deps=fwd_deps,
+        )
 
-    def rpc_get_fwd(self, key: str, src: Address) -> ReadReply:
-        """Serve a read forwarded from a non-owner DC (via the proxy).
-
-        Same as :meth:`rpc_get`, plus ``fwd_deps``: the dependency list
-        of the write being served. A local reader is covered by this
-        site's admission gates (dependencies on owned shards were
-        DC-stable *here* before the write surfaced), but a remote reader
-        observes the write before those dependencies reach *its* site —
-        so the entries ride along for the reader's session to dominance-
-        check against its own DC. The list is the write's (already
-        bounded) client dep snapshot, not a transitive closure.
-        """
-        reply = self.rpc_get(key, src)
-        deps = self._record_deps.get(key)
-        if deps:
-            fwd = {k: e for k, e in deps.items() if k != key}
-            if fwd:
-                reply.fwd_deps = fwd
-        return reply
+    def _refuse_read(self, key: str, request_id: int) -> ReadReply:
+        self.rejected_ops += 1
+        if self.syncing:
+            error = "syncing"
+        elif not self.placement.owns(self.site, key):
+            error = "not-responsible-shard"
+        else:
+            error = "not-responsible"
+        return ReadReply(request_id=request_id, ok=False, error=error)
 
     def rpc_get_stable(self, key: str, src: Address) -> Dict[str, Any]:
         """Serve the newest DC-stable record for ``key``, with the deps of
@@ -459,35 +463,34 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     # ------------------------------------------------------------------
     # stability queries (tail role)
     # ------------------------------------------------------------------
-    def rpc_wait_stable(self, payload: Tuple[str, VersionVector], src: Address) -> Future:
-        key, version = payload
-        return self.plane.wait_stable(key, version)
+    def on_wait_stable(self, msg: WaitStable, src: Address) -> None:
+        request_id = msg.request_id
+        self.plane.wait_stable(msg.key, msg.version).add_callback(
+            lambda _answer: self.send(src, Ack(request_id=request_id))
+        )
 
     # ------------------------------------------------------------------
     # remote updates injected by the geo-proxy (head role)
     # ------------------------------------------------------------------
-    def rpc_apply_remote(self, update: ApplyRemote, src: Address) -> bool:
-        key = update.key
-        if self.syncing:
-            raise ReplicaUnavailable("syncing")
-        pos = chain_positions(self.chain_for(key), self.name)
-        if pos is None or pos != 0:
-            raise NotResponsibleError(f"{self.name} is not head for {key!r}")
-        self.remote_applies += 1
-        self._apply_and_propagate(
-            key=key,
-            value=update.value,
-            version=update.version,
-            origin_site=update.origin_site,
-            deps=update.deps,
-            ack_index=-1,
-            request_id=0,
-            reply_to=None,
-            origin_put_at=update.origin_put_at,
-            stamp=update.stamp,
-            hlc=update.hlc,
-        )
-        return True
+    def on_apply_remote(self, msg: ApplyRemote, src: Address) -> None:
+        key = msg.key
+        ok = not self.syncing and chain_positions(self.chain_for(key), self.name) == 0
+        if ok:
+            self.remote_applies += 1
+            self._apply_and_propagate(
+                key=key,
+                value=msg.value,
+                version=msg.version,
+                origin_site=msg.origin_site,
+                deps=msg.deps,
+                ack_index=-1,
+                request_id=0,
+                reply_to=None,
+                origin_put_at=msg.origin_put_at,
+                stamp=msg.stamp,
+                hlc=msg.hlc,
+            )
+        self.send(src, Ack(request_id=msg.request_id, ok=ok))
 
     # ------------------------------------------------------------------
     # chain repair

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import RemoteError, RequestTimeout
+from repro.core.messages import WaitStable
+from repro.errors import RequestTimeout
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Future
 from repro.storage.version import VersionVector
@@ -156,10 +157,10 @@ class DepWait:
     """One dependency of a write held back for it, in continuation form:
     the asking side of :meth:`StabilityTracker.wait`.
 
-    Asks the dependency's chain tail (``wait_stable``) whether
-    ``version`` of ``key`` is DC-stable. A ``RequestTimeout`` or
-    ``RemoteError`` re-asks whoever the tail is by then — view changes
-    mid-wait — until ``dep_wait_timeout`` has passed. Then exactly one
+    Asks the dependency's chain tail (a :class:`WaitStable`, answered by
+    an ``Ack``) whether ``version`` of ``key`` is DC-stable. A
+    ``RequestTimeout`` re-asks whoever the tail is by then — view
+    changes mid-wait — until ``dep_wait_timeout`` has passed. Then exactly one
     of ``parent.dep_done(stable)`` and ``parent.dep_failed()``:
     ``stable`` is False when time ran out (the write proceeds anyway —
     the dependency can only be missing for good if its data was lost,
@@ -168,12 +169,12 @@ class DepWait:
 
     ``actor`` is the chain head holding a put, or the geo proxy holding
     a remote update. A head that is itself the dependency's tail asks
-    its own plane, for all the time that is left rather than one RPC
+    its own plane, for all the time that is left rather than one request
     attempt's worth. A host whose plane hears the key's stability
     (``plane.hears_stability``: the notices proxies, told by every tail
     of their site) first waits on that plane for one attempt, entered in
     its deadline table as if it had asked itself, so a crash fails it
-    like an RPC; only if no word came does it ask the tail — a
+    like a request; only if no word came does it ask the tail — a
     ``TailStable`` is lost with a crashed tail's in-flight messages, or
     with the proxy when it was down at the stability event.
 
@@ -194,9 +195,9 @@ class DepWait:
         self._version = version
         timeout = actor.config.dep_wait_timeout
         self._deadline = actor.sim.now + timeout
-        #: one RPC's share of it
+        #: one request's share of it
         self._attempt = max(timeout / 3.0, 0.05)
-        #: the local answer being waited for; None over an RPC, and again
+        #: the local answer being waited for; None over a request, and again
         #: once its deadline fired (its late answer is then ignored)
         self._local: Optional[Future] = None
         #: whether the first attempt waits on the host's own plane
@@ -222,10 +223,9 @@ class DepWait:
             self._timer: ScheduledEvent = sim.schedule(remaining, self._local_timeout)
             answer.add_callback(self._local_answer)
         else:
-            actor.request(
-                tail, "wait_stable", (self._key, self._version),
-                min(self._attempt, remaining), self,
-            )
+            rid = actor._open_request(self, min(self._attempt, remaining), "wait_stable", tail)
+            if rid:
+                actor.send(tail, WaitStable(request_id=rid, key=self._key, version=self._version))
 
     def _overheard(self, actor: Any, span: float) -> None:
         answer = actor.plane.wait_stable(self._key, self._version)
@@ -254,11 +254,11 @@ class DepWait:
         self._local = None
         self._ask()
 
-    def rpc_reply(self, _stable: bool) -> None:
+    def rpc_reply(self, _ack: Any) -> None:
         self._parent.dep_done(True)
 
     def rpc_failed(self, exc: BaseException) -> None:
-        if isinstance(exc, (RequestTimeout, RemoteError)):
+        if isinstance(exc, RequestTimeout):
             self._ask()
         else:
             self._parent.dep_failed()

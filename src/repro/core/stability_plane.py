@@ -43,7 +43,6 @@ from repro.core.messages import (
     GlobalAck,
     GlobalStableNotice,
     PutRequest,
-    ReadReply,
     RemoteUpdate,
     TailStable,
 )
@@ -115,7 +114,7 @@ class StabilityPlane(_PlaneHalf):
       — chain-repair hooks.
     - ``mark_converged(version, arbitrated, placed)`` — preload's hook,
       the twin of :meth:`SitePlane.mark_converged`.
-    - ``annotate_read(reply, key)`` — plane-specific read-reply fields.
+    - ``annotate_read(key)`` — the plane's field of a read reply (its ``hlc``).
     - ``metadata`` / ``max_skew`` / ``coalescers`` — metrics gauges.
 
     What the deployment facade and the metrics ask of the *class*:
@@ -142,7 +141,7 @@ class StabilityPlane(_PlaneHalf):
 
     def wait_stable(self, key: str, version: VersionVector) -> Future:
         """A future resolving once ``version`` of ``key`` is DC-stable
-        here — the server side of the ``wait_stable`` RPC."""
+        here — the tail's answer to a :class:`~repro.core.messages.WaitStable`."""
         raise NotImplementedError
 
     # -- write metadata ------------------------------------------------
@@ -247,8 +246,10 @@ class StabilityPlane(_PlaneHalf):
         return None
 
     # -- read replies / gauges -----------------------------------------
-    def annotate_read(self, reply: ReadReply, key: str) -> None:
-        return None
+    def annotate_read(self, key: str) -> Any:
+        """The ``hlc`` a read reply of ``key`` carries: :data:`NO_HLC`
+        (zero bytes) unless the plane stamps writes."""
+        return NO_HLC
 
     def metadata(self) -> Dict[str, int]:
         """This server's summed gauges of ``protocol_stats()["metadata"]``."""
@@ -449,8 +450,8 @@ class NoticesShipping(SitePlane):
     origin alike, is also recorded in the half's own
     :class:`StabilityTracker`, so an inbound update's dependency waits
     (:class:`~repro.core.stability.DepWait`) are answered here, from the
-    stream the tails already send, rather than by a ``wait_stable`` RPC
-    per dependency. Its floor is what preload installed converged."""
+    stream the tails already send, rather than by a ``WaitStable`` to a
+    tail per dependency. Its floor is what preload installed converged."""
 
     __slots__ = ("_pending_global", "_stable", "_converged")
 

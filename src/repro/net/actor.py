@@ -6,13 +6,20 @@ handler methods (dispatched on the message's ``type_name``), owns timers
 that die with it, and can be crashed and recovered for fault-injection
 experiments.
 
-A built-in request/response layer (``rpc_<method>`` handlers) covers
-the client-facing paths: :meth:`Actor.request` hands the outcome to a
-*continuation* (``rpc_reply(value)`` / ``rpc_failed(exc)``), and
-:meth:`Actor.call` is the same with a fresh
-:class:`~repro.sim.process.Future` for code that yields the call. Every
-awaited reply sits in one deadline table per actor, watched by a single
-kernel alarm at its earliest deadline: a reply costs no heap entry.
+Every awaited reply sits in one deadline table per actor, watched by a
+single kernel alarm at its earliest deadline: a reply costs no heap
+entry. A *continuation* waits in it and hears the outcome once:
+``rpc_reply(value)`` or ``rpc_failed(exc)``. Two request forms share it:
+
+- **typed pairs**, for the per-operation paths: the sender enters the
+  continuation with :meth:`Actor._open_request` and sends its own
+  request message under the returned id; the reply message carries the
+  id back, and its ``on_<type>`` handler is :meth:`Actor.take_reply`.
+- **the RPC envelope** (``rpc_<method>`` handlers), for the cold paths:
+  :meth:`Actor.request` wraps any payload in an :class:`RpcRequest` and
+  the return value in an :class:`RpcResponse`, and :meth:`Actor.call`
+  is the same with a fresh :class:`~repro.sim.process.Future` for code
+  that yields the call.
 """
 
 from __future__ import annotations
@@ -115,26 +122,19 @@ class Actor:
         if self.tracer is not None:
             self.tracer.record(str(self.address), category, event, key, **fields)
 
-    def service_cost(self, msg: Message) -> float:
-        """CPU time consumed to handle ``msg``; 0 = free (control traffic)."""
-        if self.service_time > 0 and msg.type_name in self.SERVICED_TYPES:
-            return self.service_time
-        return 0.0
-
     def _receive(self, msg: Message, src: Address) -> None:
         if self.crashed:
             return
-        # Infinitely fast actors (every client) never consult the cost.
-        if self.service_time > 0:
-            cost = self.service_cost(msg)
-            if cost > 0:
-                # Single-server queue: processing starts when the CPU frees
-                # up and the result is visible after the service time.
-                now = self.sim.now
-                start = now if now > self._busy_until else self._busy_until
-                self._busy_until = start + cost
-                self.sim.post_at(self._busy_until, self._dispatch, msg, src)
-                return
+        # Infinitely fast actors (every client) never look at the type.
+        # A serviced type costs ``service_time``; every other is free.
+        if self.service_time > 0 and msg.type_name in self.SERVICED_TYPES:
+            # Single-server queue: processing starts when the CPU frees
+            # up and the result is visible after the service time.
+            now = self.sim.now
+            start = now if now > self._busy_until else self._busy_until
+            self._busy_until = start + self.service_time
+            self.sim.post_at(self._busy_until, self._dispatch, msg, src)
+            return
         # _dispatch's lookup, without its frame: most deliveries are free.
         handler = self._message_handlers.get(type(msg))
         if handler is None:
@@ -230,11 +230,28 @@ class Actor:
         :class:`ReplicaUnavailable` when this actor is or goes down — a
         :class:`~repro.errors.TransientError`, unless a client session
         closes under it (:class:`~repro.errors.SessionClosedError`)."""
+        rid = self._open_request(cont, timeout, method, dst)
+        if rid:
+            self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+
+    def _open_request(self, cont: Any, timeout: float, method: str, dst: Address) -> int:
+        """What a request does before it is sent: :meth:`_expect_reply`,
+        or, while this actor is crashed, ``cont.rpc_failed`` at once with
+        :class:`ReplicaUnavailable` and 0 (request ids start at 1): then
+        there is nothing to send."""
         if self.crashed:
             cont.rpc_failed(ReplicaUnavailable(f"{self.address} is crashed"))
-            return
-        rid = self._expect_reply(cont, timeout, method, dst)
-        self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
+            return 0
+        return self._expect_reply(cont, timeout, method, dst)
+
+    def take_reply(self, msg: Any, src: Address) -> None:
+        """The handler of every typed reply (bound per class as its
+        ``on_<type>``): pop the entry ``msg.request_id`` names and hand
+        ``msg`` to its continuation. A late reply, to an attempt that
+        already timed out, finds no entry and is dropped."""
+        pending = self._rpc_pending.pop(msg.request_id, None)
+        if pending is not None:
+            pending[0].rpc_reply(msg)
 
     def _expect_reply(self, cont: Any, timeout: float, method: str, dst: Address) -> int:
         """Enter ``cont`` in the deadline table under a fresh request id,

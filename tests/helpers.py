@@ -139,61 +139,6 @@ def reference_message_size(msg: Message) -> int:
 
 
 # ----------------------------------------------------------------------
-# read-reply reference
-# ----------------------------------------------------------------------
-# The string-keyed dict ``ChainNode.rpc_get`` / ``rpc_get_fwd`` answered
-# with before ``repro.core.messages.ReadReply``, built the way they and
-# ``ClockNodePlane.annotate_read`` built it: five fixed keys, ``hlc``
-# only on the clock plane (None for an unstamped record), ``fwd_deps``
-# only on a forwarded read of a write that has dependencies. Sizing this
-# dict is the oracle ``ReadReply.size_bytes`` must equal to the byte.
-
-_ABSENT = object()
-
-
-def legacy_read_reply(value, version, stable, globally, index, hlc=_ABSENT, fwd_deps=None) -> dict:
-    reply = {
-        "value": value,
-        "version": version,
-        "stable": stable,
-        "global": globally,
-        "index": index,
-    }
-    if hlc is not _ABSENT:
-        reply["hlc"] = hlc
-    if fwd_deps is not None:
-        reply["fwd_deps"] = fwd_deps
-    return reply
-
-
-# ----------------------------------------------------------------------
-# apply-remote reference
-# ----------------------------------------------------------------------
-# The string-keyed dict ``GeoProxy._inject_at_head`` sent as the payload
-# of an ``apply_remote`` RPC before ``repro.core.messages.ApplyRemote``,
-# built the way it built it: seven fixed keys off the ``RemoteUpdate``,
-# ``hlc`` only when the update carries a stamp (the clock plane). Sizing
-# this dict is the oracle ``ApplyRemote.size_bytes`` must equal to the byte.
-
-
-def legacy_apply_remote(msg) -> dict:
-    from repro.sim.hlc import HLCStamp
-
-    payload = {
-        "key": msg.key,
-        "value": msg.value,
-        "version": msg.version,
-        "stamp": msg.stamp,
-        "deps": msg.deps,
-        "origin_site": msg.origin_site,
-        "origin_put_at": msg.origin_put_at,
-    }
-    if isinstance(msg.hlc, HLCStamp):
-        payload["hlc"] = msg.hlc
-    return payload
-
-
-# ----------------------------------------------------------------------
 # HLC arithmetic reference
 # ----------------------------------------------------------------------
 # The integer-pure state transitions ``repro.sim.hlc`` kept as free

@@ -158,7 +158,7 @@ class TestBrokenRuns:
         observed = VersionVector({"w": 2})
         session._deps["k"] = DepEntry(version=observed, index=0)
         stale = VersionVector({"w": 1})
-        session._note_observed("k", ReadReply("old", stale, False, False, 0))
+        session._note_observed("k", ReadReply(value="old", version=stale))
         assert any(v.kind == "causal-cut" and v.key == "k"
                    for v in monitor.violations)
 
@@ -167,7 +167,7 @@ class TestBrokenRuns:
         session = store.session("dc0", "probe")
         session._deps["k"] = DepEntry(version=VersionVector({"w": 1}), index=0)
         session._note_observed(
-            "k", ReadReply("new", VersionVector({"w": 2}), False, False, 0)
+            "k", ReadReply(value="new", version=VersionVector({"w": 2}))
         )
         assert monitor.violations == []
         assert monitor.gets_checked == 1

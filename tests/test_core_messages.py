@@ -5,21 +5,24 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import legacy_read_reply, make_store, reference_estimate_size, run_op
+from helpers import make_store, reference_message_size, run_op
 
 from repro.core.messages import (
+    Ack,
+    ApplyRemote,
     ChainPut,
     ChainStable,
     DepEntry,
+    GetRequest,
     GlobalAck,
     PutReply,
     PutRequest,
     ReadReply,
     RemoteUpdate,
+    WaitStable,
     deps_size_bytes,
 )
-from repro.net import RpcResponse, estimate_size
-from repro.net.message import WIRE_HEADER_BYTES
+from repro.net.message import WIRE_HEADER_BYTES, _size_unplanned
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 
@@ -64,6 +67,11 @@ class TestMessageSizes:
             ChainStable(key="k", version=vv(dc0=1)),
             RemoteUpdate(key="k", value="v", version=vv(dc0=1)),
             GlobalAck(key="k", version=vv(dc0=1), site="dc0"),
+            GetRequest(key="k"),
+            ReadReply(value="v", version=vv(dc0=1)),
+            WaitStable(key="k", version=vv(dc0=1)),
+            ApplyRemote(key="k", value="v", version=vv(dc0=1)),
+            Ack(),
         ):
             assert msg.size_bytes() > WIRE_HEADER_BYTES, type(msg).__name__
 
@@ -89,6 +97,11 @@ class TestMessageSizes:
             ChainStable,
             RemoteUpdate,
             GlobalAck,
+            GetRequest,
+            ReadReply,
+            WaitStable,
+            ApplyRemote,
+            Ack,
         ]
         names = [t.type_name for t in types]
         assert len(set(names)) == len(names)
@@ -106,6 +119,7 @@ READ_REPLY_SHAPES = {
     "clock plane, stamped record": (("v", vv(dc0=1), False, False, 0), {"hlc": STAMP}),
     "forwarded": (("v", vv(dc0=5), True, False, 0), {"fwd_deps": FWD}),
     "forwarded, clock plane": (("v", vv(dc0=5), True, False, 0), {"hlc": STAMP, "fwd_deps": FWD}),
+    "refused": ((None, VersionVector(), False, False, 0), {"ok": False, "error": "syncing"}),
 }
 
 values = st.recursive(
@@ -120,6 +134,7 @@ stamps = st.builds(HLCStamp, st.integers(0, 10**9), st.integers(0, 99), st.sampl
 optionals = st.fixed_dictionaries(
     {},
     optional={
+        # the clock plane's unstamped and stamped records
         "hlc": st.none() | stamps,
         "fwd_deps": st.dictionaries(
             st.text(min_size=1, max_size=8),
@@ -130,40 +145,36 @@ optionals = st.fixed_dictionaries(
 )
 
 
+def read_reply(fixed, optional):
+    value, version, stable, globally, index = fixed
+    return ReadReply(
+        request_id=7, value=value, version=version, stable=stable, globally=globally,
+        index=index, **optional,
+    )
+
+
 class TestReadReply:
     @pytest.mark.parametrize("shape", sorted(READ_REPLY_SHAPES))
-    def test_sizes_like_the_dict_it_replaced(self, shape):
-        fixed, optional = READ_REPLY_SHAPES[shape]
-        oracle = legacy_read_reply(*fixed, **optional)
-        size = ReadReply(*fixed, **optional).size_bytes()
-        assert size == estimate_size(oracle) == reference_estimate_size(oracle)
+    def test_plan_equals_the_field_walk(self, shape):
+        reply = read_reply(*READ_REPLY_SHAPES[shape])
+        assert reply.size_bytes() == _size_unplanned(reply) == reference_message_size(reply)
 
     @given(values, vectors, st.booleans(), st.booleans(), st.integers(0, 5), optionals)
-    def test_sizes_like_the_dict_for_any_content(self, value, version, stable, globally, index, optional):
-        oracle = legacy_read_reply(value, version, stable, globally, index, **optional)
-        reply = ReadReply(value, version, stable, globally, index, **optional)
-        assert reply.size_bytes() == reference_estimate_size(oracle)
+    def test_plan_equals_the_field_walk_for_any_content(self, value, version, stable, globally, index, optional):
+        reply = read_reply((value, version, stable, globally, index), optional)
+        assert reply.size_bytes() == _size_unplanned(reply) == reference_message_size(reply)
 
     @pytest.mark.parametrize("shape", sorted(READ_REPLY_SHAPES))
     def test_pickle_round_trip_keeps_size_and_absence(self, shape):
-        # Replies cross the shard boundary by pickle: "no hlc key" must
-        # come back as the NO_HLC singleton, not as a look-alike.
+        # Replies cross the shard boundary by pickle: "no hlc" must come
+        # back as the NO_HLC singleton, not as a look-alike.
         fixed, optional = READ_REPLY_SHAPES[shape]
-        reply = ReadReply(*fixed, **optional)
+        reply = read_reply(fixed, optional)
         copy = pickle.loads(pickle.dumps(reply))
         assert copy.size_bytes() == reply.size_bytes()
         assert (copy.hlc is NO_HLC) == ("hlc" not in optional)
         assert (copy.fwd_deps is None) == ("fwd_deps" not in optional)
-        assert [getattr(copy, name) for name in ReadReply.__slots__] == [
-            getattr(reply, name) for name in ReadReply.__slots__
-        ]
-
-    @pytest.mark.parametrize("shape", sorted(READ_REPLY_SHAPES))
-    def test_rpc_response_carrying_it_sizes_as_before(self, shape):
-        fixed, optional = READ_REPLY_SHAPES[shape]
-        typed = RpcResponse(request_id=7, ok=True, payload=ReadReply(*fixed, **optional))
-        legacy = RpcResponse(request_id=7, ok=True, payload=legacy_read_reply(*fixed, **optional))
-        assert typed.size_bytes() == legacy.size_bytes()
+        assert copy == reply
 
     @pytest.mark.parametrize("stability", ["notices", "clock"])
     def test_what_a_server_answers(self, stability):
@@ -172,11 +183,15 @@ class TestReadReply:
         run_op(store, s.put("k", "v"))
         store.run(until=1.0)
         node = next(n for n in store.servers() if n.name == s.view.chain_for("k")[1])
-        reply = node.rpc_get("k", s.address)
-        assert isinstance(reply, ReadReply)
+        reply = node.read_reply("k", request_id=9)
+        assert isinstance(reply, ReadReply) and (reply.request_id, reply.ok) == (9, True)
         assert (reply.value, reply.stable, reply.globally, reply.index) == ("v", True, True, 1)
         assert (reply.hlc is NO_HLC) == (stability == "notices")
-        missing = node.rpc_get(next(k for k in map(str, range(99)) if node.name in s.view.chain_for(k)), s.address)
+        assert reply.fwd_deps is None
+        missing = node.read_reply(next(k for k in map(str, range(99)) if node.name in s.view.chain_for(k)))
         assert (missing.value, missing.version, missing.stable, missing.globally) == (
             None, VersionVector(), True, True,
         )
+        stranger = next(k for k in map(str, range(99)) if node.name not in s.view.chain_for(k))
+        refused = node.read_reply(stranger, request_id=4)
+        assert (refused.request_id, refused.ok, refused.error) == (4, False, "not-responsible")

@@ -4,7 +4,20 @@ import pytest
 
 from helpers import make_store, run_op
 
+from repro.core.messages import GetRequest, WaitStable
+from repro.sim.process import Future
 from repro.storage import VersionVector
+
+
+def ask(store, dst, message_class, **fields):
+    """Send ``dst`` a typed request from dc0's geo-proxy (an actor that
+    takes both a ``ReadReply`` and an ``Ack``); the future resolves with
+    the reply."""
+    proxy = store.proxies["dc0"]
+    reply = Future(store.sim)
+    request_id = proxy._open_request(reply, 5.0, message_class.type_name, dst)
+    proxy.send(dst, message_class(request_id=request_id, **fields))
+    return reply
 
 
 def node_named(store, name, site="dc0"):
@@ -133,13 +146,15 @@ class TestStability:
         run_op(store, s.put("key", "v"))
         store.run(until=2.0)
         tail = chain_nodes(store, "key")[-1]
-        fut = tail.rpc_wait_stable(("key", VersionVector({"dc0": 1})), tail.address)
-        assert fut.done() and fut.result() is True
+        fut = ask(store, tail.address, WaitStable, key="key", version=VersionVector({"dc0": 1}))
+        store.run(until=store.sim.now + 0.1)
+        assert fut.done() and fut.result().ok
 
     def test_wait_stable_blocks_for_future_version(self, ):
         store = make_store()
         tail = chain_nodes(store, "key")[-1]
-        fut = tail.rpc_wait_stable(("key", VersionVector({"dc0": 5})), tail.address)
+        fut = ask(store, tail.address, WaitStable, key="key", version=VersionVector({"dc0": 5}))
+        store.run(until=store.sim.now + 0.1)
         assert not fut.done()
         assert tail.plane.stability.pending_waiters() == 1
 
@@ -148,15 +163,14 @@ class TestStability:
         # Stability queries are version comparisons, not data operations:
         # they bypass the server's service queue, a get does not.
         store = make_store(service_time=0.050)
-        s = store.session()
         tail = chain_nodes(store, "key")[-1]
         start = store.sim.now
-        get = s.call(tail.address, "get", "key")
-        wait = s.call(tail.address, "wait_stable", ("key", VersionVector()))
+        get = ask(store, tail.address, GetRequest, key="key")
+        wait = ask(store, tail.address, WaitStable, key="key", version=VersionVector())
         store.run(until=start + 1.0)
-        assert wait.result() is True
+        assert wait.result().ok
         assert wait.resolved_at - start < 0.010  # two LAN hops, no queueing
-        assert get.resolved_at - start >= 0.050
+        assert get.result().ok and get.resolved_at - start >= 0.050
 
 
 class TestReadPath:

@@ -1,6 +1,7 @@
 """The remote-update pipeline and the dependency waits, pinned.
 
-The last stage of a write runs in continuation form on ``Actor.request``:
+The last stage of a write runs in continuation form on the actor's
+deadline table:
 the geo proxy's ``_RemoteApply`` and the head's ``_HeldPut``, with one
 ``DepWait`` per dependency. They replaced coroutines (``_apply_remote`` /
 ``_wait_dep_stable`` / ``_inject_at_head`` and ``_wait_dep``, a
@@ -18,13 +19,15 @@ changed the simulation and must be fixed, not re-recorded — except the
 event count (re-recorded once, see ``PINNED``), the two fields of the
 two scripts named in ``BUGFIX``, the two-site scripts, re-recorded
 when the proxy began to wait on its own ``TailStable`` table, and two
-single-site clock digests that hash an address name (see ``PINNED``).
+single-site clock digests that hash an address name, and the bytes and
+digests of the scripts whose injections and waits became typed
+messages (see ``PINNED``).
 
 What the scripts hold: the first step of an update, a held put and a
 dependency wait runs inline, a backoff posts one event, the gate opens
-from its own ``call_soon`` event, and an actor's RPC deadlines share one
-alarm; *failure semantics* — a dependency wait retries on
-``RequestTimeout`` / ``RemoteError`` only, a crashed proxy kills the
+from its own ``call_soon`` event, and an actor's request deadlines share
+one alarm; *failure semantics* — a dependency wait retries on
+``RequestTimeout`` only, a crashed proxy kills the
 update but still opens its gate, a sibling wait's later completion is
 ignored, and injection sleeps ``client_retry_backoff`` after every
 failed attempt, the last included.
@@ -139,7 +142,7 @@ def causal_delivery_off():
 
 def wait_stable_times_out_once():
     """The first attempt (0.1 s, on the proxy's own table) expires before
-    ``d`` arrives; the ``wait_stable`` RPC to ``d``'s tail that follows
+    ``d`` arrives; the ``WaitStable`` to ``d``'s tail that follows
     is answered, and the ``TailStable`` heard after it changes nothing."""
     store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     _arrive(store, 0.0, update("k", "v", 1, {"d": dep(1)}))
@@ -172,7 +175,7 @@ def proxy_crash_mid_dep_wait():
 
 def proxy_down_when_the_gate_opens():
     """Still crashed when the successor's turn comes: it is dropped too
-    (its RPC fails at once) but opens its own gate for the next."""
+    (its request fails at once) but opens its own gate for the next."""
     store = _store(make_geo_store, **FAST, **SHORT_WAIT)
     proxy = store.proxies["dc1"]
     _arrive(store, 0.0, update("k", "dropped", 1, {"ghost": dep(1)}))
@@ -317,7 +320,7 @@ def _held_put(local, release_at, crash_at=None, **overrides):
     which names it. The ``ChainPut`` carrying ``d`` to its tail is held
     back until ``release_at`` (None: for good), so ``k``'s head has to
     wait — on its own tracker when it *is* ``d``'s tail (``local``), over
-    a ``wait_stable`` RPC otherwise."""
+    a ``WaitStable`` request otherwise."""
     store = _store(make_store, ack_k=1, op_timeout=1.0, **overrides)  # the client never retries
     view = store.managers["dc0"].view
     head = view.chain_for("k")[0]
@@ -461,36 +464,41 @@ def fingerprint(name):
 #: re-recorded when a single site's clock role moved from its own
 #: ``clockagent`` actor into the site's geo-proxy: the trace hashes the
 #: address name, and with ``dc0:clockagent`` read as ``dc0:geoproxy`` the
-#: parent's trace is this one, entry for entry.
+#: parent's trace is this one, entry for entry. Bytes and digests of every
+#: script that injects or waits over the network were re-recorded when
+#: ``apply_remote`` / ``wait_stable`` left the RPC envelope for the typed
+#: ``ApplyRemote`` / ``WaitStable`` answered by an ``Ack``: same messages
+#: at the same instants, fewer bytes, other type names in the trace; every
+#: other field is the parent's.
 PINNED = {
-    'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6422, 'fd30bab6d6636bc8'),
-    'one_dependency': (('dep', 'v'), (0.0025448782563099372, 0.0035394704559096888), 2, (2, 0, 0, 0), 339, 168, 7158, 'ea72a168b948e7eb'),
-    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0015448782563099372, 0.010579661341312559, 0.012088602374867325), 3, (3, 0, 0, 0), 349, 176, 7938, '7f7c258938703647'),
-    'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6509, 'b74a582e8301c319'),
-    'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6518, '4efab5c342843065'),
-    'wait_stable_times_out_once': (('dep', 'v'), (0.1505873151117727, 0.15179233150779314), 2, (2, 0, 0, 0), 342, 170, 7272, '46ce77927f70ec47'),
-    'dep_wait_timeout_expires': (('v',), (0.3007229651017506,), 1, (1, 0, 0, 0), 334, 162, 6676, 'f5e2845282810fe2'),
-    'proxy_crash_mid_dep_wait': (('third',), (0.020544878256309938, 0.050586093732652354), 2, (2, 0, 0, 0), 343, 168, 7095, '88d7663c4100a0c4'),
-    'proxy_down_when_the_gate_opens': (('third',), (0.05057966134131256,), 1, (1, 0, 0, 0), 335, 160, 6434, 'aafc697dd78eec97'),
-    'same_key_order_preserved': (('dep', 'second!!'), (0.010544878256309936, 0.011846295892815136, 0.011846296892815135), 3, (3, 0, 0, 0), 349, 176, 7837, '796186329d87a6bf'),
-    'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6660, '447b5128a5904a77'),
-    'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 17029, 'bde1d74b6ce296e5'),
-    'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 282, 133, 5054, '054fb19d783c92cc'),
-    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 86977, '081950d870ab5a20'),
-    'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, 'a67a1999169783d7'),
-    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.050404260193395486, 0.050099376229576664, 0.05031176844496563, 0.0493835283991457, 0.04833448918214134, 0.04745766151207336, 0.04636666295601233, 0.045617618965939646), 9, (9, 9, 1, 0), 877, 523, 29046, '62b8198f26fe3896'),
-    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 357972, '043ed45ec3c074bb'),
-    'session_writes_batched': (('1', '2', '3', 'v5'), (0.0648042800546071, 0.06440417138181936, 0.0633359037562934, 0.06349438476112074, 0.06248011269083027, 0.061833385022037744, 0.060825662860647466, 0.059831433471858084, 0.058909028454218915), 9, (9, 9, 2, 0), 803, 439, 25862, '82692a54e8eff697'),
+    'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6320, '1600afcbffc52fb9'),
+    'one_dependency': (('dep', 'v'), (0.0025448782563099372, 0.0035394704559096888), 2, (2, 0, 0, 0), 339, 168, 6954, 'ab422f37f352e823'),
+    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0015448782563099372, 0.010579661341312559, 0.012088602374867325), 3, (3, 0, 0, 0), 349, 176, 7632, '76cada0c6228d079'),
+    'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6407, 'c0ecb84c8db39224'),
+    'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6416, 'c00337f91b53e546'),
+    'wait_stable_times_out_once': (('dep', 'v'), (0.1505873151117727, 0.15179233150779314), 2, (2, 0, 0, 0), 342, 170, 7043, '52444b49491ee99c'),
+    'dep_wait_timeout_expires': (('v',), (0.3007229651017506,), 1, (1, 0, 0, 0), 334, 162, 6536, '79cd14f7ddb211ec'),
+    'proxy_crash_mid_dep_wait': (('third',), (0.020544878256309938, 0.050586093732652354), 2, (2, 0, 0, 0), 343, 168, 6891, '1f136916aaa96879'),
+    'proxy_down_when_the_gate_opens': (('third',), (0.05057966134131256,), 1, (1, 0, 0, 0), 335, 160, 6332, '2619b4a9c866cd20'),
+    'same_key_order_preserved': (('dep', 'second!!'), (0.010544878256309936, 0.011846295892815136, 0.011846296892815135), 3, (3, 0, 0, 0), 349, 176, 7531, 'ef2fa76e9fdba795'),
+    'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6434, '932fe69daf27fd8e'),
+    'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 16927, 'd245598a667d3950'),
+    'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 282, 133, 5054, '5b071007a24599af'),
+    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 86650, 'f7924a642d82e19e'),
+    'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, '37b6a7f7d05379c2'),
+    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.050404260193395486, 0.050099376229576664, 0.05031176844496563, 0.0493835283991457, 0.04833448918214134, 0.04745766151207336, 0.04636666295601233, 0.045617618965939646), 9, (9, 9, 1, 0), 877, 523, 28044, '576e4c533d9b3aca'),
+    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 356850, 'fccdfb258b2acd19'),
+    'session_writes_batched': (('1', '2', '3', 'v5'), (0.0648042800546071, 0.06440417138181936, 0.0633359037562934, 0.06349438476112074, 0.06248011269083027, 0.061833385022037744, 0.060825662860647466, 0.059831433471858084, 0.058909028454218915), 9, (9, 9, 2, 0), 803, 439, 24810, 'defa5917d222ac21'),
     'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
-    'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7094, '92788e3afb615f28'),
+    'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7069, 'ffdaee5eda5c6708'),
     'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, '54a1f5f8daa61c89'),
-    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151059, 'f55df31a9289e23e'),
+    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151034, 'd8d313724f326850'),
     'head_local_wait_outlives_an_attempt': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, 'a215aea15d76a79d'),
-    'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 172, 7209, 'a2bad9c896342fdb'),
+    'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 172, 7159, 'b148773a3b244c3b'),
     'head_local_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 338, 166, 6865, 'ea80408d1c54ca7a'),
-    'head_rpc_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 343, 169, 7093, 'c93ef091da16c0e5'),
+    'head_rpc_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 343, 169, 7036, '6a1ad0d6266b2ba6'),
     'head_crash_mid_local_wait': (('dep', 'v'), (), 0, (0, 2, 1, 1), 247, 125, 5080, '79d4f254966dbede'),
-    'head_crash_mid_rpc_wait': (('dep', None), (), 0, (0, 1, 1, 0), 247, 126, 5156, '5b0aa55e65146f53'),
+    'head_crash_mid_rpc_wait': (('dep', None), (), 0, (0, 1, 1, 0), 247, 126, 5137, '8eb1e25eb4cc657d'),
 }
 
 #: The one deliberate difference (ISSUE 20's accounting fix): the parent
@@ -513,24 +521,28 @@ def test_script_reproduces_the_parents_tuple(name):
 
 
 def _arrivals_at_head(name, key="k"):
-    """Run ``name``; the values its ``apply_remote`` RPCs for ``key``
+    """Run ``name``; the values its ``ApplyRemote`` injections for ``key``
     delivered to dc1's head, in arrival order."""
     store, _keys, until = SCRIPTS[name]()
     head = _chain(store, "dc1", key)[0]
-    arrived, serve = [], head.rpc_apply_remote
+    arrived, serve = [], head.on_apply_remote
 
     def record(update, src):
         if update.key == key:
             arrived.append(update.value)
         return serve(update, src)
 
-    head.rpc_apply_remote = record  # bound on the first RPC, so this is what runs
+    head.on_apply_remote = record  # bound on the first ApplyRemote, so this is what runs
     store.run(until=until)
     return store, arrived
 
 
 def _proxy_rpcs(tap):
-    return sum(1 for _at, src, _dst, kind, _size in tap.entries if (src, kind) == ("dc1:geoproxy", "rpc-request"))
+    """Requests dc1's proxy sent its chains: injections and dependency waits."""
+    return sum(
+        1 for _at, src, _dst, kind, _size in tap.entries
+        if src == "dc1:geoproxy" and kind in ("apply-remote", "wait-stable")
+    )
 
 
 def test_an_abandoned_update_is_counted_as_abandoned_not_as_applied():
@@ -578,8 +590,8 @@ def test_a_crashed_proxy_drops_the_update_but_not_its_successors():
 def test_an_expired_dependency_wait_lets_the_write_through():
     store, _keys, tap = run_script("dep_wait_timeout_expires")
     assert store.proxies["dc1"].visibility_samples[0] >= store.config.dep_wait_timeout
-    # one 0.1 s attempt on the proxy's own table, two 0.1 s wait_stable
-    # RPCs, then apply_remote
+    # one 0.1 s attempt on the proxy's own table, two 0.1 s WaitStable
+    # requests, then an ApplyRemote
     assert _proxy_rpcs(tap) == 2 + 1
     for name in ("head_local_wait_expires", "head_rpc_wait_expires"):
         store, _keys, _tap = run_script(name)
@@ -603,7 +615,7 @@ def _watch(store, keep):
 def _proxy_wait_stables(seen):
     return [
         msg for src, _dst, msg in seen
-        if src.node == "geoproxy" and msg.type_name == "rpc-request" and msg.method == "wait_stable"
+        if src.node == "geoproxy" and msg.type_name == "wait-stable"
     ]
 
 
@@ -642,7 +654,7 @@ def test_a_lost_tail_stable_falls_back_to_the_tail_after_one_attempt():
     store.run(until=until)
     config = store.config
     attempt = max(config.dep_wait_timeout / 3.0, 0.05)
-    assert [msg.payload[0] for msg in _proxy_wait_stables(seen)] == ["d"]
+    assert [msg.key for msg in _proxy_wait_stables(seen)] == ["d"]
     d_visible, k_visible = proxy.visibility_samples
     assert d_visible < attempt <= k_visible < config.dep_wait_timeout
     assert (proxy.updates_applied, proxy.updates_abandoned) == (2, 0)

@@ -116,6 +116,7 @@ def populated(cls, deps, hlc, reply_to):
         "float": 1.25,
         "VersionVector": VV,
         "Deps": deps,
+        "Optional[Deps]": deps,
         "Optional[Address]": reply_to,
         "'StableEntries'": (("k1", VV), ("k2", VersionVector())),
         "Tuple[RemoteUpdate, ...]": (update, dataclasses.replace(update, key="k2", value=None)),

@@ -276,7 +276,7 @@ class TestBatchedProtocol:
             node._apply_local("k", record.value, record.version, record.stamp, {})
             assert node.plane.stability.stable_version("k") == sealed
             assert node.plane.global_stability.stable_version("k") == sealed
-            reply = node.rpc_get("k", session.address)
+            reply = node.read_reply("k")
             assert reply.version == sealed and reply.stable and reply.globally
 
     def test_sealing_keeps_the_dependencies_a_forwarded_read_hands_on(self):
@@ -293,7 +293,7 @@ class TestBatchedProtocol:
         owners = [n for n in store.servers() if n.store.get_record("w") is not None]
         assert owners and all("w" in n.plane._sealed for n in owners)
         for node in owners:
-            fwd = node.rpc_get_fwd("w", session.address).fwd_deps
+            fwd = node.read_reply("w", forwarded=True).fwd_deps
             assert fwd is not None and set(fwd) == {"d"}
 
     def test_sealed_key_reads_report_stable(self):

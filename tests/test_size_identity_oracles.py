@@ -1,12 +1,21 @@
-"""Byte and identity oracles for what PR 20 retyped on the wire path.
+"""Byte and identity oracles for what changed representation on the
+wire path.
 
-Three things changed representation without being allowed to change a
-byte or a table lookup: the ``apply_remote`` payload (a string-keyed
-dict -> :class:`ApplyRemote`), the ``wait_stable`` payload (``(key,
-entries dict)`` -> ``(key, VersionVector)``), :class:`Address` (a frozen
-dataclass with a cached hash -> a ``tuple`` subclass); and
-``VersionVector.size_bytes`` now answers from a slot. Each is held to
-the thing it replaced, kept here or in ``helpers`` as the oracle.
+Reads, dependency waits and remote injects travel as typed request /
+reply pairs (:class:`GetRequest` / :class:`ReadReply`,
+:class:`WaitStable` and :class:`ApplyRemote` / :class:`Ack`). Each
+payload they replaced was held to a byte oracle of its own: the
+string-keyed dicts an ``apply_remote`` RPC and a ``get`` reply once
+carried, and the ``(key, entries dict)`` a ``wait_stable`` RPC once
+carried. Those payloads are gone, and with them their oracles. What
+holds the typed messages is the rule every message keeps: the compiled
+size plan equals the full field walk (``_size_unplanned``) and the
+reference walk kept in ``helpers``, for any content — the clock plane's
+``hlc``, a forwarded read's ``fwd_deps`` and the refusals included.
+
+:class:`Address` (a frozen dataclass with a cached hash -> a ``tuple``
+subclass) and ``VersionVector.size_bytes``, which answers from a slot,
+are each held to the thing they replaced.
 """
 
 import importlib
@@ -16,18 +25,23 @@ import pkgutil
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import (
-    legacy_apply_remote,
-    make_geo_store,
-    reference_estimate_size,
-    reference_message_size,
-    run_op,
-)
+from helpers import make_geo_store, reference_estimate_size, reference_message_size, run_op
 
 import repro
 from repro.core.deptable import DepTable
-from repro.core.messages import ApplyRemote, ChainPut, DepEntry, PutRequest, RemoteUpdate
-from repro.net import Address, RpcRequest, estimate_size
+from repro.core.messages import (
+    Ack,
+    ApplyRemote,
+    ChainPut,
+    DepEntry,
+    GetRequest,
+    PutRequest,
+    ReadReply,
+    RemoteUpdate,
+    WaitStable,
+)
+from repro.net import Address, estimate_size
+from repro.net.message import _size_unplanned
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 from repro.storage.version import clear_intern_pool, entries_size_bytes, set_interning
@@ -71,10 +85,12 @@ APPLY_REMOTE_SHAPES = {
 }
 
 
-def typed(msg):
+def typed(msg, request_id=7):
+    """The injection a proxy sends its head for the ``RemoteUpdate`` ``msg``."""
     return ApplyRemote(
-        msg.key, msg.value, msg.version, msg.stamp, msg.deps, msg.origin_site,
-        msg.origin_put_at, msg.hlc,
+        request_id=request_id, key=msg.key, value=msg.value, version=msg.version,
+        stamp=msg.stamp, deps=msg.deps, origin_site=msg.origin_site,
+        origin_put_at=msg.origin_put_at, hlc=msg.hlc,
     )
 
 
@@ -103,26 +119,58 @@ updates = st.builds(
     origin_put_at=st.floats(0, 1e6),
     hlc=st.just(NO_HLC) | stamps,
 )
+request_ids = st.integers(1, 2**40)
+refusals = st.sampled_from(["syncing", "not-responsible-shard", "not-responsible"])
+read_replies = st.builds(
+    ReadReply,
+    request_id=request_ids,
+    value=values,
+    version=vectors,
+    stable=st.booleans(),
+    globally=st.booleans(),
+    index=st.integers(0, 5),
+    # the notices plane, the clock plane's unstamped and stamped records
+    hlc=st.just(NO_HLC) | st.none() | stamps,
+    fwd_deps=st.none() | dep_maps.filter(bool),
+)
+#: every typed request and reply of the per-operation paths
+typed_messages = st.one_of(
+    st.builds(GetRequest, request_id=request_ids, key=st.text(max_size=12), forwarded=st.booleans()),
+    read_replies,
+    st.builds(ReadReply, request_id=request_ids, ok=st.just(False), error=refusals),
+    st.builds(WaitStable, request_id=request_ids, key=st.text(max_size=12), version=vectors),
+    st.builds(typed, updates, request_ids),
+    st.builds(Ack, request_id=request_ids, ok=st.booleans()),
+)
+
+
+class TestTypedRequestPlans:
+    """The compiled size plan of every typed request and reply equals the
+    full field walk, and the reference walk, for any content."""
+
+    @given(typed_messages)
+    def test_plan_equals_the_field_walk(self, msg):
+        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+
+    @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
+    def test_every_injected_shape(self, shape):
+        msg = typed(APPLY_REMOTE_SHAPES[shape])
+        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+
+    def test_absent_fields_cost_what_the_notices_plane_pays(self):
+        # NO_HLC is free and an absent ``fwd_deps`` one byte: a notices
+        # read reply is its fixed fields, its value and its version.
+        reply = ReadReply(request_id=1, value="v", version=vv(dc0=1))
+        assert reply.size_bytes() == 24 + 8 + (4 + 1) + vv(dc0=1).size_bytes() + 1 + 1 + 8 + 1 + 4 + 1
+        stamped = ReadReply(request_id=1, value="v", version=vv(dc0=1), hlc=STAMP)
+        assert stamped.size_bytes() - reply.size_bytes() == STAMP.size_bytes()
 
 
 class TestApplyRemote:
-    @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
-    def test_sizes_like_the_dict_it_replaced(self, shape):
-        msg = APPLY_REMOTE_SHAPES[shape]
-        oracle = legacy_apply_remote(msg)
-        assert ("hlc" in oracle) == (msg.hlc is not NO_HLC)
-        assert typed(msg).size_bytes() == estimate_size(oracle) == reference_estimate_size(oracle)
-
-    @given(updates)
-    def test_sizes_like_the_dict_for_any_content(self, msg):
-        assert typed(msg).size_bytes() == reference_estimate_size(legacy_apply_remote(msg))
-
-    @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
-    def test_rpc_request_carrying_it_sizes_as_before(self, shape):
-        msg = APPLY_REMOTE_SHAPES[shape]
-        new = RpcRequest(request_id=7, method="apply_remote", payload=typed(msg))
-        old = RpcRequest(request_id=7, method="apply_remote", payload=legacy_apply_remote(msg))
-        assert new.size_bytes() == old.size_bytes() == reference_message_size(old)
+    @given(updates, request_ids)
+    def test_plan_equals_the_field_walk_for_any_content(self, msg, request_id):
+        update = typed(msg, request_id)
+        assert update.size_bytes() == _size_unplanned(update) == reference_message_size(update)
 
     @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
     def test_pickle_round_trip_keeps_size_and_absence(self, shape):
@@ -132,9 +180,7 @@ class TestApplyRemote:
         copy = pickle.loads(pickle.dumps(update))
         assert copy.size_bytes() == update.size_bytes()
         assert (copy.hlc is NO_HLC) == (update.hlc is NO_HLC)
-        assert [getattr(copy, name) for name in ApplyRemote.__slots__] == [
-            getattr(update, name) for name in ApplyRemote.__slots__
-        ]
+        assert copy == update
 
     @pytest.mark.parametrize("stability", ["notices", "clock"])
     def test_what_a_proxy_sends_and_a_head_reads(self, stability):
@@ -146,32 +192,37 @@ class TestApplyRemote:
         s = store.session("dc0")
         version = run_op(store, s.put("k", "v")).version
         store.run(until=1.0)
-        sent = [m.payload for m in seen if getattr(m, "method", "") == "apply_remote"]
+        sent = [m for m in seen if m.type_name == "apply-remote"]
         assert len(sent) == 1 and isinstance(sent[0], ApplyRemote)
         update = sent[0]
         assert (update.key, update.value, update.version, update.origin_site) == ("k", "v", version, "dc0")
         assert (update.hlc is NO_HLC) == (stability == "notices")
+        acks = [m for m in seen if m.type_name == "ack"]
+        assert [(ack.request_id, ack.ok) for ack in acks] == [(update.request_id, True)]
         assert store.protocol_stats()["remote_applies"] == 1 and store.converged("k")
 
 
 class TestWaitStablePayload:
-    """``wait_stable`` carries the vector itself, not its ``entries()``."""
+    """A ``WaitStable`` carries the vector itself, not its ``entries()``."""
 
     @pytest.mark.parametrize(
         "version", [VersionVector(), vv(dc0=1), vv(dc0=7, dc1=2, a_long_datacenter_name=3)]
     )
     def test_request_bytes_equal_the_entries_dicts(self, version):
-        new = RpcRequest(request_id=3, method="wait_stable", payload=("key", version))
-        old = RpcRequest(request_id=3, method="wait_stable", payload=("key", version.entries()))
+        # The entries dict breaks the field's promise, so it is walked.
+        new = WaitStable(request_id=3, key="key", version=version)
+        old = WaitStable(request_id=3, key="key", version=version.entries())
         assert new.size_bytes() == old.size_bytes() == reference_message_size(old)
 
     @given(st.text(max_size=20), vectors)
     def test_for_any_key_and_vector(self, key, version):
-        assert estimate_size((key, version)) == reference_estimate_size((key, version.entries()))
+        msg = WaitStable(request_id=3, key=key, version=version)
+        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+        assert msg.size_bytes() == 24 + 8 + 4 + len(key) + version.size_bytes()
 
     def test_the_vector_arrives_as_sent(self):
         version = vv(dc0=4, dc1=1)
-        key, received = pickle.loads(pickle.dumps(("k", version)))
+        received = pickle.loads(pickle.dumps(WaitStable(request_id=3, key="k", version=version))).version
         assert received == version and received.size_bytes() == version.size_bytes()
 
 

@@ -68,6 +68,7 @@ def value_for(annotation: str, salt: int) -> Any:
         "Any": (salt, "any"),
         "VersionVector": VersionVector({"dc0": 1 + salt}),
         "Deps": {f"k{salt}": VersionVector({"dc1": 2})},
+        "Optional[Deps]": {f"k{salt}": VersionVector({"dc1": 2})},
         "Dict[str, VersionVector]": {f"k{salt}": VersionVector({"dc1": 2})},
         "Optional[Address]": Address("dc1", f"client-{salt}"),
         "Optional[RingView]": RingView(epoch=salt, site="dc0", servers=("s0", "s1"), chain_length=2),
@@ -83,7 +84,7 @@ def field_values(cls, salt=1):
 
 
 def test_every_message_module_is_walked():
-    assert len(CLASSES) == 26
+    assert len(CLASSES) == 31
     for cls in CLASSES:
         assert cls.__init__.__code__.co_filename == f"<wire:{cls.__qualname__}>"
         assert _SIZE_PLANS[cls].__code__.co_filename == f"<wire:{cls.__qualname__}>"
