@@ -85,6 +85,7 @@ from typing import (
     Dict,
     Generator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -165,13 +166,14 @@ class _PruneRun(Exception):
 # ----------------------------------------------------------------------
 # choices, scopes, schedules
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class Choice:
+class Choice(NamedTuple):
     """One scheduling decision.
 
     ``kind == "msg"``: deliver the head of the ``src -> dst`` link queue
     (addresses as ``"site:node"`` strings). ``kind == "act"``: fire the
     named fault action against ``target`` (``"site:server"``).
+
+    A tuple, so the explorer's millions of hashes and comparisons run in C.
     """
 
     kind: str

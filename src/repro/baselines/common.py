@@ -10,13 +10,14 @@ measure *protocol* differences, not harness differences.
 implements the :class:`~repro.api.Datastore` surface given two
 factories (server and session). :class:`RandomReplicaSession` is the
 session of the two baselines whose every replica serves every operation
-(eventual and quorum).
+(eventual and quorum). Every baseline client asks with a :class:`KvGet`
+or a :class:`KvPut`, and is answered by a :class:`KvReply`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.api import ClientSession, Datastore, GetResult, PutResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
@@ -25,13 +26,68 @@ from repro.cluster.placement import FullReplication
 from repro.cluster.server_base import RingServer, install_converged
 from repro.errors import ConfigError
 from repro.net.latency import lan_latency, wan_latency
+from repro.net.message import Message, wire_message
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future
 from repro.sim.rng import RngRegistry
 from repro.storage.version import VersionVector
 
-__all__ = ["BaselineConfig", "RandomReplicaSession", "RingDeployment"]
+__all__ = [
+    "BaselineConfig", "KvAck", "KvGet", "KvPut", "KvReply", "RandomReplicaSession",
+    "RingDeployment",
+]
+
+
+@wire_message
+class KvGet(Message):
+    """Client → a replica (COPS: the key's owner): read ``key``."""
+
+    type_name: ClassVar[str] = "kv-get"
+    request_id: int = 0
+    key: str = ""
+
+
+@wire_message
+class KvPut(Message):
+    """Client → a replica: write ``value`` to ``key`` (or delete it).
+    ``deps`` is the COPS session's context; empty for the others."""
+
+    type_name: ClassVar[str] = "kv-put"
+    request_id: int = 0
+    key: str = ""
+    value: Any = None
+    is_delete: bool = False
+    deps: Dict[str, VersionVector] = dataclasses.field(default_factory=dict)
+
+
+@wire_message
+class KvReply(Message):
+    """The answer to a :class:`KvGet` (``value``, ``version``) or a
+    :class:`KvPut` (the write's ``version``), or ``ok=False`` with the
+    reason it was refused."""
+
+    type_name: ClassVar[str] = "kv-reply"
+    request_id: int = 0
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+    ok: bool = True
+    error: str = ""
+
+    @classmethod
+    def of_record(cls, request_id: int, record: Any) -> "KvReply":
+        """A get's answer: ``record`` (None, or deleted: no value)."""
+        if record is None:
+            return cls(request_id)
+        return cls(request_id, None if record.is_deleted else record.value, record.version)
+
+
+@wire_message
+class KvAck(Message):
+    """Server → server: a quorum replica's write or a COPS dependency check is done."""
+
+    type_name: ClassVar[str] = "kv-ack"
+    request_id: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,44 +282,56 @@ class RandomReplicaSession(RetryingSession):
     request's coordinator for quorum)."""
 
     def get(self, key: str) -> Future:
-        return self._start("get", key, key)
+        return self._start("get", key, None, False)
 
     def put(self, key: str, value: Any) -> Future:
-        return self._start("put", key, (key, value, False))
+        return self._start("put", key, value, False)
 
     def delete(self, key: str) -> Future:
-        return self._start("put", key, (key, None, True))
+        return self._start("put", key, None, True)
 
-    def _start(self, method: str, key: str, payload: Any) -> Future:
+    def _start(self, op: str, key: str, value: Any, is_delete: bool) -> Future:
         self._check_open()
-        op = _RandomReplicaOp(self, method, key, payload)
-        op._try()
-        return op
+        attempt = _RandomReplicaOp(self, op, key, value, is_delete)
+        attempt._try()
+        return attempt
+
+    #: the replicas' answers
+    on_kv_reply = RetryingSession.take_reply
 
 
 class _RandomReplicaOp(RetryingOp):
-    """One ``get`` / ``put`` RPC per attempt, each to a freshly drawn
-    replica."""
+    """One ``KvGet`` / ``KvPut`` per attempt, each to a freshly drawn
+    replica; a refused attempt is retried."""
 
-    __slots__ = ("_payload", "_target")
+    __slots__ = ("_new_value", "_is_delete", "_target")
 
-    def __init__(self, session: RandomReplicaSession, method: str, key: str, payload: Any) -> None:
-        super().__init__(session, method, key)
-        self._payload = payload
+    def __init__(
+        self, session: RandomReplicaSession, op: str, key: str, value: Any, is_delete: bool
+    ) -> None:
+        super().__init__(session, op, key)
+        self._new_value = value
+        self._is_delete = is_delete
 
     def _try(self) -> None:
         session = self._session
         view = session.view
         target = self._target = view.address_of(session._rng.choice(view.chain_for(self._key)))
-        session.request(target, self._op, self._payload, session.config.op_timeout, self)
-
-    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+        timeout = session.config.op_timeout
         if self._op == "get":
+            session.ask(self, timeout, target, KvGet, self._key)
+        else:
+            session.ask(self, timeout, target, KvPut, self._key, self._new_value, self._is_delete)
+
+    def rpc_reply(self, reply: KvReply) -> None:
+        if not reply.ok:
+            self._retry()
+        elif self._op == "get":
             self.set_result(
                 GetResult(
-                    key=self._key, value=reply["value"], version=reply["version"],
+                    key=self._key, value=reply.value, version=reply.version,
                     stable=True, served_by=self._target.node,
                 )
             )
         else:
-            self.set_result(PutResult(key=self._key, version=reply["version"], stable=True))
+            self.set_result(PutResult(key=self._key, version=reply.version, stable=True))

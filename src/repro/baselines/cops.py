@@ -20,11 +20,10 @@ import dataclasses
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult
-from repro.baselines.common import BaselineConfig, RingDeployment
+from repro.baselines.common import BaselineConfig, KvAck, KvGet, KvPut, KvReply, RingDeployment
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
-from repro.errors import NotResponsibleError
 from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
@@ -52,10 +51,22 @@ class RemoteWrite(Message):
     origin_put_at: float = 0.0
 
 
+@wire_message
+class DepCheck(Message):
+    """Remote-write applier → a dependency's owner in the same DC: answer
+    (a :class:`~repro.baselines.common.KvAck`) once you hold ``version``
+    of ``key``."""
+
+    type_name: ClassVar[str] = "cops-dep-check"
+    request_id: int = 0
+    key: str = ""
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+
+
 class CopsServer(RingServer):
     """Partition owner: one authoritative copy per key per datacenter."""
 
-    SERVICED_TYPES = frozenset({"rpc-request", "cops-remote-write"})
+    SERVICED_TYPES = frozenset({"kv-get", "kv-put", "cops-dep-check", "cops-remote-write"})
 
     def __init__(
         self,
@@ -82,32 +93,34 @@ class CopsServer(RingServer):
     def _owner_of(self, key: str, view: RingView) -> str:
         return view.chain_for(key)[0]
 
-    def _check_owner(self, key: str) -> None:
-        if self._owner_of(key, self.view) != self.name:
-            raise NotResponsibleError(f"{self.name} does not own {key!r}")
+    def _refused(self, msg: Any, src: Address) -> bool:
+        """Refuse ``msg`` (and say so) unless this server owns its key."""
+        if self._owner_of(msg.key, self.view) == self.name:
+            return False
+        self.send(src, KvReply(request_id=msg.request_id, ok=False, error="not-owner"))
+        return True
 
     # ------------------------------------------------------------------
     # client operations (always local, always fast)
     # ------------------------------------------------------------------
-    def rpc_put(
-        self, payload: Tuple[str, Any, bool, Dict[str, VersionVector]], src: Address
-    ) -> Dict[str, Any]:
-        key, value, is_delete, deps = payload
-        self._check_owner(key)
-        stored_value = TOMBSTONE if is_delete else value
+    def on_kv_put(self, msg: KvPut, src: Address) -> None:
+        if self._refused(msg, src):
+            return
+        key = msg.key
+        stored_value = TOMBSTONE if msg.is_delete else msg.value
         previous = self.store.version_of(key)
         version = previous.increment(self.site)
         # The same-key predecessor is an implicit dependency even when
         # the writing client never read the key: this write overwrites
         # it, so remote owners must not make it visible before the
         # predecessor (and, transitively, *its* dependencies) arrived.
-        deps = dict(deps)
+        deps = dict(msg.deps)
         if not previous.is_zero():
             existing = deps.get(key)
             deps[key] = previous if existing is None else existing.merge(previous)
         self._apply(key, stored_value, version)
         self.puts_served += 1
-        msg = RemoteWrite(
+        write = RemoteWrite(
             key=key,
             value=stored_value,
             version=version,
@@ -117,30 +130,30 @@ class CopsServer(RingServer):
         )
         for site, view in self.deployment.all_views().items():
             if site != self.site:
-                self.send(view.address_of(self._owner_of(key, view)), msg)
-        return {"version": version}
+                self.send(view.address_of(self._owner_of(key, view)), write)
+        self.send(src, KvReply(request_id=msg.request_id, version=version))
 
-    def rpc_get(self, key: str, src: Address) -> Dict[str, Any]:
-        self._check_owner(key)
+    def on_kv_get(self, msg: KvGet, src: Address) -> None:
+        if self._refused(msg, src):
+            return
         self.gets_served += 1
-        record = self.store.get_record(key)
-        if record is None:
-            return {"value": None, "version": VersionVector()}
-        return {
-            "value": None if record.is_deleted else record.value,
-            "version": record.version,
-        }
+        self.send(src, KvReply.of_record(msg.request_id, self.store.get_record(msg.key)))
 
     # ------------------------------------------------------------------
     # dependency checks and remote application
     # ------------------------------------------------------------------
-    def rpc_dep_check(
-        self, payload: Tuple[str, Dict[str, int]], src: Address
-    ) -> Future:
-        """Resolve once this owner holds a version dominating the request."""
-        key, entries = payload
+    def on_cops_dep_check(self, msg: DepCheck, src: Address) -> None:
+        request_id = msg.request_id
+        self._dep_check(msg.key, msg.version).add_callback(
+            lambda _checked: self.send(src, KvAck(request_id=request_id))
+        )
+
+    #: the answers to this server's remote dependency checks
+    on_kv_ack = RingServer.take_reply
+
+    def _dep_check(self, key: str, wanted: VersionVector) -> Future:
+        """Resolve once this owner holds a version dominating ``wanted``."""
         self.dep_checks += 1
-        wanted = VersionVector(entries)
         fut = Future(self.sim)
         if self.store.version_of(key).dominates(wanted):
             fut.set_result(True)
@@ -178,16 +191,11 @@ class CopsServer(RingServer):
         for dep_key, wanted in msg.deps.items():
             owner = self.view.address_of(self._owner_of(dep_key, self.view))
             if owner == self.address:
-                checks.append(self.rpc_dep_check((dep_key, wanted.entries()), owner))
-            else:
-                checks.append(
-                    self.call(
-                        owner,
-                        "dep_check",
-                        (dep_key, wanted.entries()),
-                        timeout=self.config.op_timeout * 5,
-                    )
-                )
+                checks.append(self._dep_check(dep_key, wanted))
+                continue
+            check = Future(self.sim)
+            self.ask(check, self.config.op_timeout * 5, owner, DepCheck, dep_key, wanted)
+            checks.append(check)
         all_of(self.sim, checks).add_callback(
             lambda checked: None if checked.failed() else self._apply_remote(msg)
         )
@@ -200,6 +208,9 @@ class CopsServer(RingServer):
 
 class CopsSession(RetryingSession):
     """COPS client library: context tracking with collapse-on-put."""
+
+    #: the owners' answers
+    on_kv_reply = RetryingSession.take_reply
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -239,42 +250,49 @@ class _CopsGet(RetryingOp):
 
     def _try(self) -> None:
         session = self._session
-        session.request(
-            session._owner(self._key), "get", self._key, session.config.op_timeout, self
-        )
+        session.ask(self, session.config.op_timeout, session._owner(self._key), KvGet, self._key)
 
-    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+    def rpc_reply(self, reply: KvReply) -> None:
+        if not reply.ok:
+            self._retry()
+            return
         key = self._key
-        version = reply["version"]
+        version = reply.version
         if not version.is_zero():
             context = self._session._context
             context[key] = context.get(key, VersionVector()).merge(version)
-        self.set_result(GetResult(key=key, value=reply["value"], version=version, stable=True))
+        self.set_result(GetResult(key=key, value=reply.value, version=version, stable=True))
 
 
 class _CopsPut(RetryingOp):
     """A put or delete at the key's owner, carrying the session's context
     as its dependency list; the new write then replaces the context."""
 
-    __slots__ = ("_payload",)
+    __slots__ = ("_new_value", "_is_delete", "_deps")
 
     _session: CopsSession
 
     def __init__(self, session: CopsSession, key: str, value: Any, is_delete: bool) -> None:
         super().__init__(session, "delete" if is_delete else "put", key)
+        self._new_value = value
+        self._is_delete = is_delete
         # Include the same-key context version: remote owners must apply
         # this write only after the observed predecessor (and hence its
         # transitive dependencies) has arrived there.
-        self._payload = (key, value, is_delete, dict(session._context))
+        self._deps = dict(session._context)
 
     def _try(self) -> None:
         session = self._session
-        session.request(
-            session._owner(self._key), "put", self._payload, session.config.op_timeout, self
+        session.ask(
+            self, session.config.op_timeout, session._owner(self._key), KvPut,
+            self._key, self._new_value, self._is_delete, self._deps,
         )
 
-    def rpc_reply(self, reply: Dict[str, Any]) -> None:
-        version = reply["version"]
+    def rpc_reply(self, reply: KvReply) -> None:
+        if not reply.ok:
+            self._retry()
+            return
+        version = reply.version
         # put_after semantics: the new write subsumes the context.
         self._session._context = {self._key: version}
         self.set_result(PutResult(key=self._key, version=version, stable=True))

@@ -17,7 +17,14 @@ import dataclasses
 import random
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.baselines.common import BaselineConfig, RandomReplicaSession, RingDeployment
+from repro.baselines.common import (
+    BaselineConfig,
+    KvGet,
+    KvPut,
+    KvReply,
+    RandomReplicaSession,
+    RingDeployment,
+)
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
 from repro.net.message import Message, wire_message
@@ -67,7 +74,7 @@ class EventualServer(RingServer):
     """A replica that accepts any read or write and gossips repairs."""
 
     SERVICED_TYPES = frozenset(
-        {"rpc-request", "ev-replicate", "ev-ae-digest", "ev-ae-records"}
+        {"kv-get", "kv-put", "ev-replicate", "ev-ae-digest", "ev-ae-records"}
     )
 
     def __init__(
@@ -98,24 +105,18 @@ class EventualServer(RingServer):
     # ------------------------------------------------------------------
     # client operations
     # ------------------------------------------------------------------
-    def rpc_put(self, payload: Tuple[str, Any, bool], src: Address) -> Dict[str, Any]:
-        key, value, is_delete = payload
-        stored_value = TOMBSTONE if is_delete else value
+    def on_kv_put(self, msg: KvPut, src: Address) -> None:
+        key = msg.key
+        stored_value = TOMBSTONE if msg.is_delete else msg.value
         version = self.store.version_of(key).increment(str(self.address))
         self.store.apply(key, stored_value, version, self.sim.now)
         self.puts_served += 1
         self._replicate(key, stored_value, version)
-        return {"version": version}
+        self.send(src, KvReply(request_id=msg.request_id, version=version))
 
-    def rpc_get(self, key: str, src: Address) -> Dict[str, Any]:
+    def on_kv_get(self, msg: KvGet, src: Address) -> None:
         self.gets_served += 1
-        record = self.store.get_record(key)
-        if record is None:
-            return {"value": None, "version": VersionVector()}
-        return {
-            "value": None if record.is_deleted else record.value,
-            "version": record.version,
-        }
+        self.send(src, KvReply.of_record(msg.request_id, self.store.get_record(msg.key)))
 
     def _replicate(self, key: str, value: Any, version: VersionVector) -> None:
         """Fire-and-forget fan-out to every other replica, in every DC."""

@@ -15,12 +15,22 @@ semantics), so causal anomalies across sites remain either way.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import dataclasses
+from typing import Any, Callable, ClassVar, List, Optional, Tuple
 
-from repro.baselines.common import BaselineConfig, RandomReplicaSession, RingDeployment
+from repro.baselines.common import (
+    BaselineConfig,
+    KvAck,
+    KvGet,
+    KvPut,
+    KvReply,
+    RandomReplicaSession,
+    RingDeployment,
+)
 from repro.baselines.eventual import Replicate
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
+from repro.net.message import Message, wire_message
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future, n_of
@@ -30,10 +40,43 @@ from repro.storage.version import VersionVector
 __all__ = ["QuorumStore", "QuorumServer"]
 
 
+@wire_message
+class ReplicaWrite(Message):
+    """Coordinator → a local replica: apply this write; answered by a ``KvAck``."""
+
+    type_name: ClassVar[str] = "q-replica-write"
+    request_id: int = 0
+    key: str = ""
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+
+
+@wire_message
+class ReplicaRead(Message):
+    """Coordinator → a local replica: its record of ``key``, please."""
+
+    type_name: ClassVar[str] = "q-replica-read"
+    request_id: int = 0
+    key: str = ""
+
+
+@wire_message
+class ReplicaRecord(Message):
+    """Replica → coordinator: its record of the key (all defaults: none)."""
+
+    type_name: ClassVar[str] = "q-replica-record"
+    request_id: int = 0
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+    stamp: Any = None
+
+
 class QuorumServer(RingServer):
     """Replica + per-request coordinator for quorum reads and writes."""
 
-    SERVICED_TYPES = frozenset({"rpc-request", "ev-replicate"})
+    SERVICED_TYPES = frozenset(
+        {"kv-get", "kv-put", "q-replica-write", "q-replica-read", "ev-replicate"}
+    )
 
     def __init__(
         self,
@@ -57,75 +100,71 @@ class QuorumServer(RingServer):
     # ------------------------------------------------------------------
     # coordinator roles
     # ------------------------------------------------------------------
-    def rpc_put(self, payload: Tuple[str, Any, bool], src: Address) -> Any:
-        key, value, is_delete = payload
-        stored_value = TOMBSTONE if is_delete else value
+    def on_kv_put(self, msg: KvPut, src: Address) -> None:
+        key = msg.key
+        stored_value = TOMBSTONE if msg.is_delete else msg.value
         version = self.store.version_of(key).increment(str(self.address))
         self.store.apply(key, stored_value, version, self.sim.now)
         self.puts_served += 1
-        futures = [
-            self.call(
-                peer, "replica_write", (key, stored_value, version), timeout=self.config.op_timeout
-            )
-            for peer in self._local_peers(key)
-        ]
+        acks = []
+        for peer in self._local_peers(key):
+            ack = Future(self.sim)
+            self.ask(ack, self.config.op_timeout, peer, ReplicaWrite, key, stored_value, version)
+            acks.append(ack)
 
-        def acked(_acks: List[Any]) -> Dict[str, Any]:
+        def acked(_acks: List[Any]) -> KvReply:
             self._ship_remote(key, stored_value, version)
-            return {"version": version}
+            return KvReply(request_id=msg.request_id, version=version)
 
-        return self._after_quorum(futures, self.config.write_quorum - 1, acked)
+        self._reply_after_quorum(src, msg.request_id, acks, self.config.write_quorum - 1, acked)
 
-    def rpc_get(self, key: str, src: Address) -> Any:
+    def on_kv_get(self, msg: KvGet, src: Address) -> None:
+        key = msg.key
         self.gets_served += 1
-        futures = []
+        records = []
         for peer in self._local_peers(key):
             # Replies complete in any order: each one names its sender.
-            reply = _FromPeer(self.sim, peer)
-            self.request(peer, "replica_read", key, self.config.op_timeout, reply)
-            futures.append(reply)
-        return self._after_quorum(
-            futures,
-            self.config.read_quorum - 1,
-            lambda replies: self._read_result(key, replies),
+            record = _FromPeer(self.sim, peer)
+            self.ask(record, self.config.op_timeout, peer, ReplicaRead, key)
+            records.append(record)
+        self._reply_after_quorum(
+            src, msg.request_id, records, self.config.read_quorum - 1,
+            lambda replies: self._read_result(key, msg.request_id, replies),
         )
 
-    def _after_quorum(
-        self, futures: List[Future], needed: int, finish: Callable[[List[Any]], Any]
-    ) -> Any:
-        """The coordinator's reply: ``finish(results)`` once ``needed`` of
+    def _reply_after_quorum(
+        self, client: Address, request_id: int, futures: List[Future], needed: int,
+        finish: Callable[[List[Any]], KvReply],
+    ) -> None:
+        """Answer ``client`` with ``finish(results)`` once ``needed`` of
         the replicas' ``futures`` have answered (at once when none are
-        needed), or the quorum's failure."""
-        if needed <= 0:
-            return finish([])
-        out = Future(self.sim)
+        needed), or refuse when the quorum fails."""
 
         def done(quorum: Future) -> None:
             if quorum.failed():
-                out.set_exception(quorum.exception())  # type: ignore[arg-type]
+                self.send(client, KvReply(request_id, ok=False, error=str(quorum.exception())))
             else:
-                out.set_result(finish(quorum.result()))
+                self.send(client, finish(quorum.result()))
 
         n_of(self.sim, futures, min(needed, len(futures))).add_callback(done)
-        return out
 
     def _read_result(
-        self, key: str, replies: List[Tuple[Address, Dict[str, Any]]]
-    ) -> Dict[str, Any]:
+        self, key: str, request_id: int, replies: List[Tuple[Address, ReplicaRecord]]
+    ) -> KvReply:
         local = self.store.get_record(key)
         best_value = local.value if local is not None else None
         best_version = local.version if local is not None else VersionVector()
         best_stamp = local.stamp if local is not None else None
         for _peer, reply in replies:
-            version = reply["version"]
+            version = reply.version
             if version.total_order_key() > best_version.total_order_key():
                 best_version = version
-                best_value = reply["value"]
-                best_stamp = reply["stamp"]
+                best_value = reply.value
+                best_stamp = reply.stamp
 
         self._read_repair(key, best_value, best_version, best_stamp, replies, local)
         visible = None if best_value is TOMBSTONE else best_value
-        return {"value": visible, "version": best_version}
+        return KvReply(request_id=request_id, value=visible, version=best_version)
 
     def _read_repair(
         self,
@@ -133,7 +172,7 @@ class QuorumServer(RingServer):
         best_value: Any,
         best_version: VersionVector,
         best_stamp: Any,
-        replies: List[Tuple[Address, Dict[str, Any]]],
+        replies: List[Tuple[Address, ReplicaRecord]],
         local_record: Any,
     ) -> None:
         """Asynchronously push the winning record to stale quorum members."""
@@ -143,25 +182,24 @@ class QuorumServer(RingServer):
         if local_record is None or local_record.version != best_version:
             self.store.apply(key, best_value, best_version, self.sim.now, best_stamp)
         for peer, reply in replies:
-            if reply["version"] != best_version:
+            if reply.version != best_version:
                 self.read_repairs += 1
                 self.send(peer, repair)
 
     # ------------------------------------------------------------------
     # replica roles
     # ------------------------------------------------------------------
-    def rpc_replica_write(
-        self, payload: Tuple[str, Any, VersionVector], src: Address
-    ) -> bool:
-        key, value, version = payload
-        self.store.apply(key, value, version, self.sim.now)
-        return True
+    def on_q_replica_write(self, msg: ReplicaWrite, src: Address) -> None:
+        self.store.apply(msg.key, msg.value, msg.version, self.sim.now)
+        self.send(src, KvAck(request_id=msg.request_id))
 
-    def rpc_replica_read(self, key: str, src: Address) -> Dict[str, Any]:
-        record = self.store.get_record(key)
-        if record is None:
-            return {"value": None, "version": VersionVector(), "stamp": None}
-        return {"value": record.value, "version": record.version, "stamp": record.stamp}
+    def on_q_replica_read(self, msg: ReplicaRead, src: Address) -> None:
+        record = self.store.get_record(msg.key)
+        fields = () if record is None else (record.value, record.version, record.stamp)
+        self.send(src, ReplicaRecord(msg.request_id, *fields))
+
+    #: the replicas' answers to this coordinator
+    on_kv_ack = on_q_replica_record = RingServer.take_reply
 
     def on_ev_replicate(self, msg: Replicate, src: Address) -> None:
         self.store.apply(msg.key, msg.value, msg.version, self.sim.now, msg.stamp)
@@ -187,7 +225,7 @@ class QuorumServer(RingServer):
 
 
 class _FromPeer(Future):
-    """A ``replica_read`` reply that resolves as ``(peer, reply)``, so a
+    """A ``ReplicaRecord`` that resolves as ``(peer, record)``, so a
     quorum gathered in completion order still knows who said what."""
 
     __slots__ = ("peer",)

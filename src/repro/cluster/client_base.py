@@ -23,10 +23,10 @@ Protocol sessions implement only their operations, as
 from __future__ import annotations
 
 import random
-from typing import Any, Optional
+from typing import Any
 
 from repro.api import ClientSession
-from repro.cluster.membership import RingView
+from repro.cluster.membership import GetView, RingView, ViewReply
 from repro.core.retry import RetryPolicy
 from repro.errors import RequestTimeout, SessionClosedError
 from repro.net.actor import Actor
@@ -78,6 +78,9 @@ class RetryingSession(Actor, ClientSession):
         self.network.set_down(self.address, True)
         self._fail_rpcs(SessionClosedError, f"session {self.session_id} closed")
 
+    #: the manager's answers to view requests
+    on_view_reply = Actor.take_reply
+
     # ------------------------------------------------------------------
     # retry machinery
     # ------------------------------------------------------------------
@@ -107,29 +110,25 @@ class _BackoffRefresh(Future):
     """The step between two attempts: back off (seeded-jitter
     exponential), then refresh the ring view from the cluster manager so
     the next attempt re-resolves chain positions against the newest
-    membership. Resolves (to None) when the next attempt may run; a
-    non-retryable ``exc`` — e.g. a :class:`~repro.errors.RemoteError`
-    wrapping a permanent server-side failure — fails the step instead.
+    membership. Resolves (to None) when the next attempt may run.
     """
 
     __slots__ = ("_session",)
 
-    def __init__(self, session: RetryingSession, attempt: int, exc: Optional[BaseException]) -> None:
+    def __init__(self, session: RetryingSession, attempt: int) -> None:
         super().__init__(session.sim)
         self._session = session
-        if exc is not None and not getattr(exc, "retryable", True):
-            self.set_exception(exc)
-            return
         session.retries += 1
         delay = session.retry_policy.backoff(attempt, session._rng)
-        refresh = (session._manager, "get_view", None, session.config.op_timeout, self)
+        refresh = (self, session.config.op_timeout, session._manager, GetView)
         if delay > 0.0:
-            session.sim.post(delay, session.request, *refresh)
+            session.sim.post(delay, session.ask, *refresh)
         else:
-            session.request(*refresh)
+            session.ask(*refresh)
 
-    def rpc_reply(self, view: RingView) -> None:
-        if view.epoch > self._session.view.epoch:
+    def rpc_reply(self, reply: ViewReply) -> None:
+        view = reply.view
+        if view is not None and view.epoch > self._session.view.epoch:
             self._session.view = view
         self.set_result(None)
 
@@ -163,21 +162,17 @@ class RetryingOp(Future):
         """Issue attempt number ``self._attempt``."""
         raise NotImplementedError
 
-    def _retry(self, exc: Optional[BaseException] = None) -> None:
-        """The attempt failed (``exc``) or was refused (None): back off,
-        refresh the view, then run the next attempt — or give up. On a
-        closed session no attempt can be answered, so the operation ends
-        here."""
+    def _retry(self) -> None:
+        """The attempt failed or was refused: back off, refresh the view,
+        then run the next attempt — or give up. On a closed session no
+        attempt can be answered, so the operation ends here."""
         session = self._session
         if session.closed:
             self.set_exception(SessionClosedError(f"session {session.session_id} closed"))
             return
-        _BackoffRefresh(session, self._attempt, exc).add_callback(self._next_attempt)
+        _BackoffRefresh(session, self._attempt).add_callback(self._next_attempt)
 
-    def _next_attempt(self, step: Future) -> None:
-        if step.failed():
-            self.set_exception(step.exception())  # type: ignore[arg-type]
-            return
+    def _next_attempt(self, _step: Future) -> None:
         self._attempt += 1
         session = self._session
         if session._may_attempt(self._attempt, self._start):
@@ -186,4 +181,5 @@ class RetryingOp(Future):
             self.set_exception(session._give_up(self._op, self._key))
 
     def rpc_failed(self, exc: BaseException) -> None:
-        self._retry(exc)  # transient, or the session closed: _retry checks that first
+        # A timeout, a crash, or the session closed: _retry checks that first.
+        self._retry()

@@ -29,6 +29,8 @@ __all__ = [
     "ClusterManager",
     "Heartbeat",
     "ViewChange",
+    "GetView",
+    "ViewReply",
 ]
 
 _RING_CACHE: Dict[Tuple[Tuple[str, ...], int], HashRing] = {}
@@ -94,6 +96,22 @@ class Heartbeat(Message):
 @wire_message
 class ViewChange(Message):
     type_name: ClassVar[str] = "view-change"
+    view: Optional[RingView] = None
+
+
+@wire_message
+class GetView(Message):
+    """Client session → its site's manager, between two attempts of an
+    operation: the current view, please."""
+
+    type_name: ClassVar[str] = "get-view"
+    request_id: int = 0
+
+
+@wire_message
+class ViewReply(Message):
+    type_name: ClassVar[str] = "view-reply"
+    request_id: int = 0
     view: Optional[RingView] = None
 
 
@@ -186,8 +204,7 @@ class ClusterManager(Actor):
             fn(self.view)
 
     # ------------------------------------------------------------------
-    # RPC surface
+    # view requests
     # ------------------------------------------------------------------
-    def rpc_get_view(self, payload: object, src: Address) -> RingView:
-        """Client libraries pull the current view on startup and on miss-routes."""
-        return self.view
+    def on_get_view(self, msg: GetView, src: Address) -> None:
+        self.send(src, ViewReply(request_id=msg.request_id, view=self.view))

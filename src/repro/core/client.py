@@ -36,7 +36,16 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.api import GetResult, PutResult, SnapshotResult
 from repro.cluster.client_base import RetryingOp, RetryingSession
 from repro.core.deptable import DepSnapshot, DepTable
-from repro.core.messages import DepEntry, GetRequest, PutReply, PutRequest, ReadReply
+from repro.core.messages import (
+    RELAY_TIMEOUT,
+    DepEntry,
+    GetRequest,
+    GetStable,
+    PutReply,
+    PutRequest,
+    ReadReply,
+    StableReply,
+)
 from repro.errors import RequestTimeout
 from repro.net.network import Address
 from repro.sim.hlc import NO_HLC, hlc_or_none
@@ -234,8 +243,8 @@ class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotte
             # Ablation mode: accumulate forever (measured in E8).
             self._deps.set(key, reply.version, reply.index, hlc)
 
-    #: the answers to this session's gets and puts
-    on_put_reply = on_read_reply = RetryingSession.take_reply
+    #: the answers to this session's gets, puts and snapshot legs
+    on_put_reply = on_read_reply = on_stable_reply = RetryingSession.take_reply
 
 
 class _GetOp(RetryingOp):
@@ -319,6 +328,8 @@ class _PutOp(RetryingOp):
 
     _session: ChainClientSession
     _deps: Optional[DepSnapshot]
+    #: what ``PutResult.acked_by`` puts before the acking chain index
+    _acked_prefix = ""
 
     def __init__(self, session: ChainClientSession, key: str, value: Any, is_delete: bool) -> None:
         super().__init__(session, "delete" if is_delete else "put", key)
@@ -337,19 +348,23 @@ class _PutOp(RetryingOp):
             # without the entry it could become visible remotely before
             # the predecessor's own dependencies have arrived.
             deps = self._deps = session._deps.snapshot()
-        view = session.view
-        head = view.address_of(view.chain_for(self._key)[0])
-        session.send(
-            head,
-            PutRequest(
-                request_id=session._expect_reply(self, session.config.op_timeout, "put", head),
+        target, request_id = self._open()
+        if request_id:
+            session.send(target, PutRequest(
+                request_id=request_id,
                 key=self._key,
                 value=self._new_value,
                 deps=deps,
                 reply_to=session.address,
                 is_delete=self._is_delete,
-            ),
-        )
+            ))
+
+    def _open(self) -> Tuple[Address, int]:
+        """The attempt's destination and request id (0: send nothing)."""
+        session = self._session
+        view = session.view
+        head = view.address_of(view.chain_for(self._key)[0])
+        return head, session._expect_reply(self, session.config.op_timeout, "put", head)
 
     def rpc_reply(self, reply: PutReply) -> None:
         if not reply.ok:
@@ -358,14 +373,15 @@ class _PutOp(RetryingOp):
             return
         stable = reply.index >= reply.chain_len - 1
         self._session._record_put(self._key, reply, stable)
+        acked_by = self._acked_prefix + str(reply.index)
         self.set_result(
-            PutResult(key=self._key, version=reply.version, stable=stable, acked_by=str(reply.index))
+            PutResult(key=self._key, version=reply.version, stable=stable, acked_by=acked_by)
         )
 
 
 class _ForwardGetOp(RetryingOp):
-    """A get of a non-locally-owned key: per attempt, one ``forward_get``
-    RPC to an owner DC's proxy.
+    """A get of a non-locally-owned key: per attempt, one forwarded
+    ``GetRequest`` to an owner DC's proxy, which relays it to its head.
 
     Sticky to the primary owner — the chain every write of the shard
     serialises through, whose head is never behind. After
@@ -394,11 +410,14 @@ class _ForwardGetOp(RetryingOp):
         )
         site = self._site = owners[self._attempt % len(owners)] if failover else owners[0]
         self._sent_at = session.sim.now
-        session.request(
-            session._owner_proxy(site), "forward_get", self._key, session._forward_timeout, self
-        )
+        proxy = session._owner_proxy(site)
+        session.ask(self, session._forward_timeout, proxy, GetRequest, self._key, True)
 
     def rpc_reply(self, reply: ReadReply) -> None:
+        if not reply.ok:
+            # refused by the owner's head, or it did not answer its proxy
+            self._retry()
+            return
         session = self._session
         key = self._key
         session.forwarded_gets += 1
@@ -425,63 +444,41 @@ class _ForwardGetOp(RetryingOp):
         )
 
 
-class _ForwardPutOp(RetryingOp):
-    """A put or delete of a non-locally-owned key: per attempt, one
-    ``forward_put`` RPC to the primary owner's proxy, which runs it
-    through its local chain.
+class _ForwardPutOp(_PutOp):
+    """A put or delete of a non-locally-owned key: per attempt, the
+    ``PutRequest`` a local head would get, to the primary owner's proxy,
+    which runs it through its local chain.
 
     Always the primary — funnelling every writer of a shard through one
     chain is what keeps per-shard writes totally ordered without cross-DC
     conflict resolution on the common path.
     """
 
-    __slots__ = ("_payload", "_primary", "_sent_at")
-
-    _session: ChainClientSession
+    __slots__ = ("_proxy", "_acked_prefix", "_sent_at")
 
     def __init__(
         self, session: ChainClientSession, key: str, value: Any, is_delete: bool,
         owners: Tuple[str, ...],
     ) -> None:
-        super().__init__(session, "delete" if is_delete else "put", key)
-        # Built at the first attempt's instant (the session runs it right
-        # after construction) and shared by every retry, as _PutOp's deps.
-        self._payload = {
-            "key": key, "value": value, "deps": session._deps.snapshot(), "is_delete": is_delete,
-        }
-        self._primary = owners[0]
+        super().__init__(session, key, value, is_delete)
+        self._proxy = session._owner_proxy(owners[0])
+        self._acked_prefix = f"{owners[0]}:"
 
-    def _try(self) -> None:
+    def _open(self) -> Tuple[Address, int]:
         session = self._session
         self._sent_at = session.sim.now
-        session.request(
-            session._owner_proxy(self._primary), "forward_put", self._payload,
-            session._forward_timeout, self,
-        )
+        proxy = self._proxy
+        return proxy, session._open_request(self, session._forward_timeout, "forward_put", proxy)
 
-    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+    def rpc_reply(self, reply: PutReply) -> None:
+        if reply.error == RELAY_TIMEOUT:
+            # the owner's head did not answer its proxy: no forwarded reply
+            self._retry()
+            return
         session = self._session
         session.forwarded_puts += 1
         session.forward_latency_samples.append(session.sim.now - self._sent_at)
-        if not reply["ok"]:
-            self._retry()
-            return
-        put_reply = PutReply(
-            request_id=0,
-            key=self._key,
-            version=reply["version"],
-            index=reply["index"],
-            chain_len=reply["chain_len"],
-            hlc=reply["hlc"],
-        )
-        stable = put_reply.index >= put_reply.chain_len - 1
-        session._record_put(self._key, put_reply, stable)
-        self.set_result(
-            PutResult(
-                key=self._key, version=put_reply.version, stable=stable,
-                acked_by=f"{self._primary}:{put_reply.index}",
-            )
-        )
+        super().rpc_reply(reply)
 
 
 class _GetStableOp(RetryingOp):
@@ -503,18 +500,21 @@ class _GetStableOp(RetryingOp):
         session = self._session
         key = self._key
         if self._owners is not None:
-            session.request(
-                session._owner_proxy(self._owners[0]), "forward_get_stable", key,
-                session._forward_timeout, self,
-            )
+            proxy = session._owner_proxy(self._owners[0])
+            session.ask(self, session._forward_timeout, proxy, GetStable, key)
             return
         view = session.view
         chain = view.chain_for(key)
         # Stable versions live on every replica: load-balance freely.
         target = view.address_of(chain[session._rng.randrange(len(chain))])
-        session.request(target, "get_stable", key, session.config.op_timeout, self)
+        session.ask(self, session.config.op_timeout, target, GetStable, key)
 
-    def rpc_reply(self, reply: Dict[str, Any]) -> None:
+    def rpc_reply(self, reply: StableReply) -> None:
+        if not reply.ok:
+            # syncing / not responsible, or the owner's head did not
+            # answer its proxy: refresh and retry
+            self._retry()
+            return
         if self._owners is not None:
             self._session.forwarded_gets += 1
         self.set_result(reply)
@@ -534,7 +534,7 @@ class _Snapshot(Future):
         super().__init__(session.sim)
         self._session = session
         self._keys = keys
-        self._results: Dict[str, Dict[str, Any]] = {}
+        self._results: Dict[str, StableReply] = {}
         self._rounds = 0
         self._read(list(dict.fromkeys(keys)))
 
@@ -559,19 +559,19 @@ class _Snapshot(Future):
         # for those keys.
         floors: Dict[str, Any] = {}
         for reply in results.values():
-            for dep_key, dep_version in reply["deps"].items():
+            for dep_key, dep_version in reply.deps.items():
                 if dep_key in results:
                     current = floors.get(dep_key)
                     floors[dep_key] = dep_version if current is None else current.merge(dep_version)
         pending = [
-            key for key, floor in floors.items() if not results[key]["version"].dominates(floor)
+            key for key, floor in floors.items() if not results[key].version.dominates(floor)
         ]
         keys = self._keys
         if not pending:
             self.set_result(
                 SnapshotResult(
-                    values={key: results[key]["value"] for key in keys},
-                    versions={key: results[key]["version"] for key in keys},
+                    values={key: results[key].value for key in keys},
+                    versions={key: results[key].version for key in keys},
                     rounds=self._rounds,
                 )
             )

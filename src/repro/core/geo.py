@@ -33,6 +33,7 @@ for experiment E7.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.membership import RingView
@@ -40,20 +41,22 @@ from repro.core.config import ChainReactionConfig
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
 from repro.core.messages import (
+    RELAY_TIMEOUT,
     Ack,
     ApplyRemote,
     GetRequest,
+    GetStable,
     PutReply,
     PutRequest,
     ReadReply,
     RemoteUpdate,
+    StableReply,
 )
-from repro.errors import RemoteError, RequestTimeout
+from repro.errors import RequestTimeout
 from repro.net.actor import Actor
 from repro.net.message import estimate_size
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Future
 
 __all__ = ["GeoProxy"]
 
@@ -145,114 +148,72 @@ class GeoProxy(Actor):  # repro: lint-ok(slots) — unslotted Actor base keeps t
     # ------------------------------------------------------------------
     # forwarded client operations (partial replication, owner side)
     # ------------------------------------------------------------------
-    def rpc_forward_get(self, key: str, src: Address) -> Future:
-        """Serve a remote client's read of a locally-owned shard.
+    def on_get_request(self, msg: GetRequest, src: Address) -> None:
+        """A remote client's read of a locally-owned shard, relayed to the
+        local chain *head*: the head is never behind, so a forwarded read
+        always observes every version this owner site has serialised —
+        the property the relaxed dependency checking in
+        :meth:`_RemoteApply._wait_deps` (and the planes) relies on."""
+        _Relay(self, msg, src)
 
-        Served at the local chain *head*: the head is never behind, so a
-        forwarded read always observes every version this owner site has
-        serialised — the property the relaxed dependency checking in
-        :meth:`_RemoteApply._wait_deps` (and the planes) relies on.
-        """
-        return _ForwardRead(self, key, stable=False)
-
-    def rpc_forward_get_stable(self, key: str, src: Address) -> Future:
+    def on_get_stable(self, msg: GetStable, src: Address) -> None:
         """Snapshot-read leg for a non-owned shard: the primary's stable
         record plus the full dependency list of the write that produced
         it (the primary's record deps are never pruned — it admitted the
         write straight from the client's PutRequest)."""
-        return _ForwardRead(self, key, stable=True)
+        _Relay(self, msg, src)
 
-    def rpc_forward_put(self, payload: Dict[str, Any], src: Address) -> Future:
-        """Apply a remote client's write through the local chain.
+    def on_put_request(self, msg: PutRequest, src: Address) -> None:
+        """A remote client's write, applied through the local chain: all
+        writes to a shard funnel through its primary owner's chain, so
+        one head serialises the shard no matter where the writer lives —
+        version assignment, dependency waits, and stability all run
+        exactly the local-client path. The head answers the proxy."""
+        _Relay(self, msg, src, reply_to=self.address)
 
-        All writes to a shard funnel through its primary owner's chain,
-        so one head serialises the shard no matter where the writer
-        lives — version assignment, dependency waits, and stability all
-        run exactly the local-client path.
-        """
-        return _ForwardPut(self, payload)
-
-    #: the answers to forwarded reads and writes, dependency waits and
+    #: the answers to relayed reads and writes, dependency waits and
     #: injections
-    on_put_reply = on_read_reply = on_ack = Actor.take_reply
+    on_put_reply = on_read_reply = on_stable_reply = on_ack = Actor.take_reply
 
 
-class _ForwardRead(Future):
-    """A forwarded read at the owner side: one request to the local chain
-    head — a forwarded ``GetRequest``, or a ``get_stable`` RPC for a
-    snapshot-read leg — whose reply (or failure) is the remote client's.
-    A read the head refused fails with a :class:`RemoteError`, which the
-    remote client retries."""
+#: a relayed request's type → the type of its reply
+_REPLY_TYPES = {GetRequest: ReadReply, GetStable: StableReply, PutRequest: PutReply}
 
-    __slots__ = ("_proxy",)
 
-    def __init__(self, proxy: GeoProxy, key: str, stable: bool) -> None:
-        super().__init__(proxy.sim)
+class _Relay:
+    """A forwarded request at the owner side: ``msg`` goes to the local
+    chain head under the proxy's own request id (with ``changes``), and
+    the head's reply goes back to the ``client`` under the client's. If
+    the head does not answer in time, the client gets the reply type's
+    refusal (``error`` :data:`RELAY_TIMEOUT`), and retries it."""
+
+    __slots__ = ("_proxy", "_client", "_client_id", "_reply_type")
+
+    def __init__(self, proxy: GeoProxy, msg: Any, client: Address, **changes: Any) -> None:
         self._proxy = proxy
+        self._client = client
+        self._client_id = msg.request_id
+        self._reply_type = _REPLY_TYPES[type(msg)]
         view = proxy.view
-        head = view.address_of(view.chain_for(key)[0])
-        timeout = proxy.config.op_timeout
-        if stable:
-            proxy.request(head, "get_stable", key, timeout, self)
-            return
-        rid = proxy._open_request(self, timeout, "get", head)
-        if rid:
-            proxy.send(head, GetRequest(request_id=rid, key=key, forwarded=True))
+        head = view.address_of(view.chain_for(msg.key)[0])
+        rid = proxy._expect_reply(self, proxy.config.op_timeout, msg.type_name, head)
+        proxy.send(head, dataclasses.replace(msg, request_id=rid, **changes))
 
     def rpc_reply(self, reply: Any) -> None:
-        if type(reply) is ReadReply and not reply.ok:
-            self.set_exception(RemoteError(reply.error))
-            return
         proxy = self._proxy
-        proxy.forwarded_gets_served += 1
-        proxy.forwarded_get_bytes += estimate_size(reply)
-        self.set_result(reply)
-
-
-class _ForwardPut(Future):
-    """A forwarded write at the owner side: a ``PutRequest`` to the local
-    chain head, waiting in the proxy's deadline table like a client's
-    ``_PutOp``; the ``PutReply`` travels back as a plain dict, from which
-    the remote session rebuilds its own view."""
-
-    __slots__ = ("_proxy", "_key")
-
-    def __init__(self, proxy: GeoProxy, payload: Dict[str, Any]) -> None:
-        super().__init__(proxy.sim)
-        self._proxy = proxy
-        key = self._key = payload["key"]
-        head = proxy.view.address_of(proxy.view.chain_for(key)[0])
-        proxy.send(
-            head,
-            PutRequest(
-                request_id=proxy._expect_reply(self, proxy.config.op_timeout, "put", head),
-                key=key,
-                value=payload["value"],
-                deps=payload["deps"],
-                reply_to=proxy.address,
-                is_delete=payload["is_delete"],
-            ),
-        )
-
-    def rpc_reply(self, reply: PutReply) -> None:
-        self._proxy.forwarded_puts_served += 1
-        self.set_result(
-            {
-                "ok": reply.ok,
-                "error": reply.error,
-                "version": reply.version,
-                "index": reply.index,
-                "chain_len": reply.chain_len,
-                "hlc": reply.hlc,
-            }
-        )
+        if type(reply) is PutReply:
+            proxy.forwarded_puts_served += 1
+        elif reply.ok:
+            proxy.forwarded_gets_served += 1
+            proxy.forwarded_get_bytes += estimate_size(reply)
+        proxy.send(self._client, dataclasses.replace(reply, request_id=self._client_id))
 
     def rpc_failed(self, exc: BaseException) -> None:
-        # The error text travels back to the client: it names the
-        # forwarded write, not the proxy's request to its head.
-        if isinstance(exc, RequestTimeout):
-            exc = RequestTimeout(f"forward-put({self._key!r})")
-        self.set_exception(exc)
+        # A timeout; or the proxy went down, and then sends nothing.
+        self._proxy.send(
+            self._client,
+            self._reply_type(request_id=self._client_id, ok=False, error=RELAY_TIMEOUT),
+        )
 
 
 class _RemoteApply:
@@ -355,13 +316,12 @@ class _RemoteApply:
         update = self._update
         view = proxy.view
         head = view.address_of(view.chain_for(update.key)[0])
-        rid = proxy._open_request(self, proxy.config.op_timeout, "apply_remote", head)
-        if rid:
-            # the RemoteUpdate's fields, in its order, under the request id
-            proxy.send(head, ApplyRemote(
-                rid, update.key, update.value, update.version, update.stamp, update.deps,
-                update.origin_site, update.origin_put_at, update.hlc,
-            ))
+        # the RemoteUpdate's fields, in its order, under the request id
+        proxy.ask(
+            self, proxy.config.op_timeout, head, ApplyRemote, update.key, update.value,
+            update.version, update.stamp, update.deps, update.origin_site, update.origin_put_at,
+            update.hlc,
+        )
 
     def rpc_reply(self, ack: Ack) -> None:
         proxy = self._proxy

@@ -6,7 +6,10 @@ Three planes:
   chain head; ``PutReply`` returns *directly* from whichever chain
   position acknowledges (the k-th server), saving the back-hop that a
   conventional RPC would pay. A read is one ``GetRequest`` to one chosen
-  server, answered by a ``ReadReply`` straight back.
+  server, answered by a ``ReadReply`` straight back; a snapshot read's
+  leg is a ``GetStable`` answered by a ``StableReply``. An owner DC's
+  geo-proxy relays a remote client's request to its head and the reply
+  back, under its own request id and then the client's.
 - **chain plane** — ``ChainPut`` carries a write down the chain;
   ``ChainStable`` carries the tail's stability notification back up.
 - **geo plane** — ``RemoteUpdate`` ships a DC-stable write to the other
@@ -67,6 +70,9 @@ __all__ = [
     "PutReply",
     "GetRequest",
     "ReadReply",
+    "GetStable",
+    "StableReply",
+    "RELAY_TIMEOUT",
     "WaitStable",
     "ApplyRemote",
     "Ack",
@@ -90,6 +96,10 @@ __all__ = [
 
 #: (key, version) pairs as carried by the coalesced stability messages.
 StableEntries = Tuple[Tuple[str, VersionVector], ...]
+
+#: ``error`` of the refusal an owner DC's proxy sends a remote client
+#: when its chain head did not answer the relayed request in time
+RELAY_TIMEOUT = "relay-timeout"
 
 
 class DepEntry:
@@ -156,7 +166,8 @@ def deps_size_bytes(deps: "Deps") -> int:
 
 @wire_message
 class PutRequest(Message):
-    """Client → chain head. Carries the session's unstable dependencies."""
+    """Client → chain head (or → an owner DC's proxy, which relays it to
+    its head). Carries the session's unstable dependencies."""
 
     type_name: ClassVar[str] = "put-request"
     memoize_size: ClassVar[bool] = True
@@ -186,9 +197,9 @@ class PutReply(Message):
 
 @wire_message
 class GetRequest(Message):
-    """Client → any chain position the session's metadata allows (or the
-    owner site's geo-proxy → the chain head, for a read forwarded from a
-    non-owner DC). Answered by a :class:`ReadReply` straight back."""
+    """Client → any chain position the session's metadata allows (or,
+    ``forwarded``, → an owner DC's proxy, which relays it to its chain
+    head). Answered by a :class:`ReadReply` straight back."""
 
     type_name: ClassVar[str] = "get-request"
     request_id: int = 0
@@ -223,6 +234,32 @@ class ReadReply(Message):
     error: str = ""
     hlc: Any = NO_HLC
     fwd_deps: Optional[Deps] = None
+
+
+@wire_message
+class GetStable(Message):
+    """A snapshot read's leg → any chain position of ``key`` (or → an
+    owner DC's proxy, which relays it). Answered by a :class:`StableReply`."""
+
+    type_name: ClassVar[str] = "get-stable"
+    request_id: int = 0
+    key: str = ""
+
+
+@wire_message
+class StableReply(Message):
+    """Chain position → snapshot reader: the newest DC-stable record
+    (``found`` False: none) with the versions the write that produced it
+    depended on, or ``ok=False`` with the reason the read was refused."""
+
+    type_name: ClassVar[str] = "stable-reply"
+    request_id: int = 0
+    found: bool = False
+    value: Any = None
+    version: VersionVector = dataclasses.field(default_factory=VersionVector)
+    deps: Dict[str, VersionVector] = dataclasses.field(default_factory=dict)
+    ok: bool = True
+    error: str = ""
 
 
 @wire_message

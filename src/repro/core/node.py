@@ -39,9 +39,11 @@ from repro.core.messages import (
     ChainPut,
     Deps,
     GetRequest,
+    GetStable,
     PutReply,
     PutRequest,
     ReadReply,
+    StableReply,
     StateTransfer,
     TransferDone,
     WaitStable,
@@ -49,7 +51,6 @@ from repro.core.messages import (
 from repro.core.deptable import DepSnapshot
 from repro.core.stability import DepWait
 from repro.core.stability_plane import plane_parts
-from repro.errors import NotResponsibleError, ReplicaUnavailable
 from repro.net.network import Address, Network
 from repro.sim.hlc import NO_HLC
 from repro.sim.kernel import Simulator
@@ -72,9 +73,9 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
     #: The data operations. A ``wait-stable`` is not one: a stability
     #: query is a version comparison, and charging it a service slot
     #: would tax every dependency-carrying put with capacity it does not
-    #: consume. (``rpc-request``: the snapshot read's ``get_stable``.)
+    #: consume.
     SERVICED_TYPES = frozenset(
-        {"rpc-request", "get-request", "put-request", "apply-remote", "chain-put", "state-transfer"}
+        {"get-stable", "get-request", "put-request", "apply-remote", "chain-put", "state-transfer"}
     )
 
     #: answers to this head's own dependency waits
@@ -388,11 +389,9 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         The list is the write's (already bounded) client dep snapshot,
         not a transitive closure.
         """
-        if self.syncing or not self.placement.owns(self.site, key):
-            return self._refuse_read(key, request_id)
-        pos = chain_positions(self.chain_for(key), self.name)
+        pos = self._read_position(key)
         if pos is None:
-            return self._refuse_read(key, request_id)
+            return ReadReply(request_id=request_id, ok=False, error=self._refusal(key))
         self.gets_served += 1
         plane = self.plane
         fwd_deps = None
@@ -419,46 +418,41 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             fwd_deps=fwd_deps,
         )
 
-    def _refuse_read(self, key: str, request_id: int) -> ReadReply:
+    def _read_position(self, key: str) -> Optional[int]:
+        """This server's chain position for a read of ``key``; None while
+        it is syncing, or when it does not hold the key."""
+        if self.syncing or not self.placement.owns(self.site, key):
+            return None
+        return chain_positions(self.chain_for(key), self.name)
+
+    def _refusal(self, key: str) -> str:
+        """Why this server refuses to read ``key`` now (and count it)."""
         self.rejected_ops += 1
         if self.syncing:
-            error = "syncing"
-        elif not self.placement.owns(self.site, key):
-            error = "not-responsible-shard"
-        else:
-            error = "not-responsible"
-        return ReadReply(request_id=request_id, ok=False, error=error)
+            return "syncing"
+        if not self.placement.owns(self.site, key):
+            return "not-responsible-shard"
+        return "not-responsible"
 
-    def rpc_get_stable(self, key: str, src: Address) -> Dict[str, Any]:
+    def on_get_stable(self, msg: GetStable, src: Address) -> None:
         """Serve the newest DC-stable record for ``key``, with the deps of
         the write that produced it — one leg of a causally consistent
         snapshot read. Any chain position can answer: stable versions
         are on every replica by definition."""
-        if self.syncing:
-            self.rejected_ops += 1
-            raise ReplicaUnavailable("syncing")
-        if not self.placement.owns(self.site, key):
-            self.rejected_ops += 1
-            raise NotResponsibleError(f"{self.site} does not own the shard of {key!r}")
-        if chain_positions(self.chain_for(key), self.name) is None:
-            self.rejected_ops += 1
-            raise NotResponsibleError(f"{self.name} not in chain for {key!r}")
+        key = msg.key
+        request_id = msg.request_id
+        if self._read_position(key) is None:
+            self.send(src, StableReply(request_id=request_id, ok=False, error=self._refusal(key)))
+            return
         self.gets_served += 1
         entry = self._stable_entry(key)
         if entry is None:
-            return {
-                "found": False,
-                "value": None,
-                "version": VersionVector(),
-                "deps": {},
-            }
+            self.send(src, StableReply(request_id=request_id))
+            return
         record, deps = entry
-        return {
-            "found": True,
-            "value": None if record.is_deleted else record.value,
-            "version": record.version,
-            "deps": {k: e.version for k, e in deps.items()},
-        }
+        value = None if record.is_deleted else record.value
+        versions = {k: e.version for k, e in deps.items()}
+        self.send(src, StableReply(request_id, True, value, record.version, versions))
 
     # ------------------------------------------------------------------
     # stability queries (tail role)

@@ -19,11 +19,11 @@ disposition and a category (e.g. ``RequestTimeout(TransientError,
 NetworkError)``), so both ``except TransientError`` and ``except
 NetworkError`` keep working.
 
-:class:`RemoteError` is the one class whose disposition is decided at
-runtime: the RPC layer copies the *remote* exception's ``retryable``
-flag onto the wire (see ``RpcResponse.retryable``) and rebuilds it on
-the client side, so a head rejecting a put because it is mid-sync
-(transient) retries, while a permanent remote failure does not.
+A server that cannot serve a request does not raise across the
+network: it answers with a reply whose ``ok`` is False and whose
+``error`` says why (a head mid-sync, a server not responsible for the
+key). Such a refusal is always worth another attempt, so the client
+retries it as it retries a :class:`RequestTimeout`.
 """
 
 from __future__ import annotations
@@ -117,16 +117,7 @@ class ReplicaUnavailable(TransientError, NetworkError):
 
 
 class RemoteError(TransientError, NetworkError):
-    """The remote side of an RPC raised an error while handling the request.
-
-    The remote exception's ``retryable`` disposition travels back over
-    the wire, so ``RemoteError`` instances carry it per instance rather
-    than per class.
-    """
-
-    def __init__(self, message: str = "", retryable: bool = True) -> None:
-        super().__init__(message)
-        self.retryable = retryable  # type: ignore[misc]
+    """The remote side failed to handle a request."""
 
 
 class ChainUnavailableError(TransientError, ClusterError):

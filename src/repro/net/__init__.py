@@ -1,6 +1,6 @@
 """Simulated network substrate: messages, latency models, fabric, actors."""
 
-from repro.net.actor import Actor, RpcRequest, RpcResponse
+from repro.net.actor import Actor
 from repro.net.boundary import Envelope, ShardBoundary
 from repro.net.latency import (
     WAN_LATENCY_FLOOR,
@@ -18,8 +18,6 @@ from repro.net.network import Address, Network, NetworkStats
 
 __all__ = [
     "Actor",
-    "RpcRequest",
-    "RpcResponse",
     "Message",
     "estimate_size",
     "Address",

@@ -9,57 +9,29 @@ experiments.
 Every awaited reply sits in one deadline table per actor, watched by a
 single kernel alarm at its earliest deadline: a reply costs no heap
 entry. A *continuation* waits in it and hears the outcome once:
-``rpc_reply(value)`` or ``rpc_failed(exc)``. Two request forms share it:
-
-- **typed pairs**, for the per-operation paths: the sender enters the
-  continuation with :meth:`Actor._open_request` and sends its own
-  request message under the returned id; the reply message carries the
-  id back, and its ``on_<type>`` handler is :meth:`Actor.take_reply`.
-- **the RPC envelope** (``rpc_<method>`` handlers), for the cold paths:
-  :meth:`Actor.request` wraps any payload in an :class:`RpcRequest` and
-  the return value in an :class:`RpcResponse`, and :meth:`Actor.call`
-  is the same with a fresh :class:`~repro.sim.process.Future` for code
-  that yields the call.
+``rpc_reply(reply)`` or ``rpc_failed(exc)``. There is one request form,
+the typed pair: the sender enters the continuation with
+:meth:`Actor._open_request` and sends its own request message under the
+returned id (:meth:`Actor.ask` does both); the reply message carries
+the id back, and its ``on_<type>`` handler is :meth:`Actor.take_reply`.
+A refusal is a field of the reply (``ok=False``, always worth another
+attempt), never an exception: a continuation fails only at its deadline
+(:class:`RequestTimeout`) or when its actor goes down.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, ClassVar, Dict, Optional, Set, Tuple, Type
 
-from repro.errors import RemoteError, ReplicaUnavailable, ReproError, RequestTimeout
-from repro.net.message import Message, wire_message
+from repro.errors import ReplicaUnavailable, ReproError, RequestTimeout
+from repro.net.message import Message
 from repro.net.network import Address, Network
 from repro.sim.kernel import ScheduledEvent, Simulator
-from repro.sim.process import Future
 
-__all__ = ["Actor", "RpcRequest", "RpcResponse"]
-
-#: Default RPC deadline. Generous relative to LAN latencies so that the
-#: steady-state experiments never trip it; fault tests override it.
-DEFAULT_RPC_TIMEOUT = 5.0
+__all__ = ["Actor"]
 
 #: ``Actor._rpc_alarm_at`` while no alarm is armed
 _NEVER = float("inf")
-
-
-@wire_message
-class RpcRequest(Message):
-    type_name: ClassVar[str] = "rpc-request"
-    request_id: int = 0
-    method: str = ""
-    payload: Any = None
-
-
-@wire_message
-class RpcResponse(Message):
-    type_name: ClassVar[str] = "rpc-response"
-    request_id: int = 0
-    ok: bool = True
-    payload: Any = None
-    error: str = ""
-    #: disposition of the remote failure (see repro.errors); carried on
-    #: the wire so the caller's RemoteError keeps the retryable flag
-    retryable: bool = True
 
 
 class Actor:
@@ -67,11 +39,10 @@ class Actor:
 
     Subclasses implement message handlers named ``on_<type_name>`` with
     dashes replaced by underscores (e.g. ``type_name = "chain-ack"`` →
-    ``def on_chain_ack(self, msg, src)``), and RPC handlers named
-    ``rpc_<method>`` that return either a plain value or a Future.
+    ``def on_chain_ack(self, msg, src)``).
 
     Names are resolved once per actor, on the first message of each
-    class (or first call of each method), into per-instance tables — so
+    class, into a per-instance table — so
     a handler assigned on an instance, or a class attribute replaced
     before the actor's first message, is what gets bound.
     """
@@ -104,8 +75,6 @@ class Actor:
         self._rpc_alarm_at = _NEVER
         #: message class → bound handler, filled by _bind_handler
         self._message_handlers: Dict[Type[Message], Callable[[Any, Address], None]] = {}
-        #: RPC method name → bound ``rpc_<method>``
-        self._rpc_handlers: Dict[str, Callable[[Any, Address], Any]] = {}
         network.register(address, self._receive)
 
     # ------------------------------------------------------------------
@@ -152,14 +121,8 @@ class Actor:
 
     def _bind_handler(self, cls: Type[Message]) -> Callable[[Any, Address], None]:
         """Resolve and remember this actor's handler for ``cls``."""
-        handler: Callable[[Any, Address], None]
-        if issubclass(cls, RpcRequest):
-            handler = self._handle_rpc_request
-        elif issubclass(cls, RpcResponse):
-            handler = self._handle_rpc_response
-        else:
-            name = "on_" + cls.type_name.replace("-", "_")
-            handler = getattr(self, name, None) or self.on_unhandled
+        name = "on_" + cls.type_name.replace("-", "_")
+        handler: Callable[[Any, Address], None] = getattr(self, name, None) or self.on_unhandled
         self._message_handlers[cls] = handler
         return handler
 
@@ -218,31 +181,29 @@ class Actor:
         """Hook invoked after the actor rejoins the network."""
 
     # ------------------------------------------------------------------
-    # RPC
+    # requests and replies
     # ------------------------------------------------------------------
-    def request(
-        self, dst: Address, method: str, payload: Any, timeout: float, cont: Any
-    ) -> None:
-        """Invoke ``rpc_<method>`` on the actor at ``dst``; exactly one
-        of ``cont.rpc_reply(value)`` and ``cont.rpc_failed(exc)`` is
-        called, once, after the request has left the deadline table.
-        ``exc`` is a :class:`RequestTimeout`, a :class:`RemoteError`, or
-        :class:`ReplicaUnavailable` when this actor is or goes down — a
-        :class:`~repro.errors.TransientError`, unless a client session
-        closes under it (:class:`~repro.errors.SessionClosedError`)."""
-        rid = self._open_request(cont, timeout, method, dst)
-        if rid:
-            self.send(dst, RpcRequest(request_id=rid, method=method, payload=payload))
-
     def _open_request(self, cont: Any, timeout: float, method: str, dst: Address) -> int:
         """What a request does before it is sent: :meth:`_expect_reply`,
         or, while this actor is crashed, ``cont.rpc_failed`` at once with
         :class:`ReplicaUnavailable` and 0 (request ids start at 1): then
-        there is nothing to send."""
+        there is nothing to send. ``cont`` hears one of ``rpc_reply(reply)``
+        and ``rpc_failed(exc)``, once; ``exc`` is a :class:`RequestTimeout`
+        (naming ``method``), or :class:`ReplicaUnavailable` when this actor
+        is or goes down (a client session's close: SessionClosedError)."""
         if self.crashed:
             cont.rpc_failed(ReplicaUnavailable(f"{self.address} is crashed"))
             return 0
         return self._expect_reply(cont, timeout, method, dst)
+
+    def ask(
+        self, cont: Any, timeout: float, dst: Address, request: Type[Message], *fields: Any
+    ) -> None:
+        """Send ``request(request_id, *fields)`` to ``dst``, its reply
+        awaited by ``cont`` (:meth:`_open_request`)."""
+        rid = self._open_request(cont, timeout, request.type_name, dst)
+        if rid:
+            self.send(dst, request(rid, *fields))
 
     def take_reply(self, msg: Any, src: Address) -> None:
         """The handler of every typed reply (bound per class as its
@@ -264,22 +225,6 @@ class Actor:
         if at < self._rpc_alarm_at:
             self._arm_rpc_alarm(at)
         return rid
-
-    def call(
-        self,
-        dst: Address,
-        method: str,
-        payload: Any = None,
-        timeout: float = DEFAULT_RPC_TIMEOUT,
-    ) -> Future:
-        """:meth:`request` with a fresh future as the continuation.
-
-        Resolves with the remote return value, or fails with
-        :class:`RequestTimeout` / :class:`RemoteError`.
-        """
-        fut = Future(self.sim)
-        self.request(dst, method, payload, timeout, fut)
-        return fut
 
     def _arm_rpc_alarm(self, at: float) -> None:
         alarm = self._rpc_alarm
@@ -318,71 +263,6 @@ class Actor:
         pending, self._rpc_pending = self._rpc_pending, {}
         for entry in pending.values():
             entry[0].rpc_failed(exc_type(message))
-
-    def _handle_rpc_request(self, msg: RpcRequest, src: Address) -> None:
-        handler = self._rpc_handlers.get(msg.method)
-        if handler is None:
-            handler = getattr(self, "rpc_" + msg.method, None)
-            if handler is None:
-                # An unsupported operation is permanent: re-asking cannot help.
-                self.send(
-                    src,
-                    RpcResponse(
-                        request_id=msg.request_id,
-                        ok=False,
-                        error=f"no rpc handler {msg.method!r} on {type(self).__name__}",
-                        retryable=False,
-                    ),
-                )
-                return
-            self._rpc_handlers[msg.method] = handler
-        try:
-            result = handler(msg.payload, src)
-        except ReproError as exc:
-            self.send(
-                src,
-                RpcResponse(
-                    request_id=msg.request_id,
-                    ok=False,
-                    error=str(exc),
-                    retryable=exc.retryable,
-                ),
-            )
-            return
-        if isinstance(result, Future):
-            result.add_callback(
-                lambda fut: self._reply_from_future(src, msg.request_id, fut)
-            )
-        else:
-            self.send(src, RpcResponse(request_id=msg.request_id, ok=True, payload=result))
-
-    def _reply_from_future(self, src: Address, request_id: int, fut: Future) -> None:
-        if fut.failed():
-            exc = fut.exception()
-            self.send(
-                src,
-                RpcResponse(
-                    request_id=request_id,
-                    ok=False,
-                    error=str(exc),
-                    retryable=bool(getattr(exc, "retryable", True)),
-                ),
-            )
-        else:
-            self.send(
-                src,
-                RpcResponse(request_id=request_id, ok=True, payload=fut.result()),
-            )
-
-    def _handle_rpc_response(self, msg: RpcResponse, src: Optional[Address] = None) -> None:
-        pending = self._rpc_pending.pop(msg.request_id, None)
-        if pending is None:
-            return  # late response after timeout; drop
-        cont = pending[0]
-        if msg.ok:
-            cont.rpc_reply(msg.payload)
-        else:
-            cont.rpc_failed(RemoteError(msg.error, retryable=msg.retryable))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"

@@ -57,14 +57,9 @@ def _size_sequence(value: Any) -> int:
 
 
 def _size_dict(value: Any) -> int:
-    # RPC payloads are small dicts of str keys and mostly scalar values:
-    # size those two cases without a call apiece.
     total = 4
-    scalars = _SCALAR_SIZES
     for key, item in value.items():
-        total += 4 + len(key) if type(key) is str else estimate_size(key)
-        scalar = scalars.get(type(item))
-        total += scalar if scalar is not None else estimate_size(item)
+        total += estimate_size(key) + estimate_size(item)
     return total
 
 

@@ -102,7 +102,7 @@ class Future:
         self.set_exception(exc)
         return True
 
-    # The continuation protocol of ``Actor.request``: ``try_set_*``
+    # The continuation protocol of ``Actor._open_request``: ``try_set_*``
     # without the verdict, for a subclass to override with its reaction.
 
     def rpc_reply(self, value: Any) -> None:

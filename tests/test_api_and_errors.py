@@ -40,14 +40,7 @@ class TestErrorHierarchy:
         assert errors.ReplicaUnavailable("x").retryable is True
         assert errors.SessionClosedError("x").retryable is False
         assert errors.ConfigError("x").retryable is False
-
-    def test_remote_error_carries_instance_disposition(self):
-        assert errors.RemoteError("boom").retryable is True
-        wrapped = errors.RemoteError("bad config", retryable=False)
-        assert wrapped.retryable is False
-        # still catchable as transient (class-level), so retry layers
-        # must consult the instance flag — which is the documented contract
-        assert isinstance(wrapped, errors.TransientError)
+        assert errors.RemoteError("x").retryable is True
 
 
 class TestResultTypes:

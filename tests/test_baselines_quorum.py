@@ -5,6 +5,7 @@ import pytest
 from helpers import run_op
 
 from repro.baselines import BaselineConfig, QuorumStore
+from repro.baselines.common import KvGet
 from repro.storage.version import VersionVector
 
 
@@ -64,10 +65,10 @@ class TestQuorumSemantics:
         """W=1, R=1 with frozen replication: a read from another replica
         misses the write — the configuration E10 penalises."""
         store = make_quorum(write_quorum=1, read_quorum=1)
-        # Replication rides replica_write RPCs; block those so only the
+        # Replication rides replica writes; block those so only the
         # coordinator that took the write holds it.
         store.network.add_filter(
-            lambda _s, _d, m: getattr(m, "method", None) != "replica_write"
+            lambda _s, _d, m: m.type_name != "q-replica-write"
         )
         s = store.session()
         run_op(store, s.put("k", "v"))
@@ -81,7 +82,7 @@ class TestQuorumSemantics:
         store = make_quorum(write_quorum=1, read_quorum=3)
         # Stop direct replication; only read repair can spread the write.
         store.network.add_filter(
-            lambda _s, _d, m: getattr(m, "method", None) != "replica_write"
+            lambda _s, _d, m: m.type_name != "q-replica-write"
         )
         s = store.session()
         run_op(store, s.put("k", "v"))
@@ -125,19 +126,23 @@ class TestReadRepairTarget:
         held, repaired = [], []
 
         def divert(src, dst, msg):
-            if dst == coordinator.address and msg.type_name == "rpc-response":
+            if dst == coordinator.address and msg.type_name == "q-replica-record":
                 held.append((src, dst, msg))
                 return True
             return False
 
+        answers = []
+
         def watch(src, dst, msg):
             if msg.type_name == "ev-replicate":
                 repaired.append(dst)
+            elif msg.type_name == "kv-reply":
+                answers.append(msg)
             return True
 
         store.network.set_divert(divert)
         store.network.add_filter(watch)
-        answer = coordinator.rpc_get("k", coordinator.address)
+        coordinator.on_kv_get(KvGet(request_id=1, key="k"), store.session().address)
         while len(held) < 2:
             assert store.sim.step()
         assert [src for src, _, _ in held] == peers
@@ -146,7 +151,7 @@ class TestReadRepairTarget:
         store.network.set_divert(None)
         store.run(until=store.sim.now + 0.5)
 
-        assert answer.result()["value"] == "v"
+        assert [answer.value for answer in answers] == ["v"]
         assert repaired == [peers[1]]
         assert coordinator.read_repairs == 1
         assert stale.store.version_of("k") == version

@@ -1,10 +1,10 @@
-"""The client retry loop and the RPC primitive, pinned.
+"""The client retry loop and the deadline table, pinned.
 
-Every client operation is in continuation form (``RetryingOp`` +
-``Actor.request``): the hot get / put, forwarded gets and puts, snapshot
-reads and the baselines' operations. Each replaced a coroutine
-(``Process`` + nested ``_op_attempts`` generator + a ``Future`` per RPC)
-without changing *what* a session does: every retry / timeout / crash /
+Every client operation is in continuation form (``RetryingOp`` + a typed
+request entered in the session's deadline table): the hot get / put,
+forwarded gets and puts, snapshot reads and the baselines' operations.
+Each replaced a coroutine (``Process`` + nested ``_op_attempts``
+generator + a ``Future`` per RPC) without changing *what* a session does: every retry / timeout / crash /
 degraded-read branch sends the same messages at the same virtual
 instants with the same RNG draws.
 
@@ -30,21 +30,18 @@ carrying the write's value, stamp and dependencies (4 or 8 bytes each);
 nothing else of theirs moved.
 """
 
+import dataclasses
+from typing import ClassVar
+
 import pytest
 
 from helpers import build, make_geo_store, make_store
 
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.core.messages import PutReply
-from repro.errors import (
-    RemoteError,
-    ReplicaUnavailable,
-    RequestTimeout,
-    SessionClosedError,
-    VersionConflictError,
-)
-from repro.net import Actor, Address, FixedLatency, Network
-from repro.sim import Simulator
+from repro.errors import ReplicaUnavailable, RequestTimeout, SessionClosedError
+from repro.net import Actor, Address, FixedLatency, Message, Network
+from repro.sim import Future, Simulator
 
 #: knobs that make retries fast enough to script: short attempts, short
 #: backoff, and a failure detector slow enough never to interfere unless
@@ -105,21 +102,6 @@ def degraded_after_unreachable_prefix():
     assert fut.succeeded()
     store.network.block("dc0:alice", f"dc0:{chain[0]}")
     return store, s, s.get("k"), 3.0
-
-
-def non_retryable_remote_error():
-    """A permanent server-side failure travels back as a non-retryable
-    RemoteError and fails the snapshot read on the spot. (A get cannot
-    fail so: its ``ReadReply`` refusals are all retryable.)"""
-    store = make_store(**FAST)
-    s = store.session(session_id="alice")
-
-    def broken(key, src):
-        raise VersionConflictError("disk says no")
-
-    for node in _chain(store, "k"):
-        node.rpc_get_stable = broken
-    return store, s, s.multi_get(["k"]), 1.0
 
 
 def put_refused_not_head():
@@ -346,7 +328,7 @@ def eventual_get_retried_once():
     dropped = []
 
     def drop_first_request(src, dst, msg):
-        if str(src) == "dc0:alice" and msg.type_name == "rpc-request" and not dropped:
+        if str(src) == "dc0:alice" and msg.type_name == "kv-get" and not dropped:
             dropped.append(msg)
             return True
         return False
@@ -361,7 +343,6 @@ SCRIPTS = {
         head_crash_mid_get,
         stale_replica_falls_back_to_head,
         degraded_after_unreachable_prefix,
-        non_retryable_remote_error,
         put_refused_not_head,
         put_timeout_then_late_reply,
         max_retries_exhausted,
@@ -406,33 +387,32 @@ def fingerprint(name):
 #: ``python tests/test_client_ops.py``; the event counts (sixth field)
 #: re-recorded once, see the module docstring. The bytes (last field) were
 #: re-recorded once more when reads, dependency waits and remote injects
-#: left the RPC envelope for typed request / reply messages: nothing else
-#: moved. ``non_retryable_remote_error`` then moved to a snapshot read's
-#: ``get_stable`` leg (a get can no longer fail permanently) and kept the
-#: parent's instant, retries, events and messages.
+#: left the RPC envelope for typed request / reply messages, and again when
+#: the envelope left the tree (forwarded operations, snapshot legs, view
+#: refreshes and the baselines' operations became typed pairs too):
+#: nothing else moved either time.
 PINNED = {
-    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 595, 290, 11941),
-    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 323, 164, 6463),
-    'degraded_after_unreachable_prefix': ('GetResult', 0.6330106051156347, 2, 0, 1, 491, 248, 9655),
-    'non_retryable_remote_error': ('RemoteError', 0.0004226981130156571, 0, 0, 0, 162, 78, 2990),
-    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 671, 335, 13302),
-    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 170, 90, 3970),
-    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 9, 0, 0),
-    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 6, 0, 0),
-    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 161, 77, 2951),
     'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 333, 157, 5966),
+    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 161, 77, 2951),
+    'cops_put': ('PutResult', 0.001357255347678765, 0, 0, 0, 327, 157, 6113),
+    'degraded_after_unreachable_prefix': ('GetResult', 0.6330106051156347, 2, 0, 1, 491, 248, 9617),
+    'eventual_get_retried_once': ('GetResult', 0.06202758000450802, 1, 0, 0, 382, 185, 7703),
+    'forwarded_get_at_primary': ('GetResult', 0.06849192830258789, 0, 0, 0, 483, 232, 8894),
+    'forwarded_get_degraded_at_backup': ('GetResult', 1.2856754454066295, 3, 0, 1, 1460, 739, 28759),
+    'forwarded_put_carries_a_local_dep': ('PutResult', 0.08491484947194096, 0, 0, 0, 534, 278, 12060),
+    'forwarded_put_refused_then_retried': ('PutResult', 0.15752557057317268, 1, 0, 0, 495, 259, 10700),
+    'forwarded_put_times_out_at_proxy': ('PutResult', 0.20366506402592496, 1, 0, 0, 518, 280, 12088),
+    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 595, 290, 11865),
+    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 9, 0, 0),
+    'multi_get_gives_up_after_eight_rounds': ('RequestTimeout', 0.05495905381645978, 0, 1, 0, 185, 107, 4783),
+    'multi_get_in_one_round': ('SnapshotResult', 0.07299379673766357, 0, 0, 0, 486, 234, 8985),
+    'multi_get_rereads_a_key': ('SnapshotResult', 0.05125404335945394, 0, 0, 0, 173, 95, 4301),
+    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 6, 0, 0),
+    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 671, 335, 13283),
+    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 170, 90, 3951),
     'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 175, 90, 4013),
     'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2760, 1680, 75619),
-    'forwarded_get_at_primary': ('GetResult', 0.06849192830258789, 0, 0, 0, 483, 232, 8946),
-    'forwarded_get_degraded_at_backup': ('GetResult', 1.2856754454066295, 3, 0, 1, 1460, 739, 28968),
-    'forwarded_put_refused_then_retried': ('PutResult', 0.15752557057317268, 1, 0, 0, 495, 259, 10919),
-    'forwarded_put_times_out_at_proxy': ('PutResult', 0.20366506402592496, 1, 0, 0, 518, 280, 12228),
-    'forwarded_put_carries_a_local_dep': ('PutResult', 0.08491484947194096, 0, 0, 0, 534, 278, 12160),
-    'multi_get_in_one_round': ('SnapshotResult', 0.07299379673766357, 0, 0, 0, 486, 234, 9161),
-    'multi_get_rereads_a_key': ('SnapshotResult', 0.05125404335945394, 0, 0, 0, 173, 95, 4469),
-    'multi_get_gives_up_after_eight_rounds': ('RequestTimeout', 0.05495905381645978, 0, 1, 0, 185, 107, 5287),
-    'cops_put': ('PutResult', 0.001357255347678765, 0, 0, 0, 327, 157, 6171),
-    'eventual_get_retried_once': ('GetResult', 0.06202758000450802, 1, 0, 0, 382, 185, 7761),
+    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 323, 164, 6444),
 }
 
 
@@ -456,13 +436,6 @@ def test_forwarded_and_snapshot_outcomes():
     assert (outcome.rounds, outcome.values, s.forwarded_gets) == (1, {"a": "1", "d": "2"}, 1)
     _store, _s, outcome, _ = fingerprint("multi_get_rereads_a_key")
     assert (outcome.rounds, outcome.values) == (2, {"a": 1, "b": 2})
-
-
-def test_non_retryable_failure_is_not_retried():
-    _store, s, outcome, _ = fingerprint("non_retryable_remote_error")
-    assert isinstance(outcome, RemoteError) and not outcome.retryable
-    assert "disk says no" in str(outcome)
-    assert (s.retries, s.failed_ops) == (0, 0)
 
 
 def test_degraded_read_is_flagged_and_leaves_the_dep_table_alone():
@@ -534,16 +507,34 @@ def test_monitor_wrapped_note_observed_sees_every_get():
 
 
 # ----------------------------------------------------------------------
-# Actor.request is the primitive, Actor.call the same thing with a Future
+# the deadline table: a future and a bare continuation are served alike
 # ----------------------------------------------------------------------
 
 
-class Peer(Actor):
-    def rpc_double(self, payload, src):
-        return payload * 2
+@dataclasses.dataclass(frozen=True)
+class Double(Message):
+    type_name: ClassVar[str] = "double"
+    request_id: int = 0
+    n: int = 0
 
-    def rpc_explode(self, payload, src):
-        raise VersionConflictError("server side boom")
+
+@dataclasses.dataclass(frozen=True)
+class Doubled(Message):
+    type_name: ClassVar[str] = "doubled"
+    request_id: int = 0
+    n: int = 0
+
+
+class Peer(Actor):
+    def on_double(self, msg, src):
+        self.send(src, Doubled(request_id=msg.request_id, n=msg.n * 2))
+
+    on_doubled = Actor.take_reply
+
+    def ask(self, dst, n, timeout, cont):
+        rid = self._open_request(cont, timeout, "double", dst)
+        if rid:
+            self.send(dst, Double(request_id=rid, n=n))
 
 
 class Recorder:
@@ -552,43 +543,44 @@ class Recorder:
     def __init__(self):
         self.outcomes = []
 
-    def rpc_reply(self, value):
-        self.outcomes.append(("reply", value))
+    def rpc_reply(self, reply):
+        self.outcomes.append(("reply", reply.n))
 
     def rpc_failed(self, exc):
-        self.outcomes.append(("failed", type(exc), str(exc), getattr(exc, "retryable", None)))
+        self.outcomes.append(("failed", type(exc), str(exc)))
 
 
-def _round_trip(sim, scenario, through_call):
+def _round_trip(sim, scenario, through_future):
     net = Network(sim, lan=FixedLatency(0.001))
     a, b = Peer(sim, net, Address("dc0", "a")), Peer(sim, net, Address("dc0", "b"))
-    method = "explode" if scenario == "remote-error" else "double"
     if scenario == "timeout":
         b.crash()
     recorder = Recorder()
-    if through_call:
-        fut = a.call(b.address, method, 21, timeout=0.5)
+    if through_future:
+        fut = Future(sim)
+        a.ask(b.address, 21, 0.5, fut)
         fut.add_callback(
             lambda f: recorder.rpc_failed(f.exception()) if f.failed() else recorder.rpc_reply(f.result())
         )
     else:
-        a.request(b.address, method, 21, 0.5, recorder)
+        a.ask(b.address, 21, 0.5, recorder)
     if scenario == "crash":
         sim.schedule(0.0005, a.crash)  # request on the wire, reply not back yet
     sim.run()
     return recorder.outcomes, (sim.events_processed, net.stats.messages_sent, net.stats.bytes_sent), sim.now
 
 
-@pytest.mark.parametrize("scenario", ["reply", "remote-error", "timeout", "crash"])
+@pytest.mark.parametrize("scenario", ["reply", "timeout", "crash"])
 def test_call_and_request_are_one_implementation(scenario):
-    via_call = _round_trip(Simulator(), scenario, through_call=True)
-    via_request = _round_trip(Simulator(), scenario, through_call=False)
-    assert via_call == via_request
-    outcomes = via_request[0]
+    # A future as the continuation (what yielding code waits on) and a
+    # bare continuation object go through the same table and alarm.
+    via_future = _round_trip(Simulator(), scenario, through_future=True)
+    via_continuation = _round_trip(Simulator(), scenario, through_future=False)
+    assert via_future == via_continuation
+    outcomes = via_continuation[0]
     assert len(outcomes) == 1  # exactly one of the two methods, once
     expected = {
         "reply": ("reply", 42),
-        "remote-error": ("failed", RemoteError, "server side boom", False),
         "timeout": ("failed", RequestTimeout),
         "crash": ("failed", ReplicaUnavailable),
     }[scenario]
@@ -601,8 +593,9 @@ def test_crash_with_rpcs_pending_leaves_no_live_deadline(sim):
     b.crash()  # requests are dropped at send: the only events are a's
     recorder = Recorder()
     for n in range(3):
-        a.request(b.address, "double", n, 5.0 - n, recorder)
-    fut = a.call(b.address, "double", 3, timeout=5.0)
+        a.ask(b.address, n, 5.0 - n, recorder)
+    fut = Future(sim)
+    a.ask(b.address, 3, 5.0, fut)
     a.set_timer(1.0, lambda: None)
     assert sim.pending_events() == 2  # one deadline alarm + one protocol timer
     a.crash()
@@ -613,7 +606,7 @@ def test_crash_with_rpcs_pending_leaves_no_live_deadline(sim):
     assert sim.events_processed == 0 and len(recorder.outcomes) == 3  # each failed once
     # Recovered, the actor arms a fresh alarm for its next request.
     a.recover()
-    a.request(b.address, "double", 4, 0.5, recorder)
+    a.ask(b.address, 4, 0.5, recorder)
     sim.run()
     assert recorder.outcomes[3][1] is RequestTimeout and sim.now == 0.5
 
@@ -623,7 +616,7 @@ def test_request_from_a_crashed_actor_fails_its_continuation_at_once(sim):
     a, b = Peer(sim, net, Address("dc0", "a")), Peer(sim, net, Address("dc0", "b"))
     a.crash()
     recorder = Recorder()
-    a.request(b.address, "double", 1, 5.0, recorder)
+    a.ask(b.address, 1, 5.0, recorder)
     assert [outcome[1] for outcome in recorder.outcomes] == [ReplicaUnavailable]
     assert sim.pending_events() == 0
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterManager, RingView
+from repro.cluster.membership import GetView, ViewReply
 from repro.cluster.server_base import RingServer
 from repro.errors import ClusterError
 from repro.net import FixedLatency, Network
@@ -112,8 +113,11 @@ class TestAdmin:
 
     def test_rpc_get_view_returns_current(self, sim):
         net, manager, servers = deploy(sim)
-        view = manager.rpc_get_view(None, servers[0].address)
-        assert view is manager.view
+        answers = []
+        net.add_filter(lambda src, dst, msg: msg.type_name != "view-reply" or answers.append(msg) or True)
+        manager.on_get_view(GetView(request_id=7), servers[0].address)
+        assert answers == [ViewReply(request_id=7, view=manager.view)]
+        assert answers[0].view is manager.view
 
     def test_view_listener_called_on_change(self, sim):
         _, manager, servers = deploy(sim)

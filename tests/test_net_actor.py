@@ -1,11 +1,12 @@
-"""Unit tests for actors: dispatch, timers, crash/recover, RPC, service time."""
+"""Unit tests for actors: dispatch, timers, crash/recover, the deadline
+table of typed request / reply pairs, service time."""
 
 import dataclasses
 from typing import Any, ClassVar
 
 import pytest
 
-from repro.errors import RemoteError, RequestTimeout, StorageError
+from repro.errors import RequestTimeout
 from repro.net import Actor, Address, FixedLatency, Message, Network
 from repro.sim import Future, Simulator
 
@@ -19,6 +20,37 @@ class Tick(Message):
 @dataclasses.dataclass(frozen=True)
 class Mystery(Message):
     type_name: ClassVar[str] = "mystery"
+
+
+@dataclasses.dataclass(frozen=True)
+class Double(Message):
+    """A typed request: answer ``n * 2`` (``later``: half a second later)."""
+
+    type_name: ClassVar[str] = "double"
+    request_id: int = 0
+    n: int = 0
+    later: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class Doubled(Message):
+    type_name: ClassVar[str] = "doubled"
+    request_id: int = 0
+    n: int = 0
+
+
+def ask(sender, dst, n, timeout, cont, later=False):
+    """Enter ``cont`` in ``sender``'s deadline table and send the request."""
+    rid = sender._open_request(cont, timeout, "double", dst.address)
+    if rid:
+        sender.send(dst.address, Double(request_id=rid, n=n, later=later))
+
+
+def call(sender, dst, n, timeout=5.0, later=False):
+    """:func:`ask` with a fresh future as the continuation."""
+    fut = Future(sender.sim)
+    ask(sender, dst, n, timeout, fut, later)
+    return fut
 
 
 class Echo(Actor):
@@ -35,16 +67,14 @@ class Echo(Actor):
     def on_unhandled(self, msg, src):
         self.unknown.append(msg)
 
-    def rpc_double(self, payload, src):
-        return payload * 2
+    def on_double(self, msg, src):
+        reply = Doubled(request_id=msg.request_id, n=msg.n * 2)
+        if msg.later:
+            self.set_timer(0.5, self.send, src, reply)
+        else:
+            self.send(src, reply)
 
-    def rpc_later(self, payload, src):
-        fut = Future(self.sim)
-        self.set_timer(0.5, fut.set_result, payload + 1)
-        return fut
-
-    def rpc_explode(self, payload, src):
-        raise StorageError("server side boom")
+    on_doubled = Actor.take_reply
 
 
 class Outcomes:
@@ -109,12 +139,12 @@ class TestHandlerTable:
         a, b = pair
         seen = []
         b.on_tick = lambda msg, src: seen.append(msg.n)
-        b.rpc_double = lambda payload, src: payload * 3
+        b.on_double = lambda msg, src: b.send(src, Doubled(msg.request_id, msg.n * 3))
         a.send(b.address, Tick(n=4))
-        fut = a.call(b.address, "double", 5)
+        fut = call(a, b, 5)
         sim.run()
         assert seen == [4] and b.ticks == []
-        assert fut.result() == 15
+        assert fut.result().n == 15
 
     def test_tables_are_per_instance(self, sim, pair):
         a, b = pair
@@ -195,7 +225,7 @@ class TestCrashRecover:
 
     def test_crash_fails_in_flight_rpcs(self, sim, pair):
         a, b = pair
-        fut = a.call(b.address, "later", 1, timeout=5.0)
+        fut = call(a, b, 1, later=True)
         sim.schedule(0.1, a.crash)
         sim.run()
         assert fut.failed()
@@ -212,46 +242,14 @@ class TestCrashRecover:
 class TestRpc:
     def test_roundtrip(self, sim, pair):
         a, b = pair
-        fut = a.call(b.address, "double", 21)
+        fut = call(a, b, 21)
         sim.run()
-        assert fut.result() == 42
-
-    def test_future_returning_handler(self, sim, pair):
-        a, b = pair
-        fut = a.call(b.address, "later", 10)
-        sim.run()
-        assert fut.result() == 11
-
-    def test_unknown_method_is_remote_error(self, sim, pair):
-        a, b = pair
-        fut = a.call(b.address, "nope", None)
-        sim.run()
-        with pytest.raises(RemoteError, match="nope"):
-            fut.result()
-
-    def test_unknown_method_fails_the_caller_at_once_and_for_good(self, sim, pair):
-        # an unsupported operation is permanent (repro.errors): a retrying
-        # caller must not re-ask a method that can never exist
-        a, b = pair
-        fut = a.call(b.address, "nope", None, timeout=5.0)
-        failed_at = []
-        fut.add_callback(lambda _f: failed_at.append(sim.now))
-        sim.run()
-        exc = fut.exception()
-        assert isinstance(exc, RemoteError) and exc.retryable is False
-        assert failed_at == [pytest.approx(0.002)]  # one round trip, no deadline
-
-    def test_handler_exception_propagates_as_remote_error(self, sim, pair):
-        a, b = pair
-        fut = a.call(b.address, "explode", None)
-        sim.run()
-        with pytest.raises(RemoteError, match="boom"):
-            fut.result()
+        assert fut.result() == Doubled(request_id=1, n=42)
 
     def test_timeout_when_peer_down(self, sim, pair):
         a, b = pair
         b.crash()
-        fut = a.call(b.address, "double", 1, timeout=0.5)
+        fut = call(a, b, 1, timeout=0.5)
         sim.run()
         with pytest.raises(RequestTimeout):
             fut.result()
@@ -259,20 +257,20 @@ class TestRpc:
 
     def test_response_cancels_the_timeout_before_the_caller_resumes(self, sim, pair):
         a, b = pair
-        fut = a.call(b.address, "double", 2, timeout=5.0)
+        fut = call(a, b, 2)
         awaited_at_resume = []
         fut.add_callback(lambda _f: awaited_at_resume.append(len(a._rpc_pending)))
         sim.run()
-        assert fut.result() == 4
+        assert fut.result().n == 4
         assert awaited_at_resume == [0]  # nothing left for a deadline to fail
 
     def test_an_answered_rpc_is_never_failed_when_the_alarm_fires_later(self, sim, pair):
         a, b = pair
         outcomes = Outcomes(sim)
-        a.request(b.address, "double", 2, 1.0, outcomes.cont("x"))
+        ask(a, b, 2, 1.0, outcomes.cont("x"))
         sim.run()
-        assert outcomes.seen == [("x", "reply", 4, 0.002)]
-        # request, response, and the alarm's no-op firing at the deadline
+        assert outcomes.seen == [("x", "reply", Doubled(request_id=1, n=4), 0.002)]
+        # request, reply, and the alarm's no-op firing at the deadline
         assert (sim.events_processed, sim.now) == (3, 1.0)
 
     def test_each_rpc_times_out_at_its_own_deadline_in_id_order_on_ties(self, sim, pair):
@@ -283,7 +281,7 @@ class TestRpc:
 
         def send_all():
             for tag, timeout in enumerate([0.3, 0.1, 0.2, 0.1]):
-                a.request(b.address, "double", tag, timeout, outcomes.cont(tag))
+                ask(a, b, tag, timeout, outcomes.cont(tag))
             assert sim.pending_events() == 1
 
         sim.schedule(start, send_all)
@@ -298,10 +296,10 @@ class TestRpc:
 
     def test_a_thousand_rpcs_in_flight_keep_one_alarm(self, sim, pair):
         a, b = pair
-        b.rpc_hold = lambda payload, src: Future(sim)  # never answered
+        b.on_double = lambda msg, src: None  # never answered
         outcomes = Outcomes(sim)
         for n in range(1000):
-            a.request(b.address, "hold", n, 1.0 + (n % 10) / 10, outcomes.cont(n))
+            ask(a, b, n, 1.0 + (n % 10) / 10, outcomes.cont(n))
         for until in (0.5, 1.05, 1.45):
             sim.run(until=until)
             assert sim.pending_events() == 1 and a._rpc_alarm is not None
@@ -312,15 +310,15 @@ class TestRpc:
 
     def test_late_response_after_timeout_is_dropped(self, sim, pair):
         a, b = pair
-        # RPC times out before the handler's deferred future resolves.
-        fut = a.call(b.address, "later", 1, timeout=0.1)
+        # The request times out before its deferred reply is sent.
+        fut = call(a, b, 1, timeout=0.1, later=True)
         sim.run()
-        assert fut.failed()  # and no crash from the late RpcResponse
+        assert fut.failed() and sim.now == pytest.approx(0.502)  # the late reply arrived
 
     def test_call_from_crashed_actor_fails_immediately(self, sim, pair):
         a, b = pair
         a.crash()
-        fut = a.call(b.address, "double", 1)
+        fut = call(a, b, 1)
         assert fut.failed()
 
 

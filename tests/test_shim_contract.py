@@ -64,6 +64,18 @@ RETIRED = {
     ("ClockAgent", "on_*"),  # floor reports: GeoClockCore.on_clock_report
     ("ClockAgent", "set_view"),  # views: GeoProxy.set_view
     ("ClockAgent", "_tick"),  # the ClockTick fan-out: GeoClockCore._tick
+    # The RPC envelope is gone: every request is a typed message whose
+    # handler is an ``on_<type>`` (bound above through the classes'
+    # ``on_*`` globs) and every reply's is Actor.take_reply. No suite
+    # workload sent an envelope message (zero ``rpc-request`` /
+    # ``rpc-response`` on all four at seed 1234), so no layer's time moved.
+    ("Actor", "call"),  # a future is one more continuation of _open_request
+    ("Actor", "_handle_rpc_request"),  # requests: each class's on_<type>
+    ("Actor", "_handle_rpc_response"),  # replies: Actor.take_reply
+    ("Actor", "_reply_from_future"),  # servers answer from their own callbacks
+    ("ChainNode", "rpc_*"),  # snapshot legs: ChainNode.on_get_stable
+    ("GeoProxy", "rpc_*"),  # forwarded operations: GeoProxy.on_get_request / on_put_request / on_get_stable
+    ("ClusterManager", "rpc_*"),  # view refreshes: ClusterManager.on_get_view
 }
 
 POINTS = [

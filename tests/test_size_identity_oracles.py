@@ -327,6 +327,8 @@ def test_no_other_production_type_subclasses_a_builtin_container():
     # container rungs for ``Address``'s sake; any *other* container
     # subclass with a ``size_bytes`` would change rung with it, so there
     # must be none (and none without one either: it would be walked).
+    # The explorer's ``Choice`` is a NamedTuple so that its hashes run in
+    # C; it is a scheduling decision, never a message field, so never sized.
     containers = (tuple, list, dict, set, frozenset, str, bytes)
     offenders = set()
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -339,4 +341,4 @@ def test_no_other_production_type_subclasses_a_builtin_container():
                 and value not in containers
             ):
                 offenders.add(f"{info.name}.{value.__name__}")
-    assert offenders == {"repro.net.network.Address"}
+    assert offenders == {"repro.net.network.Address", "repro.analysis.explore.Choice"}

@@ -1,13 +1,13 @@
-"""The per-operation paths travel as typed messages, not in the RPC envelope.
+"""Every request is a typed message answered by a typed reply.
 
 A read is a ``GetRequest`` answered by a ``ReadReply``; a dependency wait
 is a ``WaitStable`` and a remote inject an ``ApplyRemote``, both answered
-by an ``Ack``. The RPC envelope (``rpc-request`` / ``rpc-response``) is
-left to the cold paths: snapshot reads, forwarding to an owner DC's
-proxy, the cluster manager and the baselines. So a fault-free run of any
-of the four standing workload shapes, shrunk, sends no envelope at all,
-and a partially replicated run's forwarded reads reach the owner's head
-as a forwarded ``GetRequest``, not as a ``get_fwd`` RPC.
+by an ``Ack``. An operation on a key the client's site does not own goes
+to an owner DC's proxy as the very request a local server would get, and
+the proxy relays the head's reply back as it is, under the client's
+request id: nothing is nested. The baselines ask with ``KvGet`` /
+``KvPut``. There is no second, string-method message form: no run of any
+protocol sends an ``rpc-request`` or an ``rpc-response``.
 """
 
 import pytest
@@ -64,17 +64,47 @@ def test_forwarded_reads_send_no_get_fwd_rpc():
         seed=1234, overrides={"replication_degree": 2},
     )
     seen = []
-    store.network.add_filter(lambda src, dst, msg: seen.append(msg) or True)
+    store.network.add_filter(lambda src, dst, msg: seen.append((src, dst, msg)) or True)
     spec = WorkloadSpec(
         "forwarded-reads", read_proportion=0.7, update_proportion=0.3, record_count=100,
         distribution="uniform", value_size=32,
     )
     WorkloadRunner(store, spec, n_clients=6, duration=0.3, warmup=0.05, record_history=False).run()
-    methods = {getattr(msg, "method", None) for msg in seen if msg.type_name == "rpc-request"}
-    forwarded = [msg for msg in seen if msg.type_name == "get-request" and msg.forwarded]
-    assert "forward_get" in methods and "get_fwd" not in methods
+    assert not {"rpc-request", "rpc-response"} & set(store.network.stats.per_type)
     proxies = store.proxies.values()
-    assert len(forwarded) == sum(p.forwarded_gets_served for p in proxies) > 0
+    # Each forwarded read goes client → proxy → head, so twice.
+    forwarded = [msg for _src, _dst, msg in seen if msg.type_name == "get-request" and msg.forwarded]
+    assert len(forwarded) == 2 * sum(p.forwarded_gets_served for p in proxies) > 0
+
+    def sizes(type_name, into_proxy):
+        return sorted(
+            msg.size_bytes() for src, dst, msg in seen
+            if msg.type_name == type_name and (dst if into_proxy else src).node == "geoproxy"
+        )
+
+    # A forwarded read's answer is the head's reply, relayed: same type, same size.
+    assert sizes("read-reply", into_proxy=False) == sizes("read-reply", into_proxy=True)
+    assert len(sizes("read-reply", into_proxy=False)) == len(forwarded) // 2
+    # A forwarded put is answered by the head's put-reply, relayed.
+    puts_in = [msg for _src, dst, msg in seen if msg.type_name == "put-request" and dst.node == "geoproxy"]
+    assert len(puts_in) == len(sizes("put-reply", into_proxy=False)) > 0
+    assert sizes("put-reply", into_proxy=False) == sizes("put-reply", into_proxy=True)
+
+
+@pytest.mark.parametrize("protocol", ["cops", "eventual", "quorum"])
+def test_a_baseline_sends_no_rpc_envelope(protocol):
+    store = build_store(protocol, sites=("dc0", "dc1"), servers_per_site=4, chain_length=3, seed=1234)
+    spec = WorkloadSpec(
+        "baseline", read_proportion=0.5, update_proportion=0.5, record_count=100,
+        distribution="uniform", value_size=32,
+    )
+    result = WorkloadRunner(
+        store, spec, n_clients=4, duration=0.2, warmup=0.05, record_history=False,
+    ).run()
+    per_type = store.network.stats.per_type
+    assert result.get_latency.count > 10 and result.put_latency.count > 10
+    assert not {"rpc-request", "rpc-response"} & set(per_type)
+    assert per_type["kv-reply"][0] == per_type["kv-get"][0] + per_type["kv-put"][0]
 
 
 def test_a_refused_read_is_retried_like_a_refused_put():

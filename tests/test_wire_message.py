@@ -25,15 +25,16 @@ from helpers import reference_message_size
 
 MESSAGE_MODULES = (
     "repro.core.messages",
-    "repro.net.actor",
     "repro.cluster.membership",
+    "repro.baselines.common",
     "repro.baselines.cops",
     "repro.baselines.eventual",
+    "repro.baselines.quorum",
 )
 
 
 def message_classes():
-    """Every ``Message`` subclass the five message modules declare."""
+    """Every ``Message`` subclass the six message modules declare."""
     for name in MESSAGE_MODULES:
         importlib.import_module(name)
     found, stack = [], [Message]
@@ -84,7 +85,7 @@ def field_values(cls, salt=1):
 
 
 def test_every_message_module_is_walked():
-    assert len(CLASSES) == 31
+    assert len(CLASSES) == 41
     for cls in CLASSES:
         assert cls.__init__.__code__.co_filename == f"<wire:{cls.__qualname__}>"
         assert _SIZE_PLANS[cls].__code__.co_filename == f"<wire:{cls.__qualname__}>"
