@@ -189,13 +189,16 @@ class Datastore:
     #: Optional features this deployment supports (``CAP_*`` strings).
     capabilities: frozenset = frozenset()
 
+    #: Every session opened on this deployment, in the order opened.
+    _sessions: List[ClientSession]
+
     def session(self, site: Optional[str] = None, session_id: Optional[str] = None) -> ClientSession:
         """Open a new client session homed in ``site`` (default: first site)."""
         raise NotImplementedError
 
     def sessions(self) -> List[ClientSession]:
         """Every session opened on this deployment that is still open."""
-        return [s for s in getattr(self, "_sessions", []) if not s.closed]
+        return [s for s in self._sessions if not s.closed]
 
     def shutdown(self) -> None:
         """Close every open session. Idempotent; the deployment itself

@@ -1,7 +1,7 @@
 """Baseline protocols the paper compares against."""
 
 from repro.baselines.chain import ChainReplicationStore, chain_replication_config
-from repro.baselines.common import BaselineConfig, RingDeployment
+from repro.baselines.common import BaselineConfig
 from repro.baselines.cops import CopsStore
 from repro.baselines.eventual import EventualStore
 from repro.baselines.quorum import QuorumStore
@@ -9,7 +9,6 @@ from repro.baselines.registry import PROTOCOLS, build_store
 
 __all__ = [
     "BaselineConfig",
-    "RingDeployment",
     "ChainReplicationStore",
     "chain_replication_config",
     "EventualStore",

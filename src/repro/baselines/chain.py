@@ -20,8 +20,6 @@ from typing import Optional, Sequence
 
 from repro.core.config import ChainReactionConfig
 from repro.core.datastore import ChainReactionStore
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
 
 __all__ = ["ChainReplicationStore", "chain_replication_config"]
 
@@ -43,13 +41,6 @@ class ChainReplicationStore(ChainReactionStore):
     def __init__(
         self,
         config: Optional[ChainReactionConfig] = None,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
         local_sites: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(
-            chain_replication_config(config),
-            sim=sim,
-            network=network,
-            local_sites=local_sites,
-        )
+        super().__init__(chain_replication_config(config), local_sites=local_sites)

@@ -20,8 +20,9 @@ import dataclasses
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.api import GetResult, PutResult
-from repro.baselines.common import BaselineConfig, KvAck, KvGet, KvPut, KvReply, RingDeployment
+from repro.baselines.common import BaselineConfig, KvAck, KvGet, KvPut, KvReply
 from repro.cluster.client_base import RetryingOp, RetryingSession
+from repro.cluster.deployment import RingDeployment
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
 from repro.net.message import Message, wire_message
@@ -306,22 +307,12 @@ class CopsStore(RingDeployment):
     """
 
     name = "cops"
+    server_class = CopsServer
+    session_class = CopsSession
 
-    def __init__(
-        self,
-        config: Optional[BaselineConfig] = None,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
-    ) -> None:
-        config = (config or BaselineConfig()).with_updates(
-            chain_length=1, write_quorum=1, read_quorum=1
-        )
+    def __init__(self, config: Optional[BaselineConfig] = None) -> None:
         super().__init__(
-            config,
-            server_factory=CopsServer,
-            session_factory=CopsSession,
-            sim=sim,
-            network=network,
+            (config or BaselineConfig()).with_updates(chain_length=1, write_quorum=1, read_quorum=1)
         )
 
     def protocol_stats(self) -> Dict[str, Any]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Tuple
 
 from repro.baselines.common import (
     BaselineConfig,
@@ -23,8 +23,8 @@ from repro.baselines.common import (
     KvPut,
     KvReply,
     RandomReplicaSession,
-    RingDeployment,
 )
+from repro.cluster.deployment import RingDeployment
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
 from repro.net.message import Message, wire_message
@@ -175,17 +175,6 @@ class EventualStore(RingDeployment):
     """Deployment facade for the eventually-consistent baseline."""
 
     name = "eventual"
-
-    def __init__(
-        self,
-        config: Optional[BaselineConfig] = None,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
-    ) -> None:
-        super().__init__(
-            config or BaselineConfig(),
-            server_factory=EventualServer,
-            session_factory=RandomReplicaSession,
-            sim=sim,
-            network=network,
-        )
+    config_class = BaselineConfig
+    server_class = EventualServer
+    session_class = RandomReplicaSession

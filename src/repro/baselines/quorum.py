@@ -16,7 +16,7 @@ semantics), so causal anomalies across sites remain either way.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, ClassVar, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, List, Tuple
 
 from repro.baselines.common import (
     BaselineConfig,
@@ -25,8 +25,8 @@ from repro.baselines.common import (
     KvPut,
     KvReply,
     RandomReplicaSession,
-    RingDeployment,
 )
+from repro.cluster.deployment import RingDeployment
 from repro.baselines.eventual import Replicate
 from repro.cluster.membership import RingView
 from repro.cluster.server_base import RingServer
@@ -242,17 +242,6 @@ class QuorumStore(RingDeployment):
     """Deployment facade for the quorum baseline."""
 
     name = "quorum"
-
-    def __init__(
-        self,
-        config: Optional[BaselineConfig] = None,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
-    ) -> None:
-        super().__init__(
-            config or BaselineConfig(),
-            server_factory=QuorumServer,
-            session_factory=RandomReplicaSession,
-            sim=sim,
-            network=network,
-        )
+    config_class = BaselineConfig
+    server_class = QuorumServer
+    session_class = RandomReplicaSession

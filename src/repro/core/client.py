@@ -364,7 +364,7 @@ class _PutOp(RetryingOp):
         session = self._session
         view = session.view
         head = view.address_of(view.chain_for(self._key)[0])
-        return head, session._expect_reply(self, session.config.op_timeout, "put", head)
+        return head, session._open_request(self, session.config.op_timeout, "put", head)
 
     def rpc_reply(self, reply: PutReply) -> None:
         if not reply.ok:

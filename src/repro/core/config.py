@@ -1,8 +1,10 @@
 """Configuration for a ChainReaction deployment.
 
 One dataclass carries every knob the paper discusses plus the ablation
-switches called out in DESIGN.md §6, with validation at construction so
-misconfigured experiments fail loudly before any virtual time elapses.
+switches called out in DESIGN.md §6 — on top of the deployment knobs
+every protocol shares (:class:`~repro.cluster.config.DeploymentConfig`)
+— with validation at construction so misconfigured experiments fail
+loudly before any virtual time elapses.
 The schedule explorer's seeded protocol bugs are not options here: they
 are class patches in :mod:`repro.analysis.mutations`. Nor is anything a
 stabilization plane decides: ``stability`` is a name, and what a plane
@@ -15,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Tuple
 
+from repro.cluster.config import DeploymentConfig
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -29,14 +32,12 @@ STABILITY_PLANES: Tuple[str, ...] = ("notices", "notices+batch", "clock")
 
 
 @dataclasses.dataclass(frozen=True)
-class ChainReactionConfig:
-    """Deployment and protocol parameters.
+class ChainReactionConfig(DeploymentConfig):
+    """Deployment and protocol parameters: the shared deployment knobs of
+    :class:`~repro.cluster.config.DeploymentConfig` (each site also runs
+    one geo-proxy), plus:
 
     Attributes:
-        sites: datacenter names; one full replica set and one geo-proxy
-            per site.
-        servers_per_site: storage servers in each DC's ring.
-        chain_length: R — replicas per key within a DC.
         ack_k: k — chain positions that must apply a put before the
             client is acknowledged (the paper's latency/durability knob).
         allow_prefix_reads: ChainReaction's read distribution. False
@@ -49,38 +50,19 @@ class ChainReactionConfig:
         dep_wait_timeout: how long a head waits for a dependency to
             stabilise before proceeding anyway (counts as a
             ``dep_wait_timeouts`` event; only reachable after data loss).
-        op_timeout: client-side per-attempt deadline for get/put. Kept
-            well below a second so a crashed server costs a client one
-            short stall, not a multi-second blackout (E9).
-        client_retry_backoff: base delay between client retries; grows
-            by ``backoff_multiplier`` per attempt up to ``max_backoff``,
-            with a deterministic ``backoff_jitter`` fraction drawn from
-            the session's seeded RNG (see repro.core.retry).
-        max_retries: client attempts before an operation fails.
-        backoff_multiplier: exponential backoff growth factor.
-        max_backoff: cap on one backoff sleep (seconds).
-        backoff_jitter: symmetric jitter fraction in [0, 1).
-        op_deadline: total virtual-time budget for one operation across
-            all attempts; 0 disables (the attempt budget still bounds it).
         degraded_reads: when the chain prefix holding a session's
             observed version stays unreachable, serve a possibly-stale
             version from any replica flagged ``GetResult.degraded``
             instead of raising (the degraded-mode read path, E9).
         degraded_read_after: failed attempts before a read may probe
             beyond its dependency-safe prefix.
-        lan_median / wan_median: link latency medians in seconds.
-        heartbeat_interval / failure_timeout: failure-detector tuning.
         durable_storage: back each server's store with a FAWN-KV-style
             append-only log; a crash loses memory but not the log, and
             recovery replays it before chain repair fills the rest.
         compaction_interval: how often a durable server checks whether
             its log has outgrown the live set and compacts it.
-        service_time: per-request CPU time a storage server spends on
-            client operations and chain propagation; bounds each server's
-            capacity at roughly 1/service_time ops/sec.
         sync_timeout: upper bound on a server's read-unavailability window
             while chain repair streams state after a view change.
-        virtual_nodes: consistent-hashing virtual nodes per server.
         replication_degree: r — how many sites replicate each keyspace
             shard. 0 (default) means full replication: every site owns
             every key, and the catalog is a
@@ -125,74 +107,34 @@ class ChainReactionConfig:
             and visibility ticks all run on this cadence. Trades
             control-message rate against visibility latency (adds up to
             ~2 intervals on top of the WAN hop).
-        seed: root seed for every random stream in the deployment.
     """
 
-    sites: Tuple[str, ...] = ("dc0",)
-    servers_per_site: int = 6
-    chain_length: int = 3
     ack_k: int = 2
     allow_prefix_reads: bool = True
     collapse_deps_on_put: bool = True
     geo_causal_delivery: bool = True
     dep_wait_timeout: float = 1.0
-    op_timeout: float = 0.25
-    client_retry_backoff: float = 0.02
-    max_retries: int = 25
-    backoff_multiplier: float = 2.0
-    max_backoff: float = 0.5
-    backoff_jitter: float = 0.1
-    op_deadline: float = 0.0
     degraded_reads: bool = True
     degraded_read_after: int = 2
-    lan_median: float = 0.0003
-    wan_median: float = 0.040
-    heartbeat_interval: float = 0.05
-    failure_timeout: float = 0.25
     durable_storage: bool = False
     compaction_interval: float = 1.0
-    service_time: float = 0.0001
     sync_timeout: float = 1.0
-    virtual_nodes: int = 64
     replication_degree: int = 0
     num_shards: int = 16
     batch_flush_interval: float = 0.025
     batch_max_entries: int = 128
     stability: str = "notices"
     stability_interval: float = 0.005
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        if not self.sites:
-            raise ConfigError("at least one site is required")
-        if len(set(self.sites)) != len(self.sites):
-            raise ConfigError(f"duplicate site names: {self.sites}")
-        if self.servers_per_site < 1:
-            raise ConfigError("servers_per_site must be >= 1")
-        if self.chain_length < 1:
-            raise ConfigError("chain_length must be >= 1")
-        if self.chain_length > self.servers_per_site:
-            raise ConfigError(
-                f"chain_length {self.chain_length} exceeds servers_per_site "
-                f"{self.servers_per_site}"
-            )
+        super().__post_init__()
         if not 1 <= self.ack_k <= self.chain_length:
             raise ConfigError(
                 f"ack_k must be in [1, chain_length]; got k={self.ack_k}, "
                 f"R={self.chain_length}"
             )
-        if self.dep_wait_timeout <= 0 or self.op_timeout <= 0:
+        if self.dep_wait_timeout <= 0:
             raise ConfigError("timeouts must be positive")
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be >= 1")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1.0")
-        if self.max_backoff <= 0:
-            raise ConfigError("max_backoff must be positive")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ConfigError("backoff_jitter must be in [0, 1)")
-        if self.op_deadline < 0:
-            raise ConfigError("op_deadline must be >= 0 (0 = disabled)")
         if self.degraded_read_after < 1:
             raise ConfigError("degraded_read_after must be >= 1")
         if not 0 <= self.replication_degree <= len(self.sites):
@@ -215,10 +157,6 @@ class ChainReactionConfig:
             raise ConfigError("stability_interval must be positive")
 
     @property
-    def is_geo(self) -> bool:
-        return len(self.sites) > 1
-
-    @property
     def is_partial(self) -> bool:
         """True when some site does NOT replicate some shard."""
         return 0 < self.replication_degree < len(self.sites)
@@ -234,12 +172,8 @@ class ChainReactionConfig:
         paths cache the result.
         """
         # Local import: config is a leaf module nearly everything imports.
-        from repro.cluster.placement import FullReplication, shard_catalog
+        from repro.cluster.placement import shard_catalog
 
         if not self.is_partial:
-            return FullReplication(self.sites)
+            return super().placement()
         return shard_catalog(self.sites, self.num_shards, self.replication_degree)
-
-    def with_updates(self, **changes: object) -> "ChainReactionConfig":
-        """A copy with the given fields replaced (re-validated)."""
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

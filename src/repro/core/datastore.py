@@ -1,15 +1,16 @@
 """Deployment facade: build and operate a ChainReaction cluster.
 
-:class:`ChainReactionStore` wires together everything a deployment
-needs — one simulator, one network, and per site a cluster manager, the
-storage servers, and a geo-proxy — and exposes the protocol-agnostic
-:class:`~repro.api.Datastore` surface that workloads, checkers, and
-benchmarks run against.
+:class:`ChainReactionStore` is the ring deployment every protocol
+shares (:class:`~repro.cluster.deployment.RingDeployment`: one
+simulator, one network, and per site a cluster manager and the storage
+servers) plus a geo-proxy per site, the stabilization plane, and
+tracing. It exposes the protocol-agnostic :class:`~repro.api.Datastore`
+surface that workloads, checkers, and benchmarks run against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.api import (
     CAP_DEGRADED_READS,
@@ -17,19 +18,17 @@ from repro.api import (
     CAP_SNAPSHOT_READS,
     CAP_STABILITY,
     CAP_TRACING,
-    Datastore,
 )
 
 if TYPE_CHECKING:
     from repro.trace import Tracer
-from repro.cluster.membership import ClusterManager
-from repro.cluster.server_base import install_converged
+from repro.cluster.deployment import RingDeployment
+from repro.cluster.membership import ClusterManager, RingView
 from repro.core.client import ChainClientSession
 from repro.core.config import ChainReactionConfig
 from repro.core.geo import GeoProxy
 from repro.core.node import ChainNode
 from repro.core.stability_plane import plane_parts
-from repro.errors import ConfigError
 from repro.metrics.protocol import (
     GLOBAL_STABILITY_MESSAGE_TYPES,
     SHIPPING_MESSAGE_TYPES,
@@ -39,169 +38,76 @@ from repro.metrics.protocol import (
     placement_stats,
     stability_plane_stats,
 )
-from repro.net.latency import lan_latency, wan_latency
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 from repro.storage.merge import ConflictResolver
 from repro.storage.version import VersionVector
 
 __all__ = ["ChainReactionStore"]
 
 
-class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deployment; attach_tracer sets attributes dynamically
+class ChainReactionStore(RingDeployment):  # repro: lint-ok(slots) — one per deployment
     """A running ChainReaction deployment on a discrete-event simulator."""
 
     name = "chainreaction"
+    config_class = ChainReactionConfig
+    config: ChainReactionConfig
 
     def __init__(
         self,
         config: Optional[ChainReactionConfig] = None,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
         resolver: Optional[ConflictResolver] = None,
         local_sites: Optional[Sequence[str]] = None,
     ) -> None:
-        self.config = config or ChainReactionConfig()
-        # A shard of a parallel run builds actors only for the sites it
-        # owns; config.sites keeps the full topology so geo-proxies
-        # still know their (remote) peers. Default: own everything.
-        if local_sites is None:
-            self.local_sites = tuple(self.config.sites)
-        else:
-            unknown = [s for s in local_sites if s not in self.config.sites]
-            if unknown:
-                raise ConfigError(
-                    f"local_sites {unknown} not in topology {self.config.sites}"
-                )
-            self.local_sites = tuple(local_sites)
+        # Set before the scaffold builds the sites: its hooks read them.
+        self._resolver = resolver
+        self.proxies: Dict[str, GeoProxy] = {}
+        self._tracer: Optional[Tracer] = None
+        super().__init__(config, local_sites)
+        #: the class of the stabilization plane's server half: what the
+        #: facade, the metrics and the sessions need to know of a plane,
+        #: they ask it
+        self.plane = plane_parts(self.config).server
         caps = {CAP_SNAPSHOT_READS, CAP_STABILITY, CAP_TRACING}
         if self.config.degraded_reads:
             caps.add(CAP_DEGRADED_READS)
         if self.config.durable_storage:
             caps.add(CAP_DURABLE_STORAGE)
-        #: the class of the stabilization plane's server half: what the
-        #: facade, the metrics and the sessions need to know of a plane,
-        #: they ask it
-        self.plane = plane_parts(self.config).server
         if self.plane.capability is not None:
             caps.add(self.plane.capability)
         self.capabilities = frozenset(caps)
-        self.sim = sim or Simulator()
-        self.rng = RngRegistry(self.config.seed)
-        self.network = network or Network(
-            self.sim,
-            rng=self.rng,
-            lan=lan_latency(self.config.lan_median),
-            wan=wan_latency(self.config.wan_median),
+
+    def _new_server(self, site: str, name: str, view: RingView) -> ChainNode:
+        return ChainNode(
+            self.sim, self.network, site=site, name=name, initial_view=view,
+            config=self.config, resolver=self._resolver,
         )
-        self.managers: Dict[str, ClusterManager] = {}
-        self.nodes: Dict[str, List[ChainNode]] = {}
-        self._nodes_by_name: Dict[str, Dict[str, ChainNode]] = {}
-        self.proxies: Dict[str, GeoProxy] = {}
-        self._sessions: List[ChainClientSession] = []
-        self._session_seq = 0
-        self._resolver = resolver
 
-        for site in self.local_sites:
-            server_names = [f"s{i}" for i in range(self.config.servers_per_site)]
-            manager = ClusterManager(
-                self.sim,
-                self.network,
-                site=site,
-                servers=server_names,
-                chain_length=self.config.chain_length,
-                heartbeat_interval=self.config.heartbeat_interval,
-                failure_timeout=self.config.failure_timeout,
-                virtual_nodes=self.config.virtual_nodes,
-            )
-            self.managers[site] = manager
-            self.nodes[site] = [
-                ChainNode(
-                    self.sim,
-                    self.network,
-                    site=site,
-                    name=name,
-                    initial_view=manager.view,
-                    config=self.config,
-                    resolver=resolver,
-                )
-                for name in server_names
-            ]
-            self._nodes_by_name[site] = {node.name: node for node in self.nodes[site]}
-            # Every site has its proxy, a single site's too: it hosts the
-            # plane's per-site role, and with no peers it ships nothing.
-            proxy = GeoProxy(
-                self.sim,
-                self.network,
-                site=site,
-                all_sites=self.config.sites,
-                initial_view=manager.view,
-                config=self.config,
-            )
-            manager.add_view_listener(proxy.set_view)
-            self.proxies[site] = proxy
+    def _site_built(self, site: str, manager: ClusterManager) -> None:
+        # Every site has its proxy, a single site's too: it hosts the
+        # plane's per-site role, and with no peers it ships nothing.
+        proxy = GeoProxy(
+            self.sim,
+            self.network,
+            site=site,
+            all_sites=self.config.sites,
+            initial_view=manager.view,
+            config=self.config,
+        )
+        manager.add_view_listener(proxy.set_view)
+        self.proxies[site] = proxy
 
-    # ------------------------------------------------------------------
-    # Datastore surface
-    # ------------------------------------------------------------------
-    @property
-    def sites(self) -> List[str]:
-        return list(self.config.sites)
-
-    def session(
-        self, site: Optional[str] = None, session_id: Optional[str] = None
-    ) -> ChainClientSession:
-        site = site or self.config.sites[0]
-        if site not in self.managers:
-            raise ConfigError(f"unknown site {site!r}; have {self.sites}")
-        self._session_seq += 1
-        name = session_id or f"client{self._session_seq}"
+    def _new_session(self, site: str, name: str, view: RingView, rng: Any) -> ChainClientSession:
         session = ChainClientSession(
             self.sim,
             self.network,
             site=site,
             name=name,
-            initial_view=self.managers[site].view,
+            initial_view=view,
             config=self.config,
-            rng=self.rng.stream(f"client:{site}:{name}"),
+            rng=rng,
             prunes_stable_deps=self.plane.prunes_stable_deps,
         )
-        session.tracer = getattr(self, "_tracer", None)
-        self._sessions.append(session)
+        session.tracer = self._tracer
         return session
-
-    def servers(self, site: Optional[str] = None) -> List[ChainNode]:
-        if site is not None:
-            return list(self.nodes[site])
-        return [node for nodes in self.nodes.values() for node in nodes]
-
-    def converged(self, key: str) -> bool:
-        """True when every replica of ``key``, in every owner DC, holds the
-        same (value, version) — including tombstones. Under full
-        replication every DC is an owner."""
-        placement = self.config.placement()
-        observed = set()
-        for site, manager in self.managers.items():
-            if not placement.owns(site, key):
-                continue
-            for server_name in manager.view.chain_for(key):
-                node = self._node(site, server_name)
-                record = node.store.get_record(key)
-                if record is None:
-                    observed.add((None, VersionVector()))
-                else:
-                    observed.add((record.value, record.version))
-        return len(observed) == 1
-
-    # ------------------------------------------------------------------
-    # harness helpers
-    # ------------------------------------------------------------------
-    def _node(self, site: str, name: str) -> ChainNode:
-        node = self._nodes_by_name[site].get(name)
-        if node is None:
-            raise ConfigError(f"no node {name!r} in {site!r}")
-        return node
 
     def preload(self, data: Dict[str, Any]) -> None:
         """Install records on every replica directly (skipping the protocol)
@@ -213,13 +119,11 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
         the census in ``bench_pr10_partial`` measures).
         """
         version = VersionVector({"preload": 1})
+        arbitrated = self._install(data, version)
         catalog = self.config.placement()
-        views = {site: manager.view for site, manager in self.managers.items()}
-        arbitrated = install_converged(
-            data, version, self.sim.now, views, self._nodes_by_name, catalog
-        )
         for site, site_nodes in self._nodes_by_name.items():
-            place, length = views[site].ring().place, views[site].chain_length
+            view = self.managers[site].view
+            place, length = view.ring().place, view.chain_length
             for name, node in site_nodes.items():
                 # every key handed this node, placed without memoizing
                 # it; called, if at all, within this iteration
@@ -250,10 +154,6 @@ class ChainReactionStore(Datastore):  # repro: lint-ok(slots) — one per deploy
             session.tracer = tracer
         self._tracer = tracer
         return tracer
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Advance the simulation (convenience passthrough)."""
-        return self.sim.run(until=until)
 
     def protocol_stats(self) -> Dict[str, Any]:
         """Aggregated protocol counters across all servers and proxies."""

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, List
+from typing import TYPE_CHECKING, List
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.cluster.config import DeploymentConfig
 
 __all__ = ["RetryPolicy"]
 
@@ -68,20 +71,15 @@ class RetryPolicy:
             raise ConfigError("deadline must be >= 0 (0 = disabled)")
 
     @classmethod
-    def from_config(cls, config: Any) -> "RetryPolicy":
-        """Build the policy a deployment config implies.
-
-        Reads the shared client knobs present on both
-        :class:`~repro.core.config.ChainReactionConfig` and
-        :class:`~repro.baselines.common.BaselineConfig`.
-        """
+    def from_config(cls, config: DeploymentConfig) -> "RetryPolicy":
+        """Build the policy a deployment config's client knobs imply."""
         return cls(
             max_attempts=config.max_retries,
             base_backoff=config.client_retry_backoff,
-            backoff_multiplier=getattr(config, "backoff_multiplier", 2.0),
-            max_backoff=getattr(config, "max_backoff", 0.5),
-            jitter=getattr(config, "backoff_jitter", 0.1),
-            deadline=getattr(config, "op_deadline", 0.0),
+            backoff_multiplier=config.backoff_multiplier,
+            max_backoff=config.max_backoff,
+            jitter=config.backoff_jitter,
+            deadline=config.op_deadline,
         )
 
     # ------------------------------------------------------------------

@@ -137,9 +137,7 @@ def resolve_server(store: Any, selector: str) -> Any:
         raise ConfigError(f"selector {selector!r}: unknown site {site!r}")
     if sel.startswith("owner-head-of:"):
         key = sel[len("owner-head-of:") :]
-        catalog = getattr(store.config, "placement", lambda: None)()
-        if catalog is not None:
-            site = catalog.primary_for(key)
+        site = store.config.placement().primary_for(key)
         chain = store.managers[site].view.chain_for(key)
         sel = f"{site}:{chain[0]}"
     position = None

@@ -124,12 +124,6 @@ def metadata_footprint(nodes: Iterable[Any], sessions: Iterable[Any]) -> Dict[st
     node_list = list(nodes)
     session_list = list(sessions)
     pool = intern_stats()
-    dep_slots = 0
-    for s in session_list:
-        table = getattr(s, "_deps", None)
-        column_slots = getattr(table, "column_slots", None)
-        if column_slots is not None:
-            dep_slots += column_slots()
     server = dict.fromkeys(
         ("stable_map_entries", "global_floor_entries", "keys_sealed", "entries_sealed", "hlc_entries"), 0
     )
@@ -142,7 +136,7 @@ def metadata_footprint(nodes: Iterable[Any], sessions: Iterable[Any]) -> Dict[st
         **server,
         "dep_table_entries": sum(s.metadata_entries() for s in session_list),
         "dep_table_bytes": sum(s.metadata_bytes() for s in session_list),
-        "dep_table_slots": dep_slots,
+        "dep_table_slots": sum(s._deps.column_slots() for s in session_list),
         "vv_intern_entries": pool["entries"],
         "vv_intern_capacity": pool["capacity"],
         "vv_intern_hits": pool["hits"],
@@ -152,12 +146,8 @@ def metadata_footprint(nodes: Iterable[Any], sessions: Iterable[Any]) -> Dict[st
         "hlc_skew_max_us": hlc_skew_max,
         # partial-replication client gauges (0 under full replication):
         # operations routed to a remote owner DC instead of served here
-        "forwarded_gets": sum(
-            getattr(s, "forwarded_gets", 0) for s in session_list
-        ),
-        "forwarded_puts": sum(
-            getattr(s, "forwarded_puts", 0) for s in session_list
-        ),
+        "forwarded_gets": sum(s.forwarded_gets for s in session_list),
+        "forwarded_puts": sum(s.forwarded_puts for s in session_list),
     }
 
 
@@ -180,22 +170,16 @@ def placement_stats(store: Any) -> Dict[str, Any]:
     catalog = config.placement()
     per_site: Dict[str, Dict[str, int]] = {}
     for site in store.local_sites:
-        nodes = store.nodes.get(site, [])
-        proxy = store.proxies.get(site)
-        site_sessions = [s for s in store._sessions if s.site == site]
-        dep_slots = 0
-        for s in site_sessions:
-            table = getattr(s, "_deps", None)
-            column_slots = getattr(table, "column_slots", None)
-            if column_slots is not None:
-                dep_slots += column_slots()
+        proxy = store.proxies[site]
         per_site[site] = {
             "owned_shards": len(catalog.owned_shards(site)),
-            "records_held": sum(len(n.store) for n in nodes),
-            "forwarded_gets_served": getattr(proxy, "forwarded_gets_served", 0),
-            "forwarded_get_bytes": getattr(proxy, "forwarded_get_bytes", 0),
-            "forwarded_puts_served": getattr(proxy, "forwarded_puts_served", 0),
-            "dep_table_slots": dep_slots,
+            "records_held": sum(len(n.store) for n in store.nodes[site]),
+            "forwarded_gets_served": proxy.forwarded_gets_served,
+            "forwarded_get_bytes": proxy.forwarded_get_bytes,
+            "forwarded_puts_served": proxy.forwarded_puts_served,
+            "dep_table_slots": sum(
+                s._deps.column_slots() for s in store._sessions if s.site == site
+            ),
         }
     return {
         "partial": True,

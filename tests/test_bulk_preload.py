@@ -31,8 +31,7 @@ import hashlib
 
 import pytest
 
-import repro.baselines.common as baseline_common
-import repro.core.datastore as chainreaction_datastore
+import repro.cluster.deployment as deployment
 from helpers import build, install_per_server, make_store, run_op
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.analysis.sanitize import MessageTap
@@ -465,8 +464,7 @@ def test_geo_view_change_corner_only_ever_drops_dependencies(monkeypatch):
 def per_server(store, data, monkeypatch):
     """Preload ``store`` through ``helpers.install_per_server``."""
     with monkeypatch.context() as patch:
-        patch.setattr(chainreaction_datastore, "install_converged", install_per_server)
-        patch.setattr(baseline_common, "install_converged", install_per_server)
+        patch.setattr(deployment, "install_converged", install_per_server)
         store.preload(data)
 
 

@@ -1,15 +1,27 @@
-"""Unit tests for the per-key linearizability checker."""
+"""Tests for the per-key linearizability checker.
+
+The register the checker reasons about holds an operation's version; in
+the unit tests a named write ``"a"`` has version ``{"a": 1}`` and ``None``
+is the empty version of a key never written.
+"""
 
 import pytest
 
+from repro.baselines import build_store
 from repro.checker import GET, PUT, History, check_linearizability, check_linearizable_key
 from repro.checker.history import Operation
 from repro.errors import CheckerError
 from repro.storage import VersionVector
+from repro.workload.driver import WorkloadRunner
+from repro.workload.ycsb import workload
 
 
-def op(session, kind, key, value, t0, t1):
-    return Operation(session, kind, key, value, VersionVector(), t0, t1)
+def v(name):
+    return VersionVector() if name is None else VersionVector({name: 1})
+
+
+def op(session, kind, key, name, t0, t1):
+    return Operation(session, kind, key, None, v(name), t0, t1)
 
 
 class TestLinearizableHistories:
@@ -34,7 +46,7 @@ class TestLinearizableHistories:
                 op("w", PUT, "k", "new", 1.0, 3.0),
                 op("r", GET, "k", observed, 0.0, 4.0),
             ]
-            assert check_linearizable_key(ops, initial_value="old") is True
+            assert check_linearizable_key(ops, initial_value=v("old")) is True
 
     def test_interleaved_writers(self):
         ops = [
@@ -51,7 +63,7 @@ class TestNonLinearizableHistories:
             op("w", PUT, "k", "new", 0.0, 1.0),
             op("r", GET, "k", "old", 2.0, 3.0),
         ]
-        assert check_linearizable_key(ops, initial_value="old") is False
+        assert check_linearizable_key(ops, initial_value=v("old")) is False
 
     def test_read_of_never_written_value(self):
         ops = [
@@ -68,7 +80,7 @@ class TestNonLinearizableHistories:
             op("r1", GET, "k", "new", 1.0, 2.0),
             op("r2", GET, "k", "old", 3.0, 4.0),
         ]
-        assert check_linearizable_key(ops, initial_value="old") is False
+        assert check_linearizable_key(ops, initial_value=v("old")) is False
 
 
 class TestInputValidation:
@@ -92,15 +104,38 @@ class TestInputValidation:
 class TestWholeHistoryWrapper:
     def test_checks_keys_independently(self):
         h = History()
-        h.add("w", PUT, "good", "a", VersionVector(), 0.0, 1.0)
-        h.add("r", GET, "good", "a", VersionVector(), 2.0, 3.0)
-        h.add("w", PUT, "bad", "new", VersionVector(), 4.0, 5.0)
-        h.add("r", GET, "bad", "stale", VersionVector(), 6.0, 7.0)
-        failures = check_linearizability(h, initial_values={"bad": "stale0"})
+        h.add("w", PUT, "good", None, v("a"), 0.0, 1.0)
+        h.add("r", GET, "good", "x", v("a"), 2.0, 3.0)
+        h.add("w", PUT, "bad", None, v("new"), 4.0, 5.0)
+        h.add("r", GET, "bad", "x", v("stale"), 6.0, 7.0)
+        failures = check_linearizability(h, initial_values={"bad": v("stale0")})
         assert failures == ["bad"]
 
     def test_all_clean(self):
         h = History()
-        h.add("w", PUT, "k", "a", VersionVector(), 0.0, 1.0)
-        h.add("r", GET, "k", "a", VersionVector(), 2.0, 3.0)
+        h.add("w", PUT, "k", None, v("a"), 0.0, 1.0)
+        h.add("r", GET, "k", "x", v("a"), 2.0, 3.0)
         assert check_linearizability(h) == []
+
+
+def _driver_history_failures(protocol, ack_k):
+    """The non-linearizable keys of a recorded workload-driver run: one
+    DC, 8 clients, 50 / 50 over 20 preloaded keys for 0.3 s. No warm-up,
+    so the history holds every write the reads can observe."""
+    spec = workload("A", record_count=20)
+    store = build_store(protocol, seed=7, ack_k=ack_k)
+    result = WorkloadRunner(store, spec, 8, duration=0.3, warmup=0.0, drain=1.0).run()
+    puts = [o for o in result.history if o.op == PUT]
+    assert len({o.key for o in puts}) < len(puts)  # keys written more than once
+    preload = {spec.key(i): VersionVector({"preload": 1}) for i in range(spec.record_count)}
+    return check_linearizability(result.history, preload)
+
+
+class TestDriverHistories:
+    def test_chain_replication_is_linearizable(self):
+        assert _driver_history_failures("chain", ack_k=3) == []
+
+    def test_chainreaction_acked_at_the_head_is_caught(self):
+        # ack_k=1 acknowledges a put once the head applied it, so a prefix
+        # read that completes after the put may still see the old version.
+        assert len(_driver_history_failures("chainreaction", ack_k=1)) == 5

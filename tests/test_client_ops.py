@@ -463,6 +463,22 @@ def test_close_fails_a_get_in_flight_with_session_closed():
     assert (s.retries, s.failed_ops) == (0, 0)
 
 
+def test_a_crashed_sessions_put_fails_each_attempt_at_once_like_its_get():
+    # While a session is down every attempt fails at once, so an op
+    # spends only its backoffs (unjittered here, so the two ops' instants
+    # compare) and never waits out an op_timeout.
+    store = make_store(**FAST, **NO_DETECTOR, max_retries=4, backoff_jitter=0.0)
+    reader, writer = store.session(session_id="alice"), store.session(session_id="bob")
+    reader.crash()
+    writer.crash()
+    get, put = reader.get("k"), writer.put("k", "v")
+    store.run(until=30.0)
+    assert isinstance(get.exception(), RequestTimeout)
+    assert isinstance(put.exception(), RequestTimeout)
+    assert put.resolved_at == get.resolved_at < FAST["op_timeout"] * 4
+    assert (reader.retries, writer.retries) == (4, 4)
+
+
 def _unanswered_session():
     """A session whose servers are all down: every attempt times out."""
     store = make_store(**FAST, **NO_DETECTOR)

@@ -1,15 +1,11 @@
 """One reader of the replication kind: the placement seam holds.
 
-``ChainReactionConfig.placement()`` always returns a catalog —
+Every deployment config's ``placement()`` returns a catalog —
 ``FullReplication`` or a ``ShardCatalog`` — and every other module asks
 it which sites own a key and what each peer receives, never which kind
 it is. This test reads — never imports — each module under
 ``src/repro`` and fails when one of them tests a placement value for
 ``None``, the gate full replication used to be.
-
-The one exemption is ``faults/campaign.py``: a campaign also runs the
-baseline protocols, whose configs have no ``placement`` at all, so its
-owner-head selector falls back when there is no catalog to ask.
 """
 
 import ast
@@ -17,8 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: the catalogs themselves, and the campaign's fallback for baseline configs
-EXEMPT = {SRC / "cluster" / "placement.py", SRC / "faults" / "campaign.py"}
+#: the catalogs themselves
+EXEMPT = {SRC / "cluster" / "placement.py"}
 
 PLACEMENT_NAMES = {"placement", "_placement", "catalog", "_catalog", "owns", "owned"}
 
@@ -86,8 +82,3 @@ def test_no_module_tests_a_placement_for_none():
         if hits
     }
     assert not offenders, offenders
-
-
-def test_the_campaign_exemption_is_still_needed():
-    # The exemption names a real fallback; once it goes, so must the entry.
-    assert _none_tests(SRC / "faults" / "campaign.py")

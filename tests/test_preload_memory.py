@@ -19,9 +19,9 @@ import tracemalloc
 
 import pytest
 
+import repro.cluster.deployment as deployment
 import repro.cluster.membership as membership
 import repro.cluster.placement as placement
-import repro.core.datastore as chainreaction_datastore
 from helpers import install_per_server, make_store, touched
 from repro.analysis.sanitize import MessageTap
 from repro.metrics.memory import memory_census
@@ -153,7 +153,7 @@ def test_a_seeded_run_matches_its_per_server_twin(durable, monkeypatch):
         tap = MessageTap().attach(store.network)
         with monkeypatch.context() as patch:
             if per_server_twin:
-                patch.setattr(chainreaction_datastore, "install_converged", install_per_server)
+                patch.setattr(deployment, "install_converged", install_per_server)
             result = _run(store)
         census = memory_census(store)
         census.pop("vv_intern_pool", None)
