@@ -37,6 +37,19 @@ but ``events``: how many kernel events a run takes is the simulator's
 cost, not behaviour, so it is printed and not judged. Exit 1 on a
 ``DIFFERENT`` row not named by ``--expect-different ROW``
 (``campaign/plane/shipped|2dc``), and on a named row that came out equal.
+
+``--pins`` compares the recorded runs of ``tests/pins.json``::
+
+    python scripts/ab_pairs.py --pins --base HEAD~1 [--expect-different golden/cops] [--write]
+
+It runs this tree's pin scripts (``tests/test_pins.py``) once against
+the base's ``src`` and once against this tree's, each in its own
+interpreter, and prints every field that differs as
+``script field: base -> tree``. Exit 1 on a differing script not named
+by ``--expect-different SCRIPT``, on a named one that came out equal,
+and — unless ``--write`` — when this tree's run differs from the table.
+``--write`` rewrites the table from this tree's run when every differing
+script is named: the one way pins are re-recorded.
 """
 
 from __future__ import annotations
@@ -114,11 +127,13 @@ print(json.dumps({
 """
 
 
-def _in_tree(tree: Path, code: str, *argv: str) -> Any:
-    """Run ``code`` in ``tree``'s own interpreter state: its ``src`` on
-    the path, nothing of this process imported. Returns the JSON it prints."""
+def _in_tree(tree: Path, code: str, *argv: str, path: Sequence[Path] = ()) -> Any:
+    """Run ``code`` in ``tree``'s own interpreter state: its ``src`` (then
+    ``path``) on the path, nothing of this process imported. Returns the
+    JSON it prints."""
+    pythonpath = os.pathsep.join(str(p) for p in (tree / "src", *path))
     done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tree, check=True, text=True,
-                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": pythonpath})
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -164,13 +179,65 @@ def compare_campaigns(base_tree: Path, campaigns: Optional[Sequence[str]], plane
                           + f"  {'equal' if same else 'DIFFERENT'}", flush=True)
                 if not same:
                     different.append(row)
+    return 0 if _report_expected(different, expected) else 1
+
+
+def _report_expected(different: Sequence[str], expected: Sequence[str]) -> bool:
+    """Print the rows that differ unnamed and the named ones that did
+    not; True when there are none of either."""
     surprises = sorted(set(different) - set(expected))
     stale = sorted(set(expected) - set(different))
     if surprises:
         print(f"DIFFERENT and not named by --expect-different: {surprises}")
     if stale:
         print(f"named by --expect-different but equal (or not run): {stale}")
-    return 1 if surprises or stale else 0
+    return not (surprises or stale)
+
+
+PINS_TABLE = ROOT / "tests" / "pins.json"
+
+
+def record_pins(tree: Path) -> Dict[str, Dict[str, Any]]:
+    """This tree's pin scripts run on ``tree``'s ``src``: script id -> fields."""
+    return _in_tree(tree, "import json, test_pins; print(json.dumps(test_pins.record()))",
+                    path=(ROOT / "tests",))
+
+
+def pin_diffs(old: Dict[str, Dict[str, Any]], new: Dict[str, Dict[str, Any]]) -> List[str]:
+    """``script field: old -> new`` for every field that differs; a
+    script or field one side lacks reads ``None`` there."""
+    lines = []
+    for script in sorted(set(old) | set(new)):
+        a, b = old.get(script, {}), new.get(script, {})
+        lines += [f"{script} {field}: {a.get(field)!r} -> {b.get(field)!r}"
+                  for field in sorted(set(a) | set(b)) if a.get(field) != b.get(field)]
+    return lines
+
+
+def pins_json(rows: Dict[str, Dict[str, Any]]) -> str:
+    """``rows`` as ``tests/pins.json`` keeps them: one script per line."""
+    return "{\n" + ",\n".join(f"{json.dumps(script)}: {json.dumps(rows[script], sort_keys=True)}"
+                              for script in sorted(rows)) + "\n}\n"
+
+
+def compare_pins(base_tree: Path, expected: Sequence[str], write: bool) -> int:
+    """The ``--pins`` diff; returns the exit code."""
+    base, tree = record_pins(base_tree), record_pins(ROOT)
+    moved = pin_diffs(base, tree)
+    for line in moved:
+        print(line)
+    different = sorted(script for script in set(base) | set(tree) if base.get(script) != tree.get(script))
+    print(f"{len(moved)} field(s) of {len(different)} of {len(tree)} script(s) differ between base and tree")
+    ok = _report_expected(different, expected)
+    if write:
+        if ok:
+            PINS_TABLE.write_text(pins_json(tree))
+            print(f"wrote {PINS_TABLE}")
+        return 0 if ok else 1
+    stale = pin_diffs(json.loads(PINS_TABLE.read_text()), tree)
+    for line in stale:
+        print(f"this tree's run differs from tests/pins.json: {line} (table -> tree)")
+    return 0 if ok and not stale else 1
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -229,8 +296,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--stability", action="append", choices=STABILITY_PLANES,
                         help="with --campaigns, repeatable; default: all three planes")
     parser.add_argument("--seed", type=int, default=42, help="with --campaigns: the campaign seed")
+    parser.add_argument("--pins", action="store_true",
+                        help="compare the pinned runs of tests/pins.json instead of benchmark pairs")
+    parser.add_argument("--write", action="store_true",
+                        help="with --pins: rewrite tests/pins.json from this tree's run "
+                             "(only when every differing script is named)")
     parser.add_argument("--expect-different", action="append", default=[], metavar="ROW",
-                        help="with --campaigns, repeatable: a campaign/plane/shipped|2dc row known to differ")
+                        help="repeatable: a row known to differ; with --campaigns campaign/plane/shipped|2dc, "
+                             "with --pins a script id")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -248,6 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runs: Dict[str, List[Dict[str, Any]]] = {}
     traces: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
+        if args.pins:
+            return compare_pins(base_tree, args.expect_different, args.write)
         if args.campaigns:
             return compare_campaigns(base_tree, args.campaign, args.stability or STABILITY_PLANES,
                                      args.seed, args.expect_different)

@@ -47,7 +47,9 @@ class DeploymentConfig:
         op_deadline: total virtual-time budget for one operation across
             all attempts; 0 disables (the attempt budget still bounds it).
         lan_median / wan_median: link latency medians in seconds.
-        heartbeat_interval / failure_timeout: failure-detector tuning.
+        failure_timeout: how long a manager waits for a server's
+            heartbeat before removing it from the view; must exceed
+            :data:`~repro.cluster.membership.HEARTBEAT_INTERVAL`.
         service_time: per-request CPU time a storage server spends on
             client operations and replication; bounds each server's
             capacity at roughly 1/service_time ops/sec.
@@ -67,7 +69,6 @@ class DeploymentConfig:
     op_deadline: float = 0.0
     lan_median: float = 0.0003
     wan_median: float = 0.040
-    heartbeat_interval: float = 0.05
     failure_timeout: float = 0.25
     service_time: float = 0.0001
     virtual_nodes: int = 64
@@ -99,6 +100,13 @@ class DeploymentConfig:
             raise ConfigError("backoff_jitter must be in [0, 1)")
         if self.op_deadline < 0:
             raise ConfigError("op_deadline must be >= 0 (0 = disabled)")
+        # Local import: this is a leaf module nearly everything imports.
+        from repro.cluster.membership import HEARTBEAT_INTERVAL
+
+        if self.failure_timeout <= HEARTBEAT_INTERVAL:
+            raise ConfigError(
+                f"failure_timeout must exceed the heartbeat interval ({HEARTBEAT_INTERVAL} s)"
+            )
 
     @property
     def is_geo(self) -> bool:

@@ -81,7 +81,6 @@ class RingDeployment(Datastore):
                 site=site,
                 servers=server_names,
                 chain_length=config.chain_length,
-                heartbeat_interval=config.heartbeat_interval,
                 failure_timeout=config.failure_timeout,
                 virtual_nodes=config.virtual_nodes,
             )

@@ -27,6 +27,7 @@ from repro.sim.kernel import Simulator
 __all__ = [
     "RingView",
     "ClusterManager",
+    "HEARTBEAT_INTERVAL",
     "Heartbeat",
     "ViewChange",
     "GetView",
@@ -86,6 +87,11 @@ class RingView:
         return 8 + 4 + len(self.site) + sum(4 + len(s) for s in self.servers) + 8
 
 
+#: seconds between two heartbeats of a server to its manager; a
+#: deployment's ``failure_timeout`` must exceed it
+HEARTBEAT_INTERVAL = 0.05
+
+
 @wire_message
 class Heartbeat(Message):
     type_name: ClassVar[str] = "heartbeat"
@@ -130,17 +136,15 @@ class ClusterManager(Actor):
         site: str,
         servers: List[str],
         chain_length: int,
-        heartbeat_interval: float = 0.05,
         failure_timeout: float = 0.25,
         virtual_nodes: int = 64,
     ):
         super().__init__(sim, network, Address(site, "manager"))
         if chain_length < 1:
             raise ClusterError(f"chain_length must be >= 1, got {chain_length}")
-        if failure_timeout <= heartbeat_interval:
-            raise ClusterError("failure_timeout must exceed heartbeat_interval")
+        if failure_timeout <= HEARTBEAT_INTERVAL:
+            raise ClusterError(f"failure_timeout must exceed the heartbeat interval ({HEARTBEAT_INTERVAL} s)")
         self.site = site
-        self.heartbeat_interval = heartbeat_interval
         self.failure_timeout = failure_timeout
         self.view = RingView(
             epoch=1,

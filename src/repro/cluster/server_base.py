@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.cluster.membership import Heartbeat, RingView, ViewChange
+from repro.cluster.membership import HEARTBEAT_INTERVAL, Heartbeat, RingView, ViewChange
 from repro.cluster.placement import Catalog
 from repro.cluster.ring import HashRing, chain_positions
 from repro.errors import NotResponsibleError
@@ -48,18 +48,17 @@ class RingServer(Actor):
         self.view = initial_view
         self.store = VersionedStore(resolver)
         self._manager = Address(site, "manager")
-        self._heartbeat_interval = 0.05
         self._start_heartbeats()
 
     # ------------------------------------------------------------------
     # heartbeating
     # ------------------------------------------------------------------
     def _start_heartbeats(self) -> None:
-        self.set_timer(self._heartbeat_interval, self._heartbeat_tick)
+        self.set_timer(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
         self.send(self._manager, Heartbeat(server=self.name, epoch=self.view.epoch))
-        self.set_timer(self._heartbeat_interval, self._heartbeat_tick)
+        self.set_timer(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def on_recover(self) -> None:
         self._start_heartbeats()

@@ -53,12 +53,18 @@ if TYPE_CHECKING:
     from repro.core.node import ChainNode
 
 __all__ = [
+    "BATCH_MAX_ENTRIES",
     "Coalescer",
     "StabilityCoalescer",
     "UpdateCoalescer",
     "BatchedNoticesPlane",
     "BatchedShipping",
 ]
+
+#: per-destination buffer size that forces an eager flush before the
+#: window expires: bounds both a batch's wire size and the entries a
+#: buffer holds
+BATCH_MAX_ENTRIES = 128
 
 
 class Coalescer:
@@ -215,7 +221,7 @@ class BatchedNoticesPlane(NoticesPlane):  # repro: lint-ok(slots) — NoticesPla
         super().__init__(node)
         config = node.config
         self._coalescer = StabilityCoalescer(
-            node, config.batch_flush_interval, config.batch_max_entries, self._send_bulk_stable
+            node, config.batch_flush_interval, BATCH_MAX_ENTRIES, self._send_bulk_stable
         )
         #: what :meth:`seal` vouched for, per key: the stored version,
         #: DC-stable and globally stable, until the key's next write
@@ -333,10 +339,10 @@ class BatchedShipping(NoticesShipping):
         super().__init__(proxy)
         config = proxy.config
         self._updates = UpdateCoalescer(
-            proxy, config.batch_flush_interval, config.batch_max_entries, self._send_update_batch
+            proxy, config.batch_flush_interval, BATCH_MAX_ENTRIES, self._send_update_batch
         )
         self._globals = StabilityCoalescer(
-            proxy, config.batch_flush_interval, config.batch_max_entries, self._send_global_batch
+            proxy, config.batch_flush_interval, BATCH_MAX_ENTRIES, self._send_global_batch
         )
 
     def _ship(self, peer: Address, update: RemoteUpdate) -> None:

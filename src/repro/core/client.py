@@ -52,7 +52,11 @@ from repro.sim.hlc import NO_HLC, hlc_or_none
 from repro.sim.process import Future, all_of
 from repro.storage.version import intern_str
 
-__all__ = ["ChainClientSession"]
+__all__ = ["ChainClientSession", "DEGRADED_READ_AFTER"]
+
+#: failed attempts after which a read may probe beyond its
+#: dependency-safe prefix (or a forwarded read rotate to a backup owner)
+DEGRADED_READ_AFTER = 2
 
 
 class ChainClientSession(RetryingSession):  # repro: lint-ok(slots) — unslotted Actor base keeps the __dict__; one instance per client
@@ -272,7 +276,7 @@ class _GetOp(RetryingOp):
         # may be stale, and is flagged as such in rpc_reply.
         probe_deep = self._probe_deep = (
             config.degraded_reads
-            and self._attempt >= config.degraded_read_after
+            and self._attempt >= DEGRADED_READ_AFTER
             and len(chain) > 1
         )
         if probe_deep:
@@ -385,7 +389,7 @@ class _ForwardGetOp(RetryingOp):
 
     Sticky to the primary owner — the chain every write of the shard
     serialises through, whose head is never behind. After
-    ``degraded_read_after`` failed attempts the session rotates through
+    ``DEGRADED_READ_AFTER`` failed attempts the session rotates through
     backup owners; a backup may trail the primary, so a non-dominating
     answer from one is served flagged degraded (PR 3 taxonomy) rather
     than retried forever.
@@ -405,7 +409,7 @@ class _ForwardGetOp(RetryingOp):
         owners = self._owners
         failover = self._failover = (
             config.degraded_reads
-            and self._attempt >= config.degraded_read_after
+            and self._attempt >= DEGRADED_READ_AFTER
             and len(owners) > 1
         )
         site = self._site = owners[self._attempt % len(owners)] if failover else owners[0]

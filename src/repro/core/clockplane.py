@@ -38,7 +38,7 @@ Remote updates are injected strictly in stamp order once the site's
 always carry smaller stamps than their dependents, so ordered injection
 cannot deadlock).  Liveness under crashes is timeout-based: in-flight
 head entries and pending-injection entries are dropped after
-``2 * sync_timeout`` (chain repair re-stabilises stranded writes), and
+``2 * SYNC_TIMEOUT`` (chain repair re-stabilises stranded writes), and
 floors from servers silent for ``2 * failure_timeout`` are ignored.
 
 Per-event horizon work is O(log n) amortised in the number of writes in
@@ -237,7 +237,10 @@ class ClockNodePlane(StabilityPlane):
         #: bounds ``_record_deps`` like the batched plane's sealing does
         self._deps_fifo: Deque[Tuple[HLCStamp, str]] = deque()
         self._interval = config.stability_interval
-        self._inflight_timeout = 2.0 * config.sync_timeout
+        # Local import: repro.core.node loads this module through the plane seam.
+        from repro.core.node import SYNC_TIMEOUT
+
+        self._inflight_timeout = 2.0 * SYNC_TIMEOUT
         # Dropping a globally-stable record's dependency list leans on
         # the causal-delivery gate (same argument as sealing, DESIGN
         # §7.8) — disabled under the E10 ablation.
@@ -521,7 +524,9 @@ class GeoClockCore(SitePlane):
         #: (stamp, origin_put_at) of shipped local writes, stamp order —
         #: drained as the cut passes for global-stability latency samples
         self._global_fifo: Deque[Tuple[HLCStamp, float]] = deque()
-        self._pending_timeout = 2.0 * config.sync_timeout
+        from repro.core.node import SYNC_TIMEOUT  # local: see ClockNodePlane
+
+        self._pending_timeout = 2.0 * SYNC_TIMEOUT
         proxy.set_timer(self.interval, self._tick)
 
     # -- inbound control -----------------------------------------------

@@ -53,16 +53,13 @@ class ChainReactionConfig(DeploymentConfig):
         degraded_reads: when the chain prefix holding a session's
             observed version stays unreachable, serve a possibly-stale
             version from any replica flagged ``GetResult.degraded``
-            instead of raising (the degraded-mode read path, E9).
-        degraded_read_after: failed attempts before a read may probe
-            beyond its dependency-safe prefix.
+            instead of raising (the degraded-mode read path, E9), after
+            :data:`~repro.core.client.DEGRADED_READ_AFTER` failed attempts.
         durable_storage: back each server's store with a FAWN-KV-style
             append-only log; a crash loses memory but not the log, and
             recovery replays it before chain repair fills the rest.
         compaction_interval: how often a durable server checks whether
             its log has outgrown the live set and compacts it.
-        sync_timeout: upper bound on a server's read-unavailability window
-            while chain repair streams state after a view change.
         replication_degree: r — how many sites replicate each keyspace
             shard. 0 (default) means full replication: every site owns
             every key, and the catalog is a
@@ -83,9 +80,6 @@ class ChainReactionConfig(DeploymentConfig):
             message count against stability latency; keep it well under
             ``wan_median`` so batching never dominates the
             geo-visibility path.
-        batch_max_entries: per-destination buffer size that forces an
-            eager flush before the window expires (bounds both batch
-            wire size and worst-case buffered-entry memory).
         stability: which stabilization plane drives causal visibility,
             one of :data:`STABILITY_PLANES`. ``"notices"`` (default) is
             the paper's explicit plane: per-write ChainStable cascades,
@@ -93,7 +87,8 @@ class ChainReactionConfig(DeploymentConfig):
             ``"notices+batch"`` is the same plane with the three streams
             coalesced per destination (``BulkStable`` /
             ``RemoteUpdateBatch`` / ``GlobalStableBatch``, flushed every
-            ``batch_flush_interval`` or at ``batch_max_entries``) and
+            ``batch_flush_interval`` or at
+            :data:`~repro.core.batching.BATCH_MAX_ENTRIES`) and
             fully-stable keys sealed — tracker entries and retained
             dependency lists dropped, the stored version itself the
             per-key floor — at the stability event that completes them.
@@ -115,14 +110,11 @@ class ChainReactionConfig(DeploymentConfig):
     geo_causal_delivery: bool = True
     dep_wait_timeout: float = 1.0
     degraded_reads: bool = True
-    degraded_read_after: int = 2
     durable_storage: bool = False
     compaction_interval: float = 1.0
-    sync_timeout: float = 1.0
     replication_degree: int = 0
     num_shards: int = 16
     batch_flush_interval: float = 0.025
-    batch_max_entries: int = 128
     stability: str = "notices"
     stability_interval: float = 0.005
 
@@ -135,8 +127,6 @@ class ChainReactionConfig(DeploymentConfig):
             )
         if self.dep_wait_timeout <= 0:
             raise ConfigError("timeouts must be positive")
-        if self.degraded_read_after < 1:
-            raise ConfigError("degraded_read_after must be >= 1")
         if not 0 <= self.replication_degree <= len(self.sites):
             raise ConfigError(
                 f"replication_degree must be in [0, len(sites)={len(self.sites)}]; "
@@ -146,8 +136,6 @@ class ChainReactionConfig(DeploymentConfig):
             raise ConfigError("num_shards must be >= 1")
         if self.batch_flush_interval <= 0:
             raise ConfigError("batch_flush_interval must be positive")
-        if self.batch_max_entries < 1:
-            raise ConfigError("batch_max_entries must be >= 1")
         if self.stability not in STABILITY_PLANES:
             raise ConfigError(
                 f"stability must be one of {STABILITY_PLANES}; got "

@@ -22,7 +22,7 @@ still, as consistent hashing dictates. The node implements:
 - **chain repair** — on a membership change every server streams the
   records each new chain member is responsible for, and pauses
   client-facing service until it has received its peers' transfers
-  (bounded by ``sync_timeout``).
+  (bounded by :data:`SYNC_TIMEOUT`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,11 @@ from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
 from repro.storage.version import VersionVector
 
-__all__ = ["ChainNode"]
+__all__ = ["ChainNode", "SYNC_TIMEOUT"]
+
+#: upper bound (seconds) on a server's read-unavailability window while
+#: chain repair streams state after a view change
+SYNC_TIMEOUT = 1.0
 
 #: Shared read-only empty dependency map. ``_stable_records`` retains a
 #: deps mapping per stable key, so handing out a fresh ``{}`` default on
@@ -495,13 +499,13 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         Every server pushes each of its records to the record's other
         new-chain members (idempotent at the receiver), then signals
         completion. Client-facing service pauses until all peers'
-        transfers arrive, bounded by ``sync_timeout``.
+        transfers arrive, bounded by :data:`SYNC_TIMEOUT`.
         """
         self.trace("repair", "view-change", epoch=new.epoch, members=len(new.servers))
         self._sync_epoch = new.epoch
         self.syncing = True
         self._transfer_pending = set(new.servers) - {self.name}
-        self.set_timer(self.config.sync_timeout, self._sync_deadline, new.epoch)
+        self.set_timer(SYNC_TIMEOUT, self._sync_deadline, new.epoch)
 
         outgoing: Dict[str, List[Tuple]] = {}
         for record in self.store.all_records():

@@ -247,3 +247,62 @@ def test_campaign_runner_spells_the_plane_the_way_its_tree_does(tmp_path, config
 
     assert overrides("notices+batch") == {"durable_storage": True, **batched}
     assert overrides("clock") == {"durable_storage": True, "stability": "clock"}
+
+
+# ----------------------------------------------------------------------
+# --pins: the pin table's runs A/B, the runner stubbed
+# ----------------------------------------------------------------------
+PINS = {
+    "golden/cops": {"bytes": 666036, "events": 10884, "messages": 7045},
+    "geo_ops/no_dependencies": {"bytes": 6320, "tap_sha256": "1600afcbffc52fb9", "visibility": [0.0005]},
+}
+
+
+def _canned_pins(monkeypatch, tmp_path, base=PINS, tree=PINS, table=PINS):
+    pinned = tmp_path / "pins.json"
+    pinned.write_text(ab_pairs.pins_json(table))
+    monkeypatch.setattr(ab_pairs, "PINS_TABLE", pinned)
+    monkeypatch.setattr(ab_pairs, "record_pins", lambda t: ab_pairs.json.loads(ab_pairs.json.dumps(
+        tree if t == ab_pairs.ROOT else base)))
+    return pinned
+
+
+def _perturbed(rows, script, field, value):
+    return {**rows, script: {**rows[script], field: value}}
+
+
+def test_one_moved_field_is_one_diff_line_and_fails_unless_its_script_is_named(tmp_path, monkeypatch, capsys):
+    base = _perturbed(PINS, "golden/cops", "bytes", 763654)
+    _canned_pins(monkeypatch, tmp_path, base=base)
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "->" in line] == ["golden/cops bytes: 763654 -> 666036"]
+    assert "not named by --expect-different: ['golden/cops']" in out
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path), "--expect-different", "golden/cops"]) == 0
+    assert "not named" not in capsys.readouterr().out
+
+
+def test_equal_runs_pass_and_a_named_script_that_did_not_move_fails(tmp_path, monkeypatch, capsys):
+    _canned_pins(monkeypatch, tmp_path)
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path)]) == 0
+    assert "0 field(s) of 0 of 2 script(s) differ" in capsys.readouterr().out
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path), "--expect-different", "golden/cops"]) == 1
+
+
+def test_a_table_this_tree_does_not_reproduce_fails_and_write_rewrites_it(tmp_path, monkeypatch, capsys):
+    tree = _perturbed(PINS, "geo_ops/no_dependencies", "visibility", [0.0007])
+    pinned = _canned_pins(monkeypatch, tmp_path, base=tree, tree=tree)
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path)]) == 1
+    assert "pins.json: geo_ops/no_dependencies visibility: [0.0005] -> [0.0007]" in capsys.readouterr().out
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path), "--write"]) == 0
+    assert ab_pairs.json.loads(pinned.read_text()) == tree
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path)]) == 0
+
+
+def test_write_leaves_the_table_alone_while_an_unnamed_script_moved(tmp_path, monkeypatch, capsys):
+    tree = _perturbed(PINS, "golden/cops", "events", 1)
+    pinned = _canned_pins(monkeypatch, tmp_path, tree=tree)
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path), "--write"]) == 1
+    assert ab_pairs.json.loads(pinned.read_text()) == PINS
+    assert ab_pairs.main(["--pins", "--base", str(tmp_path), "--write", "--expect-different", "golden/cops"]) == 0
+    assert ab_pairs.json.loads(pinned.read_text()) == tree

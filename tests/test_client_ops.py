@@ -8,26 +8,11 @@ generator + a ``Future`` per RPC) without changing *what* a session does: every 
 degraded-read branch sends the same messages at the same virtual
 instants with the same RNG draws.
 
-``SCRIPTS`` drives each branch through the public session API and
-``PINNED`` holds ``(outcome type, resolved_at, retries, failed_ops,
-degraded_reads, events_processed, messages_sent, bytes_sent)`` — the
-``tests/test_golden_planes.py`` method. Every field but the event count
-is what commit 1359141 (still coroutine-based) produced. The event
-counts were re-recorded once, when an operation's first attempt began to
-run inline instead of from a zero-delay event and each actor's
-deadlines moved to one alarm: they count kernel work, not protocol
-steps. A script whose other fields move changed the simulation and must
-be fixed, not re-recorded.
-
-The scripts from ``forwarded_get_at_primary`` on were recorded on commit
-6e5887a, where forwarded operations, snapshot reads, the geo proxy's
-side of forwarding and every baseline operation still ran as generator
-processes. Their event counts were re-recorded once, when those became
-continuations started inline: the zero-delay start events are gone.
-The bytes of the three ``forwarded_put_*`` scripts (three DCs) were
-re-recorded once more when a remote-origin ``TailStable`` stopped
-carrying the write's value, stamp and dependencies (4 or 8 bytes each);
-nothing else of theirs moved.
+``SCRIPTS`` drives each branch through the public session API; each
+script's outcome type, ``resolved_at``, retries, failed and degraded
+counts, events, messages and bytes are pinned in ``pins.json`` (see
+``test_pins``). A script whose fields move changed the simulation and
+must be fixed, not re-recorded.
 """
 
 import dataclasses
@@ -36,6 +21,7 @@ from typing import ClassVar
 import pytest
 
 from helpers import build, make_geo_store, make_store
+from test_pins import fields, pin_loop
 
 from repro.analysis.invariants import ChainInvariantMonitor
 from repro.core.messages import PutReply
@@ -47,7 +33,7 @@ from repro.sim import Future, Simulator
 #: backoff, and a failure detector slow enough never to interfere unless
 #: a script speeds it up again
 FAST = dict(op_timeout=0.05, client_retry_backoff=0.01)
-NO_DETECTOR = dict(heartbeat_interval=1.0, failure_timeout=30.0)
+NO_DETECTOR = dict(failure_timeout=30.0)
 
 
 def _chain(store, key):
@@ -90,9 +76,9 @@ def stale_replica_falls_back_to_head():
 
 def degraded_after_unreachable_prefix():
     """The only replica holding the session's version is unreachable:
-    after ``degraded_read_after`` attempts a stale replica's answer is
+    after ``DEGRADED_READ_AFTER`` attempts a stale replica's answer is
     served flagged degraded, the dep table untouched."""
-    store = make_store(ack_k=1, degraded_read_after=2, **FAST, **NO_DETECTOR)
+    store = make_store(ack_k=1, **FAST, **NO_DETECTOR)
     store.preload({"k": "v1"})
     chain = store.managers["dc0"].view.chain_for("k")
     s = store.session(session_id="alice")
@@ -217,7 +203,7 @@ def forwarded_get_at_primary():
 
 def forwarded_get_degraded_at_backup():
     """The primary owner's proxy is unreachable and the backup never
-    received the session's own write: after ``degraded_read_after``
+    received the session's own write: after ``DEGRADED_READ_AFTER``
     attempts the get rotates to the backup and serves its older version
     flagged degraded."""
     store = _partial_store(**NO_DETECTOR)
@@ -365,77 +351,38 @@ SCRIPTS = {
 }
 
 
-def fingerprint(name):
+def run(name):
+    """Run script ``name`` to its horizon: (store, session, future)."""
     store, s, fut, until = SCRIPTS[name]()
     store.run(until=until)
     assert fut.done(), f"{name}: operation still pending at t={store.sim.now}"
-    outcome = fut.exception() if fut.failed() else fut.result()
-    stats = store.network.stats
-    return store, s, outcome, (
-        type(outcome).__name__,
-        fut.resolved_at,
-        s.retries,
-        s.failed_ops,
-        s.degraded_reads,
-        store.sim.events_processed,
-        stats.messages_sent,
-        stats.bytes_sent,
-    )
+    return store, s, fut
 
 
-#: recorded on 1359141 (6e5887a from ``forwarded_get_at_primary`` on) with
-#: ``python tests/test_client_ops.py``; the event counts (sixth field)
-#: re-recorded once, see the module docstring. The bytes (last field) were
-#: re-recorded once more when reads, dependency waits and remote injects
-#: left the RPC envelope for typed request / reply messages, and again when
-#: the envelope left the tree (forwarded operations, snapshot legs, view
-#: refreshes and the baselines' operations became typed pairs too):
-#: nothing else moved either time.
-PINNED = {
-    'client_crashed_with_get_in_flight': ('RequestTimeout', 0.14323482581773556, 4, 1, 0, 333, 157, 5966),
-    'closed_with_put_in_flight': ('SessionClosedError', 0.0001, 0, 0, 0, 161, 77, 2951),
-    'cops_put': ('PutResult', 0.001357255347678765, 0, 0, 0, 327, 157, 6113),
-    'degraded_after_unreachable_prefix': ('GetResult', 0.6330106051156347, 2, 0, 1, 491, 248, 9617),
-    'eventual_get_retried_once': ('GetResult', 0.06202758000450802, 1, 0, 0, 382, 185, 7703),
-    'forwarded_get_at_primary': ('GetResult', 0.06849192830258789, 0, 0, 0, 483, 232, 8894),
-    'forwarded_get_degraded_at_backup': ('GetResult', 1.2856754454066295, 3, 0, 1, 1460, 739, 28759),
-    'forwarded_put_carries_a_local_dep': ('PutResult', 0.08491484947194096, 0, 0, 0, 534, 278, 12060),
-    'forwarded_put_refused_then_retried': ('PutResult', 0.15752557057317268, 1, 0, 0, 495, 259, 10700),
-    'forwarded_put_times_out_at_proxy': ('PutResult', 0.20366506402592496, 1, 0, 0, 518, 280, 12088),
-    'head_crash_mid_get': ('GetResult', 1.3532761816678587, 4, 0, 0, 595, 290, 11865),
-    'max_retries_exhausted': ('RequestTimeout', 0.3703706273582151, 3, 1, 0, 9, 0, 0),
-    'multi_get_gives_up_after_eight_rounds': ('RequestTimeout', 0.05495905381645978, 0, 1, 0, 185, 107, 4783),
-    'multi_get_in_one_round': ('SnapshotResult', 0.07299379673766357, 0, 0, 0, 486, 234, 8985),
-    'multi_get_rereads_a_key': ('SnapshotResult', 0.05125404335945394, 0, 0, 0, 173, 95, 4301),
-    'op_deadline_exhausted': ('RequestTimeout', 0.22877332441020404, 2, 1, 0, 6, 0, 0),
-    'put_refused_not_head': ('PutResult', 3.011282371356649, 1, 0, 0, 671, 335, 13283),
-    'put_timeout_then_late_reply': ('PutResult', 0.06095287329634598, 1, 0, 0, 170, 90, 3951),
-    'put_waits_on_unstable_dep': ('PutResult', 0.0015678994884307132, 0, 0, 0, 175, 90, 4013),
-    'put_waits_on_unstable_dep_clock': ('PutResult', 0.0015469728609671714, 0, 0, 0, 2760, 1680, 75619),
-    'stale_replica_falls_back_to_head': ('GetResult', 0.5109605409084719, 1, 0, 0, 323, 164, 6444),
-}
+def pinned(name):
+    store, s, fut = run(name)
+    return fields(store, session=s, future=fut)
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_reproduces_the_parents_tuple(name):
-    assert fingerprint(name)[-1] == PINNED[name]
+test_script_reproduces_the_parents_tuple = pin_loop("client_ops", SCRIPTS, pinned)
 
 
 def test_forwarded_and_snapshot_outcomes():
-    _store, s, outcome, _ = fingerprint("forwarded_get_degraded_at_backup")
+    _store, s, fut = run("forwarded_get_degraded_at_backup")
+    outcome = fut.result()
     assert outcome.degraded and outcome.value == "v1" and outcome.served_by == "dc2/geoproxy"
     assert (s.forwarded_gets, s.forwarded_puts) == (1, 1)
-    store, s, outcome, _ = fingerprint("forwarded_put_times_out_at_proxy")
-    assert outcome.acked_by.startswith("dc1:") and s.forwarded_puts == 1
+    store, s, fut = run("forwarded_put_times_out_at_proxy")
+    assert fut.result().acked_by.startswith("dc1:") and s.forwarded_puts == 1
     assert store.proxies["dc1"].forwarded_puts_served == 1  # the timed-out attempt is not counted
-    _store, s, outcome, _ = fingerprint("forwarded_put_refused_then_retried")
+    _store, s, _fut = run("forwarded_put_refused_then_retried")
     assert s.forwarded_puts == 2  # the refusal is a forwarded reply too
-    store, _s, outcome, _ = fingerprint("forwarded_put_carries_a_local_dep")
-    assert store.protocol_stats()["dep_waits"] == 1 and outcome.acked_by.startswith("dc1:")
-    _store, s, outcome, _ = fingerprint("multi_get_in_one_round")
-    assert (outcome.rounds, outcome.values, s.forwarded_gets) == (1, {"a": "1", "d": "2"}, 1)
-    _store, _s, outcome, _ = fingerprint("multi_get_rereads_a_key")
-    assert (outcome.rounds, outcome.values) == (2, {"a": 1, "b": 2})
+    store, _s, fut = run("forwarded_put_carries_a_local_dep")
+    assert store.protocol_stats()["dep_waits"] == 1 and fut.result().acked_by.startswith("dc1:")
+    _store, s, fut = run("multi_get_in_one_round")
+    assert (fut.result().rounds, fut.result().values, s.forwarded_gets) == (1, {"a": "1", "d": "2"}, 1)
+    _store, _s, fut = run("multi_get_rereads_a_key")
+    assert (fut.result().rounds, fut.result().values) == (2, {"a": 1, "b": 2})
 
 
 def test_degraded_read_is_flagged_and_leaves_the_dep_table_alone():
@@ -448,7 +395,7 @@ def test_degraded_read_is_flagged_and_leaves_the_dep_table_alone():
 
 def test_dependent_put_was_held_at_its_head():
     for name in ("put_waits_on_unstable_dep", "put_waits_on_unstable_dep_clock"):
-        store, _s, _outcome, _ = fingerprint(name)
+        store, _s, _fut = run(name)
         assert store.protocol_stats()["dep_waits"] == 1
 
 
@@ -636,7 +583,3 @@ def test_request_from_a_crashed_actor_fails_its_continuation_at_once(sim):
     assert [outcome[1] for outcome in recorder.outcomes] == [ReplicaUnavailable]
     assert sim.pending_events() == 0
 
-
-if __name__ == "__main__":  # re-record: PYTHONPATH=<parent>/src:tests python tests/test_client_ops.py
-    for script_name in SCRIPTS:
-        print(f"    {script_name!r}: {fingerprint(script_name)[-1]!r},")

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baselines.common import BaselineConfig
 from repro.cluster import ClusterManager, RingView
-from repro.cluster.membership import GetView, ViewReply
+from repro.cluster.membership import HEARTBEAT_INTERVAL, GetView, ViewReply
 from repro.cluster.server_base import RingServer
-from repro.errors import ClusterError
+from repro.core.config import ChainReactionConfig
+from repro.errors import ClusterError, ConfigError
 from repro.net import FixedLatency, Network
 from repro.sim import Simulator
 
@@ -19,7 +21,6 @@ def deploy(sim, n=4, chain_length=3, failure_timeout=0.25):
         site="dc0",
         servers=names,
         chain_length=chain_length,
-        heartbeat_interval=0.05,
         failure_timeout=failure_timeout,
     )
     servers = [
@@ -50,9 +51,18 @@ class TestManagerConfig:
         net = Network(sim)
         with pytest.raises(ClusterError):
             ClusterManager(
-                sim, net, "dc0", ["a"], chain_length=1,
-                heartbeat_interval=0.5, failure_timeout=0.1,
+                sim, net, "dc0", ["a"], chain_length=1, failure_timeout=0.01,
             )
+
+    @pytest.mark.parametrize("config", [ChainReactionConfig, BaselineConfig])
+    def test_a_deployment_config_rejects_a_timeout_at_or_below_the_heartbeat(self, config):
+        # Servers heartbeat every HEARTBEAT_INTERVAL whatever the config
+        # says, so the interval is no knob; the timeout is checked against it.
+        with pytest.raises(ConfigError, match="heartbeat"):
+            config(failure_timeout=HEARTBEAT_INTERVAL)
+        with pytest.raises(TypeError, match="heartbeat_interval"):
+            config(heartbeat_interval=1.0)
+        assert config(failure_timeout=HEARTBEAT_INTERVAL * 1.01).failure_timeout > HEARTBEAT_INTERVAL
 
 
 class TestFailureDetection:

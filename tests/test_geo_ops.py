@@ -11,17 +11,11 @@ or a head does: every wait, retry, timeout, crash and gate sends the
 same messages at the same virtual instants.
 
 ``SCRIPTS`` drives each branch with hand-built ``RemoteUpdate`` s (or,
-head side, a real session) and ``PINNED`` holds ``(outcome, resolved_at,
-updates_applied, counters, events_processed, messages_sent, bytes_sent,
-message-trace digest)``. Every field but the event count is what commit
-729cc81 (still coroutine-based) produced. A script whose tuple moves
-changed the simulation and must be fixed, not re-recorded — except the
-event count (re-recorded once, see ``PINNED``), the two fields of the
-two scripts named in ``BUGFIX``, the two-site scripts, re-recorded
-when the proxy began to wait on its own ``TailStable`` table, and two
-single-site clock digests that hash an address name, and the bytes and
-digests of the scripts whose injections and waits became typed
-messages (see ``PINNED``).
+head side, a real session); the values read back, the visibility
+samples, ``updates_applied``, the protocol counters, events, messages,
+bytes and the message-trace digest of each are pinned in ``pins.json``
+(see ``test_pins``). A script whose fields move changed the simulation
+and must be fixed, not re-recorded.
 
 What the scripts hold: the first step of an update, a held put and a
 dependency wait runs inline, a backoff posts one event, the gate opens
@@ -34,11 +28,11 @@ failed attempt, the last included.
 """
 
 import dataclasses
-import hashlib
 
 import pytest
 
 from helpers import make_geo_store, make_store
+from test_pins import fields, pin_loop
 
 from repro.analysis.sanitize import MessageTap
 from repro.baselines import build_store
@@ -50,7 +44,7 @@ from repro.workload import WorkloadRunner, workload
 #: short RPC attempts and backoffs so retries fit a script; a failure
 #: detector slow enough never to interfere unless a script wants it
 FAST = dict(op_timeout=0.05, client_retry_backoff=0.01)
-NO_DETECTOR = dict(heartbeat_interval=1.0, failure_timeout=30.0)
+NO_DETECTOR = dict(failure_timeout=30.0)
 #: per-RPC attempt = max(dep_wait_timeout / 3, 0.05) = 0.1 s
 SHORT_WAIT = dict(dep_wait_timeout=0.3)
 
@@ -418,109 +412,12 @@ def run_script(name):
     return store, keys, store.message_tap
 
 
-def fingerprint(name):
+def pinned(name):
     store, keys, tap = run_script(name)
-    site = "dc1" if name in PROXY_SCRIPTS else "dc0"
-    outcome = tuple(
-        getattr(_chain(store, site, key)[0].store.get(key), "value", None) for key in keys
-    )
-    proxy = store.proxies.get("dc1")
-    stats = store.protocol_stats()
-    net = store.network.stats
-    return (
-        outcome,
-        tuple(proxy.visibility_samples) if proxy is not None else (),
-        proxy.updates_applied if proxy is not None else 0,
-        tuple(stats[c] for c in ("remote_applies", "puts_served", "dep_waits", "dep_wait_timeouts")),
-        store.sim.events_processed,
-        net.messages_sent,
-        net.bytes_sent,
-        hashlib.sha256(repr(tap.entries).encode()).hexdigest()[:16],
-    )
+    return fields(store, keys=keys, site="dc1" if name in PROXY_SCRIPTS else "dc0", tap=tap)
 
 
-#: recorded on 729cc81 with ``python tests/test_geo_ops.py``. One field
-#: re-recorded since, once: ``session_writes_batched`` ran the parent's
-#: ``protocol_batching=True`` alone; the plane it names now
-#: (``notices+batch``) then also armed a sealing sweep — 8 servers x 8
-#: ticks of its 0.25 s period in 2.0 s = 64 timer events (843 -> 907). Messages,
-#: bytes, digest, counters and all nine visibility samples are the parent's.
-#: Event counts re-recorded once more, when the first steps above began
-#: to run inline and each actor's RPC deadlines moved to one alarm (907 ->
-#: 875 for that script). Each script's message tap is attached before its
-#: first step for that reason: a session's first ``put-request`` now
-#: leaves at the op call, at t = 0, before ``run_script`` used to attach
-#: it. With the tap attached first, all thirteen session-driven digests
-#: are the parent's again. ``session_writes_batched``'s events fell once
-#: more when sealing left the sweep for the stability events (875 ->
-#: 811): the sweep's 64 timer events are gone, nothing else moved.
-#: Every two-site script re-recorded once more when the proxy began to
-#: wait on its own ``TailStable`` table instead of asking the tail, and
-#: a remote-origin ``TailStable`` dropped the value and dependencies no
-#: site half reads: the clock-plane scripts moved in bytes only, the
-#: notices scripts lost their ``wait_stable`` round trips (messages,
-#: events, bytes and visibility samples), and the single-site head
-#: scripts did not move. The two single-site clock scripts' digests were
-#: re-recorded when a single site's clock role moved from its own
-#: ``clockagent`` actor into the site's geo-proxy: the trace hashes the
-#: address name, and with ``dc0:clockagent`` read as ``dc0:geoproxy`` the
-#: parent's trace is this one, entry for entry. Bytes and digests of every
-#: script that injects or waits over the network were re-recorded when
-#: ``apply_remote`` / ``wait_stable`` left the RPC envelope for the typed
-#: ``ApplyRemote`` / ``WaitStable`` answered by an ``Ack``: same messages
-#: at the same instants, fewer bytes, other type names in the trace; every
-#: other field is the parent's. The two head-crash scripts' bytes and
-#: digests were re-recorded once more when the client's view refresh left
-#: the envelope for a typed ``GetView`` / ``ViewReply`` pair, on the same
-#: terms.
-PINNED = {
-    'no_dependencies': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6320, '1600afcbffc52fb9'),
-    'one_dependency': (('dep', 'v'), (0.0025448782563099372, 0.0035394704559096888), 2, (2, 0, 0, 0), 339, 168, 6954, 'ab422f37f352e823'),
-    'two_dependencies': (('dep-one', 'dep-two', 'v'), (0.0015448782563099372, 0.010579661341312559, 0.012088602374867325), 3, (3, 0, 0, 0), 349, 176, 7632, '76cada0c6228d079'),
-    'own_key_dependency_is_skipped': (('v2',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6407, 'c0ecb84c8db39224'),
-    'causal_delivery_off': (('v',), (0.0005448782563099372,), 1, (1, 0, 0, 0), 329, 160, 6416, 'c00337f91b53e546'),
-    'wait_stable_times_out_once': (('dep', 'v'), (0.1505873151117727, 0.15179233150779314), 2, (2, 0, 0, 0), 342, 170, 7043, '52444b49491ee99c'),
-    'dep_wait_timeout_expires': (('v',), (0.3007229651017506,), 1, (1, 0, 0, 0), 334, 162, 6536, '79cd14f7ddb211ec'),
-    'proxy_crash_mid_dep_wait': (('third',), (0.020544878256309938, 0.050586093732652354), 2, (2, 0, 0, 0), 343, 168, 6891, '1f136916aaa96879'),
-    'proxy_down_when_the_gate_opens': (('third',), (0.05057966134131256,), 1, (1, 0, 0, 0), 335, 160, 6332, '2619b4a9c866cd20'),
-    'same_key_order_preserved': (('dep', 'second!!'), (0.010544878256309936, 0.011846295892815136, 0.011846296892815135), 3, (3, 0, 0, 0), 349, 176, 7531, 'ef2fa76e9fdba795'),
-    'not_responsible_then_accepted': (('v',), (0.011157255347678764,), 1, (1, 0, 0, 0), 319, 162, 6434, '932fe69daf27fd8e'),
-    'head_crash_then_failover': (('v',), (0.42048595796621807,), 1, (1, 0, 0, 0), 916, 437, 16927, 'd245598a667d3950'),
-    'max_retries_exhausted': ((None,), (0.18000000000000002, 0.18100000000000002), 2, (0, 0, 0, 0), 282, 133, 5054, '5b071007a24599af'),
-    'clock_plane_injection': (('other', 'second!!'), (0.00043530233337952205, 0.0004910082379967857, 0.0016467932400784798), 3, (3, 0, 0, 0), 2937, 1877, 86650, 'f7924a642d82e19e'),
-    'clock_plane_head_down': ((None,), (0.18000000000000002,), 1, (0, 0, 0, 0), 2603, 1654, 75920, '37b6a7f7d05379c2'),
-    'session_writes_notices': (('1', '2', '3', 'v5'), (0.04358450251111743, 0.050404260193395486, 0.050099376229576664, 0.05031176844496563, 0.0493835283991457, 0.04833448918214134, 0.04745766151207336, 0.04636666295601233, 0.045617618965939646), 9, (9, 9, 1, 0), 877, 523, 28044, '576e4c533d9b3aca'),
-    'session_writes_clock': (('1', '2', '3', 'v5'), (0.04963266216142921, 0.04957386291364497, 0.05181230536542151, 0.05238694562844484, 0.051489544450736995, 0.050592755870177156, 0.04952020686727888, 0.04869822164425455, 0.05284141491402687), 9, (9, 9, 3, 0), 11943, 7622, 356850, 'fccdfb258b2acd19'),
-    'session_writes_batched': (('1', '2', '3', 'v5'), (0.0648042800546071, 0.06440417138181936, 0.0633359037562934, 0.06349438476112074, 0.06248011269083027, 0.061833385022037744, 0.060825662860647466, 0.059831433471858084, 0.058909028454218915), 9, (9, 9, 2, 0), 803, 439, 24810, 'defa5917d222ac21'),
-    'head_waits_on_its_own_tracker': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, '13a84a650a44f5db'),
-    'head_waits_over_rpc': (('dep', 'v'), (), 0, (0, 2, 1, 0), 344, 170, 7069, 'ffdaee5eda5c6708'),
-    'head_waits_on_its_own_tracker_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5531, 3366, 150944, '54a1f5f8daa61c89'),
-    'head_waits_over_rpc_clock': (('dep', 'v'), (), 0, (0, 2, 1, 0), 5534, 3368, 151034, 'd8d313724f326850'),
-    'head_local_wait_outlives_an_attempt': (('dep', 'v'), (), 0, (0, 2, 1, 0), 341, 168, 6979, 'a215aea15d76a79d'),
-    'head_rpc_wait_times_out_once': (('dep', 'v'), (), 0, (0, 2, 1, 0), 347, 172, 7159, 'b148773a3b244c3b'),
-    'head_local_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 338, 166, 6865, 'ea80408d1c54ca7a'),
-    'head_rpc_wait_expires': (('dep', 'v'), (), 0, (0, 2, 1, 1), 343, 169, 7036, '6a1ad0d6266b2ba6'),
-    'head_crash_mid_local_wait': (('dep', 'v'), (), 0, (0, 2, 1, 1), 247, 125, 5061, '52ec59277722ba13'),
-    'head_crash_mid_rpc_wait': (('dep', None), (), 0, (0, 1, 1, 0), 247, 126, 5118, '24ca49ab19bf9b51'),
-}
-
-#: The one deliberate difference (ISSUE 20's accounting fix): the parent
-#: counted an update whose injection ran out of attempts as applied and
-#: took a visibility sample for it. script -> (resolved_at, updates_applied)
-#: as the fixed code reports them; everything else — the message-trace
-#: digest included — equals ``PINNED``.
-BUGFIX = {
-    "max_retries_exhausted": ((), 0),
-    "clock_plane_head_down": ((), 0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_reproduces_the_parents_tuple(name):
-    expected = PINNED[name]
-    if name in BUGFIX:
-        expected = expected[:1] + BUGFIX[name] + expected[3:]
-    assert fingerprint(name) == expected
+test_script_reproduces_the_parents_tuple = pin_loop("geo_ops", SCRIPTS, pinned)
 
 
 def _arrivals_at_head(name, key="k"):
@@ -688,7 +585,3 @@ def test_a_remote_origin_tail_stable_carries_no_payload(name):
     shipped = sum(msg.size_bytes() for _src, _dst, msg in seen if msg.type_name == "remote-update")
     assert (local, shipped) == LOCAL_ORIGIN_BYTES[name]
 
-
-if __name__ == "__main__":  # re-record: PYTHONPATH=<parent>/src:tests python tests/test_geo_ops.py
-    for script_name in SCRIPTS:
-        print(f"    {script_name!r}: {fingerprint(script_name)!r},")

@@ -1,98 +1,24 @@
-"""Golden-trace regression: kernel/fabric rewrites cannot reorder events.
-
-The snapshot below was recorded on the seed (pre-PR-1) code. Any
-optimization of the kernel, network fabric, or message sizing must keep
-a fixed-seed run *byte-identical*: same messages on the wire, same bytes
-accounted, same summary row, and the same number of events fired unless
-the change removed or added kernel events on purpose. If this test fails
-after a perf change, the change altered simulation behaviour — not just
-its speed — and must be fixed, not re-recorded. (Re-record only for
-deliberate protocol/semantics or event-count changes, and say so in the
-PR.)
-"""
-
-import pytest
+"""Golden trace: the default configuration's E1-style mini-run is pins.json's
+``golden/notices`` row, and its latency reservoirs give that row's percentiles."""
 
 from repro.baselines import build_store
 from repro.workload import WorkloadRunner, workload
-
-#: Recorded on the seed code (commit 43e493d) with the exact
-#: configuration in _golden_run below. BYTES re-recorded for the error
-#: taxonomy redesign: every rpc-response now carries a ``retryable``
-#: flag on the wire (+1 accounted byte each); event count, message
-#: count, and the summary row are unchanged — the protocol's event
-#: order is untouched. EVENTS re-recorded once (15 345 -> 12 205) when
-#: operations began to start inline and each actor's RPC deadlines moved
-#: to one alarm: the zero-delay start events of client ops, head put
-#: service, dependency waits and remote applies are gone, a few no-op
-#: alarm firings are new; messages, bytes and the summary row are
-#: unchanged. Everything but the throughput and error count re-recorded
-#: (12 205 / 8 641 / 1 240 844 -> 11 338 / 7 773 / 1 130 330) when the
-#: geo-proxy began to wait for a remote update's dependencies on the
-#: ``TailStable`` notices its site's tails already send it, instead of
-#: one ``wait_stable`` RPC each, and a remote-origin ``TailStable``
-#: dropped the payload no site half reads: the RPC round trips are gone,
-#: and every later latency draw shifts with them (get p50 / p99 0.7052 /
-#: 0.9364 -> 0.7056 / 0.9340 ms, put p50 / p99 1.5465 / 2.0283 -> 1.5051
-#: / 1.9892 ms). BYTES re-recorded (1 130 330 -> 980 418) when reads,
-#: dependency waits and remote injects left the RPC envelope for typed
-#: request / reply messages: the same messages at the same instants, so
-#: events, messages and the summary row are unchanged.
-GOLDEN_EVENTS_PROCESSED = 11338
-GOLDEN_MESSAGES_SENT = 7773
-GOLDEN_BYTES_SENT = 980418
-GOLDEN_SUMMARY_ROW = {
-    "protocol": "chainreaction",
-    "workload": "B",
-    "clients": 3,
-    "throughput_ops_s": 4042.0,
-    "get_p50_ms": 0.7055723650518653,
-    "get_p99_ms": 0.9340292598360279,
-    "put_p50_ms": 1.5051305245796232,
-    "put_p99_ms": 1.9891974244496102,
-    "errors": 0,
-}
+from test_pins import fields, table
 
 
 def _golden_run():
-    """An E1-style mini-workload: geo deployment, read-heavy YCSB-B."""
-    store = build_store(
-        "chainreaction",
-        sites=("dc0", "dc1"),
-        servers_per_site=4,
-        chain_length=3,
-        seed=1234,
-    )
+    store = build_store("chainreaction", sites=("dc0", "dc1"), servers_per_site=4, chain_length=3, seed=1234)
     spec = workload("B", record_count=25, value_size=32)
-    result = WorkloadRunner(
-        store, spec, n_clients=3, duration=0.5, warmup=0.1
-    ).run()
-    return store, result
+    return store, WorkloadRunner(store, spec, n_clients=3, duration=0.5, warmup=0.1).run()
 
 
 class TestGoldenTrace:
     def test_fixed_seed_run_matches_recorded_snapshot(self):
         store, result = _golden_run()
-        observed = (
-            store.sim.events_processed,
-            store.network.stats.messages_sent,
-            store.network.stats.bytes_sent,
-            result.summary_row(),
-        )
-        assert observed == (
-            GOLDEN_EVENTS_PROCESSED,
-            GOLDEN_MESSAGES_SENT,
-            GOLDEN_BYTES_SENT,
-            GOLDEN_SUMMARY_ROW,
-        )
+        assert fields(store, result=result) == table()["golden/notices"]
 
     def test_latency_percentiles_exact(self):
-        # Percentiles flow through the latency reservoirs — a second,
-        # independent angle on event-order stability.
         _, result = _golden_run()
-        assert result.get_latency.percentile(50) * 1000 == pytest.approx(
-            GOLDEN_SUMMARY_ROW["get_p50_ms"], abs=0.0
-        )
-        assert result.put_latency.percentile(99) * 1000 == pytest.approx(
-            GOLDEN_SUMMARY_ROW["put_p99_ms"], abs=0.0
-        )
+        row = table()["golden/notices"]["summary"]
+        assert result.get_latency.percentile(50) * 1000 == row["get_p50_ms"]
+        assert result.put_latency.percentile(99) * 1000 == row["put_p99_ms"]

@@ -377,5 +377,3 @@ class TestGoldenDefaultsUnchanged:
 
         with pytest.raises(ConfigError):
             ChainReactionConfig(batch_flush_interval=0.0)
-        with pytest.raises(ConfigError):
-            ChainReactionConfig(batch_max_entries=0)

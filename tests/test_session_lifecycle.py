@@ -110,8 +110,6 @@ class TestDegradedReads:
             ack_k=1,
             op_timeout=0.05,
             client_retry_backoff=0.01,
-            degraded_read_after=2,
-            heartbeat_interval=1.0,
             failure_timeout=30.0,
         )
         store.preload({"k": "v1"})
@@ -146,7 +144,6 @@ class TestDegradedReads:
             client_retry_backoff=0.01,
             max_retries=4,
             degraded_reads=False,
-            heartbeat_interval=1.0,
             failure_timeout=30.0,
         )
         store.preload({"k": "v1"})

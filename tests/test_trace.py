@@ -3,9 +3,12 @@
 import pytest
 
 from helpers import make_geo_store, make_store, run_op
+from test_pins import fields, pin_loop
 
+from repro.baselines.registry import build_store
 from repro.sim import Simulator
 from repro.trace import TraceEvent, Tracer
+from repro.workload import WorkloadRunner, workload
 
 
 class TestTracerUnit:
@@ -125,40 +128,24 @@ class TestDeploymentTracing:
         assert tracer.counts().get("put:dep-wait", 0) >= 1
 
 
+def timeline(plane):
+    """A traced two-site YCSB-A run on ``plane``: the tracer's fields."""
+    store = build_store(
+        "chainreaction", sites=("dc0", "dc1"), servers_per_site=3, chain_length=2,
+        seed=11, overrides={"stability": plane},
+    )
+    tracer = store.attach_tracer(capacity=1_000_000)
+    WorkloadRunner(
+        store, workload("A", record_count=20, value_size=32), n_clients=4,
+        duration=0.3, warmup=0.05, drain=0.5, record_history=False,
+    ).run()
+    return fields(store, tracer=tracer)
+
+
 class TestGuardedSitesTraceTheSame:
     """Six ``trace(..., version=str(version))`` sites format their vector
     only when a tracer is attached. With one attached the rendered
-    timeline is what it always was: the digests below were recorded on
-    the tree before the guards (f0ebff3), both planes. The ``notices``
-    row was re-recorded once, when the geo-proxy stopped asking tails
-    over ``wait_stable`` RPCs and the run's schedule shifted (7 478 /
-    1 318 / 659 -> 7 445 / 1 312 / 656)."""
+    timeline is what it always was: its length, counts and sha256 are
+    pinned in ``pins.json`` (see ``test_pins``), both planes."""
 
-    PINNED = {
-        "notices": (7445, 1312, 656, "01f05248aeb64bafc3cbc76d1b24cdf854837ae075f9475c5c285983082aec77"),
-        "clock": (4633, 1172, 586, "81d9f228ccd86134a49d51a5514e8944bdc409275e57ac15339a5670d9dabcab"),
-    }
-
-    @pytest.mark.parametrize("plane", sorted(PINNED))
-    def test_timeline_is_byte_identical(self, plane):
-        import hashlib
-
-        from repro.baselines.registry import build_store
-        from repro.workload import WorkloadRunner, workload
-
-        store = build_store(
-            "chainreaction", sites=("dc0", "dc1"), servers_per_site=3, chain_length=2,
-            seed=11, overrides={"stability": plane},
-        )
-        tracer = store.attach_tracer(capacity=1_000_000)
-        WorkloadRunner(
-            store, workload("A", record_count=20, value_size=32), n_clients=4,
-            duration=0.3, warmup=0.05, drain=0.5, record_history=False,
-        ).run()
-        counts = tracer.counts()
-        assert (
-            len(tracer), counts["stability:dc-stable"], counts["geo:ship"],
-            hashlib.sha256(tracer.format().encode()).hexdigest(),
-        ) == self.PINNED[plane]
-        versions = [dict(e.fields)["version"] for e in tracer.events() if e.event == "dc-stable"]
-        assert versions and all(v.startswith("VV(") for v in versions)
+    test_timeline_is_byte_identical = staticmethod(pin_loop("trace", ("notices", "clock"), timeline))
