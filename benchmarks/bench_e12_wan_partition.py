@@ -18,6 +18,7 @@ from bench_utils import run_once
 
 from repro.baselines import build_store
 from repro.checker import await_convergence
+from repro.cluster.failure import FaultEvent, schedule_faults
 from repro.metrics import render_table
 from repro.workload import WorkloadRunner, workload
 
@@ -36,8 +37,13 @@ def test_e12_wan_partition(scale):
             ack_k=scale.ack_k,
             seed=scale.seed,
         )
-        store.sim.schedule_at(PARTITION_AT, store.network.block, "dc0", "dc1")
-        store.sim.schedule_at(HEAL_AT, store.network.heal)
+        schedule_faults(
+            store,
+            [
+                FaultEvent(PARTITION_AT, "partition", "dc0", "dc1"),
+                FaultEvent(HEAL_AT, "heal", "dc0", "dc1"),
+            ],
+        )
         spec = workload("A", record_count=scale.record_count, value_size=scale.value_size)
         runner = WorkloadRunner(
             store, spec, n_clients=scale.latency_clients, duration=RUN_FOR, warmup=0.2

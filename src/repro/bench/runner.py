@@ -5,20 +5,11 @@ drive it with a YCSB workload (or the causality probe), and return the
 rows the paper's corresponding figure/table plots. Each benchmark file
 under ``benchmarks/`` calls one of these functions and asserts the
 figure's *shape* (who wins, by roughly what factor).
-
-Every ``(protocol, workload, n_clients)`` point is an independent,
-fully-deterministic simulation, so the sweeps also offer a
-``parallel=True`` mode that fans points out across cores with a
-:class:`~concurrent.futures.ProcessPoolExecutor`. Results are
-row-for-row identical to serial mode (same seeds ⇒ same rows); if
-worker processes cannot be spawned (restricted sandboxes), the sweep
-silently falls back to serial execution.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.registry import build_store
 from repro.bench.configs import BenchScale
@@ -34,44 +25,6 @@ __all__ = [
     "latency_run",
     "consistency_table",
 ]
-
-
-def _map_points(
-    fn: Callable[[Tuple], Any], points: Sequence[Tuple], max_workers: Optional[int]
-) -> Optional[List[Any]]:
-    """Run ``fn`` over ``points`` in worker processes, preserving order.
-
-    Returns None when a process pool cannot be created (e.g. sandboxed
-    environments); callers then fall back to the serial path.
-    """
-    workers = max_workers or min(len(points), os.cpu_count() or 1)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(fn, points))
-    except (OSError, PermissionError, ImportError):
-        return None
-
-
-def _run_points(
-    fn: Callable[[Tuple], Any],
-    points: Sequence[Tuple],
-    parallel: bool,
-    max_workers: Optional[int],
-) -> List[Any]:
-    """Evaluate every point, in order — the one result-assembly path.
-
-    ``parallel=True`` tries the process pool first (honouring the
-    caller's ``max_workers``, plumbed down from the CLI); pool failure
-    or a single point falls back to the serial loop. Rows are identical
-    either way, so callers never branch on the mode again.
-    """
-    if parallel and len(points) > 1:
-        rows = _map_points(fn, points, max_workers)
-        if rows is not None:
-            return rows
-    return [fn(point) for point in points]
 
 
 def run_ycsb(
@@ -114,42 +67,19 @@ def run_ycsb(
     return runner.run()
 
 
-def _sweep_point(point: Tuple) -> Dict[str, object]:
-    """One throughput-sweep point → its summary row (picklable)."""
-    protocol, workload_name, n_clients, scale, sites = point
-    return run_ycsb(protocol, workload_name, n_clients, scale, sites=sites).summary_row()
-
-
 def throughput_sweep(
     protocols: Sequence[str],
     workload_name: str,
     scale: BenchScale,
     sites: Tuple[str, ...] = ("dc0",),
     client_counts: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> List[Dict[str, object]]:
-    """The paper's throughput-vs-clients figures: one row per point.
-
-    With ``parallel=True`` the points run in worker processes; each
-    point is an independent deterministic sim, so the rows are identical
-    to serial mode and arrive in the same order.
-    """
-    points = [
-        (protocol, workload_name, n_clients, scale, tuple(sites))
+    """The paper's throughput-vs-clients figures: one row per point."""
+    return [
+        run_ycsb(protocol, workload_name, n_clients, scale, sites=tuple(sites)).summary_row()
         for protocol in protocols
         for n_clients in (client_counts or scale.client_counts)
     ]
-    return _run_points(_sweep_point, points, parallel, max_workers)
-
-
-def _latency_point(point: Tuple) -> Tuple[str, RunResult]:
-    """One latency-run protocol → (protocol, RunResult) with the
-    unpicklable live deployment stripped for the trip back."""
-    protocol, workload_name, scale, sites = point
-    result = run_ycsb(protocol, workload_name, scale.latency_clients, scale, sites=sites)
-    result.store = None  # live actors hold lambdas; drop before pickling
-    return protocol, result
 
 
 def latency_run(
@@ -157,23 +87,22 @@ def latency_run(
     workload_name: str,
     scale: BenchScale,
     sites: Tuple[str, ...] = ("dc0",),
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Dict[str, RunResult]:
     """Steady-state run per protocol for latency-distribution figures.
 
-    In ``parallel=True`` mode the returned results carry
-    ``result.store = None`` (the live deployment cannot cross the
-    process boundary); latency/throughput/history fields are identical
-    to a serial run.
+    Each result's live deployment is dropped (``result.store = None``),
+    so the runs do not hold every protocol's actors at once.
     """
-    points = [(protocol, workload_name, scale, tuple(sites)) for protocol in protocols]
-    return dict(_run_points(_latency_point, points, parallel, max_workers))
+    results = {}
+    for protocol in protocols:
+        result = run_ycsb(protocol, workload_name, scale.latency_clients, scale, sites=tuple(sites))
+        result.store = None
+        results[protocol] = result
+    return results
 
 
-def _consistency_point(point: Tuple) -> Dict[str, object]:
-    """One consistency-table protocol → its anomaly row (picklable)."""
-    protocol, scale, sites = point
+def _consistency_row(protocol: str, scale: BenchScale, sites: Tuple[str, ...]) -> Dict[str, object]:
+    """One consistency-table protocol → its anomaly row."""
     store = build_store(
         protocol,
         sites=sites,
@@ -205,8 +134,6 @@ def consistency_table(
     protocols: Sequence[str],
     scale: BenchScale,
     sites: Tuple[str, ...] = ("dc0", "dc1"),
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> List[Dict[str, object]]:
     """The E10 anomaly table: violations per protocol under the probe.
 
@@ -214,5 +141,4 @@ def consistency_table(
     (R=W=1) so that its session anomalies are visible, matching the
     eventual-flavoured configurations the paper argues against.
     """
-    points = [(protocol, scale, tuple(sites)) for protocol in protocols]
-    return _run_points(_consistency_point, points, parallel, max_workers)
+    return [_consistency_row(protocol, scale, tuple(sites)) for protocol in protocols]

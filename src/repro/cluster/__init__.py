@@ -1,6 +1,6 @@
 """Cluster substrate: consistent-hash placement, membership, failure injection."""
 
-from repro.cluster.failure import CrashEvent, FailureInjector, PartitionEvent
+from repro.cluster.failure import FaultEvent, apply_fault, schedule_faults
 from repro.cluster.membership import ClusterManager, Heartbeat, RingView, ViewChange
 from repro.cluster.ring import HashRing, chain_positions
 from repro.cluster.server_base import RingServer
@@ -13,7 +13,7 @@ __all__ = [
     "Heartbeat",
     "ViewChange",
     "RingServer",
-    "FailureInjector",
-    "CrashEvent",
-    "PartitionEvent",
+    "FaultEvent",
+    "apply_fault",
+    "schedule_faults",
 ]

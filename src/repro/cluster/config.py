@@ -37,12 +37,11 @@ class DeploymentConfig:
             well below a second so a crashed server costs a client one
             short stall, not a multi-second blackout (E9).
         client_retry_backoff: base delay between client retries; grows
-            by ``backoff_multiplier`` per attempt up to ``max_backoff``,
-            with a deterministic ``backoff_jitter`` fraction drawn from
-            the session's seeded RNG (see repro.core.retry).
+            by :data:`~repro.core.retry.BACKOFF_MULTIPLIER` per attempt up
+            to :data:`~repro.core.retry.MAX_BACKOFF`, with a
+            deterministic ``backoff_jitter`` fraction drawn from the
+            session's seeded RNG (see repro.core.retry).
         max_retries: client attempts before an operation fails.
-        backoff_multiplier: exponential backoff growth factor.
-        max_backoff: cap on one backoff sleep (seconds).
         backoff_jitter: symmetric jitter fraction in [0, 1).
         op_deadline: total virtual-time budget for one operation across
             all attempts; 0 disables (the attempt budget still bounds it).
@@ -63,8 +62,6 @@ class DeploymentConfig:
     op_timeout: float = 0.25
     client_retry_backoff: float = 0.02
     max_retries: int = 25
-    backoff_multiplier: float = 2.0
-    max_backoff: float = 0.5
     backoff_jitter: float = 0.1
     op_deadline: float = 0.0
     lan_median: float = 0.0003
@@ -92,10 +89,6 @@ class DeploymentConfig:
             raise ConfigError("timeouts must be positive")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1.0")
-        if self.max_backoff <= 0:
-            raise ConfigError("max_backoff must be positive")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ConfigError("backoff_jitter must be in [0, 1)")
         if self.op_deadline < 0:

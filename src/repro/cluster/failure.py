@@ -1,166 +1,119 @@
-"""Failure-injection schedules for fault-tolerance experiments.
+"""The one fault form: a scheduled :class:`FaultEvent` and :func:`apply_fault`.
 
-The fault experiment (E9) and the recovery tests need precisely timed
-fail-stop crashes, recoveries, and partitions. A schedule is declared
-up front and armed on the simulator, keeping experiment scripts free of
-scheduling boilerplate.
+Fault campaigns (E9, E12) and the sharded engine both state a fault
+schedule as a tuple of frozen, picklable events at fixed virtual times,
+and apply each one through :func:`apply_fault` when it fires. A
+campaign resolves its selectors into these events against the built
+deployment (:mod:`repro.faults.engine`); a sharded experiment ships the
+same events to every shard (:mod:`repro.sim.shard`), where each
+shard applies every event to its own slice of the deployment.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Any, Iterable, List, Optional
 
+from repro.errors import ConfigError
 from repro.net.actor import Actor
-from repro.net.latency import LatencyModel, ScaledLatency
-from repro.net.network import Address, Network
-from repro.sim.kernel import Simulator
+from repro.net.network import Address
 
-__all__ = ["FailureInjector", "CrashEvent", "PartitionEvent", "SlowLinkEvent"]
+__all__ = ["FaultEvent", "apply_fault", "schedule_faults"]
 
-
-@dataclasses.dataclass
-class CrashEvent:
-    """Crash ``actor`` at ``at``; recover it at ``recover_at`` (None = never)."""
-
-    actor: Actor
-    at: float
-    recover_at: Optional[float] = None
-    wipe_storage: bool = False
+#: start / end action pairs: crash-recover an actor, partition-heal a
+#: pair of endpoints, slow-restore a site link
+_FAULT_ACTIONS = ("crash", "recover", "partition", "heal", "slow", "restore")
 
 
-@dataclasses.dataclass
-class PartitionEvent:
-    """Partition two endpoints from ``at`` until ``heal_at`` (None = forever)."""
+@dataclasses.dataclass(frozen=True)  # repro: lint-ok(slots) — a handful per campaign, pickled across worker pipes
+class FaultEvent:
+    """One fault action at virtual time ``time``.
 
-    a: Union[str, Address]
-    b: Union[str, Address]
-    at: float
-    heal_at: Optional[float] = None
+    ``crash`` / ``recover`` name one actor as ``a = "site:node"``;
+    ``wipe`` clears a crashed server's storage. ``partition`` / ``heal``
+    block / unblock the pair ``a``, ``b``, each a site or ``site:node``.
+    ``slow`` / ``restore`` scale the latency between the sites ``a`` and
+    ``b`` (``a == b``: within one site) by ``factor`` / undo it.
+    """
 
-
-@dataclasses.dataclass
-class SlowLinkEvent:
-    """Scale the latency between two *sites* by ``factor`` from ``at``
-    until ``heal_at`` (None = forever). ``a == b`` degrades a DC's
-    intra-site fabric."""
-
-    a: str
-    b: str
-    at: float
-    heal_at: Optional[float] = None
+    time: float
+    action: str
+    a: str = ""
+    b: str = ""
     factor: float = 10.0
+    wipe: bool = False
+
+    def __post_init__(self) -> None:
+        if self.action not in _FAULT_ACTIONS:
+            raise ConfigError(
+                f"unknown fault action {self.action!r}; choose from {_FAULT_ACTIONS}"
+            )
+        if self.action in ("crash", "recover"):
+            site, _, node = self.a.partition(":")
+            if not (site and node):
+                raise ConfigError(f"{self.action} fault needs a = 'site:node', got {self.a!r}")
+        elif not (self.a and self.b):
+            raise ConfigError(f"{self.action} fault needs both endpoints a and b")
+        if self.action == "slow" and self.factor <= 0:
+            raise ConfigError(f"slow fault factor must be positive, got {self.factor}")
 
 
-FaultEvent = Union[CrashEvent, PartitionEvent, SlowLinkEvent]
+def _hosted(store: Any, address: Address) -> Optional[Actor]:
+    """The actor ``store`` hosts at ``address``; None when a peer shard
+    hosts it."""
+    if address.site not in store.local_sites:
+        return None
+    if address.node == "geoproxy":
+        return store.proxies[address.site]
+    return store._node(address.site, address.node)
 
 
-class FailureInjector:
-    """Arms crash, partition, and slow-link schedules on a simulator."""
+def apply_fault(store: Any, event: FaultEvent) -> str:
+    """Apply ``event`` to ``store`` now; returns its injector-log line.
 
-    def __init__(self, sim: Simulator, network: Network):
-        self.sim = sim
-        self.network = network
-        self.injected_crashes = 0
-        self.injected_partitions = 0
-        self.injected_slow_links = 0
-        self._saved_links: Dict[FrozenSet[str], Optional[LatencyModel]] = {}
-        self._log: List[str] = []
-
-    @property
-    def log(self) -> List[str]:
-        """Human-readable record of what was injected and when."""
-        return list(self._log)
-
-    def schedule_crash(
-        self,
-        actor: Actor,
-        at: float,
-        recover_at: Optional[float] = None,
-        wipe_storage: bool = False,
-    ) -> None:
-        # Fault injections are fire-and-forget: handles are dropped at
-        # the call site, so release them for the kernel's handle pool.
-        self.sim.schedule_at(at, self._crash, actor, wipe_storage).release()
-        if recover_at is not None:
-            if recover_at <= at:
-                raise ValueError(f"recover_at {recover_at} must follow crash at {at}")
-            self.sim.schedule_at(recover_at, self._recover, actor).release()
-
-    def schedule_partition(
-        self,
-        a: Union[str, Address],
-        b: Union[str, Address],
-        at: float,
-        heal_at: Optional[float] = None,
-    ) -> None:
-        self.sim.schedule_at(at, self._partition, a, b).release()
-        if heal_at is not None:
-            if heal_at <= at:
-                raise ValueError(f"heal_at {heal_at} must follow partition at {at}")
-            self.sim.schedule_at(heal_at, self._heal, a, b).release()
-
-    def schedule_slow_link(
-        self,
-        a: str,
-        b: str,
-        at: float,
-        heal_at: Optional[float] = None,
-        factor: float = 10.0,
-    ) -> None:
-        self.sim.schedule_at(at, self._slow_link, a, b, factor).release()
-        if heal_at is not None:
-            if heal_at <= at:
-                raise ValueError(f"heal_at {heal_at} must follow slowdown at {at}")
-            self.sim.schedule_at(heal_at, self._restore_link, a, b).release()
-
-    def apply(self, events: List[FaultEvent]) -> None:
-        """Arm a declarative schedule."""
-        for ev in events:
-            if isinstance(ev, CrashEvent):
-                self.schedule_crash(ev.actor, ev.at, ev.recover_at, ev.wipe_storage)
-            elif isinstance(ev, SlowLinkEvent):
-                self.schedule_slow_link(ev.a, ev.b, ev.at, ev.heal_at, ev.factor)
-            else:
-                self.schedule_partition(ev.a, ev.b, ev.at, ev.heal_at)
-
-    # ------------------------------------------------------------------
-    def _crash(self, actor: Actor, wipe_storage: bool) -> None:
-        actor.crash()
-        if wipe_storage:
-            store = getattr(actor, "store", None)
-            if store is not None:
-                store.clear()
-        self.injected_crashes += 1
-        self._log.append(f"t={self.sim.now:.3f} crash {actor.address}")
-
-    def _recover(self, actor: Actor) -> None:
-        actor.recover()
-        self._log.append(f"t={self.sim.now:.3f} recover {actor.address}")
-
-    def _partition(self, a: Union[str, Address], b: Union[str, Address]) -> None:
-        self.network.block(a, b)
-        self.injected_partitions += 1
-        self._log.append(f"t={self.sim.now:.3f} partition {a} | {b}")
-
-    def _heal(self, a: Union[str, Address], b: Union[str, Address]) -> None:
-        self.network.unblock(a, b)
-        self._log.append(f"t={self.sim.now:.3f} heal {a} | {b}")
-
-    def _slow_link(self, a: str, b: str, factor: float) -> None:
-        link = frozenset((a, b))
-        if link not in self._saved_links:
-            # remember only the *pre-existing* override (None = default
-            # lan/wan) so stacked slowdowns restore to the original model
-            self._saved_links[link] = self.network._site_links.get(link)
-        self.network.set_link(a, b, ScaledLatency(self.network.site_model(a, b), factor))
-        self.injected_slow_links += 1
-        self._log.append(f"t={self.sim.now:.3f} slow-link {a}~{b} x{factor}")
-
-    def _restore_link(self, a: str, b: str) -> None:
-        saved = self._saved_links.pop(frozenset((a, b)), None)
-        if saved is None:
-            self.network.clear_link(a, b)
+    A crash or recovery of an actor the store hosts crashes or recovers
+    it; an address a peer shard hosts is only marked down or up, so the
+    send-side drop checks agree on both sides of a shard boundary.
+    """
+    network = store.network
+    action, a, b = event.action, event.a, event.b
+    if action in ("crash", "recover"):
+        address = Address(*a.split(":", 1))
+        actor = _hosted(store, address)
+        if actor is None:
+            network.set_down(address, action == "crash")
+        elif action == "recover":
+            actor.recover()
         else:
-            self.network.set_link(a, b, saved)
-        self._log.append(f"t={self.sim.now:.3f} restore-link {a}~{b}")
+            actor.crash()
+            if event.wipe:
+                actor.store.clear()
+        line = f"{action} {a}"
+    elif action == "partition":
+        network.block(a, b)
+        line = f"partition {a} | {b}"
+    elif action == "heal":
+        network.unblock(a, b)
+        line = f"heal {a} | {b}"
+    elif action == "slow":
+        network.slow(a, b, event.factor)
+        line = f"slow-link {a}~{b} x{event.factor}"
+    else:
+        network.restore(a, b)
+        line = f"restore-link {a}~{b}"
+    return f"t={store.sim.now:.3f} {line}"
+
+
+def schedule_faults(store: Any, events: Iterable[FaultEvent]) -> List[str]:
+    """Schedule ``events`` on ``store``'s simulator, in the order given
+    (their heap sequence numbers follow it); returns the log that the
+    lines of :func:`apply_fault` fill as the events fire."""
+    log: List[str] = []
+
+    def fire(event: FaultEvent) -> None:
+        log.append(apply_fault(store, event))
+
+    for event in events:
+        # Fire-and-forget: release the handle for the kernel's pool.
+        store.sim.schedule_at(event.time, fire, event).release()
+    return log

@@ -57,9 +57,9 @@ class ChainReactionConfig(DeploymentConfig):
             :data:`~repro.core.client.DEGRADED_READ_AFTER` failed attempts.
         durable_storage: back each server's store with a FAWN-KV-style
             append-only log; a crash loses memory but not the log, and
-            recovery replays it before chain repair fills the rest.
-        compaction_interval: how often a durable server checks whether
-            its log has outgrown the live set and compacts it.
+            recovery replays it before chain repair fills the rest;
+            every :data:`~repro.core.node.COMPACTION_INTERVAL` a server
+            compacts a log that has outgrown its live set.
         replication_degree: r — how many sites replicate each keyspace
             shard. 0 (default) means full replication: every site owns
             every key, and the catalog is a
@@ -111,7 +111,6 @@ class ChainReactionConfig(DeploymentConfig):
     dep_wait_timeout: float = 1.0
     degraded_reads: bool = True
     durable_storage: bool = False
-    compaction_interval: float = 1.0
     replication_degree: int = 0
     num_shards: int = 16
     batch_flush_interval: float = 0.025

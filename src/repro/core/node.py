@@ -59,11 +59,15 @@ from repro.storage.logstore import DurableStore
 from repro.storage.store import TOMBSTONE
 from repro.storage.version import VersionVector
 
-__all__ = ["ChainNode", "SYNC_TIMEOUT"]
+__all__ = ["ChainNode", "COMPACTION_INTERVAL", "SYNC_TIMEOUT"]
 
 #: upper bound (seconds) on a server's read-unavailability window while
 #: chain repair streams state after a view change
 SYNC_TIMEOUT = 1.0
+
+#: how often (seconds) a durable server checks whether its log has
+#: outgrown the live set and compacts it
+COMPACTION_INTERVAL = 1.0
 
 #: Shared read-only empty dependency map. ``_stable_records`` retains a
 #: deps mapping per stable key, so handing out a fresh ``{}`` default on
@@ -106,7 +110,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             # FAWN-KV-style log-structured datastore: survives crashes
             # that wipe memory; compaction bounds log growth.
             self.store = DurableStore(resolver)
-            self.set_timer(config.compaction_interval, self._compaction_tick)
+            self.set_timer(COMPACTION_INTERVAL, self._compaction_tick)
         self.syncing = False
         #: where a geo deployment's tails announce DC-stable writes
         self._geoproxy = Address(site, "geoproxy")
@@ -581,7 +585,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         reclaimed = self.store.maybe_compact()
         if reclaimed:
             self.trace("storage", "compaction", reclaimed=reclaimed)
-        self.set_timer(self.config.compaction_interval, self._compaction_tick)
+        self.set_timer(COMPACTION_INTERVAL, self._compaction_tick)
 
     def on_recover(self) -> None:
         self.plane.on_recover()
@@ -590,7 +594,7 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             self.trace("storage", "log-recovery", replayed=replayed)
             # Replayed records that were stable before the crash become
             # stable again via the repair transfer that follows re-admission.
-            self.set_timer(self.config.compaction_interval, self._compaction_tick)
+            self.set_timer(COMPACTION_INTERVAL, self._compaction_tick)
         super().on_recover()
 
     def _sync_deadline(self, epoch: int) -> None:

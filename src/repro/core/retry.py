@@ -9,16 +9,14 @@ or mid-sync replicas) under one :class:`RetryPolicy`:
   a dead chain gives up predictably instead of burning its whole
   attempt budget at max backoff;
 - **exponential backoff with deterministic jitter** — attempt ``i``
-  sleeps ``min(max_backoff, base * multiplier**i)``, scaled by a jitter
+  sleeps ``min(MAX_BACKOFF, base * BACKOFF_MULTIPLIER**i)``, scaled by a jitter
   factor drawn from the session's *seeded* RNG stream. Same seed ⇒ same
   retry schedule, which is what keeps fault campaigns bit-reproducible
   (see ``python -m repro sanitize`` / ``python -m repro faults``).
 
 The policy is derived from the deployment config
-(:meth:`RetryPolicy.from_config`), so the existing ``max_retries`` /
-``client_retry_backoff`` / ``op_timeout`` knobs keep their meaning and
-the new ``backoff_multiplier`` / ``max_backoff`` / ``backoff_jitter`` /
-``op_deadline`` fields refine it.
+(:meth:`RetryPolicy.from_config`): its ``max_retries`` /
+``client_retry_backoff`` / ``backoff_jitter`` / ``op_deadline`` knobs.
 """
 
 from __future__ import annotations
@@ -32,7 +30,12 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.cluster.config import DeploymentConfig
 
-__all__ = ["RetryPolicy"]
+__all__ = ["BACKOFF_MULTIPLIER", "MAX_BACKOFF", "RetryPolicy"]
+
+#: growth factor of the backoff sleep per attempt
+BACKOFF_MULTIPLIER = 2.0
+#: cap on one backoff sleep (seconds), applied before jitter
+MAX_BACKOFF = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,8 +45,6 @@ class RetryPolicy:
     Attributes:
         max_attempts: attempts per operation before it fails.
         base_backoff: sleep before the second attempt (seconds).
-        backoff_multiplier: growth factor per attempt (1.0 = constant).
-        max_backoff: cap on a single backoff sleep (seconds).
         jitter: symmetric jitter fraction; each sleep is scaled by a
             factor uniform in ``[1 - jitter, 1 + jitter]`` drawn from
             the session's seeded RNG. 0 disables jitter.
@@ -53,18 +54,14 @@ class RetryPolicy:
 
     max_attempts: int = 25
     base_backoff: float = 0.02
-    backoff_multiplier: float = 2.0
-    max_backoff: float = 0.5
     jitter: float = 0.1
     deadline: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-        if self.base_backoff < 0 or self.max_backoff <= 0:
-            raise ConfigError("backoff durations must be positive")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1.0")
+        if self.base_backoff < 0:
+            raise ConfigError("base_backoff must be >= 0")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigError("jitter must be in [0, 1)")
         if self.deadline < 0:
@@ -76,8 +73,6 @@ class RetryPolicy:
         return cls(
             max_attempts=config.max_retries,
             base_backoff=config.client_retry_backoff,
-            backoff_multiplier=config.backoff_multiplier,
-            max_backoff=config.max_backoff,
             jitter=config.backoff_jitter,
             deadline=config.op_deadline,
         )
@@ -89,7 +84,7 @@ class RetryPolicy:
         Deterministic given the RNG state: the jitter factor is the only
         random input, and it comes from the caller's seeded stream.
         """
-        raw = min(self.max_backoff, self.base_backoff * self.backoff_multiplier ** attempt)
+        raw = min(MAX_BACKOFF, self.base_backoff * BACKOFF_MULTIPLIER ** attempt)
         if self.jitter and raw > 0.0:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return raw

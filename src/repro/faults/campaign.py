@@ -4,9 +4,11 @@ A campaign is a complete fault-tolerance experiment stated as data: a
 deployment shape, a YCSB workload, and a schedule of seeded fault
 events (crashes, recoveries, partitions, slow links) at fixed virtual
 times. The engine (:mod:`repro.faults.engine`) builds the deployment,
-arms the schedule on a :class:`~repro.cluster.failure.FailureInjector`,
-drives the workload through the fault window, and asserts the protocol
-invariants plus per-operation outcome accounting.
+resolves each :class:`FaultSpec` into the
+:class:`~repro.cluster.failure.FaultEvent` s that start and end it
+(the fault form the sharded engine also schedules), drives the workload
+through the fault window, and asserts the protocol invariants plus
+per-operation outcome accounting.
 
 Because everything — fault times, targets, workload, seeds — is
 declared up front, a campaign is deterministic end to end: two runs of

@@ -4,8 +4,10 @@ Runs a :class:`~repro.faults.campaign.CampaignSpec` end to end:
 
 1. build the deployment (seeded) and attach the chain-invariant
    monitors (prefix property, stability monotonicity, causal cut);
-2. resolve the campaign's fault selectors against the built cluster and
-   arm them on a :class:`~repro.cluster.failure.FailureInjector`;
+2. resolve the campaign's fault selectors against the built cluster
+   into :class:`~repro.cluster.failure.FaultEvent` s and schedule them
+   through :func:`~repro.cluster.failure.apply_fault`, the one fault
+   path the sharded engine shares;
 3. drive the YCSB workload through the fault window with an accounting
    driver that resolves **every** operation to exactly one outcome —
    ``ok``, ``degraded`` (read served from a possibly-stale replica,
@@ -30,12 +32,7 @@ from repro.analysis.sanitize import MessageTap, SanitizeReport, locate_divergenc
 from repro.baselines.registry import build_store
 from repro.checker import check_causal
 from repro.checker.history import GET
-from repro.cluster.failure import (
-    CrashEvent,
-    FailureInjector,
-    PartitionEvent,
-    SlowLinkEvent,
-)
+from repro.cluster.failure import FaultEvent, schedule_faults
 from repro.errors import ReproError
 from repro.faults.campaign import CampaignSpec, FaultSpec, resolve_server
 from repro.workload import WorkloadRunner, workload
@@ -227,19 +224,29 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _arm(store: Any, ev: FaultSpec) -> Any:
-    if ev.kind == "crash":
-        return CrashEvent(
-            actor=resolve_server(store, ev.target),
-            at=ev.at,
-            recover_at=ev.until,
-            wipe_storage=ev.wipe_storage,
-        )
-    if ev.kind == "slow-link":
-        a, b = ev.target.split("~", 1)
-        return SlowLinkEvent(a=a, b=b, at=ev.at, heal_at=ev.until, factor=ev.factor)
-    a, b = ev.target.split("|", 1)
-    return PartitionEvent(a=a, b=b, at=ev.at, heal_at=ev.until)
+#: a FaultSpec kind -> its (start, end) FaultEvent actions
+_ACTIONS = {
+    "crash": ("crash", "recover"),
+    "partition": ("partition", "heal"),
+    "slow-link": ("slow", "restore"),
+}
+
+
+def _fault_events(store: Any, faults: Tuple[FaultSpec, ...]) -> List[FaultEvent]:
+    """Resolve each spec's selector against the built ``store`` into its
+    start event and, when ``until`` is set, its end event — in that
+    order, spec by spec, which fixes their heap sequence numbers."""
+    events: List[FaultEvent] = []
+    for spec in faults:
+        start, end = _ACTIONS[spec.kind]
+        if spec.kind == "crash":
+            a, b = str(resolve_server(store, spec.target).address), ""
+        else:
+            a, b = spec.target.split("~" if spec.kind == "slow-link" else "|", 1)
+        events.append(FaultEvent(spec.at, start, a, b, spec.factor, spec.wipe_storage))
+        if spec.until is not None:
+            events.append(FaultEvent(spec.until, end, a, b))
+    return events
 
 
 def _percentile(sorted_values: List[float], pct: float) -> float:
@@ -316,8 +323,7 @@ def run_campaign(
         monitor = ChainInvariantMonitor(store).attach()
     tap = MessageTap().attach(store.network) if capture_trace else None
 
-    injector = FailureInjector(store.sim, store.network)
-    injector.apply([_arm(store, ev) for ev in spec.events])
+    injector_log = schedule_faults(store, _fault_events(store, spec.events))
 
     oplog: List[OpRecord] = []
     counts = OutcomeCounts()
@@ -357,7 +363,7 @@ def run_campaign(
         phases=_phase_stats(oplog, spec),
         causal_violations=len(check_causal(result.history)),
         invariant_report=monitor.report() if monitor is not None else None,
-        injector_log=injector.log,
+        injector_log=injector_log,
         throughput=result.throughput,
         ops_completed=result.ops_completed,
         trace=tap.entries if tap is not None else None,

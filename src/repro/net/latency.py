@@ -176,7 +176,7 @@ class LogNormalLatency(LatencyModel):
 class ScaledLatency(LatencyModel):
     """A base model slowed down by a constant factor.
 
-    The fault injector's "slow link" degradation: one sample is drawn
+    :meth:`Network.slow`'s "slow link" degradation: one sample is drawn
     from the base model per message either way, so swapping a link to
     its scaled version mid-run changes delays without perturbing the
     RNG draw sequence — campaigns stay deterministic.

@@ -11,8 +11,10 @@ exactly this property.
 Failure injection:
 
 - ``set_down(addr)`` silently discards traffic to/from a crashed node,
-- ``block(a, b)`` / ``heal()`` model network partitions at site or
-  address granularity,
+- ``block(a, b)`` / ``unblock(a, b)`` model network partitions at site
+  or address granularity,
+- ``slow(a, b, factor)`` / ``restore(a, b)`` degrade a site link (a grey
+  failure) and put back the model in force before the first slowdown,
 - ``add_filter(fn)`` installs an arbitrary drop predicate for targeted
   fault tests.
 """
@@ -25,7 +27,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import AddressUnknownError, NetworkError
-from repro.net.latency import LatencyModel, lan_latency, wan_latency
+from repro.net.latency import LatencyModel, ScaledLatency, lan_latency, wan_latency
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -220,6 +222,9 @@ class Network:
         self._lan = lan or lan_latency()
         self._wan = wan or wan_latency()
         self._site_links: Dict[FrozenSet[str], LatencyModel] = {}
+        #: per slowed link, the override in force before its first
+        #: slowdown (None = the default lan/wan model)
+        self._slowed: Dict[FrozenSet[str], Optional[LatencyModel]] = {}
         self._handlers: Dict[Address, Handler] = {}
         self._down: Set[Address] = set()
         self._blocked: Set[FrozenSet[str]] = set()
@@ -329,9 +334,22 @@ class Network:
     def unblock(self, a: Union[str, Address], b: Union[str, Address]) -> None:
         self._blocked.discard(frozenset((str(a), str(b))))
 
-    def heal(self) -> None:
-        """Remove every partition (crashed nodes stay crashed)."""
-        self._blocked.clear()
+    def slow(self, site_a: str, site_b: str, factor: float) -> None:
+        """Scale the latency between two sites (``a == b``: within one)
+        by ``factor``; stacked slowdowns compound."""
+        link = frozenset((site_a, site_b))
+        if link not in self._slowed:
+            self._slowed[link] = self._site_links.get(link)
+        self.set_link(site_a, site_b, ScaledLatency(self.site_model(site_a, site_b), factor))
+
+    def restore(self, site_a: str, site_b: str) -> None:
+        """Undo every slowdown of a site link: back to the model in force
+        before the first."""
+        saved = self._slowed.pop(frozenset((site_a, site_b)), None)
+        if saved is None:
+            self.clear_link(site_a, site_b)
+        else:
+            self.set_link(site_a, site_b, saved)
 
     def add_filter(self, fn: Callable[[Address, Address, Message], bool]) -> None:
         """Install a predicate; messages for which it returns False are dropped."""

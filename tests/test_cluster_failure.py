@@ -1,93 +1,106 @@
-"""Unit tests for the failure injector."""
+"""Unit tests for the one fault form: FaultEvent + apply_fault."""
 
 import pytest
 
-from repro.cluster import CrashEvent, FailureInjector, PartitionEvent
-from repro.net import Actor, Address, FixedLatency, Network
-from repro.sim import Simulator
+from repro.baselines.registry import build_store
+from repro.cluster import FaultEvent, apply_fault, schedule_faults
+from repro.errors import ConfigError
+from repro.faults.campaign import FaultSpec
+from repro.net import Address
 
 
 @pytest.fixture
-def setup(sim):
-    net = Network(sim, lan=FixedLatency(0.001))
-    actor = Actor(sim, net, Address("dc0", "a"))
-    peer = Actor(sim, net, Address("dc0", "b"))
-    return net, actor, peer
+def store():
+    return build_store("chainreaction", sites=("dc0", "dc1"), servers_per_site=3)
+
+
+def server(store, name="s1"):
+    return store._node("dc0", name)
 
 
 class TestCrashSchedule:
-    def test_crash_at_time(self, sim, setup):
-        net, actor, _ = setup
-        injector = FailureInjector(sim, net)
-        injector.schedule_crash(actor, at=1.0)
-        sim.run(until=0.9)
-        assert not actor.crashed
-        sim.run(until=1.1)
-        assert actor.crashed
-        assert injector.injected_crashes == 1
+    def test_crash_at_time(self, store):
+        schedule_faults(store, [FaultEvent(1.0, "crash", "dc0:s1")])
+        store.run(until=0.9)
+        assert not server(store).crashed
+        store.run(until=1.1)
+        assert server(store).crashed
 
-    def test_recovery_at_time(self, sim, setup):
-        net, actor, _ = setup
-        injector = FailureInjector(sim, net)
-        injector.schedule_crash(actor, at=1.0, recover_at=2.0)
-        sim.run(until=3.0)
-        assert not actor.crashed
+    def test_recovery_at_time(self, store):
+        log = schedule_faults(
+            store, [FaultEvent(1.0, "crash", "dc0:s1"), FaultEvent(2.0, "recover", "dc0:s1")]
+        )
+        store.run(until=3.0)
+        assert not server(store).crashed
+        assert log == ["t=1.000 crash dc0:s1", "t=2.000 recover dc0:s1"]
 
-    def test_recover_before_crash_rejected(self, sim, setup):
-        net, actor, _ = setup
-        injector = FailureInjector(sim, net)
-        with pytest.raises(ValueError):
-            injector.schedule_crash(actor, at=2.0, recover_at=1.0)
+    def test_recover_before_crash_rejected(self):
+        with pytest.raises(ConfigError):
+            FaultSpec(kind="crash", at=2.0, target="dc0:s1", until=1.0)
 
-    def test_wipe_storage(self, sim, setup):
-        from repro.storage import VersionedStore, VersionVector
+    def test_wipe_storage(self, store):
+        store.preload({"k": 1})  # three servers, chains of three: s1 holds k
+        assert len(server(store).store) == 1
+        schedule_faults(store, [FaultEvent(1.0, "crash", "dc0:s1", wipe=True)])
+        store.run(until=1.5)
+        assert len(server(store).store) == 0
 
-        net, actor, _ = setup
-        actor.store = VersionedStore()
-        actor.store.apply("k", 1, VersionVector({"dc0": 1}))
-        injector = FailureInjector(sim, net)
-        injector.schedule_crash(actor, at=1.0, wipe_storage=True)
-        sim.run(until=1.5)
-        assert len(actor.store) == 0
+    def test_peer_shard_actor_is_only_marked_down(self):
+        shard = build_store(
+            "chainreaction", sites=("dc0", "dc1"), servers_per_site=3, local_sites=("dc0",)
+        )
+        peer = Address("dc1", "s0")
+        apply_fault(shard, FaultEvent(0.0, "crash", "dc1:s0"))
+        assert peer in shard.network._down
+        apply_fault(shard, FaultEvent(0.0, "recover", "dc1:s0"))
+        assert peer not in shard.network._down
 
 
 class TestPartitionSchedule:
-    def test_partition_and_heal(self, sim, setup):
-        net, actor, peer = setup
-        injector = FailureInjector(sim, net)
-        injector.schedule_partition("dc0", "dc1", at=1.0, heal_at=2.0)
-        sim.run(until=1.5)
+    def test_partition_and_heal(self, store):
+        schedule_faults(
+            store, [FaultEvent(1.0, "partition", "dc0", "dc1"), FaultEvent(2.0, "heal", "dc0", "dc1")]
+        )
+        net = store.network
+        store.run(until=1.5)
         assert net._is_blocked(Address("dc0", "x"), Address("dc1", "y"))
-        sim.run(until=2.5)
+        store.run(until=2.5)
         assert not net._is_blocked(Address("dc0", "x"), Address("dc1", "y"))
 
-    def test_heal_before_partition_rejected(self, sim, setup):
-        net, _, _ = setup
-        injector = FailureInjector(sim, net)
-        with pytest.raises(ValueError):
-            injector.schedule_partition("a", "b", at=2.0, heal_at=1.0)
+    def test_heal_before_partition_rejected(self):
+        with pytest.raises(ConfigError):
+            FaultSpec(kind="partition", at=2.0, target="dc0|dc1", until=1.0)
 
 
 class TestDeclarativeSchedule:
-    def test_apply_mixed_events(self, sim, setup):
-        net, actor, _ = setup
-        injector = FailureInjector(sim, net)
-        injector.apply(
+    def test_apply_mixed_events(self, store):
+        log = schedule_faults(
+            store,
             [
-                CrashEvent(actor, at=1.0, recover_at=2.0),
-                PartitionEvent("dc0", "dc1", at=1.5, heal_at=2.5),
-            ]
+                FaultEvent(1.0, "crash", "dc0:s1"),
+                FaultEvent(2.0, "recover", "dc0:s1"),
+                FaultEvent(1.5, "partition", "dc0", "dc1"),
+                FaultEvent(2.5, "heal", "dc0", "dc1"),
+                FaultEvent(1.2, "slow", "dc0", "dc0", factor=20.0),
+                FaultEvent(1.4, "restore", "dc0", "dc0"),
+            ],
         )
-        sim.run(until=3.0)
-        assert injector.injected_crashes == 1
-        assert injector.injected_partitions == 1
-        assert len(injector.log) == 4
+        store.run(until=3.0)
+        assert log == [
+            "t=1.000 crash dc0:s1",
+            "t=1.200 slow-link dc0~dc0 x20.0",
+            "t=1.400 restore-link dc0~dc0",
+            "t=1.500 partition dc0 | dc1",
+            "t=2.000 recover dc0:s1",
+            "t=2.500 heal dc0 | dc1",
+        ]
+        assert store.network.site_model("dc0", "dc0") is store.network._lan
 
-    def test_log_is_chronological(self, sim, setup):
-        net, actor, _ = setup
-        injector = FailureInjector(sim, net)
-        injector.schedule_crash(actor, at=2.0)
-        injector.schedule_partition("a", "b", at=1.0)
-        sim.run(until=3.0)
-        assert "partition" in injector.log[0]
-        assert "crash" in injector.log[1]
+    def test_log_is_chronological(self, store):
+        log = schedule_faults(
+            store,
+            [FaultEvent(2.0, "crash", "dc0:s1"), FaultEvent(1.0, "partition", "dc0", "dc1")],
+        )
+        store.run(until=3.0)
+        assert "partition" in log[0]
+        assert "crash" in log[1]

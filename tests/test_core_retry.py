@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.common import BaselineConfig
 from repro.core.config import ChainReactionConfig
-from repro.core.retry import RetryPolicy
+from repro.core.retry import MAX_BACKOFF, RetryPolicy
 from repro.errors import ConfigError
 
 
@@ -22,25 +22,16 @@ class TestSchedule:
         assert policy.schedule(random.Random(1)) != policy.schedule(random.Random(2))
 
     def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_backoff=0.02, backoff_multiplier=2.0,
-            max_backoff=0.5, jitter=0.0,
-        )
+        policy = RetryPolicy(max_attempts=6, base_backoff=0.02, jitter=0.0)
         assert policy.schedule(random.Random(0)) == [0.02, 0.04, 0.08, 0.16, 0.32]
 
     def test_backoff_capped_before_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=12, base_backoff=0.02, backoff_multiplier=2.0,
-            max_backoff=0.5, jitter=0.1,
-        )
+        policy = RetryPolicy(max_attempts=12, base_backoff=0.02, jitter=0.1)
         for delay in policy.schedule(random.Random(5)):
-            assert delay <= 0.5 * 1.1
+            assert delay <= MAX_BACKOFF * 1.1
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(
-            max_attempts=2, base_backoff=0.1, backoff_multiplier=1.0,
-            max_backoff=1.0, jitter=0.25,
-        )
+        policy = RetryPolicy(max_attempts=2, base_backoff=0.1, jitter=0.25)
         rng = random.Random(3)
         for _ in range(200):
             delay = policy.backoff(0, rng)
@@ -63,14 +54,11 @@ class TestFromConfig:
     def test_chainreaction_config_knobs_carry_over(self):
         config = ChainReactionConfig(
             seed=1, max_retries=7, client_retry_backoff=0.05,
-            backoff_multiplier=3.0, max_backoff=0.9, backoff_jitter=0.2,
-            op_deadline=2.5,
+            backoff_jitter=0.2, op_deadline=2.5,
         )
         policy = RetryPolicy.from_config(config)
         assert policy.max_attempts == 7
         assert policy.base_backoff == 0.05
-        assert policy.backoff_multiplier == 3.0
-        assert policy.max_backoff == 0.9
         assert policy.jitter == 0.2
         assert policy.deadline == 2.5
 
@@ -84,8 +72,7 @@ class TestValidation:
         "kwargs",
         [
             {"max_attempts": 0},
-            {"max_backoff": 0.0},
-            {"backoff_multiplier": 0.5},
+            {"base_backoff": -0.01},
             {"jitter": 1.0},
             {"jitter": -0.1},
             {"deadline": -1.0},

@@ -137,13 +137,29 @@ class TestFailures:
         assert inboxes[B] == []
         assert len(inboxes[C]) == 1
 
-    def test_heal_removes_all_partitions(self, sim):
+    def test_unblock_removes_one_partition(self, sim):
         net, inboxes = wire(sim)
         net.block("dc0", "dc1")
-        net.heal()
+        net.block(A, B)
+        net.unblock("dc0", "dc1")
         net.send(A, C, Note())
+        net.send(A, B, Note())
         sim.run()
         assert len(inboxes[C]) == 1
+        assert inboxes[B] == []
+
+    def test_restore_undoes_stacked_slowdowns(self, sim):
+        net, _ = wire(sim, wan=FixedLatency(0.010))
+        override = FixedLatency(0.020)
+        net.set_link("dc0", "dc1", override)
+        net.slow("dc0", "dc1", 2.0)
+        net.slow("dc1", "dc0", 3.0)
+        assert net.site_model("dc0", "dc1").mean() == pytest.approx(0.120)
+        net.restore("dc0", "dc1")
+        assert net.site_model("dc0", "dc1") is override
+        net.slow("dc0", "dc0", 5.0)
+        net.restore("dc0", "dc0")
+        assert net.site_model("dc0", "dc0") is net._lan
 
     def test_filter_drops_selected_messages(self, sim):
         net, inboxes = wire(sim)

@@ -16,7 +16,8 @@ import functools
 
 import pytest
 
-from repro.sim.shard import ExperimentSpec, FaultEvent, ShardedSimulator
+from repro.cluster.failure import FaultEvent
+from repro.sim.shard import ExperimentSpec, ShardedSimulator
 from repro.workload.ycsb import WorkloadSpec
 
 SITES = ("dc0", "dc1", "dc2", "dc3")
@@ -24,10 +25,10 @@ SITES = ("dc0", "dc1", "dc2", "dc3")
 FAULT_CAMPAIGN = (
     # Crash a chain head mid-measurement, partition across a shard
     # boundary, then heal and recover before the drain.
-    FaultEvent(0.30, "crash", site="dc1", node="s1"),
-    FaultEvent(0.40, "partition", site="dc0", site_b="dc2"),
-    FaultEvent(0.65, "heal"),
-    FaultEvent(0.75, "recover", site="dc1", node="s1"),
+    FaultEvent(0.30, "crash", "dc1:s1"),
+    FaultEvent(0.40, "partition", "dc0", "dc2"),
+    FaultEvent(0.65, "heal", "dc0", "dc2"),
+    FaultEvent(0.75, "recover", "dc1:s1"),
 )
 
 
@@ -115,3 +116,23 @@ class TestRunShape:
         # 3 workers over 4 shards: uneven round-robin assignment.
         base = run_once(False, 1)
         assert run_once(False, 3).trace_digest == base.trace_digest
+
+
+def test_node_partition_wipe_and_slow_link_are_worker_count_invariant():
+    # The events a campaign can state beyond site partitions: a wiping
+    # crash, a partition between two addresses on different shards, and
+    # a slowed cross-shard link.
+    faults = (
+        FaultEvent(0.30, "crash", "dc1:s1", wipe=True),
+        FaultEvent(0.35, "slow", "dc1", "dc3", factor=3.0),
+        FaultEvent(0.40, "partition", "dc0:geoproxy", "dc2:geoproxy"),
+        FaultEvent(0.55, "restore", "dc1", "dc3"),
+        FaultEvent(0.65, "heal", "dc0:geoproxy", "dc2:geoproxy"),
+        FaultEvent(0.75, "recover", "dc1:s1"),
+    )
+    base = ShardedSimulator(make_spec(faults), workers=1).run()
+    parallel = ShardedSimulator(make_spec(faults), workers=2).run()
+    assert parallel.trace_digest == base.trace_digest
+    assert parallel.stats == base.stats
+    assert base.stats.messages_dropped > run_once(False, 1).stats.messages_dropped
+    assert base.trace_digest != run_once(True, 1).trace_digest

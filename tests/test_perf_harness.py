@@ -1,26 +1,14 @@
 """Tests for the PR-1 performance work: size memoization, the kernel's
 O(1) pending counter and heap compaction, the fire-and-forget post API,
-the FIFO-horizon sweep, and the parallel benchmark runner."""
+and the FIFO-horizon sweep."""
 
 import dataclasses
 from typing import ClassVar
 
 import pytest
 
-from repro.bench import QUICK, consistency_table, latency_run, throughput_sweep
 from repro.net import Address, FixedLatency, Message, Network
 from repro.net.network import _HORIZON_SWEEP_INTERVAL
-
-TINY = dataclasses.replace(
-    QUICK,
-    record_count=20,
-    duration=0.3,
-    warmup=0.1,
-    client_counts=(2,),
-    latency_clients=2,
-    probe_pairs=3,
-    probe_rounds=4,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,29 +177,3 @@ class TestHorizonSweep:
         sim.run()
         assert inbox == list(range(total))
 
-
-class TestParallelRunner:
-    def test_throughput_sweep_parallel_matches_serial(self):
-        protocols = ("chainreaction", "eventual")
-        serial = throughput_sweep(protocols, "B", TINY)
-        parallel = throughput_sweep(protocols, "B", TINY, parallel=True)
-        assert parallel == serial
-
-    def test_consistency_table_parallel_matches_serial(self):
-        protocols = ("chainreaction", "eventual")
-        serial = consistency_table(protocols, TINY, sites=("dc0", "dc1"))
-        parallel = consistency_table(protocols, TINY, sites=("dc0", "dc1"), parallel=True)
-        assert parallel == serial
-
-    def test_latency_run_parallel_matches_serial(self):
-        protocols = ("chainreaction", "eventual")
-        serial = latency_run(protocols, "B", TINY)
-        parallel = latency_run(protocols, "B", TINY, parallel=True)
-        assert set(parallel) == set(serial)
-        for protocol in protocols:
-            assert parallel[protocol].ops_completed == serial[protocol].ops_completed
-            assert parallel[protocol].get_latency.percentile(99) == serial[
-                protocol
-            ].get_latency.percentile(99)
-            # Live deployments cannot cross the process boundary.
-            assert parallel[protocol].store is None

@@ -12,15 +12,11 @@ from typing import Any, ClassVar
 
 import pytest
 
+from repro.cluster.failure import FaultEvent
 from repro.errors import ConfigError, SimulationError
 from repro.net import Address, Envelope, FixedLatency, Message, Network, ShardBoundary
 from repro.sim import Simulator
-from repro.sim.shard import (
-    ExperimentSpec,
-    FaultEvent,
-    ShardedSimulator,
-    experiment_lookahead,
-)
+from repro.sim.shard import ExperimentSpec, ShardedSimulator, experiment_lookahead
 from repro.workload.ycsb import WorkloadSpec
 
 
@@ -261,9 +257,20 @@ class TestExperimentSpec:
     def test_spec_pickles(self):
         spec = ExperimentSpec(
             workload=tiny_workload(),
-            faults=(FaultEvent(0.5, "crash", site="dc0", node="s1"),),
+            faults=(
+                FaultEvent(0.5, "crash", "dc0:s1", wipe=True),
+                FaultEvent(0.6, "slow", "dc0", "dc1", factor=2.0),
+            ),
         )
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_speed_up_fault_rejected(self):
+        # factor < 1 would let a cross-shard message beat the lookahead.
+        with pytest.raises(ConfigError):
+            ExperimentSpec(
+                workload=tiny_workload(),
+                faults=(FaultEvent(0.5, "slow", "dc0", "dc1", factor=0.5),),
+            )
 
 
 class TestFaultEvent:
@@ -273,14 +280,16 @@ class TestFaultEvent:
 
     def test_crash_needs_site_and_node(self):
         with pytest.raises(ConfigError):
-            FaultEvent(1.0, "crash", site="dc0")
+            FaultEvent(1.0, "crash", "dc0")
 
     def test_partition_needs_both_sites(self):
         with pytest.raises(ConfigError):
-            FaultEvent(1.0, "partition", site="dc0")
+            FaultEvent(1.0, "partition", "dc0")
 
-    def test_heal_needs_nothing(self):
-        FaultEvent(1.0, "heal")  # no raise
+    def test_heal_needs_its_pair(self):
+        with pytest.raises(ConfigError):
+            FaultEvent(1.0, "heal")
+        FaultEvent(1.0, "heal", "dc0", "dc1")  # no raise
 
 
 class TestShardedSimulatorConfig:

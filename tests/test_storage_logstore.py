@@ -179,13 +179,13 @@ class TestDurableChainNode:
     def test_compaction_runs_under_write_load(self):
         from helpers import make_store, run_op
 
-        store = make_store(
-            durable_storage=True, servers_per_site=4, compaction_interval=0.1
-        )
+        from repro.core.node import COMPACTION_INTERVAL
+
+        store = make_store(durable_storage=True, servers_per_site=4)
         s = store.session()
         for i in range(120):
             run_op(store, s.put("hot", i))
-        store.run(until=store.sim.now + 1.0)
+        store.run(until=store.sim.now + COMPACTION_INTERVAL + 0.1)
         assert any(n.store.compactions > 0 for n in store.servers())
         # data still correct after compactions
         from helpers import run_op as ro
