@@ -923,13 +923,18 @@ class ExploreReport:
             return None
         return self.naive_schedules / float(self.schedules)
 
+    @property
+    def schedules_per_s(self) -> float:
+        """Schedules per wall-second: a host measurement, never compared."""
+        return self.schedules / self.elapsed if self.elapsed > 0 else 0.0
+
     def summary(self) -> str:
         lines = [
             f"explore {self.scope.name}: mode={self.mode} "
             f"schedules={self.schedules} pruned-prefixes={self.pruned} "
             f"decisions={self.decisions} max-depth={self.max_depth} "
             f"complete={'yes' if self.complete else 'no (budget)'} "
-            f"elapsed={self.elapsed:.1f}s"
+            f"elapsed={self.elapsed:.1f}s rate={self.schedules_per_s:.1f}/s"
         ]
         if self.naive_schedules is not None:
             ratio = self.pruning_ratio

@@ -18,11 +18,10 @@ failure mode in a discrete-event reproduction:
   ``PYTHONHASHSEED``, so a seed derived from it differs between
   interpreter launches. Use :func:`repro.sim.rng.derive_seed`.
 - ``frozen-message`` — protocol messages must be declared with
-  ``@wire_message`` (a frozen dataclass with a compiled ``__init__``
-  and size plan), and with nothing else: the wire-size memo
-  (``memoize_size`` / ``copy_size_from``) caches the first
-  ``size_bytes()`` result, so a mutated message would silently ship
-  stale byte accounting.
+  ``@wire_message`` (a frozen dataclass whose compiled ``__init__``
+  also takes its wire size), and with nothing else: the network reads
+  the size taken at build time, so a mutated message would silently
+  ship stale byte accounting.
 - ``no-mutable-default`` — a mutable default argument is shared across
   calls; protocol state bleeding between actors breaks run isolation.
 - ``set-iteration`` — iterating a bare ``set`` in event-ordering code

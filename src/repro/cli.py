@@ -994,6 +994,7 @@ def _cmd_explore(args: argparse.Namespace, out) -> int:
         "max_depth": report.max_depth,
         "complete": report.complete,
         "elapsed_s": report.elapsed,
+        "schedules_per_s": report.schedules_per_s,
         "clean": report.clean,
         "naive_schedules": report.naive_schedules,
         "naive_complete": report.naive_complete,

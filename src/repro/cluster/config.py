@@ -105,6 +105,10 @@ class DeploymentConfig:
     def is_geo(self) -> bool:
         return len(self.sites) > 1
 
+    def server_names(self) -> Tuple[str, ...]:
+        """The storage servers' node names, the same in every site."""
+        return tuple(f"s{i}" for i in range(self.servers_per_site))
+
     def placement(self) -> "Catalog":
         """The deployment's catalog (:mod:`repro.cluster.placement`):
         which sites own a key, and what each peer site receives of a

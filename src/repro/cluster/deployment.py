@@ -74,7 +74,7 @@ class RingDeployment(Datastore):
         self._session_seq = 0
 
         for site in self.local_sites:
-            server_names = [f"s{i}" for i in range(config.servers_per_site)]
+            server_names = list(config.server_names())
             manager = ClusterManager(
                 self.sim,
                 self.network,

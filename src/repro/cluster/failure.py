@@ -107,7 +107,24 @@ def apply_fault(store: Any, event: FaultEvent) -> str:
 def schedule_faults(store: Any, events: Iterable[FaultEvent]) -> List[str]:
     """Schedule ``events`` on ``store``'s simulator, in the order given
     (their heap sequence numbers follow it); returns the log that the
-    lines of :func:`apply_fault` fill as the events fire."""
+    lines of :func:`apply_fault` fill as the events fire.
+
+    Raises :class:`ConfigError`, scheduling nothing, when an endpoint is
+    not a site of the store's config or a ``site:node`` naming one of
+    that site's servers or its geo-proxy (``slow`` / ``restore`` take
+    sites only): ``Network.block`` takes any string, and a crash of an
+    unknown address only marks it down, so such a fault blocks nothing.
+    """
+    events = list(events)
+    sites = list(store.config.sites)
+    nodes = [*store.config.server_names(), *(["geoproxy"] if hasattr(store, "proxies") else [])]
+    for event in events:
+        for endpoint in (event.a, event.b) if event.b else (event.a,):
+            site, colon, node = endpoint.partition(":")
+            if site not in sites:
+                raise ConfigError(f"fault names unknown site {site!r}; known sites: {sites}")
+            if colon and (event.action in ("slow", "restore") or node not in nodes):
+                raise ConfigError(f"fault names unknown node {endpoint!r}; {site!r} has {nodes}")
     log: List[str] = []
 
     def fire(event: FaultEvent) -> None:

@@ -57,7 +57,7 @@ class RingView:
     virtual_nodes: int = 64
 
     # A view is an immutable value, so its ring and its servers' addresses
-    # are memoised on the instance (in ``__dict__``, as ``Message._size_memo``
+    # are memoised on the instance (in ``__dict__``, as ``Message.wire_size``
     # is): not fields, hence outside ``==``, ``hash`` and ``size_bytes``.
 
     def ring(self) -> HashRing:

@@ -16,9 +16,11 @@ three parallel columns — keys, versions, chain indices — with a
   (appends are invisible to the snapshot, which is bounded by its
   creation-time length, so the common observe-after-put path never
   copies);
-- wire-size accounting (:meth:`DepSnapshot.size_bytes`) reproduces
-  :func:`repro.core.messages.deps_size_bytes` over the columns
-  byte-for-byte, so ``PutRequest`` sizing is identical to the dict days.
+- the table keeps its wire size as a running total, updated by every
+  mutation, and hands it to each snapshot as ``wire_size``: it equals
+  :func:`repro.core.messages.deps_size_bytes` over the same entries
+  byte-for-byte, and neither a put's dependencies nor the per-op
+  metadata gauge ever walks the columns.
 
 Mutation semantics mirror a dict exactly (update-in-place keeps a key's
 iteration position, delete + re-add moves it to the end), so trace
@@ -40,6 +42,7 @@ from typing import (
 )
 
 from repro.core.messages import DepEntry
+from repro.net.message import inline_sized
 from repro.sim.hlc import HLCStamp
 from repro.storage.version import VersionVector
 
@@ -49,11 +52,19 @@ __all__ = ["DepTable", "DepSnapshot"]
 _COMPACT_MIN = 32
 
 
+
+def _cell_size(key: str, version: VersionVector, hlc: Optional[HLCStamp]) -> int:
+    """Wire bytes of one entry: length-prefixed key, vector, index and
+    the stamp when there is one (``DepEntry.size_bytes`` plus the key)."""
+    size = 8 + len(key) + version.size_bytes()
+    return size if hlc is None else size + hlc.size_bytes()
+
+
 class DepTable:
     """Flat column-store of the session's causal dependencies."""
 
     __slots__ = (
-        "_keys", "_versions", "_indices", "_hlcs", "_slots", "_live", "_shared"
+        "_keys", "_versions", "_indices", "_hlcs", "_slots", "_live", "_shared", "_size"
     )
 
     def __init__(self) -> None:
@@ -65,6 +76,9 @@ class DepTable:
         self._slots: Dict[str, int] = {}
         self._live = 0
         self._shared = False
+        #: wire size of the live entries (4: the map's count), kept by
+        #: every mutation
+        self._size = 4
 
     # ------------------------------------------------------------------
     # scalar reads (no entry objects)
@@ -113,6 +127,9 @@ class DepTable:
         if slot is not None:
             if self._shared:
                 self._unshare()
+            self._size += _cell_size(key, version, hlc) - _cell_size(
+                key, self._versions[slot], self._hlcs[slot]
+            )
             self._versions[slot] = version
             self._indices[slot] = index
             self._hlcs[slot] = hlc
@@ -124,6 +141,7 @@ class DepTable:
         self._indices.append(index)
         self._hlcs.append(hlc)
         self._live += 1
+        self._size += _cell_size(key, version, hlc)
 
     def pop(self, key: str, default: Any = None) -> Any:
         slot = self._slots.pop(key, None)
@@ -134,6 +152,7 @@ class DepTable:
         entry = DepEntry(self._versions[slot], self._indices[slot], self._hlcs[slot])
         self._keys[slot] = None  # hole; skipped on iteration
         self._live -= 1
+        self._size -= _cell_size(key, entry.version, entry.hlc)
         holes = len(self._keys) - self._live
         if holes > self._live and len(self._keys) >= _COMPACT_MIN:
             self._compact()
@@ -148,6 +167,7 @@ class DepTable:
         self._slots.clear()
         self._live = 0
         self._shared = False
+        self._size = 4
 
     def __iter__(self) -> Iterator[str]:
         return (k for k in self._keys if k is not None)
@@ -175,21 +195,12 @@ class DepTable:
             self._compact()
         self._shared = True
         return DepSnapshot(
-            self._keys, self._versions, self._indices, self._hlcs, self._live
+            self._keys, self._versions, self._indices, self._hlcs, self._live, self._size
         )
 
     def size_bytes(self) -> int:
         """Wire size, identical to ``deps_size_bytes`` over a dict."""
-        total = 4
-        versions = self._versions
-        hlcs = self._hlcs
-        for slot, key in enumerate(self._keys):
-            if key is not None:
-                total += 8 + len(key) + versions[slot].size_bytes()
-                stamp = hlcs[slot]
-                if stamp is not None:
-                    total += stamp.size_bytes()
-        return total
+        return self._size
 
     def column_slots(self) -> int:
         """Allocated column cells including holes (census gauge)."""
@@ -226,6 +237,7 @@ class DepTable:
         self._shared = False
 
 
+@inline_sized
 class DepSnapshot:
     """Frozen Mapping-compatible view over a table's columns.
 
@@ -233,10 +245,12 @@ class DepSnapshot:
     live table stay invisible; any in-place mutation copies the columns
     first (see :meth:`DepTable.set` / :meth:`DepTable.pop`). Protocol
     access (``dict()``, ``items()``) materialises one cached dict of
-    :class:`DepEntry` lazily — sizing never materialises anything.
+    :class:`DepEntry` lazily. ``wire_size`` is the table's running total
+    when the snapshot was taken: a message carrying the snapshot reads
+    it without a walk (a frozen view, so it can never go stale).
     """
 
-    __slots__ = ("_keys", "_versions", "_indices", "_hlcs", "_count", "_dict")
+    __slots__ = ("_keys", "_versions", "_indices", "_hlcs", "_count", "_dict", "wire_size")
 
     def __init__(
         self,
@@ -245,6 +259,7 @@ class DepSnapshot:
         indices: List[int],
         hlcs: List[Optional[HLCStamp]],
         count: int,
+        wire_size: int,
     ) -> None:
         self._keys = keys
         self._versions = versions
@@ -252,6 +267,7 @@ class DepSnapshot:
         self._hlcs = hlcs
         self._count = count
         self._dict: Optional[Dict[str, DepEntry]] = None
+        self.wire_size = wire_size
 
     def _materialize(self) -> Dict[str, DepEntry]:
         mapping = self._dict
@@ -298,18 +314,8 @@ class DepSnapshot:
         return NotImplemented
 
     def size_bytes(self) -> int:
-        """Wire size — must match ``deps_size_bytes`` of the dict form."""
-        total = 4
-        versions = self._versions
-        hlcs = self._hlcs
-        for slot in range(self._count):
-            key = self._keys[slot]
-            if key is not None:
-                total += 8 + len(key) + versions[slot].size_bytes()
-                stamp = hlcs[slot]
-                if stamp is not None:
-                    total += stamp.size_bytes()
-        return total
+        """Wire size — equals ``deps_size_bytes`` of the dict form."""
+        return self.wire_size
 
     def __repr__(self) -> str:
         return f"DepSnapshot({self._materialize()!r})"

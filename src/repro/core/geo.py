@@ -54,7 +54,6 @@ from repro.core.messages import (
 )
 from repro.errors import RequestTimeout
 from repro.net.actor import Actor
-from repro.net.message import estimate_size
 from repro.net.network import Address, Network
 from repro.sim.kernel import Simulator
 
@@ -205,7 +204,7 @@ class _Relay:
             proxy.forwarded_puts_served += 1
         elif reply.ok:
             proxy.forwarded_gets_served += 1
-            proxy.forwarded_get_bytes += estimate_size(reply)
+            proxy.forwarded_get_bytes += reply.wire_size
         proxy.send(self._client, dataclasses.replace(reply, request_id=self._client_id))
 
     def rpc_failed(self, exc: BaseException) -> None:

@@ -43,13 +43,13 @@ low-stamp floors via ``ClockReport``, the site agent broadcasts one
 ``ClockShip`` batches, and drives local visibility with ``ClockTick``.
 
 Every message is declared ``@wire_message`` on a ``Message`` subclass:
-class-level ``type_name`` (the ``on_<type_name>`` handler it reaches)
-and ``memoize_size``, then fields with defaults, mutable ones through
+class-level ``type_name`` (the ``on_<type_name>`` handler it reaches),
+then fields with defaults, mutable ones through
 ``dataclasses.field(default_factory=...)``. The decorator makes the
-class a frozen dataclass and compiles its ``__init__`` and size plan
-from the field list; the linter's ``frozen-message`` rule accepts no
-other declaration. A message sent to several destinations is built
-once and handed to every send.
+class a frozen dataclass and compiles its ``__init__``, which also
+sizes the message, from the field list; the linter's
+``frozen-message`` rule accepts no other declaration. A message sent
+to several destinations is built once and handed to every send.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ class PutRequest(Message):
     its head). Carries the session's unstable dependencies."""
 
     type_name: ClassVar[str] = "put-request"
-    memoize_size: ClassVar[bool] = True
     request_id: int = 0
     key: str = ""
     value: Any = None
@@ -312,7 +311,6 @@ class ChainPut(Message):
     """Propagation of a write down the chain (head → ... → tail)."""
 
     type_name: ClassVar[str] = "chain-put"
-    memoize_size: ClassVar[bool] = True
     key: str = ""
     value: Any = None
     version: VersionVector = dataclasses.field(default_factory=VersionVector)
@@ -350,7 +348,6 @@ class BulkStable(Message):
     """
 
     type_name: ClassVar[str] = "bulk-stable"
-    memoize_size: ClassVar[bool] = True
     entries: "StableEntries" = ()
 
 
@@ -368,7 +365,6 @@ class TailStable(Message):
     """
 
     type_name: ClassVar[str] = "tail-stable"
-    memoize_size: ClassVar[bool] = True
     key: str = ""
     value: Any = None
     version: VersionVector = dataclasses.field(default_factory=VersionVector)
@@ -386,7 +382,6 @@ class RemoteUpdate(Message):
     """Origin geo-proxy → remote geo-proxy: ship a DC-stable write."""
 
     type_name: ClassVar[str] = "remote-update"
-    memoize_size: ClassVar[bool] = True
     key: str = ""
     value: Any = None
     version: VersionVector = dataclasses.field(default_factory=VersionVector)
@@ -405,7 +400,6 @@ class RemoteUpdateBatch(Message):
     one peer DC, applied in order on receipt (``notices+batch`` plane)."""
 
     type_name: ClassVar[str] = "remote-update-batch"
-    memoize_size: ClassVar[bool] = True
     updates: Tuple[RemoteUpdate, ...] = ()
 
 
@@ -429,7 +423,6 @@ class GlobalStableNotice(Message):
     """
 
     type_name: ClassVar[str] = "global-stable-notice"
-    memoize_size: ClassVar[bool] = True
     key: str = ""
     version: VersionVector = dataclasses.field(default_factory=VersionVector)
     #: True on the proxy→proxy hop; the receiving proxy fans out locally.
@@ -447,7 +440,6 @@ class GlobalStableBatch(Message):
     """
 
     type_name: ClassVar[str] = "global-stable-batch"
-    memoize_size: ClassVar[bool] = True
     entries: "StableEntries" = ()
     fan_out: bool = False
 
@@ -457,7 +449,6 @@ class StateTransfer(Message):
     """Chain repair: records (with stability) pushed to a chain member."""
 
     type_name: ClassVar[str] = "state-transfer"
-    memoize_size: ClassVar[bool] = True
     #: (key, value, version, stable_version, stamp[, hlc[, deps]]) tuples
     #: (``StabilityPlane._transfer_entry``)
     records: Tuple = ()
@@ -537,7 +528,6 @@ class ClockShip(Message):
     stamps."""
 
     type_name: ClassVar[str] = "clock-ship"
-    memoize_size: ClassVar[bool] = True
     origin_site: str = ""
     lst: Any = NO_HLC
     updates: Tuple[RemoteUpdate, ...] = ()

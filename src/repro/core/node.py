@@ -237,7 +237,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         origin_put_at: float,
         stamp: Any = None,
         hlc: Any = NO_HLC,
-        size_from: Optional[ChainPut] = None,
     ) -> None:
         """Apply a write locally and play this node's chain role for it:
         acknowledge the client if we sit at the ack position, declare
@@ -246,11 +245,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
         ``stamp`` is None on the normal path, where ``version`` is the
         write's original vector; remote re-applications of merged
         records pass the surviving stamp explicitly.
-
-        ``size_from`` is the inbound :class:`ChainPut` when this call
-        propagates one; hop-to-hop copies differ only in fixed-width
-        scalar fields, so the outbound message inherits its memoized
-        wire size and a put is sized once per chain, not once per hop.
         """
         self._apply_local(key, value, version, stamp, deps, hlc)
         chain = self.chain_for(key)
@@ -291,8 +285,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
                 origin_put_at=origin_put_at,
                 hlc=hlc,
             )
-            if size_from is not None:
-                downstream.copy_size_from(size_from)
             self.send(self.view.address_of(chain[pos + 1]), downstream)
 
     def _apply_local(self, key: str, value: Any, version: VersionVector,
@@ -375,7 +367,6 @@ class ChainNode(RingServer):  # repro: lint-ok(slots) — unslotted Actor base k
             reply_to=msg.reply_to,
             origin_put_at=msg.origin_put_at,
             hlc=msg.hlc,
-            size_from=msg,
         )
 
     # ------------------------------------------------------------------

@@ -105,12 +105,11 @@ class ShardBoundary:
             ):
                 net.stats.messages_dropped += 1
                 return
-        size = msg.size_bytes()
         # Cross-shard links live in the sending network's link table: the
         # receiving network never sees these sends, so only the sender
         # can keep them FIFO — through the same _Link.fifo as local sends.
         link = net._links.get((src, dst)) or net._open_link(src, dst)
-        net.stats.record(msg, size, cross_site=True)
+        net.stats.record(msg, msg.wire_size, cross_site=True)
 
         delay = link.model.sample(net._rng)
         if delay < self.lookahead:

@@ -14,9 +14,10 @@ import dataclasses
 import inspect
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type, TypeVar
 
+from repro.sim.hlc import NO_HLC
 from repro.storage.version import VersionVector
 
-__all__ = ["Message", "estimate_size", "wire_message", "WIRE_HEADER_BYTES"]
+__all__ = ["Message", "estimate_size", "inline_sized", "wire_message", "WIRE_HEADER_BYTES"]
 
 _M = TypeVar("_M")
 
@@ -30,20 +31,6 @@ _SCALAR_SIZES = {  # repro: lint-ok(module-mutable-state) — constant lookup ta
     float: 8,
     type(None): 1,
 }
-
-#: Per-class cache of dataclass field names; ``dataclasses.fields()``
-#: rebuilds a tuple of Field objects on every call, which shows up hot
-#: when every message hop is sized. Keyed by class, filled lazily.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}  # repro: lint-ok(module-mutable-state) — per-process memo rebuilt identically from class definitions
-
-
-def _field_names(cls: type) -> Tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
-
 
 def _size_bytes_like(value: Any) -> int:
     return 4 + len(value)
@@ -68,10 +55,7 @@ def _size_own(value: Any) -> int:
 
 
 def _size_dataclass(value: Any) -> int:
-    total = 0
-    for name in _field_names(type(value)):
-        total += estimate_size(getattr(value, name))
-    return total
+    return sum(estimate_size(getattr(value, f.name)) for f in dataclasses.fields(value))
 
 
 def _size_opaque(value: Any) -> int:
@@ -125,107 +109,123 @@ def estimate_size(value: Any) -> int:
     return (_SIZERS.get(cls) or _sizer_for(cls))(value)
 
 
-#: What a field annotation promises: (runtime type, wire bytes a plan
-#: folds into its constant, the plan's per-call term or None). Keyed by
+#: What a field annotation promises: (runtime type, wire bytes folded
+#: into the compiled constant, the per-value term or None). Keyed by
 #: both spellings — annotations are strings under ``from __future__
 #: import annotations``, types otherwise. A promise is checked against
-#: every value (see ``Message.size_bytes``).
-_ANNOTATED: Dict[Any, Tuple[type, int, Optional[str]]] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
+#: every value: one that breaks it sends the message down the walk.
+_PROMISED: Dict[Any, Tuple[type, int, Optional[str]]] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
     bool: (bool, 1, None),
     "bool": (bool, 1, None),
     int: (int, 8, None),
     "int": (int, 8, None),
     float: (float, 8, None),
     "float": (float, 8, None),
-    str: (str, 4, "len({})"),
-    "str": (str, 4, "len({})"),
-    VersionVector: (VersionVector, 0, "{}.size_bytes()"),
-    "VersionVector": (VersionVector, 0, "{}.size_bytes()"),
+    str: (str, 4, "len({0})"),
+    "str": (str, 4, "len({0})"),
+    VersionVector: (VersionVector, 0, "({0}._size or {0}.size_bytes())"),
+    "VersionVector": (VersionVector, 0, "({0}._size or {0}.size_bytes())"),
 }
 
-#: Per-class size plans: compiled when ``@wire_message`` declares the
-#: class, on first use for any other ``Message`` subclass.
-_SIZE_PLANS: Dict[type, Callable[[Any], int]] = {}  # repro: lint-ok(module-mutable-state) — per-process memo rebuilt identically from class definitions
+#: How a field that promises nothing is sized, by annotation: the values
+#: it usually holds inline, anything else (the default) by ``estimate_size``.
+_UNPROMISED: Dict[Any, str] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
+    "Any": "(1 if {0} is None else 0 if {0} is NO_HLC else 4 + len({0}) "
+    "if type({0}) is str else estimate_size({0}))",
+    "Optional[Address]": "(1 if {0} is None else 8 + len({0}[0]) + len({0}[1]) "
+    "if type({0}) is Address else estimate_size({0}))",
+    "Deps": "({0}.wire_size if type({0}) is DepSnapshot else estimate_size({0}))",
+    "Optional[Deps]": "(1 if {0} is None else estimate_size({0}))",
+}
 
 
-def _size_unplanned(message: Any) -> int:
-    """Envelope plus :func:`estimate_size` of every field: the walk a
-    plan must equal, and what it falls back to on a broken promise."""
-    body = WIRE_HEADER_BYTES
-    for name in _field_names(type(message)):
-        body += estimate_size(getattr(message, name))
-    return body
+def _walk_size(message: Any) -> int:
+    """Envelope plus :func:`estimate_size` of every field: the size a
+    compiled ``__init__`` must equal, and what it falls back to on a
+    broken promise."""
+    return WIRE_HEADER_BYTES + _size_dataclass(message)
 
 
-def _compiled(cls: type, lines: List[str], namespace: Dict[str, Any], name: str) -> Any:
-    """Compile ``lines`` under the class's own file name, so a profiler
-    keeps one row per class instead of merging every class's function
-    into one ``<string>`` row."""
-    code = compile("\n".join(lines), f"<wire:{cls.__qualname__}>", "exec")
-    exec(code, namespace)  # noqa: S102 - built from field names and the tables here only
-    return namespace[name]
+#: The globals of every compiled ``__init__``. ``Address`` and
+#: ``DepSnapshot`` are defined in modules that import this one: each
+#: replaces its ``None`` through :func:`inline_sized` (until then no
+#: ``type()`` is None, so their rules fall to ``estimate_size``).
+_COMPILED_GLOBALS: Dict[str, Any] = {  # repro: lint-ok(module-mutable-state) — per-process table rebuilt identically from class definitions
+    "NO_HLC": NO_HLC,
+    "VersionVector": VersionVector,
+    "Address": None,
+    "DepSnapshot": None,
+    "estimate_size": estimate_size,
+    "walk": _walk_size,
+}
 
 
-def _size_plan(cls: type) -> Callable[[Any], int]:
-    """Compile ``cls``'s field list into a straight-line sizing function.
-
-    The envelope and the fixed bytes of every promised field fold into
-    one constant; what remains is ``len`` per ``str`` field,
-    ``size_bytes()`` per ``VersionVector`` field and a full
-    :func:`estimate_size` per un-promised one. Promises are checked on
-    every call — a value whose type breaks one (annotations are never
-    trusted) sends the whole message down :func:`_size_unplanned`.
-    """
-    fixed = WIRE_HEADER_BYTES
-    lines, promises, terms = ["def plan(message):"], [], []
-    for i, field in enumerate(dataclasses.fields(cls)):
-        lines.append(f"    v{i} = message.{field.name}")
-        promised, folded, term = _ANNOTATED.get(field.type, (None, 0, "estimate_size({})"))
-        fixed += folded
-        if promised is not None:
-            promises.append(f"type(v{i}) is {promised.__name__}")
-        if term is not None:
-            terms.append(term.format(f"v{i}"))
-    if promises:
-        lines.append(f"    if not ({' and '.join(promises)}):")
-        lines.append("        return unplanned(message)")
-    lines.append(f"    return {' + '.join([str(fixed), *terms])}")
-    namespace: Dict[str, Any] = {
-        "estimate_size": estimate_size,
-        "unplanned": _size_unplanned,
-        "VersionVector": VersionVector,
-    }
-    plan: Callable[[Any], int] = _compiled(cls, lines, namespace, "plan")
-    _SIZE_PLANS[cls] = plan
-    return plan
+def inline_sized(cls: Type[_M]) -> Type[_M]:
+    """Let every compiled ``__init__`` size values of ``cls`` by its
+    :data:`_UNPROMISED` rule (``Address``, ``DepSnapshot``)."""
+    _COMPILED_GLOBALS[cls.__name__] = cls
+    return cls
 
 
 def _direct_init(cls: type, generated: List[inspect.Parameter]) -> Callable[..., None]:
     """``cls``'s dataclass ``__init__`` (whose parameters are
     ``generated``), compiled to store each field straight into the
-    instance ``__dict__`` rather than through ``object.__setattr__``:
-    the same parameters in the same order with the same default objects
+    instance ``__dict__`` rather than through ``object.__setattr__``
+    and then the message's wire size, as ``wire_size``.
+
+    The same parameters in the same order with the same default objects
     — a ``default_factory`` field's is the dataclass's own sentinel, and
-    the factory is called once per instance that does not pass one."""
-    namespace: Dict[str, Any] = {"__name__": cls.__module__}
-    params, body = ["self"], ["    fields_ = self.__dict__"]
+    the factory is called once per instance that does not pass one (the
+    size reads the stored value, never the sentinel). The envelope and
+    the fixed bytes of every promised field fold into one constant;
+    what remains is ``len`` per ``str`` field, the vector's memo per
+    ``VersionVector`` field and the :data:`_UNPROMISED` rule per other
+    one. A value that breaks its field's promise (annotations are never
+    trusted) sizes the whole message by :func:`_walk_size`.
+
+    Built inside a closure over the defaults and factories, so every
+    class shares :data:`_COMPILED_GLOBALS`; a field may not shadow one.
+    """
+    closure: Dict[str, Any] = {}
+    params, body = ["self"], ["        fields_ = self.__dict__"]
+    fixed, promises, terms = WIRE_HEADER_BYTES, [], []
     for field, parameter in zip(dataclasses.fields(cls), generated):
         name = field.name
+        if name in _COMPILED_GLOBALS or name in ("fields_", "type", "len"):
+            raise TypeError(f"wire message {cls.__qualname__}: field name {name!r} is reserved")
         if parameter.default is inspect.Parameter.empty:
             params.append(name)
         else:
-            namespace[f"_default_{name}"] = parameter.default
+            closure[f"_default_{name}"] = parameter.default
             params.append(f"{name}=_default_{name}")
-        if field.default_factory is dataclasses.MISSING:
-            body.append(f"    fields_[{name!r}] = {name}")
+        if field.default_factory is not dataclasses.MISSING:
+            closure[f"_factory_{name}"] = field.default_factory
+            body.append(f"        if {name} is _default_{name}:")
+            body.append(f"            {name} = _factory_{name}()")
+        body.append(f"        fields_[{name!r}] = {name}")
+        promised, folded, term = _PROMISED.get(field.type, (None, 0, None))
+        fixed += folded
+        if promised is not None:
+            promises.append(f"type({name}) is {promised.__name__}")
         else:
-            namespace[f"_factory_{name}"] = field.default_factory
-            body.append(
-                f"    fields_[{name!r}] = _factory_{name}() if {name} is _default_{name} else {name}"
-            )
-    init: Callable[..., None] = _compiled(
-        cls, [f"def __init__({', '.join(params)}):", *body], namespace, "__init__"
-    )
+            term = _UNPROMISED.get(field.type, "estimate_size({0})")
+        if term is not None:
+            terms.append(term.format(name))
+    size = " + ".join([str(fixed), *terms])
+    if promises:  # the condition is evaluated first
+        size = f"{size} if {' and '.join(promises)} else walk(self)"
+    body.append(f"        fields_['wire_size'] = {size}")
+    lines = [
+        f"def _make({', '.join(closure)}):",
+        f"    def __init__({', '.join(params)}):",
+        *body,
+        "    return __init__",
+    ]
+    code = compile("\n".join(lines), f"<wire:{cls.__qualname__}>", "exec")
+    namespace: Dict[str, Any] = {}
+    exec(code, _COMPILED_GLOBALS, namespace)  # noqa: S102 - built from field names and the tables here only
+    init: Callable[..., None] = namespace["_make"](**closure)
+    init.__module__ = cls.__module__
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = dict(cls.__init__.__annotations__)  # type: ignore[misc]
     return init
@@ -238,9 +238,9 @@ def wire_message(cls: Type[_M]) -> Type[_M]:
     Applies ``dataclasses.dataclass(frozen=True)`` — frozen semantics,
     ``__eq__``, ``__repr__``, ``__hash__``, pickling, ``fields`` and
     ``replace`` are the dataclass's own — then swaps the generated
-    ``__init__`` for :func:`_direct_init`'s and compiles the size plan.
-    A message is built once per hop, and ``object.__setattr__`` per
-    field was most of what building one cost.
+    ``__init__`` for :func:`_direct_init`'s, which also sizes the
+    message. A message is built once per hop, and ``object.__setattr__``
+    per field was most of what building one cost.
 
     Refuses what the compiled ``__init__`` does not reproduce: a
     ``__post_init__``, and a parameter list that is not exactly the
@@ -257,8 +257,20 @@ def wire_message(cls: Type[_M]) -> Type[_M]:
             "parameter, positional or keyword (no init=False, kw_only or InitVar)"
         )
     cls.__init__ = _direct_init(cls, generated)  # type: ignore[misc]
-    _size_plan(cls)
     return cls
+
+
+class _SizedOnAsk:
+    """``wire_size`` of a message whose ``__init__`` did not set it (a
+    ``Message`` subclass not declared ``@wire_message``): walked on first
+    ask and kept on the instance, whose entry then shadows this
+    non-data descriptor."""
+
+    def __get__(self, message: Any, owner: Optional[type] = None) -> Any:
+        if message is None:
+            return self
+        size = message.__dict__["wire_size"] = _walk_size(message)
+        return size
 
 
 @wire_message
@@ -267,45 +279,17 @@ class Message:
 
     Subclasses are declared with :func:`wire_message` (the linter's
     ``frozen-message`` rule enforces it): frozen dataclasses whose
-    ``__init__`` and size plan are compiled from the field list.
-    ``size_bytes`` sums the envelope and every field. Override it only
-    when a field should *not* count toward the wire size (e.g.
-    simulation bookkeeping).
-
-    Subclasses whose instances are never mutated after being handed to
-    the network may set ``memoize_size = True``: the first
-    ``size_bytes()`` result is cached on the instance and returned
-    verbatim afterwards. Immutability is what makes the cache — and
-    ``copy_size_from`` — sound.
+    ``__init__`` is compiled from the field list. ``wire_size``, set
+    when the message is built, is the envelope plus every field; the
+    network reads it on every send. Being frozen is what makes a size
+    taken at build time the size at every send.
     """
 
     #: Human-readable tag used in network statistics.
     type_name: ClassVar[str] = "message"
 
-    #: Opt-in per-instance size cache; see class docstring.
-    memoize_size: ClassVar[bool] = False
+    wire_size = _SizedOnAsk()
 
     def size_bytes(self) -> int:
-        if self.memoize_size:
-            cached = self.__dict__.get("_size_memo")
-            if cached is not None:
-                return cached
-        cls = type(self)
-        body = (_SIZE_PLANS.get(cls) or _size_plan(cls))(self)
-        if self.memoize_size:
-            object.__setattr__(self, "_size_memo", body)
-        return body
-
-    def copy_size_from(self, other: "Message") -> "Message":
-        """Carry ``other``'s memoized size onto this message.
-
-        Only valid when the caller knows both messages serialise to the
-        same number of bytes — e.g. a chain hop where the only fields
-        that differ are fixed-width scalars. Returns ``self`` so the
-        call can be chained at a send site. A no-op when ``other`` has
-        not been sized yet (or does not memoize).
-        """
-        memo = other.__dict__.get("_size_memo")
-        if memo is not None:
-            object.__setattr__(self, "_size_memo", memo)
-        return self
+        """The wire size (``wire_size``)."""
+        return self.wire_size  # type: ignore[no-any-return]

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
 
 from repro.errors import AddressUnknownError, NetworkError
 from repro.net.latency import LatencyModel, ScaledLatency, lan_latency, wan_latency
-from repro.net.message import Message
+from repro.net.message import Message, inline_sized
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.version import intern_str
@@ -87,6 +87,7 @@ def commutativity_fingerprint(
     return (str(dst), msg.type_name, message_keys(msg))
 
 
+@inline_sized
 class Address(tuple):
     """Network address of an actor: a node name within a site (datacenter).
 
@@ -387,8 +388,8 @@ class Network:
             raise AddressUnknownError(f"no actor registered at {dst}")
         # Fast path: with no crashes, partitions, or filters active (the
         # overwhelmingly common case) the drop checks are a single truth
-        # test. Sizing happens only after the drop checks so discarded
-        # messages cost nothing (dropped bytes were never recorded).
+        # test. A dropped message's bytes are never recorded; a message
+        # was sized when it was built, and only ``wire_size`` is read.
         if self._down or self._blocked or self._filters:
             if (
                 src in self._down
@@ -398,11 +399,10 @@ class Network:
             ):
                 self.stats.messages_dropped += 1
                 return
-        size = msg.size_bytes()
         link = self._links.get((src, dst))
         if link is None:
             link = self._open_link(src, dst)
-        self.stats.record(msg, size, link.cross_site)
+        self.stats.record(msg, msg.wire_size, link.cross_site)
 
         if self._divert is not None and self._divert(src, dst, msg):
             # Explore mode owns this message's delivery order; the

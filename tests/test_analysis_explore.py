@@ -5,6 +5,7 @@ pruning vs naive enumeration, and the CLI surface."""
 
 import io
 import json
+import re
 
 import pytest
 
@@ -319,3 +320,14 @@ class TestCliExplore:
         )
         assert code == 0
         assert "pruning ratio" in text
+
+    def test_reports_schedules_per_second(self):
+        # a host measurement: printed and in the JSON report, never judged
+        argv = ["explore", "--scope", "smallest", "--budget", "5"]
+        code, text = self._run(argv)
+        assert code == 0
+        assert re.search(r"elapsed=\d+\.\ds rate=\d+\.\d/s", text)
+        code, rendered = self._run(argv + ["--format", "json"])
+        payload = json.loads(rendered[rendered.index("{"):])
+        assert code == 0 and payload["schedules"] > 0
+        assert payload["schedules_per_s"] == pytest.approx(payload["schedules"] / payload["elapsed_s"])

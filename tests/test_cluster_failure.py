@@ -104,3 +104,81 @@ class TestDeclarativeSchedule:
         store.run(until=3.0)
         assert "partition" in log[0]
         assert "crash" in log[1]
+
+
+class TestUnknownEndpoints:
+    """A fault naming an endpoint the topology lacks fails before the
+    run: ``Network.block`` would take any string, and a crash of an
+    unknown address would only mark it down."""
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            FaultEvent(1.0, "crash", "dc9:s1"),
+            FaultEvent(1.0, "crash", "dc0:s7"),
+            FaultEvent(1.0, "partition", "dc0", "dc9"),
+            FaultEvent(1.0, "partition", "dc0:client1", "dc1"),
+            FaultEvent(1.0, "slow", "dc0", "dc1:s0"),
+        ],
+        ids=["crash-site", "crash-node", "partition-site", "partition-node", "slow-node"],
+    )
+    def test_schedules_nothing(self, store, event):
+        good = FaultEvent(0.5, "crash", "dc0:s1")
+        pending = store.sim.pending_events()
+        with pytest.raises(ConfigError, match=r"unknown (site|node)"):
+            schedule_faults(store, [good, event])
+        assert store.sim.pending_events() == pending
+        store.run(until=1.5)
+        assert not server(store).crashed  # the good event was not scheduled
+
+    def test_the_error_names_the_known_sites(self, store):
+        with pytest.raises(ConfigError, match=r"known sites: \['dc0', 'dc1'\]"):
+            schedule_faults(store, [FaultEvent(1.0, "partition", "dc0", "dc9")])
+
+    def test_known_endpoints_pass(self, store):
+        log = schedule_faults(
+            store,
+            [
+                FaultEvent(1.0, "partition", "dc0:geoproxy", "dc1:s2"),
+                FaultEvent(1.0, "crash", "dc1:geoproxy"),
+            ],
+        )
+        store.run(until=1.5)
+        assert log == ["t=1.000 partition dc0:geoproxy | dc1:s2", "t=1.000 crash dc1:geoproxy"]
+        assert store.proxies["dc1"].crashed
+
+    def test_a_baseline_has_no_geoproxy(self):
+        eventual = build_store("eventual", sites=("dc0",), servers_per_site=3)
+        with pytest.raises(ConfigError, match="unknown node"):
+            schedule_faults(eventual, [FaultEvent(1.0, "crash", "dc0:geoproxy")])
+
+    def test_campaign_partition_of_an_unknown_site(self):
+        from repro.faults import campaign, run_campaign
+
+        spec = campaign("partition-sites")
+        bad = spec.with_updates(
+            events=(FaultSpec(kind="partition", at=0.7, target="dc0|dc9", until=1.4),)
+        )
+        with pytest.raises(ConfigError, match="unknown site 'dc9'"):
+            run_campaign(bad, seed=42)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [FaultEvent(0.2, "crash", "dc9:s1"), FaultEvent(0.2, "partition", "dc0", "dc9")],
+        ids=["crash", "partition"],
+    )
+    def test_experiment_spec(self, fault):
+        from repro.sim.shard import ExperimentSpec, ShardedSimulator
+        from repro.workload.ycsb import WorkloadSpec
+
+        spec = ExperimentSpec(
+            workload=WorkloadSpec("tiny", read_proportion=0.5, update_proportion=0.5, record_count=10),
+            servers_per_site=3,
+            n_clients=2,
+            duration=0.3,
+            warmup=0.1,
+            drain=0.1,
+            faults=(fault,),
+        )
+        with pytest.raises(ConfigError, match="unknown site 'dc9'"):
+            ShardedSimulator(spec, workers=1).run()

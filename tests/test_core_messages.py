@@ -22,7 +22,7 @@ from repro.core.messages import (
     WaitStable,
     deps_size_bytes,
 )
-from repro.net.message import WIRE_HEADER_BYTES, _size_unplanned
+from repro.net.message import WIRE_HEADER_BYTES, _walk_size
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 
@@ -157,12 +157,12 @@ class TestReadReply:
     @pytest.mark.parametrize("shape", sorted(READ_REPLY_SHAPES))
     def test_plan_equals_the_field_walk(self, shape):
         reply = read_reply(*READ_REPLY_SHAPES[shape])
-        assert reply.size_bytes() == _size_unplanned(reply) == reference_message_size(reply)
+        assert reply.size_bytes() == _walk_size(reply) == reference_message_size(reply)
 
     @given(values, vectors, st.booleans(), st.booleans(), st.integers(0, 5), optionals)
     def test_plan_equals_the_field_walk_for_any_content(self, value, version, stable, globally, index, optional):
         reply = read_reply((value, version, stable, globally, index), optional)
-        assert reply.size_bytes() == _size_unplanned(reply) == reference_message_size(reply)
+        assert reply.size_bytes() == _walk_size(reply) == reference_message_size(reply)
 
     @pytest.mark.parametrize("shape", sorted(READ_REPLY_SHAPES))
     def test_pickle_round_trip_keeps_size_and_absence(self, shape):

@@ -12,7 +12,7 @@ from repro.cluster.membership import RingView
 from repro.core.deptable import DepTable
 from repro.core.messages import DepEntry, RemoteUpdate
 from repro.net import Address, Message, estimate_size
-from repro.net.message import WIRE_HEADER_BYTES
+from repro.net.message import WIRE_HEADER_BYTES, wire_message
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 
@@ -161,15 +161,20 @@ class TestSizePlans:
 
     def test_untyped_annotations_and_subclass_fields(self):
         # annotations that are real types (no ``from __future__ import
-        # annotations`` in this module), inherited fields, a memoizing subclass
+        # annotations`` in this module), inherited fields, a subclass
+        # sized on first ask and one sized when built
         @dataclasses.dataclass(frozen=True)
         class Pong(Ping):
-            memoize_size: ClassVar[bool] = True
             extra: Any = None
 
-        for msg in (Pong(seq=2, note="yo", extra=[1, "a"]), Pong(seq=True, note=b"raw")):
-            assert msg.size_bytes() == reference_message_size(msg)
-            assert msg.size_bytes() == reference_message_size(msg)  # memo hit
+        @wire_message
+        class Built(Ping):
+            extra: Any = None
+
+        for cls in (Pong, Built):
+            for msg in (cls(seq=2, note="yo", extra=[1, "a"]), cls(seq=True, note=b"raw")):
+                assert msg.size_bytes() == reference_message_size(msg)
+                assert msg.size_bytes() == reference_message_size(msg)  # kept
 
     def test_str_and_int_subclasses_size_like_the_walk(self):
         class Name(str):

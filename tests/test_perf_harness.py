@@ -1,6 +1,6 @@
-"""Tests for the PR-1 performance work: size memoization, the kernel's
-O(1) pending counter and heap compaction, the fire-and-forget post API,
-and the FIFO-horizon sweep."""
+"""Tests for the PR-1 performance work, as it stands now: a message's
+wire size taken once, the kernel's O(1) pending counter and heap
+compaction, the fire-and-forget post API, and the FIFO-horizon sweep."""
 
 import dataclasses
 from typing import ClassVar
@@ -8,13 +8,13 @@ from typing import ClassVar
 import pytest
 
 from repro.net import Address, FixedLatency, Message, Network
+from repro.net.message import _walk_size, wire_message
 from repro.net.network import _HORIZON_SWEEP_INTERVAL
 
 
-@dataclasses.dataclass(frozen=True)
-class Memoed(Message):
-    type_name: ClassVar[str] = "memoed"
-    memoize_size: ClassVar[bool] = True
+@wire_message
+class Sized(Message):
+    type_name: ClassVar[str] = "sized"
     body: str = ""
 
 
@@ -25,17 +25,20 @@ class Plain(Message):
 
 
 class TestSizeMemoization:
+    """A ``@wire_message`` is sized by its ``__init__``; any other
+    ``Message`` subclass by the walk, on first ask. Either way the
+    size is kept on the instance."""
+
     def test_memoized_size_is_stable_and_correct(self):
-        msg = Memoed(body="hello")
+        msg = Sized(body="hello")
         first = msg.size_bytes()
-        assert first == Plain(body="hello").size_bytes()
+        assert first == msg.wire_size == Plain(body="hello").size_bytes() == _walk_size(msg)
         assert msg.size_bytes() == first
 
     def test_messages_are_frozen(self):
         # Messages are immutable once constructed — that is what makes
-        # the size memo (and copy_size_from) sound.
-        msg = Memoed(body="ab")
-        msg.size_bytes()
+        # a size taken at build time the size at every send.
+        msg = Sized(body="ab")
         with pytest.raises(dataclasses.FrozenInstanceError):
             msg.body = "a much longer body than before"
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -43,30 +46,17 @@ class TestSizeMemoization:
 
     def test_unsized_messages_do_not_cache(self):
         msg = Plain(body="ab")
+        assert "wire_size" not in msg.__dict__  # not asked yet: nothing kept
         small = msg.size_bytes()
-        assert "_size_memo" not in msg.__dict__
+        assert msg.__dict__["wire_size"] == small
         assert dataclasses.replace(msg, body="xyz!").size_bytes() == small + 2
-
-    def test_copy_size_from_carries_memo(self):
-        a = Memoed(body="payload")
-        a.size_bytes()
-        b = Memoed(body="payload")
-        b.copy_size_from(a)
-        assert b.size_bytes() == a.size_bytes()
-
-    def test_copy_size_from_unsized_source_is_noop(self):
-        a = Memoed(body="payload")
-        b = Memoed(body="payload")
-        b.copy_size_from(a)  # a never sized: nothing to carry
-        assert b.size_bytes() == Plain(body="payload").size_bytes()
 
     def test_protocol_chain_put_memoizes(self):
         from repro.core.messages import ChainPut
 
         msg = ChainPut(key="k", value="v" * 32)
-        size = msg.size_bytes()
-        assert msg.size_bytes() == size
-        assert "_size_memo" in msg.__dict__
+        assert msg.__dict__["wire_size"] == _walk_size(msg)  # sized when built
+        assert msg.size_bytes() == msg.wire_size
 
 
 class TestKernelCounters:

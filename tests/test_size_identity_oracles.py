@@ -9,7 +9,7 @@ string-keyed dicts an ``apply_remote`` RPC and a ``get`` reply once
 carried, and the ``(key, entries dict)`` a ``wait_stable`` RPC once
 carried. Those payloads are gone, and with them their oracles. What
 holds the typed messages is the rule every message keeps: the compiled
-size plan equals the full field walk (``_size_unplanned``) and the
+size plan equals the full field walk (``_walk_size``) and the
 reference walk kept in ``helpers``, for any content — the clock plane's
 ``hlc``, a forwarded read's ``fwd_deps`` and the refusals included.
 
@@ -23,7 +23,7 @@ import pickle
 import pkgutil
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_geo_store, reference_estimate_size, reference_message_size, run_op
 
@@ -39,9 +39,10 @@ from repro.core.messages import (
     ReadReply,
     RemoteUpdate,
     WaitStable,
+    deps_size_bytes,
 )
 from repro.net import Address, estimate_size
-from repro.net.message import _size_unplanned
+from repro.net.message import _walk_size
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 from repro.storage.version import clear_intern_pool, entries_size_bytes, set_interning
@@ -150,12 +151,12 @@ class TestTypedRequestPlans:
 
     @given(typed_messages)
     def test_plan_equals_the_field_walk(self, msg):
-        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+        assert msg.size_bytes() == _walk_size(msg) == reference_message_size(msg)
 
     @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
     def test_every_injected_shape(self, shape):
         msg = typed(APPLY_REMOTE_SHAPES[shape])
-        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+        assert msg.size_bytes() == _walk_size(msg) == reference_message_size(msg)
 
     def test_absent_fields_cost_what_the_notices_plane_pays(self):
         # NO_HLC is free and an absent ``fwd_deps`` one byte: a notices
@@ -170,7 +171,7 @@ class TestApplyRemote:
     @given(updates, request_ids)
     def test_plan_equals_the_field_walk_for_any_content(self, msg, request_id):
         update = typed(msg, request_id)
-        assert update.size_bytes() == _size_unplanned(update) == reference_message_size(update)
+        assert update.size_bytes() == _walk_size(update) == reference_message_size(update)
 
     @pytest.mark.parametrize("shape", sorted(APPLY_REMOTE_SHAPES))
     def test_pickle_round_trip_keeps_size_and_absence(self, shape):
@@ -217,7 +218,7 @@ class TestWaitStablePayload:
     @given(st.text(max_size=20), vectors)
     def test_for_any_key_and_vector(self, key, version):
         msg = WaitStable(request_id=3, key=key, version=version)
-        assert msg.size_bytes() == _size_unplanned(msg) == reference_message_size(msg)
+        assert msg.size_bytes() == _walk_size(msg) == reference_message_size(msg)
         assert msg.size_bytes() == 24 + 8 + 4 + len(key) + version.size_bytes()
 
     def test_the_vector_arrives_as_sent(self):
@@ -273,6 +274,54 @@ class TestAddress:
         assert type(copy) is Address and copy == address and copy is not address
         assert copy.site is address.site and copy.node is address.node
         assert hash(copy) == hash(address)
+
+
+_dep_keys = st.sampled_from([f"key-{i}" for i in range(40)])
+_table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), _dep_keys, vectors, st.integers(0, 5), st.none() | stamps),
+        st.tuples(st.just("pop"), _dep_keys),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("compact")),
+    ),
+    max_size=150,
+)
+
+
+class TestDepTableRunningTotal:
+    """The table keeps its wire size as it changes, and hands it to each
+    snapshot: both equal ``deps_size_bytes`` of the same entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_table_ops)
+    def test_equals_the_walk_after_any_sequence(self, ops):
+        table, snapshots = DepTable(), []
+        for op, *args in ops:
+            if op == "set":
+                table.set(*args)
+            elif op == "pop":
+                table.pop(*args)
+            elif op == "clear":
+                table.clear()
+            elif op == "snapshot":
+                snap = table.snapshot()
+                snapshots.append((snap, deps_size_bytes(table.as_dict())))
+            else:
+                table._compact()
+            assert table.size_bytes() == deps_size_bytes(table.as_dict())
+        for snap, size in snapshots:  # frozen: later mutations leave it be
+            assert snap.wire_size == snap.size_bytes() == size == deps_size_bytes(dict(snap.items()))
+
+    def test_pops_past_the_compaction_threshold(self):
+        table = DepTable()
+        for i in range(40):
+            table.set(f"key-{i}", vv(dc0=i + 1), i % 3, STAMP if i % 2 else None)
+        for i in range(30):
+            table.pop(f"key-{i}")
+        assert table.column_slots() < 40  # compacted
+        assert table.size_bytes() == deps_size_bytes(table.as_dict())
+        assert table.snapshot().wire_size == table.size_bytes()
 
 
 class _Tagged(VersionVector):

@@ -1,7 +1,7 @@
 """``@wire_message``: every production message behaves as the plain
 frozen dataclass it replaces — same signature, construction, freezing,
-equality, repr, hash, pickling and ``replace`` — and its compiled size
-plan equals the reference walk.
+equality, repr, hash, pickling and ``replace`` — and the size its
+compiled ``__init__`` carries equals the reference walk.
 
 The stock twin of each class (``stock``) is the same field list under
 ``dataclasses.dataclass(frozen=True)`` alone: the oracle for "as before".
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.membership import RingView
 from repro.net import Address, Message
-from repro.net.message import _SIZE_PLANS, _size_unplanned, wire_message
+from repro.net.message import _walk_size, wire_message
 from repro.storage import VersionVector
 
 from helpers import reference_message_size
@@ -88,7 +88,7 @@ def test_every_message_module_is_walked():
     assert len(CLASSES) == 41
     for cls in CLASSES:
         assert cls.__init__.__code__.co_filename == f"<wire:{cls.__qualname__}>"
-        assert _SIZE_PLANS[cls].__code__.co_filename == f"<wire:{cls.__qualname__}>"
+        assert vars(cls())["wire_size"] == _walk_size(cls())  # sized by __init__
 
 
 def test_two_classes_compile_under_different_file_names():
@@ -105,13 +105,19 @@ class TestAsTheStockDataclass:
 
     def test_defaults_positional_and_keyword_construction(self, cls):
         twin = stock(cls)
-        assert vars(cls()) == vars(twin())
+
+        def sized(message):  # the stock twin is walked on first ask
+            message.size_bytes()
+            return vars(message)
+
+        assert vars(cls()) == sized(twin())
         values = field_values(cls)
         names = [f.name for f in dataclasses.fields(cls)]
         positional, keyword = cls(*values), cls(**dict(zip(names, values)))
         assert positional == keyword
-        assert vars(positional) == vars(keyword) == vars(twin(*values))
-        assert list(vars(positional)) == names  # the stock layout, in field order
+        assert vars(positional) == vars(keyword) == sized(twin(*values))
+        # the stock layout, in field order, then the size
+        assert list(vars(positional)) == [*names, "wire_size"]
 
     def test_default_factories_run_per_instance(self, cls):
         a, b = cls(), cls()
@@ -150,8 +156,7 @@ class TestAsTheStockDataclass:
             size = message.size_bytes()
             copy = pickle.loads(pickle.dumps(message))
             assert copy == message and copy.size_bytes() == size
-            if cls.memoize_size:
-                assert vars(copy)["_size_memo"] == size
+            assert vars(copy)["wire_size"] == size  # carried, not re-walked
 
     def test_replace(self, cls):
         message = cls(*field_values(cls, 1))
@@ -165,11 +170,11 @@ class TestAsTheStockDataclass:
         instances = [
             cls(),
             cls(*field_values(cls)),
-            # every promise broken: the plan must fall back, not raise
+            # every promise broken: the compiled size falls back to the walk, never raises
             cls(*[broken.get(f.type, 3.5) for f in dataclasses.fields(cls)]),
         ]
         for message in instances:
-            assert message.size_bytes() == _size_unplanned(message) == reference_message_size(message)
+            assert message.size_bytes() == _walk_size(message) == reference_message_size(message)
 
 
 VV_CLASSES = [c for c in CLASSES if any(f.type == "VersionVector" for f in dataclasses.fields(c))]
@@ -193,13 +198,14 @@ _vectors = st.dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(version=_vectors, plain=st.booleans())
 def test_version_vector_promise(cls, version, plain):
-    """A ``VersionVector`` field is planned as ``size_bytes()``; anything
-    else in it — a subclass, a dict — breaks the promise and is walked."""
+    """A ``VersionVector`` field is sized by the vector's own memo;
+    anything else in it — a subclass, a dict — breaks the promise and
+    is walked."""
     value = version if plain else Wider(version.entries())
     message = cls(**{f.name: value for f in dataclasses.fields(cls) if f.type == "VersionVector"})
-    assert message.size_bytes() == _size_unplanned(message) == reference_message_size(message)
+    assert message.size_bytes() == _walk_size(message) == reference_message_size(message)
     odd = cls(**{f.name: version.entries() for f in dataclasses.fields(cls) if f.type == "VersionVector"})
-    assert odd.size_bytes() == _size_unplanned(odd)
+    assert odd.size_bytes() == _walk_size(odd)
 
 
 def test_each_factory_call_is_its_own_instance():
