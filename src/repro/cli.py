@@ -401,6 +401,12 @@ def _emit(args: argparse.Namespace, out, text: str, payload: Dict[str, Any]) -> 
         print(rendered, file=out)
 
 
+def _progress(args: argparse.Namespace, out, text: str) -> None:
+    """A banner before a long step: on ``out`` beside a text report, on
+    stderr under ``--format json``, so stdout holds only the document."""
+    print(text, file=sys.stderr if args.format == "json" else out)
+
+
 def _cmd_run(args: argparse.Namespace, out) -> int:
     overrides: Dict[str, Any] = {}
     if args.durable:
@@ -445,10 +451,10 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         warmup=args.warmup,
         record_history=args.check or args.staleness,
     )
-    print(
+    _progress(
+        args, out,
         f"running {args.protocol} / workload {args.workload} / {args.clients} clients "
         f"on {len(args.sites)} site(s) ...",
-        file=out,
     )
     result = runner.run()
     payload: Dict[str, Any] = result.summary_row()
@@ -731,7 +737,7 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         _emit(args, out, report.format(), payload)
         return 0 if report.clean else 1
 
-    print(f"running campaign {spec.name!r} under seed {args.seed} ...", file=out)
+    _progress(args, out, f"running campaign {spec.name!r} under seed {args.seed} ...")
     result = run_campaign(spec, seed=args.seed)
     _emit(args, out, result.format(), result.to_report())
     return 0 if result.clean else 1
@@ -771,11 +777,11 @@ def _cmd_sanitize_sharded(args: argparse.Namespace, out, overrides) -> int:
         # One shard per site; a single site degenerates to the serial
         # path, which the plain sanitizer already covers better.
         sites = ("dc0", "dc1")
-    print(
+    _progress(
+        args, out,
         f"sanitizing {args.protocol} on the sharded engine "
         f"(workers={args.workers}, sites={len(sites)}): two runs under "
         f"seed {args.seed}, plus a workers=1 reference ...",
-        file=out,
     )
     report = sanitize_sharded(
         args.protocol,
@@ -830,10 +836,10 @@ def _cmd_sanitize(args: argparse.Namespace, out) -> int:
             print("--workers applies to chainreaction/chain only", file=out)
             return 2
         return _cmd_sanitize_sharded(args, out, overrides)
-    print(
+    _progress(
+        args, out,
         f"sanitizing {args.protocol} / workload {args.workload}: "
         f"two runs under seed {args.seed} ...",
-        file=out,
     )
     report = sanitize_run(
         args.protocol,
@@ -951,11 +957,11 @@ def _cmd_explore(args: argparse.Namespace, out) -> int:
     if args.stability is not None:
         scope = scope.on_plane(args.stability)
     mode = "naive" if args.naive else "dpor"
-    print(
+    _progress(
+        args, out,
         f"exploring scope {scope.name!r} "
         f"(mutations={list(scope.mutations) or 'none'}, mode={mode}, "
         f"budget={args.budget}) ...",
-        file=out,
     )
     report = explore_scope(scope, budget=args.budget, mode=mode)
     if args.compare_naive and not args.naive:

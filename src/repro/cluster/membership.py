@@ -15,7 +15,8 @@ reconfiguration needs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+import functools
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
@@ -56,31 +57,40 @@ class RingView:
     chain_length: int
     virtual_nodes: int = 64
 
-    # A view is an immutable value, so its ring and its servers' addresses
-    # are memoised on the instance (in ``__dict__``, as ``Message.wire_size``
-    # is): not fields, hence outside ``==``, ``hash`` and ``size_bytes``.
+    # A view is an immutable value, so its ring, the ring's chain memo at
+    # this view's length and its servers' addresses are memoised in the
+    # instance ``__dict__`` by ``cached_property`` (where ``Message.wire_size``
+    # is stored too): not fields, hence outside ``==``, ``hash`` and
+    # ``size_bytes``. After the first read each is a plain attribute.
+
+    @functools.cached_property
+    def _hash_ring(self) -> HashRing:
+        return _ring(self.servers, self.virtual_nodes)
+
+    @functools.cached_property
+    def _routed(self) -> Mapping[str, List[str]]:
+        return self._hash_ring.routed(self.chain_length)
+
+    @functools.cached_property
+    def _addresses(self) -> Dict[str, Address]:
+        return {}
 
     def ring(self) -> HashRing:
-        ring = self.__dict__.get("_ring_memo")
-        if ring is None:
-            ring = _ring(self.servers, self.virtual_nodes)
-            object.__setattr__(self, "_ring_memo", ring)
-        return ring
+        return self._hash_ring
 
     def chain_for(self, key: str) -> List[str]:
-        return self.ring().chain_for(key, self.chain_length)
+        chain = self._routed.get(key)
+        if chain is None:
+            chain = self._hash_ring.chain_for(key, self.chain_length)
+        return chain
 
     def addresses(self) -> List[Address]:
         return [self.address_of(s) for s in self.servers]
 
     def address_of(self, server: str) -> Address:
-        memo = self.__dict__.get("_address_memo")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_address_memo", memo)
-        address = memo.get(server)
+        address = self._addresses.get(server)
         if address is None:
-            address = memo[server] = Address(self.site, server)
+            address = self._addresses[server] = Address(self.site, server)
         return address
 
     def size_bytes(self) -> int:

@@ -32,7 +32,7 @@ from repro.core.messages import WaitStable
 from repro.errors import RequestTimeout
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Future
-from repro.storage.version import VersionVector
+from repro.storage.version import VersionVector, dominates_entries
 
 __all__ = ["DepWait", "StabilityTracker"]
 
@@ -72,11 +72,25 @@ class StabilityTracker:  # repro: lint-ok(slots) — invariant monitor rebinds .
         return self._floor(key)
 
     def is_stable(self, key: str, version: VersionVector) -> bool:
-        return self.stable_version(key).dominates(version)
+        # stable_version and VersionVector.dominates, inlined: asked on
+        # every hop of a put and of its stability cascade
+        stable = self._stable.get(key)
+        if stable is None:
+            stable = self._floor(key)
+        return dominates_entries(stable._entries, version._entries)
 
     def record(self, key: str, version: VersionVector) -> None:
         """Note that ``version`` of ``key`` is DC-stable; wake waiters."""
-        merged = self.stable_version(key).merge(version)
+        stable = self._stable.get(key)
+        if stable is None:
+            stable = self._floor(key)
+        # ``stable.merge(version)``, whose least upper bound is usually
+        # ``version`` itself: the same operand, found by one scan
+        new, old = version._entries, stable._entries
+        if new != old and dominates_entries(new, old):
+            merged = version
+        else:
+            merged = stable.merge(version)
         self._stable[key] = merged
         self.notifications += 1
         waiters = self._waiters.get(key)

@@ -178,7 +178,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_heap",
         "_running",
@@ -190,7 +190,10 @@ class Simulator:
         "_chooser",
     )
 
-    _now: float
+    #: current virtual time in seconds: a plain slot, read on every hop.
+    #: Only this module's loops assign it (a test scans the tree for
+    #: any other writer).
+    now: float
     _seq: int
     _heap: List[Tuple[Any, ...]]
     _running: bool
@@ -202,7 +205,7 @@ class Simulator:
     _chooser: Optional[DeliveryChooser]
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
         self._heap = []
         self._running = False
@@ -214,13 +217,8 @@ class Simulator:
         self._chooser = None
 
     # ------------------------------------------------------------------
-    # time
+    # gauges
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of callbacks executed so far (cancelled ones excluded)."""
@@ -247,15 +245,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self._now}"
+                f"cannot schedule at t={time} which is before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -289,13 +287,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        self.post_at(self._now + delay, callback, *args)
+        self.post_at(self.now + delay, callback, *args)
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self._now}"
+                f"cannot schedule at t={time} which is before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -351,7 +349,7 @@ class Simulator:
     def _fire(self, entry: Tuple[Any, ...]) -> None:
         """Advance the clock to ``entry`` and run its callback."""
         self._pending -= 1
-        self._now = entry[0]
+        self.now = entry[0]
         self._events_processed += 1
         if len(entry) == 3:
             ev = entry[2]
@@ -424,17 +422,17 @@ class Simulator:
                     entry = head
                     break
                 chooser = self._chooser
-                if chooser is not None and self._now < bound:
+                if chooser is not None and self.now < bound:
                     # Time would advance (or the heap drained): give the
                     # chooser a chance to inject a delivery at `now` first.
-                    if (entry is None or entry[0] > self._now) and chooser.release(self):
+                    if (entry is None or entry[0] > self.now) and chooser.release(self):
                         continue
                 if entry is None or entry[0] >= bound:
                     break
                 pop(heap)
                 # _fire, inlined (see run()).
                 self._pending -= 1
-                self._now = entry[0]
+                self.now = entry[0]
                 self._events_processed += 1
                 if len(entry) == 3:
                     ev = entry[2]
@@ -496,16 +494,16 @@ class Simulator:
                             continue
                         ev._sim = None
                         self._pending -= 1
-                        self._now = entry[0]
+                        self.now = entry[0]
                         self._events_processed += 1
                         ev.callback(*ev.args)
                         self._recycle(ev)
                     else:
                         self._pending -= 1
-                        self._now = entry[0]
+                        self.now = entry[0]
                         self._events_processed += 1
                         entry[2](*entry[3])
-                return self._now
+                return self.now
             while heap:
                 entry = heap[0]
                 if len(entry) == 3 and entry[2].cancelled:
@@ -521,7 +519,7 @@ class Simulator:
                 # the loop, and the budgeted form is the one sliced runs
                 # (every --seconds budget, the benchmark) go through.
                 self._pending -= 1
-                self._now = entry[0]
+                self.now = entry[0]
                 self._events_processed += 1
                 if len(entry) == 3:
                     ev = entry[2]
@@ -536,8 +534,8 @@ class Simulator:
                         f"simulation exceeded max_events={max_events}; "
                         "likely a livelock (self-rescheduling event loop)"
                     )
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+            if until is not None and until > self.now:
+                self.now = until
+            return self.now
         finally:
             self._running = False

@@ -14,7 +14,7 @@ import dataclasses
 import inspect
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type, TypeVar
 
-from repro.sim.hlc import NO_HLC
+from repro.sim.hlc import NO_HLC, STAMP_WIRE_BYTES, HLCStamp
 from repro.storage.version import VersionVector
 
 __all__ = ["Message", "estimate_size", "inline_sized", "wire_message", "WIRE_HEADER_BYTES"]
@@ -131,7 +131,8 @@ _PROMISED: Dict[Any, Tuple[type, int, Optional[str]]] = {  # repro: lint-ok(modu
 #: it usually holds inline, anything else (the default) by ``estimate_size``.
 _UNPROMISED: Dict[Any, str] = {  # repro: lint-ok(module-mutable-state) — constant lookup table, never mutated
     "Any": "(1 if {0} is None else 0 if {0} is NO_HLC else 4 + len({0}) "
-    "if type({0}) is str else estimate_size({0}))",
+    f"if type({{0}}) is str else {STAMP_WIRE_BYTES} if type({{0}}) is HLCStamp "
+    "else estimate_size({0}))",
     "Optional[Address]": "(1 if {0} is None else 8 + len({0}[0]) + len({0}[1]) "
     "if type({0}) is Address else estimate_size({0}))",
     "Deps": "({0}.wire_size if type({0}) is DepSnapshot else estimate_size({0}))",
@@ -152,6 +153,7 @@ def _walk_size(message: Any) -> int:
 #: ``type()`` is None, so their rules fall to ``estimate_size``).
 _COMPILED_GLOBALS: Dict[str, Any] = {  # repro: lint-ok(module-mutable-state) — per-process table rebuilt identically from class definitions
     "NO_HLC": NO_HLC,
+    "HLCStamp": HLCStamp,
     "VersionVector": VersionVector,
     "Address": None,
     "DepSnapshot": None,

@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 
 __all__ = [
     "HLCStamp",
+    "STAMP_WIRE_BYTES",
     "HLC_ZERO",
     "NO_HLC",
     "HybridClock",
@@ -47,7 +48,7 @@ __all__ = [
 _PHYSICAL_SCALE = 1_000_000
 
 #: modeled wire size of a stamp: 8B physical + 2B logical + 2B origin id
-_STAMP_WIRE_BYTES = 12
+STAMP_WIRE_BYTES = 12
 
 #: writes a slot past :meth:`HLCStamp.__setattr__`'s immutability guard
 _set = object.__setattr__
@@ -61,7 +62,7 @@ class HLCStamp:
     construction, and is what :meth:`key` returns and every comparison
     and the hash compare — tuple order runs in C, with no allocation
     per comparison.  The wire-size model is a flat
-    :data:`_STAMP_WIRE_BYTES` (origins are modeled as interned ids, not
+    :data:`STAMP_WIRE_BYTES` (origins are modeled as interned ids, not
     strings, matching how a real implementation would encode them).
     """
 
@@ -80,7 +81,7 @@ class HLCStamp:
         return self._key
 
     def size_bytes(self) -> int:
-        return _STAMP_WIRE_BYTES
+        return STAMP_WIRE_BYTES
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HLCStamp):

@@ -68,11 +68,13 @@ def merge_entries(a: _EntriesTuple, b: _EntriesTuple) -> _EntriesTuple:
     already is the least upper bound (``a`` when it dominates or equals,
     ``b`` when it does), so ``VersionVector.merge`` can forward the
     corresponding *vector* — merges against ZERO and already-dominating
-    merges allocate nothing, which the memory model depends on.
+    merges allocate nothing, which the memory model depends on. A ``b``
+    that dominates (the usual stability notice) is found by one scan,
+    before any dict is built.
     """
     if not b or b == a:
         return a
-    if not a:
+    if not a or dominates_entries(b, a):
         return b
     merged = dict(a)
     changed = False
@@ -82,23 +84,25 @@ def merge_entries(a: _EntriesTuple, b: _EntriesTuple) -> _EntriesTuple:
             changed = True
     if not changed:
         return a
-    if len(merged) == len(b):
-        matches_b = True
-        for dc, n in b:
-            if merged[dc] != n:
-                matches_b = False
-                break
-        if matches_b:
-            return b
     return tuple(sorted(merged.items()))
 
 
 def dominates_entries(a: _EntriesTuple, b: _EntriesTuple) -> bool:
-    """True iff ``a`` ≥ ``b`` pointwise (reflexive)."""
+    """True iff ``a`` ≥ ``b`` pointwise (reflexive).
+
+    Scans ``a`` inline for each of ``b``'s entries: every stability
+    question asks this, and a helper call per entry would be most of
+    its cost.
+    """
     if a is b:  # the common case: an interned version against itself
         return True
     for dc, n in b:
-        if get_entry(a, dc) < n:
+        for name, m in a:
+            if name == dc:
+                if m < n:
+                    return False
+                break
+        else:  # ``a`` holds 0 for ``dc``; canonical ``n`` is never 0
             return False
     return True
 

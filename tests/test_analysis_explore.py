@@ -328,6 +328,6 @@ class TestCliExplore:
         assert code == 0
         assert re.search(r"elapsed=\d+\.\ds rate=\d+\.\d/s", text)
         code, rendered = self._run(argv + ["--format", "json"])
-        payload = json.loads(rendered[rendered.index("{"):])
+        payload = json.loads(rendered)
         assert code == 0 and payload["schedules"] > 0
         assert payload["schedules_per_s"] == pytest.approx(payload["schedules"] / payload["elapsed_s"])

@@ -141,14 +141,15 @@ class TestTraceAndDurable:
 
 
 class TestOutputFlags:
-    def test_run_json_format(self):
+    def test_run_json_format(self, capsys):
         code, output = run_cli(
             "run", "--clients", "2", "--duration", "0.2", "--warmup", "0.05",
             "--records", "10", "--format", "json",
         )
         assert code == 0
-        # progress line first, then the JSON document
-        doc = json.loads(output[output.index("{"):])
+        # stdout is the JSON document alone; the progress line went to stderr
+        doc = json.loads(output)
+        assert capsys.readouterr().err.startswith("running chainreaction")
         assert doc["protocol"] == "chainreaction"
         assert "throughput_ops_s" in doc
 

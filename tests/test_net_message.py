@@ -12,7 +12,7 @@ from repro.cluster.membership import RingView
 from repro.core.deptable import DepTable
 from repro.core.messages import DepEntry, RemoteUpdate
 from repro.net import Address, Message, estimate_size
-from repro.net.message import WIRE_HEADER_BYTES, wire_message
+from repro.net.message import _COMPILED_GLOBALS, WIRE_HEADER_BYTES, wire_message
 from repro.sim.hlc import NO_HLC, HLCStamp
 from repro.storage import VersionVector
 
@@ -152,6 +152,17 @@ class TestSizePlans:
         ]
         for instance in instances:
             assert instance.size_bytes() == reference_message_size(instance), instance
+
+    def test_a_stamp_is_sized_by_its_constant_not_handed_to_estimate_size(self, monkeypatch):
+        handed = []
+        sizer = _COMPILED_GLOBALS["estimate_size"]
+        monkeypatch.setitem(
+            _COMPILED_GLOBALS, "estimate_size", lambda value: handed.append(type(value)) or sizer(value)
+        )
+        for cls in production_message_classes():
+            populated(cls, ENTRY_DEPS, STAMP, None)
+        assert dict in handed  # the compiled inits do call through the patch
+        assert HLCStamp not in handed
 
     def test_every_production_message_is_covered(self):
         names = {c.__name__ for c in production_message_classes()}
